@@ -14,7 +14,7 @@ import time
 
 from .dot import tree_dot
 from .engine import Budget, build_tree
-from .pruning import answers_of_pruned, prolog_search, prune
+from .pruning import answers_of_pruned, prolog_search, prune, pruned_tree
 from .syntax import (
     ParseError,
     SpecSuite,
@@ -98,20 +98,19 @@ def cmd_tree(args) -> int:
     pruned = prune(tree) if args.prune else None
     _emit_tree(args, tree, pruned)
     kept = pruned.kept if pruned else set(tree.ids)
+    exact = pruned.exact if pruned else tree.exact
     if args.json:
         obj = {
             "nodes": len(tree),
-            "exact": tree.exact if pruned is None else pruned.exact,
+            "exact": exact,
             "kept": sorted(kept),
             "pruned": sorted(set(tree.ids) - kept),
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         shown = "pruned tree" if pruned else "tree"
-        print(f"{shown}: {len(kept)} of {len(tree)} nodes, exact={tree.exact}")
-    if not tree.exact:
-        return EXIT_UNKNOWN
-    return EXIT_VERIFIED
+        print(f"{shown}: {len(kept)} of {len(tree)} nodes, exact={exact}")
+    return EXIT_VERIFIED if exact else EXIT_UNKNOWN
 
 
 def cmd_prune(args) -> int:
@@ -123,9 +122,8 @@ def cmd_run(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
     budget = _make_budget(args, None)
-    tree = build_tree(program, query, budget)
-    pruned = prune(tree)
-    _emit_tree(args, tree, pruned)
+    pruned = pruned_tree(program, query, budget)
+    _emit_tree(args, pruned.base, pruned)
     answers = answers_of_pruned(pruned)
     if args.json:
         obj = {
@@ -182,10 +180,7 @@ def cmd_check(args) -> int:
         )
         program2 = type(program)(program.clauses + tuple(extra))
         report = completeness_check(program2, query2, suite2, budget=budget)
-        if args.dot:
-            tree = build_tree(program2, query2, budget)
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(tree_dot(tree, prune(tree)))
+        _emit_tree(args, report.pruned.base, report.pruned)
     else:
         if args.kind == "semicomplete":
             verdict = semi_complete(

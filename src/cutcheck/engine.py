@@ -3,9 +3,9 @@
 A derivation step either resolves the leftmost atom against a renamed-apart
 program clause (standard SLD step with an idempotent relevant mgu) or, when
 the leftmost atom is ``!``, simply drops it (cut consumption; the pruning
-semantics lives in a separate module).  Trees are built breadth-first under
-an explicit budget; anything unexpanded is marked Truncated, never silently
-dropped.
+semantics lives in a separate module).  Nodes are materialised under an
+explicit budget, breadth-first for the whole tree or on demand for the pruned
+one; anything unexpanded is marked Truncated, never silently dropped.
 """
 
 from __future__ import annotations
@@ -141,35 +141,43 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     return out
 
 
-def build_tree(program: Program, query: tuple, budget: Optional[Budget] = None) -> LdTree:
-    """Breadth-first LD-tree construction under a budget.
+class TreeBuilder:
+    """Materialises LD-tree nodes on demand under a budget.
 
     ``budget.steps`` caps the derivation length (tree depth); ``budget.nodes``
-    caps the arena size.  Nodes that could not be fully expanded are
-    Truncated.
+    caps the number of materialised nodes.  The whole derivation is kept
+    standardized apart, whatever order the nodes are expanded in.
     """
-    budget = budget or Budget()
-    fresh = FreshNames()
-    forbidden = set(vars_of(query))
-    root = Node(0, query, tuple(None for _ in query), None, None, 0, EMPTY_SUBST)
-    nodes = [root]
-    queue: deque = deque([0])
-    while queue:
-        nid = queue.popleft()
+
+    def __init__(self, program: Program, query: tuple, budget: Optional[Budget] = None):
+        self.program = program
+        self.budget = budget or Budget()
+        self.fresh = FreshNames()
+        self.forbidden = set(vars_of(query))
+        root = Node(0, query, tuple(None for _ in query), None, None, 0, EMPTY_SUBST)
+        self.tree = LdTree(query, [root])
+
+    def expand(self, nid: int) -> list:
+        """Set the status of node ``nid`` and materialise its children.
+
+        Returns the ids of the new children; a node that could not be fully
+        expanded is Truncated and gets none.
+        """
+        nodes = self.tree.nodes
         node = nodes[nid]
         if not node.query:
             node.status = SUCCESS
-            continue
-        if node.depth >= budget.steps:
+            return []
+        if node.depth >= self.budget.steps:
             node.status = TRUNCATED
-            continue
-        expansions = ld_expand(program, node.query, forbidden, fresh)
+            return []
+        expansions = ld_expand(self.program, node.query, self.forbidden, self.fresh)
         if not expansions:
             node.status = FAILURE
-            continue
-        if len(nodes) + len(expansions) > budget.nodes:
+            return []
+        if len(nodes) + len(expansions) > self.budget.nodes:
             node.status = TRUNCATED
-            continue
+            return []
         for child_query, step in expansions:
             if step.clause_index is None:
                 child_origins = node.origins[1:]
@@ -187,8 +195,17 @@ def build_tree(program: Program, query: tuple, budget: Optional[Budget] = None) 
             )
             nodes.append(child)
             node.children.append(child.id)
-            queue.append(child.id)
-    return LdTree(query, nodes)
+        return node.children
+
+
+def build_tree(program: Program, query: tuple, budget: Optional[Budget] = None) -> LdTree:
+    """Breadth-first construction of the whole LD-tree under a budget (see
+    ``TreeBuilder``).  Nodes that could not be fully expanded are Truncated."""
+    builder = TreeBuilder(program, query, budget)
+    queue: deque = deque([0])
+    while queue:
+        queue.extend(builder.expand(queue.popleft()))
+    return builder.tree
 
 
 @dataclass(frozen=True)

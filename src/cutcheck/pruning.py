@@ -8,23 +8,29 @@ query, from the root) down to the executing node.  The nodes it prunes are
 the children of each node on that path lying strictly to the right of the
 path, together with their descendants.
 
-The pruned tree is computed by the iterative fixpoint: repeatedly take the
-i-th executing node in the current preorder sequence and remove what its
-cutting sequence prunes, until the sequence contains no unprocessed
-executing node; finally only the nodes occurring in the preorder sequence of
-the fixpoint are kept.
+The paper defines the pruned tree as an iterative fixpoint: repeatedly take
+the i-th executing node in the current preorder sequence and remove what its
+cutting sequence prunes.  Everything a cutting sequence removes lies after
+its executing node in preorder, so one left-to-right preorder walk computes
+the same tree: on reaching an executing node it drops the unvisited right
+siblings along the cutting sequence, which is the top of the walk's own
+stack, and it stops at the first Truncated node.  The walk runs over a built
+tree (``prune``) or expands nodes only when it reaches them
+(``pruned_tree``), so dropped siblings are never expanded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .engine import (
     Budget,
     LdTree,
     Program,
     SUCCESS,
+    TRUNCATED,
+    TreeBuilder,
     preorder,
 )
 from .terms import (
@@ -51,7 +57,6 @@ class CuttingSequence:
     introducing: Optional[int]  # None for cuts of the initial query
     path: tuple  # node ids, introducing (or root) first, executing last
     executing: int
-    cut_position: int  # index of the tracked ! occurrence in the first path node's child
 
 
 def cutting_sequence_of(tree: LdTree, executing: int) -> CuttingSequence:
@@ -59,44 +64,8 @@ def cutting_sequence_of(tree: LdTree, executing: int) -> CuttingSequence:
         raise ValueError(f"node {executing} does not start with !")
     intro = tree.nodes[executing].origins[0]
     chain = tree.ancestors(executing)
-    if intro is None:
-        path = tuple(chain)  # Q_0 .. Q_m
-    else:
-        path = tuple(chain[chain.index(intro):])  # Q_{j-1} .. Q_m
-    # Track the cut occurrence upward to find its position where introduced.
-    pos = 0
-    cut_position = 0
-    for nid in reversed(path[1:] if intro is not None else path):
-        node = tree.nodes[nid]
-        cut_position = pos
-        if nid == (path[1] if intro is not None else path[0]):
-            break
-        step = node.step
-        if step.clause_index is None:
-            pos = pos + 1
-        else:
-            pos = pos - len(step.clause_variant.body) + 1
-    return CuttingSequence(intro, path, executing, cut_position)
-
-
-def pruned_by_sequence(tree: LdTree, cs: CuttingSequence, kept=None) -> set:
-    """Nodes pruned by a cutting sequence: right-of-path children and their
-    descendants, restricted to ``kept`` when given."""
-    removed: set = set()
-    for above, below in zip(cs.path, cs.path[1:]):
-        children = tree.nodes[above].children
-        if kept is not None:
-            children = [c for c in children if c in kept]
-        idx = children.index(below)
-        for c in children[idx + 1 :]:
-            stack = [c]
-            while stack:
-                nid = stack.pop()
-                if kept is not None and nid not in kept:
-                    continue
-                removed.add(nid)
-                stack.extend(tree.nodes[nid].children)
-    return removed
+    start = 0 if intro is None else tree.nodes[intro].depth
+    return CuttingSequence(intro, tuple(chain[start:]), executing)
 
 
 @dataclass
@@ -106,7 +75,7 @@ class PrunedTree:
     base: LdTree
     kept: set
     pruned_by: dict  # removed node id -> executing node id
-    iteration_log: list  # (executing node id, frozenset of removed ids) per round
+    iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
     exact: bool
 
     @property
@@ -114,28 +83,71 @@ class PrunedTree:
         return set(self.pruned_by)
 
 
-def prune(tree: LdTree, kept: Optional[set] = None) -> PrunedTree:
-    """Iterate the cutting-sequence fixpoint on the (sub)tree."""
-    kept = set(kept) if kept is not None else {n.id for n in tree.nodes}
+def _walk(base: LdTree, children_of: Callable[[int], list], allowed: Optional[set] = None) -> PrunedTree:
+    """The one-pass preorder walk over the nodes ``children_of`` yields.
+
+    ``children_of(nid)`` is called once, when the walk reaches ``nid``; it
+    must settle the node's status.  Removed nodes are recorded with their
+    descendants in ``base`` that lie in ``allowed`` (all nodes when None).
+    """
+    nodes = base.nodes
+    kept: set = set()
     pruned_by: dict = {}
     log: list = []
-    i = 1
-    while True:
-        seq = preorder(tree, kept)
-        executing = [nid for nid in seq.ids if is_executing(tree, nid)]
-        if len(executing) < i:
+    exact = True
+    stack: list = []  # per node on the path: [child ids, index of the next child]
+    nid: Optional[int] = 0 if allowed is None or 0 in allowed else None
+    while nid is not None:
+        kept.add(nid)
+        node = nodes[nid]
+        # The cut runs before the truncation check, as in the fixpoint, where a
+        # Truncated executing node is still in the preorder sequence.
+        if is_executing(base, nid):
+            intro = node.origins[0]
+            removed: set = set()
+            # stack[d] belongs to the ancestor at depth d: the cutting sequence
+            # starts at the introducing node's frame (the root's for query cuts)
+            for frame in stack[0 if intro is None else nodes[intro].depth :]:
+                todo = frame[0][frame[1] :]
+                del frame[0][frame[1] :]
+                while todo:
+                    r = todo.pop()
+                    if allowed is None or r in allowed:
+                        removed.add(r)
+                        pruned_by[r] = nid
+                        todo.extend(nodes[r].children)
+            log.append((nid, frozenset(removed)))
+        children = children_of(nid)
+        if node.status == TRUNCATED:
+            exact = False
             break
-        ex = executing[i - 1]
-        cs = cutting_sequence_of(tree, ex)
-        removed = pruned_by_sequence(tree, cs, kept)
-        for r in removed:
-            pruned_by[r] = ex
-        kept -= removed
-        log.append((ex, frozenset(removed)))
-        i += 1
-    final = preorder(tree, kept)
-    kept = set(final.ids)
-    return PrunedTree(tree, kept, pruned_by, log, final.exact)
+        stack.append([[c for c in children if allowed is None or c in allowed], 0])
+        nid = None
+        while stack and nid is None:
+            frame = stack[-1]
+            if frame[1] < len(frame[0]):
+                nid = frame[0][frame[1]]
+                frame[1] += 1
+            else:
+                stack.pop()
+    return PrunedTree(base, kept, pruned_by, log, exact)
+
+
+def prune(tree: LdTree, kept: Optional[set] = None) -> PrunedTree:
+    """Prune a built tree (restricted to ``kept`` when given).
+
+    ``pruned_by`` covers every removed node of the tree, descendants
+    included."""
+    return _walk(tree, lambda nid: tree.nodes[nid].children, kept)
+
+
+def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None) -> PrunedTree:
+    """Build the pruned LD-tree directly, expanding a node only when the walk
+    reaches it.  ``base`` holds the materialised nodes: the kept ones, the
+    dropped siblings (never expanded) and whatever was pending when the walk
+    stopped at a Truncated node."""
+    builder = TreeBuilder(program, query, budget)
+    return _walk(builder.tree, builder.expand)
 
 
 def answers_of_pruned(pt: PrunedTree) -> list:

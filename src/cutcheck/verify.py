@@ -29,9 +29,9 @@ from .atomsets import (
     max_generalizations,
     set_predicates,
 )
-from .engine import Budget, Program, build_tree
+from .engine import Budget, Program
 from .levels import atom_level_bound, level_of
-from .pruning import answers_of_pruned, prolog_search, prune
+from .pruning import PrunedTree, answers_of_pruned, prolog_search, pruned_tree
 from .syntax import (
     SpecSuite,
     atom_text,
@@ -729,7 +729,7 @@ class CheckReport:
     witnesses: list = field(default_factory=list)
     per_atom: list = field(default_factory=list)
     timing_ms: int = 0
-    notes: list = field(default_factory=list)
+    pruned: Optional[PrunedTree] = field(default=None, repr=False, compare=False)  # not in --json
 
     def to_json_obj(self):
         return {
@@ -756,8 +756,6 @@ class CheckReport:
             lines.append("witness: " + ", ".join(f"{k}={v}" for k, v in w.items()))
         for label, status in self.per_atom:
             lines.append(f"  {label}: {status}")
-        for n in self.notes:
-            lines.append(f"note: {n}")
         return "\n".join(lines) + "\n"
 
 
@@ -793,8 +791,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     depth = budget.depth
     cache = cache if cache is not None else {}
 
-    tree = build_tree(program, query, budget)
-    pt = prune(tree)
+    pt = pruned_tree(program, query, budget)
     tree_v = (
         Verdict.verified()
         if pt.exact
@@ -866,6 +863,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
             (label, v.status) for label, v in coverage.parts
         ],
         timing_ms=int((time.perf_counter() - start) * 1000),
+        pruned=pt,
     )
     return report
 
@@ -921,8 +919,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
     budget = budget or suite.budget
     alphabet = resolve_alphabet(program, query, suite)
     resolver = suite.resolver
-    tree = build_tree(program, query, budget)
-    pt = prune(tree)
+    pt = pruned_tree(program, query, budget)
     if not pt.exact:
         return Verdict.unknown("tree budget exhausted; answers may be missing")
     answers = answers_of_pruned(pt)

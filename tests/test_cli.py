@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import cutcheck.verify
 from cutcheck.cli import main
 
 
@@ -57,6 +58,51 @@ class TestTreeAndPrune:
         code, _, _ = run(capsys, "prune", program_path, "p", "--dot", str(target))
         assert code == 0
         assert target.read_text() == (fixtures_dir / "pruning_tree.dot").read_text()
+
+    def test_prune_exactness_agrees_across_outputs(self, capsys, tmp_path):
+        # the unpruned tree is infinite, but the cut removes its infinite branch
+        p = tmp_path / "inf.pl"
+        p.write_text("p :- q, !.\nq.\nq :- q.\n")
+        code, out, _ = run(capsys, "prune", str(p), "p", "--nodes", "500", "--json")
+        obj = json.loads(out)
+        assert code == 0 and obj["exact"] is True and len(obj["kept"]) == 4
+        code, out, _ = run(capsys, "prune", str(p), "p", "--nodes", "500")
+        assert code == 0 and out.strip() == "pruned tree: 4 of 500 nodes, exact=True"
+        code, out, _ = run(capsys, "tree", str(p), "p", "--nodes", "500")
+        assert code == 3 and "exact=False" in out
+
+
+class TestDotOfPrunedTree:
+    def test_run_draws_materialised_nodes_only(self, capsys, program_path, tmp_path):
+        target = tmp_path / "run.dot"
+        code, _, _ = run(capsys, "run", program_path, "p", "--dot", str(target))
+        text = target.read_text()
+        assert code == 0
+        # the 6 kept nodes and the one dropped sibling; its subtree is never built
+        assert text.count("[label=") == 7
+        assert text.count("pruned by") == 1
+        assert r'n4 [label="n4: t, !\\npruned by n5", style=dashed];' in text
+
+    def test_check_complete_draws_the_tree_it_checked(self, capsys, fixtures_dir, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        real = cutcheck.verify.pruned_tree
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cutcheck.verify, "pruned_tree", counting)
+        target = tmp_path / "check.dot"
+        code, _, _ = run(
+            capsys, "check", "complete", str(fixtures_dir / "artificial.pl"),
+            "--spec", str(fixtures_dir / "artificial.spec"), "--query", "p(a, Z)",
+            "--dot", str(target),
+        )
+        assert code == 0 and len(calls) == 1
+        expected = tmp_path / "run.dot"
+        run(capsys, "run", str(fixtures_dir / "artificial.pl"), "p(a, Z)", "--dot", str(expected))
+        assert target.read_text() == expected.read_text()
 
 
 class TestOracle:

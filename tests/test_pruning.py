@@ -2,13 +2,22 @@ import random
 
 import pytest
 
-from cutcheck import Budget, build_tree, parse_program, parse_query, prolog_search, prune
-from cutcheck.engine import SUCCESS
+from cutcheck import (
+    Budget,
+    build_tree,
+    parse_program,
+    parse_query,
+    prolog_search,
+    prune,
+    pruned_tree,
+)
+from cutcheck.engine import SUCCESS, preorder
 from cutcheck.pruning import answers_of_pruned, cutting_sequence_of, is_executing
 from cutcheck.syntax import query_text
 from cutcheck.terms import canonical
 
 from conftest import load_program, random_propositional_program, random_term_program
+from fixpoint import fixpoint_prune
 
 
 def build(src, query, **kw):
@@ -137,3 +146,115 @@ class TestDifferential:
         got = [query_text(a) for a in answers_of_pruned(pt)]
         res = prolog_search(prog, q)
         assert got == [query_text(a) for a in res.answers] == ["in([1], [1, 2])"]
+
+
+def _kept_sequence(pt):
+    """The kept nodes in preorder, as (canonical query, status) pairs."""
+    nodes = pt.base.nodes
+    return [
+        (repr(canonical(nodes[n].query)), nodes[n].status)
+        for n in preorder(pt.base, pt.kept).ids
+    ]
+
+
+def _canonical_answers(answers):
+    return [repr(canonical(a)) for a in answers]
+
+
+LADDER = "loop(z).\nloop(s(N)) :- c, !, loop(N).\nc.\nc.\nc."
+INFINITE = "p :- q, !.\nq.\nq :- q."
+
+
+class TestOnePassEqualsFixpoint:
+    """The one-pass walk against the paper's iterative fixpoint."""
+
+    # (generator, (nodes, steps)); the small budgets cover truncated trees
+    CASES = [
+        ("propositional", (400, 400)),
+        ("propositional", (60, 12)),
+        ("propositional", (30, 8)),
+        ("term", (300, 14)),
+        ("term", (60, 12)),
+        ("term", (30, 8)),
+    ]
+    PROGRAMS = 120
+
+    @pytest.mark.parametrize("generator,limits", CASES)
+    def test_random_programs(self, generator, limits):
+        nodes, steps = limits
+        rng = random.Random(f"{generator}-{nodes}-{steps}")
+        budget = Budget(nodes=nodes, steps=steps)
+        counts = {"exact": 0, "truncated": 0}
+        for _ in range(self.PROGRAMS):
+            if generator == "propositional":
+                src = random_propositional_program(rng, ["a", "b", "c"])
+                query = parse_query(rng.choice(["a", "b", "c"]))
+            else:
+                src = random_term_program(rng)
+                query = parse_query(f"{rng.choice(['p', 'q', 'r'])}(X)")
+            prog = parse_program(src)
+            tree = build_tree(prog, query, budget)
+            want = fixpoint_prune(tree)
+            got = prune(tree)
+            assert got.kept == want.kept, src
+            assert got.pruned_by == want.pruned_by, src
+            assert got.iteration_log == want.iteration_log, src
+            assert got.exact == want.exact, src
+
+            lazy = pruned_tree(prog, query, budget)
+            if want.exact:
+                assert lazy.exact, src
+                assert _kept_sequence(lazy) == _kept_sequence(want), src
+                counts["exact"] += 1
+            else:
+                counts["truncated"] += 1
+                if lazy.exact:
+                    res = prolog_search(prog, query, Budget(steps=100_000))
+                    assert res.exact, src
+                    assert _canonical_answers(answers_of_pruned(lazy)) == \
+                        _canonical_answers(res.answers), src
+        assert counts["exact"] > self.PROGRAMS // 4
+        if nodes < 100:
+            assert counts["truncated"] >= 10
+
+    def test_fixtures(self):
+        for name in ("pruning_tree.pl", "pruning_tree_modified.pl"):
+            prog = load_program(name)
+            tree = build_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
+            want = fixpoint_prune(tree)
+            got = prune(tree)
+            assert (got.kept, got.pruned_by, got.iteration_log, got.exact) == \
+                (want.kept, want.pruned_by, want.iteration_log, want.exact)
+            lazy = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
+            assert _kept_sequence(lazy) == _kept_sequence(want)
+
+
+class TestPrunedTree:
+    def test_ladder_keeps_only_the_committed_branch(self):
+        # the unpruned tree has 3^10 branches; the pruned one keeps 3k + 2 nodes
+        query = parse_query("loop(" + "s(" * 10 + "z" + ")" * 10 + ")")
+        pt = pruned_tree(parse_program(LADDER), query, Budget(nodes=2000))
+        assert pt.exact and len(pt.kept) == 32
+        assert _canonical_answers(answers_of_pruned(pt)) == _canonical_answers([query])
+
+    def test_dropped_siblings_are_never_expanded(self):
+        query = parse_query("loop(s(s(s(z))))")
+        pt = pruned_tree(parse_program(LADDER), query, Budget(nodes=2000))
+        for removed, executing in pt.pruned_by.items():
+            assert is_executing(pt.base, executing)
+            assert pt.base.nodes[removed].children == []
+        assert set(pt.base.ids) == pt.kept | pt.pruned
+
+    def test_cut_away_infinite_branch_is_exact(self):
+        prog = parse_program(INFINITE)
+        pt = pruned_tree(prog, parse_query("p"), Budget(nodes=500))
+        assert pt.exact and len(pt.kept) == 4
+        full = build_tree(prog, parse_query("p"), Budget(nodes=500))
+        assert not full.exact and prune(full).exact and len(prune(full).kept) == 4
+        res = prolog_search(prog, parse_query("p"))
+        assert _canonical_answers(answers_of_pruned(pt)) == _canonical_answers(res.answers)
+
+    def test_stops_at_first_truncated_node(self):
+        pt = pruned_tree(parse_program("p :- p.\np."), parse_query("p"), Budget(steps=5))
+        assert not pt.exact
+        assert answers_of_pruned(pt) == []
