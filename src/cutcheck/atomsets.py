@@ -10,6 +10,7 @@ what the pre/post interpretation requires.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -39,7 +40,6 @@ from .terms import (
     unify,
     vars_of,
 )
-from .verdicts import Verdict
 
 GUARD_ARITIES = {
     "any": 0,
@@ -367,7 +367,8 @@ def _func_input_vars(entry):
     return names
 
 
-_ENUM_CACHE: dict = {}
+_ENUM_CACHE_SIZE = 256
+_ENUM_CACHE: OrderedDict = OrderedDict()  # key -> atom list or the AtomSetTooLarge raised, LRU order
 
 
 def _freeze_resolver(resolver):
@@ -379,27 +380,30 @@ def _freeze_resolver(resolver):
 def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int = 1_000_000):
     """All ground atoms of ``s`` with argument depth <= depth, sorted, deduped.
 
-    Results are memoized: all set objects involved are immutable, so repeated
-    checks over the same specification reuse one enumeration.
+    Results are memoized, the too-large outcome included: all set objects
+    involved are immutable, so repeated checks over the same specification
+    reuse one enumeration.  The memo keeps the ``_ENUM_CACHE_SIZE`` most
+    recently used entries.
     """
     key = (s, alphabet, depth, _freeze_resolver(resolver), cap)
     try:
-        hit = _ENUM_CACHE.get(key)
+        result = _ENUM_CACHE.get(key)
     except TypeError:
-        hit = None
+        result = None
         key = None
-    if hit is not None:
-        if isinstance(hit, AtomSetTooLarge):
-            raise hit
-        return hit
-    try:
-        result = _enumerate_atoms(s, alphabet, depth, resolver, cap)
-    except AtomSetTooLarge as exc:
+    if result is not None:
+        _ENUM_CACHE.move_to_end(key)
+    else:
+        try:
+            result = _enumerate_atoms(s, alphabet, depth, resolver, cap)
+        except AtomSetTooLarge as exc:
+            result = exc
         if key is not None:
-            _ENUM_CACHE[key] = exc
-        raise
-    if key is not None:
-        _ENUM_CACHE[key] = result
+            _ENUM_CACHE[key] = result
+            if len(_ENUM_CACHE) > _ENUM_CACHE_SIZE:
+                _ENUM_CACHE.popitem(last=False)
+    if isinstance(result, AtomSetTooLarge):
+        raise result
     return result
 
 
@@ -421,43 +425,6 @@ def _enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int 
             for a in _enumerate_pattern(p, alphabet, depth, resolver, cap, counter):
                 out[a] = None
         return sorted(out, key=atom_key)
-    raise TypeError(f"not an atom set: {s!r}")
-
-
-# ---------------------------------------------------------------------------
-# Closure under substitution
-# ---------------------------------------------------------------------------
-
-
-def closure_check(s, resolver=None) -> Verdict:
-    """Is the set closed under substitution of its (non-ground) members?
-
-    The built-in guard vocabulary is evaluated so that membership is stable
-    under instantiation, so pattern sets are statically closed; a notin guard
-    inherits the verdict of its target set.
-    """
-    if s is UNIVERSAL:
-        return Verdict.verified("universal set")
-    if isinstance(s, Extensional):
-        return Verdict.verified("ground atoms only")
-    if isinstance(s, UnionSet):
-        parts = [(f"part {i}", closure_check(p, resolver)) for i, p in enumerate(s.parts)]
-        from .verdicts import weakest
-
-        return weakest([v for _, v in parts], tuple(parts))
-    if isinstance(s, Intensional):
-        for p in s.patterns:
-            for g in p.guards:
-                if g.name == "notin":
-                    if resolver is None:
-                        return Verdict.unknown("notin guard without a set resolver")
-                    target = resolver.get(g.args[1])
-                    if target is None:
-                        return Verdict.unknown(f"notin target {g.args[1]!r} unknown")
-                    sub = closure_check(target, resolver)
-                    if not sub.is_verified:
-                        return Verdict.unknown(f"notin target {g.args[1]!r} not statically closed")
-        return Verdict.verified("statically closed guard vocabulary")
     raise TypeError(f"not an atom set: {s!r}")
 
 

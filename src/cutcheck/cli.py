@@ -28,6 +28,7 @@ from .terms import CUT, CutUnificationError
 from .verdicts import Verdict
 from .verify import (
     CheckReport,
+    _CapHit,
     acceptable_check,
     completeness_check,
     correct_check,
@@ -171,16 +172,21 @@ def cmd_check(args) -> int:
     resolver = suite.resolver
     start = time.perf_counter()
 
+    report = None
     if args.kind == "complete":
         query = parse_query(args.query or "")
-        extra, query2, suite2 = (
-            query_transform(query, suite, program)
-            if any(a is CUT for a in query)
-            else ([], query, suite)
-        )
-        program2 = type(program)(program.clauses + tuple(extra))
-        report = completeness_check(program2, query2, suite2, budget=budget)
-        _emit_tree(args, report.pruned.base, report.pruned)
+        try:
+            extra, query2, suite2 = (
+                query_transform(query, suite, program)
+                if any(a is CUT for a in query)
+                else ([], query, suite)
+            )
+        except _CapHit as exc:  # the S extension of a query with cut is too large
+            verdict = Verdict.unknown(str(exc))
+        else:
+            program2 = type(program)(program.clauses + tuple(extra))
+            report = completeness_check(program2, query2, suite2, budget=budget)
+            _emit_tree(args, report.pruned.base, report.pruned)
     else:
         if args.kind == "semicomplete":
             verdict = semi_complete(
@@ -206,6 +212,7 @@ def cmd_check(args) -> int:
             )
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(args.kind)
+    if report is None:
         witnesses = []
         if verdict.witness is not None:
             witnesses.append(verdict.witness)

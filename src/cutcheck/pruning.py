@@ -83,12 +83,12 @@ class PrunedTree:
         return set(self.pruned_by)
 
 
-def _walk(base: LdTree, children_of: Callable[[int], list], allowed: Optional[set] = None) -> PrunedTree:
+def _walk(base: LdTree, children_of: Callable[[int], list]) -> PrunedTree:
     """The one-pass preorder walk over the nodes ``children_of`` yields.
 
     ``children_of(nid)`` is called once, when the walk reaches ``nid``; it
     must settle the node's status.  Removed nodes are recorded with their
-    descendants in ``base`` that lie in ``allowed`` (all nodes when None).
+    descendants in ``base``.
     """
     nodes = base.nodes
     kept: set = set()
@@ -96,7 +96,7 @@ def _walk(base: LdTree, children_of: Callable[[int], list], allowed: Optional[se
     log: list = []
     exact = True
     stack: list = []  # per node on the path: [child ids, index of the next child]
-    nid: Optional[int] = 0 if allowed is None or 0 in allowed else None
+    nid: Optional[int] = 0
     while nid is not None:
         kept.add(nid)
         node = nodes[nid]
@@ -112,16 +112,15 @@ def _walk(base: LdTree, children_of: Callable[[int], list], allowed: Optional[se
                 del frame[0][frame[1] :]
                 while todo:
                     r = todo.pop()
-                    if allowed is None or r in allowed:
-                        removed.add(r)
-                        pruned_by[r] = nid
-                        todo.extend(nodes[r].children)
+                    removed.add(r)
+                    pruned_by[r] = nid
+                    todo.extend(nodes[r].children)
             log.append((nid, frozenset(removed)))
         children = children_of(nid)
         if node.status == TRUNCATED:
             exact = False
             break
-        stack.append([[c for c in children if allowed is None or c in allowed], 0])
+        stack.append([list(children), 0])  # a copy: dropping siblings edits it
         nid = None
         while stack and nid is None:
             frame = stack[-1]
@@ -133,12 +132,10 @@ def _walk(base: LdTree, children_of: Callable[[int], list], allowed: Optional[se
     return PrunedTree(base, kept, pruned_by, log, exact)
 
 
-def prune(tree: LdTree, kept: Optional[set] = None) -> PrunedTree:
-    """Prune a built tree (restricted to ``kept`` when given).
-
-    ``pruned_by`` covers every removed node of the tree, descendants
-    included."""
-    return _walk(tree, lambda nid: tree.nodes[nid].children, kept)
+def prune(tree: LdTree) -> PrunedTree:
+    """Prune a built tree.  ``pruned_by`` covers every removed node of the
+    tree, descendants included."""
+    return _walk(tree, lambda nid: tree.nodes[nid].children)
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None) -> PrunedTree:

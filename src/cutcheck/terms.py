@@ -464,10 +464,6 @@ class Alphabet:
         object.__setattr__(self, "functors", tuple(sorted(set(self.functors))))
         object.__setattr__(self, "predicates", tuple(sorted(set(self.predicates))))
 
-    @property
-    def constants(self) -> tuple:
-        return tuple(n for n, k in self.functors if k == 0)
-
 
 def collect_symbols(obj, functors: set, predicates: set) -> None:
     """Accumulate the function/predicate symbols occurring in obj."""

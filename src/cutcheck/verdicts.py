@@ -49,13 +49,6 @@ class Verdict:
     def is_unknown(self) -> bool:
         return self.status == UNKNOWN
 
-    def find(self, label: str) -> Optional["Verdict"]:
-        """Look up a nested part by label."""
-        for lab, v in self.parts:
-            if lab == label:
-                return v
-        return None
-
     def to_json_obj(self):
         obj = {"status": self.status}
         if self.witness is not None:

@@ -72,13 +72,36 @@ _DEFAULT_CAP = 50_000
 # ---------------------------------------------------------------------------
 
 
+class _CapHit(Exception):
+    """A bounded enumeration reached its cap; the message names the cap.
+
+    Checkers catch it and answer Unknown with that message."""
+
+
+def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int):
+    """Extend sigma with every depth-bounded grounding of the names it leaves
+    free, in product order.  Raises _CapHit instead of yielding grounding
+    ``cap + 1``."""
+    names = [n for n in names if n not in sigma.domain]
+    if not names:
+        yield sigma
+        return
+    combos = itertools.product(ground_terms(alphabet, depth), repeat=len(names))
+    for count, combo in enumerate(combos, 1):
+        if count > cap:
+            raise _CapHit(f"instance cap {cap} hit at depth {depth}")
+        theta = Subst(dict(zip(names, combo)))
+        yield compose(sigma, theta) if sigma else theta
+
+
 class _CoverSearch:
     """Ground the non-cut atoms of a goal list inside an atom set.
 
     Solutions are substitutions sigma with every instantiated atom ground and
     a member of the set.  ``exhaustive`` stays True only when every candidate
     source was complete (extensional sets are; pattern and universal sets are
-    enumerated up to the depth bound).
+    enumerated up to the depth bound).  Raises _CapHit at the visit cap or
+    when a candidate enumeration exceeds its cap.
     """
 
     def __init__(self, s, alphabet: Alphabet, depth: int, resolver=None, cap: int = _DEFAULT_CAP):
@@ -107,16 +130,15 @@ class _CoverSearch:
             alphabet = Alphabet(alphabet.functors, alphabet.predicates + (key,))
         try:
             pool = enumerate_atoms(self.s, alphabet, self.depth, self.resolver, self.cap)
-        except AtomSetTooLarge:
-            return []
+        except AtomSetTooLarge as exc:
+            raise _CapHit(str(exc)) from exc
         return [a for a in pool if (a.name, len(a.args)) == key]
 
     def solutions(self, goals: tuple, sigma: Subst):
         """Yield substitutions grounding the goals inside the set."""
         self.visits += 1
         if self.visits > self.cap:
-            self.exhaustive = False
-            return
+            raise _CapHit(f"cover search visit cap {self.cap} hit at depth {self.depth}")
         goals = tuple(g for g in goals if g is not CUT)
         if not goals:
             yield sigma
@@ -131,21 +153,6 @@ class _CoverSearch:
             if theta is None:
                 continue
             yield from self.solutions(goals[1:], compose(sigma, theta))
-
-
-def _ground_leftover(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int):
-    """Extend sigma with depth-bounded groundings of the remaining variables."""
-    names = [n for n in names if n not in sigma.domain]
-    if not names:
-        yield sigma
-        return
-    terms = ground_terms(alphabet, depth)
-    count = 0
-    for combo in itertools.product(terms, repeat=len(names)):
-        count += 1
-        if count > cap:
-            return
-        yield compose(sigma, Subst(dict(zip(names, combo))))
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +174,19 @@ def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resol
             {"atom": atom_text(a), "clause": clause_text(clause), "note": "head does not match"}
         )
     search = _CoverSearch(s, alphabet, depth, resolver, cap)
-    for sol in search.solutions(head.body, theta):
-        instance = apply(sol, head)
-        if not is_ground(instance):
-            continue
-        return Verdict(
-            "verified",
-            {"atom": atom_text(a), "instance": clause_text(instance)},
-            None,
-            (),
-        )
+    try:
+        for sol in search.solutions(head.body, theta):
+            instance = apply(sol, head)
+            if not is_ground(instance):
+                continue
+            return Verdict(
+                "verified",
+                {"atom": atom_text(a), "instance": clause_text(instance)},
+                None,
+                (),
+            )
+    except _CapHit as exc:
+        return Verdict.unknown(str(exc))
     if search.exhaustive:
         return Verdict.refuted(
             {"atom": atom_text(a), "clause": clause_text(clause), "note": "no ground body instance in the set"}
@@ -200,10 +210,11 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
             clause_verdicts.append(v)
             if v.is_verified:
                 break
+        unknown = next((v for v in clause_verdicts if v.is_unknown), None)
         if any(v.is_verified for v in clause_verdicts):
             per_atom.append((atom_text(a), Verdict.verified()))
-        elif any(v.is_unknown for v in clause_verdicts):
-            per_atom.append((atom_text(a), Verdict.unknown(f"depth {depth} exhausted")))
+        elif unknown is not None:
+            per_atom.append((atom_text(a), unknown))
         else:
             per_atom.append(
                 (atom_text(a), Verdict.refuted({"atom": atom_text(a), "note": "not covered"}))
@@ -216,27 +227,33 @@ def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
     """Model check: each ground clause instance with body in s + {!} has its head in s."""
     alphabet = alphabet or resolve_alphabet(program)
     bounded = False
-    for idx, clause in enumerate(program.clauses):
+    capped = None  # the reason, once a clause's search stopped at a cap
+    for clause in program.clauses:
         search = _CoverSearch(s, alphabet, depth, resolver, cap)
-        for sol in search.solutions(clause.body, EMPTY_SUBST):
-            for full in _ground_leftover(sol, vars_of(clause), alphabet, depth, cap):
-                head = apply(full, clause.head)
-                if not is_ground(head):
+        try:
+            for sol in search.solutions(clause.body, EMPTY_SUBST):
+                for full in _groundings(sol, vars_of(clause), alphabet, depth, cap):
+                    head = apply(full, clause.head)
+                    if not is_ground(head):
+                        bounded = True
+                        continue
+                    if not contains(s, head, resolver):
+                        return Verdict.refuted(
+                            {
+                                "clause": clause_text(clause),
+                                "instance": clause_text(apply(full, clause)),
+                                "head": atom_text(head),
+                            },
+                            "ground instance with true body but false head",
+                        )
+                if vars_of(apply(sol, clause.head)):
                     bounded = True
-                    continue
-                if not contains(s, head, resolver):
-                    return Verdict.refuted(
-                        {
-                            "clause": clause_text(clause),
-                            "instance": clause_text(apply(full, clause)),
-                            "head": atom_text(head),
-                        },
-                        "ground instance with true body but false head",
-                    )
-            if vars_of(apply(sol, clause.head)):
-                bounded = True
+        except _CapHit as exc:
+            capped = str(exc)  # later clauses can still refute
         if not search.exhaustive:
             bounded = True
+    if capped:
+        return Verdict.unknown(capped)
     reason = f"no counterexample within depth {depth}" + (" (bounded)" if bounded else "")
     return Verdict.verified(reason)
 
@@ -377,7 +394,8 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
 
     ``k`` is the index of the body atom that must be in pre (prefix in post);
     ``k is None`` checks the head-in-post condition with the full body.
-    Returns a witness dict or None.
+    Returns a witness dict or None; at the cap, which counts instances over
+    all heads together, the answer is None.
     """
     try:
         heads = enumerate_atoms(pre, alphabet, depth, resolver, cap)
@@ -385,41 +403,39 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
         return None
     heads = [h for h in heads if (h.name, len(h.args)) == (clause.head.name, len(clause.head.args))]
     prefix = clause.body[:k] if k is not None else clause.body
-    count = 0
-    for h in heads:
-        theta = unify(clause.head, h)
-        if theta is None:
+    thetas = (unify(clause.head, h) for h in heads)
+    instances = (
+        apply(full, clause)
+        for theta in thetas
+        if theta is not None
+        for full in _groundings(theta, vars_of(clause), alphabet, depth, cap)
+    )
+    for instance in itertools.islice(instances, cap):
+        if not is_ground(instance):
             continue
-        for full in _ground_leftover(theta, vars_of(clause), alphabet, depth, cap):
-            count += 1
-            if count > cap:
-                return None
-            instance = apply(full, clause)
-            if not is_ground(instance):
-                continue
-            if not all(
-                b is CUT or contains(post, b, resolver)
-                for b in instance.body[: len(prefix)]
-            ):
-                continue
-            if k is not None:
-                target = instance.body[k]
-                if target is not CUT and not contains(pre, target, resolver):
-                    return {
-                        "clause": clause_text(clause),
-                        "instance": clause_text(instance),
-                        "position": k + 1,
-                        "atom": atom_text(target),
-                        "note": "body atom outside pre despite prefix in post",
-                    }
-            else:
-                if not contains(post, instance.head, resolver):
-                    return {
-                        "clause": clause_text(clause),
-                        "instance": clause_text(instance),
-                        "atom": atom_text(instance.head),
-                        "note": "head outside post despite body in post",
-                    }
+        if not all(
+            b is CUT or contains(post, b, resolver)
+            for b in instance.body[: len(prefix)]
+        ):
+            continue
+        if k is not None:
+            target = instance.body[k]
+            if target is not CUT and not contains(pre, target, resolver):
+                return {
+                    "clause": clause_text(clause),
+                    "instance": clause_text(instance),
+                    "position": k + 1,
+                    "atom": atom_text(target),
+                    "note": "body atom outside pre despite prefix in post",
+                }
+        else:
+            if not contains(post, instance.head, resolver):
+                return {
+                    "clause": clause_text(clause),
+                    "instance": clause_text(instance),
+                    "atom": atom_text(instance.head),
+                    "note": "head outside post despite body in post",
+                }
     return None
 
 
@@ -554,24 +570,24 @@ def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, res
     gens = max_generalizations(a, pre, resolver)
     if gens is None:
         return Verdict.unknown("maximal generalizations in pre could not be computed")
-    inexhaustive = False
+    unknown = None  # the reason, once some search was incomplete
     for h2 in gens:
         variant = rename_apart(Clause(preceding.head, a0), set(vars_of(h2)))
         theta = unify(h2, variant.head)
         if theta is None:
             continue
+        target = apply(theta, variant)
         search = _CoverSearch(post, alphabet, depth, resolver, cap)
-        found = None
-        for sol in search.solutions(apply(theta, variant.body), theta):
-            for full in _ground_leftover(
-                sol, vars_of(apply(theta, variant)), alphabet, depth, cap
-            ):
-                instance = apply(full, apply(theta, variant))
-                if is_ground(instance):
-                    found = instance
-                    break
-            if found:
-                break
+        instances = (
+            apply(full, target)
+            for sol in search.solutions(target.body, theta)
+            for full in _groundings(sol, vars_of(target), alphabet, depth, cap)
+        )
+        try:
+            found = next((inst for inst in instances if is_ground(inst)), None)
+        except _CapHit as exc:
+            unknown = str(exc)  # later generalizations can still refute
+            continue
         if found is not None:
             return Verdict.refuted(
                 {
@@ -583,9 +599,9 @@ def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, res
                 "an earlier cut clause can fire on a pre-instance",
             )
         if not search.exhaustive:
-            inexhaustive = True
-    if inexhaustive:
-        return Verdict.unknown(f"cover search for the preceding clause exhausted depth {depth}")
+            unknown = unknown or f"cover search for the preceding clause exhausted depth {depth}"
+    if unknown:
+        return Verdict.unknown(unknown)
     return Verdict.verified()
 
 
@@ -612,15 +628,20 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
             if match(apply(theta, clause.head), a) is None:
                 continue
             rho_sources.append((theta, apply(theta, clause)))
-    unknown = False
+    unknown = None  # the reason, once some search was incomplete
     for rho, inst_clause in rho_sources:
         b0r = apply(rho, b0)
         b1r = apply(rho, b1)
         head_r = apply(rho, clause.head)
         search = _CoverSearch(post, alphabet, depth, resolver, cap)
-        etas = list(search.solutions(b0r, EMPTY_SUBST))
+        etas = []
+        try:
+            for eta in search.solutions(b0r, EMPTY_SUBST):
+                etas.append(eta)
+        except _CapHit as exc:
+            unknown = str(exc)  # the etas found so far can still refute
         if not search.exhaustive:
-            unknown = True
+            unknown = unknown or f"eta enumeration exhausted depth {depth}"
         for eta in etas:
             reduced = Clause(apply(eta, head_r), apply(eta, b1r))
             v = covered(a, reduced, s, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap)
@@ -635,9 +656,9 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
                     "after the cut fires, the remaining clause no longer covers the atom",
                 )
             if v.is_unknown:
-                unknown = True
+                unknown = unknown or v.reason
     if unknown:
-        return Verdict.unknown(f"eta enumeration or coverage exhausted depth {depth}")
+        return Verdict.unknown(unknown)
     return Verdict.verified()
 
 
@@ -774,13 +795,45 @@ def _collect_witnesses(verdict: Verdict, out: list, limit: int = 20, status: Opt
         _collect_witnesses(sub, out, limit, status)
 
 
+def _query_free_stages(program: Program, suite: SpecSuite, alphabet: Alphabet, depth: int):
+    """The stages of the completeness pipeline that do not look at the query:
+    S inside post, the program well-asserted, every atom of S c-covered."""
+    resolver = suite.resolver
+    premise = s_subset_post_check(
+        suite.s, suite.post, alphabet=alphabet, depth=depth, resolver=resolver
+    )
+    wa_program = cs_correct(
+        program, suite.pre, suite.post, alphabet=alphabet, depth=depth, resolver=resolver
+    )
+    try:
+        atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
+    except AtomSetTooLarge:
+        return premise, wa_program, Verdict.unknown(
+            f"enumeration of S exceeded its cap at depth {depth}"
+        )
+    per_atom = [
+        (
+            atom_text(a),
+            c_covered(
+                a, program, suite.s, suite.pre, suite.post,
+                alphabet=alphabet, depth=depth, resolver=resolver,
+                s_subset_post=premise.is_verified,
+            ),
+        )
+        for a in atoms
+    ]
+    return premise, wa_program, weakest([v for _, v in per_atom], tuple(per_atom))
+
+
 def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
                        budget: Optional[Budget] = None, cache: Optional[dict] = None) -> CheckReport:
     """The sufficient condition for completeness of the pruned LD-tree.
 
     Stages: the pruned tree must be exact; S must lie inside post; the
     program must be well-asserted; the (cut-free) query must be well-asserted;
-    and every enumerated atom of S must be c-covered.
+    and every enumerated atom of S must be c-covered.  A ``cache`` shared
+    between calls keeps the stages that do not depend on the query, keyed on
+    everything they read.
     """
     start = time.perf_counter()
     budget = budget or suite.budget
@@ -789,7 +842,6 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     alphabet = resolve_alphabet(program, query, suite)
     resolver = suite.resolver
     depth = budget.depth
-    cache = cache if cache is not None else {}
 
     pt = pruned_tree(program, query, budget)
     tree_v = (
@@ -798,51 +850,21 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
         else Verdict.unknown("tree budget exhausted; pruned tree is not exact")
     )
 
-    if "premise" not in cache:
-        cache["premise"] = s_subset_post_check(
-            suite.s, suite.post, alphabet=alphabet, depth=depth, resolver=resolver
-        )
-    premise = cache["premise"]
+    key = (program, suite.s, suite.pre, suite.post,
+           tuple(sorted(suite.named_sets.items())), alphabet, depth)
+    cache = {} if cache is None else cache
+    if key not in cache:
+        cache[key] = _query_free_stages(program, suite, alphabet, depth)
+    premise, wa_program, coverage = cache[key]
     if premise.is_refuted:
         premise = Verdict.unknown(
             "premise S subset-of post is violated: " + str(premise.witness)
         )
 
-    if "cs_correct" not in cache:
-        cache["cs_correct"] = cs_correct(
-            program, suite.pre, suite.post, alphabet=alphabet, depth=depth, resolver=resolver
-        )
-    wa_program = cache["cs_correct"]
-
     wa_query = well_asserted_query(
         query, suite.pre, suite.post, program=program, alphabet=alphabet,
         depth=depth, resolver=resolver,
     )
-
-    if "c_covered" not in cache:
-        try:
-            atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
-            per_atom = []
-            sp = cache["premise"].is_verified
-            for a in atoms:
-                per_atom.append(
-                    (
-                        atom_text(a),
-                        c_covered(
-                            a, program, suite.s, suite.pre, suite.post,
-                            alphabet=alphabet, depth=depth, resolver=resolver,
-                            s_subset_post=sp,
-                        ),
-                    )
-                )
-            cache["c_covered"] = weakest(
-                [v for _, v in per_atom], tuple(per_atom)
-            )
-        except AtomSetTooLarge:
-            cache["c_covered"] = Verdict.unknown(
-                f"enumeration of S exceeded its cap at depth {depth}"
-            )
-    coverage = cache["c_covered"]
 
     stages = (
         ("pruned tree exact", tree_v),
@@ -874,7 +896,9 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
 
     Returns (extra clauses, new query, new suite).  The S extension holds the
     ground p-instances whose query instance lies in S + {!} (bounded
-    enumeration up to the depth bound).
+    enumeration up to the depth bound).  Raises _CapHit when more than
+    ``cap`` instances would have to be enumerated: a truncated extension
+    would let the completeness check verify a smaller S.
     """
     depth = depth if depth is not None else suite.budget.depth
     alphabet = resolve_alphabet(program, query, suite)
@@ -887,13 +911,7 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
     clause = Clause(head, tuple(query))
 
     ext = []
-    terms = ground_terms(alphabet, depth)
-    count = 0
-    for combo in itertools.product(terms, repeat=len(names)):
-        count += 1
-        if count > cap:
-            break
-        theta = Subst(dict(zip(names, combo)))
+    for theta in _groundings(EMPTY_SUBST, names, alphabet, depth, cap):
         inst = apply(theta, query)
         if all(x is CUT or contains(suite.s, x, resolver) for x in inst):
             ext.append(apply(theta, head))
@@ -923,25 +941,21 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
     if not pt.exact:
         return Verdict.unknown("tree budget exhausted; answers may be missing")
     answers = answers_of_pruned(pt)
-    names = vars_of(query)
-    terms = ground_terms(alphabet, budget.depth)
-    count = 0
-    for combo in itertools.product(terms, repeat=len(names)):
-        count += 1
-        if count > cap:
-            return Verdict.unknown(f"instance enumeration exceeded {cap}")
-        theta = Subst(dict(zip(names, combo)))
-        inst = apply(theta, query)
-        if not all(x is CUT or contains(suite.s, x, resolver) for x in inst):
-            continue
-        if not any(match(ans, inst) is not None for ans in answers):
-            return Verdict.refuted(
-                {
-                    "instance": query_text(inst),
-                    "answers": [query_text(ans) for ans in answers],
-                },
-                "S satisfies an instance that no pruned-tree answer subsumes",
-            )
+    try:
+        for theta in _groundings(EMPTY_SUBST, vars_of(query), alphabet, budget.depth, cap):
+            inst = apply(theta, query)
+            if not all(x is CUT or contains(suite.s, x, resolver) for x in inst):
+                continue
+            if not any(match(ans, inst) is not None for ans in answers):
+                return Verdict.refuted(
+                    {
+                        "instance": query_text(inst),
+                        "answers": [query_text(ans) for ans in answers],
+                    },
+                    "S satisfies an instance that no pruned-tree answer subsumes",
+                )
+    except _CapHit as exc:
+        return Verdict.unknown(str(exc))
     return Verdict.verified(f"all S-true instances up to depth {budget.depth} are answered")
 
 
@@ -950,46 +964,44 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
 # ---------------------------------------------------------------------------
 
 
-def _clause_instances(clause: Clause, alphabet: Alphabet, depth: int, cap: int):
-    names = vars_of(clause)
-    terms = ground_terms(alphabet, depth)
-    count = 0
-    if not names:
-        yield clause, False
-        return
-    for combo in itertools.product(terms, repeat=len(names)):
-        count += 1
-        if count > cap:
-            yield None, True
-            return
-        yield apply(Subst(dict(zip(names, combo))), clause), False
+def _level_decrease(program: Program, level_maps: dict, alphabet: Alphabet, depth: int,
+                    cap: int, prefix_holds, violation: str) -> Verdict:
+    """|head| > |body atom| for every enumerated ground clause instance and
+    every body atom whose preceding atoms ``prefix_holds``.
+
+    A clause whose instances reach the cap is checked up to the cap, and the
+    verdict says "(instance cap hit)".
+    """
+    capped = False
+    for clause in program.clauses:
+        try:
+            for theta in _groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap):
+                instance = apply(theta, clause)
+                h = level_of(instance.head, level_maps)
+                for i, b in enumerate(instance.body):
+                    if prefix_holds(instance.body[:i]) and h <= level_of(b, level_maps):
+                        return Verdict.refuted(
+                            {
+                                "clause": clause_text(clause),
+                                "instance": clause_text(instance),
+                                "head_level": h,
+                                "body_atom": atom_text(b) if b is not CUT else "!",
+                                "body_level": level_of(b, level_maps),
+                            },
+                            violation,
+                        )
+        except _CapHit:
+            capped = True
+    reason = f"no counterexample within depth {depth}" + (" (instance cap hit)" if capped else "")
+    return Verdict.verified(reason)
 
 
 def recurrent_check(program: Program, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
                     depth: int = 3, cap: int = _DEFAULT_CAP) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance."""
     alphabet = alphabet or resolve_alphabet(program)
-    bounded = False
-    for clause in program.clauses:
-        for instance, truncated in _clause_instances(clause, alphabet, depth, cap):
-            if truncated:
-                bounded = True
-                break
-            h = level_of(instance.head, level_maps)
-            for b in instance.body:
-                if h <= level_of(b, level_maps):
-                    return Verdict.refuted(
-                        {
-                            "clause": clause_text(clause),
-                            "instance": clause_text(instance),
-                            "head_level": h,
-                            "body_atom": atom_text(b) if b is not CUT else "!",
-                            "body_level": level_of(b, level_maps),
-                        },
-                        "level does not decrease",
-                    )
-    reason = f"no counterexample within depth {depth}" + (" (instance cap hit)" if bounded else "")
-    return Verdict.verified(reason)
+    return _level_decrease(program, level_maps, alphabet, depth, cap,
+                           lambda prefix: True, "level does not decrease")
 
 
 def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
@@ -999,30 +1011,13 @@ def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optiona
     model = correct_check(program, s, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap)
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
-    bounded = model.is_unknown
-    for clause in program.clauses:
-        for instance, truncated in _clause_instances(clause, alphabet, depth, cap):
-            if truncated:
-                bounded = True
-                break
-            h = level_of(instance.head, level_maps)
-            for i, b in enumerate(instance.body):
-                prefix_true = all(
-                    x is CUT or contains(s, x, resolver) for x in instance.body[:i]
-                )
-                if prefix_true and h <= level_of(b, level_maps):
-                    return Verdict.refuted(
-                        {
-                            "clause": clause_text(clause),
-                            "instance": clause_text(instance),
-                            "head_level": h,
-                            "body_atom": atom_text(b) if b is not CUT else "!",
-                            "body_level": level_of(b, level_maps),
-                        },
-                        "level does not decrease under a satisfied prefix",
-                    )
-    reason = f"no counterexample within depth {depth}" + (" (bounded)" if bounded else "")
-    return Verdict.verified(reason)
+    levels = _level_decrease(
+        program, level_maps, alphabet, depth, cap,
+        lambda prefix: all(x is CUT or contains(s, x, resolver) for x in prefix),
+        "level does not decrease under a satisfied prefix",
+    )
+    # a level violation refutes even when correctness stayed Unknown
+    return weakest([levels, model])
 
 
 def bounded_query(query: tuple, level_maps: dict) -> Verdict:

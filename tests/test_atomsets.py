@@ -8,7 +8,6 @@ from cutcheck.atomsets import (
     Intensional,
     UNIVERSAL,
     UnionSet,
-    closure_check,
     contains,
     enumerate_atoms,
     guard_holds,
@@ -153,12 +152,3 @@ class TestMaxGeneralizations:
         for g in max_generalizations(atom, s, None):
             assert contains(s, g)
             assert match(g, atom) is not None
-
-
-class TestClosure:
-    def test_ground_sets_closed(self):
-        assert closure_check(Extensional((Pred("p", (a,)),))).is_verified
-
-    def test_guarded_patterns_closed(self):
-        s = pat(Pred("p", (X,)), Guard("ground_list", (X,)))
-        assert closure_check(s).is_verified

@@ -157,6 +157,19 @@ class TestCheck:
         )
         assert code in (0, 1)
 
+    def test_cut_query_extension_cap_is_unknown(self, capsys, tmp_path):
+        # 5 query variables over a/0, f/1, g/2: the S extension of the
+        # rewritten query would need more ground instances than the cap allows
+        prog = tmp_path / "p5.pl"
+        prog.write_text("p(A, B, C, D, E) :- q.\nq.\n")
+        spec = tmp_path / "p5.spec"
+        spec.write_text("[alphabet]\nfunctor a/0.\nfunctor f/1.\nfunctor g/2.\n\n"
+                        "[S]\nq.\np(a, B, C, D, E).\n\n[bounds]\ndepth = 2.\n")
+        code, out, _ = run(capsys, "check", "complete", str(prog), "--spec", str(spec),
+                           "--query", "p(A, B, C, D, E), !")
+        assert code == 3
+        assert "verdict: unknown" in out and "reason: instance cap 50000 hit at depth 2" in out
+
 
 class TestErrorsAndEnv:
     def test_parse_error_exit_2(self, capsys, tmp_path):

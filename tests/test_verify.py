@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from cutcheck import (
     Budget,
     Extensional,
     Intensional,
+    Program,
     UNIVERSAL,
+    UnionSet,
     acceptable_check,
     bounded_query,
     c_covered,
@@ -26,7 +30,7 @@ from cutcheck import (
 from cutcheck.atomsets import AtomPattern, Guard
 from cutcheck.levels import LevelMapping, atom_level_bound, level_of
 from cutcheck.syntax import resolve_alphabet
-from cutcheck.terms import CUT, Pred, Var, const, make_list
+from cutcheck.terms import CUT, Alphabet, Pred, Var, const, make_list
 from cutcheck.verdicts import Verdict, weakest
 
 from conftest import load_program, load_spec_text
@@ -254,3 +258,102 @@ class TestOracleCompleteness:
         prog, suite, _ = setup_example("in.pl", "in.spec")
         v = oracle_tree_complete(prog, parse_query("in([1], [1, 2])"), suite)
         assert v.is_verified
+
+
+P5_PROGRAM = "p(A, B, C, D, E) :- q.\nq."
+P5_SPEC = """\
+[alphabet]
+functor a/0.
+functor f/1.
+functor g/2.
+
+[S]
+q.
+p(a, B, C, D, E).
+p(f(X), B, C, D, E).
+
+[level]
+p(A, B, C, D, E) = 1.
+q = 0.
+"""
+
+
+class TestHonestCaps:
+    """A cap either lets the search finish or turns the verdict Unknown."""
+
+    def test_p5_refuted_then_unknown_not_verified(self):
+        prog = parse_program(P5_PROGRAM)
+        suite = parse_spec(P5_SPEC)
+        alpha = resolve_alphabet(prog, (), suite)
+        v1 = correct_check(prog, suite.s, alphabet=alpha, depth=1, resolver=suite.resolver)
+        assert v1.is_refuted
+        assert v1.witness["head"] == "p(g(a, a), a, a, a, a)"
+        # 13^5 groundings at depth 2: the witness lies beyond the instance cap
+        v2 = correct_check(prog, suite.s, alphabet=alpha, depth=2, resolver=suite.resolver)
+        assert v2.is_unknown
+        assert v2.reason == "instance cap 50000 hit at depth 2"
+
+    def test_acceptable_returns_correct_checks_unknown(self):
+        prog = parse_program(P5_PROGRAM)
+        suite = parse_spec(P5_SPEC)
+        alpha = resolve_alphabet(prog, (), suite)
+        model = correct_check(prog, suite.s, alphabet=alpha, depth=2,
+                              resolver=suite.resolver, cap=1000)
+        v = acceptable_check(prog, suite.s, suite.level_maps, alphabet=alpha, depth=2,
+                             resolver=suite.resolver, cap=1000)
+        assert model.is_unknown
+        assert v == model
+
+    def test_level_loop_cap_still_reports_cap_hit(self):
+        prog = parse_program(P5_PROGRAM)
+        suite = parse_spec(P5_SPEC)
+        alpha = resolve_alphabet(prog, (), suite)
+        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2, cap=1000)
+        assert v.is_verified and v.reason.endswith("(instance cap hit)")
+
+    def test_cover_search_cap_is_unknown(self):
+        prog = parse_program("p(X) :- q(X), q(Y), q(Z).")
+        s = UnionSet((Extensional((Pred("q", (a,)), Pred("q", (b,)))), Extensional(())))
+        alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
+        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=2)
+        assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
+        assert covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1).is_verified
+
+    def test_refuted_at_depth_d_never_verified_at_d_plus_1(self):
+        rng = random.Random(1)
+        preds = (("p", 1), ("q", 1), ("r", 2), ("s", 3))
+        alpha = Alphabet((("a", 0), ("f", 1)), preds)
+
+        def atom():
+            name, arity = rng.choice(preds)
+            args = (rng.choice(["a", "f(a)", "X", "Y", "Z", "f(X)", "f(Y)"]) for _ in range(arity))
+            return f"{name}({', '.join(args)})"
+
+        refuted = 0
+        for _ in range(150):
+            clauses = []
+            for _ in range(rng.randint(1, 3)):
+                body = [atom() for _ in range(rng.randint(0, 2))]
+                clauses.append(atom() + (" :- " + ", ".join(body) if body else "") + ".")
+            prog = parse_program("\n".join(clauses))
+            s = Intensional(tuple(AtomPattern(parse_query(atom())[0], ())
+                                  for _ in range(rng.randint(1, 6))))
+            cap = rng.choice([2, 4, 6, 8, 12, 30, 1000])
+            for d in (1, 2):
+                if correct_check(prog, s, alphabet=alpha, depth=d, cap=cap).is_refuted:
+                    refuted += 1
+                    after = correct_check(prog, s, alphabet=alpha, depth=d + 1, cap=cap)
+                    assert not after.is_verified, (clauses, s, cap, d)
+        assert refuted > 100
+
+
+class TestCompletenessCache:
+    def test_cache_is_keyed_on_the_program(self):
+        prog, suite, _ = setup_example("in.pl", "in.spec")
+        without_m2 = Program(tuple(c for c in prog.clauses if c is not prog.clauses[3]))
+        query = parse_query("in([2], [1, 2])")
+        cache: dict = {}
+        assert completeness_check(prog, query, suite, cache=cache).verdict.is_verified
+        rep = completeness_check(without_m2, query, suite, cache=cache)
+        assert not rep.verdict.is_verified
+        assert rep.verdict.status == completeness_check(without_m2, query, suite).verdict.status
