@@ -13,7 +13,6 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .terms import (
     CUT,
@@ -54,8 +53,13 @@ GUARD_ARITIES = {
 }
 
 
-class AtomSetTooLarge(Exception):
-    """Raised when a bounded enumeration exceeds its construction cap."""
+class CapHit(Exception):
+    """A bounded search reached its cap.  The message names the cap, its
+    value and, where there is one, the depth; checkers answer Unknown with it."""
+
+
+class AtomSetTooLarge(CapHit):
+    """An atom-set enumeration reached its cap."""
 
 
 @dataclass(frozen=True)
@@ -264,18 +268,13 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
         elif g.name == "subset" and isinstance(g.args[0], Var):
             func.setdefault(g.args[0].name, ("subset", g))
 
-    def inputs_ready(v, assigned):
-        kind, g = func[v]
-        src = g.args[:2] if kind == "concat" else g.args[1:2]
-        return all(name in assigned for t in src for name in vars_of(t))
-
     # Assignment order: plain variables first, functional outputs once ready.
     order = []
     remaining = list(tvars)
     while remaining:
         progressed = False
         for v in list(remaining):
-            if v not in func or inputs_ready(v, set(order)):
+            if v not in func or all(n in order for n in _func_input_vars(func[v])):
                 order.append(v)
                 remaining.remove(v)
                 progressed = True
@@ -349,7 +348,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
         for c in candidates(v, env):
             counter[0] += 1
             if counter[0] > cap:
-                raise AtomSetTooLarge(f"pattern enumeration exceeded {cap} steps")
+                raise AtomSetTooLarge(f"pattern enumeration cap {cap} hit at depth {depth}")
             env[v] = c
             assign(i + 1, env)
         env.pop(v, None)
@@ -368,7 +367,7 @@ def _func_input_vars(entry):
 
 
 _ENUM_CACHE_SIZE = 256
-_ENUM_CACHE: OrderedDict = OrderedDict()  # key -> atom list or the AtomSetTooLarge raised, LRU order
+_ENUM_CACHE: OrderedDict = OrderedDict()  # key -> atom list or the CapHit raised, LRU order
 
 
 def _freeze_resolver(resolver):
@@ -396,13 +395,13 @@ def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int =
     else:
         try:
             result = _enumerate_atoms(s, alphabet, depth, resolver, cap)
-        except AtomSetTooLarge as exc:
+        except CapHit as exc:
             result = exc
         if key is not None:
             _ENUM_CACHE[key] = result
             if len(_ENUM_CACHE) > _ENUM_CACHE_SIZE:
                 _ENUM_CACHE.popitem(last=False)
-    if isinstance(result, AtomSetTooLarge):
+    if isinstance(result, CapHit):
         raise result
     return result
 
@@ -433,19 +432,15 @@ def _enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int 
 # ---------------------------------------------------------------------------
 
 
-_STRUCTURAL = ("list", "ground", "ground_list", "any")
-
-
-def _anti_instances(t: Term, fresh, budget):
-    """All generalizations of a term obtained by cutting subterms to fresh variables."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise AtomSetTooLarge("anti-instance pool exceeded its cap")
+def _anti_instances(t: Term, fresh, spend):
+    """All generalizations of a term obtained by cutting subterms to fresh
+    variables; ``spend`` is charged once per compound generalization."""
     if isinstance(t, Var):
         return [t]
     options = [Var(f"G{next(fresh)}")]
     if t.args:
-        for combo in itertools.product(*(_anti_instances(a, fresh, budget) for a in t.args)):
+        for combo in itertools.product(*(_anti_instances(a, fresh, spend) for a in t.args)):
+            spend()
             options.append(Compound(t.functor, combo))
     else:
         options.append(t)
@@ -453,7 +448,8 @@ def _anti_instances(t: Term, fresh, budget):
 
 
 def _value_shared_variants(atom: Pred, fresh):
-    """Variants where all occurrences of selected ground subterm values share a variable."""
+    """Variants where all occurrences of selected ground subterm values share
+    a variable, generated lazily, smaller selections first."""
     values: dict = {}
 
     def collect(t):
@@ -465,10 +461,8 @@ def _value_shared_variants(atom: Pred, fresh):
 
     for a in atom.args:
         collect(a)
-    vals = list(values)[:6]
-    variants = []
-    for r in range(1, len(vals) + 1):
-        for subset in itertools.combinations(vals, r):
+    for r in range(1, len(values) + 1):
+        for subset in itertools.combinations(values, r):
             mapping = {v: Var(f"G{next(fresh)}") for v in subset}
 
             def repl(t):
@@ -478,26 +472,15 @@ def _value_shared_variants(atom: Pred, fresh):
                     return Compound(t.functor, tuple(repl(a) for a in t.args))
                 return t
 
-            variants.append(Pred(atom.name, tuple(repl(a) for a in atom.args)))
-    return variants
+            yield Pred(atom.name, tuple(repl(a) for a in atom.args))
 
 
 def _maximal_filter(members):
-    canon: dict = {}
-    for g in members:
-        canon[canonical(g)] = g
-    kept = []
-    items = list(canon.values())
-    for g in items:
-        dominated = False
-        for h in items:
-            if h is g or canonical(h) == canonical(g):
-                continue
-            if match(h, g) is not None and match(g, h) is None:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(g)
+    items = list({canonical(g): g for g in members}.values())
+    kept = [
+        g for g in items
+        if not any(h is not g and match(h, g) is not None and match(g, h) is None for h in items)
+    ]
     kept.sort(key=lambda a: repr(canonical(a)))
     return kept
 
@@ -505,7 +488,8 @@ def _maximal_filter(members):
 def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, cap: int = 8192):
     """Maximally general atoms of a pattern set that have ``a`` as an instance.
 
-    Returns a list, or None when the bounded lattice walk gave up (Unknown).
+    Raises CapHit when the lattice walk generates more than ``cap``
+    generalizations.
     """
     theta = match(pattern.template, a)
     if theta is None:
@@ -539,49 +523,41 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
         return [cand]
 
     # Relational guards: bounded walk over the generalization lattice of `a`.
-    try:
-        budget = [cap]
-        pool: dict = {}
-        for combo in itertools.product(*(_anti_instances(t, fresh, budget) for t in a.args)):
-            pool[Pred(a.name, combo)] = None
-        for variant in _value_shared_variants(a, fresh):
-            pool[variant] = None
-            for combo in itertools.product(
-                *(_anti_instances(t, fresh, budget) for t in variant.args)
-            ):
-                pool[Pred(variant.name, combo)] = None
-        if len(pool) > cap:
-            return None
-    except AtomSetTooLarge:
-        return None
+    spent = itertools.count(1)
+
+    def spend():
+        if next(spent) > cap:
+            raise CapHit(f"generalization cap {cap} hit")
+
+    pool: dict = {}  # canonical form -> generalization
+    for variant in itertools.chain((a,), _value_shared_variants(a, fresh)):
+        spend()
+        for combo in itertools.product(*(_anti_instances(t, fresh, spend) for t in variant.args)):
+            spend()
+            g = Pred(a.name, combo)
+            pool[canonical(g)] = g
     members = [
         g
-        for g in pool
+        for g in pool.values()
         if match(g, a) is not None and contains(Intensional((pattern,)), g, resolver)
     ]
     return _maximal_filter(members)
 
 
 def max_generalizations(a: Pred, s, resolver=None, cap: int = 8192):
-    """Maximally general members of ``s`` with ``a`` as an instance, or None."""
+    """Maximally general members of ``s`` with ``a`` as an instance.
+
+    Raises CapHit when a pattern's lattice walk reaches its cap."""
     if s is UNIVERSAL:
         return [most_general_atom(a.name, len(a.args))]
     if isinstance(s, Extensional):
         return [a] if a in s.atoms else []
     if isinstance(s, UnionSet):
-        out = []
-        for p in s.parts:
-            sub = max_generalizations(a, p, resolver, cap)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return _maximal_filter(out)
+        return _maximal_filter(
+            [g for p in s.parts for g in max_generalizations(a, p, resolver, cap)]
+        )
     if isinstance(s, Intensional):
-        out = []
-        for p in s.patterns:
-            sub = max_generalizations_pattern(a, p, resolver, cap)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return _maximal_filter(out)
+        return _maximal_filter(
+            [g for p in s.patterns for g in max_generalizations_pattern(a, p, resolver, cap)]
+        )
     raise TypeError(f"not an atom set: {s!r}")

@@ -1,17 +1,17 @@
 """Command line interface.
 
 Exit codes: 0 the check Verified (or the command succeeded), 1 Refuted,
-2 input could not be parsed, 3 Unknown or budget exhausted.
+2 the input is malformed, 3 Unknown or budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
+from .atomsets import CapHit
 from .dot import tree_dot
 from .engine import Budget, build_tree
 from .pruning import answers_of_pruned, prolog_search, prune, pruned_tree
@@ -28,7 +28,6 @@ from .terms import CUT, CutUnificationError
 from .verdicts import Verdict
 from .verify import (
     CheckReport,
-    _CapHit,
     acceptable_check,
     completeness_check,
     correct_check,
@@ -54,13 +53,8 @@ def _budget_args(parser: argparse.ArgumentParser):
 
 def _make_budget(args, suite: SpecSuite | None) -> Budget:
     base = suite.budget if suite is not None else Budget()
-    env_nodes = os.environ.get("CUTCHECK_BUDGET_NODES")
-    nodes = base.nodes
-    if env_nodes is not None:
-        nodes = int(env_nodes)
     depth = args.depth if args.depth is not None else base.depth
-    if args.nodes is not None:
-        nodes = args.nodes
+    nodes = args.nodes if args.nodes is not None else base.nodes
     steps = args.steps if args.steps is not None else base.steps
     return Budget(depth=depth, nodes=nodes, steps=steps)
 
@@ -112,11 +106,6 @@ def cmd_tree(args) -> int:
         shown = "pruned tree" if pruned else "tree"
         print(f"{shown}: {len(kept)} of {len(tree)} nodes, exact={exact}")
     return EXIT_VERIFIED if exact else EXIT_UNKNOWN
-
-
-def cmd_prune(args) -> int:
-    args.prune = True
-    return cmd_tree(args)
 
 
 def cmd_run(args) -> int:
@@ -177,11 +166,11 @@ def cmd_check(args) -> int:
         query = parse_query(args.query or "")
         try:
             extra, query2, suite2 = (
-                query_transform(query, suite, program)
+                query_transform(query, suite, program, depth=budget.depth)
                 if any(a is CUT for a in query)
                 else ([], query, suite)
             )
-        except _CapHit as exc:  # the S extension of a query with cut is too large
+        except CapHit as exc:  # the S extension of a query with cut is too large
             verdict = Verdict.unknown(str(exc))
         else:
             program2 = type(program)(program.clauses + tuple(extra))
@@ -246,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser("tree", help="build the LD-tree")
     p_tree.add_argument("program")
     p_tree.add_argument("query")
-    p_tree.add_argument("--prune", action="store_true", help="apply cut pruning")
     p_prune = sub.add_parser("prune", help="build and prune the LD-tree")
     p_prune.add_argument("program")
     p_prune.add_argument("query")
@@ -265,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         _budget_args(p)
 
     p_run.set_defaults(func=cmd_run)
-    p_tree.set_defaults(func=cmd_tree)
-    p_prune.set_defaults(func=cmd_prune)
+    p_tree.set_defaults(func=cmd_tree, prune=False)
+    p_prune.set_defaults(func=cmd_tree, prune=True)
     p_oracle.set_defaults(func=cmd_oracle)
     p_check.set_defaults(func=cmd_check)
     return parser

@@ -18,7 +18,7 @@ from typing import Optional
 from .atomsets import (
     UNIVERSAL,
     AtomPattern,
-    AtomSetTooLarge,
+    CapHit,
     Extensional,
     Guard,
     Intensional,
@@ -72,15 +72,9 @@ _DEFAULT_CAP = 50_000
 # ---------------------------------------------------------------------------
 
 
-class _CapHit(Exception):
-    """A bounded enumeration reached its cap; the message names the cap.
-
-    Checkers catch it and answer Unknown with that message."""
-
-
 def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int):
     """Extend sigma with every depth-bounded grounding of the names it leaves
-    free, in product order.  Raises _CapHit instead of yielding grounding
+    free, in product order.  Raises CapHit instead of yielding grounding
     ``cap + 1``."""
     names = [n for n in names if n not in sigma.domain]
     if not names:
@@ -89,7 +83,7 @@ def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int):
     combos = itertools.product(ground_terms(alphabet, depth), repeat=len(names))
     for count, combo in enumerate(combos, 1):
         if count > cap:
-            raise _CapHit(f"instance cap {cap} hit at depth {depth}")
+            raise CapHit(f"instance cap {cap} hit at depth {depth}")
         theta = Subst(dict(zip(names, combo)))
         yield compose(sigma, theta) if sigma else theta
 
@@ -100,8 +94,8 @@ class _CoverSearch:
     Solutions are substitutions sigma with every instantiated atom ground and
     a member of the set.  ``exhaustive`` stays True only when every candidate
     source was complete (extensional sets are; pattern and universal sets are
-    enumerated up to the depth bound).  Raises _CapHit at the visit cap or
-    when a candidate enumeration exceeds its cap.
+    enumerated up to the depth bound).  Raises CapHit at the visit cap or
+    when a candidate enumeration reaches its cap.
     """
 
     def __init__(self, s, alphabet: Alphabet, depth: int, resolver=None, cap: int = _DEFAULT_CAP):
@@ -128,17 +122,14 @@ class _CoverSearch:
         alphabet = self.alphabet
         if self.s is UNIVERSAL and key not in alphabet.predicates:
             alphabet = Alphabet(alphabet.functors, alphabet.predicates + (key,))
-        try:
-            pool = enumerate_atoms(self.s, alphabet, self.depth, self.resolver, self.cap)
-        except AtomSetTooLarge as exc:
-            raise _CapHit(str(exc)) from exc
+        pool = enumerate_atoms(self.s, alphabet, self.depth, self.resolver, self.cap)
         return [a for a in pool if (a.name, len(a.args)) == key]
 
     def solutions(self, goals: tuple, sigma: Subst):
         """Yield substitutions grounding the goals inside the set."""
         self.visits += 1
         if self.visits > self.cap:
-            raise _CapHit(f"cover search visit cap {self.cap} hit at depth {self.depth}")
+            raise CapHit(f"cover search visit cap {self.cap} hit at depth {self.depth}")
         goals = tuple(g for g in goals if g is not CUT)
         if not goals:
             yield sigma
@@ -185,7 +176,7 @@ def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resol
                 None,
                 (),
             )
-    except _CapHit as exc:
+    except CapHit as exc:
         return Verdict.unknown(str(exc))
     if search.exhaustive:
         return Verdict.refuted(
@@ -200,8 +191,8 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
     alphabet = alphabet or resolve_alphabet(program)
     try:
         atoms = enumerate_atoms(s, alphabet, depth, resolver)
-    except AtomSetTooLarge:
-        return Verdict.unknown(f"enumeration of S exceeded its cap at depth {depth}")
+    except CapHit as exc:
+        return Verdict.unknown(str(exc))
     per_atom = []
     for a in atoms:
         clause_verdicts = []
@@ -248,7 +239,7 @@ def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
                         )
                 if vars_of(apply(sol, clause.head)):
                     bounded = True
-        except _CapHit as exc:
+        except CapHit as exc:
             capped = str(exc)  # later clauses can still refute
         if not search.exhaustive:
             bounded = True
@@ -394,13 +385,10 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
 
     ``k`` is the index of the body atom that must be in pre (prefix in post);
     ``k is None`` checks the head-in-post condition with the full body.
-    Returns a witness dict or None; at the cap, which counts instances over
-    all heads together, the answer is None.
+    Returns a witness dict or None; raises CapHit once more than ``cap``
+    instances, counted over all heads together, were searched.
     """
-    try:
-        heads = enumerate_atoms(pre, alphabet, depth, resolver, cap)
-    except AtomSetTooLarge:
-        return None
+    heads = enumerate_atoms(pre, alphabet, depth, resolver, cap)
     heads = [h for h in heads if (h.name, len(h.args)) == (clause.head.name, len(clause.head.args))]
     prefix = clause.body[:k] if k is not None else clause.body
     thetas = (unify(clause.head, h) for h in heads)
@@ -410,7 +398,9 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
         if theta is not None
         for full in _groundings(theta, vars_of(clause), alphabet, depth, cap)
     )
-    for instance in itertools.islice(instances, cap):
+    for count, instance in enumerate(instances, 1):
+        if count > cap:
+            raise CapHit(f"instance cap {cap} hit at depth {depth}")
         if not is_ground(instance):
             continue
         if not all(
@@ -453,12 +443,12 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
     if not head_branches:
         return Verdict.verified("head cannot satisfy pre (vacuous)")
     branches = head_branches
-    failures: list = []
+    # implications the patterns could not establish: a body position, or None for the head
+    failing: list = []
     for k, b in enumerate(clause.body):
         if b is not CUT:
-            for sigma, facts in branches:
-                if not _entailed_member(b, pre, sigma, facts, resolver):
-                    failures.append((k, sigma))
+            if not all(_entailed_member(b, pre, sg, facts, resolver) for sg, facts in branches):
+                failing.append(k)
             next_branches: list = []
             for sigma, facts in branches:
                 next_branches.extend(
@@ -466,29 +456,27 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
                 )
             branches = next_branches
             if len(branches) > branch_cap:
-                return Verdict.unknown(f"branch cap {branch_cap} exceeded")
-    head_failures = [
-        sigma
-        for sigma, facts in branches
-        if not _entailed_member(clause.head, post, sigma, facts, resolver)
-    ]
-    if not failures and not head_failures:
+                return Verdict.unknown(f"branch cap {branch_cap} hit")
+    if not all(_entailed_member(clause.head, post, sg, facts, resolver) for sg, facts in branches):
+        failing.append(None)
+    if not failing:
         return Verdict.verified()
     # The pattern strategy could not establish the implications; look for a
     # concrete ground counterexample, otherwise stay Unknown.
-    for k, _sigma in failures:
-        witness = _ground_refute_well_asserted(
-            clause, k, pre, post, alphabet, depth, resolver, cap
-        )
+    capped = None
+    for k in failing:
+        try:
+            witness = _ground_refute_well_asserted(
+                clause, k, pre, post, alphabet, depth, resolver, cap
+            )
+        except CapHit as exc:
+            capped = str(exc)  # later positions can still refute
+            continue
         if witness is not None:
             return Verdict.refuted(witness)
-    if head_failures:
-        witness = _ground_refute_well_asserted(
-            clause, None, pre, post, alphabet, depth, resolver, cap
-        )
-        if witness is not None:
-            return Verdict.refuted(witness)
-    return Verdict.unknown(f"pattern strategy inconclusive; no ground witness within depth {depth}")
+    return Verdict.unknown(
+        capped or f"pattern strategy inconclusive; no ground witness within depth {depth}"
+    )
 
 
 def cs_correct(program: Program, pre, post, *, alphabet: Optional[Alphabet] = None,
@@ -567,9 +555,10 @@ def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, res
     if split is None:
         return Verdict.verified("preceding clause has no cut")
     a0, _ = split
-    gens = max_generalizations(a, pre, resolver)
-    if gens is None:
-        return Verdict.unknown("maximal generalizations in pre could not be computed")
+    try:
+        gens = max_generalizations(a, pre, resolver)
+    except CapHit as exc:
+        return Verdict.unknown(str(exc))
     unknown = None  # the reason, once some search was incomplete
     for h2 in gens:
         variant = rename_apart(Clause(preceding.head, a0), set(vars_of(h2)))
@@ -585,7 +574,7 @@ def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, res
         )
         try:
             found = next((inst for inst in instances if is_ground(inst)), None)
-        except _CapHit as exc:
+        except CapHit as exc:
             unknown = str(exc)  # later generalizations can still refute
             continue
         if found is not None:
@@ -616,9 +605,10 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
         rhos = [EMPTY_SUBST] if match(clause.head, a) is not None else []
         rho_sources = [(EMPTY_SUBST, clause)] if rhos else []
     else:
-        gens = max_generalizations(a, pre, resolver)
-        if gens is None:
-            return Verdict.unknown("maximal generalizations in pre could not be computed")
+        try:
+            gens = max_generalizations(a, pre, resolver)
+        except CapHit as exc:
+            return Verdict.unknown(str(exc))
         rho_sources = []
         for h2 in gens:
             h2r = rename_apart(h2, set(vars_of(clause)))
@@ -638,7 +628,7 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
         try:
             for eta in search.solutions(b0r, EMPTY_SUBST):
                 etas.append(eta)
-        except _CapHit as exc:
+        except CapHit as exc:
             unknown = str(exc)  # the etas found so far can still refute
         if not search.exhaustive:
             unknown = unknown or f"eta enumeration exhausted depth {depth}"
@@ -725,8 +715,8 @@ def s_subset_post_check(s, post, *, alphabet: Alphabet, depth: int = 3, resolver
         return Verdict.verified("post is the universal set")
     try:
         members = enumerate_atoms(s, alphabet, depth, resolver)
-    except AtomSetTooLarge:
-        return Verdict.unknown(f"enumeration of S exceeded its cap at depth {depth}")
+    except CapHit as exc:
+        return Verdict.unknown(str(exc))
     for a in members:
         if not contains(post, a, resolver):
             return Verdict.refuted(
@@ -807,10 +797,8 @@ def _query_free_stages(program: Program, suite: SpecSuite, alphabet: Alphabet, d
     )
     try:
         atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
-    except AtomSetTooLarge:
-        return premise, wa_program, Verdict.unknown(
-            f"enumeration of S exceeded its cap at depth {depth}"
-        )
+    except CapHit as exc:
+        return premise, wa_program, Verdict.unknown(str(exc))
     per_atom = [
         (
             atom_text(a),
@@ -896,7 +884,7 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
 
     Returns (extra clauses, new query, new suite).  The S extension holds the
     ground p-instances whose query instance lies in S + {!} (bounded
-    enumeration up to the depth bound).  Raises _CapHit when more than
+    enumeration up to the depth bound).  Raises CapHit when more than
     ``cap`` instances would have to be enumerated: a truncated extension
     would let the completeness check verify a smaller S.
     """
@@ -954,7 +942,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
                     },
                     "S satisfies an instance that no pruned-tree answer subsumes",
                 )
-    except _CapHit as exc:
+    except CapHit as exc:
         return Verdict.unknown(str(exc))
     return Verdict.verified(f"all S-true instances up to depth {budget.depth} are answered")
 
@@ -964,15 +952,23 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
 # ---------------------------------------------------------------------------
 
 
+def _require_level_maps(program: Program, level_maps: dict):
+    """Raise ValueError naming the first predicate without a level mapping."""
+    for clause in program.clauses:
+        for atom in (clause.head,) + clause.body:
+            if atom is not CUT and atom.indicator not in level_maps:
+                raise ValueError(f"no level mapping declared for {atom.indicator}")
+
+
 def _level_decrease(program: Program, level_maps: dict, alphabet: Alphabet, depth: int,
                     cap: int, prefix_holds, violation: str) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance and
     every body atom whose preceding atoms ``prefix_holds``.
 
-    A clause whose instances reach the cap is checked up to the cap, and the
-    verdict says "(instance cap hit)".
+    A clause whose instances reach the cap is checked up to the cap; unless a
+    later clause refutes, the verdict is Unknown naming the cap.
     """
-    capped = False
+    capped = None  # the reason, once a clause's instances stopped at the cap
     for clause in program.clauses:
         try:
             for theta in _groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap):
@@ -990,15 +986,17 @@ def _level_decrease(program: Program, level_maps: dict, alphabet: Alphabet, dept
                             },
                             violation,
                         )
-        except _CapHit:
-            capped = True
-    reason = f"no counterexample within depth {depth}" + (" (instance cap hit)" if capped else "")
-    return Verdict.verified(reason)
+        except CapHit as exc:
+            capped = str(exc)  # later clauses can still refute
+    if capped:
+        return Verdict.unknown(capped)
+    return Verdict.verified(f"no counterexample within depth {depth}")
 
 
 def recurrent_check(program: Program, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
                     depth: int = 3, cap: int = _DEFAULT_CAP) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance."""
+    _require_level_maps(program, level_maps)
     alphabet = alphabet or resolve_alphabet(program)
     return _level_decrease(program, level_maps, alphabet, depth, cap,
                            lambda prefix: True, "level does not decrease")
@@ -1007,6 +1005,7 @@ def recurrent_check(program: Program, level_maps: dict, *, alphabet: Optional[Al
 def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
                      depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
     """Correctness w.r.t. s plus level decrease whenever s satisfies the prefix."""
+    _require_level_maps(program, level_maps)
     alphabet = alphabet or resolve_alphabet(program)
     model = correct_check(program, s, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap)
     if model.is_refuted:

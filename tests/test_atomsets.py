@@ -3,6 +3,7 @@ import pytest
 from cutcheck.atomsets import (
     AtomPattern,
     AtomSetTooLarge,
+    CapHit,
     Extensional,
     Guard,
     Intensional,
@@ -25,6 +26,7 @@ from cutcheck.terms import (
     make_list,
     match,
     most_general_atom,
+    variant_equal,
     vars_of,
 )
 
@@ -152,3 +154,23 @@ class TestMaxGeneralizations:
         for g in max_generalizations(atom, s, None):
             assert contains(s, g)
             assert match(g, atom) is not None
+
+    def test_relational_walk_shares_every_repeated_value(self):
+        # eq(X, Y) ties the last two arguments; the six other values come
+        # first in the atom, and the most general member still shares c's slot
+        s = pat(Pred("p", tuple(Var(n) for n in "ABCDEFXY")), Guard("eq", (X, Y)))
+        atom = Pred("p", tuple(const(f"b{i}") for i in range(1, 7)) + (const("c"), const("c")))
+        want = Pred("p", tuple(Var(f"G{i}") for i in range(1, 8)) + (Var("G7"),))
+        try:
+            gens = max_generalizations(atom, s, None)
+        except CapHit:
+            return
+        assert any(variant_equal(g, want) for g in gens), gens
+
+    def test_relational_walk_cap(self):
+        s = pat(Pred("p", (X, Y)), Guard("eq", (X, Y)))
+        atom = Pred("p", (make_list([one, two]), make_list([one, two])))
+        [gen] = max_generalizations(atom, s, None)
+        assert variant_equal(gen, Pred("p", (X, X)))
+        with pytest.raises(CapHit, match="^generalization cap 10 hit$"):
+            max_generalizations(atom, s, None, cap=10)

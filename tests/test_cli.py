@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cutcheck
 import cutcheck.verify
 from cutcheck.cli import main
 
@@ -16,6 +20,19 @@ def run(capsys, *argv):
 @pytest.fixture
 def program_path(fixtures_dir):
     return str(fixtures_dir / "pruning_tree.pl")
+
+
+ALPHABET_AFG = "[alphabet]\nfunctor a/0.\nfunctor f/1.\nfunctor g/2.\n\n"
+
+
+@pytest.fixture
+def p5(tmp_path):
+    """The p/5 program and a spec with S but no level mappings and no bounds."""
+    prog = tmp_path / "p5.pl"
+    prog.write_text("p(A, B, C, D, E) :- q.\nq.\n")
+    spec = tmp_path / "p5.spec"
+    spec.write_text(ALPHABET_AFG + "[S]\nq.\np(a, B, C, D, E).\n")
+    return str(prog), str(spec)
 
 
 class TestRun:
@@ -170,6 +187,26 @@ class TestCheck:
         assert code == 3
         assert "verdict: unknown" in out and "reason: instance cap 50000 hit at depth 2" in out
 
+    def test_cut_query_extension_honours_depth_flag(self, capsys, p5):
+        prog, spec = p5
+        code, out, _ = run(capsys, "check", "complete", prog, "--spec", spec,
+                           "--query", "p(A, B, C, D, E), !", "--depth", "2")
+        assert code == 3 and "bounds: depth=2 " in out
+        assert "reason: instance cap 50000 hit at depth 2" in out
+
+    def test_level_loop_refuted_then_unknown(self, capsys, tmp_path):
+        prog = tmp_path / "lv.pl"
+        prog.write_text("p(A, B, C, D, E) :- r(A).\nr(a).\n")
+        spec = tmp_path / "lv.spec"
+        spec.write_text(ALPHABET_AFG + "[level]\np(A, B, C, D, E) = 3.\nr(X) = size(X).\n")
+        code, out, _ = run(capsys, "check", "recurrent", str(prog), "--spec", str(spec),
+                           "--depth", "1")
+        assert code == 1 and "instance=p(g(a, a), a, a, a, a) :- r(g(a, a))." in out
+        code, out, _ = run(capsys, "check", "recurrent", str(prog), "--spec", str(spec),
+                           "--depth", "2")
+        assert code == 3
+        assert "verdict: unknown" in out and "reason: instance cap 50000 hit at depth 2" in out
+
 
 class TestErrorsAndEnv:
     def test_parse_error_exit_2(self, capsys, tmp_path):
@@ -182,15 +219,14 @@ class TestErrorsAndEnv:
         code, _, err = run(capsys, "run", "/nonexistent.pl", "p")
         assert code == 2
 
-    def test_env_budget(self, capsys, tmp_path, monkeypatch):
-        p = tmp_path / "loop.pl"
-        p.write_text("p :- p.\n")
-        monkeypatch.setenv("CUTCHECK_BUDGET_NODES", "5")
-        code, _, _ = run(capsys, "run", str(p), "p", "--steps", "5")
-        assert code == 3
-
-    def test_flag_overrides_env(self, capsys, fixtures_dir, monkeypatch):
-        monkeypatch.setenv("CUTCHECK_BUDGET_NODES", "1")
-        code, _, _ = run(capsys, "run", str(fixtures_dir / "artificial.pl"),
-                         "p(a, Z)", "--nodes", "1000")
-        assert code == 0
+    @pytest.mark.parametrize("kind", ["recurrent", "acceptable"])
+    def test_missing_level_mapping_exit_2(self, p5, kind):
+        prog, spec = p5
+        env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutcheck.cli", "check", kind, prog, "--spec", spec],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: no level mapping declared for p/5"
+        assert "Traceback" not in proc.stderr

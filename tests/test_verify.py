@@ -226,8 +226,11 @@ class TestPipeline:
 class TestTermination:
     def test_in_recurrent(self):
         prog, suite, alpha = setup_example("in.pl", "in.spec")
-        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
+        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=1)
         assert v.is_verified
+        # at depth 2 the ground instances of in/2's clauses pass the cap
+        v2 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
+        assert v2.is_unknown and v2.reason == "instance cap 50000 hit at depth 2"
 
     def test_non_decreasing_refuted(self):
         prog = parse_program("p(X) :- p(X).\np(a).")
@@ -278,6 +281,20 @@ q = 0.
 """
 
 
+# the level loop's counterpart of the p/5 program
+LEVEL_PROGRAM = "p(A, B, C, D, E) :- r(A).\nr(a)."
+LEVEL_SPEC = """\
+[alphabet]
+functor a/0.
+functor f/1.
+functor g/2.
+
+[level]
+p(A, B, C, D, E) = 3.
+r(X) = size(X).
+"""
+
+
 class TestHonestCaps:
     """A cap either lets the search finish or turns the verdict Unknown."""
 
@@ -309,7 +326,18 @@ class TestHonestCaps:
         suite = parse_spec(P5_SPEC)
         alpha = resolve_alphabet(prog, (), suite)
         v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2, cap=1000)
-        assert v.is_verified and v.reason.endswith("(instance cap hit)")
+        assert v.is_unknown and v.reason == "instance cap 1000 hit at depth 2"
+
+    def test_level_loop_refuted_then_unknown_not_verified(self):
+        prog = parse_program(LEVEL_PROGRAM)
+        suite = parse_spec(LEVEL_SPEC)
+        alpha = resolve_alphabet(prog, (), suite)
+        v1 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=1)
+        assert v1.is_refuted
+        assert v1.witness["instance"] == "p(g(a, a), a, a, a, a) :- r(g(a, a))."
+        # 13^5 groundings at depth 2: the witness lies beyond the instance cap
+        v2 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
+        assert v2.is_unknown and v2.reason == "instance cap 50000 hit at depth 2"
 
     def test_cover_search_cap_is_unknown(self):
         prog = parse_program("p(X) :- q(X), q(Y), q(Z).")
@@ -329,7 +357,16 @@ class TestHonestCaps:
             args = (rng.choice(["a", "f(a)", "X", "Y", "Z", "f(X)", "f(Y)"]) for _ in range(arity))
             return f"{name}({', '.join(args)})"
 
-        refuted = 0
+        def level(name, arity):
+            sized = tuple((1, "size", i) for i in range(arity) if rng.random() < 0.5)
+            return LevelMapping(name, arity, rng.randint(0, 2), sized)
+
+        checks = {
+            "correct": lambda prog, s, maps, **kw: correct_check(prog, s, **kw),
+            "recurrent": lambda prog, s, maps, **kw: recurrent_check(prog, maps, **kw),
+            "acceptable": acceptable_check,
+        }
+        refuted = dict.fromkeys(checks, 0)
         for _ in range(150):
             clauses = []
             for _ in range(rng.randint(1, 3)):
@@ -338,13 +375,15 @@ class TestHonestCaps:
             prog = parse_program("\n".join(clauses))
             s = Intensional(tuple(AtomPattern(parse_query(atom())[0], ())
                                   for _ in range(rng.randint(1, 6))))
-            cap = rng.choice([2, 4, 6, 8, 12, 30, 1000])
-            for d in (1, 2):
-                if correct_check(prog, s, alphabet=alpha, depth=d, cap=cap).is_refuted:
-                    refuted += 1
-                    after = correct_check(prog, s, alphabet=alpha, depth=d + 1, cap=cap)
-                    assert not after.is_verified, (clauses, s, cap, d)
-        assert refuted > 100
+            maps = {f"{name}/{arity}": level(name, arity) for name, arity in preds}
+            cap = rng.choice([2, 3, 4, 5, 6, 7, 8, 12, 30, 1000])
+            for name, check in checks.items():
+                for d in (1, 2):
+                    if check(prog, s, maps, alphabet=alpha, depth=d, cap=cap).is_refuted:
+                        refuted[name] += 1
+                        after = check(prog, s, maps, alphabet=alpha, depth=d + 1, cap=cap)
+                        assert not after.is_verified, (name, clauses, s, maps, cap, d)
+        assert min(refuted.values()) > 100, refuted
 
 
 class TestCompletenessCache:
