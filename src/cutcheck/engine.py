@@ -22,8 +22,8 @@ from .terms import (
     Pred,
     Subst,
     apply,
-    compose,
     rename_apart,
+    resolve,
     unify,
     vars_of,
 )
@@ -41,20 +41,28 @@ class Budget:
 @dataclass(frozen=True)
 class Program:
     clauses: tuple = ()
+    _index: dict = field(default=None, init=False, repr=False, compare=False)
 
-    def matching(self, atom: Pred):
-        return [
-            (i, c)
-            for i, c in enumerate(self.clauses)
-            if c.head.name == atom.name and len(c.head.args) == len(atom.args)
-        ]
+    def __post_init__(self):
+        index: dict = {}
+        for i, c in enumerate(self.clauses):
+            index.setdefault((c.head.name, len(c.head.args)), []).append((i, c))
+        object.__setattr__(self, "_index", index)
+
+    def matching(self, atom: Pred) -> list:
+        """The (index, clause) pairs whose head has the atom's name and arity,
+        in clause order.  The list is shared: callers must not modify it."""
+        return self._index.get((atom.name, len(atom.args)), [])
 
 
 @dataclass(frozen=True)
 class LdStep:
     """One derivation step: the mgu and the clause variant used.
 
-    A cut-consumption step has ``clause_index is None`` and an empty mgu.
+    The mgu is this step's own, not composed with the steps above it; the
+    substitution a node's query carries from the root is resolved only where
+    it is needed, at success leaves (``computed_answer``).  A cut-consumption
+    step has ``clause_index is None`` and an empty mgu.
     """
 
     mgu: Subst
@@ -70,13 +78,16 @@ TRUNCATED = "truncated"
 
 @dataclass
 class Node:
+    """A derivation node: its query, already instantiated by every mgu on its
+    root path, and the step that produced it from its parent (None at the
+    root).  Only the step's own mgu is kept; see ``computed_answer``."""
+
     id: int
     query: tuple
     origins: tuple  # per atom: id of the node whose clause application introduced it
     parent: Optional[int]
     step: Optional[LdStep]
     depth: int
-    subst: Subst  # composition of the mgus from the root
     children: list = field(default_factory=list)
     status: str = OPEN
 
@@ -154,7 +165,7 @@ class TreeBuilder:
         self.budget = budget or Budget()
         self.fresh = FreshNames()
         self.forbidden = set(vars_of(query))
-        root = Node(0, query, tuple(None for _ in query), None, None, 0, EMPTY_SUBST)
+        root = Node(0, query, tuple(None for _ in query), None, None, 0)
         self.tree = LdTree(query, [root])
 
     def expand(self, nid: int) -> list:
@@ -184,15 +195,7 @@ class TreeBuilder:
             else:
                 body_len = len(step.clause_variant.body)
                 child_origins = tuple(nid for _ in range(body_len)) + node.origins[1:]
-            child = Node(
-                len(nodes),
-                child_query,
-                child_origins,
-                nid,
-                step,
-                node.depth + 1,
-                compose(node.subst, step.mgu),
-            )
+            child = Node(len(nodes), child_query, child_origins, nid, step, node.depth + 1)
             nodes.append(child)
             node.children.append(child.id)
         return node.children
@@ -250,14 +253,30 @@ def preorder(tree: LdTree, kept=None) -> PreorderResult:
     return PreorderResult(tuple(ids), root_exact)
 
 
+def computed_answer(tree: LdTree, nid: int) -> tuple:
+    """The root query under the composition of the step mgus from the root
+    down to node ``nid``.
+
+    The derivation is standardized apart and each mgu is idempotent, so the
+    step mgus have disjoint domains and no later step binds a variable an
+    earlier one eliminated: their union is a triangular binding map, and
+    resolving the query through it once gives the composed instance.
+    """
+    bindings: dict = {}
+    nodes = tree.nodes
+    cur: Optional[int] = nid
+    while cur is not None:
+        node = nodes[cur]
+        if node.step is not None:
+            bindings.update(node.step.mgu.items())
+        cur = node.parent
+    return resolve(bindings, tree.query)
+
+
 def answers(tree: LdTree) -> list:
     """Computed answers (root query instances) of Success leaves, in preorder."""
     seq = preorder(tree)
-    return [
-        apply(tree.nodes[nid].subst, tree.query)
-        for nid in seq.ids
-        if tree.nodes[nid].status == SUCCESS
-    ]
+    return [computed_answer(tree, nid) for nid in seq.ids if tree.nodes[nid].status == SUCCESS]
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,14 @@ from .engine import (
     SUCCESS,
     TRUNCATED,
     TreeBuilder,
+    computed_answer,
     preorder,
 )
 from .terms import (
     CUT,
-    EMPTY_SUBST,
     FreshNames,
-    apply,
-    compose,
     rename_apart,
+    resolve,
     unify,
     vars_of,
 )
@@ -151,7 +150,7 @@ def answers_of_pruned(pt: PrunedTree) -> list:
     """Computed answers of the pruned tree, in preorder order."""
     seq = preorder(pt.base, pt.kept)
     return [
-        apply(pt.base.nodes[nid].subst, pt.base.query)
+        computed_answer(pt.base, nid)
         for nid in seq.ids
         if pt.base.nodes[nid].status == SUCCESS
     ]
@@ -162,14 +161,19 @@ def answers_of_pruned(pt: PrunedTree) -> list:
 #
 # This deliberately shares no traversal or pruning code with the tree
 # machinery above: cut discards choice points younger than the barrier
-# recorded when the clause that introduced it was invoked.
+# recorded when the clause that introduced it was invoked.  Bindings live in
+# one triangular store with a trail, as in a Prolog machine: a retried choice
+# point undoes the bindings made after it, and an answer is the query
+# resolved through the store.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Frame:
-    goals: tuple  # of (atom, barrier)
-    subst: object
+    call: object  # goals[0] resolved through the bindings at call time
+    goals: tuple  # the call, then its continuation, as written in the clauses
+    barriers: tuple  # per goal: the stack height its cuts cut back to
+    mark: int  # trail length at call time
     alternatives: list  # clause indices left to try
     pos: int
     height: int  # stack height at call time == barrier for the body's cuts
@@ -194,13 +198,17 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
     answers: list = []
     steps = 0
     exact = True
+    bindings: dict = {}  # every mgu of the current branch, triangular
+    trail: list = []  # the names in ``bindings``, in binding order
 
     stack: list = []
-    current = (tuple((a, 0) for a in query), EMPTY_SUBST)
+    # (goals, barriers) of the state to run next, or None
+    current = (query, tuple(0 for _ in query))
 
     def advance(frame: _Frame):
         nonlocal steps
-        atom = apply(frame.subst, frame.goals[0][0])
+        while len(trail) > frame.mark:
+            del bindings[trail.pop()]
         while frame.pos < len(frame.alternatives):
             steps += 1
             if steps > budget.steps:
@@ -208,12 +216,14 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
             idx = frame.alternatives[frame.pos]
             frame.pos += 1
             variant = rename_apart(program.clauses[idx], forbidden, fresh)
-            theta = unify(atom, variant.head)
+            theta = unify(frame.call, variant.head)
             if theta is None:
                 continue
             forbidden.update(vars_of(variant))
-            body = tuple((b, frame.height) for b in variant.body)
-            return (body + frame.goals[1:], compose(frame.subst, theta))
+            bindings.update(theta.items())
+            trail.extend(theta)
+            barriers = tuple(frame.height for _ in variant.body) + frame.barriers[1:]
+            return (variant.body + frame.goals[1:], barriers)
         return None
 
     class _OutOfSteps(Exception):
@@ -230,18 +240,18 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
                 if current is None:
                     break
                 continue
-            goals, subst = current
+            goals, barriers = current
             current = None
             if not goals:
-                answers.append(apply(subst, query))
+                answers.append(resolve(bindings, query))
                 continue
-            atom, barrier = goals[0]
-            if atom is CUT:
-                del stack[barrier:]
-                current = (goals[1:], subst)
+            if goals[0] is CUT:
+                del stack[barriers[0]:]
+                current = (goals[1:], barriers[1:])
                 continue
-            alternatives = [i for i, _ in program.matching(atom)]
-            stack.append(_Frame(goals, subst, alternatives, 0, len(stack)))
+            call = resolve(bindings, goals[0])
+            alternatives = [i for i, _ in program.matching(call)]
+            stack.append(_Frame(call, goals, barriers, len(trail), alternatives, 0, len(stack)))
     except _OutOfSteps:
         exact = False
 

@@ -360,6 +360,10 @@ def _parse_entries(lines):
 
 
 class _SpecEntryParser(_Parser):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.set_refs: list = []  # the set-name token of every notin guard
+
     def parse_guard(self) -> Guard:
         tok = self.expect("name")
         name = tok.value
@@ -373,7 +377,9 @@ class _SpecEntryParser(_Parser):
                 if k:
                     self.expect("punct", ",")
                 if name == "notin" and k == 1:
-                    args.append(self.expect("name").value)
+                    ref = self.expect("name")
+                    self.set_refs.append(ref)
+                    args.append(ref.value)
                 elif name == "notin" and k == 0:
                     args.append(self.parse_atom(allow_cut=False))
                 else:
@@ -496,6 +502,7 @@ def parse_spec(text: str) -> SpecSuite:
     functors: list = []
     predicates: list = []
     saw_alphabet = False
+    set_refs: list = []  # (set name, line, col) of every notin guard
     for name, lineno, lines in _split_sections(text):
         body = _parse_entries(lines)
         parser = _SpecEntryParser(body)
@@ -527,6 +534,12 @@ def parse_spec(text: str) -> SpecSuite:
             )
         else:
             raise ParseError(f"unknown section [{name}]", lineno, 1)
+        # body line k is the section's k-th non-blank line
+        set_refs += [(t.value, lines[t.line - 1][0], t.col) for t in parser.set_refs]
+    declared = {"s", "pre", "post"} | set(suite.named_sets)
+    for set_name, line, col in set_refs:
+        if set_name not in declared:
+            raise ParseError(f"undeclared set {set_name!r} in notin guard", line, col)
     if s_parts:
         universal_s = [p for p in s_parts if p is UNIVERSAL]
         if universal_s:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_
 from typing import Iterator, Optional, Union
 
 
@@ -216,25 +217,85 @@ EMPTY_SUBST = Subst()
 
 def apply(s: Subst, e):
     """Apply a substitution to a term, atom, query tuple, clause, or None."""
-    if e is None:
-        return None
-    if isinstance(e, Var):
-        return s.get(e.name, e)
-    if isinstance(e, Compound):
+    return _substitute_in(e, s._b, None)
+
+
+def _substitute_in(e, bindings: dict, memo: Optional[dict]):
+    """``_substitute`` lifted to atoms, clauses, tuples of them, and None."""
+    cls = e.__class__
+    if cls is Pred:
         if not e.args:
             return e
-        return Compound(e.functor, tuple(apply(s, a) for a in e.args))
-    if e is CUT:
+        return Pred(e.name, tuple([_substitute(a, bindings, memo) for a in e.args]))
+    if cls is Var or cls is Compound:
+        return _substitute(e, bindings, memo)
+    if cls is tuple:
+        return tuple([_substitute_in(a, bindings, memo) for a in e])
+    if e is None or e is CUT:
         return e
-    if isinstance(e, Pred):
-        if not e.args:
-            return e
-        return Pred(e.name, tuple(apply(s, a) for a in e.args))
-    if isinstance(e, Clause):
-        return Clause(apply(s, e.head), apply(s, e.body))
-    if isinstance(e, tuple):
-        return tuple(apply(s, a) for a in e)
+    if cls is Clause:
+        return Clause(_substitute_in(e.head, bindings, memo), _substitute_in(e.body, bindings, memo))
     raise TypeError(f"cannot apply substitution to {e!r}")
+
+
+def _substitute(t: Term, bindings: dict, memo: Optional[dict]) -> Term:
+    """``t`` with its bound variables replaced.
+
+    With ``memo`` None the map is one simultaneous substitution: a variable
+    is replaced by its binding as is (``apply``).  With a dict the map is
+    triangular and a binding is itself resolved, once per variable: ``memo``
+    keeps each variable's resolved value (``resolve``).  A subterm that does
+    not change is returned as is.  The walk keeps its own stack, so a list
+    thousands of cells long cannot hit Python's recursion limit.
+    """
+    frames: list = []  # per compound being rebuilt: (term, resolved args, names)
+    names = None  # the bound variables whose resolved value is the current term
+    while True:
+        if t.__class__ is Var:
+            value = bindings.get(t.name)
+            if value is None:
+                value = t
+            elif memo is not None:
+                done = memo.get(t.name)
+                if done is None:
+                    if names is None:
+                        names = [t.name]
+                    else:
+                        names.append(t.name)
+                    t = value
+                    continue
+                value = done
+        elif t.args:
+            frames.append((t, [], names))
+            names = None
+            t = t.args[0]
+            continue
+        else:
+            value = t
+        # ``value`` is finished: hand it to the enclosing frames
+        while True:
+            if names is not None:
+                for name in names:
+                    memo[name] = value
+            if not frames:
+                return value
+            term, args, names = frames[-1]
+            args.append(value)
+            if len(args) < len(term.args):
+                t = term.args[len(args)]
+                names = None
+                break
+            frames.pop()
+            if not all(map(is_, args, term.args)):
+                term = Compound(term.functor, tuple(args))
+            value = term
+
+
+def resolve(bindings: dict, e):
+    """Resolve a term, atom or query tuple through a triangular binding map
+    (variable name -> term that may hold bound variables, acyclic): the
+    result is ``e`` under the idempotent substitution the map stands for."""
+    return _substitute_in(e, bindings, {})
 
 
 def compose(s: Subst, t: Subst) -> Subst:
@@ -259,30 +320,65 @@ def occurs(name: str, t: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _deref(t: Term, bindings: dict) -> Term:
+    """Follow variable bindings in a triangular map until an unbound variable
+    or a compound is reached."""
+    while t.__class__ is Var:
+        bound = bindings.get(t.name)
+        if bound is None:
+            return t
+        t = bound
+    return t
+
+
+def _occurs_bound(name: str, t: Term, bindings: dict) -> bool:
+    """Whether variable ``name`` occurs in ``t`` under the triangular map."""
+    todo = [t]
+    seen: set = set()
+    while todo:
+        u = todo.pop()
+        if u.__class__ is Var:
+            if u.name == name:
+                return True
+            if u.name not in seen:
+                seen.add(u.name)
+                bound = bindings.get(u.name)
+                if bound is not None:
+                    todo.append(bound)
+        else:
+            todo.extend(u.args)
+    return False
+
+
 def _unify_pairs(pairs) -> Optional[Subst]:
-    sigma = EMPTY_SUBST
+    """Unify pairs left to right with triangular bindings: a variable is bound
+    to a term that may itself contain bound variables, and every lookup
+    dereferences.  The map is resolved into an idempotent Subst once, at the
+    end."""
+    bindings: dict = {}
     stack = list(reversed(pairs))
     while stack:
         x, y = stack.pop()
-        x = apply(sigma, x)
-        y = apply(sigma, y)
-        if x == y:
+        x = _deref(x, bindings)
+        y = _deref(y, bindings)
+        if x is y:
             continue
-        if isinstance(x, Var):
-            if occurs(x.name, y):
+        if x.__class__ is Var:
+            if y.__class__ is Var and y.name == x.name:
+                continue
+            if _occurs_bound(x.name, y, bindings):
                 return None
-            sigma = compose(sigma, Subst({x.name: y}))
-        elif isinstance(y, Var):
-            if occurs(y.name, x):
+            bindings[x.name] = y
+        elif y.__class__ is Var:
+            if _occurs_bound(y.name, x, bindings):
                 return None
-            sigma = compose(sigma, Subst({y.name: x}))
-        elif isinstance(x, Compound) and isinstance(y, Compound):
+            bindings[y.name] = x
+        else:
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return None
             stack.extend(reversed(list(zip(x.args, y.args))))
-        else:  # pragma: no cover - defensive
-            return None
-    return sigma
+    memo: dict = {}
+    return Subst({name: _substitute(t, bindings, memo) for name, t in bindings.items()})
 
 
 def unify(a, b) -> Optional[Subst]:
@@ -363,20 +459,20 @@ def rename_apart(clause, forbidden, fresh: Optional[FreshNames] = None):
 
     Renamed variables get suffixed names (X -> X1, X2, ...) drawn from a
     monotone counter, so repeated calls with the same counter state always
-    produce distinct variants.
+    produce distinct variants.  ``forbidden`` is only read, never copied, so
+    a derivation can pass its growing set of used names at constant cost.
     """
     if fresh is None:
         fresh = FreshNames()
-    forbidden = set(forbidden)
     own = vars_of(clause)
-    taken = forbidden | set(own)
+    taken = set(own)  # besides forbidden: the clause's names and those chosen here
     mapping = {}
     for v in own:
         if v in forbidden:
             while True:
                 cand = f"{v}{fresh.n}"
                 fresh.n += 1
-                if cand not in taken:
+                if cand not in forbidden and cand not in taken:
                     break
             mapping[v] = Var(cand)
             taken.add(cand)

@@ -47,6 +47,7 @@ from cutcheck.terms import (
     rename_apart,
     term_depth,
     unify,
+    variant_equal,
     vars_of,
 )
 
@@ -58,6 +59,7 @@ from conftest import (
     random_propositional_program,
     random_term_program,
 )
+from naive_unify import naive_apply, naive_unify
 
 
 def report(line: str):
@@ -330,13 +332,18 @@ class TestCriterion8CoreAlgebra:
         rng = random.Random(424242)
         cases = 0
 
-        # unify: mgu correctness, idempotence, relevance, occurs-check
+        # unify: mgu correctness, idempotence, relevance, occurs-check; the
+        # naive apply + compose unification fails exactly when unify does
         for _ in range(3000):
             s, t = self._random_term(rng, 2), self._random_term(rng, 2)
             theta = unify(s, t)
+            reference = naive_unify(s, t)
             cases += 1
+            assert (theta is None) == (reference is None), (s, t)
             if theta is None:
                 continue
+            assert reference.is_idempotent()
+            assert variant_equal(apply(theta, s), naive_apply(reference, s))
             assert apply(theta, s) == apply(theta, t)
             assert theta.is_idempotent()
             allowed = set(vars_of(s)) | set(vars_of(t))

@@ -219,6 +219,20 @@ class TestErrorsAndEnv:
         code, _, err = run(capsys, "run", "/nonexistent.pl", "p")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["semicomplete", "correct", "complete"])
+    def test_undeclared_notin_set_exit_2(self, fixtures_dir, tmp_path, kind):
+        spec = tmp_path / "notp.spec"
+        spec.write_text((fixtures_dir / "notp.spec").read_text().replace("post)", "postt)"))
+        env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutcheck.cli", "check", kind, str(fixtures_dir / "notp.pl"),
+             "--spec", str(spec), "--query", "notp(a)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "parse error: 3:38: undeclared set 'postt' in notin guard"
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("kind", ["recurrent", "acceptable"])
     def test_missing_level_mapping_exit_2(self, p5, kind):
         prog, spec = p5

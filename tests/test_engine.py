@@ -126,3 +126,20 @@ class TestAnswerSemantics:
     def test_composed_substitution(self):
         t = tree_of("p(X, Y) :- q(X), r(Y).\nq(a).\nr(b).", "p(U, V)")
         assert [query_text(q) for q in answers(t)] == ["p(a, b)"]
+
+
+class TestClauseIndex:
+    def test_matching_equals_clause_order_scan(self):
+        prog = parse_program("p(a).\nq(X).\np(X, Y).\np(b).\nq(a) :- p(a).\np(c).")
+        for atom in parse_query("p(Z), q(Z), p(Z, Z), r(Z), p"):
+            scan = [
+                (i, c)
+                for i, c in enumerate(prog.clauses)
+                if c.head.name == atom.name and len(c.head.args) == len(atom.args)
+            ]
+            assert prog.matching(atom) == scan
+
+    def test_index_is_not_part_of_the_value(self):
+        p1, p2 = parse_program("p(a).\nq."), parse_program("p(a).\nq.")
+        assert p1 == p2 and hash(p1) == hash(p2)
+        assert repr(p1) == f"Program(clauses={p1.clauses!r})"

@@ -31,6 +31,7 @@ from cutcheck.terms import (
     most_general_atom,
     occurs,
     rename_apart,
+    resolve,
     term_depth,
     term_size,
     unify,
@@ -76,6 +77,33 @@ class TestUnify:
     def test_shared_variable_chains(self):
         s = unify(f(X, f(X)), f(Y, Z))
         assert apply(s, f(X, f(X))) == apply(s, f(Y, Z))
+
+
+class TestLongTerms:
+    """Unification, application and resolution keep their own stacks."""
+
+    N = 5000
+
+    def test_unify_and_apply_long_lists(self):
+        items = [a] * self.N
+        open_list = make_list(items, Z)
+        theta = unify(open_list, make_list(items + [b]))
+        assert list_items(theta["Z"]) == [b]
+        assert len(list_items(apply(theta, open_list))) == self.N + 1
+        assert unify(open_list, make_list(items, f(Z))) is None  # occurs check
+
+    def test_resolve_long_binding_chain(self):
+        bindings = {"X": cons(a, Var("K1"))}
+        for i in range(1, self.N):
+            bindings[f"K{i}"] = cons(a, Var(f"K{i + 1}"))
+        answer = resolve(bindings, (Pred("p", (X, Y)),))
+        assert answer[0].args[1] == Y
+        items = []
+        t = answer[0].args[0]
+        while isinstance(t, Compound):
+            items.append(t.args[0])
+            t = t.args[1]
+        assert items == [a] * self.N and t == Var(f"K{self.N}")
 
 
 class TestMatch:
