@@ -219,6 +219,48 @@ def possibly_contains(s, a: Pred, resolver=None) -> bool:
     raise TypeError(f"not an atom set: {s!r}")
 
 
+def membership_reads(s, atom: Pred) -> set:
+    """Variables of ``atom`` whose values can decide whether a ground instance
+    of it lies in ``s``: those in an argument that is not free in s.
+
+    Argument i of p/n is free in s when every part of s is universal, an
+    extensional set without p/n atoms, or a pattern set whose every p/n
+    pattern has at position i a variable occurring once in the template and
+    in no guard (``notin`` templates count as guards).  Changing a free
+    argument of a ground atom never changes its membership, so the answer
+    over-approximates what ``contains`` reads.
+    """
+    if atom is CUT:
+        return set()
+    key = (atom.name, len(atom.args))
+    free = set(range(len(atom.args)))
+    todo = [s]
+    while todo and free:
+        part = todo.pop()
+        if part is UNIVERSAL:
+            continue
+        if isinstance(part, UnionSet):
+            todo.extend(part.parts)
+        elif isinstance(part, Extensional):
+            if any((a.name, len(a.args)) == key for a in part.atoms):
+                free.clear()
+        elif isinstance(part, Intensional):
+            for p in part.patterns:
+                t = p.template
+                if (t.name, len(t.args)) != key:
+                    continue
+                guarded = vars_of(
+                    tuple(a for g in p.guards for a in g.args if not isinstance(a, str))
+                )
+                for i in list(free):
+                    x, others = t.args[i], t.args[:i] + t.args[i + 1:]
+                    if not isinstance(x, Var) or x.name in guarded or x.name in vars_of(others):
+                        free.discard(i)
+        else:
+            raise TypeError(f"not an atom set: {part!r}")
+    return set(vars_of(tuple(a for i, a in enumerate(atom.args) if i not in free)))
+
+
 def set_predicates(s) -> set:
     """(name, arity) pairs the set can mention."""
     if s is UNIVERSAL:
@@ -243,6 +285,12 @@ def set_predicates(s) -> set:
 @lru_cache(maxsize=None)
 def _ground_lists(alphabet: Alphabet, depth: int):
     return tuple(t for t in ground_terms(alphabet, depth) if is_list(t))
+
+
+@lru_cache(maxsize=None)
+def _ground_list_lengths(alphabet: Alphabet, depth: int):
+    """The spine length of each list of ``_ground_lists``, in its order."""
+    return tuple(len(list_items(t)) for t in _ground_lists(alphabet, depth))
 
 
 def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, resolver, cap, counter):
@@ -326,10 +374,8 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
                         limit = depth - used
                         budget_len = limit if budget_len is None else min(budget_len, limit)
             if budget_len is not None:
-                pool = [
-                    t for t in pool
-                    if (lambda it: it is not None and len(it) <= budget_len)(list_items(t))
-                ]
+                lengths = _ground_list_lengths(alphabet, depth)
+                pool = [t for t, n in zip(pool, lengths) if n <= budget_len]
             return pool
         return list(ground_terms(alphabet, depth))
 

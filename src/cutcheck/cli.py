@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 the check Verified (or the command succeeded), 1 Refuted,
-2 the input is malformed, 3 Unknown or budget exhausted.
+2 the input is malformed, 3 Unknown or budget exhausted, 4 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .syntax import (
     query_text,
     resolve_alphabet,
 )
-from .terms import CUT, CutUnificationError
+from .terms import CUT, InputError
 from .verdicts import Verdict
 from .verify import (
     CheckReport,
@@ -41,6 +41,7 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL_ERROR = 4
 
 CHECK_KINDS = ("complete", "semicomplete", "correct", "cscorrect", "recurrent", "acceptable")
 
@@ -268,15 +269,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except CutUnificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    except Exception as exc:  # a fault in cutcheck, never a verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

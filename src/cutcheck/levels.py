@@ -40,48 +40,69 @@ def _norm_value(norm: str, t) -> int:
     return list_norm(t) if norm == "len" else term_size(t)
 
 
+def _mapping(atom: Pred, mappings: dict) -> LevelMapping:
+    lm = mappings.get(atom.indicator)
+    if lm is None:
+        raise KeyError(f"no level mapping declared for {atom.indicator}")
+    return lm
+
+
 def level_of(atom, mappings: dict) -> int:
     """Level of a ground atom; ``!`` has level 0."""
     if atom is CUT:
         return 0
     if not is_ground(atom):
         raise ValueError(f"level_of requires a ground atom, got {atom!r}")
-    lm = mappings.get(atom.indicator)
-    if lm is None:
-        raise KeyError(f"no level mapping declared for {atom.indicator}")
+    lm = _mapping(atom, mappings)
     total = lm.constant
     for coeff, norm, idx in lm.terms:
         total += coeff * _norm_value(norm, atom.args[idx])
     return total
 
 
-def _spine_closed(t) -> bool:
-    """True when every instance of t has the same list norm (closed spine)."""
-    while True:
-        if isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
-            t = t.args[1]
+def _spine(t):
+    """The number of list cells along t's spine, and the term that ends it."""
+    n = 0
+    while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
+        n += 1
+        t = t.args[1]
+    return n, t
+
+
+def level_reads(atom, mappings: dict) -> set:
+    """Variables of ``atom`` whose values can change the level of a ground
+    instance of it: under ``len`` the variable ending an argument's spine
+    (list elements and what ends a spine in a non-list term are not
+    counted), under ``size`` every variable of the argument.  ``!`` and
+    arguments with coefficient 0 read none."""
+    if atom is CUT:
+        return set()
+    out: set = set()
+    for coeff, norm, idx in _mapping(atom, mappings).terms:
+        if coeff == 0:
+            continue
+        arg = atom.args[idx]
+        if norm == "len":
+            tail = _spine(arg)[1]
+            if isinstance(tail, Var):
+                out.add(tail.name)
         else:
-            return not isinstance(t, Var)
+            out.update(vars_of(arg))
+    return out
 
 
 def atom_level_bound(atom: Pred, mappings: dict):
     """Max level over all ground instances of the atom, or None if unbounded."""
-    lm = mappings.get(atom.indicator)
-    if lm is None:
-        raise KeyError(f"no level mapping declared for {atom.indicator}")
+    lm = _mapping(atom, mappings)
     total = lm.constant
     for coeff, norm, idx in lm.terms:
         if coeff == 0:
             continue
         arg = atom.args[idx]
         if norm == "len":
-            if not _spine_closed(arg):
+            n, tail = _spine(arg)
+            if isinstance(tail, Var):
                 return None
-            n = 0
-            t = arg
-            while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
-                n += 1
-                t = t.args[1]
             total += coeff * n
         else:  # size varies with any variable
             if vars_of(arg):

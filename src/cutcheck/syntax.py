@@ -38,6 +38,7 @@ from .terms import (
     Alphabet,
     Clause,
     Compound,
+    InputError,
     NIL,
     Pred,
     Var,
@@ -48,7 +49,7 @@ from .terms import (
 )
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
@@ -333,6 +334,7 @@ class SpecSuite:
 
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z][\w-]*(?: +[\w-]+)?)\]\s*$")
+_SECTIONS = ("alphabet", "S", "S-patterns", "pre", "post", "level", "bounds")
 _BOUND_RE = re.compile(r"(depth|nodes|steps)\s*=\s*(\d+)")
 
 
@@ -351,12 +353,6 @@ def _split_sections(text: str):
                 raise ParseError("declarations must appear under a [section]", lineno, 1)
             current[2].append((lineno, stripped))
     return sections
-
-
-def _parse_entries(lines):
-    """Join a section body and split into '.'-terminated declarations."""
-    text = "\n".join(s for _, s in lines)
-    return text
 
 
 class _SpecEntryParser(_Parser):
@@ -421,7 +417,10 @@ class _SpecEntryParser(_Parser):
                 self.error("expected 'functor' or 'predicate'", kw)
             name = self.expect("name").value
             self.expect("punct", "/")
-            arity = int(self.expect("name").value)
+            tok = self.expect("name")
+            if not tok.value.isdigit():
+                self.error("expected an arity", tok)
+            arity = int(tok.value)
             self.expect("punct", ".")
             (functors if kw.value == "functor" else predicates).append((name, arity))
         return functors, predicates
@@ -504,37 +503,37 @@ def parse_spec(text: str) -> SpecSuite:
     saw_alphabet = False
     set_refs: list = []  # (set name, line, col) of every notin guard
     for name, lineno, lines in _split_sections(text):
-        body = _parse_entries(lines)
-        parser = _SpecEntryParser(body)
-        if name == "alphabet":
-            fs, ps = parser.parse_alphabet_entries()
-            functors.extend(fs)
-            predicates.extend(ps)
-            saw_alphabet = True
-        elif name == "S":
-            universal, patterns = parser.parse_pattern_entries()
-            s_parts.append(_make_set(universal, patterns))
-        elif name == "S-patterns":
-            universal, patterns = parser.parse_pattern_entries()
-            s_parts.append(_make_set(universal, patterns))
-        elif name in ("pre", "post"):
-            universal, patterns = parser.parse_pattern_entries()
-            setattr(suite, name, _make_set(universal, patterns))
-        elif name.startswith("set "):
-            universal, patterns = parser.parse_pattern_entries()
-            suite.named_sets[name.split(None, 1)[1]] = _make_set(universal, patterns)
-        elif name == "level":
-            suite.level_maps.update(parser.parse_level_entries())
-        elif name == "bounds":
-            values = dict(_BOUND_RE.findall(body))
-            suite.budget = Budget(
-                depth=int(values.get("depth", suite.budget.depth)),
-                nodes=int(values.get("nodes", suite.budget.nodes)),
-                steps=int(values.get("steps", suite.budget.steps)),
-            )
-        else:
+        if name not in _SECTIONS and not name.startswith("set "):
             raise ParseError(f"unknown section [{name}]", lineno, 1)
-        # body line k is the section's k-th non-blank line
+        body = "\n".join(s for _, s in lines)
+        try:
+            parser = _SpecEntryParser(body)
+            if name == "alphabet":
+                fs, ps = parser.parse_alphabet_entries()
+                functors.extend(fs)
+                predicates.extend(ps)
+                saw_alphabet = True
+            elif name in ("S", "S-patterns"):
+                universal, patterns = parser.parse_pattern_entries()
+                s_parts.append(_make_set(universal, patterns))
+            elif name in ("pre", "post"):
+                universal, patterns = parser.parse_pattern_entries()
+                setattr(suite, name, _make_set(universal, patterns))
+            elif name.startswith("set "):
+                universal, patterns = parser.parse_pattern_entries()
+                suite.named_sets[name.split(None, 1)[1]] = _make_set(universal, patterns)
+            elif name == "level":
+                suite.level_maps.update(parser.parse_level_entries())
+            else:  # bounds
+                values = dict(_BOUND_RE.findall(body))
+                suite.budget = Budget(
+                    depth=int(values.get("depth", suite.budget.depth)),
+                    nodes=int(values.get("nodes", suite.budget.nodes)),
+                    steps=int(values.get("steps", suite.budget.steps)),
+                )
+        except ParseError as exc:
+            # body line k is the section's k-th non-blank line
+            raise ParseError(exc.message, lines[exc.line - 1][0], exc.col) from None
         set_refs += [(t.value, lines[t.line - 1][0], t.col) for t in parser.set_refs]
     declared = {"s", "pre", "post"} | set(suite.named_sets)
     for set_name, line, col in set_refs:

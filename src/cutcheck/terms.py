@@ -55,14 +55,15 @@ def list_items(t: Term) -> Optional[list]:
     Elements may be non-ground; only the spine must be closed.
     """
     items = []
-    while True:
-        if t == NIL:
-            return items
-        if isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
+    while t.__class__ is Compound:
+        if t.functor == "." and len(t.args) == 2:
             items.append(t.args[0])
             t = t.args[1]
+        elif t.functor == "[]" and not t.args:
+            return items
         else:
             return None
+    return None
 
 
 def is_list(t: Term) -> bool:
@@ -109,7 +110,12 @@ class Clause:
     body: tuple = ()
 
 
-class CutUnificationError(TypeError):
+class InputError(ValueError):
+    """Malformed input: a parse error, a missing level mapping, a cut where
+    an atom is needed.  The CLI reports it with exit 2."""
+
+
+class CutUnificationError(InputError, TypeError):
     """Raised when ``!`` is passed where a unifiable atom or term is expected."""
 
 
@@ -119,35 +125,51 @@ class CutUnificationError(TypeError):
 
 
 def vars_of(e) -> list:
-    """Variable names of a term/atom/clause/tuple, in first-occurrence order."""
+    """Variable names of a term/atom/clause/tuple, in first-occurrence order.
+
+    The walk keeps its own stack, so a term of any depth is fine."""
     seen: dict = {}
-
-    def walk(x):
-        if isinstance(x, Var):
-            seen.setdefault(x.name, None)
-        elif isinstance(x, Compound):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, Pred):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, Clause):
-            walk(x.head)
-            walk(x.body)
-        elif isinstance(x, tuple):
-            for a in x:
-                walk(a)
-        elif x is CUT:
-            pass
-        else:  # pragma: no cover - defensive
+    stack = list(e.args[::-1]) if e.__class__ is Pred else [e]
+    pop = stack.pop
+    while stack:
+        x = pop()
+        cls = x.__class__
+        if cls is Var:
+            seen[x.name] = None
+        elif cls is Compound:
+            if x.args:
+                stack += x.args[::-1]
+        elif cls is Pred:
+            stack += x.args[::-1]
+        elif cls is tuple:
+            stack += x[::-1]
+        elif cls is Clause:
+            stack.append(x.body)
+            stack.append(x.head)
+        elif x is not CUT:  # pragma: no cover - defensive
             raise TypeError(f"cannot collect variables from {x!r}")
-
-    walk(e)
     return list(seen)
 
 
 def is_ground(e) -> bool:
-    return not vars_of(e)
+    """Whether ``e`` holds no variable; stops at the first one found."""
+    stack = [e]
+    pop = stack.pop
+    while stack:
+        x = pop()
+        cls = x.__class__
+        if cls is Var:
+            return False
+        if cls is Compound or cls is Pred:
+            stack += x.args
+        elif cls is tuple:
+            stack += x
+        elif cls is Clause:
+            stack.append(x.body)
+            stack.append(x.head)
+        elif x is not CUT:  # pragma: no cover - defensive
+            raise TypeError(f"cannot collect variables from {x!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +505,6 @@ def canonical(e):
     """Rename variables to V1, V2, ... in first-occurrence order."""
     mapping = {v: Var(f"V{i + 1}") for i, v in enumerate(vars_of(e))}
     return apply(Subst(mapping), e)
-
-
-def variant_equal(a, b) -> bool:
-    """True when two terms/atoms/queries are equal up to variable renaming."""
-    return canonical(a) == canonical(b)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,11 @@ from .atomsets import (
     enumerate_atoms,
     guard_holds,
     max_generalizations,
+    membership_reads,
     set_predicates,
 )
 from .engine import Budget, Program
-from .levels import atom_level_bound, level_of
+from .levels import atom_level_bound, level_of, level_reads
 from .pruning import PrunedTree, answers_of_pruned, prolog_search, pruned_tree
 from .syntax import (
     SpecSuite,
@@ -48,6 +49,7 @@ from .terms import (
     Compound,
     EMPTY_SUBST,
     FreshNames,
+    InputError,
     Pred,
     Subst,
     Var,
@@ -72,19 +74,31 @@ _DEFAULT_CAP = 50_000
 # ---------------------------------------------------------------------------
 
 
-def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int):
+def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int, read=None):
     """Extend sigma with every depth-bounded grounding of the names it leaves
-    free, in product order.  Raises CapHit instead of yielding grounding
-    ``cap + 1``."""
+    free, in product order.  Only the names in ``read`` (every name when it
+    is None) vary; the others stay at the first ground term.  Raises CapHit
+    instead of yielding grounding ``cap + 1``.
+
+    A check whose outcome does not depend on the names outside ``read``
+    finds the same first counterexample as over the full product: that one
+    has every such name at the first ground term.
+    """
     names = [n for n in names if n not in sigma.domain]
     if not names:
         yield sigma
         return
-    combos = itertools.product(ground_terms(alphabet, depth), repeat=len(names))
-    for count, combo in enumerate(combos, 1):
+    terms = ground_terms(alphabet, depth)
+    if not terms:
+        return
+    vary = names if read is None else [n for n in names if n in read]
+    first = dict.fromkeys(names, terms[0])
+    for count, combo in enumerate(itertools.product(terms, repeat=len(vary)), 1):
         if count > cap:
             raise CapHit(f"instance cap {cap} hit at depth {depth}")
-        theta = Subst(dict(zip(names, combo)))
+        bindings = dict(first)
+        bindings.update(zip(vary, combo))
+        theta = Subst(bindings)
         yield compose(sigma, theta) if sigma else theta
 
 
@@ -215,15 +229,19 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
 
 def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
                   resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
-    """Model check: each ground clause instance with body in s + {!} has its head in s."""
+    """Model check: each ground clause instance with body in s + {!} has its head in s.
+
+    The cover search grounds the body; of the variables left, only those
+    the head's membership in s reads are enumerated."""
     alphabet = alphabet or resolve_alphabet(program)
     bounded = False
     capped = None  # the reason, once a clause's search stopped at a cap
     for clause in program.clauses:
         search = _CoverSearch(s, alphabet, depth, resolver, cap)
+        read = membership_reads(s, clause.head)
         try:
             for sol in search.solutions(clause.body, EMPTY_SUBST):
-                for full in _groundings(sol, vars_of(clause), alphabet, depth, cap):
+                for full in _groundings(sol, vars_of(clause), alphabet, depth, cap, read):
                     head = apply(full, clause.head)
                     if not is_ground(head):
                         bounded = True
@@ -953,29 +971,36 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
 
 
 def _require_level_maps(program: Program, level_maps: dict):
-    """Raise ValueError naming the first predicate without a level mapping."""
+    """Raise InputError naming the first predicate without a level mapping."""
     for clause in program.clauses:
         for atom in (clause.head,) + clause.body:
             if atom is not CUT and atom.indicator not in level_maps:
-                raise ValueError(f"no level mapping declared for {atom.indicator}")
+                raise InputError(f"no level mapping declared for {atom.indicator}")
 
 
-def _level_decrease(program: Program, level_maps: dict, alphabet: Alphabet, depth: int,
-                    cap: int, prefix_holds, violation: str) -> Verdict:
+def _level_decrease(program: Program, level_maps: dict, s, resolver, alphabet: Alphabet,
+                    depth: int, cap: int, violation: str) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance and
-    every body atom whose preceding atoms ``prefix_holds``.
+    every body atom whose preceding atoms lie in s + {!}.
 
-    A clause whose instances reach the cap is checked up to the cap; unless a
-    later clause refutes, the verdict is Unknown naming the cap.
+    Only the variables that the levels and the prefixes' membership in s
+    read are enumerated.  A clause whose instances reach the cap is checked
+    up to the cap; unless a later clause refutes, the verdict is Unknown
+    naming the cap.
     """
     capped = None  # the reason, once a clause's instances stopped at the cap
     for clause in program.clauses:
+        read = level_reads(clause.head, level_maps)
+        for b in clause.body:
+            read |= level_reads(b, level_maps) | membership_reads(s, b)
         try:
-            for theta in _groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap):
+            for theta in _groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap, read):
                 instance = apply(theta, clause)
                 h = level_of(instance.head, level_maps)
                 for i, b in enumerate(instance.body):
-                    if prefix_holds(instance.body[:i]) and h <= level_of(b, level_maps):
+                    prefix = instance.body[:i]
+                    prefix_holds = all(x is CUT or contains(s, x, resolver) for x in prefix)
+                    if prefix_holds and h <= level_of(b, level_maps):
                         return Verdict.refuted(
                             {
                                 "clause": clause_text(clause),
@@ -998,8 +1023,8 @@ def recurrent_check(program: Program, level_maps: dict, *, alphabet: Optional[Al
     """|head| > |body atom| for every enumerated ground clause instance."""
     _require_level_maps(program, level_maps)
     alphabet = alphabet or resolve_alphabet(program)
-    return _level_decrease(program, level_maps, alphabet, depth, cap,
-                           lambda prefix: True, "level does not decrease")
+    return _level_decrease(program, level_maps, UNIVERSAL, None, alphabet, depth, cap,
+                           "level does not decrease")
 
 
 def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
@@ -1011,8 +1036,7 @@ def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optiona
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
     levels = _level_decrease(
-        program, level_maps, alphabet, depth, cap,
-        lambda prefix: all(x is CUT or contains(s, x, resolver) for x in prefix),
+        program, level_maps, s, resolver, alphabet, depth, cap,
         "level does not decrease under a satisfied prefix",
     )
     # a level violation refutes even when correctness stayed Unknown

@@ -1,0 +1,114 @@
+"""Model and level checks over the full grounding product, kept as a test oracle.
+
+``cutcheck.verify`` enumerates only the clause variables that a verdict
+reads (membership in S, the levels) and keeps every other variable at the
+first ground term.  The functions here ground *every* clause variable over
+all terms up to the depth, as the checks did before that reduction, so the
+tests can compare the two: wherever the full product finishes within the
+cap, both must give the same status, witness and reason.
+
+``CAP_HITS`` collects the message of every instance cap the full product
+reaches; a caller clears it before a run to learn whether the run finished.
+"""
+
+import itertools
+
+from cutcheck.atomsets import UNIVERSAL, CapHit, contains
+from cutcheck.levels import level_of
+from cutcheck.syntax import atom_text, clause_text
+from cutcheck.terms import CUT, EMPTY_SUBST, Subst, apply, compose, ground_terms, is_ground, vars_of
+from cutcheck.verdicts import Verdict, weakest
+from cutcheck.verify import _CoverSearch
+
+CAP_HITS: list = []
+
+
+def full_groundings(sigma: Subst, names, alphabet, depth: int, cap: int):
+    names = [n for n in names if n not in sigma.domain]
+    if not names:
+        yield sigma
+        return
+    combos = itertools.product(ground_terms(alphabet, depth), repeat=len(names))
+    for count, combo in enumerate(combos, 1):
+        if count > cap:
+            CAP_HITS.append(f"instance cap {cap} hit at depth {depth}")
+            raise CapHit(CAP_HITS[-1])
+        theta = Subst(dict(zip(names, combo)))
+        yield compose(sigma, theta) if sigma else theta
+
+
+def full_correct_check(program, s, *, alphabet, depth, resolver=None, cap=50_000) -> Verdict:
+    bounded = False
+    capped = None
+    for clause in program.clauses:
+        search = _CoverSearch(s, alphabet, depth, resolver, cap)
+        try:
+            for sol in search.solutions(clause.body, EMPTY_SUBST):
+                for full in full_groundings(sol, vars_of(clause), alphabet, depth, cap):
+                    head = apply(full, clause.head)
+                    if not is_ground(head):
+                        bounded = True
+                        continue
+                    if not contains(s, head, resolver):
+                        return Verdict.refuted(
+                            {
+                                "clause": clause_text(clause),
+                                "instance": clause_text(apply(full, clause)),
+                                "head": atom_text(head),
+                            },
+                            "ground instance with true body but false head",
+                        )
+                if vars_of(apply(sol, clause.head)):
+                    bounded = True
+        except CapHit as exc:
+            capped = str(exc)
+        if not search.exhaustive:
+            bounded = True
+    if capped:
+        return Verdict.unknown(capped)
+    reason = f"no counterexample within depth {depth}" + (" (bounded)" if bounded else "")
+    return Verdict.verified(reason)
+
+
+def _full_level_decrease(program, level_maps, s, resolver, alphabet, depth, cap, violation):
+    capped = None
+    for clause in program.clauses:
+        try:
+            for theta in full_groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap):
+                instance = apply(theta, clause)
+                h = level_of(instance.head, level_maps)
+                for i, b in enumerate(instance.body):
+                    prefix = instance.body[:i]
+                    prefix_holds = all(x is CUT or contains(s, x, resolver) for x in prefix)
+                    if prefix_holds and h <= level_of(b, level_maps):
+                        return Verdict.refuted(
+                            {
+                                "clause": clause_text(clause),
+                                "instance": clause_text(instance),
+                                "head_level": h,
+                                "body_atom": atom_text(b) if b is not CUT else "!",
+                                "body_level": level_of(b, level_maps),
+                            },
+                            violation,
+                        )
+        except CapHit as exc:
+            capped = str(exc)
+    if capped:
+        return Verdict.unknown(capped)
+    return Verdict.verified(f"no counterexample within depth {depth}")
+
+
+def full_recurrent_check(program, level_maps, *, alphabet, depth, cap=50_000) -> Verdict:
+    return _full_level_decrease(program, level_maps, UNIVERSAL, None, alphabet, depth, cap,
+                                "level does not decrease")
+
+
+def full_acceptable_check(program, s, level_maps, *, alphabet, depth, resolver=None,
+                          cap=50_000) -> Verdict:
+    model = full_correct_check(program, s, alphabet=alphabet, depth=depth, resolver=resolver,
+                               cap=cap)
+    if model.is_refuted:
+        return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
+    levels = _full_level_decrease(program, level_maps, s, resolver, alphabet, depth, cap,
+                                  "level does not decrease under a satisfied prefix")
+    return weakest([levels, model])

@@ -30,7 +30,7 @@ from cutcheck import (
     recurrent_check,
     semi_complete,
 )
-from cutcheck.engine import branch_derivation, preorder, subderivation
+from cutcheck.engine import preorder
 from cutcheck.pruning import is_executing
 from cutcheck.syntax import query_text, resolve_alphabet
 from cutcheck.terms import (
@@ -47,7 +47,6 @@ from cutcheck.terms import (
     rename_apart,
     term_depth,
     unify,
-    variant_equal,
     vars_of,
 )
 
@@ -59,6 +58,7 @@ from conftest import (
     random_propositional_program,
     random_term_program,
 )
+from derivations import branch_derivation, subderivation, variant_equal
 from naive_unify import naive_apply, naive_unify
 
 

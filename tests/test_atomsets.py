@@ -26,9 +26,10 @@ from cutcheck.terms import (
     make_list,
     match,
     most_general_atom,
-    variant_equal,
     vars_of,
 )
+
+from derivations import variant_equal
 
 a, b, one, two = const("a"), const("b"), const("1"), const("2")
 X, Y = Var("X"), Var("Y")

@@ -202,10 +202,17 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "recurrent", str(prog), "--spec", str(spec),
                            "--depth", "1")
         assert code == 1 and "instance=p(g(a, a), a, a, a, a) :- r(g(a, a))." in out
+        # the levels read only A: 13 groundings at depth 2 reach the same witness
         code, out, _ = run(capsys, "check", "recurrent", str(prog), "--spec", str(spec),
                            "--depth", "2")
-        assert code == 3
-        assert "verdict: unknown" in out and "reason: instance cap 50000 hit at depth 2" in out
+        assert code == 1 and "instance=p(g(a, a), a, a, a, a) :- r(g(a, a))." in out
+
+
+def cli(argv, prefix=("-m", "cutcheck.cli")):
+    """Run the CLI in a fresh interpreter, as ``python -m cutcheck.cli``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
+    return subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 class TestErrorsAndEnv:
@@ -223,24 +230,47 @@ class TestErrorsAndEnv:
     def test_undeclared_notin_set_exit_2(self, fixtures_dir, tmp_path, kind):
         spec = tmp_path / "notp.spec"
         spec.write_text((fixtures_dir / "notp.spec").read_text().replace("post)", "postt)"))
-        env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cutcheck.cli", "check", kind, str(fixtures_dir / "notp.pl"),
-             "--spec", str(spec), "--query", "notp(a)"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = cli(["check", kind, str(fixtures_dir / "notp.pl"), "--spec", str(spec),
+                    "--query", "notp(a)"])
         assert proc.returncode == 2
         assert proc.stderr.strip() == "parse error: 3:38: undeclared set 'postt' in notin guard"
         assert "Traceback" not in proc.stderr
 
+    def test_spec_parse_error_gives_the_file_line(self, fixtures_dir, tmp_path):
+        spec = tmp_path / "bogus.spec"
+        spec.write_text(ALPHABET_AFG + "[S]\n\nq.\np(X) where bogus(X).\n")
+        proc = cli(["check", "correct", str(fixtures_dir / "notp.pl"), "--spec", str(spec)])
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "parse error: 9:12: unknown guard 'bogus'"
+
+    def test_internal_error_exit_4(self, fixtures_dir):
+        # a checker that fails is reported as an internal error, never as a verdict
+        code = (
+            "import runpy, cutcheck.verify\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise RuntimeError('boom')\n"
+            "cutcheck.verify.correct_check = boom\n"
+            "runpy.run_module('cutcheck.cli', run_name='__main__')\n"
+        )
+        argv = ["check", "correct", str(fixtures_dir / "append.pl"),
+                "--spec", str(fixtures_dir / "append.spec")]
+        proc = cli(argv, prefix=["-c", code])
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == "internal error: RuntimeError('boom')\n"
+
+    @pytest.mark.parametrize("cells", [1500, 5000])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_deep_list_query_no_traceback(self, fixtures_dir, command, cells):
+        query = "app(X, Y, [" + ", ".join(["1"] * cells) + "])"
+        proc = cli([command, str(fixtures_dir / "append.pl"), query, "--nodes", "20",
+                    "--steps", "10"])
+        assert proc.returncode in (0, 3) and proc.stderr == ""
+        assert proc.stdout.startswith("app([], [1, 1, 1")
+
     @pytest.mark.parametrize("kind", ["recurrent", "acceptable"])
     def test_missing_level_mapping_exit_2(self, p5, kind):
         prog, spec = p5
-        env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cutcheck.cli", "check", kind, prog, "--spec", spec],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = cli(["check", kind, prog, "--spec", spec])
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: no level mapping declared for p/5"
         assert "Traceback" not in proc.stderr

@@ -6,11 +6,11 @@ from cutcheck.engine import (
     SUCCESS,
     TRUNCATED,
     answers,
-    branch_derivation,
-    subderivation,
 )
 from cutcheck.syntax import query_text
 from cutcheck.terms import canonical, vars_of
+
+from derivations import branch_derivation, subderivation
 
 
 def tree_of(src: str, query: str, **kw):

@@ -143,6 +143,16 @@ class TestSpecParsing:
         with pytest.raises(ParseError):
             parse_spec("[S]\np(X) where odd(X).")
 
+    def test_errors_carry_file_lines(self):
+        # section bodies skip blank and comment lines; errors still name the file line
+        text = "[bounds]\ndepth = 1.\n\n[S]\n% S\nq.\n\np(X) where odd(X).\n"
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text)
+        assert (exc.value.line, exc.value.col) == (8, 12)
+        with pytest.raises(ParseError) as exc:
+            parse_spec("[alphabet]\n\nfunctor f/two.\n")
+        assert str(exc.value) == "3:11: expected an arity"
+
     def test_default_s_empty_when_sections_present(self):
         suite = parse_spec("[pre]\nany.")
         assert suite.s == Extensional(())

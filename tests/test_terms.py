@@ -35,9 +35,10 @@ from cutcheck.terms import (
     term_depth,
     term_size,
     unify,
-    variant_equal,
     vars_of,
 )
+
+from derivations import variant_equal
 
 a, b = const("a"), const("b")
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -104,6 +105,17 @@ class TestLongTerms:
             items.append(t.args[0])
             t = t.args[1]
         assert items == [a] * self.N and t == Var(f"K{self.N}")
+
+
+    def test_vars_of_and_is_ground_deep_terms(self):
+        open_list = make_list([a] * self.N, Z)
+        nested = a
+        for _ in range(self.N):
+            nested = f(nested, Y)
+        assert vars_of(Pred("p", (open_list, X, nested))) == ["Z", "X", "Y"]
+        assert vars_of(Clause(Pred("p", (nested,)), (CUT, Pred("q", (open_list,))))) == ["Y", "Z"]
+        assert is_ground(make_list([a] * self.N)) and not is_ground(open_list)
+        assert not is_ground((Pred("q", (nested,)),))
 
 
 class TestMatch:
