@@ -146,7 +146,10 @@ def guard_holds(guard: Guard, env: Subst, facts=None, resolver=None) -> bool:
     name = guard.name
     if name == "any":
         return True
-    args = [apply(env, a) for a in guard.args if not isinstance(a, str)]
+    args = [
+        env.get(a.name, a) if a.__class__ is Var else apply(env, a)
+        for a in guard.args if not isinstance(a, str)
+    ]
     if name == "list":
         return definitely_list(args[0], facts)
     if name == "ground":
@@ -283,14 +286,20 @@ def set_predicates(s) -> set:
 
 
 @lru_cache(maxsize=None)
-def _ground_lists(alphabet: Alphabet, depth: int):
-    return tuple(t for t in ground_terms(alphabet, depth) if is_list(t))
+def _term_pool(alphabet: Alphabet, depth: int) -> tuple:
+    """``(term, depth, spine length)`` for each term of ``ground_terms``, in its
+    order; a term that is not a proper list has length 0."""
+    out = []
+    for t in ground_terms(alphabet, depth):
+        items = list_items(t)
+        out.append((t, term_depth(t), 0 if items is None else len(items)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _ground_list_lengths(alphabet: Alphabet, depth: int):
-    """The spine length of each list of ``_ground_lists``, in its order."""
-    return tuple(len(list_items(t)) for t in _ground_lists(alphabet, depth))
+def _list_pool(alphabet: Alphabet, depth: int) -> tuple:
+    """The entries of ``_term_pool`` that are proper lists, in its order."""
+    return tuple(e for e in _term_pool(alphabet, depth) if is_list(e[0]))
 
 
 def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, resolver, cap, counter):
@@ -298,9 +307,18 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
 
     Enumeration is guard-driven: list-guarded variables range over ground
     lists, concat outputs are computed rather than searched, and member /
-    subset arguments are drawn from the already-chosen list.
+    subset arguments are drawn from the already-chosen list.  A leaf's
+    assignment is the template's match, so the guards are evaluated on it
+    and each atom is built once.  Every value carries its depth, read from
+    the pools or derived from how the value was made.
+
+    For ``concat(K, L, M)`` with M a template variable the atom's depth is
+    at least ``depth(M) = max(depth(K), len(K) + depth(L))``, so once one
+    input is chosen the other's pool is cut to the values that keep M within
+    the bound: ``depth(L) <= depth - len(K)`` and ``len(K) <= depth - depth(L)``.
     """
-    tvars = vars_of(pattern.template)
+    template = pattern.template
+    tvars = vars_of(template)
     kinds: dict = {}
     for g in pattern.guards:
         if g.name in ("list", "ground_list") and isinstance(g.args[0], Var):
@@ -315,6 +333,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
             func.setdefault(g.args[0].name, ("member", g))
         elif g.name == "subset" and isinstance(g.args[0], Var):
             func.setdefault(g.args[0].name, ("subset", g))
+    inputs = {v: _func_input_vars(entry) for v, entry in func.items()}
 
     # Assignment order: plain variables first, functional outputs once ready.
     order = []
@@ -322,7 +341,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     while remaining:
         progressed = False
         for v in list(remaining):
-            if v not in func or all(n in order for n in _func_input_vars(func[v])):
+            if v not in func or all(n in order for n in inputs[v]):
                 order.append(v)
                 remaining.remove(v)
                 progressed = True
@@ -330,72 +349,90 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
             order.extend(remaining)
             break
 
+    # The concat pool cuts: v -> the tails whose depth bounds len(v), and
+    # v -> the heads whose length bounds depth(v).
+    len_cuts: dict = {}
+    depth_cuts: dict = {}
+    for g in pattern.guards:
+        k, l, m = g.args if g.name == "concat" else (None, None, None)
+        if isinstance(m, Var) and m.name in tvars and isinstance(k, Var) and isinstance(l, Var):
+            len_cuts.setdefault(k.name, []).append(l.name)
+            depth_cuts.setdefault(l.name, []).append(k.name)
+
+    # Guards that hold by construction are not evaluated at the leaves: the
+    # guard a value is computed from, and ground / list guards on a variable
+    # drawn from a pool (every value is ground, and a list variable's pool
+    # holds only lists).
+    computed = {v for v in func if all(n in order[: order.index(v)] for n in inputs[v])}
+    settled = [func[v][1] for v in computed] + [
+        g for g in pattern.guards
+        if g.name in ("ground", "list", "ground_list") and isinstance(g.args[0], Var)
+        and g.args[0].name in tvars and (g.name == "ground" or g.args[0].name not in computed)
+    ]
+    guards = tuple(g for g in pattern.guards if not any(g is h for h in settled))
+
     out = []
+    targs = template.args
+    depths: dict = {}  # the depth of each assigned value
+
+    def value_depth(t: Term, value: Term) -> int:
+        return depths[t.name] if t.__class__ is Var else term_depth(value)
 
     def candidates(v, env: dict):
-        if v in func and all(n in env for n in _func_input_vars(func[v])):
+        """``(value, depth, ...)`` tuples for ``v``, in enumeration order."""
+        if v in func and all(n in env for n in inputs[v]):
             kind, g = func[v]
             sub = Subst(env)
             if kind == "concat":
-                k = list_items(apply(sub, g.args[0]))
+                head, tail = apply(sub, g.args[0]), apply(sub, g.args[1])
+                k = list_items(head)
                 if k is None:
                     return []
-                return [make_list(k, tail=apply(sub, g.args[1]))]
+                d = max(value_depth(g.args[0], head), len(k) + value_depth(g.args[1], tail))
+                return [(make_list(k, tail=tail), d)]
             src = list_items(apply(sub, g.args[1]))
             if src is None:
                 return []
             if kind == "member":
-                return list(dict.fromkeys(src))
+                return [(x, term_depth(x)) for x in dict.fromkeys(src)]
             # subset: lists over the source elements, up to the depth bound
             pool = list(dict.fromkeys(src))
             found = []
             for n in range(0, depth + 1):
                 for combo in itertools.product(pool, repeat=n):
                     cand = make_list(combo)
-                    if term_depth(cand) <= depth:
-                        found.append(cand)
+                    d = term_depth(cand)
+                    if d <= depth:
+                        found.append((cand, d))
             return found
-        if kinds.get(v) == "list":
-            pool = _ground_lists(alphabet, depth)
-            # A concat output must still fit the depth bound, and its spine is
-            # at least as long as both inputs together; prune input lists that
-            # already make that impossible.
-            budget_len = None
-            for g in pattern.guards:
-                if g.name != "concat":
-                    continue
-                for j in (0, 1):
-                    if g.args[j] == Var(v):
-                        other = g.args[1 - j]
-                        used = 0
-                        if isinstance(other, Var) and other.name in env:
-                            items = list_items(env[other.name])
-                            used = len(items) if items is not None else 0
-                        limit = depth - used
-                        budget_len = limit if budget_len is None else min(budget_len, limit)
-            if budget_len is not None:
-                lengths = _ground_list_lengths(alphabet, depth)
-                pool = [t for t, n in zip(pool, lengths) if n <= budget_len]
-            return pool
-        return list(ground_terms(alphabet, depth))
+        pool = _list_pool(alphabet, depth) if kinds.get(v) == "list" else _term_pool(alphabet, depth)
+        max_len = max_depth = depth
+        for other in len_cuts.get(v, ()):
+            if other in env:
+                max_len = min(max_len, depth - depths[other])
+        for other in depth_cuts.get(v, ()):
+            if other in env:
+                max_depth = min(max_depth, depth - len(list_items(env[other]) or ()))
+        if max_len < depth or max_depth < depth:
+            pool = [e for e in pool if e[2] <= max_len and e[1] <= max_depth]
+        return pool
 
     def assign(i, env: dict):
         if i == len(order):
-            atom = apply(Subst(env), pattern.template)
-            if not is_ground(atom) or atom_depth(atom) > depth:
+            sub = Subst(env)
+            args = tuple(env[a.name] if a.__class__ is Var else apply(sub, a) for a in targs)
+            if any(value_depth(a, t) > depth for a, t in zip(targs, args)):
                 return
-            theta = match(pattern.template, atom)
-            if theta is not None and all(
-                guard_holds(g, theta, None, resolver) for g in pattern.guards
-            ):
-                out.append(atom)
+            if all(guard_holds(g, sub, None, resolver) for g in guards):
+                out.append(Pred(template.name, args))
             return
         v = order[i]
         for c in candidates(v, env):
             counter[0] += 1
             if counter[0] > cap:
                 raise AtomSetTooLarge(f"pattern enumeration cap {cap} hit at depth {depth}")
-            env[v] = c
+            env[v] = c[0]
+            depths[v] = c[1]
             assign(i + 1, env)
         env.pop(v, None)
 
@@ -422,14 +459,21 @@ def _freeze_resolver(resolver):
     return tuple(sorted(resolver.items(), key=lambda kv: kv[0]))
 
 
-def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int = 1_000_000):
+def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int = 1_000_000,
+                    predicate=None):
     """All ground atoms of ``s`` with argument depth <= depth, sorted, deduped.
+
+    With ``predicate`` = (name, arity) only the atoms of that predicate, and
+    only the part of ``s`` that can hold them is enumerated (see
+    ``_predicate_part``); the cap counts that part's work alone.
 
     Results are memoized, the too-large outcome included: all set objects
     involved are immutable, so repeated checks over the same specification
     reuse one enumeration.  The memo keeps the ``_ENUM_CACHE_SIZE`` most
     recently used entries.
     """
+    if predicate is not None:
+        s, alphabet = _predicate_part(s, alphabet, predicate)
     key = (s, alphabet, depth, _freeze_resolver(resolver), cap)
     try:
         result = _ENUM_CACHE.get(key)
@@ -450,6 +494,40 @@ def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int =
     if isinstance(result, CapHit):
         raise result
     return result
+
+
+def _predicate_part(s, alphabet: Alphabet, predicate) -> tuple:
+    """The part of ``s`` that can hold atoms of ``predicate`` = (name, arity),
+    and the alphabet to enumerate it over.
+
+    That part keeps the union parts that can hold such atoms, the
+    extensional atoms and the patterns of that predicate; a universal part
+    is enumerated over an alphabet whose only predicate is that one.
+    """
+    universal = False
+
+    def part(x):
+        nonlocal universal
+        if x is UNIVERSAL:
+            universal = True
+            return x
+        if isinstance(x, UnionSet):
+            parts = tuple(q for q in map(part, x.parts) if q is not None)
+            return UnionSet(parts) if parts else None
+        if isinstance(x, Extensional):
+            atoms = tuple(a for a in x.atoms if (a.name, len(a.args)) == predicate)
+            return Extensional(atoms) if atoms else None
+        if isinstance(x, Intensional):
+            patterns = tuple(
+                p for p in x.patterns if (p.template.name, len(p.template.args)) == predicate
+            )
+            return Intensional(patterns) if patterns else None
+        raise TypeError(f"not an atom set: {x!r}")
+
+    restricted = part(s)
+    if universal:
+        alphabet = Alphabet(alphabet.functors, (predicate,))
+    return (Extensional() if restricted is None else restricted), alphabet
 
 
 def _enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int = 1_000_000):

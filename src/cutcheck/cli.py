@@ -80,6 +80,13 @@ def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_UNKNOWN
 
 
+def _print_json(obj) -> None:
+    """Print a report as one line of JSON, keys in the object's own order.
+
+    Without ``indent`` the ``json`` module uses its C encoder."""
+    print(json.dumps(obj))
+
+
 def _emit_tree(args, tree, pruned):
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -96,13 +103,12 @@ def cmd_tree(args) -> int:
     kept = pruned.kept if pruned else set(tree.ids)
     exact = pruned.exact if pruned else tree.exact
     if args.json:
-        obj = {
-            "nodes": len(tree),
+        _print_json({
             "exact": exact,
             "kept": sorted(kept),
+            "nodes": len(tree),
             "pruned": sorted(set(tree.ids) - kept),
-        }
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        })
     else:
         shown = "pruned tree" if pruned else "tree"
         print(f"{shown}: {len(kept)} of {len(tree)} nodes, exact={exact}")
@@ -117,11 +123,7 @@ def cmd_run(args) -> int:
     _emit_tree(args, pruned.base, pruned)
     answers = answers_of_pruned(pruned)
     if args.json:
-        obj = {
-            "answers": [query_text(a) for a in answers],
-            "exact": pruned.exact,
-        }
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        _print_json({"answers": [query_text(a) for a in answers], "exact": pruned.exact})
     else:
         for a in answers:
             print(query_text(a) if a else "yes")
@@ -138,12 +140,11 @@ def cmd_oracle(args) -> int:
     budget = _make_budget(args, None)
     result = prolog_search(program, query, budget)
     if args.json:
-        obj = {
+        _print_json({
             "answers": [query_text(a) for a in result.answers],
             "exact": result.exact,
             "steps": result.steps,
-        }
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        })
     else:
         for a in result.answers:
             print(query_text(a) if a else "yes")
@@ -216,7 +217,7 @@ def cmd_check(args) -> int:
         )
 
     if args.json:
-        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=False))
+        _print_json(report.to_json_obj())
     else:
         print(report.to_text(), end="")
     return _verdict_exit(report.verdict)

@@ -513,12 +513,21 @@ def canonical(e):
 
 
 def term_depth(t: Term) -> int:
-    """Constants and variables have depth 0; f(...) has 1 + max over args."""
-    if isinstance(t, Var):
-        return 0
-    if not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    """Constants and variables have depth 0; f(...) has 1 + max over args.
+
+    The depth is the nesting level of the deepest variable or constant; the
+    walk keeps its own stack."""
+    deepest = 0
+    stack = [(t, 0)]
+    pop = stack.pop
+    while stack:
+        u, d = pop()
+        if u.__class__ is Compound and u.args:
+            d += 1
+            stack += [(a, d) for a in u.args]
+        elif d > deepest:
+            deepest = d
+    return deepest
 
 
 def atom_depth(a: Pred) -> int:
@@ -579,30 +588,27 @@ class Alphabet:
 
 
 def collect_symbols(obj, functors: set, predicates: set) -> None:
-    """Accumulate the function/predicate symbols occurring in obj."""
-    if obj is None or obj is CUT:
-        return
-    if isinstance(obj, Var):
-        return
-    if isinstance(obj, Compound):
-        functors.add((obj.functor, len(obj.args)))
-        for a in obj.args:
-            collect_symbols(a, functors, predicates)
-        return
-    if isinstance(obj, Pred):
-        predicates.add((obj.name, len(obj.args)))
-        for a in obj.args:
-            collect_symbols(a, functors, predicates)
-        return
-    if isinstance(obj, Clause):
-        collect_symbols(obj.head, functors, predicates)
-        collect_symbols(obj.body, functors, predicates)
-        return
-    if isinstance(obj, (tuple, list)):
-        for x in obj:
-            collect_symbols(x, functors, predicates)
-        return
-    raise TypeError(f"cannot collect symbols from {obj!r}")
+    """Accumulate the function/predicate symbols occurring in obj.
+
+    The walk keeps its own stack, so a term of any depth is fine."""
+    stack = [obj]
+    pop = stack.pop
+    while stack:
+        x = pop()
+        cls = x.__class__
+        if cls is Compound:
+            functors.add((x.functor, len(x.args)))
+            stack += x.args
+        elif cls is Pred:
+            predicates.add((x.name, len(x.args)))
+            stack += x.args
+        elif cls is tuple or cls is list:
+            stack += x
+        elif cls is Clause:
+            stack.append(x.body)
+            stack.append(x.head)
+        elif not (cls is Var or x is None or x is CUT):
+            raise TypeError(f"cannot collect symbols from {x!r}")
 
 
 def infer_alphabet(*objects) -> Alphabet:
@@ -618,10 +624,31 @@ def merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
 
 
 def term_key(t: Term):
-    """Deterministic sort key: by depth, then functor, then arguments."""
-    if isinstance(t, Var):
-        return (0, 0, t.name, ())
-    return (term_depth(t), 1, t.functor, tuple(term_key(a) for a in t.args))
+    """Deterministic sort key: by depth, then functor, then arguments.
+
+    A compound's depth is read from its arguments' keys, so each subterm is
+    visited once; the walk keeps its own stack."""
+    frames: list = []  # per compound whose key is being built: (term, argument keys)
+    while True:
+        if t.__class__ is Var:
+            key = (0, 0, t.name, ())
+        elif t.args:
+            frames.append((t, []))
+            t = t.args[0]
+            continue
+        else:
+            key = (0, 1, t.functor, ())
+        # ``key`` is finished: hand it to the enclosing frames
+        while frames:
+            term, keys = frames[-1]
+            keys.append(key)
+            if len(keys) < len(term.args):
+                t = term.args[len(keys)]
+                break
+            frames.pop()
+            key = (1 + max([k[0] for k in keys]), 1, term.functor, tuple(keys))
+        else:
+            return key
 
 
 def atom_key(a: Pred):

@@ -133,11 +133,8 @@ class _CoverSearch:
                 out.extend(a for a in p.atoms if (a.name, len(a.args)) == key)
             return out
         self.exhaustive = False
-        alphabet = self.alphabet
-        if self.s is UNIVERSAL and key not in alphabet.predicates:
-            alphabet = Alphabet(alphabet.functors, alphabet.predicates + (key,))
-        pool = enumerate_atoms(self.s, alphabet, self.depth, self.resolver, self.cap)
-        return [a for a in pool if (a.name, len(a.args)) == key]
+        return enumerate_atoms(self.s, self.alphabet, self.depth, self.resolver, self.cap,
+                               predicate=key)
 
     def solutions(self, goals: tuple, sigma: Subst):
         """Yield substitutions grounding the goals inside the set."""
@@ -165,6 +162,29 @@ class _CoverSearch:
 # ---------------------------------------------------------------------------
 
 
+def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: int, resolver,
+                       cap: int):
+    """Search a ground instance of the clause with head ``a`` and body in s + {!}.
+
+    Returns ``(instance, None)`` when one is found, ``(None, None)`` when
+    the search was exhaustive and found none (or the head does not match),
+    and ``(None, reason)`` when a bound stopped it.
+    """
+    clause = rename_apart(clause, set(vars_of(a)))
+    theta = match(clause.head, a)
+    if theta is None:
+        return None, None
+    search = _CoverSearch(s, alphabet, depth, resolver, cap)
+    try:
+        for sol in search.solutions(clause.body, theta):
+            instance = apply(sol, clause)
+            if is_ground(instance):
+                return instance, None
+    except CapHit as exc:
+        return None, str(exc)
+    return None, (None if search.exhaustive else f"cover search exhausted depth {depth}")
+
+
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
             cap: int = _DEFAULT_CAP) -> Verdict:
     """Is ``a`` the head of a ground instance of the clause with body in s + {!}?
@@ -172,31 +192,18 @@ def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resol
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
     """
-    head = rename_apart(clause, set(vars_of(a)))
-    theta = match(head.head, a)
-    if theta is None:
+    if match(clause.head, a) is None:
         return Verdict.refuted(
             {"atom": atom_text(a), "clause": clause_text(clause), "note": "head does not match"}
         )
-    search = _CoverSearch(s, alphabet, depth, resolver, cap)
-    try:
-        for sol in search.solutions(head.body, theta):
-            instance = apply(sol, head)
-            if not is_ground(instance):
-                continue
-            return Verdict(
-                "verified",
-                {"atom": atom_text(a), "instance": clause_text(instance)},
-                None,
-                (),
-            )
-    except CapHit as exc:
-        return Verdict.unknown(str(exc))
-    if search.exhaustive:
-        return Verdict.refuted(
-            {"atom": atom_text(a), "clause": clause_text(clause), "note": "no ground body instance in the set"}
-        )
-    return Verdict.unknown(f"cover search exhausted depth {depth}")
+    instance, reason = _covering_instance(a, clause, s, alphabet, depth, resolver, cap)
+    if instance is not None:
+        return Verdict("verified", {"atom": atom_text(a), "instance": clause_text(instance)}, None, ())
+    if reason is not None:
+        return Verdict.unknown(reason)
+    return Verdict.refuted(
+        {"atom": atom_text(a), "clause": clause_text(clause), "note": "no ground body instance in the set"}
+    )
 
 
 def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
@@ -209,21 +216,16 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
         return Verdict.unknown(str(exc))
     per_atom = []
     for a in atoms:
-        clause_verdicts = []
+        text = atom_text(a)
+        verdict = None  # the first Unknown, until some clause covers the atom
         for idx, c in program.matching(a):
-            v = covered(a, c, s, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap)
-            clause_verdicts.append(v)
-            if v.is_verified:
+            instance, reason = _covering_instance(a, c, s, alphabet, depth, resolver, cap)
+            if instance is not None:
+                verdict = Verdict.verified()
                 break
-        unknown = next((v for v in clause_verdicts if v.is_unknown), None)
-        if any(v.is_verified for v in clause_verdicts):
-            per_atom.append((atom_text(a), Verdict.verified()))
-        elif unknown is not None:
-            per_atom.append((atom_text(a), unknown))
-        else:
-            per_atom.append(
-                (atom_text(a), Verdict.refuted({"atom": atom_text(a), "note": "not covered"}))
-            )
+            if reason is not None and verdict is None:
+                verdict = Verdict.unknown(reason)
+        per_atom.append((text, verdict or Verdict.refuted({"atom": text, "note": "not covered"})))
     return weakest([v for _, v in per_atom], tuple(per_atom))
 
 
@@ -406,8 +408,8 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
     Returns a witness dict or None; raises CapHit once more than ``cap``
     instances, counted over all heads together, were searched.
     """
-    heads = enumerate_atoms(pre, alphabet, depth, resolver, cap)
-    heads = [h for h in heads if (h.name, len(h.args)) == (clause.head.name, len(clause.head.args))]
+    heads = enumerate_atoms(pre, alphabet, depth, resolver, cap,
+                            predicate=(clause.head.name, len(clause.head.args)))
     prefix = clause.body[:k] if k is not None else clause.body
     thetas = (unify(clause.head, h) for h in heads)
     instances = (

@@ -267,6 +267,15 @@ class TestErrorsAndEnv:
         assert proc.returncode in (0, 3) and proc.stderr == ""
         assert proc.stdout.startswith("app([], [1, 1, 1")
 
+    @pytest.mark.parametrize("cells", [1500, 5000])
+    def test_deep_list_check_no_traceback(self, fixtures_dir, cells):
+        # the alphabet, depth and sort-key walks of the checker reach every cell
+        query = "in([" + ", ".join(["1"] * cells) + "], [1])"
+        proc = cli(["check", "complete", str(fixtures_dir / "in.pl"), "--spec",
+                    str(fixtures_dir / "in.spec"), "--depth", "1", "--nodes", "50", "--query", query])
+        assert proc.returncode == 3 and proc.stderr == ""
+        assert "reason: tree budget exhausted; pruned tree is not exact" in proc.stdout
+
     @pytest.mark.parametrize("kind", ["recurrent", "acceptable"])
     def test_missing_level_mapping_exit_2(self, p5, kind):
         prog, spec = p5

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutcheck.terms import (
@@ -13,7 +15,9 @@ from cutcheck.terms import (
     Var,
     apply,
     atom_depth,
+    atom_key,
     canonical,
+    collect_symbols,
     compose,
     cons,
     const,
@@ -33,6 +37,7 @@ from cutcheck.terms import (
     rename_apart,
     resolve,
     term_depth,
+    term_key,
     term_size,
     unify,
     vars_of,
@@ -117,6 +122,25 @@ class TestLongTerms:
         assert is_ground(make_list([a] * self.N)) and not is_ground(open_list)
         assert not is_ground((Pred("q", (nested,)),))
 
+    def test_depth_key_and_symbols_deep_terms(self):
+        long_list = make_list([a] * self.N)
+        nested = a
+        for _ in range(self.N):
+            nested = f(nested, Y)
+        assert term_depth(long_list) == self.N and term_depth(nested) == self.N
+        assert atom_depth(Pred("p", (a, long_list))) == self.N
+        for t, deep in ((long_list, 1), (nested, 0)):  # the argument that goes deep
+            key = term_key(t)
+            for level in range(self.N, 0, -1):  # walk the key down, without recursion
+                assert key[:3] == (level, 1, t.functor) and len(key[3]) == 2
+                assert key[3][1 - deep] == term_key(t.args[1 - deep])
+                key, t = key[3][deep], t.args[deep]
+            assert key == term_key(t) == (0, 1, t.functor, ())
+        functors, predicates = set(), set()
+        collect_symbols(Clause(Pred("p", (long_list,)), (CUT, Pred("q", (nested, X)))), functors, predicates)
+        assert functors == {(".", 2), ("a", 0), ("[]", 0), ("f", 2)}
+        assert predicates == {("p", 1), ("q", 2)}
+
 
 class TestMatch:
     def test_one_way(self):
@@ -191,6 +215,27 @@ class TestMeasures:
         assert term_depth(a) == 0
         assert term_depth(f(f(a))) == 2
         assert atom_depth(Pred("p", (f(a), a))) == 1
+
+    def test_key_values(self):
+        # the keys are those of the plain recursive definition
+        def reference_key(t):
+            if isinstance(t, Var):
+                return (0, 0, t.name, ())
+            return (term_depth(t), 1, t.functor, tuple(reference_key(x) for x in t.args))
+
+        def random_term(rng, depth):
+            r = rng.random()
+            if depth == 0 or r < 0.3:
+                return rng.choice([a, b, X, Y, const("[]")])
+            if r < 0.6:
+                return cons(random_term(rng, depth - 1), random_term(rng, depth - 1))
+            return f(*(random_term(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+        rng = random.Random(7)
+        for _ in range(300):
+            t = random_term(rng, 5)
+            assert term_key(t) == reference_key(t)
+            assert atom_key(Pred("p", (t, a))) == ("p", 2, (reference_key(t), reference_key(a)))
 
     def test_canonical_variant_invariance(self):
         t1 = f(X, f(X, Y))
