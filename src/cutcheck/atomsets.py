@@ -308,7 +308,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     Enumeration is guard-driven: list-guarded variables range over ground
     lists, concat outputs are computed rather than searched, and member /
     subset arguments are drawn from the already-chosen list.  A leaf's
-    assignment is the template's match, so the guards are evaluated on it
+    assignment is the template's match, so every guard is evaluated on it
     and each atom is built once.  Every value carries its depth, read from
     the pools or derived from how the value was made.
 
@@ -358,18 +358,6 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
         if isinstance(m, Var) and m.name in tvars and isinstance(k, Var) and isinstance(l, Var):
             len_cuts.setdefault(k.name, []).append(l.name)
             depth_cuts.setdefault(l.name, []).append(k.name)
-
-    # Guards that hold by construction are not evaluated at the leaves: the
-    # guard a value is computed from, and ground / list guards on a variable
-    # drawn from a pool (every value is ground, and a list variable's pool
-    # holds only lists).
-    computed = {v for v in func if all(n in order[: order.index(v)] for n in inputs[v])}
-    settled = [func[v][1] for v in computed] + [
-        g for g in pattern.guards
-        if g.name in ("ground", "list", "ground_list") and isinstance(g.args[0], Var)
-        and g.args[0].name in tvars and (g.name == "ground" or g.args[0].name not in computed)
-    ]
-    guards = tuple(g for g in pattern.guards if not any(g is h for h in settled))
 
     out = []
     targs = template.args
@@ -423,7 +411,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
             args = tuple(env[a.name] if a.__class__ is Var else apply(sub, a) for a in targs)
             if any(value_depth(a, t) > depth for a, t in zip(targs, args)):
                 return
-            if all(guard_holds(g, sub, None, resolver) for g in guards):
+            if all(guard_holds(g, sub, None, resolver) for g in pattern.guards):
                 out.append(Pred(template.name, args))
             return
         v = order[i]

@@ -80,13 +80,6 @@ def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_UNKNOWN
 
 
-def _print_json(obj) -> None:
-    """Print a report as one line of JSON, keys in the object's own order.
-
-    Without ``indent`` the ``json`` module uses its C encoder."""
-    print(json.dumps(obj))
-
-
 def _emit_tree(args, tree, pruned):
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -103,12 +96,13 @@ def cmd_tree(args) -> int:
     kept = pruned.kept if pruned else set(tree.ids)
     exact = pruned.exact if pruned else tree.exact
     if args.json:
-        _print_json({
+        obj = {
+            "nodes": len(tree),
             "exact": exact,
             "kept": sorted(kept),
-            "nodes": len(tree),
             "pruned": sorted(set(tree.ids) - kept),
-        })
+        }
+        print(json.dumps(obj, sort_keys=True))
     else:
         shown = "pruned tree" if pruned else "tree"
         print(f"{shown}: {len(kept)} of {len(tree)} nodes, exact={exact}")
@@ -123,7 +117,11 @@ def cmd_run(args) -> int:
     _emit_tree(args, pruned.base, pruned)
     answers = answers_of_pruned(pruned)
     if args.json:
-        _print_json({"answers": [query_text(a) for a in answers], "exact": pruned.exact})
+        obj = {
+            "answers": [query_text(a) for a in answers],
+            "exact": pruned.exact,
+        }
+        print(json.dumps(obj, sort_keys=True))
     else:
         for a in answers:
             print(query_text(a) if a else "yes")
@@ -140,11 +138,12 @@ def cmd_oracle(args) -> int:
     budget = _make_budget(args, None)
     result = prolog_search(program, query, budget)
     if args.json:
-        _print_json({
+        obj = {
             "answers": [query_text(a) for a in result.answers],
             "exact": result.exact,
             "steps": result.steps,
-        })
+        }
+        print(json.dumps(obj, sort_keys=True))
     else:
         for a in result.answers:
             print(query_text(a) if a else "yes")
@@ -217,7 +216,7 @@ def cmd_check(args) -> int:
         )
 
     if args.json:
-        _print_json(report.to_json_obj())
+        print(json.dumps(report.to_json_obj()))
     else:
         print(report.to_text(), end="")
     return _verdict_exit(report.verdict)

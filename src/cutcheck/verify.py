@@ -163,26 +163,28 @@ class _CoverSearch:
 
 
 def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: int, resolver,
-                       cap: int):
+                       cap: int) -> tuple:
     """Search a ground instance of the clause with head ``a`` and body in s + {!}.
 
-    Returns ``(instance, None)`` when one is found, ``(None, None)`` when
-    the search was exhaustive and found none (or the head does not match),
-    and ``(None, reason)`` when a bound stopped it.
+    Returns ``("verified", instance)`` when one is found, ``("refuted",
+    note)`` when none exists (the head does not match, or the search was
+    exhaustive), and ``("unknown", reason)`` when a bound stopped it.
     """
     clause = rename_apart(clause, set(vars_of(a)))
     theta = match(clause.head, a)
     if theta is None:
-        return None, None
+        return "refuted", "head does not match"
     search = _CoverSearch(s, alphabet, depth, resolver, cap)
     try:
         for sol in search.solutions(clause.body, theta):
             instance = apply(sol, clause)
             if is_ground(instance):
-                return instance, None
+                return "verified", instance
     except CapHit as exc:
-        return None, str(exc)
-    return None, (None if search.exhaustive else f"cover search exhausted depth {depth}")
+        return "unknown", str(exc)
+    if search.exhaustive:
+        return "refuted", "no ground body instance in the set"
+    return "unknown", f"cover search exhausted depth {depth}"
 
 
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
@@ -192,18 +194,12 @@ def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resol
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
     """
-    if match(clause.head, a) is None:
-        return Verdict.refuted(
-            {"atom": atom_text(a), "clause": clause_text(clause), "note": "head does not match"}
-        )
-    instance, reason = _covering_instance(a, clause, s, alphabet, depth, resolver, cap)
-    if instance is not None:
-        return Verdict("verified", {"atom": atom_text(a), "instance": clause_text(instance)}, None, ())
-    if reason is not None:
-        return Verdict.unknown(reason)
-    return Verdict.refuted(
-        {"atom": atom_text(a), "clause": clause_text(clause), "note": "no ground body instance in the set"}
-    )
+    status, found = _covering_instance(a, clause, s, alphabet, depth, resolver, cap)
+    if status == "verified":
+        return Verdict("verified", {"atom": atom_text(a), "instance": clause_text(found)}, None, ())
+    if status == "unknown":
+        return Verdict.unknown(found)
+    return Verdict.refuted({"atom": atom_text(a), "clause": clause_text(clause), "note": found})
 
 
 def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
@@ -219,12 +215,12 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
         text = atom_text(a)
         verdict = None  # the first Unknown, until some clause covers the atom
         for idx, c in program.matching(a):
-            instance, reason = _covering_instance(a, c, s, alphabet, depth, resolver, cap)
-            if instance is not None:
+            status, found = _covering_instance(a, c, s, alphabet, depth, resolver, cap)
+            if status == "verified":
                 verdict = Verdict.verified()
                 break
-            if reason is not None and verdict is None:
-                verdict = Verdict.unknown(reason)
+            if status == "unknown" and verdict is None:
+                verdict = Verdict.unknown(found)
         per_atom.append((text, verdict or Verdict.refuted({"atom": text, "note": "not covered"})))
     return weakest([v for _, v in per_atom], tuple(per_atom))
 

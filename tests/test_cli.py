@@ -207,6 +207,18 @@ class TestCheck:
                            "--depth", "2")
         assert code == 1 and "instance=p(g(a, a), a, a, a, a) :- r(g(a, a))." in out
 
+    @pytest.mark.parametrize("kind", ["semicomplete", "complete"])
+    def test_guard_variable_outside_the_template(self, capsys, tmp_path, kind):
+        # X is in no atom of S, so member(X, L) holds for none and S is empty
+        prog = tmp_path / "p.pl"
+        prog.write_text("p([]).\np([X|L]) :- p(L).\n")
+        spec = tmp_path / "p.spec"
+        spec.write_text("[alphabet]\nfunctor 1/0.\nfunctor '[]'/0.\nfunctor '.'/2.\n\n"
+                        "[S]\np(L) where ground_list(L), member(X, L).\n\n[bounds]\ndepth = 2.\n")
+        code, out, err = run(capsys, "check", kind, str(prog), "--spec", str(spec),
+                             "--query", "p([1])")
+        assert code == 0 and err == "" and "verdict: verified" in out
+
 
 def cli(argv, prefix=("-m", "cutcheck.cli")):
     """Run the CLI in a fresh interpreter, as ``python -m cutcheck.cli``."""

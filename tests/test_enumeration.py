@@ -41,7 +41,8 @@ CAP = 5_000
 def random_pattern(rng: random.Random, name: str) -> AtomPattern:
     """A pattern over 1-3 variables, each once in the template (some inside
     a one-element list), with list, ground_list, concat, member, subset and
-    notin guards; a concat output is always a template variable."""
+    notin guards.  Some patterns get a guard whose output Z is no template
+    variable; nothing binds Z, so no atom satisfies it."""
     names = list("KLM"[: rng.randint(1, 3)])
     args = tuple(Var(x) if rng.random() < 0.8 else make_list([Var(x)]) for x in names)
     guards = []
@@ -58,6 +59,13 @@ def random_pattern(rng: random.Random, name: str) -> AtomPattern:
         guards.append(Guard(rng.choice(("member", "subset")), (Var(x), Var(src))))
     if rng.random() < 0.3:
         guards.append(Guard("notin", (Pred("r", (Var(rng.choice(names)),)), "other")))
+    if rng.random() < 0.15:
+        src = rng.choice((Var(rng.choice(names)), make_list([one, two])))
+        guards.append(rng.choice((
+            Guard("member", (Var("Z"), src)),
+            Guard("subset", (Var("Z"), src)),
+            Guard("concat", (src, Var(rng.choice(names)), Var("Z"))),
+        )))
     rng.shuffle(guards)
     return AtomPattern(Pred(name, args), tuple(guards))
 
@@ -135,6 +143,19 @@ def test_concat_output_outside_the_template_leaves_inputs_uncut():
     ))
     got = enumerate_atoms(Intensional((pattern,)), Alphabet(ALPHABETS[1], ()), 1)
     assert got == [Pred("p", (make_list([one]), make_list([two])))]
+
+
+@pytest.mark.parametrize("guard", [
+    Guard("member", (Var("X"), Var("L"))),
+    Guard("member", (Var("X"), make_list([one, two]))),
+    Guard("concat", (Var("L"), Var("L"), Var("X"))),
+])
+def test_guard_output_outside_the_template_has_no_members(guard):
+    # X is no template variable: no atom binds it, and contains rejects every atom
+    pattern = AtomPattern(Pred("p", (Var("L"),)), (Guard("ground_list", (Var("L"),)), guard))
+    alphabet = Alphabet(ALPHABETS[1], ())
+    assert enumerate_atoms(Intensional((pattern,)), alphabet, 1) == []
+    assert reference_enumerate_pattern(pattern, alphabet, 1, None, CAP, [0]) == []
 
 
 def test_append_s_enumerates_within_a_work_count():
