@@ -14,7 +14,7 @@ import time
 from .atomsets import CapHit
 from .dot import tree_dot
 from .engine import Budget, build_tree
-from .pruning import answers_of_pruned, prolog_search, prune, pruned_tree
+from .pruning import prolog_search, pruned_tree
 from .syntax import (
     ParseError,
     SpecSuite,
@@ -86,15 +86,7 @@ def _emit_tree(args, tree, pruned):
             fh.write(tree_dot(tree, pruned))
 
 
-def cmd_tree(args) -> int:
-    program = _load_program(args.program)
-    query = parse_query(args.query)
-    budget = _make_budget(args, None)
-    tree = build_tree(program, query, budget)
-    pruned = prune(tree) if args.prune else None
-    _emit_tree(args, tree, pruned)
-    kept = pruned.kept if pruned else set(tree.ids)
-    exact = pruned.exact if pruned else tree.exact
+def _report_nodes(args, shown: str, tree, kept: set, exact: bool) -> int:
     if args.json:
         obj = {
             "nodes": len(tree),
@@ -104,9 +96,24 @@ def cmd_tree(args) -> int:
         }
         print(json.dumps(obj, sort_keys=True))
     else:
-        shown = "pruned tree" if pruned else "tree"
         print(f"{shown}: {len(kept)} of {len(tree)} nodes, exact={exact}")
     return EXIT_VERIFIED if exact else EXIT_UNKNOWN
+
+
+def cmd_tree(args) -> int:
+    program = _load_program(args.program)
+    query = parse_query(args.query)
+    tree = build_tree(program, query, _make_budget(args, None))
+    _emit_tree(args, tree, None)
+    return _report_nodes(args, "tree", tree, set(tree.ids), tree.exact)
+
+
+def cmd_prune(args) -> int:
+    program = _load_program(args.program)
+    query = parse_query(args.query)
+    pruned = pruned_tree(program, query, _make_budget(args, None))
+    _emit_tree(args, pruned.base, pruned)
+    return _report_nodes(args, "pruned tree", pruned.base, pruned.kept, pruned.exact)
 
 
 def cmd_run(args) -> int:
@@ -115,7 +122,7 @@ def cmd_run(args) -> int:
     budget = _make_budget(args, None)
     pruned = pruned_tree(program, query, budget)
     _emit_tree(args, pruned.base, pruned)
-    answers = answers_of_pruned(pruned)
+    answers = pruned.answers
     if args.json:
         obj = {
             "answers": [query_text(a) for a in answers],
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser("tree", help="build the LD-tree")
     p_tree.add_argument("program")
     p_tree.add_argument("query")
-    p_prune = sub.add_parser("prune", help="build and prune the LD-tree")
+    p_prune = sub.add_parser("prune", help="build the pruned LD-tree")
     p_prune.add_argument("program")
     p_prune.add_argument("query")
     p_oracle = sub.add_parser("oracle", help="standard Prolog search (reference engine)")
@@ -254,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         _budget_args(p)
 
     p_run.set_defaults(func=cmd_run)
-    p_tree.set_defaults(func=cmd_tree, prune=False)
-    p_prune.set_defaults(func=cmd_tree, prune=True)
+    p_tree.set_defaults(func=cmd_tree)
+    p_prune.set_defaults(func=cmd_prune)
     p_oracle.set_defaults(func=cmd_oracle)
     p_check.set_defaults(func=cmd_check)
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .terms import (
     CUT,
@@ -23,7 +23,6 @@ from .terms import (
     Subst,
     apply,
     rename_apart,
-    resolve,
     unify,
     vars_of,
 )
@@ -60,9 +59,9 @@ class LdStep:
     """One derivation step: the mgu and the clause variant used.
 
     The mgu is this step's own, not composed with the steps above it; the
-    substitution a node's query carries from the root is resolved only where
-    it is needed, at success leaves (``computed_answer``).  A cut-consumption
-    step has ``clause_index is None`` and an empty mgu.
+    pruned-tree walk keeps the bindings of the root path and resolves the
+    query through them only at success leaves.  A cut-consumption step has
+    ``clause_index is None`` and an empty mgu.
     """
 
     mgu: Subst
@@ -80,7 +79,7 @@ TRUNCATED = "truncated"
 class Node:
     """A derivation node: its query, already instantiated by every mgu on its
     root path, and the step that produced it from its parent (None at the
-    root).  Only the step's own mgu is kept; see ``computed_answer``."""
+    root).  Only the step's own mgu is kept; see ``LdStep``."""
 
     id: int
     query: tuple
@@ -209,71 +208,3 @@ def build_tree(program: Program, query: tuple, budget: Optional[Budget] = None) 
     while queue:
         queue.extend(builder.expand(queue.popleft()))
     return builder.tree
-
-
-@dataclass(frozen=True)
-class PreorderResult:
-    ids: tuple
-    exact: bool
-
-
-def preorder(tree: LdTree, kept=None) -> PreorderResult:
-    """Left-to-right preorder that never visits anything to the right of a
-    possibly-infinite (Truncated-containing) subtree at any level."""
-    ids: list = []
-    if kept is not None and 0 not in kept:
-        return PreorderResult((), True)
-
-    def push(nid: int):
-        ids.append(nid)
-        node = tree.nodes[nid]
-        children = iter(
-            c for c in node.children if kept is None or c in kept
-        )
-        # frame: [child iterator, subtree-exact-so-far]
-        stack.append([children, node.status != TRUNCATED])
-
-    stack: list = []
-    push(0)
-    root_exact = True
-    while stack:
-        frame = stack[-1]
-        child = next(frame[0], None) if frame[1] else None
-        if child is not None:
-            push(child)
-            continue
-        stack.pop()
-        if stack:
-            # report this subtree's exactness to the parent; a non-exact
-            # child stops the parent from moving further right
-            if not frame[1]:
-                stack[-1][1] = False
-        else:
-            root_exact = frame[1]
-    return PreorderResult(tuple(ids), root_exact)
-
-
-def computed_answer(tree: LdTree, nid: int) -> tuple:
-    """The root query under the composition of the step mgus from the root
-    down to node ``nid``.
-
-    The derivation is standardized apart and each mgu is idempotent, so the
-    step mgus have disjoint domains and no later step binds a variable an
-    earlier one eliminated: their union is a triangular binding map, and
-    resolving the query through it once gives the composed instance.
-    """
-    bindings: dict = {}
-    nodes = tree.nodes
-    cur: Optional[int] = nid
-    while cur is not None:
-        node = nodes[cur]
-        if node.step is not None:
-            bindings.update(node.step.mgu.items())
-        cur = node.parent
-    return resolve(bindings, tree.query)
-
-
-def answers(tree: LdTree) -> list:
-    """Computed answers (root query instances) of Success leaves, in preorder."""
-    seq = preorder(tree)
-    return [computed_answer(tree, nid) for nid in seq.ids if tree.nodes[nid].status == SUCCESS]

@@ -14,15 +14,15 @@ cutting sequence prunes.  Everything a cutting sequence removes lies after
 its executing node in preorder, so one left-to-right preorder walk computes
 the same tree: on reaching an executing node it drops the unvisited right
 siblings along the cutting sequence, which is the top of the walk's own
-stack, and it stops at the first Truncated node.  The walk runs over a built
-tree (``prune``) or expands nodes only when it reaches them
-(``pruned_tree``), so dropped siblings are never expanded.
+stack, and it stops at the first Truncated node.  The walk expands a node
+only when it reaches it, so dropped siblings are never expanded, and it
+collects the computed answers of the Success leaves it reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .engine import (
     Budget,
@@ -31,8 +31,6 @@ from .engine import (
     SUCCESS,
     TRUNCATED,
     TreeBuilder,
-    computed_answer,
-    preorder,
 )
 from .terms import (
     CUT,
@@ -76,25 +74,30 @@ class PrunedTree:
     pruned_by: dict  # removed node id -> executing node id
     iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
     exact: bool
+    answers: list  # the root query under each kept Success leaf's root path, in preorder
 
     @property
     def pruned(self) -> set:
         return set(self.pruned_by)
 
 
-def _walk(base: LdTree, children_of: Callable[[int], list]) -> PrunedTree:
-    """The one-pass preorder walk over the nodes ``children_of`` yields.
+def _walk(builder: TreeBuilder) -> PrunedTree:
+    """The one-pass preorder walk, expanding each node when it reaches it.
 
-    ``children_of(nid)`` is called once, when the walk reaches ``nid``; it
-    must settle the node's status.  Removed nodes are recorded with their
-    descendants in ``base``.
+    The mgus of the current root path live in one triangular binding store;
+    the trail records their names in binding order, and moving to a node's
+    next child cuts it back to the mark taken when the node was expanded.
     """
+    base = builder.tree
     nodes = base.nodes
     kept: set = set()
     pruned_by: dict = {}
     log: list = []
+    answers: list = []
     exact = True
-    stack: list = []  # per node on the path: [child ids, index of the next child]
+    bindings: dict = {}  # every step mgu on the current root path
+    trail: list = []  # the names in ``bindings``, in binding order
+    stack: list = []  # per node on the path: [child ids, index of the next child, trail mark]
     nid: Optional[int] = 0
     while nid is not None:
         kept.add(nid)
@@ -107,53 +110,40 @@ def _walk(base: LdTree, children_of: Callable[[int], list]) -> PrunedTree:
             # stack[d] belongs to the ancestor at depth d: the cutting sequence
             # starts at the introducing node's frame (the root's for query cuts)
             for frame in stack[0 if intro is None else nodes[intro].depth :]:
-                todo = frame[0][frame[1] :]
+                removed.update(frame[0][frame[1] :])
                 del frame[0][frame[1] :]
-                while todo:
-                    r = todo.pop()
-                    removed.add(r)
-                    pruned_by[r] = nid
-                    todo.extend(nodes[r].children)
+            pruned_by.update(dict.fromkeys(removed, nid))
             log.append((nid, frozenset(removed)))
-        children = children_of(nid)
+        children = builder.expand(nid)
         if node.status == TRUNCATED:
             exact = False
             break
-        stack.append([list(children), 0])  # a copy: dropping siblings edits it
+        if node.status == SUCCESS:
+            answers.append(resolve(bindings, base.query))
+        stack.append([list(children), 0, len(trail)])  # a copy: dropping siblings edits it
         nid = None
         while stack and nid is None:
             frame = stack[-1]
             if frame[1] < len(frame[0]):
                 nid = frame[0][frame[1]]
                 frame[1] += 1
+                for name in trail[frame[2] :]:
+                    del bindings[name]
+                del trail[frame[2] :]
+                mgu = nodes[nid].step.mgu
+                bindings.update(mgu.items())
+                trail.extend(mgu)
             else:
                 stack.pop()
-    return PrunedTree(base, kept, pruned_by, log, exact)
-
-
-def prune(tree: LdTree) -> PrunedTree:
-    """Prune a built tree.  ``pruned_by`` covers every removed node of the
-    tree, descendants included."""
-    return _walk(tree, lambda nid: tree.nodes[nid].children)
+    return PrunedTree(base, kept, pruned_by, log, exact, answers)
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None) -> PrunedTree:
-    """Build the pruned LD-tree directly, expanding a node only when the walk
-    reaches it.  ``base`` holds the materialised nodes: the kept ones, the
-    dropped siblings (never expanded) and whatever was pending when the walk
-    stopped at a Truncated node."""
-    builder = TreeBuilder(program, query, budget)
-    return _walk(builder.tree, builder.expand)
-
-
-def answers_of_pruned(pt: PrunedTree) -> list:
-    """Computed answers of the pruned tree, in preorder order."""
-    seq = preorder(pt.base, pt.kept)
-    return [
-        computed_answer(pt.base, nid)
-        for nid in seq.ids
-        if pt.base.nodes[nid].status == SUCCESS
-    ]
+    """Build the pruned LD-tree, expanding a node only when the walk reaches
+    it.  ``base`` holds the materialised nodes: the kept ones, the dropped
+    siblings (never expanded) and whatever was pending when the walk stopped
+    at a Truncated node."""
+    return _walk(TreeBuilder(program, query, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import is_
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -219,16 +219,6 @@ class Subst:
     def domain(self) -> set:
         return set(self._b)
 
-    @property
-    def range_vars(self) -> set:
-        out: set = set()
-        for v in self._b.values():
-            out.update(vars_of(v))
-        return out
-
-    def is_idempotent(self) -> bool:
-        return not (self.domain & self.range_vars)
-
     def restrict(self, names) -> "Subst":
         names = set(names)
         return Subst({k: v for k, v in self._b.items() if k in names})
@@ -327,14 +317,6 @@ def compose(s: Subst, t: Subst) -> Subst:
         if k not in out:
             out[k] = v
     return Subst(out)
-
-
-def occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Compound):
-        return any(occurs(name, a) for a in t.args)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +525,6 @@ def term_size(t: Term) -> int:
     return 1 + sum(term_size(a) for a in t.args)
 
 
-def list_length(t: Term) -> int:
-    """Length of a ground proper list; raises ValueError otherwise."""
-    if not is_ground(t):
-        raise ValueError("list_length requires a ground term")
-    items = list_items(t)
-    if items is None:
-        raise ValueError("list_length requires a proper list")
-    return len(items)
-
-
 def list_norm(t: Term) -> int:
     """|[h|t]| = 1 + |t|; any other ground term has norm 0."""
     n = 0
@@ -669,11 +641,6 @@ def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
                 if max(term_depth(a) for a in args) == d - 1:
                     current.append(Compound(name, args))
     return tuple(sorted(current, key=term_key))
-
-
-def enumerate_ground(alphabet: Alphabet, depth: int) -> Iterator[Term]:
-    """Deterministically enumerate ground terms of depth <= depth."""
-    return iter(ground_terms(alphabet, depth))
 
 
 @lru_cache(maxsize=256)

@@ -32,7 +32,7 @@ from .atomsets import (
 )
 from .engine import Budget, Program
 from .levels import atom_level_bound, level_of, level_reads
-from .pruning import PrunedTree, answers_of_pruned, prolog_search, pruned_tree
+from .pruning import PrunedTree, pruned_tree
 from .syntax import (
     SpecSuite,
     atom_text,
@@ -830,14 +830,12 @@ def _query_free_stages(program: Program, suite: SpecSuite, alphabet: Alphabet, d
 
 
 def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
-                       budget: Optional[Budget] = None, cache: Optional[dict] = None) -> CheckReport:
+                       budget: Optional[Budget] = None) -> CheckReport:
     """The sufficient condition for completeness of the pruned LD-tree.
 
     Stages: the pruned tree must be exact; S must lie inside post; the
     program must be well-asserted; the (cut-free) query must be well-asserted;
-    and every enumerated atom of S must be c-covered.  A ``cache`` shared
-    between calls keeps the stages that do not depend on the query, keyed on
-    everything they read.
+    and every enumerated atom of S must be c-covered.
     """
     start = time.perf_counter()
     budget = budget or suite.budget
@@ -854,12 +852,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
         else Verdict.unknown("tree budget exhausted; pruned tree is not exact")
     )
 
-    key = (program, suite.s, suite.pre, suite.post,
-           tuple(sorted(suite.named_sets.items())), alphabet, depth)
-    cache = {} if cache is None else cache
-    if key not in cache:
-        cache[key] = _query_free_stages(program, suite, alphabet, depth)
-    premise, wa_program, coverage = cache[key]
+    premise, wa_program, coverage = _query_free_stages(program, suite, alphabet, depth)
     if premise.is_refuted:
         premise = Verdict.unknown(
             "premise S subset-of post is violated: " + str(premise.witness)
@@ -944,7 +937,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
     pt = pruned_tree(program, query, budget)
     if not pt.exact:
         return Verdict.unknown("tree budget exhausted; answers may be missing")
-    answers = answers_of_pruned(pt)
+    answers = pt.answers
     try:
         for theta in _groundings(EMPTY_SUBST, vars_of(query), alphabet, budget.depth, cap):
             inst = apply(theta, query)

@@ -3,15 +3,18 @@
 Repeatedly take the i-th executing node in the current preorder sequence of
 the tree and remove what its cutting sequence prunes, until the sequence
 holds no unprocessed executing node; only the nodes in the preorder sequence
-of the fixpoint are kept.  This recomputes the preorder once per executing
-node, so it is only used to check ``cutcheck.prune`` and
-``cutcheck.pruned_tree`` on small trees.
+of the fixpoint are kept, and the answers are those of its Success leaves.
+This recomputes the preorder once per executing node, so it is only used to
+check ``cutcheck.pruned_tree`` on small trees.
 """
 
 from typing import Optional
 
-from cutcheck.engine import LdTree, preorder
+from cutcheck.engine import LdTree
 from cutcheck.pruning import CuttingSequence, PrunedTree, cutting_sequence_of, is_executing
+from cutcheck.terms import canonical
+
+from full_tree import answers, preorder
 
 
 def pruned_by_sequence(tree: LdTree, cs: CuttingSequence, kept=None) -> set:
@@ -55,4 +58,45 @@ def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> PrunedTree:
         i += 1
     final = preorder(tree, kept)
     kept = set(final.ids)
-    return PrunedTree(tree, kept, pruned_by, log, final.exact)
+    return PrunedTree(tree, kept, pruned_by, log, final.exact, answers(tree, kept))
+
+
+def walk_and_fixpoint(lazy: PrunedTree, want: PrunedTree):
+    """The lazy walk's result and the fixpoint's, restated so they compare.
+
+    Each materialised node of ``lazy.base`` maps to the node of the full tree
+    ``want.base`` with the same child-index path from the root; the full tree
+    must have expanded every node the walk expanded (true when ``want`` is
+    exact, or when the full tree was truncated by the step budget only).
+    ``pruned_by`` and ``iteration_log`` are compared on materialised nodes,
+    nodes by canonical query and status, and answers up to variable names.
+    """
+    to_full = {0: 0}
+    for nid in lazy.base.ids:  # a parent's id is below its children's
+        full_children = want.base.nodes[to_full[nid]].children
+        for i, child in enumerate(lazy.base.nodes[nid].children):
+            to_full[child] = full_children[i]
+    image = set(to_full.values())
+
+    def shape(tree, nid):
+        node = tree.nodes[nid]
+        return canonical(node.query), node.status
+
+    got = {
+        "kept": {to_full[n]: shape(lazy.base, n) for n in lazy.kept},
+        "exact": lazy.exact,
+        "pruned_by": {to_full[r]: to_full[e] for r, e in lazy.pruned_by.items()},
+        "iteration_log": [
+            (to_full[e], frozenset(to_full[r] for r in removed))
+            for e, removed in lazy.iteration_log
+        ],
+        "answers": [canonical(a) for a in lazy.answers],
+    }
+    expected = {
+        "kept": {n: shape(want.base, n) for n in want.kept},
+        "exact": want.exact,
+        "pruned_by": {r: e for r, e in want.pruned_by.items() if r in image},
+        "iteration_log": [(e, removed & image) for e, removed in want.iteration_log],
+        "answers": [canonical(a) for a in want.answers],
+    }
+    return got, expected

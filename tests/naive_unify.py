@@ -3,14 +3,35 @@
 ``naive_apply`` substitutes by recursion, ``naive_compose`` builds the
 composed substitution, and ``naive_unify`` unifies pairs left to right,
 applying the substitution found so far to both sides of every pair and
-composing once per binding.  This is the algorithm ``cutcheck.terms.unify``
+composing once per binding, with the recursive ``occurs`` check.  This is the algorithm ``cutcheck.terms.unify``
 used before it bound triangularly; it is quadratic, so it is only used to
 check ``unify``, ``apply`` and the answers of both engines on small terms.
+``range_vars`` and ``is_idempotent`` state the properties an mgu must have.
 """
 
 from typing import Optional
 
-from cutcheck.terms import CUT, Clause, Compound, Pred, Subst, Var, occurs
+from cutcheck.terms import CUT, Clause, Compound, Pred, Subst, Var, vars_of
+
+
+def occurs(name: str, t) -> bool:
+    if isinstance(t, Var):
+        return t.name == name
+    if isinstance(t, Compound):
+        return any(occurs(name, a) for a in t.args)
+    return False
+
+
+def range_vars(s: Subst) -> set:
+    """The variables of the terms ``s`` binds."""
+    out: set = set()
+    for _, v in s.items():
+        out.update(vars_of(v))
+    return out
+
+
+def is_idempotent(s: Subst) -> bool:
+    return not (s.domain & range_vars(s))
 
 
 def naive_apply(s: Subst, e):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import cutcheck.verify
 from cutcheck import (
     Budget,
     CUT,
@@ -16,7 +17,6 @@ from cutcheck import (
     Intensional,
     Program,
     UNIVERSAL,
-    answers_of_pruned,
     build_tree,
     c_covered,
     completeness_check,
@@ -26,11 +26,10 @@ from cutcheck import (
     parse_query,
     parse_spec,
     prolog_search,
-    prune,
+    pruned_tree,
     recurrent_check,
     semi_complete,
 )
-from cutcheck.engine import preorder
 from cutcheck.pruning import is_executing
 from cutcheck.syntax import query_text, resolve_alphabet
 from cutcheck.terms import (
@@ -41,7 +40,7 @@ from cutcheck.terms import (
     apply,
     canonical,
     const,
-    enumerate_ground,
+    ground_terms,
     is_ground,
     match,
     rename_apart,
@@ -59,7 +58,8 @@ from conftest import (
     random_term_program,
 )
 from derivations import branch_derivation, subderivation, variant_equal
-from naive_unify import naive_apply, naive_unify
+from fixpoint import fixpoint_prune, walk_and_fixpoint
+from naive_unify import is_idempotent, naive_apply, naive_unify, occurs, range_vars
 
 
 def report(line: str):
@@ -72,24 +72,28 @@ class TestCriterion1PruningSemantics:
         prog = load_program("pruning_tree.pl")
         tree = build_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         assert tree.exact
-        pt = prune(tree)
-        kept_labels = {query_text(tree.nodes[n].query) for n in pt.kept}
+        pt = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
+        got, expected = walk_and_fixpoint(pt, fixpoint_prune(tree))
+        assert got == expected
+        kept_labels = {query_text(pt.base.nodes[n].query) for n in pt.kept}
         executing = next(
-            n for n in pt.kept if is_executing(tree, n)
-            and query_text(tree.nodes[n].query) == "!, r, !"
+            n for n in pt.kept if is_executing(pt.base, n)
+            and query_text(pt.base.nodes[n].query) == "!, r, !"
         )
         # descendants/right-side survivors of the executing (!, r, !) node:
         # only (r, !) below it and the top-level r branch remain
         assert "r, !" in kept_labels and "r" in kept_labels
         assert {"t, !", "r, r, !", ""}.isdisjoint(kept_labels)
-        assert answers_of_pruned(pt) == []
+        assert pt.answers == []
 
         modified = load_program("pruning_tree_modified.pl")
         tree2 = build_tree(modified, parse_query("p"), Budget(nodes=1000, steps=100))
-        pt2 = prune(tree2)
-        removed = {query_text(tree2.nodes[n].query) for n in set(tree2.ids) - pt2.kept}
+        pt2 = pruned_tree(modified, parse_query("p"), Budget(nodes=1000, steps=100))
+        got, expected = walk_and_fixpoint(pt2, fixpoint_prune(tree2))
+        assert got == expected
+        removed = {query_text(pt2.base.nodes[n].query) for n in set(pt2.base.ids) - pt2.kept}
         assert removed == {"r, r, !", "r"}
-        answers = [query_text(a) for a in answers_of_pruned(pt2)]
+        answers = [query_text(a) for a in pt2.answers]
         assert answers == ["p"]
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
@@ -108,13 +112,13 @@ class TestCriterion2OracleEquivalence:
 
     @staticmethod
     def _sequences_equal(prog, query, nodes=400, steps=400):
-        tree = build_tree(prog, query, Budget(nodes=nodes, steps=steps))
-        if not tree.exact:
+        pt = pruned_tree(prog, query, Budget(nodes=nodes, steps=steps))
+        if not pt.exact:
             return None
         res = prolog_search(prog, query, Budget(steps=5000))
         if not res.exact:
             return None
-        got = [repr(canonical(a)) for a in answers_of_pruned(prune(tree))]
+        got = [repr(canonical(a)) for a in pt.answers]
         want = [repr(canonical(a)) for a in res.answers]
         return got == want
 
@@ -150,8 +154,21 @@ class TestCriterion2OracleEquivalence:
 
 
 class TestCriterion3InExample:
-    def test_in_completeness_and_oracle(self):
+    def test_in_completeness_and_oracle(self, monkeypatch):
         t0 = time.perf_counter()
+        # 2,401 queries share one program and spec: compute the stages of the
+        # check that do not read the query once, keyed on everything they read
+        stages = cutcheck.verify._query_free_stages
+        memo: dict = {}
+
+        def memo_stages(program, suite, alphabet, depth):
+            key = (program, suite.s, suite.pre, suite.post,
+                   tuple(sorted(suite.named_sets.items())), alphabet, depth)
+            if key not in memo:
+                memo[key] = stages(program, suite, alphabet, depth)
+            return memo[key]
+
+        monkeypatch.setattr(cutcheck.verify, "_query_free_stages", memo_stages)
         prog = load_program("in.pl")
         suite = parse_spec(load_spec_text("in.spec"))
         alpha = resolve_alphabet(prog, (), suite)
@@ -160,9 +177,8 @@ class TestCriterion3InExample:
         )
         queries = enumerate_atoms(in_pre, alpha, 2, suite.resolver)
         assert len(queries) > 1000
-        cache: dict = {}
         for atom in queries:
-            rep = completeness_check(prog, (atom,), suite, cache=cache)
+            rep = completeness_check(prog, (atom,), suite)
             assert rep.verdict.is_verified, f"not verified: {query_text((atom,))}"
         for atom in queries:
             v = oracle_tree_complete(prog, (atom,), suite)
@@ -202,8 +218,7 @@ class TestCriterion4ArtificialExample:
         query = parse_query("p(a, Z)")
         rep = completeness_check(prog, query, suite)
         assert rep.verdict.is_verified
-        tree = build_tree(prog, query, suite.budget)
-        answers = [query_text(a) for a in answers_of_pruned(prune(tree))]
+        answers = [query_text(a) for a in pruned_tree(prog, query, suite.budget).answers]
         assert answers == ["p(a, c)"]
         assert oracle_tree_complete(prog, query, suite).is_verified
         elapsed = time.perf_counter() - t0
@@ -292,8 +307,7 @@ class TestCriterion7TheoremSoundness:
             rep = completeness_check(prog, query, suite)
             if not rep.verdict.is_verified:
                 continue
-            tree = build_tree(prog, query, budget)
-            if not prune(tree).exact:
+            if not pruned_tree(prog, query, budget).exact:
                 continue
             verified += 1
             v = oracle_tree_complete(prog, query, suite)
@@ -342,12 +356,12 @@ class TestCriterion8CoreAlgebra:
             assert (theta is None) == (reference is None), (s, t)
             if theta is None:
                 continue
-            assert reference.is_idempotent()
+            assert is_idempotent(reference)
             assert variant_equal(apply(theta, s), naive_apply(reference, s))
             assert apply(theta, s) == apply(theta, t)
-            assert theta.is_idempotent()
+            assert is_idempotent(theta)
             allowed = set(vars_of(s)) | set(vars_of(t))
-            assert theta.domain | theta.range_vars <= allowed
+            assert theta.domain | range_vars(theta) <= allowed
             assert all(not _occurs_in_own_binding(theta, v) for v in theta.domain)
 
         # match: general instance recovered, never the other way
@@ -372,8 +386,8 @@ class TestCriterion8CoreAlgebra:
             assert set(vars_of(variant)).isdisjoint(forbidden) or not vars_of(term)
             assert canonical(variant) == canonical(term)
 
-        # enumerate_ground: exhaustive and sound at depth <= 2
-        seen = set(enumerate_ground(self.ALPHABET, 2))
+        # ground_terms: exhaustive and sound at depth <= 2
+        seen = set(ground_terms(self.ALPHABET, 2))
         for t in seen:
             cases += 1
             assert is_ground(t) and term_depth(t) <= 2
@@ -421,8 +435,6 @@ class TestCriterion8CoreAlgebra:
 
 
 def _occurs_in_own_binding(theta, v):
-    from cutcheck.terms import occurs
-
     bound = theta.get(v)
     return bound is not None and occurs(v, bound)
 

@@ -1,7 +1,8 @@
 """Answers resolved at success leaves, checked against the naive algebra.
 
-Every node keeps only its own step mgu and an answer is resolved once per
-Success leaf; here each leaf's answer is recomputed the slow way: every mgu
+Every node keeps only its own step mgu, and the pruned-tree walk resolves an
+answer once per Success leaf through the bindings of the current root path;
+here each leaf's answer is recomputed the slow way: every mgu
 on its root path is recomputed with the naive unification of
 ``tests/naive_unify.py`` and composed naively, and the composition is
 applied to the query.
@@ -13,11 +14,11 @@ import pytest
 
 from cutcheck import Budget, parse_program, parse_query, prolog_search, pruned_tree
 from cutcheck.cli import main
-from cutcheck.engine import SUCCESS, preorder
-from cutcheck.pruning import answers_of_pruned
+from cutcheck.engine import SUCCESS
 from cutcheck.terms import CUT, EMPTY_SUBST, canonical
 
 from conftest import load_program
+from full_tree import preorder
 from naive_unify import naive_apply, naive_compose, naive_unify
 
 APPMEM = """\
@@ -53,7 +54,7 @@ def naive_answers(pt) -> list:
 
 def check_answers(program, query, budget) -> list:
     pt = pruned_tree(program, query, budget)
-    got = answers_of_pruned(pt)
+    got = pt.answers
     assert got == naive_answers(pt)
     return got
 
@@ -114,7 +115,7 @@ class TestAnswersEqualNaiveComposition:
             program = parse_program(random_af_program(rng))
             query = parse_query(rng.choice(["p(X)", "q(X, Y)", "q(f(X), X)"]))
             pt = pruned_tree(program, query, Budget(nodes=200, steps=20))
-            got = answers_of_pruned(pt)
+            got = pt.answers
             assert got == naive_answers(pt)
             answered += bool(got)
             search = prolog_search(program, query, Budget(steps=200))

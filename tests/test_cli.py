@@ -67,8 +67,8 @@ class TestTreeAndPrune:
     def test_prune_json(self, capsys, program_path):
         code, out, _ = run(capsys, "prune", program_path, "p", "--json")
         obj = json.loads(out)
-        assert obj["kept"] == [0, 1, 2, 3, 5, 8]
-        assert obj["pruned"] == [4, 6, 7, 9]
+        assert obj["kept"] == [0, 1, 2, 3, 5, 6]
+        assert obj["pruned"] == [4]
 
     def test_golden_dot(self, capsys, program_path, fixtures_dir, tmp_path):
         target = tmp_path / "out.dot"
@@ -84,7 +84,7 @@ class TestTreeAndPrune:
         obj = json.loads(out)
         assert code == 0 and obj["exact"] is True and len(obj["kept"]) == 4
         code, out, _ = run(capsys, "prune", str(p), "p", "--nodes", "500")
-        assert code == 0 and out.strip() == "pruned tree: 4 of 500 nodes, exact=True"
+        assert code == 0 and out.strip() == "pruned tree: 4 of 5 nodes, exact=True"
         code, out, _ = run(capsys, "tree", str(p), "p", "--nodes", "500")
         assert code == 3 and "exact=False" in out
 
@@ -271,13 +271,19 @@ class TestErrorsAndEnv:
         assert proc.stderr == "internal error: RuntimeError('boom')\n"
 
     @pytest.mark.parametrize("cells", [1500, 5000])
-    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("command", ["run", "oracle", "tree", "prune"])
     def test_deep_list_query_no_traceback(self, fixtures_dir, command, cells):
         query = "app(X, Y, [" + ", ".join(["1"] * cells) + "])"
         proc = cli([command, str(fixtures_dir / "append.pl"), query, "--nodes", "20",
                     "--steps", "10"])
-        assert proc.returncode in (0, 3) and proc.stderr == ""
-        assert proc.stdout.startswith("app([], [1, 1, 1")
+        if command in ("run", "oracle"):
+            assert proc.returncode in (0, 3) and proc.stderr == ""
+            assert proc.stdout.startswith("app([], [1, 1, 1")
+        else:
+            # ten steps cover ten of the cells: the tree is cut off by the budget
+            assert proc.returncode == 3 and proc.stderr == ""
+            shown = "tree" if command == "tree" else "pruned tree"
+            assert proc.stdout.startswith(f"{shown}: ") and proc.stdout.endswith(" exact=False\n")
 
     @pytest.mark.parametrize("cells", [1500, 5000])
     def test_deep_list_check_no_traceback(self, fixtures_dir, cells):

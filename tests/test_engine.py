@@ -1,16 +1,16 @@
 import pytest
 
-from cutcheck import Budget, CUT, Program, apply, build_tree, parse_program, parse_query, preorder
+from cutcheck import Budget, CUT, Program, apply, build_tree, parse_program, parse_query
 from cutcheck.engine import (
     FAILURE,
     SUCCESS,
     TRUNCATED,
-    answers,
 )
 from cutcheck.syntax import query_text
 from cutcheck.terms import canonical, vars_of
 
 from derivations import branch_derivation, subderivation
+from full_tree import answers, preorder
 
 
 def tree_of(src: str, query: str, **kw):

@@ -21,19 +21,16 @@ from cutcheck.terms import (
     compose,
     cons,
     const,
-    enumerate_ground,
     ground_atoms,
     ground_terms,
     infer_alphabet,
     is_ground,
     is_list,
     list_items,
-    list_length,
     list_norm,
     make_list,
     match,
     most_general_atom,
-    occurs,
     rename_apart,
     resolve,
     term_depth,
@@ -44,6 +41,7 @@ from cutcheck.terms import (
 )
 
 from derivations import variant_equal
+from naive_unify import is_idempotent, occurs, range_vars
 
 a, b = const("a"), const("b")
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -73,8 +71,8 @@ class TestUnify:
 
     def test_idempotent_and_relevant(self):
         s = unify(f(X, Y), f(Y, a))
-        assert s.is_idempotent()
-        assert s.domain | s.range_vars <= {"X", "Y"}
+        assert is_idempotent(s)
+        assert s.domain | range_vars(s) <= {"X", "Y"}
 
     def test_cut_rejected(self):
         with pytest.raises(CutUnificationError):
@@ -195,7 +193,6 @@ class TestLists:
         t = make_list([a, b])
         assert is_list(t)
         assert list_items(t) == [a, b]
-        assert list_length(t) == 2
 
     def test_improper(self):
         t = cons(a, X)
@@ -256,7 +253,7 @@ class TestEnumeration:
 
     def test_enumerate_ground_instances(self):
         alpha = Alphabet((("a", 0), ("b", 0)), ())
-        terms = list(enumerate_ground(alpha, 0))
+        terms = list(ground_terms(alpha, 0))
         assert terms == [a, b]
         assert all(is_ground(t) for t in terms)
 

@@ -6,7 +6,6 @@ from cutcheck import (
     Budget,
     Extensional,
     Intensional,
-    Program,
     UNIVERSAL,
     UnionSet,
     acceptable_check,
@@ -560,14 +559,3 @@ class TestReaders:
         assert reads("s(f(X, [Y]), L)") == {"X", "Y"}  # coefficient 0 reads nothing
         assert level_reads(CUT, maps) == set()
 
-
-class TestCompletenessCache:
-    def test_cache_is_keyed_on_the_program(self):
-        prog, suite, _ = setup_example("in.pl", "in.spec")
-        without_m2 = Program(tuple(c for c in prog.clauses if c is not prog.clauses[3]))
-        query = parse_query("in([2], [1, 2])")
-        cache: dict = {}
-        assert completeness_check(prog, query, suite, cache=cache).verdict.is_verified
-        rep = completeness_check(without_m2, query, suite, cache=cache)
-        assert not rep.verdict.is_verified
-        assert rep.verdict.status == completeness_check(without_m2, query, suite).verdict.status
