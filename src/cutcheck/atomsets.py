@@ -1,4 +1,5 @@
-"""Sets of atoms: extensional, guarded-pattern (intensional), unions, universal.
+"""Sets of atoms: one ``AtomSet`` value lists ground atoms and guarded
+patterns, or holds every atom.
 
 Membership of non-ground atoms is decided soundly: ``contains`` answers True
 only when the guard conjunction literally holds on the atom, which (for the
@@ -81,38 +82,24 @@ class AtomPattern:
 
 
 @dataclass(frozen=True)
-class Extensional:
-    atoms: tuple = ()  # sorted ground atoms
+class AtomSet:
+    """A set of atoms: every atom when ``universal``, else the listed ground
+    ``atoms`` (kept sorted and deduplicated) and the instances of the guarded
+    ``patterns``.  ``a | b`` is the union, taken field by field."""
+
+    universal: bool = False
+    atoms: tuple = ()
+    patterns: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms), key=atom_key)))
 
-
-@dataclass(frozen=True)
-class Intensional:
-    patterns: tuple = ()
-
-
-@dataclass(frozen=True)
-class UnionSet:
-    parts: tuple = ()
+    def __or__(self, other: "AtomSet") -> "AtomSet":
+        return AtomSet(self.universal or other.universal, self.atoms + other.atoms,
+                       self.patterns + other.patterns)
 
 
-class _Universal:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "any."
-
-
-UNIVERSAL = _Universal()
-
-AtomSet = object  # Extensional | Intensional | UnionSet | _Universal
+UNIVERSAL = AtomSet(universal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -182,52 +169,35 @@ def guard_holds(guard: Guard, env: Subst, facts=None, resolver=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def contains(s, a: Pred, resolver=None, facts=None) -> bool:
+def contains(s: AtomSet, a: Pred, resolver=None, facts=None) -> bool:
     """Sound membership: True only when every instance of ``a`` is in ``s``."""
-    if s is UNIVERSAL:
+    if s.universal or a in s.atoms:  # the listed atoms are ground
         return True
-    if isinstance(s, UnionSet):
-        return any(contains(p, a, resolver, facts) for p in s.parts)
-    if isinstance(s, Extensional):
-        return is_ground(a) and a in s.atoms
-    if isinstance(s, Intensional):
-        for p in s.patterns:
-            theta = match(p.template, a)
-            if theta is None:
-                continue
-            if all(guard_holds(g, theta, facts, resolver) for g in p.guards):
-                return True
-        return False
-    raise TypeError(f"not an atom set: {s!r}")
+    for p in s.patterns:
+        theta = match(p.template, a)
+        if theta is not None and all(guard_holds(g, theta, facts, resolver) for g in p.guards):
+            return True
+    return False
 
 
-def possibly_contains(s, a: Pred, resolver=None) -> bool:
+def possibly_contains(s: AtomSet, a: Pred, resolver=None) -> bool:
     """Over-approximate membership: False only when no instance of ``a`` is in ``s``."""
-    if s is UNIVERSAL:
+    if is_ground(a):
+        return contains(s, a, resolver)
+    if s.universal or any(match(a, m) is not None for m in s.atoms):
         return True
-    if isinstance(s, UnionSet):
-        return any(possibly_contains(p, a, resolver) for p in s.parts)
-    if isinstance(s, Extensional):
-        if is_ground(a):
-            return a in s.atoms
-        return any(match(a, m) is not None for m in s.atoms)
-    if isinstance(s, Intensional):
-        if is_ground(a):
-            return contains(s, a, resolver)
-        for p in s.patterns:
-            t = rename_apart(p.template, vars_of(a))
-            if isinstance(t, Pred) and unify(t, a) is not None:
-                return True
-        return False
-    raise TypeError(f"not an atom set: {s!r}")
+    for p in s.patterns:
+        t = rename_apart(p.template, vars_of(a))
+        if isinstance(t, Pred) and unify(t, a) is not None:
+            return True
+    return False
 
 
-def membership_reads(s, atom: Pred) -> set:
+def membership_reads(s: AtomSet, atom: Pred) -> set:
     """Variables of ``atom`` whose values can decide whether a ground instance
     of it lies in ``s``: those in an argument that is not free in s.
 
-    Argument i of p/n is free in s when every part of s is universal, an
-    extensional set without p/n atoms, or a pattern set whose every p/n
+    Argument i of p/n is free in s when s lists no p/n atom and every p/n
     pattern has at position i a variable occurring once in the template and
     in no guard (``notin`` templates count as guards).  Changing a free
     argument of a ground atom never changes its membership, so the answer
@@ -237,47 +207,28 @@ def membership_reads(s, atom: Pred) -> set:
         return set()
     key = (atom.name, len(atom.args))
     free = set(range(len(atom.args)))
-    todo = [s]
-    while todo and free:
-        part = todo.pop()
-        if part is UNIVERSAL:
+    if any((a.name, len(a.args)) == key for a in s.atoms):
+        free.clear()
+    for p in s.patterns:
+        if not free:
+            break
+        t = p.template
+        if (t.name, len(t.args)) != key:
             continue
-        if isinstance(part, UnionSet):
-            todo.extend(part.parts)
-        elif isinstance(part, Extensional):
-            if any((a.name, len(a.args)) == key for a in part.atoms):
-                free.clear()
-        elif isinstance(part, Intensional):
-            for p in part.patterns:
-                t = p.template
-                if (t.name, len(t.args)) != key:
-                    continue
-                guarded = vars_of(
-                    tuple(a for g in p.guards for a in g.args if not isinstance(a, str))
-                )
-                for i in list(free):
-                    x, others = t.args[i], t.args[:i] + t.args[i + 1:]
-                    if not isinstance(x, Var) or x.name in guarded or x.name in vars_of(others):
-                        free.discard(i)
-        else:
-            raise TypeError(f"not an atom set: {part!r}")
+        guarded = vars_of(tuple(a for g in p.guards for a in g.args if not isinstance(a, str)))
+        for i in list(free):
+            x, others = t.args[i], t.args[:i] + t.args[i + 1:]
+            if not isinstance(x, Var) or x.name in guarded or x.name in vars_of(others):
+                free.discard(i)
     return set(vars_of(tuple(a for i, a in enumerate(atom.args) if i not in free)))
 
 
-def set_predicates(s) -> set:
-    """(name, arity) pairs the set can mention."""
-    if s is UNIVERSAL:
-        return set()  # caller must fall back to the alphabet
-    if isinstance(s, UnionSet):
-        out = set()
-        for p in s.parts:
-            out |= set_predicates(p)
-        return out
-    if isinstance(s, Extensional):
-        return {(a.name, len(a.args)) for a in s.atoms}
-    if isinstance(s, Intensional):
-        return {(p.template.name, len(p.template.args)) for p in s.patterns}
-    raise TypeError(f"not an atom set: {s!r}")
+def set_predicates(s: AtomSet) -> set:
+    """(name, arity) pairs the set lists; a universal set mentions every
+    predicate, and the caller must fall back to the alphabet for those."""
+    return {(a.name, len(a.args)) for a in s.atoms} | {
+        (p.template.name, len(p.template.args)) for p in s.patterns
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +398,15 @@ def _freeze_resolver(resolver):
     return tuple(sorted(resolver.items(), key=lambda kv: kv[0]))
 
 
-def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int = 1_000_000,
-                    predicate=None):
+def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
+                    cap: int = 1_000_000, predicate=None):
     """All ground atoms of ``s`` with argument depth <= depth, sorted, deduped.
 
     With ``predicate`` = (name, arity) only the atoms of that predicate, and
     only the part of ``s`` that can hold them is enumerated (see
-    ``_predicate_part``); the cap counts that part's work alone.
+    ``_predicate_part``); the cap counts that part's work alone.  One counter
+    serves the whole set: the universal part adds the size of its product
+    before it is built, each pattern every candidate it tries.
 
     Results are memoized, the too-large outcome included: all set objects
     involved are immutable, so repeated checks over the same specification
@@ -484,59 +437,40 @@ def enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int =
     return result
 
 
-def _predicate_part(s, alphabet: Alphabet, predicate) -> tuple:
+def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
     """The part of ``s`` that can hold atoms of ``predicate`` = (name, arity),
     and the alphabet to enumerate it over.
 
-    That part keeps the union parts that can hold such atoms, the
-    extensional atoms and the patterns of that predicate; a universal part
-    is enumerated over an alphabet whose only predicate is that one.
+    That part keeps the listed atoms and the patterns of that predicate; a
+    universal set is enumerated over an alphabet whose only predicate is
+    that one.
     """
-    universal = False
-
-    def part(x):
-        nonlocal universal
-        if x is UNIVERSAL:
-            universal = True
-            return x
-        if isinstance(x, UnionSet):
-            parts = tuple(q for q in map(part, x.parts) if q is not None)
-            return UnionSet(parts) if parts else None
-        if isinstance(x, Extensional):
-            atoms = tuple(a for a in x.atoms if (a.name, len(a.args)) == predicate)
-            return Extensional(atoms) if atoms else None
-        if isinstance(x, Intensional):
-            patterns = tuple(
-                p for p in x.patterns if (p.template.name, len(p.template.args)) == predicate
-            )
-            return Intensional(patterns) if patterns else None
-        raise TypeError(f"not an atom set: {x!r}")
-
-    restricted = part(s)
-    if universal:
+    part = AtomSet(
+        s.universal,
+        tuple(a for a in s.atoms if (a.name, len(a.args)) == predicate),
+        tuple(p for p in s.patterns if (p.template.name, len(p.template.args)) == predicate),
+    )
+    if s.universal:
         alphabet = Alphabet(alphabet.functors, (predicate,))
-    return (Extensional() if restricted is None else restricted), alphabet
+    return part, alphabet
 
 
-def _enumerate_atoms(s, alphabet: Alphabet, depth: int, resolver=None, cap: int = 1_000_000):
-    if s is UNIVERSAL:
-        return list(ground_atoms(alphabet, depth))
-    if isinstance(s, UnionSet):
-        out: dict = {}
-        for p in s.parts:
-            for a in enumerate_atoms(p, alphabet, depth, resolver, cap):
-                out[a] = None
-        return sorted(out, key=atom_key)
-    if isinstance(s, Extensional):
-        return [a for a in s.atoms if atom_depth(a) <= depth]
-    if isinstance(s, Intensional):
-        counter = [0]
-        out = {}
-        for p in s.patterns:
-            for a in _enumerate_pattern(p, alphabet, depth, resolver, cap, counter):
-                out[a] = None
-        return sorted(out, key=atom_key)
-    raise TypeError(f"not an atom set: {s!r}")
+def _enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
+                     cap: int = 1_000_000):
+    counter = [0]
+    out: dict = {}
+    if s.universal:
+        n = len(ground_terms(alphabet, depth))
+        counter[0] = sum(n ** k for _, k in alphabet.predicates)
+        if counter[0] > cap:
+            raise AtomSetTooLarge(f"universal enumeration cap {cap} hit at depth {depth}")
+        if not s.atoms and not s.patterns:
+            return list(ground_atoms(alphabet, depth))  # sorted, and cached by ground_atoms
+        out.update(dict.fromkeys(ground_atoms(alphabet, depth)))
+    out.update(dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth))
+    for p in s.patterns:
+        out.update(dict.fromkeys(_enumerate_pattern(p, alphabet, depth, resolver, cap, counter)))
+    return sorted(out, key=atom_key)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +564,8 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
             else:
                 mapping[v] = Var(f"G{next(fresh)}")
         cand = apply(Subst(mapping), pattern.template)
-        if match(cand, a) is None or not contains(Intensional((pattern,)), cand, resolver):
-            return [a] if contains(Intensional((pattern,)), a, resolver) else []
+        if match(cand, a) is None or not contains(AtomSet(patterns=(pattern,)), cand, resolver):
+            return [a] if contains(AtomSet(patterns=(pattern,)), a, resolver) else []
         return [cand]
 
     # Relational guards: bounded walk over the generalization lattice of `a`.
@@ -651,25 +585,18 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
     members = [
         g
         for g in pool.values()
-        if match(g, a) is not None and contains(Intensional((pattern,)), g, resolver)
+        if match(g, a) is not None and contains(AtomSet(patterns=(pattern,)), g, resolver)
     ]
     return _maximal_filter(members)
 
 
-def max_generalizations(a: Pred, s, resolver=None, cap: int = 8192):
+def max_generalizations(a: Pred, s: AtomSet, resolver=None, cap: int = 8192):
     """Maximally general members of ``s`` with ``a`` as an instance.
 
     Raises CapHit when a pattern's lattice walk reaches its cap."""
-    if s is UNIVERSAL:
-        return [most_general_atom(a.name, len(a.args))]
-    if isinstance(s, Extensional):
-        return [a] if a in s.atoms else []
-    if isinstance(s, UnionSet):
-        return _maximal_filter(
-            [g for p in s.parts for g in max_generalizations(a, p, resolver, cap)]
-        )
-    if isinstance(s, Intensional):
-        return _maximal_filter(
-            [g for p in s.patterns for g in max_generalizations_pattern(a, p, resolver, cap)]
-        )
-    raise TypeError(f"not an atom set: {s!r}")
+    members = [most_general_atom(a.name, len(a.args))] if s.universal else []
+    if a in s.atoms:
+        members.append(a)
+    for p in s.patterns:
+        members.extend(max_generalizations_pattern(a, p, resolver, cap))
+    return _maximal_filter(members)

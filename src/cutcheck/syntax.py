@@ -18,19 +18,13 @@ Spec files are section-structured::
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .atomsets import (
-    UNIVERSAL,
-    AtomPattern,
-    Extensional,
-    Guard,
-    GUARD_ARITIES,
-    Intensional,
-    UnionSet,
-)
+from .atomsets import UNIVERSAL, AtomPattern, AtomSet, Guard, GUARD_ARITIES
 from .engine import Budget, Program
 from .levels import LevelMapping
 from .terms import (
@@ -46,6 +40,7 @@ from .terms import (
     infer_alphabet,
     list_items,
     merge_alphabets,
+    vars_of,
 )
 
 
@@ -316,9 +311,9 @@ def subst_text(s) -> str:
 class SpecSuite:
     """A verification task: sets S/pre/post, level mappings, bounds."""
 
-    s: object = UNIVERSAL
-    pre: object = UNIVERSAL
-    post: object = UNIVERSAL
+    s: AtomSet = UNIVERSAL
+    pre: AtomSet = UNIVERSAL
+    post: AtomSet = UNIVERSAL
     level_maps: dict = field(default_factory=dict)
     alphabet: Optional[Alphabet] = None
     budget: Budget = field(default_factory=Budget)
@@ -472,27 +467,12 @@ class _SpecEntryParser(_Parser):
         return maps
 
 
-def _make_set(universal: bool, patterns: list):
+def _make_set(universal: bool, patterns: list) -> AtomSet:
     if universal:
         return UNIVERSAL
-    ground = [p.template for p in patterns if not p.guards and not _has_vars(p.template)]
-    guarded = [p for p in patterns if p.guards or _has_vars(p.template)]
-    parts = []
-    if ground:
-        parts.append(Extensional(tuple(ground)))
-    if guarded:
-        parts.append(Intensional(tuple(guarded)))
-    if not parts:
-        return Extensional(())
-    if len(parts) == 1:
-        return parts[0]
-    return UnionSet(tuple(parts))
-
-
-def _has_vars(atom: Pred) -> bool:
-    from .terms import vars_of
-
-    return bool(vars_of(atom))
+    ground = [p.template for p in patterns if not p.guards and not vars_of(p.template)]
+    return AtomSet(atoms=tuple(ground),
+                   patterns=tuple(p for p in patterns if p.guards or vars_of(p.template)))
 
 
 def parse_spec(text: str) -> SpecSuite:
@@ -539,16 +519,9 @@ def parse_spec(text: str) -> SpecSuite:
     for set_name, line, col in set_refs:
         if set_name not in declared:
             raise ParseError(f"undeclared set {set_name!r} in notin guard", line, col)
-    if s_parts:
-        universal_s = [p for p in s_parts if p is UNIVERSAL]
-        if universal_s:
-            suite.s = UNIVERSAL
-        elif len(s_parts) == 1:
-            suite.s = s_parts[0]
-        else:
-            suite.s = UnionSet(tuple(s_parts))
-    else:
-        suite.s = Extensional(())
+    suite.s = functools.reduce(operator.or_, s_parts, AtomSet())
+    if suite.s.universal:  # an ``any.`` section: the other sections add nothing
+        suite.s = UNIVERSAL
     if saw_alphabet:
         suite.alphabet = Alphabet(tuple(functors), tuple(predicates))
     return suite

@@ -18,11 +18,9 @@ from typing import Optional
 from .atomsets import (
     UNIVERSAL,
     AtomPattern,
+    AtomSet,
     CapHit,
-    Extensional,
     Guard,
-    Intensional,
-    UnionSet,
     contains,
     enumerate_atoms,
     guard_holds,
@@ -40,7 +38,6 @@ from .syntax import (
     query_text,
     resolve_alphabet,
     subst_text,
-    term_text,
 )
 from .terms import (
     CUT,
@@ -57,7 +54,6 @@ from .terms import (
     compose,
     ground_terms,
     is_ground,
-    list_items,
     match,
     most_general_atom,
     rename_apart,
@@ -112,7 +108,8 @@ class _CoverSearch:
     when a candidate enumeration reaches its cap.
     """
 
-    def __init__(self, s, alphabet: Alphabet, depth: int, resolver=None, cap: int = _DEFAULT_CAP):
+    def __init__(self, s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
+                 cap: int = _DEFAULT_CAP):
         self.s = s
         self.alphabet = alphabet
         self.depth = depth
@@ -123,15 +120,8 @@ class _CoverSearch:
 
     def _candidates(self, atom: Pred):
         key = (atom.name, len(atom.args))
-        if isinstance(self.s, Extensional):
+        if not self.s.universal and not self.s.patterns:
             return [a for a in self.s.atoms if (a.name, len(a.args)) == key]
-        if isinstance(self.s, UnionSet) and all(
-            isinstance(p, Extensional) for p in self.s.parts
-        ):
-            out = []
-            for p in self.s.parts:
-                out.extend(a for a in p.atoms if (a.name, len(a.args)) == key)
-            return out
         self.exhaustive = False
         return enumerate_atoms(self.s, self.alphabet, self.depth, self.resolver, self.cap,
                                predicate=key)
@@ -317,54 +307,43 @@ def _guard_facts(guard: Guard, env: Subst, resolver):
     raise ValueError(f"unknown guard {name!r}")  # pragma: no cover
 
 
-def _membership_branches(atom: Pred, s, sigma: Subst, facts: dict, fresh: FreshNames, resolver):
+def _membership_branches(atom: Pred, s: AtomSet, sigma: Subst, facts: dict, fresh: FreshNames,
+                         resolver):
     """Over-approximate the instances whose ``atom`` lies in ``s``.
 
     Returns a list of (sigma', facts') branches such that every instance with
     the atom in the set is an instance of some branch.
     """
     at = apply(sigma, atom)
-    if s is UNIVERSAL:
-        return [(sigma, facts)]
-    if isinstance(s, UnionSet):
-        out = []
-        for p in s.parts:
-            out.extend(_membership_branches(atom, p, sigma, facts, fresh, resolver))
-        return out
-    if isinstance(s, Extensional):
-        out = []
-        for m in s.atoms:
-            if (m.name, len(m.args)) != (at.name, len(at.args)):
-                continue
-            theta = unify(at, m)
-            if theta is not None:
-                out.append((compose(sigma, theta), facts))
-        return out
-    if isinstance(s, Intensional):
-        out = []
-        for p in s.patterns:
-            variant_pattern = _rename_pattern(p, set(vars_of(at)), fresh)
-            theta = unify(at, variant_pattern.template)
-            if theta is None:
-                continue
-            new_facts = {k: set(v) for k, v in facts.items()}
-            refined = theta
-            dropped = False
-            for g in variant_pattern.guards:
-                got, extra_theta = _guard_facts(g, refined, resolver)
-                if got == "drop":
-                    dropped = True
-                    break
-                if extra_theta is not None:
-                    refined = compose(refined, extra_theta)
-                if got:
-                    for k, flags in got.items():
-                        new_facts.setdefault(k, set()).update(flags)
-            if dropped:
-                continue
-            out.append((compose(sigma, refined), new_facts))
-        return out
-    raise TypeError(f"not an atom set: {s!r}")
+    out = [(sigma, facts)] if s.universal else []
+    for m in s.atoms:
+        if (m.name, len(m.args)) != (at.name, len(at.args)):
+            continue
+        theta = unify(at, m)
+        if theta is not None:
+            out.append((compose(sigma, theta), facts))
+    for p in s.patterns:
+        variant_pattern = _rename_pattern(p, set(vars_of(at)), fresh)
+        theta = unify(at, variant_pattern.template)
+        if theta is None:
+            continue
+        new_facts = {k: set(v) for k, v in facts.items()}
+        refined = theta
+        dropped = False
+        for g in variant_pattern.guards:
+            got, extra_theta = _guard_facts(g, refined, resolver)
+            if got == "drop":
+                dropped = True
+                break
+            if extra_theta is not None:
+                refined = compose(refined, extra_theta)
+            if got:
+                for k, flags in got.items():
+                    new_facts.setdefault(k, set()).update(flags)
+        if dropped:
+            continue
+        out.append((compose(sigma, refined), new_facts))
+    return out
 
 
 def _guard_var_names(p: AtomPattern) -> set:
@@ -522,8 +501,7 @@ def _taken_pred_names(program: Program, *sets) -> set:
     for c in program.clauses:
         taken.update(a.name for a in c.body if a is not CUT)
     for s in sets:
-        if s is not None and s is not UNIVERSAL:
-            taken.update(name for name, _ in set_predicates(s))
+        taken.update(name for name, _ in set_predicates(s))
     return taken
 
 
@@ -537,8 +515,8 @@ def well_asserted_query(query: tuple, pre, post, *, program: Optional[Program] =
     name = _fresh_pred_name(taken)
     marker = Pred(name)
     clause = Clause(marker, tuple(query))
-    pre2 = UnionSet((pre, Extensional((marker,))))
-    post2 = UnionSet((post, Extensional((marker,))))
+    pre2 = pre | AtomSet(atoms=(marker,))
+    post2 = post | AtomSet(atoms=(marker,))
     alphabet = alphabet or resolve_alphabet(program, query)
     return well_asserted_clause(
         clause, pre2, post2, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap
@@ -617,7 +595,7 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
     if split is None:
         return Verdict.verified("clause has no cut")
     b0, b1 = split
-    if pre is UNIVERSAL:
+    if pre == UNIVERSAL:
         rhos = [EMPTY_SUBST] if match(clause.head, a) is not None else []
         rho_sources = [(EMPTY_SUBST, clause)] if rhos else []
     else:
@@ -650,8 +628,8 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
             unknown = unknown or f"eta enumeration exhausted depth {depth}"
         for eta in etas:
             reduced = Clause(apply(eta, head_r), apply(eta, b1r))
-            v = covered(a, reduced, s, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap)
-            if v.is_refuted:
+            status, found = _covering_instance(a, reduced, s, alphabet, depth, resolver, cap)
+            if status == "refuted":
                 return Verdict.refuted(
                     {
                         "atom": atom_text(a),
@@ -661,8 +639,8 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
                     },
                     "after the cut fires, the remaining clause no longer covers the atom",
                 )
-            if v.is_unknown:
-                unknown = unknown or v.reason
+            if status == "unknown":
+                unknown = unknown or found
     if unknown:
         return Verdict.unknown(unknown)
     return Verdict.verified()
@@ -725,20 +703,22 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alp
     )
 
 
-def s_subset_post_check(s, post, *, alphabet: Alphabet, depth: int = 3, resolver=None) -> Verdict:
-    """Premise check S subset-of post: subsumption plus a bounded probe."""
-    if post is UNIVERSAL:
+def s_subset_post_check(s: AtomSet, post: AtomSet, *, alphabet: Alphabet, depth: int = 3,
+                        resolver=None) -> Verdict:
+    """Premise check S subset-of post: the members of S up to the depth bound,
+    then every atom S lists, whatever its depth, must lie in post."""
+    if post == UNIVERSAL:
         return Verdict.verified("post is the universal set")
     try:
         members = enumerate_atoms(s, alphabet, depth, resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
-    for a in members:
+    for a in itertools.chain(members, s.atoms):
         if not contains(post, a, resolver):
             return Verdict.refuted(
                 {"atom": atom_text(a), "note": "in S but not in post"}
             )
-    if isinstance(s, Extensional):
+    if not s.universal and not s.patterns:
         return Verdict.verified("all members probed")
     return Verdict.verified(f"probe up to depth {depth} passed")
 
@@ -912,10 +892,10 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
         inst = apply(theta, query)
         if all(x is CUT or contains(suite.s, x, resolver) for x in inst):
             ext.append(apply(theta, head))
-    s2 = UnionSet((suite.s, Extensional(tuple(ext))))
-    marker = Intensional((AtomPattern(most_general_atom(name, len(names)), ()),))
-    pre2 = UnionSet((suite.pre, marker))
-    post2 = UnionSet((suite.post, marker))
+    marker = AtomSet(patterns=(AtomPattern(most_general_atom(name, len(names)), ()),))
+    s2 = suite.s | AtomSet(atoms=tuple(ext))
+    pre2 = suite.pre | marker
+    post2 = suite.post | marker
     suite2 = replace(
         suite,
         s=s2,

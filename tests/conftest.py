@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cutcheck import CUT, Budget, Extensional, Program, UNIVERSAL, parse_program, parse_query
+from cutcheck import CUT, AtomSet, Budget, Program, UNIVERSAL, parse_program, parse_query
 from cutcheck.syntax import SpecSuite
 from cutcheck.terms import Pred
 
@@ -79,5 +79,5 @@ def least_model_propositional(program: Program) -> set:
 
 
 def propositional_suite(model: set, budget: Budget) -> SpecSuite:
-    atoms = Extensional(tuple(Pred(p) for p in sorted(model)))
+    atoms = AtomSet(atoms=tuple(Pred(p) for p in sorted(model)))
     return SpecSuite(s=atoms, pre=UNIVERSAL, post=atoms, budget=budget)

@@ -13,8 +13,7 @@ import cutcheck.verify
 from cutcheck import (
     Budget,
     CUT,
-    Extensional,
-    Intensional,
+    AtomSet,
     Program,
     UNIVERSAL,
     build_tree,
@@ -172,9 +171,7 @@ class TestCriterion3InExample:
         prog = load_program("in.pl")
         suite = parse_spec(load_spec_text("in.spec"))
         alpha = resolve_alphabet(prog, (), suite)
-        in_pre = Intensional(
-            tuple(p for p in suite.pre.patterns if p.template.name == "in")
-        )
+        in_pre = AtomSet(patterns=tuple(p for p in suite.pre.patterns if p.template.name == "in"))
         queries = enumerate_atoms(in_pre, alpha, 2, suite.resolver)
         assert len(queries) > 1000
         for atom in queries:

@@ -3,12 +3,10 @@ import pytest
 from cutcheck.atomsets import (
     AtomPattern,
     AtomSetTooLarge,
+    AtomSet,
     CapHit,
-    Extensional,
     Guard,
-    Intensional,
     UNIVERSAL,
-    UnionSet,
     contains,
     enumerate_atoms,
     guard_holds,
@@ -37,7 +35,7 @@ ALPHA = Alphabet((("1", 0), ("2", 0), ("[]", 0), (".", 2)), (("p", 1), ("q", 2))
 
 
 def pat(template, *guards):
-    return Intensional((AtomPattern(template, tuple(guards)),))
+    return AtomSet(patterns=(AtomPattern(template, tuple(guards)),))
 
 
 class TestGuards:
@@ -68,7 +66,7 @@ class TestGuards:
         assert not guard_holds(Guard("ground_list", (make_list([X]),)), Subst(), None, None)
 
     def test_notin_resolves_named_set(self):
-        resolver = {"other": Extensional((Pred("p", (a,)),))}
+        resolver = {"other": AtomSet(atoms=(Pred("p", (a,)),))}
         g = Guard("notin", (Pred("p", (Var("X"),)), "other"))
         assert not guard_holds(g, Subst({"X": a}), None, resolver)
         assert guard_holds(g, Subst({"X": b}), None, resolver)
@@ -76,7 +74,7 @@ class TestGuards:
 
 class TestContains:
     def test_extensional_ground_only(self):
-        s = Extensional((Pred("p", (a,)),))
+        s = AtomSet(atoms=(Pred("p", (a,)),))
         assert contains(s, Pred("p", (a,)))
         assert not contains(s, Pred("p", (X,)))
         assert possibly_contains(s, Pred("p", (X,)))
@@ -90,14 +88,15 @@ class TestContains:
         assert not contains(s, Pred("p", (a,)))
 
     def test_union_and_universal(self):
-        s = UnionSet((Extensional((Pred("p", (a,)),)), UNIVERSAL))
+        s = AtomSet(atoms=(Pred("p", (a,)),)) | UNIVERSAL
         assert contains(s, Pred("q", (b, b)))
         assert contains(UNIVERSAL, Pred("anything", ()))
+        assert possibly_contains(s, Pred("q", (X, Y)))
 
 
 class TestEnumerate:
     def test_extensional_depth_filter(self):
-        s = Extensional((Pred("p", (make_list([one, two]),)), Pred("p", (a,))))
+        s = AtomSet(atoms=(Pred("p", (make_list([one, two]),)), Pred("p", (a,))))
         assert enumerate_atoms(s, ALPHA, 0) == [Pred("p", (a,))]
 
     def test_guard_driven_concat(self):
@@ -123,6 +122,12 @@ class TestEnumerate:
 
             assert atom.args[0] in list_items(t)
 
+    def test_universal_cap_counts_the_product_before_building_it(self):
+        alphabet = Alphabet((("a", 0), ("f", 1), ("g", 2)), (("p", 3),))  # 13 terms at depth 2
+        with pytest.raises(AtomSetTooLarge, match="universal enumeration cap 100 hit at depth 2"):
+            enumerate_atoms(UNIVERSAL, alphabet, 2, cap=100, predicate=("p", 3))
+        assert len(enumerate_atoms(UNIVERSAL, alphabet, 2, cap=13 ** 3, predicate=("p", 3))) == 2197
+
     def test_cap(self):
         s = pat(Pred("q", (X, Y)))
         with pytest.raises(AtomSetTooLarge):
@@ -135,7 +140,7 @@ class TestMaxGeneralizations:
         assert gens == [most_general_atom("p", 1)]
 
     def test_extensional_gives_atom_itself(self):
-        s = Extensional((Pred("p", (a,)),))
+        s = AtomSet(atoms=(Pred("p", (a,)),))
         assert max_generalizations(Pred("p", (a,)), s, None) == [Pred("p", (a,))]
         assert max_generalizations(Pred("p", (b,)), s, None) == []
 

@@ -9,16 +9,15 @@ from conftest import FIXTURES, load_program
 from cutcheck.atomsets import (
     UNIVERSAL,
     AtomPattern,
+    AtomSet,
     AtomSetTooLarge,
-    Extensional,
     Guard,
-    Intensional,
-    UnionSet,
     _enumerate_pattern,
+    contains,
     enumerate_atoms,
 )
 from cutcheck.syntax import parse_spec, resolve_alphabet
-from cutcheck.terms import Alphabet, Pred, Var, const, make_list
+from cutcheck.terms import Alphabet, Pred, Var, atom_key, const, ground_atoms, make_list
 
 from enumerate_reference import reference_enumerate_pattern
 
@@ -30,11 +29,12 @@ ALPHABETS = {  # depth -> functors, chosen so that each depth has 12 to 38 terms
     3: LISTS,
 }
 RESOLVER = {
-    "other": UnionSet((
-        Extensional((Pred("r", (one,)), Pred("r", (make_list([two]),)))),
-        Intensional((AtomPattern(Pred("r", (Var("U"),)), (Guard("member", (two, Var("U"))),)),)),
-    ))
+    "other": AtomSet(
+        atoms=(Pred("r", (one,)), Pred("r", (make_list([two]),))),
+        patterns=(AtomPattern(Pred("r", (Var("U"),)), (Guard("member", (two, Var("U"))),)),),
+    )
 }
+PREDICATES = (("p", 1), ("q", 2), ("r", 1))
 CAP = 5_000
 
 
@@ -90,36 +90,64 @@ def test_pattern_enumeration_matches_reference():
     assert finished >= 90
 
 
+def random_set(rng: random.Random, depth: int) -> AtomSet:
+    """1-3 random patterns of p and q, 0-4 listed atoms of p, q and r and, at
+    depth 1, sometimes the universal set."""
+    patterns = [random_pattern(rng, rng.choice("pq")) for _ in range(rng.randint(1, 3))]
+    listed = tuple(
+        Pred(rng.choice("pqr"), tuple(rng.choice((one, two, make_list([one]))) for _ in range(k)))
+        for k in (rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+    )
+    s = AtomSet(atoms=listed, patterns=tuple(patterns))
+    if depth == 1 and rng.random() < 0.5:  # a universal part enumerates every atom
+        s |= UNIVERSAL
+    return s
+
+
 def test_restricted_enumeration_is_the_full_one_filtered():
     rng = random.Random(1602)
     for _ in range(40):
         depth = rng.randint(1, 3)
-        patterns = [random_pattern(rng, rng.choice("pq")) for _ in range(rng.randint(1, 3))]
-        extensional = Extensional(tuple(
-            Pred(rng.choice("pqr"), tuple(rng.choice((one, two, make_list([one]))) for _ in range(k)))
-            for k in (rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
-        ))
-        parts = [Intensional(tuple(patterns)), extensional]
-        predicates = (("p", 1), ("q", 2), ("r", 1))
-        if depth == 1 and rng.random() < 0.5:  # a universal part enumerates every atom
-            parts.append(UNIVERSAL)
-        s = UnionSet(tuple(parts))
-        alphabet = Alphabet(ALPHABETS[depth], predicates)
+        s = random_set(rng, depth)
+        alphabet = Alphabet(ALPHABETS[depth], PREDICATES)
         try:
             full = enumerate_atoms(s, alphabet, depth, RESOLVER, CAP)
         except AtomSetTooLarge:
             continue
         keys = {(a.name, len(a.args)) for a in full} | {("p", 1), ("q", 3), ("absent", 2)}
-        if UNIVERSAL in parts:
-            keys = {k for k in keys if k in predicates}
+        if s.universal:
+            keys = {k for k in keys if k in PREDICATES}
         for key in sorted(keys):
             got = enumerate_atoms(s, alphabet, depth, RESOLVER, CAP, predicate=key)
             assert got == [a for a in full if (a.name, len(a.args)) == key], (s, key)
 
 
+def test_union_is_the_union_of_its_parts():
+    rng = random.Random(2016)
+    enumerated = 0
+    for _ in range(30):
+        depth = rng.randint(1, 2)
+        x, y = random_set(rng, depth), random_set(rng, depth)
+        alphabet = Alphabet(ALPHABETS[depth], PREDICATES)
+        try:
+            parts = [enumerate_atoms(p, alphabet, depth, RESOLVER, CAP) for p in (x, y)]
+        except AtomSetTooLarge:
+            parts = []
+        pool = set(ground_atoms(alphabet, depth)).union(x.atoms, y.atoms, *parts)
+        for a in sorted(pool, key=atom_key):
+            want = contains(x, a, RESOLVER) or contains(y, a, RESOLVER)
+            assert contains(x | y, a, RESOLVER) == want, (x, y, a)
+        if parts:
+            # one counter serves the union: its work is at most the sum of the parts'
+            got = enumerate_atoms(x | y, alphabet, depth, RESOLVER, 2 * CAP)
+            assert got == sorted(set(parts[0]) | set(parts[1]), key=atom_key), (x, y)
+            enumerated += 1
+    assert enumerated >= 20
+
+
 def test_restricted_universal_holds_the_predicate_outside_the_alphabet():
     alphabet = Alphabet((("1", 0),), (("p", 1),))
-    got = enumerate_atoms(UnionSet((UNIVERSAL, Extensional())), alphabet, 0, predicate=("q", 2))
+    got = enumerate_atoms(UNIVERSAL, alphabet, 0, predicate=("q", 2))
     assert got == [Pred("q", (one, one))]
 
 
@@ -127,7 +155,7 @@ def test_restricted_cap_counts_the_predicate_part_only():
     alphabet = Alphabet(ALPHABETS[1], ())  # 147 terms at depth 2, 49 of them lists
     wide = AtomPattern(Pred("w", (Var("X"), Var("Y"))), ())  # 147 + 147**2 candidates
     narrow = AtomPattern(Pred("n", (Var("X"),)), (Guard("ground_list", (Var("X"),)),))
-    s = Intensional((wide, narrow))
+    s = AtomSet(patterns=(wide, narrow))
     with pytest.raises(AtomSetTooLarge):
         enumerate_atoms(s, alphabet, 2, cap=1000)
     assert len(enumerate_atoms(s, alphabet, 2, cap=1000, predicate=("n", 1))) == 49
@@ -141,7 +169,7 @@ def test_concat_output_outside_the_template_leaves_inputs_uncut():
         Guard("ground_list", (K,)), Guard("ground_list", (L,)),
         Guard("concat", (K, L, make_list([one, two]))),
     ))
-    got = enumerate_atoms(Intensional((pattern,)), Alphabet(ALPHABETS[1], ()), 1)
+    got = enumerate_atoms(AtomSet(patterns=(pattern,)), Alphabet(ALPHABETS[1], ()), 1)
     assert got == [Pred("p", (make_list([one]), make_list([two])))]
 
 
@@ -154,7 +182,7 @@ def test_guard_output_outside_the_template_has_no_members(guard):
     # X is no template variable: no atom binds it, and contains rejects every atom
     pattern = AtomPattern(Pred("p", (Var("L"),)), (Guard("ground_list", (Var("L"),)), guard))
     alphabet = Alphabet(ALPHABETS[1], ())
-    assert enumerate_atoms(Intensional((pattern,)), alphabet, 1) == []
+    assert enumerate_atoms(AtomSet(patterns=(pattern,)), alphabet, 1) == []
     assert reference_enumerate_pattern(pattern, alphabet, 1, None, CAP, [0]) == []
 
 

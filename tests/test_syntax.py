@@ -1,6 +1,6 @@
 import pytest
 
-from cutcheck import Budget, CUT, Extensional, Intensional, UNIVERSAL, UnionSet
+from cutcheck import Budget, CUT, UNIVERSAL, AtomSet
 from cutcheck.syntax import (
     ParseError,
     atom_text,
@@ -95,9 +95,11 @@ class TestSpecParsing:
             depth = 2. nodes = 10. steps = 20.
             """
         )
-        assert isinstance(suite.s, UnionSet)
-        assert suite.pre is UNIVERSAL
-        assert isinstance(suite.post, Extensional)
+        assert not suite.s.universal
+        assert suite.s.atoms == (Pred("p", (const("a"),)),)
+        assert [p.template for p in suite.s.patterns] == [Pred("q", (Var("X"),))]
+        assert suite.pre == UNIVERSAL
+        assert suite.post == AtomSet(atoms=(Pred("p", (const("a"),)),))
         assert suite.budget == Budget(depth=2, nodes=10, steps=20)
 
     def test_alphabet_and_levels(self):
@@ -126,7 +128,7 @@ class TestSpecParsing:
             q(X) where ground(X), notin(p(X), mine).
             """
         )
-        assert isinstance(suite.named_sets["mine"], Extensional)
+        assert suite.named_sets["mine"] == AtomSet(atoms=(Pred("p", (const("a"),)),))
         pattern = suite.s.patterns[0]
         assert pattern.guards[1].name == "notin"
         assert pattern.guards[1].args[1] == "mine"
@@ -153,6 +155,10 @@ class TestSpecParsing:
             parse_spec("[alphabet]\n\nfunctor f/two.\n")
         assert str(exc.value) == "3:11: expected an arity"
 
+    def test_any_section_makes_s_universal(self):
+        suite = parse_spec("[S]\np(a).\n\n[S-patterns]\nq(X).\nany.\n")
+        assert suite.s == UNIVERSAL
+
     def test_default_s_empty_when_sections_present(self):
         suite = parse_spec("[pre]\nany.")
-        assert suite.s == Extensional(())
+        assert suite.s == AtomSet()

@@ -3,11 +3,9 @@ import random
 import pytest
 
 from cutcheck import (
+    AtomSet,
     Budget,
-    Extensional,
-    Intensional,
     UNIVERSAL,
-    UnionSet,
     acceptable_check,
     bounded_query,
     c_covered,
@@ -31,6 +29,7 @@ from cutcheck.levels import LevelMapping, atom_level_bound, level_of, level_read
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import CUT, Alphabet, Pred, Var, const, is_ground, make_list, match
 from cutcheck.verdicts import Verdict, weakest
+from cutcheck.verify import s_subset_post_check
 
 import full_product
 from conftest import load_program, load_spec_text
@@ -99,21 +98,21 @@ class TestLevels:
 class TestCovered:
     def test_fact_covers_itself(self):
         prog = parse_program("p(a).")
-        s = Extensional((Pred("p", (a,)),))
+        s = AtomSet(atoms=(Pred("p", (a,)),))
         alpha = resolve_alphabet(prog)
         v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
         assert v.is_verified
 
     def test_body_must_lie_in_set(self):
         prog = parse_program("p(X) :- q(X).")
-        s = Extensional((Pred("p", (a,)),))
+        s = AtomSet(atoms=(Pred("p", (a,)),))
         alpha = resolve_alphabet(prog)
         v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
         assert v.is_refuted
 
     def test_cut_in_body_ignored(self):
         prog = parse_program("p(X) :- !, q(X).")
-        s = Extensional((Pred("p", (a,)), Pred("q", (a,))))
+        s = AtomSet(atoms=(Pred("p", (a,)), Pred("q", (a,))))
         alpha = resolve_alphabet(prog)
         v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
         assert v.is_verified
@@ -134,10 +133,10 @@ class TestSemiCompleteAndCorrect:
 
     def test_correct_propositional(self):
         prog = parse_program("p :- q.\nq.")
-        s = Extensional((Pred("p"), Pred("q")))
+        s = AtomSet(atoms=(Pred("p"), Pred("q")))
         v = correct_check(prog, s, alphabet=resolve_alphabet(prog), depth=0)
         assert v.is_verified
-        s2 = Extensional((Pred("q"),))
+        s2 = AtomSet(atoms=(Pred("q"),))
         v2 = correct_check(prog, s2, alphabet=resolve_alphabet(prog), depth=0)
         assert v2.is_refuted
 
@@ -151,18 +150,18 @@ class TestWellAsserted:
 
     def test_violating_clause_refuted_with_ground_witness(self):
         prog = parse_program("p(X) :- q(X).")
-        pre = Extensional((Pred("p", (a,)),))
+        pre = AtomSet(atoms=(Pred("p", (a,)),))
         post = UNIVERSAL
         # q(a) is not in pre, so the clause is not well-asserted
         v = well_asserted_clause(
-            prog.clauses[0], pre, Extensional(()), alphabet=resolve_alphabet(prog), depth=1
+            prog.clauses[0], pre, AtomSet(), alphabet=resolve_alphabet(prog), depth=1
         )
         assert v.is_refuted
         assert v.witness["position"] == 1
 
     def test_query_well_asserted_uses_fresh_predicate(self):
         prog = parse_program("p(a).")
-        pre = Intensional((AtomPattern(Pred("p", (Var("X"),)), ()),))
+        pre = AtomSet(patterns=(AtomPattern(Pred("p", (Var("X"),)), ()),))
         v = well_asserted_query(parse_query("p(Y)"), pre, UNIVERSAL,
                                 program=prog, depth=1)
         assert v.is_verified
@@ -215,6 +214,19 @@ class TestPipeline:
         assert list(obj) == ["check", "verdict", "bounds", "witnesses", "per_atom", "timing_ms"]
         assert list(obj["bounds"]) == ["depth", "nodes", "steps"]
 
+    def test_s_subset_post_probes_every_listed_atom(self):
+        alpha = Alphabet((("a", 0), ("f", 1)), (("p", 1), ("q", 1)))
+        listed = parse_spec("[S]\np(f(f(f(a)))).\n\n[post]\nq(a).\n")
+        for depth in (1, 2, 3):
+            v = s_subset_post_check(listed.s, listed.post, alphabet=alpha, depth=depth)
+            assert v.is_refuted and v.witness["atom"] == "p(f(f(f(a))))"
+        inside = parse_spec("[S]\np(f(f(f(a)))).\n\n[post]\np(X).\n")
+        v = s_subset_post_check(inside.s, inside.post, alphabet=alpha, depth=1)
+        assert v.is_verified and v.reason == "all members probed"
+        patterns = parse_spec("[S]\np(X) where ground(X).\n\n[post]\np(X).\n")
+        v = s_subset_post_check(patterns.s, patterns.post, alphabet=alpha, depth=1)
+        assert v.is_verified and v.reason == "probe up to depth 1 passed"
+
     def test_unknown_when_tree_truncated(self):
         prog = parse_program("p :- p.")
         from cutcheck.syntax import SpecSuite
@@ -242,7 +254,7 @@ class TestTermination:
     def test_acceptable_uses_prefix(self):
         # the recursive call is guarded by q(X), false in S for the looping value
         prog = parse_program("p(X) :- q(X), p(a).\nq(b).")
-        s = Extensional((Pred("q", (b,)), Pred("p", (b,)), Pred("p", (a,))))
+        s = AtomSet(atoms=(Pred("q", (b,)), Pred("p", (b,)), Pred("p", (a,))))
         maps = {
             "p/1": LevelMapping("p", 1, 0, ((1, "size", 0),)),
             "q/1": LevelMapping("q", 1, 0, ()),
@@ -355,9 +367,21 @@ class TestHonestCaps:
         v2 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
         assert v2.is_refuted and v2.witness == v1.witness
 
+    def test_universal_pre_enumeration_stops_at_its_cap(self):
+        # pre = any: refuting the head needs p/5 heads, 3^5 at depth 1 and 13^5 at depth 2
+        prog = parse_program(P5_PROGRAM)
+        suite = parse_spec(P5_SPEC.split("[S]")[0] + "[post]\nq.\np(a, B, C, D, E).\n")
+        alpha = resolve_alphabet(prog, (), suite)
+        v1 = cs_correct(prog, suite.pre, suite.post, alphabet=alpha, depth=1)
+        assert v1.is_refuted and v1.witness["atom"] == "p(f(a), a, a, a, a)"
+        v2 = cs_correct(prog, suite.pre, suite.post, alphabet=alpha, depth=2)
+        assert v2.is_unknown
+        clause1 = dict(v2.parts)["clause 1: p(A, B, C, D, E) :- q."]
+        assert clause1.reason == "universal enumeration cap 50000 hit at depth 2"
+
     def test_cover_search_cap_is_unknown(self):
         prog = parse_program("p(X) :- q(X), q(Y), q(Z).")
-        s = UnionSet((Extensional((Pred("q", (a,)), Pred("q", (b,)))), Extensional(())))
+        s = AtomSet(atoms=(Pred("q", (a,)), Pred("q", (b,))))
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
         v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=2)
         assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
@@ -411,7 +435,7 @@ def random_check_cases(rng, count):
             body = [atom() for _ in range(rng.randint(0, 2))]
             clauses.append(atom() + (" :- " + ", ".join(body) if body else "") + ".")
         prog = parse_program("\n".join(clauses))
-        s = Intensional(tuple(AtomPattern(parse_query(atom())[0], ())
+        s = AtomSet(patterns=tuple(AtomPattern(parse_query(atom())[0], ())
                               for _ in range(rng.randint(1, 6))))
         maps = {f"{name}/{arity}": level(name, arity) for name, arity in AF_PREDS}
         yield clauses, prog, s, maps
@@ -536,15 +560,15 @@ class TestReaders:
     def test_membership_reads_parts(self):
         p = parse_query("p(X, f(Y), Z)")[0]
         assert membership_reads(UNIVERSAL, p) == set()
-        assert membership_reads(Extensional((Pred("q", (a,)),)), p) == set()
-        assert membership_reads(Extensional((Pred("p", (a, a, a)),)), p) == {"X", "Y", "Z"}
+        assert membership_reads(AtomSet(atoms=(Pred("q", (a,)),)), p) == set()
+        assert membership_reads(AtomSet(atoms=(Pred("p", (a, a, a)),)), p) == {"X", "Y", "Z"}
         spec = "[S]\np(U, U, W).\n"  # U occurs twice: positions 0 and 1 are read
         assert membership_reads(parse_spec(spec).s, p) == {"X", "Y"}
         spec = "[S]\np(U, V, W) where notin(q(W), s).\nq(a).\n"
         assert membership_reads(parse_spec(spec).s, p) == {"Z"}
         spec = "[S]\np(U, V, W).\np(a, V, W).\n"  # every p/3 pattern counts
         assert membership_reads(parse_spec(spec).s, p) == {"X"}
-        assert membership_reads(UnionSet((UNIVERSAL, parse_spec(spec).s)), p) == {"X"}
+        assert membership_reads(UNIVERSAL | parse_spec(spec).s, p) == {"X"}
 
     def test_level_reads(self):
         maps = {
