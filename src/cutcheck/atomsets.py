@@ -18,6 +18,7 @@ from functools import lru_cache
 from .terms import (
     CUT,
     Alphabet,
+    CapHit,
     Compound,
     Pred,
     Subst,
@@ -28,6 +29,7 @@ from .terms import (
     atom_key,
     canonical,
     ground_atoms,
+    ground_term_count,
     ground_terms,
     is_ground,
     is_list,
@@ -52,11 +54,6 @@ GUARD_ARITIES = {
     "eq": 2,
     "notin": 2,
 }
-
-
-class CapHit(Exception):
-    """A bounded search reached its cap.  The message names the cap, its
-    value and, where there is one, the depth; checkers answer Unknown with it."""
 
 
 class AtomSetTooLarge(CapHit):
@@ -125,6 +122,8 @@ def definitely_list(t: Term, facts=None) -> bool:
 
 
 def definitely_ground(t, facts=None) -> bool:
+    if not facts:
+        return is_ground(t)
     return all("ground" in _flags(facts, v) for v in vars_of(t))
 
 
@@ -460,7 +459,7 @@ def _enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
     counter = [0]
     out: dict = {}
     if s.universal:
-        n = len(ground_terms(alphabet, depth))
+        n = ground_term_count(alphabet, depth, cap)
         counter[0] = sum(n ** k for _, k in alphabet.predicates)
         if counter[0] > cap:
             raise AtomSetTooLarge(f"universal enumeration cap {cap} hit at depth {depth}")
@@ -522,6 +521,8 @@ def _value_shared_variants(atom: Pred, fresh):
 
 
 def _maximal_filter(members):
+    if len(members) <= 1:
+        return list(members)
     items = list({canonical(g): g for g in members}.values())
     kept = [
         g for g in items
@@ -540,6 +541,7 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
     theta = match(pattern.template, a)
     if theta is None:
         return []
+    one = AtomSet(patterns=(pattern,))
     constraints: dict = {}
     relational = False
     for g in pattern.guards:
@@ -564,8 +566,8 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
             else:
                 mapping[v] = Var(f"G{next(fresh)}")
         cand = apply(Subst(mapping), pattern.template)
-        if match(cand, a) is None or not contains(AtomSet(patterns=(pattern,)), cand, resolver):
-            return [a] if contains(AtomSet(patterns=(pattern,)), a, resolver) else []
+        if match(cand, a) is None or not contains(one, cand, resolver):
+            return [a] if contains(one, a, resolver) else []
         return [cand]
 
     # Relational guards: bounded walk over the generalization lattice of `a`.
@@ -585,7 +587,7 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
     members = [
         g
         for g in pool.values()
-        if match(g, a) is not None and contains(AtomSet(patterns=(pattern,)), g, resolver)
+        if match(g, a) is not None and contains(one, g, resolver)
     ]
     return _maximal_filter(members)
 

@@ -288,9 +288,14 @@ def query_text(q: tuple) -> str:
 
 
 def clause_text(c: Clause) -> str:
-    if not c.body:
-        return atom_text(c.head) + "."
-    return atom_text(c.head) + " :- " + query_text(c.body) + "."
+    return rule_text(atom_text(c.head), c.body)
+
+
+def rule_text(head: str, body: tuple) -> str:
+    """The text of a clause whose head is already rendered as ``head``."""
+    if not body:
+        return head + "."
+    return head + " :- " + query_text(body) + "."
 
 
 def program_text(p: Program) -> str:

@@ -119,6 +119,11 @@ class CutUnificationError(InputError, TypeError):
     """Raised when ``!`` is passed where a unifiable atom or term is expected."""
 
 
+class CapHit(Exception):
+    """A bounded search reached its cap.  The message names the cap, its
+    value and, where there is one, the depth; checkers answer Unknown with it."""
+
+
 # ---------------------------------------------------------------------------
 # Variables and groundness
 # ---------------------------------------------------------------------------
@@ -187,8 +192,8 @@ class Subst:
     __slots__ = ("_b",)
 
     def __init__(self, bindings=None):
-        b = dict(bindings) if bindings else {}
-        self._b = {k: v for k, v in b.items() if v != Var(k)}
+        b = bindings if bindings.__class__ is dict else dict(bindings or ())
+        self._b = {k: v for k, v in b.items() if not (v.__class__ is Var and v.name == k)}
 
     def get(self, name, default=None):
         return self._b.get(name, default)
@@ -402,46 +407,75 @@ def unify(a, b) -> Optional[Subst]:
     return _unify_pairs([(a, b)])
 
 
+def _equal(t, u) -> bool:
+    """``t == u``, with its own stack: the dataclass ``==`` of terms recurses."""
+    ts, us = [t], [u]
+    while ts:
+        x, y = ts.pop(), us.pop()
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is Compound:
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            ts += x.args
+            us += y.args
+        elif cls is Pred:
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            ts += x.args
+            us += y.args
+        elif x != y:
+            return False
+    return True
+
+
 def match(general, specific) -> Optional[Subst]:
     """One-way matching: a substitution t with apply(t, general) == specific.
 
     Variables of ``specific`` are treated as constants.  Accepts terms,
     predicate atoms, the cut atom (which only matches itself), and tuples
-    of atoms (matched left to right with shared bindings).
+    of atoms (matched left to right with shared bindings).  The walk keeps
+    its own stack, so a term of any depth is fine.
     """
-    bindings: dict = {}
-
-    def go(g, s) -> bool:
-        if g is CUT or s is CUT:
-            return g is s
-        if isinstance(g, Var):
-            if g.name in bindings:
-                return bindings[g.name] == s
-            bindings[g.name] = s
-            return True
-        if isinstance(g, Pred):
-            return (
-                isinstance(s, Pred)
-                and g.name == s.name
-                and len(g.args) == len(s.args)
-                and all(go(ga, sa) for ga, sa in zip(g.args, s.args))
-            )
-        if isinstance(g, Compound):
-            return (
-                isinstance(s, Compound)
-                and g.functor == s.functor
-                and len(g.args) == len(s.args)
-                and all(go(ga, sa) for ga, sa in zip(g.args, s.args))
-            )
-        raise TypeError(f"cannot match {g!r}")
-
     if isinstance(general, tuple):
         if not isinstance(specific, tuple) or len(general) != len(specific):
             return None
-        if all(go(g, s) for g, s in zip(general, specific)):
-            return Subst(bindings)
-        return None
-    return Subst(bindings) if go(general, specific) else None
+        gs, ss = list(general[::-1]), list(specific[::-1])
+    else:
+        gs, ss = [general], [specific]
+    bindings: dict = {}
+    gpop, spop = gs.pop, ss.pop  # two stacks: the i-th entries are a pair still to match
+    while gs:
+        g = gpop()
+        s = spop()
+        cls = g.__class__
+        if g is CUT or s is CUT:
+            if g is not s:
+                return None
+        elif cls is Var:
+            name = g.name
+            if name not in bindings:
+                bindings[name] = s
+            elif not _equal(bindings[name], s):
+                return None
+        elif cls is Compound:
+            if s.__class__ is not Compound or g.functor != s.functor or len(g.args) != len(s.args):
+                return None
+            if g.args:
+                gs += g.args[::-1]
+                ss += s.args[::-1]
+        elif cls is Pred:
+            if s.__class__ is not Pred or g.name != s.name or len(g.args) != len(s.args):
+                return None
+            if g.args:
+                gs += g.args[::-1]
+                ss += s.args[::-1]
+        else:
+            raise TypeError(f"cannot match {g!r}")
+    return Subst(bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +499,7 @@ def rename_apart(clause, forbidden, fresh: Optional[FreshNames] = None):
     monotone counter, so repeated calls with the same counter state always
     produce distinct variants.  ``forbidden`` is only read, never copied, so
     a derivation can pass its growing set of used names at constant cost.
+    When no variable clashes, the input itself is returned.
     """
     if fresh is None:
         fresh = FreshNames()
@@ -480,6 +515,8 @@ def rename_apart(clause, forbidden, fresh: Optional[FreshNames] = None):
                     break
             mapping[v] = Var(cand)
             taken.add(cand)
+    if not mapping:
+        return clause
     return apply(Subst(mapping), clause)
 
 
@@ -627,9 +664,38 @@ def atom_key(a: Pred):
     return (a.name, len(a.args), tuple(term_key(t) for t in a.args))
 
 
+GROUND_TERM_CAP = 50_000  # ground_terms builds no more terms than this
+
+
+def ground_term_count(alphabet: Alphabet, depth: int, stop: Optional[int] = None) -> int:
+    """``len(ground_terms(alphabet, depth))``, computed without building a term:
+    |T<=d| = constants + sum over f/k of |T<=d-1| ** k.
+
+    With ``stop``, the count of the first level above ``stop`` is returned
+    instead: a result above ``stop`` only says that the count at ``depth``
+    is above it too."""
+    if depth < 0:
+        return 0
+    constants = sum(1 for _, k in alphabet.functors if k == 0)
+    arities = [k for _, k in alphabet.functors if k > 0]
+    n = constants
+    for _ in range(depth):
+        if stop is not None and n > stop:
+            break
+        below, n = n, constants + sum(n ** k for k in arities)
+        if n == below:  # no compound adds a term: every deeper level is the same
+            break
+    return n
+
+
 @lru_cache(maxsize=256)
 def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
-    """All ground terms of depth <= depth over the alphabet, sorted."""
+    """All ground terms of depth <= depth over the alphabet, sorted.
+
+    Raises CapHit, before building any, when there are more than
+    ``GROUND_TERM_CAP``."""
+    if ground_term_count(alphabet, depth, GROUND_TERM_CAP) > GROUND_TERM_CAP:
+        raise CapHit(f"ground term cap {GROUND_TERM_CAP} hit at depth {depth}")
     if depth < 0:
         return ()
     current = [Compound(n) for n, k in alphabet.functors if k == 0]
@@ -646,7 +712,7 @@ def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
 @lru_cache(maxsize=256)
 def ground_atoms(alphabet: Alphabet, depth: int) -> tuple:
     """All ground atoms with argument depth <= depth, sorted."""
-    terms = ground_terms(alphabet, depth)
+    terms = ground_terms(alphabet, depth) if any(k for _, k in alphabet.predicates) else ()
     out = []
     for name, k in alphabet.predicates:
         if k == 0:

@@ -37,6 +37,7 @@ from .syntax import (
     clause_text,
     query_text,
     resolve_alphabet,
+    rule_text,
     subst_text,
 )
 from .terms import (
@@ -135,7 +136,7 @@ class _CoverSearch:
         if not goals:
             yield sigma
             return
-        atom = apply(sigma, goals[0])
+        atom = apply(sigma, goals[0]) if sigma else goals[0]
         if is_ground(atom):
             if contains(self.s, atom, self.resolver):
                 yield from self.solutions(goals[1:], sigma)
@@ -158,16 +159,20 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
 
     Returns ``("verified", instance)`` when one is found, ``("refuted",
     note)`` when none exists (the head does not match, or the search was
-    exhaustive), and ``("unknown", reason)`` when a bound stopped it.
+    exhaustive), and ``("unknown", reason)`` when a bound stopped it.  The
+    instance of a ground ``a`` has ``a`` itself as its head.
     """
-    clause = rename_apart(clause, set(vars_of(a)))
+    ground = is_ground(a)
+    if not ground:  # a ground atom shares no variable with the clause
+        clause = rename_apart(clause, set(vars_of(a)))
     theta = match(clause.head, a)
     if theta is None:
         return "refuted", "head does not match"
     search = _CoverSearch(s, alphabet, depth, resolver, cap)
     try:
         for sol in search.solutions(clause.body, theta):
-            instance = apply(sol, clause)
+            # theta bound the head's variables to parts of a ground ``a``: the head is ``a``
+            instance = Clause(a, apply(sol, clause.body)) if ground else apply(sol, clause)
             if is_ground(instance):
                 return "verified", instance
     except CapHit as exc:
@@ -178,18 +183,22 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
 
 
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
-            cap: int = _DEFAULT_CAP) -> Verdict:
+            cap: int = _DEFAULT_CAP, text: Optional[str] = None) -> Verdict:
     """Is ``a`` the head of a ground instance of the clause with body in s + {!}?
 
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
+    ``text`` is ``atom_text(a)`` when the caller has already rendered it.
     """
     status, found = _covering_instance(a, clause, s, alphabet, depth, resolver, cap)
-    if status == "verified":
-        return Verdict("verified", {"atom": atom_text(a), "instance": clause_text(found)}, None, ())
     if status == "unknown":
         return Verdict.unknown(found)
-    return Verdict.refuted({"atom": atom_text(a), "clause": clause_text(clause), "note": found})
+    if text is None:
+        text = atom_text(a)
+    if status == "verified":
+        instance = rule_text(text, found.body) if found.head is a else clause_text(found)
+        return Verdict("verified", {"atom": text, "instance": instance}, None, ())
+    return Verdict.refuted({"atom": text, "clause": clause_text(clause), "note": found})
 
 
 def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
@@ -478,13 +487,19 @@ def cs_correct(program: Program, pre, post, *, alphabet: Optional[Alphabet] = No
                depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
     """All clauses well-asserted w.r.t. (pre, post)."""
     alphabet = alphabet or resolve_alphabet(program)
-    parts = []
-    for idx, clause in enumerate(program.clauses):
-        v = well_asserted_clause(
+    parts = [
+        (label, well_asserted_clause(
             clause, pre, post, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap
-        )
-        parts.append((f"clause {idx + 1}: {clause_text(clause)}", v))
+        ))
+        for label, clause in zip(_clause_labels(program), program.clauses)
+    ]
     return weakest([v for _, v in parts], tuple(parts))
+
+
+def _clause_labels(program: Program) -> list:
+    """``clause {i}: ...`` for each clause, in program order: the label of its
+    part in a verdict."""
+    return [f"clause {idx + 1}: {clause_text(c)}" for idx, c in enumerate(program.clauses)]
 
 
 def _fresh_pred_name(taken: set) -> str:
@@ -542,7 +557,8 @@ def _last_cut_split(body: tuple):
     return None
 
 
-def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, resolver, cap) -> Verdict:
+def _cond2_preceding(a: Pred, text: str, preceding: Clause, pre, post, alphabet, depth, resolver,
+                     cap) -> Verdict:
     """No ground instance of H' <- A0 (head an instance of a maximally general
     pre-atom above ``a``) may be covered w.r.t. the ground part of post."""
     split = _first_cut_split(preceding.body)
@@ -574,7 +590,7 @@ def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, res
         if found is not None:
             return Verdict.refuted(
                 {
-                    "atom": atom_text(a),
+                    "atom": text,
                     "preceding_clause": clause_text(preceding),
                     "generalization": atom_text(h2),
                     "covered_instance": clause_text(found),
@@ -588,7 +604,8 @@ def _cond2_preceding(a: Pred, preceding: Clause, pre, post, alphabet, depth, res
     return Verdict.verified()
 
 
-def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resolver, cap) -> Verdict:
+def _cond3_own_cut(a: Pred, text: str, clause: Clause, s, pre, post, alphabet, depth, resolver,
+                   cap) -> Verdict:
     """For each maximally general pre-instance H rho above ``a`` and each ground
     eta putting B0 rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta."""
     split = _last_cut_split(clause.body)
@@ -596,27 +613,26 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
         return Verdict.verified("clause has no cut")
     b0, b1 = split
     if pre == UNIVERSAL:
-        rhos = [EMPTY_SUBST] if match(clause.head, a) is not None else []
-        rho_sources = [(EMPTY_SUBST, clause)] if rhos else []
+        rhos = [(EMPTY_SUBST, clause.head)] if match(clause.head, a) is not None else []
     else:
         try:
             gens = max_generalizations(a, pre, resolver)
         except CapHit as exc:
             return Verdict.unknown(str(exc))
-        rho_sources = []
+        rhos = []
         for h2 in gens:
             h2r = rename_apart(h2, set(vars_of(clause)))
             theta = unify(clause.head, h2r)
             if theta is None:
                 continue
-            if match(apply(theta, clause.head), a) is None:
+            head_r = apply(theta, clause.head)
+            if match(head_r, a) is None:
                 continue
-            rho_sources.append((theta, apply(theta, clause)))
+            rhos.append((theta, head_r))
     unknown = None  # the reason, once some search was incomplete
-    for rho, inst_clause in rho_sources:
+    for rho, head_r in rhos:
         b0r = apply(rho, b0)
         b1r = apply(rho, b1)
-        head_r = apply(rho, clause.head)
         search = _CoverSearch(post, alphabet, depth, resolver, cap)
         etas = []
         try:
@@ -627,12 +643,12 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
         if not search.exhaustive:
             unknown = unknown or f"eta enumeration exhausted depth {depth}"
         for eta in etas:
-            reduced = Clause(apply(eta, head_r), apply(eta, b1r))
+            reduced = Clause(apply(eta, head_r), apply(eta, b1r)) if eta else Clause(head_r, b1r)
             status, found = _covering_instance(a, reduced, s, alphabet, depth, resolver, cap)
             if status == "refuted":
                 return Verdict.refuted(
                     {
-                        "atom": atom_text(a),
+                        "atom": text,
                         "clause": clause_text(clause),
                         "eta": subst_text(eta.restrict(vars_of(b0r))),
                         "reduced_clause": clause_text(reduced),
@@ -648,10 +664,18 @@ def _cond3_own_cut(a: Pred, clause: Clause, s, pre, post, alphabet, depth, resol
 
 def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alphabet] = None,
               depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP,
-              s_subset_post: Optional[bool] = None) -> Verdict:
+              s_subset_post: Optional[bool] = None, text: Optional[str] = None,
+              labels: Optional[list] = None) -> Verdict:
     """Coverage that survives pruning: some clause covers ``a`` and neither an
-    earlier cut clause nor the clause's own cut can discard that inference."""
+    earlier cut clause nor the clause's own cut can discard that inference.
+
+    ``text`` is ``atom_text(a)`` and ``labels`` is ``_clause_labels(program)``
+    when the caller has already rendered them."""
     alphabet = alphabet or resolve_alphabet(program, (a,))
+    if text is None:
+        text = atom_text(a)
+    if labels is None:
+        labels = _clause_labels(program)
     if s_subset_post is None:
         s_subset_post = s_subset_post_check(
             s, post, alphabet=alphabet, depth=depth, resolver=resolver
@@ -659,13 +683,13 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alp
     clause_parts = []
     matching = program.matching(a)
     for idx, clause in matching:
-        cond3 = _cond3_own_cut(a, clause, s, pre, post, alphabet, depth, resolver, cap)
+        cond3 = _cond3_own_cut(a, text, clause, s, pre, post, alphabet, depth, resolver, cap)
         cond2s = []
         for pidx, pclause in matching:
             if pidx >= idx:
                 break
             cond2s.append(
-                _cond2_preceding(a, pclause, pre, post, alphabet, depth, resolver, cap)
+                _cond2_preceding(a, text, pclause, pre, post, alphabet, depth, resolver, cap)
             )
         cond2 = weakest(cond2s) if cond2s else Verdict.verified("no preceding clauses")
         split = _last_cut_split(clause.body)
@@ -673,31 +697,31 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alp
         if s_subset_post and split is not None and cond3.is_verified:
             prefix_clause = Clause(clause.head, split[0])
             v = covered(a, prefix_clause, s, alphabet=alphabet, depth=depth,
-                        resolver=resolver, cap=cap)
+                        resolver=resolver, cap=cap, text=text)
             if v.is_verified:
                 cond1 = v
         if cond1 is None:
             cond1 = covered(a, clause, s, alphabet=alphabet, depth=depth,
-                            resolver=resolver, cap=cap)
+                            resolver=resolver, cap=cap, text=text)
         parts = (
             ("condition 1 (covered)", cond1),
             ("condition 2 (earlier cut clauses)", cond2),
             ("condition 3 (own cut)", cond3),
         )
         v = weakest([cond1, cond2, cond3], parts)
-        clause_parts.append((f"clause {idx + 1}: {clause_text(clause)}", v))
+        clause_parts.append((labels[idx], v))
         if v.is_verified:
             return Verdict.verified(
                 f"clause {idx + 1} c-covers the atom", tuple(clause_parts)
             )
     if not clause_parts:
         return Verdict.refuted(
-            {"atom": atom_text(a), "note": "no clause with this predicate"},
+            {"atom": text, "note": "no clause with this predicate"},
         )
     if any(v.is_unknown for _, v in clause_parts):
         return Verdict.unknown("no clause verifiably c-covers the atom", tuple(clause_parts))
     return Verdict.refuted(
-        {"atom": atom_text(a), "note": "no clause c-covers the atom"},
+        {"atom": text, "note": "no clause c-covers the atom"},
         None,
         tuple(clause_parts),
     )
@@ -795,17 +819,15 @@ def _query_free_stages(program: Program, suite: SpecSuite, alphabet: Alphabet, d
         atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
     except CapHit as exc:
         return premise, wa_program, Verdict.unknown(str(exc))
-    per_atom = [
-        (
-            atom_text(a),
-            c_covered(
-                a, program, suite.s, suite.pre, suite.post,
-                alphabet=alphabet, depth=depth, resolver=resolver,
-                s_subset_post=premise.is_verified,
-            ),
-        )
-        for a in atoms
-    ]
+    labels = _clause_labels(program)
+    per_atom = []
+    for a in atoms:
+        text = atom_text(a)
+        per_atom.append((text, c_covered(
+            a, program, suite.s, suite.pre, suite.post,
+            alphabet=alphabet, depth=depth, resolver=resolver,
+            s_subset_post=premise.is_verified, text=text, labels=labels,
+        )))
     return premise, wa_program, weakest([v for _, v in per_atom], tuple(per_atom))
 
 

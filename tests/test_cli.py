@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +222,40 @@ class TestCheck:
         assert code == 0 and err == "" and "verdict: verified" in out
 
 
+# SHA-256 of ``json.dumps(obj, sort_keys=True)`` of the ``--json`` report, with
+# ``timing_ms`` removed, as commit 4f8e775 printed it before the coverage fast paths.
+COVERAGE_GOLDEN = [
+    (("complete", "in.pl", "in.spec", "--query", "in([1], [1, 2])"), 0,
+     "55b11aec47b5327ebb9630c690fbe870f85bf64f97c2f64322c5dc05a35332cc"),
+    (("semicomplete", "append.pl", "append.spec"), 0,
+     "dd79f71f9b265f609ae88b5dbfdccfbc6e3b4791c21402fb72a76cb1843515c4"),
+    # refuted: condition 2 fails for notp(a)
+    (("complete", "notp.pl", "notp_nonground.spec", "--query", "notp(b)"), 1,
+     "c305cef7fb708628a1b3c4370c31cee2617722a9a7ee7a0d964b158551eb14aa"),
+]
+
+
+class TestCoverageGolden:
+    @pytest.mark.parametrize("args, exit_code, digest", COVERAGE_GOLDEN)
+    def test_report_unchanged(self, capsys, fixtures_dir, args, exit_code, digest):
+        kind, prog, spec, *extra = args
+        code, out, _ = run(capsys, "check", kind, str(fixtures_dir / prog),
+                           "--spec", str(fixtures_dir / spec), *extra, "--json")
+        obj = json.loads(out)
+        del obj["timing_ms"]
+        assert code == exit_code
+        assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_ground_term_cap_is_unknown(self, fixtures_dir):
+        # the query's constants a, b, c join the alphabet: 819,030 ground terms at depth 3
+        start = time.perf_counter()
+        proc = cli(["check", "complete", str(fixtures_dir / "append.pl"), "--spec",
+                    str(fixtures_dir / "append.spec"), "--query", "app(X, Y, [a, b, c])"])
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 3 and proc.stderr == ""
+        assert "reason: ground term cap 50000 hit at depth 3" in proc.stdout
+
+
 def cli(argv, prefix=("-m", "cutcheck.cli")):
     """Run the CLI in a fresh interpreter, as ``python -m cutcheck.cli``."""
     env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
@@ -293,6 +329,19 @@ class TestErrorsAndEnv:
                     str(fixtures_dir / "in.spec"), "--depth", "1", "--nodes", "50", "--query", query])
         assert proc.returncode == 3 and proc.stderr == ""
         assert "reason: tree budget exhausted; pruned tree is not exact" in proc.stdout
+
+    def test_deep_query_under_a_repeated_variable_pattern(self, tmp_path):
+        # pre's p(X, X) compares the query's two 5,000-cell lists
+        prog = tmp_path / "p.pl"
+        prog.write_text("p(X, Y).\n")
+        spec = tmp_path / "p.spec"
+        spec.write_text("[alphabet]\nfunctor 1/0.\nfunctor '[]'/0.\nfunctor '.'/2.\n\n"
+                        "[S]\np(X, Y).\n\n[pre]\np(X, X).\n\n[bounds]\ndepth = 1.\n")
+        cells = "[" + ", ".join(["1"] * 5000) + "]"
+        proc = cli(["check", "complete", str(prog), "--spec", str(spec), "--nodes", "50",
+                    "--query", f"p({cells}, {cells})"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("check: complete\nverdict: verified\n")
 
     @pytest.mark.parametrize("kind", ["recurrent", "acceptable"])
     def test_missing_level_mapping_exit_2(self, p5, kind):

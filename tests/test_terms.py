@@ -4,7 +4,9 @@ import pytest
 
 from cutcheck.terms import (
     CUT,
+    GROUND_TERM_CAP,
     Alphabet,
+    CapHit,
     Clause,
     Compound,
     CutUnificationError,
@@ -22,6 +24,7 @@ from cutcheck.terms import (
     cons,
     const,
     ground_atoms,
+    ground_term_count,
     ground_terms,
     infer_alphabet,
     is_ground,
@@ -41,6 +44,7 @@ from cutcheck.terms import (
 )
 
 from derivations import variant_equal
+from match_reference import recursive_match
 from naive_unify import is_idempotent, occurs, range_vars
 
 a, b = const("a"), const("b")
@@ -139,6 +143,22 @@ class TestLongTerms:
         assert functors == {(".", 2), ("a", 0), ("[]", 0), ("f", 2)}
         assert predicates == {("p", 1), ("q", 2)}
 
+    def test_match_deep_terms(self):
+        long_list = make_list([a] * self.N)
+        theta = match(Pred("p", (make_list([a] * (self.N - 1), X), Y)), Pred("p", (long_list, b)))
+        assert theta.domain == {"X", "Y"} and theta["X"] == make_list([a]) and theta["Y"] == b
+        assert match(long_list, long_list) == EMPTY_SUBST
+        assert match(make_list([a] * self.N, X), make_list([a] * (self.N - 1))) is None
+        general, specific = X, b
+        for _ in range(self.N):
+            general, specific = f(general, Y), f(specific, a)
+        theta = match(general, specific)
+        assert theta.domain == {"X", "Y"} and theta["X"] == b and theta["Y"] == a
+        # a repeated variable compares two equal lists that are different objects
+        twice = Pred("p", (X, X))
+        assert match(twice, Pred("p", (long_list, make_list([a] * self.N)))).domain == {"X"}
+        assert match(twice, Pred("p", (long_list, make_list([a] * (self.N - 1) + [b])))) is None
+
 
 class TestMatch:
     def test_one_way(self):
@@ -154,11 +174,80 @@ class TestMatch:
     def test_cut_matches_only_itself(self):
         assert match((CUT,), (CUT,)) is not None
         assert match((X,), (a,)) is not None
+        assert match((X,), (CUT,)) is None  # a variable never binds to cut
+        assert match((CUT,), (X,)) is None
+
+    def test_foreign_object_raises(self):
+        with pytest.raises(TypeError, match="cannot match 1"):
+            match(f(1), f(a))
+        assert match(Pred("p", (a, 1)), Pred("p", (b, a))) is None  # fails before reaching it
+
+    def test_agrees_with_recursive_matcher(self):
+        rng = random.Random(7)
+        names = ("X", "Y", "Z")  # few names, so variables repeat
+        functors = (("a", 0), ("b", 0), ("f", 1), ("f", 2), ("g", 2))  # f/1 and f/2: arity clashes
+
+        def term(depth):
+            r = rng.random()
+            if r < 0.3:
+                return Var(rng.choice(names))
+            if r < 0.31:
+                return rng.choice((1, None, CUT))  # a foreign object or cut inside a term
+            name, k = rng.choice(functors if depth else functors[:2])
+            return Compound(name, tuple(term(depth - 1) for _ in range(k)))
+
+        def atom():
+            if rng.random() < 0.1:
+                return CUT
+            name, k = rng.choice((("p", 1), ("p", 2), ("q", 2)))
+            return Pred(name, tuple(term(2) for _ in range(k)))
+
+        def instance(e):
+            theta = Subst({n: term(1) for n in names if rng.random() < 0.7})
+            try:
+                return apply(theta, e)
+            except (AttributeError, TypeError):  # a foreign object: match the raw form
+                return e
+
+        def pair():
+            kind = rng.random()
+            if kind < 0.4:
+                g = term(3)
+            elif kind < 0.8:
+                g = atom()
+            else:
+                g = tuple(atom() for _ in range(rng.randint(0, 3)))
+            if rng.random() < 0.5:
+                return g, instance(g)
+            other = rng.random()
+            if other < 0.4:
+                return g, term(3)
+            if other < 0.8:
+                return g, atom()
+            return g, tuple(atom() for _ in range(rng.randint(0, 3)))
+
+        outcomes = {"match": 0, "none": 0, "error": 0}
+        for _ in range(5000):
+            g, s = pair()
+            try:
+                want = recursive_match(g, s)
+            except TypeError as exc:
+                with pytest.raises(TypeError) as got:
+                    match(g, s)
+                assert str(got.value) == str(exc), (g, s)
+                outcomes["error"] += 1
+                continue
+            got = match(g, s)
+            assert got == want, (g, s)
+            outcomes["match" if got is not None else "none"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
 
 
 class TestSubst:
     def test_identity_dropped(self):
         assert Subst({"X": X}).domain == set()
+        assert Subst({"X": Var("X"), "Y": Var("Z")}).domain == {"Y"}
+        assert Subst({"X": f(X)}).domain == {"X"}
 
     def test_compose_associates_with_apply(self):
         s = Subst({"X": Var("Y")})
@@ -186,6 +275,16 @@ class TestRename:
         v1 = rename_apart(X, {"X"}, fresh)
         v2 = rename_apart(X, {"X", v1.name}, fresh)
         assert v1 != v2
+
+    def test_no_clash_returns_the_input(self):
+        c = Clause(Pred("p", (X,)), (Pred("q", (X, Y)),))
+        fresh = FreshNames(5)
+        assert rename_apart(c, {"Z"}, fresh) is c
+        assert rename_apart(c, set(), fresh) is c
+        assert fresh.n == 5
+        ground = Pred("p", (a,))
+        assert rename_apart(ground, {"X"}, fresh) is ground and fresh.n == 5
+        assert rename_apart(c, {"Y"}, fresh) is not c and fresh.n == 6
 
 
 class TestLists:
@@ -246,6 +345,36 @@ class TestEnumeration:
         alpha = Alphabet((("a", 0), ("f", 1)), ())
         terms = ground_terms(alpha, 1)
         assert set(terms) == {a, f(a)}
+
+    @pytest.mark.parametrize("functors", [
+        (),
+        (("a", 0),),
+        (("f", 1),),
+        (("a", 0), ("f", 1)),
+        (("a", 0), ("b", 0), ("f", 1), ("g", 2)),
+        (("1", 0), ("2", 0), ("[]", 0), (".", 2)),
+        (("a", 0), ("h", 3)),
+    ])
+    def test_ground_term_count(self, functors):
+        alpha = Alphabet(functors, ())
+        for depth in range(-1, 4):
+            if ground_term_count(alpha, depth) <= 5000:
+                assert ground_term_count(alpha, depth) == len(ground_terms(alpha, depth))
+
+    def test_ground_term_count_stops_above_the_bound(self):
+        alpha = Alphabet((("a", 0), ("g", 2)), ())  # 1, 2, 5, 26, 677, 458330, ...
+        assert ground_term_count(alpha, 4) == 677
+        assert ground_term_count(alpha, 5, stop=100) == 677  # the first level above 100
+        assert ground_term_count(alpha, 10**6, stop=100) == 677
+        assert ground_term_count(Alphabet((("a", 0), ("f", 1)), ()), 10**4) == 10**4 + 1
+        assert ground_term_count(Alphabet((("f", 1),), ()), 10**9) == 0  # no term at any depth
+
+    def test_ground_terms_cap_before_building(self):
+        alpha = Alphabet((("1", 0), ("[]", 0), ("a", 0), ("b", 0), ("c", 0), (".", 2)), ())
+        assert ground_term_count(alpha, 3) == 819_030 > GROUND_TERM_CAP
+        with pytest.raises(CapHit, match=f"^ground term cap {GROUND_TERM_CAP} hit at depth 3$"):
+            ground_terms(alpha, 3)
+        assert len(ground_terms(alpha, 2)) == 905
 
     def test_ground_atoms(self):
         alpha = Alphabet((("a", 0),), (("p", 1),))
