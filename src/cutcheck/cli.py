@@ -111,7 +111,7 @@ def cmd_tree(args) -> int:
 def cmd_prune(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
-    pruned = pruned_tree(program, query, _make_budget(args, None))
+    pruned = pruned_tree(program, query, _make_budget(args, None), answers=False)
     _emit_tree(args, pruned.base, pruned)
     return _report_nodes(args, "pruned tree", pruned.base, pruned.kept, pruned.exact)
 

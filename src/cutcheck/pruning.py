@@ -15,8 +15,8 @@ its executing node in preorder, so one left-to-right preorder walk computes
 the same tree: on reaching an executing node it drops the unvisited right
 siblings along the cutting sequence, which is the top of the walk's own
 stack, and it stops at the first Truncated node.  The walk expands a node
-only when it reaches it, so dropped siblings are never expanded, and it
-collects the computed answers of the Success leaves it reaches.
+only when it reaches it, so dropped siblings are never expanded, and, when
+asked, it collects the computed answers of the Success leaves it reaches.
 """
 
 from __future__ import annotations
@@ -74,26 +74,29 @@ class PrunedTree:
     pruned_by: dict  # removed node id -> executing node id
     iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
     exact: bool
-    answers: list  # the root query under each kept Success leaf's root path, in preorder
+    # the root query under each kept Success leaf's root path, in preorder;
+    # None when the walk was not asked for them
+    answers: Optional[list]
 
     @property
     def pruned(self) -> set:
         return set(self.pruned_by)
 
 
-def _walk(builder: TreeBuilder) -> PrunedTree:
+def _walk(builder: TreeBuilder, answers: bool) -> PrunedTree:
     """The one-pass preorder walk, expanding each node when it reaches it.
 
     The mgus of the current root path live in one triangular binding store;
     the trail records their names in binding order, and moving to a node's
     next child cuts it back to the mark taken when the node was expanded.
+    With ``answers`` False no answer is resolved or kept.
     """
     base = builder.tree
     nodes = base.nodes
     kept: set = set()
     pruned_by: dict = {}
     log: list = []
-    answers: list = []
+    found: Optional[list] = [] if answers else None
     exact = True
     bindings: dict = {}  # every step mgu on the current root path
     trail: list = []  # the names in ``bindings``, in binding order
@@ -118,8 +121,8 @@ def _walk(builder: TreeBuilder) -> PrunedTree:
         if node.status == TRUNCATED:
             exact = False
             break
-        if node.status == SUCCESS:
-            answers.append(resolve(bindings, base.query))
+        if node.status == SUCCESS and found is not None:
+            found.append(resolve(bindings, base.query))
         stack.append([list(children), 0, len(trail)])  # a copy: dropping siblings edits it
         nid = None
         while stack and nid is None:
@@ -135,15 +138,17 @@ def _walk(builder: TreeBuilder) -> PrunedTree:
                 trail.extend(mgu)
             else:
                 stack.pop()
-    return PrunedTree(base, kept, pruned_by, log, exact, answers)
+    return PrunedTree(base, kept, pruned_by, log, exact, found)
 
 
-def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None) -> PrunedTree:
+def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None, *,
+                answers: bool = True) -> PrunedTree:
     """Build the pruned LD-tree, expanding a node only when the walk reaches
     it.  ``base`` holds the materialised nodes: the kept ones, the dropped
     siblings (never expanded) and whatever was pending when the walk stopped
-    at a Truncated node."""
-    return _walk(TreeBuilder(program, query, budget))
+    at a Truncated node.  With ``answers`` False the computed answers are
+    not resolved, and ``answers`` of the result is None."""
+    return _walk(TreeBuilder(program, query, budget), answers)
 
 
 # ---------------------------------------------------------------------------

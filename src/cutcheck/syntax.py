@@ -36,9 +36,8 @@ from .terms import (
     NIL,
     Pred,
     Var,
-    cons,
     infer_alphabet,
-    list_items,
+    make_list,
     merge_alphabets,
     vars_of,
 )
@@ -141,21 +140,56 @@ class _Parser:
     # -- terms -------------------------------------------------------------
 
     def parse_term(self):
-        tok = self.peek()
-        if tok.kind == "var":
-            self.next()
-            return Var(tok.value)
-        if tok.kind == "name":
-            self.next()
-            if self.at_punct("("):
+        """One term.  The parser keeps its own stack of the compounds and
+        lists still open, so a term of any depth is fine."""
+        frames: list = []  # per open compound or list: [functor (None: a list), items, after a |]
+        while True:
+            tok = self.peek()
+            if tok.kind == "var":
                 self.next()
-                args = self.parse_term_list()
-                self.expect("punct", ")")
-                return Compound(tok.value, tuple(args))
-            return Compound(tok.value)
-        if self.at_punct("["):
-            return self.parse_list()
-        self.error(f"expected a term, found {tok.value or tok.kind!r}")
+                value = Var(tok.value)
+            elif tok.kind == "name":
+                self.next()
+                if self.at_punct("("):
+                    self.next()
+                    frames.append([tok.value, [], False])
+                    continue
+                value = Compound(tok.value)
+            elif self.at_punct("["):
+                self.next()
+                if not self.at_punct("]"):
+                    frames.append([None, [], False])
+                    continue
+                self.next()
+                value = NIL
+            else:
+                self.error(f"expected a term, found {tok.value or tok.kind!r}")
+            # ``value`` is finished: hand it to the enclosing frames
+            while frames:
+                frame = frames[-1]
+                functor, items, after_bar = frame
+                if after_bar:  # ``value`` is the tail of a list
+                    self.expect("punct", "]")
+                    value = make_list(items, tail=value)
+                    frames.pop()
+                    continue
+                items.append(value)
+                if self.at_punct(","):
+                    self.next()
+                    break
+                if functor is not None:
+                    self.expect("punct", ")")
+                    value = Compound(functor, tuple(items))
+                elif self.at_punct("|"):
+                    self.next()
+                    frame[2] = True
+                    break
+                else:
+                    self.expect("punct", "]")
+                    value = make_list(items)
+                frames.pop()
+            else:
+                return value
 
     def parse_term_list(self):
         args = [self.parse_term()]
@@ -163,22 +197,6 @@ class _Parser:
             self.next()
             args.append(self.parse_term())
         return args
-
-    def parse_list(self):
-        self.expect("punct", "[")
-        if self.at_punct("]"):
-            self.next()
-            return NIL
-        items = self.parse_term_list()
-        tail = NIL
-        if self.at_punct("|"):
-            self.next()
-            tail = self.parse_term()
-        self.expect("punct", "]")
-        out = tail
-        for item in reversed(items):
-            out = cons(item, out)
-        return out
 
     # -- atoms, clauses, queries -------------------------------------------
 
@@ -256,31 +274,59 @@ def _name_text(name: str) -> str:
 
 
 def term_text(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    items = list_items(t)
-    if items is not None:
-        return "[" + ", ".join(term_text(x) for x in items) + "]"
-    if isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
-        # improper list: render with the | tail
-        parts = []
-        while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
-            parts.append(term_text(t.args[0]))
-            t = t.args[1]
-        return "[" + ", ".join(parts) + " | " + term_text(t) + "]"
-    if t.args:
-        return _name_text(t.functor) + "(" + ", ".join(term_text(a) for a in t.args) + ")"
-    if t.functor == "[]":
-        return "[]"
-    return _name_text(t.functor)
+    return _text("", (t,), "")
 
 
 def atom_text(a) -> str:
     if a is CUT:
         return "!"
     if a.args:
-        return _name_text(a.name) + "(" + ", ".join(term_text(t) for t in a.args) + ")"
+        return _text(_name_text(a.name) + "(", a.args, ")")
     return _name_text(a.name)
+
+
+def _text(opening: str, items, closing: str) -> str:
+    """``opening``, the texts of ``items`` separated by ", ", then ``closing``.
+
+    The walk keeps its own stack and writes each piece once, so a term of
+    any depth is fine and costs time linear in its text."""
+    out = [opening]
+    write = out.append
+    todo = [closing]  # what is still to write, next last: terms, and text written as it is
+    pop = todo.pop
+    while True:
+        if len(items) == 1:
+            todo.append(items[0])
+        else:
+            pieces = [", "] * (2 * len(items) - 1)
+            pieces[::2] = items
+            todo += pieces[::-1]
+        while todo:  # write up to the next compound with arguments
+            x = pop()
+            cls = x.__class__
+            if cls is str:
+                write(x)
+            elif cls is Var:
+                write(x.name)
+            elif not x.args:
+                write("[]" if x.functor == "[]" else _name_text(x.functor))
+            elif x.functor == "." and len(x.args) == 2:
+                items = []
+                while x.__class__ is Compound and x.functor == "." and len(x.args) == 2:
+                    items.append(x.args[0])
+                    x = x.args[1]
+                write("[")
+                todo.append("]")
+                if x.__class__ is not Compound or x.functor != "[]" or x.args:
+                    todo += (x, " | ")  # an improper list: its tail follows a |
+                break
+            else:
+                items = x.args
+                write(_name_text(x.functor) + "(")
+                todo.append(")")
+                break
+        else:
+            return "".join(out)
 
 
 def query_text(q: tuple) -> str:

@@ -157,22 +157,31 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
                        cap: int) -> tuple:
     """Search a ground instance of the clause with head ``a`` and body in s + {!}.
 
-    Returns ``("verified", instance)`` when one is found, ``("refuted",
-    note)`` when none exists (the head does not match, or the search was
-    exhaustive), and ``("unknown", reason)`` when a bound stopped it.  The
-    instance of a ground ``a`` has ``a`` itself as its head.
+    ``a`` must be ground, so it shares no variable with the clause and the
+    instance has ``a`` itself as its head.  Returns ``("verified",
+    instance)`` when one is found, ``("refuted", note)`` when none exists
+    (the head does not match, or the search was exhaustive), and
+    ``("unknown", reason)`` when a bound stopped it.
     """
-    ground = is_ground(a)
-    if not ground:  # a ground atom shares no variable with the clause
-        clause = rename_apart(clause, set(vars_of(a)))
     theta = match(clause.head, a)
     if theta is None:
         return "refuted", "head does not match"
+    body = apply(theta, clause.body) if theta else clause.body
+    if is_ground(body):
+        # what the cover search would do: probe each atom, one visit per atom found
+        goals = [b for b in body if b is not CUT]
+        for visits, b in enumerate(goals, 1):
+            if visits > cap:
+                return "unknown", f"cover search visit cap {cap} hit at depth {depth}"
+            if not contains(s, b, resolver):
+                return "refuted", "no ground body instance in the set"
+        if len(goals) + 1 > cap:
+            return "unknown", f"cover search visit cap {cap} hit at depth {depth}"
+        return "verified", Clause(a, body)
     search = _CoverSearch(s, alphabet, depth, resolver, cap)
     try:
-        for sol in search.solutions(clause.body, theta):
-            # theta bound the head's variables to parts of a ground ``a``: the head is ``a``
-            instance = Clause(a, apply(sol, clause.body)) if ground else apply(sol, clause)
+        for sol in search.solutions(body, EMPTY_SUBST):
+            instance = Clause(a, apply(sol, body) if sol else body)
             if is_ground(instance):
                 return "verified", instance
     except CapHit as exc:
@@ -184,7 +193,8 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
 
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
             cap: int = _DEFAULT_CAP, text: Optional[str] = None) -> Verdict:
-    """Is ``a`` the head of a ground instance of the clause with body in s + {!}?
+    """Is the ground atom ``a`` the head of a ground instance of the clause
+    with body in s + {!}?
 
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
@@ -621,6 +631,11 @@ def _cond3_own_cut(a: Pred, text: str, clause: Clause, s, pre, post, alphabet, d
             return Verdict.unknown(str(exc))
         rhos = []
         for h2 in gens:
+            if is_ground(h2):  # then h2 is ``a``, and unifying the head with it is matching
+                theta = match(clause.head, a)
+                if theta is not None:
+                    rhos.append((theta, a))
+                continue
             h2r = rename_apart(h2, set(vars_of(clause)))
             theta = unify(clause.head, h2r)
             if theta is None:
@@ -847,7 +862,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     resolver = suite.resolver
     depth = budget.depth
 
-    pt = pruned_tree(program, query, budget)
+    pt = pruned_tree(program, query, budget, answers=False)  # the check reads only exactness
     tree_v = (
         Verdict.verified()
         if pt.exact

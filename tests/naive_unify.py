@@ -6,12 +6,50 @@ applying the substitution found so far to both sides of every pair and
 composing once per binding, with the recursive ``occurs`` check.  This is the algorithm ``cutcheck.terms.unify``
 used before it bound triangularly; it is quadratic, so it is only used to
 check ``unify``, ``apply`` and the answers of both engines on small terms.
+``naive_vars_of`` and ``naive_resolve`` are full walks too.  Nothing here
+reads a compound's ``ground`` flag, so the oracles stay independent of
+the walks' shortcut at ground subterms.
 ``range_vars`` and ``is_idempotent`` state the properties an mgu must have.
 """
 
 from typing import Optional
 
-from cutcheck.terms import CUT, Clause, Compound, Pred, Subst, Var, vars_of
+from cutcheck.terms import CUT, Clause, Compound, Pred, Subst, Var
+
+
+def naive_vars_of(e) -> list:
+    """Variable names of a term/atom/clause/tuple, in first-occurrence order,
+    by recursion into every subterm.  Raises TypeError on anything else."""
+    seen: dict = {}
+
+    def walk(x):
+        if isinstance(x, Var):
+            seen[x.name] = None
+        elif isinstance(x, (Compound, Pred)):
+            for a in x.args:
+                walk(a)
+        elif isinstance(x, tuple):
+            for a in x:
+                walk(a)
+        elif isinstance(x, Clause):
+            walk(x.head)
+            walk(x.body)
+        elif x is not CUT:
+            raise TypeError(f"cannot collect variables from {x!r}")
+
+    walk(e)
+    return list(seen)
+
+
+def naive_resolve(bindings: dict, e):
+    """``e`` under a triangular binding map: apply the map until nothing
+    changes (the map must be acyclic)."""
+    s = Subst(bindings)
+    while True:
+        out = naive_apply(s, e)
+        if out == e:
+            return out
+        e = out
 
 
 def occurs(name: str, t) -> bool:
@@ -26,7 +64,7 @@ def range_vars(s: Subst) -> set:
     """The variables of the terms ``s`` binds."""
     out: set = set()
     for _, v in s.items():
-        out.update(vars_of(v))
+        out.update(naive_vars_of(v))
     return out
 
 
@@ -37,17 +75,24 @@ def is_idempotent(s: Subst) -> bool:
 def naive_apply(s: Subst, e):
     if e is None or e is CUT:
         return e
-    if isinstance(e, Var):
-        return s.get(e.name, e)
-    if isinstance(e, Compound):
-        return Compound(e.functor, tuple(naive_apply(s, a) for a in e.args))
+    if isinstance(e, (Var, Compound)):
+        return _apply_term(s, e)
     if isinstance(e, Pred):
-        return Pred(e.name, tuple(naive_apply(s, a) for a in e.args))
+        return Pred(e.name, tuple(_apply_term(s, a) for a in e.args))
     if isinstance(e, Clause):
         return Clause(naive_apply(s, e.head), naive_apply(s, e.body))
     if isinstance(e, tuple):
         return tuple(naive_apply(s, a) for a in e)
     raise TypeError(f"cannot apply substitution to {e!r}")
+
+
+def _apply_term(s: Subst, t):
+    """``naive_apply`` inside a term, where only variables and compounds may occur."""
+    if isinstance(t, Var):
+        return s.get(t.name, t)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_apply_term(s, a) for a in t.args))
+    raise TypeError(f"cannot apply substitution to {t!r}")
 
 
 def naive_compose(s: Subst, t: Subst) -> Subst:

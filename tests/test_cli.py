@@ -256,6 +256,45 @@ class TestCoverageGolden:
         assert "reason: ground term cap 50000 hit at depth 3" in proc.stdout
 
 
+class TestLinearity:
+    # counts the lines run in cutcheck/terms.py during one CLI call, in a fresh
+    # interpreter, so that no cache of an earlier call saves work
+    COUNT_TERMS_LINES = (
+        "import contextlib, io, sys\n"
+        "import cutcheck.terms\n"
+        "from cutcheck.cli import main\n"
+        "count = 0\n"
+        "def local(frame, event, arg):\n"
+        "    global count\n"
+        "    count += event == 'line'\n"
+        "    return local\n"
+        "def enter(frame, event, arg):\n"
+        "    return local if frame.f_code.co_filename == cutcheck.terms.__file__ else None\n"
+        "sys.settrace(enter)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "sys.settrace(None)\n"
+        "print(count, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def test_term_walks_grow_linearly_with_a_ground_list(self, fixtures_dir):
+        """The lines run in ``cutcheck/terms.py`` stand for the subterms its
+        walks visit: a resolution step must not walk the ground tail of the
+        query's list again."""
+
+        def lines_run(cells):
+            query = "in([" + ", ".join(["1"] * cells) + "], [1])"
+            proc = cli(["check", "complete", str(fixtures_dir / "in.pl"), "--spec",
+                        str(fixtures_dir / "in.spec"), "--depth", "1", "--query", query],
+                       prefix=["-c", self.COUNT_TERMS_LINES])
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr)
+
+        small, large = lines_run(1000), lines_run(4000)
+        assert large <= 5 * small, (small, large)
+
+
 def cli(argv, prefix=("-m", "cutcheck.cli")):
     """Run the CLI in a fresh interpreter, as ``python -m cutcheck.cli``."""
     env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
@@ -342,6 +381,69 @@ class TestErrorsAndEnv:
                     "--query", f"p({cells}, {cells})"])
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.startswith("check: complete\nverdict: verified\n")
+
+    NAT = "nat(0).\nnat(s(X)) :- nat(X).\n"
+
+    def test_deeply_nested_answers(self, tmp_path):
+        # the k-th answer nests s/1 k deep; the last ones are far past the recursion limit
+        prog = tmp_path / "nat.pl"
+        prog.write_text(self.NAT)
+        proc = cli(["run", str(prog), "nat(X)", "--nodes", "3000"])
+        assert proc.returncode == 3 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "(budget exhausted; answer list may be incomplete)"
+        assert len(lines) - 1 == 1499
+        assert lines[:2] == ["nat(0)", "nat(s(0))"]
+        assert lines[-2] == "nat(" + "s(" * 1498 + "0" + ")" * 1498 + ")"
+
+    def test_deeply_nested_query(self, tmp_path):
+        prog = tmp_path / "nat.pl"
+        prog.write_text(self.NAT)
+        query = "nat(" + "s(" * 1500 + "0" + ")" * 1500 + ")"
+        proc = cli(["run", str(prog), query])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == query + "\n"
+
+    @pytest.mark.parametrize("kind", ["semicomplete", "correct", "cscorrect", "recurrent",
+                                      "acceptable"])
+    def test_long_list_in_the_program(self, fixtures_dir, tmp_path, kind):
+        # big/1 holds a 5,000-cell list; size(L) walks all of it
+        cells = "[" + ", ".join(["1"] * 5000) + "]"
+        prog = tmp_path / "big.pl"
+        prog.write_text((fixtures_dir / "in.pl").read_text()
+                        + f"big({cells}).\nq :- big(L), in(L, L).\n")
+        spec = tmp_path / "big.spec"
+        spec.write_text("[S]\nbig(L) where ground_list(L).\n"
+                        "m(X, L) where ground_list(L), member(X, L).\n"
+                        "in(U, T) where ground_list(U), ground_list(T), subset(U, T).\nq.\n\n"
+                        "[pre]\nbig(L) where ground_list(L).\nm(U, T) where list(T).\n"
+                        "in(U, T) where ground_list(U), ground_list(T).\nq.\n\n"
+                        "[post]\nany.\n\n"
+                        "[level]\nbig(L) = size(L).\nm(S, T) = len(T).\n"
+                        "in(S, T) = len(S) + len(T).\nq = 20002.\n\n"
+                        "[bounds]\ndepth = 1.\n")
+        proc = cli(["check", kind, str(prog), "--spec", str(spec)])
+        assert proc.returncode in (0, 1, 3) and proc.stderr == ""
+        assert proc.stdout.startswith(f"check: {kind}\nverdict: ")
+
+    def test_long_list_query_is_verified(self, fixtures_dir):
+        query = "in([" + ", ".join(["1"] * 5000) + "], [1])"
+        proc = cli(["check", "complete", str(fixtures_dir / "in.pl"), "--spec",
+                    str(fixtures_dir / "in.spec"), "--depth", "1", "--query", query])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("check: complete\nverdict: verified\n")
+
+    def test_unbounded_answers_are_not_kept(self, fixtures_dir):
+        # the k-th answer of in(X, [1]) is a k-cell list: the check must not hold them
+        code = ("import resource, sys\n"
+                "from cutcheck.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        proc = cli(["check", "complete", str(fixtures_dir / "in.pl"), "--spec",
+                    str(fixtures_dir / "in.spec"), "--query", "in(X, [1])"], prefix=["-c", code])
+        assert proc.returncode in (1, 3), proc.stderr
+        assert int(proc.stderr) < 200  # peak RSS in MB
 
     @pytest.mark.parametrize("kind", ["recurrent", "acceptable"])
     def test_missing_level_mapping_exit_2(self, p5, kind):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutcheck import Budget, CUT, UNIVERSAL, AtomSet
@@ -11,8 +13,30 @@ from cutcheck.syntax import (
     program_text,
     query_text,
     term_text,
+    _name_text,
 )
-from cutcheck.terms import Compound, Pred, Var, const, make_list
+from cutcheck.terms import NIL, Compound, Pred, Var, const, list_items, make_list
+
+
+def recursive_term_text(t) -> str:
+    """The recursive printer ``term_text`` was before it kept its own stack,
+    kept as a test oracle: one Python call per subterm."""
+    if isinstance(t, Var):
+        return t.name
+    items = list_items(t)
+    if items is not None:
+        return "[" + ", ".join(recursive_term_text(x) for x in items) + "]"
+    if isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
+        parts = []
+        while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
+            parts.append(recursive_term_text(t.args[0]))
+            t = t.args[1]
+        return "[" + ", ".join(parts) + " | " + recursive_term_text(t) + "]"
+    if t.args:
+        return _name_text(t.functor) + "(" + ", ".join(recursive_term_text(a) for a in t.args) + ")"
+    if t.functor == "[]":
+        return "[]"
+    return _name_text(t.functor)
 
 
 class TestProgramParsing:
@@ -75,6 +99,39 @@ class TestPrinting:
         p = parse_program("p(f(X)) :- q.")
         assert clause_text(p.clauses[0]) == "p(f(X)) :- q."
         assert atom_text(p.clauses[0].head) == "p(f(X))"
+
+    def test_shallow_terms_print_as_the_recursive_printer(self):
+        rng = random.Random(3)
+        functors = (("a", 0), ("'q x'", 0), ("1", 0), ("[]", 0), ("f", 1), ("g", 2), (".", 2),
+                    (".", 1), ("[]", 1), ("h", 3))
+
+        def term(depth):
+            r = rng.random()
+            if r < 0.2:
+                return Var(rng.choice(("X", "Y", "_T")))
+            if r < 0.35 and depth:  # a list, proper or not
+                tail = NIL if rng.random() < 0.6 else term(depth - 1)
+                return make_list([term(depth - 1) for _ in range(rng.randint(1, 3))], tail)
+            name, k = rng.choice(functors if depth else functors[:4])
+            return Compound(name.strip("'"), tuple(term(depth - 1) for _ in range(k)))
+
+        for _ in range(3000):
+            t = term(rng.randint(0, 4))
+            text = term_text(t)
+            assert text == recursive_term_text(t), t
+            assert parse_query(f"p({text})")[0].args == (t,)
+
+    def test_deep_terms_parse_and_print(self):
+        n = 5000
+        text = "s(" * n + "[1, [2 | T]]" + ")" * n
+        t = parse_query(f"p({text})")[0].args[0]
+        assert term_text(t) == text
+        depth = 0
+        while t.functor == "s":
+            t, depth = t.args[0], depth + 1
+        assert depth == n and term_text(t) == "[1, [2 | T]]"
+        long_list = "[" + ", ".join(["a"] * n) + " | T]"
+        assert term_text(parse_query(f"p({long_list})")[0].args[0]) == long_list
 
 
 class TestSpecParsing:

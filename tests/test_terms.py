@@ -12,6 +12,7 @@ from cutcheck.terms import (
     CutUnificationError,
     EMPTY_SUBST,
     FreshNames,
+    NIL,
     Pred,
     Subst,
     Var,
@@ -45,7 +46,15 @@ from cutcheck.terms import (
 
 from derivations import variant_equal
 from match_reference import recursive_match
-from naive_unify import is_idempotent, occurs, range_vars
+from naive_unify import (
+    is_idempotent,
+    naive_apply,
+    naive_resolve,
+    naive_unify,
+    naive_vars_of,
+    occurs,
+    range_vars,
+)
 
 a, b = const("a"), const("b")
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -123,6 +132,15 @@ class TestLongTerms:
         assert vars_of(Clause(Pred("p", (nested,)), (CUT, Pred("q", (open_list,))))) == ["Y", "Z"]
         assert is_ground(make_list([a] * self.N)) and not is_ground(open_list)
         assert not is_ground((Pred("q", (nested,)),))
+
+    def test_term_size_deep_terms(self):
+        nested = a
+        for _ in range(self.N):
+            nested = f(nested)
+        assert term_size(nested) == self.N + 1
+        assert term_size(make_list([a] * self.N)) == 2 * self.N + 1
+        with pytest.raises(ValueError):
+            term_size(f(nested, X))
 
     def test_depth_key_and_symbols_deep_terms(self):
         long_list = make_list([a] * self.N)
@@ -241,6 +259,138 @@ class TestMatch:
             assert got == want, (g, s)
             outcomes["match" if got is not None else "none"] += 1
         assert min(outcomes.values()) >= 50, outcomes
+
+
+class TestGroundFlag:
+    def test_flag_comes_from_the_arguments(self):
+        assert a.ground and f(a, f(b)).ground and make_list([a, f(b)]).ground
+        assert not f(a, X).ground and not f(f(a, X)).ground and not cons(a, X).ground
+        assert not f(1).ground and not f(a, CUT).ground  # a foreign argument is not ground
+
+    def test_flag_is_not_part_of_the_value(self):
+        assert repr(f(a)) == "Compound(functor='f', args=(Compound(functor='a', args=()),))"
+        assert f(a, b) == Compound("f", (a, b)) and hash(f(a, b)) == hash(Compound("f", (a, b)))
+        with pytest.raises(AttributeError):
+            f(a).ground = False
+
+    def test_ground_subterms_are_kept_as_they_are(self):
+        g = make_list([a, f(b)])
+        t = f(g, X, f(g))
+        out = apply(Subst({"X": b}), t)
+        assert out == f(g, b, f(g)) and out.args[0] is g and out.args[2] is t.args[2]
+        assert apply(Subst({"X": b}), g) is g and resolve({"X": g}, (Pred("p", (X,)),))[0].args[0] is g
+        assert vars_of(Pred("p", (g, X))) == ["X"] and is_ground(Pred("p", (g, g)))
+        assert match(Pred("p", (g, X)), Pred("p", (g, a))) == Subst({"X": a})
+        assert match(g, make_list([a, f(b)])) == EMPTY_SUBST and match(g, make_list([a, b])) is None
+
+    def test_foreign_objects_raise(self):
+        for walk in (vars_of, is_ground, lambda t: apply(Subst({"X": a}), t),
+                     lambda t: resolve({"X": a}, t)):
+            with pytest.raises(TypeError):
+                walk(f(a, f(b, 1)))
+
+    def test_walks_agree_with_full_walks(self):
+        """vars_of, is_ground, apply, resolve and unify against the naive full
+        walks of ``naive_unify``, on terms mixing ground and non-ground parts
+        that share subterm objects and sometimes hold a foreign object."""
+        rng = random.Random(11)
+        names = ("X", "Y", "Z", "W")
+        shared: list = []  # built subterms without a foreign object, drawn again: objects recur
+
+        def leaves(x):
+            """Every variable, constant and foreign object of ``x``."""
+            if isinstance(x, Clause):
+                x = (x.head,) + x.body
+            if isinstance(x, (Compound, Pred)) and x.args:
+                x = x.args
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaves(y)
+            else:
+                yield x
+
+        def term(depth, foreign=0.02):
+            r = rng.random()
+            if shared and r < 0.2:
+                return rng.choice(shared)
+            if r < 0.35:
+                return Var(rng.choice(names))
+            if r < 0.35 + foreign:
+                return rng.choice((1, None, "x", CUT))
+            if not depth or r < 0.5:
+                return rng.choice((a, b, NIL))
+            k = rng.choice((1, 2, 2, 3))
+            t = Compound(rng.choice(("f", ".")) if k == 2 else "g", tuple(term(depth - 1, foreign)
+                                                                      for _ in range(k)))
+            if rng.random() < 0.3 and all(isinstance(x, (Var, Compound)) for x in leaves(t)):
+                shared.append(t)
+            return t
+
+        def expression():
+            r = rng.random()
+            if r < 0.4:
+                return term(3)
+            atom = lambda: Pred(rng.choice("pq"), tuple(term(2) for _ in range(rng.randint(0, 2))))
+            if r < 0.7:
+                return atom()
+            if r < 0.85:
+                return tuple(rng.choice((atom, lambda: CUT))() for _ in range(rng.randint(0, 3)))
+            return Clause(atom(), tuple(atom() for _ in range(rng.randint(0, 2))))
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except TypeError:
+                return TypeError
+
+        def compounds(x):
+            if isinstance(x, Compound):
+                yield x
+            if isinstance(x, (Compound, Pred)):
+                x = x.args
+            elif isinstance(x, Clause):
+                x = (x.head,) + x.body
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from compounds(y)
+
+        seen = {"foreign": 0, "ground": 0, "unified": 0, "clash": 0, "shared": 0}
+        for _ in range(5000):
+            e = expression()
+            want_vars = outcome(naive_vars_of, e)
+            assert outcome(vars_of, e) == want_vars, e
+            for c in compounds(e):
+                assert c.ground == all(isinstance(x, Compound) for x in leaves(c)), c
+            if want_vars is TypeError:
+                seen["foreign"] += 1
+                # is_ground stops at a variable, or raises at the foreign object met first
+                has_var = any(isinstance(x, Var) for x in leaves(e))
+                assert outcome(is_ground, e) in ((TypeError, False) if has_var else (TypeError,)), e
+            else:
+                assert is_ground(e) == (want_vars == []), e
+                seen["ground"] += want_vars == []
+            s = Subst({n: term(2, foreign=0) for n in names if rng.random() < 0.5})
+            assert outcome(apply, s, e) == outcome(naive_apply, s, e), (s, e)
+            order = list(names)
+            rng.shuffle(order)  # each name is bound to a term over the names after it: acyclic
+            bindings = {}
+            for i, n in enumerate(order):
+                if rng.random() < 0.6:
+                    later = Subst({m: a for m in order[: i + 1]})
+                    bindings[n] = naive_apply(later, term(2, foreign=0))
+            assert outcome(resolve, bindings, e) == outcome(naive_resolve, bindings, e), (bindings, e)
+            x, y = term(3, foreign=0), term(3, foreign=0)
+            if rng.random() < 0.3:
+                y = apply(Subst({n: term(1, foreign=0) for n in names if rng.random() < 0.5}), x)
+            seen["shared"] += x is y or any(p is q for p in compounds(x) for q in compounds(y))
+            got, want = unify(x, y), naive_unify(x, y)
+            assert (got is None) == (want is None), (x, y)
+            if got is not None:
+                assert apply(got, x) == apply(got, y) and variant_equal(apply(got, x), naive_apply(want, x))
+                seen["unified"] += 1
+            else:
+                seen["clash"] += 1
+        assert min(seen.values()) >= 200, seen
 
 
 class TestSubst:
