@@ -565,9 +565,6 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
                 mapping[v] = make_list([Var(f"G{next(fresh)}") for _ in items])
             else:
                 mapping[v] = Var(f"G{next(fresh)}")
-        if all(t.__class__ is Compound and t.ground for t in mapping.values()):
-            # the candidate is theta applied to the template: ``a`` itself
-            return [a] if all(guard_holds(g, theta, None, resolver) for g in pattern.guards) else []
         cand = apply(Subst(mapping), pattern.template)
         if match(cand, a) is None or not contains(one, cand, resolver):
             return [a] if contains(one, a, resolver) else []

@@ -285,29 +285,36 @@ def atom_text(a) -> str:
     return _name_text(a.name)
 
 
+_COMMA, _BAR, _CLOSE_LIST, _CLOSE_ARGS = (", ",), (" | ",), ("]",), (")",)
+
+
 def _text(opening: str, items, closing: str) -> str:
     """``opening``, the texts of ``items`` separated by ", ", then ``closing``.
 
     The walk keeps its own stack and writes each piece once, so a term of
-    any depth is fine and costs time linear in its text."""
+    any depth is fine and costs time linear in its text.  On the stack, a
+    piece of text is a one-element tuple, which no term is; anything else
+    that is not a term raises TypeError."""
     out = [opening]
     write = out.append
-    todo = [closing]  # what is still to write, next last: terms, and text written as it is
+    todo = [(closing,)]  # what is still to write, next last
     pop = todo.pop
     while True:
         if len(items) == 1:
             todo.append(items[0])
         else:
-            pieces = [", "] * (2 * len(items) - 1)
+            pieces = [_COMMA] * (2 * len(items) - 1)
             pieces[::2] = items
             todo += pieces[::-1]
         while todo:  # write up to the next compound with arguments
             x = pop()
             cls = x.__class__
-            if cls is str:
-                write(x)
+            if cls is tuple:
+                write(x[0])
             elif cls is Var:
                 write(x.name)
+            elif cls is not Compound:
+                raise TypeError(f"cannot print {x!r} as a term")
             elif not x.args:
                 write("[]" if x.functor == "[]" else _name_text(x.functor))
             elif x.functor == "." and len(x.args) == 2:
@@ -316,14 +323,14 @@ def _text(opening: str, items, closing: str) -> str:
                     items.append(x.args[0])
                     x = x.args[1]
                 write("[")
-                todo.append("]")
+                todo.append(_CLOSE_LIST)
                 if x.__class__ is not Compound or x.functor != "[]" or x.args:
-                    todo += (x, " | ")  # an improper list: its tail follows a |
+                    todo += (x, _BAR)  # an improper list: its tail follows a |
                 break
             else:
                 items = x.args
                 write(_name_text(x.functor) + "(")
-                todo.append(")")
+                todo.append(_CLOSE_ARGS)
                 break
         else:
             return "".join(out)

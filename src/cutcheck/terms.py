@@ -474,12 +474,7 @@ def match(general, specific) -> Optional[Subst]:
     sides are the same object.  The walk keeps its own stack, so a term of
     any depth is fine.
     """
-    if general.__class__ is Pred:  # the common case, settled here when the predicates differ
-        if (specific.__class__ is not Pred or general.name != specific.name
-                or len(general.args) != len(specific.args)):
-            return None
-        gs, ss = list(general.args[::-1]), list(specific.args[::-1])
-    elif isinstance(general, tuple):
+    if isinstance(general, tuple):
         if not isinstance(specific, tuple) or len(general) != len(specific):
             return None
         gs, ss = list(general[::-1]), list(specific[::-1])

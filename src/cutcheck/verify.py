@@ -128,24 +128,31 @@ class _CoverSearch:
                                predicate=key)
 
     def solutions(self, goals: tuple, sigma: Subst):
-        """Yield substitutions grounding the goals inside the set."""
-        self.visits += 1
-        if self.visits > self.cap:
-            raise CapHit(f"cover search visit cap {self.cap} hit at depth {self.depth}")
+        """Yield substitutions grounding the goals inside the set.
+
+        Each goal reached, and the end of the list, is one visit.  Leading
+        ground goals are probed in a loop, so a ground body costs one
+        ``contains`` per atom."""
         goals = tuple(g for g in goals if g is not CUT)
-        if not goals:
-            yield sigma
-            return
-        atom = apply(sigma, goals[0]) if sigma else goals[0]
-        if is_ground(atom):
-            if contains(self.s, atom, self.resolver):
-                yield from self.solutions(goals[1:], sigma)
-            return
+        i = 0
+        while True:
+            self.visits += 1
+            if self.visits > self.cap:
+                raise CapHit(f"cover search visit cap {self.cap} hit at depth {self.depth}")
+            if i == len(goals):
+                yield sigma
+                return
+            atom = apply(sigma, goals[i]) if sigma else goals[i]
+            if not is_ground(atom):
+                break
+            if not contains(self.s, atom, self.resolver):
+                return
+            i += 1
         for cand in self._candidates(atom):
             theta = unify(atom, cand)
             if theta is None:
                 continue
-            yield from self.solutions(goals[1:], compose(sigma, theta))
+            yield from self.solutions(goals[i + 1:], compose(sigma, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +174,6 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
     if theta is None:
         return "refuted", "head does not match"
     body = apply(theta, clause.body) if theta else clause.body
-    if is_ground(body):
-        # what the cover search would do: probe each atom, one visit per atom found
-        goals = [b for b in body if b is not CUT]
-        for visits, b in enumerate(goals, 1):
-            if visits > cap:
-                return "unknown", f"cover search visit cap {cap} hit at depth {depth}"
-            if not contains(s, b, resolver):
-                return "refuted", "no ground body instance in the set"
-        if len(goals) + 1 > cap:
-            return "unknown", f"cover search visit cap {cap} hit at depth {depth}"
-        return "verified", Clause(a, body)
     search = _CoverSearch(s, alphabet, depth, resolver, cap)
     try:
         for sol in search.solutions(body, EMPTY_SUBST):
@@ -191,6 +187,11 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
     return "unknown", f"cover search exhausted depth {depth}"
 
 
+def _require_ground(a: Pred) -> None:
+    if not is_ground(a):
+        raise ValueError(f"coverage is defined for ground atoms, not {atom_text(a)}")
+
+
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
             cap: int = _DEFAULT_CAP, text: Optional[str] = None) -> Verdict:
     """Is the ground atom ``a`` the head of a ground instance of the clause
@@ -199,7 +200,9 @@ def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resol
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
     ``text`` is ``atom_text(a)`` when the caller has already rendered it.
+    Raises ValueError when ``a`` is not ground.
     """
+    _require_ground(a)
     status, found = _covering_instance(a, clause, s, alphabet, depth, resolver, cap)
     if status == "unknown":
         return Verdict.unknown(found)
@@ -685,7 +688,9 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alp
     earlier cut clause nor the clause's own cut can discard that inference.
 
     ``text`` is ``atom_text(a)`` and ``labels`` is ``_clause_labels(program)``
-    when the caller has already rendered them."""
+    when the caller has already rendered them.  Raises ValueError when
+    ``a`` is not ground."""
+    _require_ground(a)
     alphabet = alphabet or resolve_alphabet(program, (a,))
     if text is None:
         text = atom_text(a)

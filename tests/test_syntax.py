@@ -121,6 +121,11 @@ class TestPrinting:
             assert text == recursive_term_text(t), t
             assert parse_query(f"p({text})")[0].args == (t,)
 
+    def test_non_term_does_not_print(self):
+        for t in (Compound("f", ("x",)), Compound("f", (1,)), make_list([const("a")], ")")):
+            with pytest.raises(TypeError, match="cannot print"):
+                term_text(t)
+
     def test_deep_terms_parse_and_print(self):
         n = 5000
         text = "s(" * n + "[1, [2 | T]]" + ")" * n

@@ -387,6 +387,33 @@ class TestHonestCaps:
         assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
         assert covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1).is_verified
 
+    def test_cover_search_cap_on_a_ground_body(self):
+        # the head match leaves the body ground: one visit per atom found, one for the end
+        prog = parse_program("p(X) :- q(X), !, q(X), q(X).")
+        alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
+        s = AtomSet(atoms=(Pred("q", (a,)),))
+        for cap in (1, 2, 3):
+            v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=cap)
+            assert v.is_unknown and v.reason == f"cover search visit cap {cap} hit at depth 1"
+        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=4)
+        assert v.is_verified and v.witness["instance"] == "p(a) :- q(a), !, q(a), q(a)."
+        sp = AtomSet(atoms=(Pred("q", (a,)), Pred("p", (a,))))
+        for cap, status in ((2, "unknown"), (3, "verified")):  # condition 3 probes q(a), q(a)
+            assert c_covered(Pred("p", (a,)), prog, sp, sp, sp, alphabet=alpha, depth=1,
+                             cap=cap).status == status
+        missing = AtomSet(atoms=(Pred("q", (b,)),))  # the first probe fails before any cap
+        v = covered(Pred("p", (a,)), prog.clauses[0], missing, alphabet=alpha, depth=1, cap=1)
+        assert v.is_refuted and v.witness["note"] == "no ground body instance in the set"
+
+    def test_non_ground_atom_raises(self):
+        prog = parse_program("p(Y) :- q(Y).")
+        s = AtomSet(atoms=(Pred("q", (a,)),))
+        alpha = Alphabet((("a", 0),), (("p", 1), ("q", 1)))
+        with pytest.raises(ValueError, match="ground atoms, not p"):
+            covered(Pred("p", (Var("X"),)), prog.clauses[0], s, alphabet=alpha, depth=1)
+        with pytest.raises(ValueError, match="ground atoms, not p"):
+            c_covered(Pred("p", (Var("X"),)), prog, s, s, s, alphabet=alpha, depth=1)
+
     def test_refuted_at_depth_d_never_verified_at_d_plus_1(self):
         rng = random.Random(1)
         refuted = dict.fromkeys(CHECKS, 0)
