@@ -229,48 +229,57 @@ def cmd_check(args) -> int:
     return _verdict_exit(report.verdict)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The commands, in the order help lists them: (name, help, handler).
+COMMANDS = (
+    ("run", "answers of the pruned LD-tree", cmd_run),
+    ("tree", "build the LD-tree", cmd_tree),
+    ("prune", "build the pruned LD-tree", cmd_prune),
+    ("oracle", "standard Prolog search (reference engine)", cmd_oracle),
+    ("check", "run a declarative check", cmd_check),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every command's subparser, or with only
+    ``command``'s when it names a command.
+
+    The one-command parser parses that command's arguments as the full one
+    does and prints the same help and errors: its top-level usage still
+    lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="cutcheck",
         description="Build pruned LD-trees for logic programs with cut and "
         "check completeness, correctness, and termination conditions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="answers of the pruned LD-tree")
-    p_run.add_argument("program")
-    p_run.add_argument("query")
-    p_tree = sub.add_parser("tree", help="build the LD-tree")
-    p_tree.add_argument("program")
-    p_tree.add_argument("query")
-    p_prune = sub.add_parser("prune", help="build the pruned LD-tree")
-    p_prune.add_argument("program")
-    p_prune.add_argument("query")
-    p_oracle = sub.add_parser("oracle", help="standard Prolog search (reference engine)")
-    p_oracle.add_argument("program")
-    p_oracle.add_argument("query")
-    p_check = sub.add_parser("check", help="run a declarative check")
-    p_check.add_argument("kind", choices=CHECK_KINDS)
-    p_check.add_argument("program")
-    p_check.add_argument("--spec", default=None, help="specification file")
-    p_check.add_argument("--query", default=None, help="query (required for 'complete')")
-
-    for p in (p_run, p_tree, p_prune, p_oracle, p_check):
+    names = [name for name, _, _ in COMMANDS]
+    one = command in names
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(names) + "}" if one else None
+    )
+    for name, help_text, handler in COMMANDS:
+        if one and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if name == "check":
+            p.add_argument("kind", choices=CHECK_KINDS)
+            p.add_argument("program")
+            p.add_argument("--spec", default=None, help="specification file")
+            p.add_argument("--query", default=None, help="query (required for 'complete')")
+        else:
+            p.add_argument("program")
+            p.add_argument("query")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--dot", metavar="FILE", default=None, help="write Graphviz output")
         _budget_args(p)
-
-    p_run.set_defaults(func=cmd_run)
-    p_tree.set_defaults(func=cmd_tree)
-    p_prune.set_defaults(func=cmd_prune)
-    p_oracle.set_defaults(func=cmd_oracle)
-    p_check.set_defaults(func=cmd_check)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

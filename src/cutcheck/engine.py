@@ -133,12 +133,20 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     Returns a list of (child query, step).  ``forbidden`` is extended with the
     variables of each clause variant used, keeping the whole derivation
     standardized apart.
+
+    ``forbidden`` must hold every variable of ``query``.  The clause variant
+    then shares no variable with the tail ``query[1:]``, so an mgu that binds
+    no variable of the selected atom binds only variant variables and leaves
+    the tail as it is: the tail is joined on unchanged when the mgu is empty
+    or touches only the clause, and substituted only otherwise.
     """
     if not query:
         return []
     selected = query[0]
+    tail = query[1:]
     if selected is CUT:
-        return [(query[1:], LdStep(EMPTY_SUBST, None, None))]
+        return [(tail, LdStep(EMPTY_SUBST, None, None))]
+    selected_vars = None
     out = []
     for idx, clause in program.matching(selected):
         variant = rename_apart(clause, forbidden, fresh)
@@ -146,7 +154,15 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
         if theta is None:
             continue
         forbidden.update(vars_of(variant))
-        child = apply(theta, variant.body + query[1:])
+        if not theta:
+            child = variant.body + tail
+        else:
+            if selected_vars is None:
+                selected_vars = set(vars_of(selected))
+            if selected_vars.isdisjoint(theta):
+                child = apply(theta, variant.body) + tail
+            else:
+                child = apply(theta, variant.body + tail)
         out.append((child, LdStep(theta, idx, variant)))
     return out
 

@@ -22,7 +22,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .atomsets import UNIVERSAL, AtomPattern, AtomSet, Guard, GUARD_ARITIES
 from .engine import Budget, Program
@@ -69,8 +69,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+_TOKEN_KIND = {"name": "name", "var": "var", "arrow": "punct", "punct": "punct"}
+
+
+class Token(NamedTuple):
     kind: str  # name | var | punct | eof
     value: str
     line: int
@@ -78,33 +80,34 @@ class Token:
 
 
 def tokenize(text: str) -> list:
+    """The tokens of ``text`` and a closing ``eof`` token, from one scan.
+
+    A token's ``line`` and ``col`` (both from 1) are those of its first
+    character; a character no token starts with raises ParseError there.
+    """
     tokens = []
-    line, col = 1, 1
+    append = tokens.append
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "name":
-            tokens.append(Token("name", lexeme, line, col))
-        elif kind == "quoted":
-            tokens.append(Token("name", lexeme[1:-1].replace("''", "'"), line, col))
-        elif kind == "var":
-            tokens.append(Token("var", lexeme, line, col))
-        elif kind == "arrow":
-            tokens.append(Token("punct", ":-", line, col))
-        elif kind == "punct":
-            tokens.append(Token("punct", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        kind = m.lastgroup
+        if kind in _TOKEN_KIND:
+            append(Token(_TOKEN_KIND[kind], m.group(), line, start - line_start + 1))
+        elif kind != "comment":  # white space or a quoted name: either may span lines
+            if kind == "quoted":
+                value = text[start + 1 : pos - 1].replace("''", "'")
+                append(Token("name", value, line, start - line_start + 1))
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 

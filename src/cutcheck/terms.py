@@ -33,6 +33,11 @@ class Compound:
     occurs check and ``match`` return at a ground compound: it holds no
     variable and no substitution changes it.
 
+    ``==`` compares with ``_equal`` and ``hash`` is computed from the leaves
+    up (``_hash_compound``) and cached on the instance, so neither recurses,
+    and a term of any depth can be an element of a set or a dict key.  Both
+    give the values the generated dataclass methods gave.
+
     The constructor is written out: it fills the fields straight into the
     instance dict, and so costs what the generated one did without the
     flag, where a ``__post_init__`` made building a term about 60 % dearer
@@ -52,6 +57,15 @@ class Compound:
                 d["ground"] = False
                 return
         d["ground"] = True
+
+    def __eq__(self, other):
+        if other.__class__ is not Compound:
+            return NotImplemented
+        return self is other or _equal(self, other)
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        return _hash_compound(self) if h is None else h
 
 
 Term = Union[Var, Compound]
@@ -462,6 +476,26 @@ def _equal(t, u) -> bool:
         elif x != y:
             return False
     return True
+
+
+def _hash_compound(t: Compound) -> int:
+    """The hash the dataclass gave ``t``, ``hash((functor, args))``, cached
+    on ``t`` and on every compound inside it.  Uncached arguments are hashed
+    first, from the leaves up, so no call recurses."""
+    stack = [t]
+    while stack:
+        x = stack[-1]
+        d = x.__dict__
+        if "_hash" in d:  # a shared subterm, already done
+            stack.pop()
+            continue
+        todo = [a for a in x.args if a.__class__ is Compound and "_hash" not in a.__dict__]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        d["_hash"] = hash((x.functor, x.args))
+    return t.__dict__["_hash"]
 
 
 def match(general, specific) -> Optional[Subst]:

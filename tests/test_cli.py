@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +13,7 @@ import pytest
 
 import cutcheck
 import cutcheck.verify
-from cutcheck.cli import main
+from cutcheck.cli import CHECK_KINDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -295,6 +298,63 @@ class TestLinearity:
         assert large <= 5 * small, (small, large)
 
 
+P, Q, S = "prog.pl", "p(X)", "prog.spec"
+PARSER_ARGVS = [
+    ["run", P, Q], ["run", P, Q, "--json", "--dot", "t.dot", "--depth", "2", "--nodes", "9",
+                    "--steps", "4"],
+    ["tree", P, Q], ["tree", P, Q, "--json"], ["prune", P, Q], ["prune", P, Q, "--nodes=5"],
+    ["oracle", P, Q], ["oracle", "--json", P, Q, "--steps", "3"],
+    *[["check", kind, P, "--spec", S] for kind in CHECK_KINDS],
+    ["check", "complete", P, "--query", Q, "--spec", S, "--json", "--depth", "1"],
+    ["check", "--spec", S, "recurrent", P],
+    ["-h"], ["--help"], ["run", "-h"], ["tree", "-h"], ["prune", "--help"], ["oracle", "-h"],
+    ["check", "-h"], ["check", "complete", "-h"], ["run", P, Q, "-h", "--bogus"],
+    ["run", P, Q, "--bogus"], ["check", "correct", P, "--bogus", "--json"], ["tree", P, Q, "R"],
+    ["check", "bogus", P], ["run"], ["oracle", P], ["check"], ["check", "complete"],
+    ["bogus"], ["bogus", P, Q], ["ru", P, Q], [], ["--json", "run", P, Q], ["--bogus", "run"],
+    ["run", P, Q, "--dep", "1"], ["check", "acceptable", P, "--dep", "1", "--spe", S],
+    ["run", P, Q, "--d", "1"], ["prune", P, Q, "--nodes", "x"], ["tree", P, Q, "--nodes"],
+]
+
+
+def parse_outcome(parser, argv):
+    """What ``parse_args`` gives: the Namespace or the SystemExit code, and
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_one_command_parser_agrees_with_the_full_parser(self, argv):
+        parser = build_parser(argv[0] if argv else None)
+        assert parse_outcome(parser, argv) == parse_outcome(build_parser(), argv)
+
+    def test_only_the_named_command_is_built(self):
+        names = ["run", "tree", "prune", "oracle", "check"]
+        assert subcommands(build_parser()) == names
+        for argv0 in (None, "-h", "--json", "bogus", "ru"):
+            assert subcommands(build_parser(argv0)) == names
+        for name in names:
+            assert subcommands(build_parser(name)) == [name]
+
+    def test_messages_name_every_command(self):
+        _, _, err = parse_outcome(build_parser("run"), ["run", P, Q, "--bogus"])
+        assert err.startswith("usage: cutcheck [-h] {run,tree,prune,oracle,check} ...\n")
+        _, _, err = parse_outcome(build_parser(), [])
+        assert err.endswith("error: the following arguments are required: command\n")
+
+
 def cli(argv, prefix=("-m", "cutcheck.cli")):
     """Run the CLI in a fresh interpreter, as ``python -m cutcheck.cli``."""
     env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
@@ -423,6 +483,19 @@ class TestErrorsAndEnv:
                         "in(S, T) = len(S) + len(T).\nq = 20002.\n\n"
                         "[bounds]\ndepth = 1.\n")
         proc = cli(["check", kind, str(prog), "--spec", str(spec)])
+        assert proc.returncode in (0, 1, 3) and proc.stderr == ""
+        assert proc.stdout.startswith(f"check: {kind}\nverdict: ")
+
+    @pytest.mark.parametrize("kind", CHECK_KINDS)
+    def test_deep_ground_atom_in_the_spec(self, fixtures_dir, tmp_path, kind):
+        # building the spec's atom set hashes and compares the 5,000-cell atom
+        cells = "[" + ", ".join(["1"] * 5000) + "]"
+        spec = tmp_path / "deep.spec"
+        spec.write_text((fixtures_dir / "in.spec").read_text() + f"\n[S]\nin({cells}, [1]).\n")
+        argv = ["check", kind, str(fixtures_dir / "in.pl"), "--spec", str(spec), "--depth", "1"]
+        if kind == "complete":
+            argv += ["--query", "in([1], [1])"]
+        proc = cli(argv)
         assert proc.returncode in (0, 1, 3) and proc.stderr == ""
         assert proc.stdout.startswith(f"check: {kind}\nverdict: ")
 

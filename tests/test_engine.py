@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from cutcheck import Budget, CUT, Program, apply, build_tree, parse_program, parse_query
@@ -5,10 +8,13 @@ from cutcheck.engine import (
     FAILURE,
     SUCCESS,
     TRUNCATED,
+    LdStep,
+    ld_expand,
 )
 from cutcheck.syntax import query_text
-from cutcheck.terms import canonical, vars_of
+from cutcheck.terms import EMPTY_SUBST, FreshNames, canonical, rename_apart, unify, vars_of
 
+from conftest import random_atom_text, random_propositional_program, random_term_program
 from derivations import branch_derivation, subderivation
 from full_tree import answers, preorder
 
@@ -143,3 +149,84 @@ class TestClauseIndex:
         p1, p2 = parse_program("p(a).\nq."), parse_program("p(a).\nq.")
         assert p1 == p2 and hash(p1) == hash(p2)
         assert repr(p1) == f"Program(clauses={p1.clauses!r})"
+
+
+def reference_ld_expand(program, query, forbidden, fresh):
+    """``ld_expand`` as it was before it left an untouched tail alone: the
+    mgu is applied to the clause body and the tail together."""
+    if not query:
+        return []
+    selected = query[0]
+    if selected is CUT:
+        return [(query[1:], LdStep(EMPTY_SUBST, None, None))]
+    out = []
+    for idx, clause in program.matching(selected):
+        variant = rename_apart(clause, forbidden, fresh)
+        theta = unify(selected, variant.head)
+        if theta is None:
+            continue
+        forbidden.update(vars_of(variant))
+        out.append((apply(theta, variant.body + query[1:]), LdStep(theta, idx, variant)))
+    return out
+
+
+def tail_case(query, step) -> str:
+    if not step.mgu:
+        return "empty"
+    if set(vars_of(query[0])).isdisjoint(step.mgu):
+        return "clause"
+    return "tail"
+
+
+class TestResolventTail:
+    def random_case(self, rng):
+        if rng.random() < 0.3:
+            preds = ["p", "q", "r", "s"]
+            src = random_propositional_program(rng, preds)
+            atoms = [rng.choice(preds + ["!"]) for _ in range(rng.randint(1, 3))]
+        else:
+            src = random_term_program(rng, max_body=3)
+            atoms = [random_atom_text(rng) if rng.random() < 0.85 else "!"
+                     for _ in range(rng.randint(1, 3))]
+        return parse_program(src), parse_query(", ".join(atoms))
+
+    def test_children_equal_the_old_formula(self):
+        """The derivations of 300 seeded programs, expanded
+        breadth-first with both formulas side by side from the same state."""
+        rng = random.Random(5)
+        cases = {"empty": 0, "clause": 0, "tail": 0}
+        for _ in range(300):
+            program, query = self.random_case(rng)
+            forbidden, fresh = set(vars_of(query)), FreshNames()
+            ref_forbidden, ref_fresh = set(forbidden), FreshNames()
+            queue = [query]
+            for q in itertools.islice(queue, 60):  # the loop reaches children appended below
+                got = ld_expand(program, q, forbidden, fresh)
+                want = reference_ld_expand(program, q, ref_forbidden, ref_fresh)
+                assert got == want, (program, q)
+                assert (fresh.n, forbidden) == (ref_fresh.n, ref_forbidden)
+                for child, step in got:
+                    if step.clause_index is not None:
+                        cases[tail_case(q, step)] += 1
+                    queue.append(child)
+        assert min(cases.values()) > 300, cases
+
+    def expand_one(self, src, query):
+        q = parse_query(query)
+        ((child, step),) = ld_expand(parse_program(src), q, set(vars_of(q)), FreshNames())
+        return q, child, step
+
+    def test_empty_mgu_keeps_the_tail(self):
+        q, child, step = self.expand_one("p :- q.", "p, r(Y)")
+        assert tail_case(q, step) == "empty"
+        assert child == parse_query("q, r(Y)") and child[1] is q[1]
+
+    def test_mgu_of_the_clause_only_keeps_the_tail(self):
+        q, child, step = self.expand_one("p(X, f(Z)) :- q(X, Z).", "p(a, f(b)), r(Y, a)")
+        assert tail_case(q, step) == "clause"
+        assert child == parse_query("q(a, b), r(Y, a)") and child[1] is q[1]
+
+    def test_mgu_of_the_selected_atom_reaches_the_tail(self):
+        q, child, step = self.expand_one("p(a, X) :- q(X).", "p(Y, Y), r(Y)")
+        assert tail_case(q, step) == "tail"
+        assert child == parse_query("q(a), r(a)")

@@ -15,7 +15,11 @@ from cutcheck.syntax import (
     term_text,
     _name_text,
 )
+from cutcheck.syntax import tokenize
 from cutcheck.terms import NIL, Compound, Pred, Var, const, list_items, make_list
+
+from conftest import FIXTURES, random_term_program
+from tokenize_reference import reference_tokenize
 
 
 def recursive_term_text(t) -> str:
@@ -137,6 +141,54 @@ class TestPrinting:
         assert depth == n and term_text(t) == "[1, [2 | T]]"
         long_list = "[" + ", ".join(["a"] * n) + " | T]"
         assert term_text(parse_query(f"p({long_list})")[0].args[0]) == long_list
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenizer(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.message, exc.line, exc.col)
+
+
+class TestTokenizer:
+    # pieces of program and spec text; the last eight cannot start a token
+    PIECES = (
+        "p", "q1", "f_x'", "0", "42", "X", "_", "_Y2", "Tail",
+        "'a'", "'it''s'", "''", "'q x'", "'two\nlines'", "'''", "'.'",
+        ":-", "(", ")", "[", "]", ",", "|", ".", "!", "=", "/", "*", "+",
+        " ", "  ", "\t", "\n", "\n\n", " \n  \n\t", "\r\n",
+        "% a comment", "%", "% it's % all\n", "[S]", "[set big]", "depth=3",
+        "#", "@", ";", "\\", "-", '"', "é", "'open",
+    )
+
+    def random_text(self, rng):
+        pieces = self.PIECES[:-8] if rng.random() < 0.6 else self.PIECES
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+
+    def test_agrees_with_the_reference_tokenizer(self):
+        rng = random.Random(12)
+        texts = [self.random_text(rng) for _ in range(3000)]
+        texts += [random_term_program(rng) for _ in range(300)]
+        texts += [f.read_text() for f in sorted(FIXTURES.iterdir()) if f.suffix in (".pl", ".spec")]
+        errors = 0
+        for text in texts:
+            want = _tokens_or_error(reference_tokenize, text)
+            assert _tokens_or_error(tokenize, text) == want, text
+            errors += want[0] == "error"
+        assert 500 < errors < len(texts) - 1000  # both outcomes are well represented
+
+    def test_error_positions(self):
+        for text, line, col in (("p.\n  q :- #.", 2, 8), ("'it''s' @", 1, 9),
+                                ("'two\nlines' ;", 2, 8), ("p(X) % c\n\n\t\\", 3, 2)):
+            with pytest.raises(ParseError) as exc:
+                tokenize(text)
+            assert (exc.value.line, exc.value.col) == (line, col)
+
+    def test_tokens_are_tuples(self):
+        assert tokenize("p :- 'q x'.") == [
+            ("name", "p", 1, 1), ("punct", ":-", 1, 3), ("name", "q x", 1, 6),
+            ("punct", ".", 1, 11), ("eof", "", 1, 12),
+        ]
 
 
 class TestSpecParsing:

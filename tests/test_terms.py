@@ -161,6 +161,19 @@ class TestLongTerms:
         assert functors == {(".", 2), ("a", 0), ("[]", 0), ("f", 2)}
         assert predicates == {("p", 1), ("q", 2)}
 
+    def test_equality_and_hash_deep_terms(self):
+        def deep(last):  # a long list nested under as many f/2 layers
+            t = make_list([a] * self.N + [last])
+            for _ in range(self.N):
+                t = f(t, X)
+            return t
+
+        s, t, u = deep(b), deep(b), deep(a)  # u differs from s only at the bottom
+        assert s == t and s is not t and hash(s) == hash(t) and s != u
+        assert Pred("p", (s,)) == Pred("p", (t,)) != Pred("p", (u,))
+        assert hash(Pred("p", (s,))) == hash(Pred("p", (t,)))
+        assert len({s, t, u}) == 2 and {s, u} & {t} == {s}
+
     def test_match_deep_terms(self):
         long_list = make_list([a] * self.N)
         theta = match(Pred("p", (make_list([a] * (self.N - 1), X), Y)), Pred("p", (long_list, b)))
@@ -268,10 +281,35 @@ class TestGroundFlag:
         assert not f(1).ground and not f(a, CUT).ground  # a foreign argument is not ground
 
     def test_flag_is_not_part_of_the_value(self):
+        hash(f(a))  # the cached hash is no part of the value either
         assert repr(f(a)) == "Compound(functor='f', args=(Compound(functor='a', args=()),))"
         assert f(a, b) == Compound("f", (a, b)) and hash(f(a, b)) == hash(Compound("f", (a, b)))
         with pytest.raises(AttributeError):
             f(a).ground = False
+
+    def test_equality_and_hash_agree_with_the_structure(self):
+        """``==`` against the (recursive) dataclass ``repr`` as the oracle, on
+        seeded shallow terms and equal copies of them; equal terms hash
+        alike, and a hash is the dataclass one, ``hash((functor, args))``."""
+        rng = random.Random(8)
+
+        def term(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice((a, b, X, Y, NIL))
+            return Compound(rng.choice("fg"), tuple(term(depth - 1) for _ in range(rng.randint(1, 2))))
+
+        def copy(t):
+            return Compound(t.functor, tuple(map(copy, t.args))) if isinstance(t, Compound) else t
+
+        terms = [term(3) for _ in range(300)]
+        terms += [copy(t) for t in terms]
+        for _ in range(5000):
+            s, t = rng.choice(terms), rng.choice(terms)
+            assert (s == t) == (repr(s) == repr(t))
+            if s == t:
+                assert hash(s) == hash(t)
+            if isinstance(s, Compound):
+                assert hash(s) == hash((s.functor, s.args))
 
     def test_ground_subterms_are_kept_as_they_are(self):
         g = make_list([a, f(b)])
