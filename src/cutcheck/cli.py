@@ -1,13 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 the check Verified (or the command succeeded), 1 Refuted,
-2 the input is malformed, 3 Unknown or budget exhausted, 4 internal error.
+2 the input is malformed, 3 Unknown or budget exhausted, 4 internal error,
+141 (128 + SIGPIPE) the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -42,6 +44,7 @@ EXIT_REFUTED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process a closed pipe ended
 
 CHECK_KINDS = ("complete", "semicomplete", "correct", "cscorrect", "recurrent", "acceptable")
 
@@ -276,12 +279,29 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull, so that flushing what is
+    left in its buffer at exit does not fail on the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file, as under a captured stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -280,12 +280,26 @@ def term_text(t) -> str:
     return _text("", (t,), "")
 
 
-def atom_text(a) -> str:
+def atom_text(a, texts: Optional[dict] = None) -> str:
+    """The text of an atom.  ``texts``, when given, maps ground arguments to
+    their texts: an argument found there is not rendered again, and a ground
+    argument rendered is stored there."""
     if a is CUT:
         return "!"
-    if a.args:
+    if not a.args:
+        return _name_text(a.name)
+    if texts is None:
         return _text(_name_text(a.name) + "(", a.args, ")")
-    return _name_text(a.name)
+    pieces = []
+    for t in a.args:
+        if t.__class__ is Compound and t.ground:
+            text = texts.get(t)
+            if text is None:
+                text = texts[t] = term_text(t)
+        else:
+            text = term_text(t)
+        pieces.append(text)
+    return _name_text(a.name) + "(" + ", ".join(pieces) + ")"
 
 
 _COMMA, _BAR, _CLOSE_LIST, _CLOSE_ARGS = (", ",), (" | ",), ("]",), (")",)
@@ -339,19 +353,20 @@ def _text(opening: str, items, closing: str) -> str:
             return "".join(out)
 
 
-def query_text(q: tuple) -> str:
-    return ", ".join(atom_text(a) for a in q)
+def query_text(q: tuple, texts: Optional[dict] = None) -> str:
+    return ", ".join(atom_text(a, texts) for a in q)
 
 
 def clause_text(c: Clause) -> str:
     return rule_text(atom_text(c.head), c.body)
 
 
-def rule_text(head: str, body: tuple) -> str:
-    """The text of a clause whose head is already rendered as ``head``."""
+def rule_text(head: str, body: tuple, texts: Optional[dict] = None) -> str:
+    """The text of a clause whose head is already rendered as ``head``;
+    ``texts`` is as for ``atom_text``."""
     if not body:
         return head + "."
-    return head + " :- " + query_text(body) + "."
+    return head + " :- " + query_text(body, texts) + "."
 
 
 def program_text(p: Program) -> str:

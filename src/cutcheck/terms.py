@@ -36,7 +36,8 @@ class Compound:
     ``==`` compares with ``_equal`` and ``hash`` is computed from the leaves
     up (``_hash_compound``) and cached on the instance, so neither recurses,
     and a term of any depth can be an element of a set or a dict key.  Both
-    give the values the generated dataclass methods gave.
+    give the values the generated dataclass methods gave.  ``term_key``
+    caches a ground compound's sort key on the instance the same way.
 
     The constructor is written out: it fills the fields straight into the
     instance dict, and so costs what the generated one did without the
@@ -714,17 +715,22 @@ def term_key(t: Term):
     """Deterministic sort key: by depth, then functor, then arguments.
 
     A compound's depth is read from its arguments' keys, so each subterm is
-    visited once; the walk keeps its own stack."""
+    visited once; the walk keeps its own stack.  A ground compound's key is
+    cached on the instance under ``_key``, as its hash is under ``_hash``:
+    the walk stops at a cached subterm and shares that subterm's key, so the
+    cached keys of a term take space linear in its size."""
     frames: list = []  # per compound whose key is being built: (term, argument keys)
     while True:
         if t.__class__ is Var:
             key = (0, 0, t.name, ())
-        elif t.args:
-            frames.append((t, []))
-            t = t.args[0]
-            continue
         else:
-            key = (0, 1, t.functor, ())
+            key = t.__dict__.get("_key")
+            if key is None:
+                if t.args:
+                    frames.append((t, []))
+                    t = t.args[0]
+                    continue
+                t.__dict__["_key"] = key = (0, 1, t.functor, ())  # a constant is ground
         # ``key`` is finished: hand it to the enclosing frames
         while frames:
             term, keys = frames[-1]
@@ -734,6 +740,8 @@ def term_key(t: Term):
                 break
             frames.pop()
             key = (1 + max([k[0] for k in keys]), 1, term.functor, tuple(keys))
+            if term.ground:
+                term.__dict__["_key"] = key
         else:
             return key
 

@@ -159,6 +159,53 @@ class _CoverSearch:
 # Coverage
 # ---------------------------------------------------------------------------
 
+# Verdicts that do not depend on the atom, shared by every atom of a loop
+_VERIFIED = Verdict.verified()
+_NO_CUT = Verdict.verified("clause has no cut")
+_NO_PRECEDING = Verdict.verified("no preceding clauses")
+_PRECEDING_NO_CUT = Verdict.verified("preceding clause has no cut")
+
+
+class _ClauseInfo:
+    """The atom-independent parts of one clause: its text, its cut splits,
+    and the clause cut short before its last cut."""
+
+    def __init__(self, clause: Clause):
+        self.clause = clause
+        self.text = clause_text(clause)
+        self.first_cut = _first_cut_split(clause.body)
+        self.last_cut = _last_cut_split(clause.body)
+        self.prefix = None if self.last_cut is None else Clause(clause.head, self.last_cut[0])
+
+
+class _CoverContext:
+    """What the coverage checks of one loop over the atoms of S share.
+
+    ``semi_complete`` and ``_query_free_stages`` build one when their loop
+    starts and drop it when it ends; ``covered`` and ``c_covered`` build a
+    throwaway one when called without one.  It holds a ``_ClauseInfo`` per
+    clause seen (kept by the clause's id: the info holds the clause, so the id
+    is not reused while the context lives), the texts of ground atom
+    arguments (``texts``, as ``atom_text`` reads it) and the text of the
+    last atom rendered.
+    """
+
+    def __init__(self):
+        self.texts: dict = {}  # ground term -> its text
+        self._clauses: dict = {}  # id(clause) -> _ClauseInfo
+        self._atom = self._atom_text = None
+
+    def atom_text(self, a: Pred) -> str:
+        if a is not self._atom:
+            self._atom, self._atom_text = a, atom_text(a, self.texts)
+        return self._atom_text
+
+    def clause(self, c: Clause) -> _ClauseInfo:
+        info = self._clauses.get(id(c))
+        if info is None:
+            info = self._clauses[id(c)] = _ClauseInfo(c)
+        return info
+
 
 def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: int, resolver,
                        cap: int) -> tuple:
@@ -193,25 +240,26 @@ def _require_ground(a: Pred) -> None:
 
 
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
-            cap: int = _DEFAULT_CAP, text: Optional[str] = None) -> Verdict:
+            cap: int = _DEFAULT_CAP, ctx: Optional[_CoverContext] = None) -> Verdict:
     """Is the ground atom ``a`` the head of a ground instance of the clause
     with body in s + {!}?
 
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
-    ``text`` is ``atom_text(a)`` when the caller has already rendered it.
-    Raises ValueError when ``a`` is not ground.
+    ``ctx`` is the calling loop's ``_CoverContext``; without one, a
+    throwaway one is built.  Raises ValueError when ``a`` is not ground.
     """
     _require_ground(a)
+    if ctx is None:
+        ctx = _CoverContext()
     status, found = _covering_instance(a, clause, s, alphabet, depth, resolver, cap)
     if status == "unknown":
         return Verdict.unknown(found)
-    if text is None:
-        text = atom_text(a)
+    text = ctx.atom_text(a)
     if status == "verified":
-        instance = rule_text(text, found.body) if found.head is a else clause_text(found)
+        instance = rule_text(text, found.body, ctx.texts)
         return Verdict("verified", {"atom": text, "instance": instance}, None, ())
-    return Verdict.refuted({"atom": text, "clause": clause_text(clause), "note": found})
+    return Verdict.refuted({"atom": text, "clause": ctx.clause(clause).text, "note": found})
 
 
 def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
@@ -222,14 +270,15 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
         atoms = enumerate_atoms(s, alphabet, depth, resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
+    ctx = _CoverContext()
     per_atom = []
     for a in atoms:
-        text = atom_text(a)
+        text = ctx.atom_text(a)
         verdict = None  # the first Unknown, until some clause covers the atom
         for idx, c in program.matching(a):
             status, found = _covering_instance(a, c, s, alphabet, depth, resolver, cap)
             if status == "verified":
-                verdict = Verdict.verified()
+                verdict = _VERIFIED
                 break
             if status == "unknown" and verdict is None:
                 verdict = Verdict.unknown(found)
@@ -570,21 +619,20 @@ def _last_cut_split(body: tuple):
     return None
 
 
-def _cond2_preceding(a: Pred, text: str, preceding: Clause, pre, post, alphabet, depth, resolver,
-                     cap) -> Verdict:
+def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post, alphabet, depth, resolver,
+                     cap, ctx: _CoverContext) -> Verdict:
     """No ground instance of H' <- A0 (head an instance of a maximally general
     pre-atom above ``a``) may be covered w.r.t. the ground part of post."""
-    split = _first_cut_split(preceding.body)
-    if split is None:
-        return Verdict.verified("preceding clause has no cut")
-    a0, _ = split
+    if preceding.first_cut is None:
+        return _PRECEDING_NO_CUT
+    a0, _ = preceding.first_cut
     try:
         gens = max_generalizations(a, pre, resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     unknown = None  # the reason, once some search was incomplete
     for h2 in gens:
-        variant = rename_apart(Clause(preceding.head, a0), set(vars_of(h2)))
+        variant = rename_apart(Clause(preceding.clause.head, a0), set(vars_of(h2)))
         theta = unify(h2, variant.head)
         if theta is None:
             continue
@@ -603,8 +651,8 @@ def _cond2_preceding(a: Pred, text: str, preceding: Clause, pre, post, alphabet,
         if found is not None:
             return Verdict.refuted(
                 {
-                    "atom": text,
-                    "preceding_clause": clause_text(preceding),
+                    "atom": ctx.atom_text(a),
+                    "preceding_clause": preceding.text,
                     "generalization": atom_text(h2),
                     "covered_instance": clause_text(found),
                 },
@@ -617,14 +665,14 @@ def _cond2_preceding(a: Pred, text: str, preceding: Clause, pre, post, alphabet,
     return Verdict.verified()
 
 
-def _cond3_own_cut(a: Pred, text: str, clause: Clause, s, pre, post, alphabet, depth, resolver,
-                   cap) -> Verdict:
+def _cond3_own_cut(a: Pred, info: _ClauseInfo, s, pre, post, alphabet, depth, resolver,
+                   cap, ctx: _CoverContext) -> Verdict:
     """For each maximally general pre-instance H rho above ``a`` and each ground
     eta putting B0 rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta."""
-    split = _last_cut_split(clause.body)
-    if split is None:
-        return Verdict.verified("clause has no cut")
-    b0, b1 = split
+    if info.last_cut is None:
+        return _NO_CUT
+    b0, b1 = info.last_cut
+    clause = info.clause
     if pre == UNIVERSAL:
         rhos = [(EMPTY_SUBST, clause.head)] if match(clause.head, a) is not None else []
     else:
@@ -666,8 +714,8 @@ def _cond3_own_cut(a: Pred, text: str, clause: Clause, s, pre, post, alphabet, d
             if status == "refuted":
                 return Verdict.refuted(
                     {
-                        "atom": text,
-                        "clause": clause_text(clause),
+                        "atom": ctx.atom_text(a),
+                        "clause": info.text,
                         "eta": subst_text(eta.restrict(vars_of(b0r))),
                         "reduced_clause": clause_text(reduced),
                     },
@@ -682,20 +730,18 @@ def _cond3_own_cut(a: Pred, text: str, clause: Clause, s, pre, post, alphabet, d
 
 def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alphabet] = None,
               depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP,
-              s_subset_post: Optional[bool] = None, text: Optional[str] = None,
-              labels: Optional[list] = None) -> Verdict:
+              s_subset_post: Optional[bool] = None,
+              ctx: Optional[_CoverContext] = None) -> Verdict:
     """Coverage that survives pruning: some clause covers ``a`` and neither an
     earlier cut clause nor the clause's own cut can discard that inference.
 
-    ``text`` is ``atom_text(a)`` and ``labels`` is ``_clause_labels(program)``
-    when the caller has already rendered them.  Raises ValueError when
-    ``a`` is not ground."""
+    ``ctx`` is the calling loop's ``_CoverContext``; without one, a
+    throwaway one is built.  Raises ValueError when ``a`` is not ground."""
     _require_ground(a)
     alphabet = alphabet or resolve_alphabet(program, (a,))
-    if text is None:
-        text = atom_text(a)
-    if labels is None:
-        labels = _clause_labels(program)
+    if ctx is None:
+        ctx = _CoverContext()
+    text = ctx.atom_text(a)
     if s_subset_post is None:
         s_subset_post = s_subset_post_check(
             s, post, alphabet=alphabet, depth=depth, resolver=resolver
@@ -703,33 +749,31 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alp
     clause_parts = []
     matching = program.matching(a)
     for idx, clause in matching:
-        cond3 = _cond3_own_cut(a, text, clause, s, pre, post, alphabet, depth, resolver, cap)
+        info = ctx.clause(clause)
+        cond3 = _cond3_own_cut(a, info, s, pre, post, alphabet, depth, resolver, cap, ctx)
         cond2s = []
         for pidx, pclause in matching:
             if pidx >= idx:
                 break
-            cond2s.append(
-                _cond2_preceding(a, text, pclause, pre, post, alphabet, depth, resolver, cap)
-            )
-        cond2 = weakest(cond2s) if cond2s else Verdict.verified("no preceding clauses")
-        split = _last_cut_split(clause.body)
+            cond2s.append(_cond2_preceding(a, ctx.clause(pclause), pre, post, alphabet, depth,
+                                           resolver, cap, ctx))
+        cond2 = weakest(cond2s) if cond2s else _NO_PRECEDING
         cond1 = None
-        if s_subset_post and split is not None and cond3.is_verified:
-            prefix_clause = Clause(clause.head, split[0])
-            v = covered(a, prefix_clause, s, alphabet=alphabet, depth=depth,
-                        resolver=resolver, cap=cap, text=text)
+        if s_subset_post and info.prefix is not None and cond3.is_verified:
+            v = covered(a, info.prefix, s, alphabet=alphabet, depth=depth,
+                        resolver=resolver, cap=cap, ctx=ctx)
             if v.is_verified:
                 cond1 = v
         if cond1 is None:
             cond1 = covered(a, clause, s, alphabet=alphabet, depth=depth,
-                            resolver=resolver, cap=cap, text=text)
+                            resolver=resolver, cap=cap, ctx=ctx)
         parts = (
             ("condition 1 (covered)", cond1),
             ("condition 2 (earlier cut clauses)", cond2),
             ("condition 3 (own cut)", cond3),
         )
         v = weakest([cond1, cond2, cond3], parts)
-        clause_parts.append((labels[idx], v))
+        clause_parts.append((f"clause {idx + 1}: {info.text}", v))
         if v.is_verified:
             return Verdict.verified(
                 f"clause {idx + 1} c-covers the atom", tuple(clause_parts)
@@ -839,14 +883,13 @@ def _query_free_stages(program: Program, suite: SpecSuite, alphabet: Alphabet, d
         atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
     except CapHit as exc:
         return premise, wa_program, Verdict.unknown(str(exc))
-    labels = _clause_labels(program)
+    ctx = _CoverContext()
     per_atom = []
     for a in atoms:
-        text = atom_text(a)
-        per_atom.append((text, c_covered(
+        per_atom.append((ctx.atom_text(a), c_covered(
             a, program, suite.s, suite.pre, suite.post,
             alphabet=alphabet, depth=depth, resolver=resolver,
-            s_subset_post=premise.is_verified, text=text, labels=labels,
+            s_subset_post=premise.is_verified, ctx=ctx,
         )))
     return premise, wa_program, weakest([v for _, v in per_atom], tuple(per_atom))
 
@@ -877,7 +920,8 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     premise, wa_program, coverage = _query_free_stages(program, suite, alphabet, depth)
     if premise.is_refuted:
         premise = Verdict.unknown(
-            "premise S subset-of post is violated: " + str(premise.witness)
+            "premise S subset-of post is violated: "
+            f"{premise.witness['atom']} is in S but not in post"
         )
 
     wa_query = well_asserted_query(

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -7,11 +8,14 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 import cutcheck
+import cutcheck.atomsets
+import cutcheck.cli
 import cutcheck.verify
 from cutcheck.cli import CHECK_KINDS, build_parser, main
 
@@ -405,6 +409,27 @@ class TestErrorsAndEnv:
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr == "internal error: RuntimeError('boom')\n"
 
+    def test_closed_stdout_exit_141(self, fixtures_dir):
+        # the reader is gone before the report is written: no internal error
+        argv = ["check", "semicomplete", str(fixtures_dir / "append.pl"),
+                "--spec", str(fixtures_dir / "append.spec"), "--json"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
+        proc = subprocess.Popen([sys.executable, "-m", "cutcheck.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141 and err == b""
+
+    def test_closed_stdout_in_process(self, fixtures_dir, monkeypatch):
+        class Closed(io.StringIO):  # a stdout that is no file, whose reader is gone
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        code = main(["check", "correct", str(fixtures_dir / "in.pl"),
+                     "--spec", str(fixtures_dir / "in.spec")])
+        assert code == cutcheck.cli.EXIT_BROKEN_PIPE == 141
+
     @pytest.mark.parametrize("cells", [1500, 5000])
     @pytest.mark.parametrize("command", ["run", "oracle", "tree", "prune"])
     def test_deep_list_query_no_traceback(self, fixtures_dir, command, cells):
@@ -525,3 +550,43 @@ class TestErrorsAndEnv:
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: no level mapping declared for p/5"
         assert "Traceback" not in proc.stderr
+
+
+class TestNoMemoOutlivesACall:
+    """Two ``main()`` calls in one process answer as two fresh processes do,
+    and leave none of their sets behind."""
+
+    @staticmethod
+    def spec(fixtures_dir, tmp_path, name, atoms):
+        text = (fixtures_dir / "in.spec").read_text()
+        head, _, rest = text.partition("[S]\n")
+        _, _, rest = rest.partition("\n\n")  # drop in.spec's S patterns
+        path = tmp_path / name
+        path.write_text(head + "[S]\n" + "".join(a + "\n" for a in atoms) + "\n" + rest)
+        return str(path)
+
+    @pytest.mark.parametrize("kind", [["semicomplete"], ["complete", "--query", "in([1], [1])"]])
+    def test_specs_differing_in_one_atom(self, capsys, fixtures_dir, tmp_path, monkeypatch, kind):
+        atoms = ["m(1, [1]).", "in([1], [1]).", "in([], [1])."]
+        # with in([], [1]) in S, in([1], [1]) is covered; without it, it is not
+        specs = [self.spec(fixtures_dir, tmp_path, "with.spec", atoms),
+                 self.spec(fixtures_dir, tmp_path, "without.spec", atoms[:2])]
+        sets = []
+        parse_spec = cutcheck.cli.parse_spec
+
+        def recording_parse_spec(text):
+            suite = parse_spec(text)
+            sets.extend(weakref.ref(x) for x in (suite.s, suite.pre, suite.post)
+                        if x is not cutcheck.atomsets.UNIVERSAL)  # post: a module constant
+            return suite
+
+        monkeypatch.setattr(cutcheck.cli, "parse_spec", recording_parse_spec)
+        argvs = [["check", kind[0], str(fixtures_dir / "in.pl"), "--spec", spec, *kind[1:]]
+                 for spec in specs]
+        in_process = [run(capsys, *argv) for argv in argvs]
+        fresh = [cli(argv) for argv in argvs]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, _, _ in in_process] == [0, 1]
+        cutcheck.atomsets._ENUM_CACHE.clear()  # the enumeration memo keeps its sets (ROADMAP item 5)
+        gc.collect()
+        assert len(sets) == 4 and all(ref() is None for ref in sets)

@@ -46,6 +46,7 @@ from cutcheck.terms import (
 
 from derivations import variant_equal
 from match_reference import recursive_match
+from term_key_reference import uncached_term_key
 from naive_unify import (
     is_idempotent,
     naive_apply,
@@ -582,3 +583,93 @@ class TestEnumeration:
     def test_most_general_atom(self):
         g = most_general_atom("p", 2)
         assert match(g, Pred("p", (a, b))) is not None
+
+
+class TestSortKeyCache:
+    """``term_key`` caches the key of a ground compound on the instance; the
+    uncached walk in ``tests/term_key_reference.py`` is the oracle."""
+
+    @staticmethod
+    def terms(rng, count):
+        """Seeded ground and non-ground terms that share subterm objects."""
+        made = [a, b, NIL]
+
+        def term(depth):
+            r = rng.random()
+            if depth == 0 or r < 0.25:
+                return rng.choice(made + [X, Y, a, b])
+            if r < 0.55:
+                return cons(term(depth - 1), term(depth - 1))
+            return Compound(rng.choice("fg"), tuple(term(depth - 1) for _ in range(rng.randint(1, 3))))
+
+        for _ in range(count):
+            t = term(rng.randint(0, 5))
+            if term_depth(t) <= 2:  # reused whole: keeps the trees the oracle walks small
+                made.append(t)
+            yield t
+
+    @staticmethod
+    def copy(t):
+        stack, done = [t], {}
+        while stack:  # own stack: the 5,000-cell list is copied too
+            x = stack[-1]
+            if x.__class__ is not Compound or id(x) in done:
+                stack.pop()
+                continue
+            todo = [y for y in x.args if y.__class__ is Compound and id(y) not in done]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            done[id(x)] = Compound(x.functor, tuple(done.get(id(y), y) for y in x.args))
+        return done.get(id(t), t)
+
+    @staticmethod
+    def same(k1, k2) -> bool:
+        """``k1 == k2`` for nested tuples, with its own stack: the tuple ``==``
+        recurses once per level of a 5,000-deep key."""
+        stack = [(k1, k2)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if x.__class__ is not tuple or y.__class__ is not tuple:
+                if x != y:
+                    return False
+            elif len(x) != len(y):
+                return False
+            else:
+                stack += zip(x, y)
+        return True
+
+    def test_cached_key_equals_the_uncached_walk(self):
+        rng = random.Random(13)
+        long_list = make_list([a, f(b)] * 2500)
+        for t in [long_list, cons(X, long_list), f(long_list, long_list)] + list(self.terms(rng, 1500)):
+            fresh = self.copy(t)
+            shallow = term_depth(fresh) < 100  # repr recurses
+            before = (repr(fresh) if shallow else None, hash(fresh))
+            want = uncached_term_key(fresh)
+            assert self.same(term_key(t), want)  # t may share subterms keyed earlier
+            assert self.same(term_key(fresh), want)  # cold
+            assert self.same(term_key(fresh), want)  # cached
+            assert fresh == t and fresh == self.copy(t)
+            assert (repr(fresh) if shallow else None, hash(fresh)) == before
+            assert self.same(atom_key(Pred("p", (fresh, t))), ("p", 2, (want, want)))
+        assert not self.same(term_key(long_list), term_key(make_list([a, f(b)] * 2499 + [a, b])))
+
+    def test_only_ground_compounds_keep_a_key(self):
+        g = make_list([a, f(b)])
+        t = f(g, X, f(g, Y))
+        key = term_key(t)
+        assert "_key" not in t.__dict__ and "_key" not in t.args[2].__dict__
+        assert g.__dict__["_key"] is key[3][0] is key[3][2][3][0]  # shared, not copied
+        assert a.__dict__["_key"] == (0, 1, "a", ())
+        assert "_key" not in repr(g) and g == make_list([a, f(b)])
+        with pytest.raises(AttributeError):
+            g._key = None  # the instance stays frozen
+
+    def test_ground_terms_sort_as_before(self):
+        alphabet = Alphabet((("a", 0), ("f", 1), ("g", 2)), (("p", 1),))
+        pool = ground_terms(alphabet, 2)
+        assert list(pool) == sorted((self.copy(t) for t in pool), key=uncached_term_key)

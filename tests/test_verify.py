@@ -24,12 +24,12 @@ from cutcheck import (
     well_asserted_clause,
     well_asserted_query,
 )
-from cutcheck.atomsets import AtomPattern, Guard, contains, membership_reads
+from cutcheck.atomsets import AtomPattern, CapHit, Guard, contains, membership_reads
 from cutcheck.levels import LevelMapping, atom_level_bound, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import CUT, Alphabet, Pred, Var, const, is_ground, make_list, match
 from cutcheck.verdicts import Verdict, weakest
-from cutcheck.verify import s_subset_post_check
+from cutcheck.verify import _query_free_stages, s_subset_post_check
 
 import full_product
 from conftest import load_program, load_spec_text
@@ -226,6 +226,16 @@ class TestPipeline:
         patterns = parse_spec("[S]\np(X) where ground(X).\n\n[post]\np(X).\n")
         v = s_subset_post_check(patterns.s, patterns.post, alphabet=alpha, depth=1)
         assert v.is_verified and v.reason == "probe up to depth 1 passed"
+
+    def test_violated_premise_reason_is_plain_text(self):
+        prog = load_program("in.pl")
+        suite = parse_spec(load_spec_text("in.spec").replace(
+            "[post]\nany.", "[post]\nm(X, L) where ground_list(L)."))
+        rep = completeness_check(prog, parse_query("in([1], [1, 2])"), suite)
+        premise = dict(rep.verdict.parts)["S subset of post"]
+        assert premise.is_unknown
+        assert premise.reason == (
+            "premise S subset-of post is violated: in([], []) is in S but not in post")
 
     def test_unknown_when_tree_truncated(self):
         prog = parse_program("p :- p.")
@@ -610,3 +620,92 @@ class TestReaders:
         assert reads("s(f(X, [Y]), L)") == {"X", "Y"}  # coefficient 0 reads nothing
         assert level_reads(CUT, maps) == set()
 
+
+
+FIXTURE_PAIRS = (
+    ("append.pl", "append.spec"),
+    ("in.pl", "in.spec"),
+    ("artificial.pl", "artificial.spec"),
+    ("artificial.pl", "artificial_posthb.spec"),
+    ("notp.pl", "notp.spec"),
+    ("notp.pl", "notp_nonground.spec"),
+)
+
+
+def semi_complete_atom_by_atom(program, s, alphabet, depth, resolver):
+    """``semi_complete``'s verdict, from one ``covered`` call per atom and
+    clause, each without a shared context."""
+    try:
+        atoms = enumerate_atoms(s, alphabet, depth, resolver)
+    except CapHit as exc:
+        return Verdict.unknown(str(exc))
+    per_atom = []
+    for a in atoms:
+        verdict = None
+        for _, clause in program.matching(a):
+            v = covered(a, clause, s, alphabet=alphabet, depth=depth, resolver=resolver)
+            if v.is_verified:
+                verdict = Verdict.verified()
+                break
+            if v.is_unknown and verdict is None:
+                verdict = v
+        text = atom_text(a)
+        per_atom.append((text, verdict or Verdict.refuted({"atom": text, "note": "not covered"})))
+    return weakest([v for _, v in per_atom], tuple(per_atom))
+
+
+def c_coverage_atom_by_atom(program, suite, alphabet, depth):
+    """The c-coverage stage's verdict, from one ``c_covered`` call per atom,
+    each without a shared context."""
+    resolver = suite.resolver
+    try:
+        atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
+    except CapHit as exc:
+        return Verdict.unknown(str(exc))
+    per_atom = [
+        (atom_text(a), c_covered(a, program, suite.s, suite.pre, suite.post,
+                                 alphabet=alphabet, depth=depth, resolver=resolver))
+        for a in atoms
+    ]
+    return weakest([v for _, v in per_atom], tuple(per_atom))
+
+
+class TestCoverContext:
+    """The two loops over S share one context per loop; their verdict trees
+    are the ones the per-atom entry points give without one."""
+
+    def check(self, program, suite, alphabet, depth):
+        resolver = suite.resolver
+        got = semi_complete(program, suite.s, alphabet=alphabet, depth=depth, resolver=resolver)
+        want = semi_complete_atom_by_atom(program, suite.s, alphabet, depth, resolver)
+        assert got.to_json_obj() == want.to_json_obj()
+        got = _query_free_stages(program, suite, alphabet, depth)[2]
+        want = c_coverage_atom_by_atom(program, suite, alphabet, depth)
+        assert got.to_json_obj() == want.to_json_obj()
+        return got, len(got.parts)
+
+    @pytest.mark.parametrize("pl, spec", FIXTURE_PAIRS)
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_fixtures(self, pl, spec, depth):
+        prog, suite, alpha = setup_example(pl, spec)
+        _, atoms = self.check(prog, suite, alpha, depth)
+        assert atoms > 0
+
+    def test_seeded_programs_and_specs(self):
+        rng = random.Random(11)
+        statuses, atoms, deep = set(), 0, 0
+        for _, prog, _, _ in random_list_cases(rng, 100):
+            sets = ["\n".join(rng.sample(LIST_SETS, rng.randint(1, 3))) for _ in range(3)]
+            pre = rng.choice(["any.", sets[1]])
+            post = rng.choice(["any.", sets[0], sets[2]])
+            suite = parse_spec(f"[S]\n{sets[0]}\n[pre]\n{pre}\n[post]\n{post}\n")
+            for depth in (1, 2):
+                # at depth 2 an unguarded m/2 pattern has 1,444 atoms: too slow for Tier-1
+                if depth == 2 and len(enumerate_atoms(suite.s, LIST_ALPHA, 2, suite.resolver)) > 150:
+                    continue
+                got, n = self.check(prog, suite, LIST_ALPHA, depth)
+                statuses.add(got.status)
+                atoms += n
+                deep += depth == 2
+        assert statuses == {"verified", "refuted", "unknown"}, statuses
+        assert atoms > 1000 and deep > 20, (atoms, deep)
