@@ -21,7 +21,6 @@ from .terms import (
     CapHit,
     Compound,
     Pred,
-    Subst,
     Term,
     Var,
     apply,
@@ -127,7 +126,7 @@ def definitely_ground(t, facts=None) -> bool:
     return all("ground" in _flags(facts, v) for v in vars_of(t))
 
 
-def guard_holds(guard: Guard, env: Subst, facts=None, resolver=None) -> bool:
+def guard_holds(guard: Guard, env: dict, facts=None, resolver=None) -> bool:
     """Sound evaluation of a guard under a matching environment."""
     name = guard.name
     if name == "any":
@@ -320,15 +319,14 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
         """``(value, depth, ...)`` tuples for ``v``, in enumeration order."""
         if v in func and all(n in env for n in inputs[v]):
             kind, g = func[v]
-            sub = Subst(env)
             if kind == "concat":
-                head, tail = apply(sub, g.args[0]), apply(sub, g.args[1])
+                head, tail = apply(env, g.args[0]), apply(env, g.args[1])
                 k = list_items(head)
                 if k is None:
                     return []
                 d = max(value_depth(g.args[0], head), len(k) + value_depth(g.args[1], tail))
                 return [(make_list(k, tail=tail), d)]
-            src = list_items(apply(sub, g.args[1]))
+            src = list_items(apply(env, g.args[1]))
             if src is None:
                 return []
             if kind == "member":
@@ -357,11 +355,10 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
 
     def assign(i, env: dict):
         if i == len(order):
-            sub = Subst(env)
-            args = tuple(env[a.name] if a.__class__ is Var else apply(sub, a) for a in targs)
+            args = tuple(env[a.name] if a.__class__ is Var else apply(env, a) for a in targs)
             if any(value_depth(a, t) > depth for a, t in zip(targs, args)):
                 return
-            if all(guard_holds(g, sub, None, resolver) for g in pattern.guards):
+            if all(guard_holds(g, env, None, resolver) for g in pattern.guards):
                 out.append(Pred(template.name, args))
             return
         v = order[i]
@@ -565,7 +562,7 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, ca
                 mapping[v] = make_list([Var(f"G{next(fresh)}") for _ in items])
             else:
                 mapping[v] = Var(f"G{next(fresh)}")
-        cand = apply(Subst(mapping), pattern.template)
+        cand = apply(mapping, pattern.template)
         if match(cand, a) is None or not contains(one, cand, resolver):
             return [a] if contains(one, a, resolver) else []
         return [cand]

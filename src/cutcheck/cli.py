@@ -119,49 +119,36 @@ def cmd_prune(args) -> int:
     return _report_nodes(args, "pruned tree", pruned.base, pruned.kept, pruned.exact)
 
 
-def cmd_run(args) -> int:
-    program = _load_program(args.program)
-    query = parse_query(args.query)
-    budget = _make_budget(args, None)
-    pruned = pruned_tree(program, query, budget)
-    _emit_tree(args, pruned.base, pruned)
-    answers = pruned.answers
+def _report_answers(args, answers: list, exact: bool, note: str, extra: dict) -> int:
+    """Print the answers of ``run`` or ``oracle``; ``note`` names the budget
+    an inexact search exhausted, ``extra`` holds further JSON fields."""
     if args.json:
-        obj = {
-            "answers": [query_text(a) for a in answers],
-            "exact": pruned.exact,
-        }
+        obj = {"answers": [query_text(a) for a in answers], "exact": exact, **extra}
         print(json.dumps(obj, sort_keys=True))
     else:
         for a in answers:
             print(query_text(a) if a else "yes")
         if not answers:
             print("no answers")
-        if not pruned.exact:
-            print("(budget exhausted; answer list may be incomplete)")
-    return EXIT_VERIFIED if pruned.exact else EXIT_UNKNOWN
+        if not exact:
+            print(f"({note} exhausted; answer list may be incomplete)")
+    return EXIT_VERIFIED if exact else EXIT_UNKNOWN
+
+
+def cmd_run(args) -> int:
+    program = _load_program(args.program)
+    query = parse_query(args.query)
+    pruned = pruned_tree(program, query, _make_budget(args, None))
+    _emit_tree(args, pruned.base, pruned)
+    return _report_answers(args, pruned.answers, pruned.exact, "budget", {})
 
 
 def cmd_oracle(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
-    budget = _make_budget(args, None)
-    result = prolog_search(program, query, budget)
-    if args.json:
-        obj = {
-            "answers": [query_text(a) for a in result.answers],
-            "exact": result.exact,
-            "steps": result.steps,
-        }
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for a in result.answers:
-            print(query_text(a) if a else "yes")
-        if not result.answers:
-            print("no answers")
-        if not result.exact:
-            print("(step budget exhausted; answer list may be incomplete)")
-    return EXIT_VERIFIED if result.exact else EXIT_UNKNOWN
+    result = prolog_search(program, query, _make_budget(args, None))
+    return _report_answers(args, result.answers, result.exact, "step budget",
+                           {"steps": result.steps})
 
 
 def cmd_check(args) -> int:

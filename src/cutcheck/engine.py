@@ -17,10 +17,8 @@ from typing import Optional
 from .terms import (
     CUT,
     Clause,
-    EMPTY_SUBST,
     FreshNames,
     Pred,
-    Subst,
     apply,
     rename_apart,
     unify,
@@ -64,7 +62,7 @@ class LdStep:
     ``clause_index is None`` and an empty mgu.
     """
 
-    mgu: Subst
+    mgu: dict
     clause_index: Optional[int] = None
     clause_variant: Optional[Clause] = None
 
@@ -145,7 +143,7 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     selected = query[0]
     tail = query[1:]
     if selected is CUT:
-        return [(tail, LdStep(EMPTY_SUBST, None, None))]
+        return [(tail, LdStep({}, None, None))]
     selected_vars = None
     out = []
     for idx, clause in program.matching(selected):

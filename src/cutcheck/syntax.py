@@ -369,10 +369,6 @@ def rule_text(head: str, body: tuple, texts: Optional[dict] = None) -> str:
     return head + " :- " + query_text(body, texts) + "."
 
 
-def program_text(p: Program) -> str:
-    return "\n".join(clause_text(c) for c in p.clauses) + ("\n" if p.clauses else "")
-
-
 def subst_text(s) -> str:
     inner = ", ".join(f"{k}/{term_text(v)}" for k, v in sorted(s.items()))
     return "{" + inner + "}"

@@ -3,6 +3,13 @@
 Terms are immutable values: variables and compounds (constants are zero-arity
 compounds).  Atoms are predicate applications plus the special control atom
 ``!`` (cut), which is consumed by the derivation engine and never unified.
+
+A substitution is a plain ``dict`` from variable name to term.  It has two
+readers: ``apply`` reads it as simultaneous (each variable is replaced by its
+binding as is), and ``resolve`` as triangular (a binding may hold bound
+variables, resolved in turn).  ``unify``, ``match`` and ``compose`` return
+such dicts; a binding of a variable to itself changes nothing under either
+reader.
 """
 
 from __future__ import annotations
@@ -225,59 +232,12 @@ def is_ground(e) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Subst:
-    """An immutable substitution: a finite map from variable names to terms.
-
-    Identity bindings are dropped on construction, so the domain is exactly
-    the set of variables the substitution moves.
-    """
-
-    __slots__ = ("_b",)
-
-    def __init__(self, bindings=None):
-        b = bindings if bindings.__class__ is dict else dict(bindings or ())
-        self._b = {k: v for k, v in b.items() if not (v.__class__ is Var and v.name == k)}
-
-    def get(self, name, default=None):
-        return self._b.get(name, default)
-
-    def __getitem__(self, name):
-        return self._b[name]
-
-    def __contains__(self, name):
-        return name in self._b
-
-    def __iter__(self):
-        return iter(self._b)
-
-    def __len__(self):
-        return len(self._b)
-
-    def __eq__(self, other):
-        return isinstance(other, Subst) and self._b == other._b
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}/{v!r}" for k, v in sorted(self._b.items()))
-        return "{" + inner + "}"
-
-    def items(self):
-        return self._b.items()
-
-    @property
-    def domain(self) -> set:
-        return set(self._b)
-
-    def restrict(self, names) -> "Subst":
-        names = set(names)
-        return Subst({k: v for k, v in self._b.items() if k in names})
-
-
-EMPTY_SUBST = Subst()
-
-
-def apply(s: Subst, e):
-    """Apply a substitution to a term, atom, query tuple, clause, or None."""
-    return _substitute_in(e, s._b, None)
+def apply(s: dict, e):
+    """Apply a substitution, read as simultaneous, to a term, atom, query
+    tuple, clause, or None.  An empty substitution returns ``e`` itself."""
+    if not s:
+        return e
+    return _substitute_in(e, s, None)
 
 
 def _substitute_in(e, bindings: dict, memo: Optional[dict]):
@@ -362,13 +322,14 @@ def resolve(bindings: dict, e):
     return _substitute_in(e, bindings, {})
 
 
-def compose(s: Subst, t: Subst) -> Subst:
-    """The substitution mapping each X to ``apply(t, apply(s, X))``."""
+def compose(s: dict, t: dict) -> dict:
+    """The substitution mapping each X to ``apply(t, apply(s, X))``, without
+    the bindings of a variable to itself."""
     out = {k: apply(t, v) for k, v in s.items()}
     for k, v in t.items():
         if k not in out:
             out[k] = v
-    return Subst(out)
+    return {k: v for k, v in out.items() if v.__class__ is not Var or v.name != k}
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +367,10 @@ def _occurs_bound(name: str, t: Term, bindings: dict) -> bool:
     return False
 
 
-def _unify_pairs(pairs) -> Optional[Subst]:
+def _unify_pairs(pairs) -> Optional[dict]:
     """Unify pairs left to right with triangular bindings: a variable is bound
     to a term that may itself contain bound variables, and every lookup
-    dereferences.  The map is resolved into an idempotent Subst once, at the
+    dereferences.  The map is resolved into an idempotent one once, at the
     end."""
     bindings: dict = {}
     stack = list(reversed(pairs))
@@ -434,10 +395,10 @@ def _unify_pairs(pairs) -> Optional[Subst]:
                 return None
             stack.extend(reversed(list(zip(x.args, y.args))))
     memo: dict = {}
-    return Subst({name: _substitute(t, bindings, memo) for name, t in bindings.items()})
+    return {name: _substitute(t, bindings, memo) for name, t in bindings.items()}
 
 
-def unify(a, b) -> Optional[Subst]:
+def unify(a, b) -> Optional[dict]:
     """Idempotent, relevant most general unifier (occurs check on), or None.
 
     Accepts two terms or two predicate atoms.  Passing ``!`` raises
@@ -499,10 +460,11 @@ def _hash_compound(t: Compound) -> int:
     return t.__dict__["_hash"]
 
 
-def match(general, specific) -> Optional[Subst]:
+def match(general, specific) -> Optional[dict]:
     """One-way matching: a substitution t with apply(t, general) == specific.
 
-    Variables of ``specific`` are treated as constants.  Accepts terms,
+    Variables of ``specific`` are treated as constants, so t may bind a
+    variable to itself, which ``apply`` ignores.  Accepts terms,
     predicate atoms, the cut atom (which only matches itself), and tuples
     of atoms (matched left to right with shared bindings).  A ground
     subterm of ``general`` is compared with ``_equal``, at no cost when both
@@ -547,7 +509,7 @@ def match(general, specific) -> Optional[Subst]:
                 ss += s.args[::-1]
         else:
             raise TypeError(f"cannot match {g!r}")
-    return Subst(bindings)
+    return bindings
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +551,13 @@ def rename_apart(clause, forbidden, fresh: Optional[FreshNames] = None):
             taken.add(cand)
     if not mapping:
         return clause
-    return apply(Subst(mapping), clause)
+    return apply(mapping, clause)
 
 
 def canonical(e):
     """Rename variables to V1, V2, ... in first-occurrence order."""
     mapping = {v: Var(f"V{i + 1}") for i, v in enumerate(vars_of(e))}
-    return apply(Subst(mapping), e)
+    return apply(mapping, e)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,9 @@ from .terms import (
     Alphabet,
     Clause,
     Compound,
-    EMPTY_SUBST,
     FreshNames,
     InputError,
     Pred,
-    Subst,
     Var,
     apply,
     compose,
@@ -71,7 +69,7 @@ _DEFAULT_CAP = 50_000
 # ---------------------------------------------------------------------------
 
 
-def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int, read=None):
+def _groundings(sigma: dict, names, alphabet: Alphabet, depth: int, cap: int, read=None):
     """Extend sigma with every depth-bounded grounding of the names it leaves
     free, in product order.  Only the names in ``read`` (every name when it
     is None) vary; the others stay at the first ground term.  Raises CapHit
@@ -81,7 +79,7 @@ def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int, r
     finds the same first counterexample as over the full product: that one
     has every such name at the first ground term.
     """
-    names = [n for n in names if n not in sigma.domain]
+    names = [n for n in names if n not in sigma]
     if not names:
         yield sigma
         return
@@ -93,9 +91,8 @@ def _groundings(sigma: Subst, names, alphabet: Alphabet, depth: int, cap: int, r
     for count, combo in enumerate(itertools.product(terms, repeat=len(vary)), 1):
         if count > cap:
             raise CapHit(f"instance cap {cap} hit at depth {depth}")
-        bindings = dict(first)
-        bindings.update(zip(vary, combo))
-        theta = Subst(bindings)
+        theta = dict(first)
+        theta.update(zip(vary, combo))
         yield compose(sigma, theta) if sigma else theta
 
 
@@ -127,7 +124,7 @@ class _CoverSearch:
         return enumerate_atoms(self.s, self.alphabet, self.depth, self.resolver, self.cap,
                                predicate=key)
 
-    def solutions(self, goals: tuple, sigma: Subst):
+    def solutions(self, goals: tuple, sigma: dict):
         """Yield substitutions grounding the goals inside the set.
 
         Each goal reached, and the end of the list, is one visit.  Leading
@@ -142,7 +139,7 @@ class _CoverSearch:
             if i == len(goals):
                 yield sigma
                 return
-            atom = apply(sigma, goals[i]) if sigma else goals[i]
+            atom = apply(sigma, goals[i])
             if not is_ground(atom):
                 break
             if not contains(self.s, atom, self.resolver):
@@ -220,11 +217,11 @@ def _covering_instance(a: Pred, clause: Clause, s, alphabet: Alphabet, depth: in
     theta = match(clause.head, a)
     if theta is None:
         return "refuted", "head does not match"
-    body = apply(theta, clause.body) if theta else clause.body
+    body = apply(theta, clause.body)
     search = _CoverSearch(s, alphabet, depth, resolver, cap)
     try:
-        for sol in search.solutions(body, EMPTY_SUBST):
-            instance = Clause(a, apply(sol, body) if sol else body)
+        for sol in search.solutions(body, {}):
+            instance = Clause(a, apply(sol, body))
             if is_ground(instance):
                 return "verified", instance
     except CapHit as exc:
@@ -299,7 +296,7 @@ def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
         search = _CoverSearch(s, alphabet, depth, resolver, cap)
         read = membership_reads(s, clause.head)
         try:
-            for sol in search.solutions(clause.body, EMPTY_SUBST):
+            for sol in search.solutions(clause.body, {}):
                 for full in _groundings(sol, vars_of(clause), alphabet, depth, cap, read):
                     head = apply(full, clause.head)
                     if not is_ground(head):
@@ -331,7 +328,7 @@ def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
 # ---------------------------------------------------------------------------
 
 
-def _guard_facts(guard: Guard, env: Subst, resolver):
+def _guard_facts(guard: Guard, env: dict, resolver):
     """Facts a *holding* guard gives about the variables of the matched term.
 
     Returns (facts dict | 'drop' | None, refined substitution | None):
@@ -378,12 +375,15 @@ def _guard_facts(guard: Guard, env: Subst, resolver):
     raise ValueError(f"unknown guard {name!r}")  # pragma: no cover
 
 
-def _membership_branches(atom: Pred, s: AtomSet, sigma: Subst, facts: dict, fresh: FreshNames,
-                         resolver):
+def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbidden: set,
+                         fresh: FreshNames, resolver):
     """Over-approximate the instances whose ``atom`` lies in ``s``.
 
     Returns a list of (sigma', facts') branches such that every instance with
-    the atom in the set is an instance of some branch.
+    the atom in the set is an instance of some branch.  ``forbidden`` must
+    hold every variable of the clause and of the pattern variants used so
+    far; it is extended with those of each variant used here, so a guard
+    fact never lands on a clause variable not yet reached.
     """
     at = apply(sigma, atom)
     out = [(sigma, facts)] if s.universal else []
@@ -394,7 +394,7 @@ def _membership_branches(atom: Pred, s: AtomSet, sigma: Subst, facts: dict, fres
         if theta is not None:
             out.append((compose(sigma, theta), facts))
     for p in s.patterns:
-        variant_pattern = _rename_pattern(p, set(vars_of(at)), fresh)
+        variant_pattern = _rename_pattern(p, forbidden, fresh)
         theta = unify(at, variant_pattern.template)
         if theta is None:
             continue
@@ -427,10 +427,13 @@ def _guard_var_names(p: AtomPattern) -> set:
 
 
 def _rename_pattern(p: AtomPattern, forbidden: set, fresh: FreshNames) -> AtomPattern:
+    """A variant of ``p`` sharing no variable with ``forbidden``, which is
+    extended with the variant's variables."""
     own = _guard_var_names(p)
     bundle = tuple(Var(v) for v in own)
     renamed = rename_apart(bundle, forbidden, fresh)
-    mapping = Subst({v: r for v, r in zip(own, renamed)})
+    forbidden.update(r.name for r in renamed)
+    mapping = dict(zip(own, renamed))
     guards = tuple(
         Guard(g.name, tuple(a if isinstance(a, str) else apply(mapping, a) for a in g.args))
         for g in p.guards
@@ -438,7 +441,7 @@ def _rename_pattern(p: AtomPattern, forbidden: set, fresh: FreshNames) -> AtomPa
     return AtomPattern(apply(mapping, p.template), guards)
 
 
-def _entailed_member(atom, s, sigma: Subst, facts: dict, resolver) -> bool:
+def _entailed_member(atom, s, sigma: dict, facts: dict, resolver) -> bool:
     if atom is CUT:
         return True
     frozen = {k: frozenset(v) for k, v in facts.items()}
@@ -505,7 +508,8 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
     body lies in post + {!} the head must lie in post.
     """
     fresh = FreshNames()
-    head_branches = _membership_branches(clause.head, pre, EMPTY_SUBST, {}, fresh, resolver)
+    forbidden = set(vars_of(clause))
+    head_branches = _membership_branches(clause.head, pre, {}, {}, forbidden, fresh, resolver)
     if not head_branches:
         return Verdict.verified("head cannot satisfy pre (vacuous)")
     branches = head_branches
@@ -518,7 +522,7 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
             next_branches: list = []
             for sigma, facts in branches:
                 next_branches.extend(
-                    _membership_branches(b, post, sigma, facts, fresh, resolver)
+                    _membership_branches(b, post, sigma, facts, forbidden, fresh, resolver)
                 )
             branches = next_branches
             if len(branches) > branch_cap:
@@ -674,7 +678,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, s, pre, post, alphabet, depth, re
     b0, b1 = info.last_cut
     clause = info.clause
     if pre == UNIVERSAL:
-        rhos = [(EMPTY_SUBST, clause.head)] if match(clause.head, a) is not None else []
+        rhos = [({}, clause.head)] if match(clause.head, a) is not None else []
     else:
         try:
             gens = max_generalizations(a, pre, resolver)
@@ -702,21 +706,21 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, s, pre, post, alphabet, depth, re
         search = _CoverSearch(post, alphabet, depth, resolver, cap)
         etas = []
         try:
-            for eta in search.solutions(b0r, EMPTY_SUBST):
+            for eta in search.solutions(b0r, {}):
                 etas.append(eta)
         except CapHit as exc:
             unknown = str(exc)  # the etas found so far can still refute
         if not search.exhaustive:
             unknown = unknown or f"eta enumeration exhausted depth {depth}"
         for eta in etas:
-            reduced = Clause(apply(eta, head_r), apply(eta, b1r)) if eta else Clause(head_r, b1r)
+            reduced = Clause(apply(eta, head_r), apply(eta, b1r))
             status, found = _covering_instance(a, reduced, s, alphabet, depth, resolver, cap)
             if status == "refuted":
                 return Verdict.refuted(
                     {
                         "atom": ctx.atom_text(a),
                         "clause": info.text,
-                        "eta": subst_text(eta.restrict(vars_of(b0r))),
+                        "eta": subst_text({v: eta[v] for v in vars_of(b0r) if v in eta}),
                         "reduced_clause": clause_text(reduced),
                     },
                     "after the cut fires, the remaining clause no longer covers the atom",
@@ -974,7 +978,7 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
     clause = Clause(head, tuple(query))
 
     ext = []
-    for theta in _groundings(EMPTY_SUBST, names, alphabet, depth, cap):
+    for theta in _groundings({}, names, alphabet, depth, cap):
         inst = apply(theta, query)
         if all(x is CUT or contains(suite.s, x, resolver) for x in inst):
             ext.append(apply(theta, head))
@@ -1005,7 +1009,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
         return Verdict.unknown("tree budget exhausted; answers may be missing")
     answers = pt.answers
     try:
-        for theta in _groundings(EMPTY_SUBST, vars_of(query), alphabet, budget.depth, cap):
+        for theta in _groundings({}, vars_of(query), alphabet, budget.depth, cap):
             inst = apply(theta, query)
             if not all(x is CUT or contains(suite.s, x, resolver) for x in inst):
                 continue
@@ -1051,7 +1055,7 @@ def _level_decrease(program: Program, level_maps: dict, s, resolver, alphabet: A
         for b in clause.body:
             read |= level_reads(b, level_maps) | membership_reads(s, b)
         try:
-            for theta in _groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap, read):
+            for theta in _groundings({}, vars_of(clause), alphabet, depth, cap, read):
                 instance = apply(theta, clause)
                 h = level_of(instance.head, level_maps)
                 for i, b in enumerate(instance.body):

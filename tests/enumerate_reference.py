@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from cutcheck.atomsets import AtomSetTooLarge, guard_holds
 from cutcheck.terms import (
-    Subst,
     Var,
     apply,
     atom_depth,
@@ -82,13 +81,12 @@ def reference_enumerate_pattern(pattern, alphabet, depth, resolver, cap, counter
     def candidates(v, env: dict):
         if v in func and all(n in env for n in _func_input_vars(func[v])):
             kind, g = func[v]
-            sub = Subst(env)
             if kind == "concat":
-                k = list_items(apply(sub, g.args[0]))
+                k = list_items(apply(env, g.args[0]))
                 if k is None:
                     return []
-                return [make_list(k, tail=apply(sub, g.args[1]))]
-            src = list_items(apply(sub, g.args[1]))
+                return [make_list(k, tail=apply(env, g.args[1]))]
+            src = list_items(apply(env, g.args[1]))
             if src is None:
                 return []
             if kind == "member":
@@ -124,7 +122,7 @@ def reference_enumerate_pattern(pattern, alphabet, depth, resolver, cap, counter
 
     def assign(i, env: dict):
         if i == len(order):
-            atom = apply(Subst(env), pattern.template)
+            atom = apply(env, pattern.template)
             if not is_ground(atom) or atom_depth(atom) > depth:
                 return
             theta = match(pattern.template, atom)

@@ -16,15 +16,15 @@ import itertools
 from cutcheck.atomsets import UNIVERSAL, CapHit, contains
 from cutcheck.levels import level_of
 from cutcheck.syntax import atom_text, clause_text
-from cutcheck.terms import CUT, EMPTY_SUBST, Subst, apply, compose, ground_terms, is_ground, vars_of
+from cutcheck.terms import CUT, apply, compose, ground_terms, is_ground, vars_of
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import _CoverSearch
 
 CAP_HITS: list = []
 
 
-def full_groundings(sigma: Subst, names, alphabet, depth: int, cap: int):
-    names = [n for n in names if n not in sigma.domain]
+def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
+    names = [n for n in names if n not in sigma]
     if not names:
         yield sigma
         return
@@ -33,7 +33,7 @@ def full_groundings(sigma: Subst, names, alphabet, depth: int, cap: int):
         if count > cap:
             CAP_HITS.append(f"instance cap {cap} hit at depth {depth}")
             raise CapHit(CAP_HITS[-1])
-        theta = Subst(dict(zip(names, combo)))
+        theta = dict(zip(names, combo))
         yield compose(sigma, theta) if sigma else theta
 
 
@@ -43,7 +43,7 @@ def full_correct_check(program, s, *, alphabet, depth, resolver=None, cap=50_000
     for clause in program.clauses:
         search = _CoverSearch(s, alphabet, depth, resolver, cap)
         try:
-            for sol in search.solutions(clause.body, EMPTY_SUBST):
+            for sol in search.solutions(clause.body, {}):
                 for full in full_groundings(sol, vars_of(clause), alphabet, depth, cap):
                     head = apply(full, clause.head)
                     if not is_ground(head):
@@ -74,7 +74,7 @@ def _full_level_decrease(program, level_maps, s, resolver, alphabet, depth, cap,
     capped = None
     for clause in program.clauses:
         try:
-            for theta in full_groundings(EMPTY_SUBST, vars_of(clause), alphabet, depth, cap):
+            for theta in full_groundings({}, vars_of(clause), alphabet, depth, cap):
                 instance = apply(theta, clause)
                 h = level_of(instance.head, level_maps)
                 for i, b in enumerate(instance.body):

@@ -6,10 +6,10 @@ Python call per subterm, so it is only used on small terms.
 
 from typing import Optional
 
-from cutcheck.terms import CUT, Compound, Pred, Subst, Var
+from cutcheck.terms import CUT, Compound, Pred, Var
 
 
-def recursive_match(general, specific) -> Optional[Subst]:
+def recursive_match(general, specific) -> Optional[dict]:
     """One-way matching: a substitution t with apply(t, general) == specific."""
     bindings: dict = {}
 
@@ -41,6 +41,6 @@ def recursive_match(general, specific) -> Optional[Subst]:
         if not isinstance(specific, tuple) or len(general) != len(specific):
             return None
         if all(go(g, s) for g, s in zip(general, specific)):
-            return Subst(bindings)
+            return bindings
         return None
-    return Subst(bindings) if go(general, specific) else None
+    return bindings if go(general, specific) else None

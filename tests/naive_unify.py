@@ -14,7 +14,7 @@ the walks' shortcut at ground subterms.
 
 from typing import Optional
 
-from cutcheck.terms import CUT, Clause, Compound, Pred, Subst, Var
+from cutcheck.terms import CUT, Clause, Compound, Pred, Var
 
 
 def naive_vars_of(e) -> list:
@@ -44,9 +44,8 @@ def naive_vars_of(e) -> list:
 def naive_resolve(bindings: dict, e):
     """``e`` under a triangular binding map: apply the map until nothing
     changes (the map must be acyclic)."""
-    s = Subst(bindings)
     while True:
-        out = naive_apply(s, e)
+        out = naive_apply(bindings, e)
         if out == e:
             return out
         e = out
@@ -60,7 +59,7 @@ def occurs(name: str, t) -> bool:
     return False
 
 
-def range_vars(s: Subst) -> set:
+def range_vars(s: dict) -> set:
     """The variables of the terms ``s`` binds."""
     out: set = set()
     for _, v in s.items():
@@ -68,11 +67,11 @@ def range_vars(s: Subst) -> set:
     return out
 
 
-def is_idempotent(s: Subst) -> bool:
-    return not (s.domain & range_vars(s))
+def is_idempotent(s: dict) -> bool:
+    return not (set(s) & range_vars(s))
 
 
-def naive_apply(s: Subst, e):
+def naive_apply(s: dict, e):
     if e is None or e is CUT:
         return e
     if isinstance(e, (Var, Compound)):
@@ -86,7 +85,7 @@ def naive_apply(s: Subst, e):
     raise TypeError(f"cannot apply substitution to {e!r}")
 
 
-def _apply_term(s: Subst, t):
+def _apply_term(s: dict, t):
     """``naive_apply`` inside a term, where only variables and compounds may occur."""
     if isinstance(t, Var):
         return s.get(t.name, t)
@@ -95,17 +94,18 @@ def _apply_term(s: Subst, t):
     raise TypeError(f"cannot apply substitution to {t!r}")
 
 
-def naive_compose(s: Subst, t: Subst) -> Subst:
-    """The substitution mapping each X to ``naive_apply(t, naive_apply(s, X))``."""
+def naive_compose(s: dict, t: dict) -> dict:
+    """The substitution mapping each X to ``naive_apply(t, naive_apply(s, X))``,
+    without the bindings of a variable to itself."""
     out = {k: naive_apply(t, v) for k, v in s.items()}
     for k, v in t.items():
         if k not in out:
             out[k] = v
-    return Subst(out)
+    return {k: v for k, v in out.items() if v != Var(k)}
 
 
-def _unify_pairs(pairs) -> Optional[Subst]:
-    sigma = Subst()
+def _unify_pairs(pairs) -> Optional[dict]:
+    sigma: dict = {}
     stack = list(reversed(pairs))
     while stack:
         x, y = stack.pop()
@@ -116,11 +116,11 @@ def _unify_pairs(pairs) -> Optional[Subst]:
         if isinstance(x, Var):
             if occurs(x.name, y):
                 return None
-            sigma = naive_compose(sigma, Subst({x.name: y}))
+            sigma = naive_compose(sigma, {x.name: y})
         elif isinstance(y, Var):
             if occurs(y.name, x):
                 return None
-            sigma = naive_compose(sigma, Subst({y.name: x}))
+            sigma = naive_compose(sigma, {y.name: x})
         elif isinstance(x, Compound) and isinstance(y, Compound):
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return None
@@ -130,7 +130,7 @@ def _unify_pairs(pairs) -> Optional[Subst]:
     return sigma
 
 
-def naive_unify(a, b) -> Optional[Subst]:
+def naive_unify(a, b) -> Optional[dict]:
     """An idempotent, relevant mgu of two terms or two atoms, or None."""
     if isinstance(a, Pred) or isinstance(b, Pred):
         if not (isinstance(a, Pred) and isinstance(b, Pred)):

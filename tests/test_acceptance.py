@@ -34,7 +34,6 @@ from cutcheck.syntax import query_text, resolve_alphabet
 from cutcheck.terms import (
     Alphabet,
     Pred,
-    Subst,
     Var,
     apply,
     canonical,
@@ -358,13 +357,13 @@ class TestCriterion8CoreAlgebra:
             assert apply(theta, s) == apply(theta, t)
             assert is_idempotent(theta)
             allowed = set(vars_of(s)) | set(vars_of(t))
-            assert theta.domain | range_vars(theta) <= allowed
-            assert all(not _occurs_in_own_binding(theta, v) for v in theta.domain)
+            assert set(theta) | range_vars(theta) <= allowed
+            assert all(not _occurs_in_own_binding(theta, v) for v in theta)
 
         # match: general instance recovered, never the other way
         for _ in range(2500):
             g = self._random_term(rng, 2)
-            sigma = Subst({v: self._random_term(rng, 1) for v in vars_of(g)})
+            sigma = {v: self._random_term(rng, 1) for v in vars_of(g)}
             inst = apply(sigma, g)
             theta = match(g, inst)
             cases += 1

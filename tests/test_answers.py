@@ -15,7 +15,7 @@ import pytest
 from cutcheck import Budget, parse_program, parse_query, prolog_search, pruned_tree
 from cutcheck.cli import main
 from cutcheck.engine import SUCCESS
-from cutcheck.terms import CUT, EMPTY_SUBST, canonical
+from cutcheck.terms import CUT, canonical
 
 from conftest import load_program
 from full_tree import preorder
@@ -37,7 +37,7 @@ def naive_answers(pt) -> list:
     for nid in preorder(tree, pt.kept).ids:
         if tree.nodes[nid].status != SUCCESS:
             continue
-        sigma = EMPTY_SUBST
+        sigma = {}
         chain = tree.ancestors(nid)
         for parent, child in zip(chain, chain[1:]):
             step = tree.nodes[child].step

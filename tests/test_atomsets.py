@@ -16,7 +16,6 @@ from cutcheck.atomsets import (
 from cutcheck.terms import (
     Alphabet,
     Pred,
-    Subst,
     Var,
     apply,
     const,
@@ -46,30 +45,30 @@ class TestGuards:
             Guard("wat", ())
 
     def test_member_subset_concat(self):
-        env = Subst({"X": one, "L": make_list([one, two])})
+        env = {"X": one, "L": make_list([one, two])}
         assert guard_holds(Guard("member", (Var("X"), Var("L"))), env, None, None)
         assert guard_holds(
             Guard("subset", (make_list([two]), Var("L"))), env, None, None
         )
         assert guard_holds(
             Guard("concat", (make_list([one]), make_list([two]), make_list([one, two]))),
-            Subst(),
+            {},
             None,
             None,
         )
         assert not guard_holds(Guard("member", (const("3"), Var("L"))), env, None, None)
 
     def test_ground_and_list(self):
-        assert guard_holds(Guard("ground", (a,)), Subst(), None, None)
-        assert not guard_holds(Guard("ground", (X,)), Subst(), None, None)
-        assert guard_holds(Guard("list", (make_list([X]),)), Subst(), None, None)
-        assert not guard_holds(Guard("ground_list", (make_list([X]),)), Subst(), None, None)
+        assert guard_holds(Guard("ground", (a,)), {}, None, None)
+        assert not guard_holds(Guard("ground", (X,)), {}, None, None)
+        assert guard_holds(Guard("list", (make_list([X]),)), {}, None, None)
+        assert not guard_holds(Guard("ground_list", (make_list([X]),)), {}, None, None)
 
     def test_notin_resolves_named_set(self):
         resolver = {"other": AtomSet(atoms=(Pred("p", (a,)),))}
         g = Guard("notin", (Pred("p", (Var("X"),)), "other"))
-        assert not guard_holds(g, Subst({"X": a}), None, resolver)
-        assert guard_holds(g, Subst({"X": b}), None, resolver)
+        assert not guard_holds(g, {"X": a}, None, resolver)
+        assert guard_holds(g, {"X": b}, None, resolver)
 
 
 class TestContains:

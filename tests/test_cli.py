@@ -228,6 +228,21 @@ class TestCheck:
                              "--query", "p([1])")
         assert code == 0 and err == "" and "verdict: verified" in out
 
+    @pytest.mark.parametrize("post_var", ["X", "W"])
+    def test_post_pattern_variable_named_like_a_later_clause_variable(self, capsys, tmp_path,
+                                                                     post_var):
+        # the list fact of q's post pattern must not land on the clause's X
+        prog = tmp_path / "p.pl"
+        prog.write_text("p :- q(Y), r(X).\n")
+        spec = tmp_path / "p.spec"
+        spec.write_text("[alphabet]\nfunctor a/0.\nfunctor '[]'/0.\n\n"
+                        "[pre]\np.\nr(Z) where list(Z).\nq(A).\n\n"
+                        f"[post]\np.\nq({post_var}) where list({post_var}).\nr(B).\n")
+        code, out, err = run(capsys, "check", "cscorrect", str(prog), "--spec", str(spec),
+                             "--depth", "1")
+        assert code == 1 and err == "" and "verdict: refuted" in out
+        assert "instance=p :- q([]), r(a)." in out
+
 
 # SHA-256 of ``json.dumps(obj, sort_keys=True)`` of the ``--json`` report, with
 # ``timing_ms`` removed, as commit 4f8e775 printed it before the coverage fast paths.

@@ -12,7 +12,7 @@ from cutcheck.engine import (
     ld_expand,
 )
 from cutcheck.syntax import query_text
-from cutcheck.terms import EMPTY_SUBST, FreshNames, canonical, rename_apart, unify, vars_of
+from cutcheck.terms import FreshNames, canonical, rename_apart, unify, vars_of
 
 from conftest import random_atom_text, random_propositional_program, random_term_program
 from derivations import branch_derivation, subderivation
@@ -158,7 +158,7 @@ def reference_ld_expand(program, query, forbidden, fresh):
         return []
     selected = query[0]
     if selected is CUT:
-        return [(query[1:], LdStep(EMPTY_SUBST, None, None))]
+        return [(query[1:], LdStep({}, None, None))]
     out = []
     for idx, clause in program.matching(selected):
         variant = rename_apart(clause, forbidden, fresh)

@@ -10,7 +10,6 @@ from cutcheck.syntax import (
     parse_program,
     parse_query,
     parse_spec,
-    program_text,
     query_text,
     term_text,
     _name_text,
@@ -20,6 +19,11 @@ from cutcheck.terms import NIL, Compound, Pred, Var, const, list_items, make_lis
 
 from conftest import FIXTURES, random_term_program
 from tokenize_reference import reference_tokenize
+
+
+def program_text(p) -> str:
+    """A program's clauses, one a line: the round-trip tests print with it."""
+    return "\n".join(clause_text(c) for c in p.clauses) + ("\n" if p.clauses else "")
 
 
 def recursive_term_text(t) -> str:

@@ -10,11 +10,9 @@ from cutcheck.terms import (
     Clause,
     Compound,
     CutUnificationError,
-    EMPTY_SUBST,
     FreshNames,
     NIL,
     Pred,
-    Subst,
     Var,
     apply,
     atom_depth,
@@ -86,7 +84,7 @@ class TestUnify:
     def test_idempotent_and_relevant(self):
         s = unify(f(X, Y), f(Y, a))
         assert is_idempotent(s)
-        assert s.domain | range_vars(s) <= {"X", "Y"}
+        assert set(s) | range_vars(s) <= {"X", "Y"}
 
     def test_cut_rejected(self):
         with pytest.raises(CutUnificationError):
@@ -178,17 +176,17 @@ class TestLongTerms:
     def test_match_deep_terms(self):
         long_list = make_list([a] * self.N)
         theta = match(Pred("p", (make_list([a] * (self.N - 1), X), Y)), Pred("p", (long_list, b)))
-        assert theta.domain == {"X", "Y"} and theta["X"] == make_list([a]) and theta["Y"] == b
-        assert match(long_list, long_list) == EMPTY_SUBST
+        assert theta == {"X": make_list([a]), "Y": b}
+        assert match(long_list, long_list) == {}
         assert match(make_list([a] * self.N, X), make_list([a] * (self.N - 1))) is None
         general, specific = X, b
         for _ in range(self.N):
             general, specific = f(general, Y), f(specific, a)
         theta = match(general, specific)
-        assert theta.domain == {"X", "Y"} and theta["X"] == b and theta["Y"] == a
+        assert theta == {"X": b, "Y": a}
         # a repeated variable compares two equal lists that are different objects
         twice = Pred("p", (X, X))
-        assert match(twice, Pred("p", (long_list, make_list([a] * self.N)))).domain == {"X"}
+        assert match(twice, Pred("p", (long_list, make_list([a] * self.N)))).keys() == {"X"}
         assert match(twice, Pred("p", (long_list, make_list([a] * (self.N - 1) + [b])))) is None
 
 
@@ -235,7 +233,7 @@ class TestMatch:
             return Pred(name, tuple(term(2) for _ in range(k)))
 
         def instance(e):
-            theta = Subst({n: term(1) for n in names if rng.random() < 0.7})
+            theta = {n: term(1) for n in names if rng.random() < 0.7}
             try:
                 return apply(theta, e)
             except (AttributeError, TypeError):  # a foreign object: match the raw form
@@ -315,15 +313,15 @@ class TestGroundFlag:
     def test_ground_subterms_are_kept_as_they_are(self):
         g = make_list([a, f(b)])
         t = f(g, X, f(g))
-        out = apply(Subst({"X": b}), t)
+        out = apply({"X": b}, t)
         assert out == f(g, b, f(g)) and out.args[0] is g and out.args[2] is t.args[2]
-        assert apply(Subst({"X": b}), g) is g and resolve({"X": g}, (Pred("p", (X,)),))[0].args[0] is g
+        assert apply({"X": b}, g) is g and resolve({"X": g}, (Pred("p", (X,)),))[0].args[0] is g
         assert vars_of(Pred("p", (g, X))) == ["X"] and is_ground(Pred("p", (g, g)))
-        assert match(Pred("p", (g, X)), Pred("p", (g, a))) == Subst({"X": a})
-        assert match(g, make_list([a, f(b)])) == EMPTY_SUBST and match(g, make_list([a, b])) is None
+        assert match(Pred("p", (g, X)), Pred("p", (g, a))) == {"X": a}
+        assert match(g, make_list([a, f(b)])) == {} and match(g, make_list([a, b])) is None
 
     def test_foreign_objects_raise(self):
-        for walk in (vars_of, is_ground, lambda t: apply(Subst({"X": a}), t),
+        for walk in (vars_of, is_ground, lambda t: apply({"X": a}, t),
                      lambda t: resolve({"X": a}, t)):
             with pytest.raises(TypeError):
                 walk(f(a, f(b, 1)))
@@ -408,19 +406,22 @@ class TestGroundFlag:
             else:
                 assert is_ground(e) == (want_vars == []), e
                 seen["ground"] += want_vars == []
-            s = Subst({n: term(2, foreign=0) for n in names if rng.random() < 0.5})
-            assert outcome(apply, s, e) == outcome(naive_apply, s, e), (s, e)
+            s = {n: term(2, foreign=0) for n in names if rng.random() < 0.5}
+            if s:
+                assert outcome(apply, s, e) == outcome(naive_apply, s, e), (s, e)
+            else:  # an empty substitution does not walk its input
+                assert apply(s, e) is e
             order = list(names)
             rng.shuffle(order)  # each name is bound to a term over the names after it: acyclic
             bindings = {}
             for i, n in enumerate(order):
                 if rng.random() < 0.6:
-                    later = Subst({m: a for m in order[: i + 1]})
+                    later = {m: a for m in order[: i + 1]}
                     bindings[n] = naive_apply(later, term(2, foreign=0))
             assert outcome(resolve, bindings, e) == outcome(naive_resolve, bindings, e), (bindings, e)
             x, y = term(3, foreign=0), term(3, foreign=0)
             if rng.random() < 0.3:
-                y = apply(Subst({n: term(1, foreign=0) for n in names if rng.random() < 0.5}), x)
+                y = apply({n: term(1, foreign=0) for n in names if rng.random() < 0.5}, x)
             seen["shared"] += x is y or any(p is q for p in compounds(x) for q in compounds(y))
             got, want = unify(x, y), naive_unify(x, y)
             assert (got is None) == (want is None), (x, y)
@@ -433,19 +434,30 @@ class TestGroundFlag:
 
 
 class TestSubst:
-    def test_identity_dropped(self):
-        assert Subst({"X": X}).domain == set()
-        assert Subst({"X": Var("X"), "Y": Var("Z")}).domain == {"Y"}
-        assert Subst({"X": f(X)}).domain == {"X"}
-
     def test_compose_associates_with_apply(self):
-        s = Subst({"X": Var("Y")})
-        t = Subst({"Y": a})
+        s = {"X": Var("Y")}
+        t = {"Y": a}
         assert apply(compose(s, t), f(X, Y)) == apply(t, apply(s, f(X, Y)))
 
-    def test_restrict(self):
-        s = Subst({"X": a, "Y": b})
-        assert s.restrict(["X"]).domain == {"X"}
+    def test_empty_substitution_returns_its_input(self):
+        clause = Clause(Pred("p", (X,)), (Pred("q", (X, f(Y))), CUT))
+        for e in (f(X, a), Pred("p", (X, f(Y))), clause.body, clause):
+            assert apply({}, e) is e
+
+    def test_results_are_dicts(self):
+        assert type(unify(f(X, Y), f(Y, a))) is dict and type(unify(a, a)) is dict
+        assert type(match(f(X, Y), f(a, Y))) is dict and type(match(a, a)) is dict
+        assert type(compose({"X": Y}, {"Y": a})) is dict and type(compose({}, {})) is dict
+
+    def test_compose_drops_identity_bindings(self):
+        assert compose({"X": Y}, {"Y": X}) == {"Y": X}
+        assert compose({"X": a}, {"Y": Y, "Z": b}) == {"X": a, "Z": b}
+
+    def test_match_identity_binding_leaves_apply_unchanged(self):
+        theta = match(f(X, Y), f(X, a))
+        assert theta == {"X": X, "Y": a}
+        t = Pred("p", (X, f(X, Y), Y))
+        assert apply(theta, t) == apply({"Y": a}, t) == Pred("p", (X, f(X, a), a))
 
     def test_occurs(self):
         assert occurs("X", f(f(X)))

@@ -27,7 +27,9 @@ from cutcheck import (
 from cutcheck.atomsets import AtomPattern, CapHit, Guard, contains, membership_reads
 from cutcheck.levels import LevelMapping, atom_level_bound, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
-from cutcheck.terms import CUT, Alphabet, Pred, Var, const, is_ground, make_list, match
+from cutcheck.terms import (
+    CUT, Alphabet, Pred, Var, apply, const, is_ground, make_list, match, vars_of,
+)
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import _query_free_stages, s_subset_post_check
 
@@ -709,3 +711,54 @@ class TestCoverContext:
                 deep += depth == 2
         assert statuses == {"verified", "refuted", "unknown"}, statuses
         assert atoms > 1000 and deep > 20, (atoms, deep)
+
+
+def rename_pattern_vars(s: AtomSet, rng, pool) -> AtomSet:
+    """``s`` with the variables of each pattern renamed, injectively within
+    the pattern, to names drawn from ``pool``."""
+    patterns = []
+    for p in s.patterns:
+        names = set(vars_of(p.template))
+        for g in p.guards:
+            names.update(n for x in g.args if not isinstance(x, str) for n in vars_of(x))
+        names = sorted(names)
+        mapping = {n: Var(m) for n, m in zip(names, rng.sample(pool, len(names)))}
+        guards = tuple(Guard(g.name, tuple(x if isinstance(x, str) else apply(mapping, x)
+                                           for x in g.args))
+                       for g in p.guards)
+        patterns.append(AtomPattern(apply(mapping, p.template), guards))
+    return AtomSet(s.universal, s.atoms, tuple(patterns))
+
+
+class TestPatternVariableNames:
+    """The names of pre and post pattern variables are bound locally: no
+    renaming of them, onto the names of clause variables included, changes
+    a well-assertedness verdict."""
+
+    # the clause variables of the programs below, pattern variables and fresh names
+    POOL = ["X", "T", "L", "A", "B", "W1", "W2", "W3", "W4"]
+
+    def test_renaming_keeps_the_verdict_trees(self):
+        rng = random.Random(14)
+        statuses = set()
+        for _, prog, _, _ in random_list_cases(rng, 300):
+            sets = ["\n".join(rng.sample(LIST_SETS, rng.randint(1, 3))) for _ in range(2)]
+            suite = parse_spec(f"[S]\nm(A, B).\n[pre]\n{sets[0]}\n[post]\n{sets[1]}\n")
+            clause = prog.clauses[0]
+            query = (clause.head,) + clause.body
+            want_cs = cs_correct(prog, suite.pre, suite.post, alphabet=LIST_ALPHA, depth=1,
+                                 resolver=suite.resolver).to_json_obj()
+            want_q = well_asserted_query(query, suite.pre, suite.post, program=prog,
+                                         alphabet=LIST_ALPHA, depth=1,
+                                         resolver=suite.resolver).to_json_obj()
+            for _ in range(5):
+                pre = rename_pattern_vars(suite.pre, rng, self.POOL)
+                post = rename_pattern_vars(suite.post, rng, self.POOL)
+                got = cs_correct(prog, pre, post, alphabet=LIST_ALPHA, depth=1,
+                                 resolver=suite.resolver)
+                assert got.to_json_obj() == want_cs, (prog, pre, post)
+                got = well_asserted_query(query, pre, post, program=prog, alphabet=LIST_ALPHA,
+                                          depth=1, resolver=suite.resolver)
+                assert got.to_json_obj() == want_q, (query, pre, post)
+                statuses.add(got.status)
+        assert statuses == {"verified", "refuted", "unknown"}, statuses
