@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .atomsets import CapHit
 from .dot import tree_dot
@@ -60,18 +61,12 @@ def _bound(text: str) -> int:
     return value
 
 
-def _budget_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--depth", type=_bound, default=None, help="term depth bound")
-    parser.add_argument("--nodes", type=_bound, default=None, help="tree node budget")
-    parser.add_argument("--steps", type=_bound, default=None, help="derivation step budget")
-
-
 def _make_budget(args, suite: SpecSuite | None) -> Budget:
+    """The spec's bounds (or the defaults), each overridden by its flag when
+    the command reads that flag and it was given."""
     base = suite.budget if suite is not None else Budget()
-    depth = args.depth if args.depth is not None else base.depth
-    nodes = args.nodes if args.nodes is not None else base.nodes
-    steps = args.steps if args.steps is not None else base.steps
-    return Budget(depth=depth, nodes=nodes, steps=steps)
+    given = {name: getattr(args, name, None) for name in ("depth", "nodes", "steps")}
+    return replace(base, **{name: v for name, v in given.items() if v is not None})
 
 
 def _load_program(path: str):
@@ -163,6 +158,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.kind != "complete":
+        for flag, value in (("--query", args.query), ("--dot", args.dot)):
+            if value is not None:
+                raise InputError(f"{flag} applies to check complete only")
     program = _load_program(args.program)
     suite = _load_spec(args.spec)
     budget = _make_budget(args, suite)
@@ -232,13 +231,22 @@ def cmd_check(args) -> int:
     return _verdict_exit(report.verdict)
 
 
-# The commands, in the order help lists them: (name, help, handler).
+_DOT = ("--dot", "write Graphviz output")
+_NODES = ("--nodes", "tree node budget")
+_STEPS = ("--steps", "derivation length bound (tree depth)")
+
+# The commands, in the order help lists them: (name, help, handler, the
+# flags the command reads beside --json, with their help).  --dot names the
+# output file; every other flag is a bound.
 COMMANDS = (
-    ("run", "answers of the pruned LD-tree", cmd_run),
-    ("tree", "build the LD-tree", cmd_tree),
-    ("prune", "build the pruned LD-tree", cmd_prune),
-    ("oracle", "standard Prolog search (reference engine)", cmd_oracle),
-    ("check", "run a declarative check", cmd_check),
+    ("run", "answers of the pruned LD-tree", cmd_run, (_DOT, _NODES, _STEPS)),
+    ("tree", "build the LD-tree", cmd_tree, (_DOT, _NODES, _STEPS)),
+    ("prune", "build the pruned LD-tree", cmd_prune, (_DOT, _NODES, _STEPS)),
+    ("oracle", "standard Prolog search (reference engine)", cmd_oracle,
+     (("--steps", "resolution step budget"),)),
+    ("check", "run a declarative check", cmd_check,
+     (("--dot", "write Graphviz output ('complete' only)"), ("--depth", "term depth bound"),
+      _NODES, _STEPS)),
 )
 
 
@@ -255,12 +263,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Build pruned LD-trees for logic programs with cut and "
         "check completeness, correctness, and termination conditions.",
     )
-    names = [name for name, _, _ in COMMANDS]
+    names = [entry[0] for entry in COMMANDS]
     one = command in names
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="{" + ",".join(names) + "}" if one else None
     )
-    for name, help_text, handler in COMMANDS:
+    for name, help_text, handler, flags in COMMANDS:
         if one and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
@@ -268,13 +276,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("kind", choices=CHECK_KINDS)
             p.add_argument("program")
             p.add_argument("--spec", default=None, help="specification file")
-            p.add_argument("--query", default=None, help="query (required for 'complete')")
+            p.add_argument("--query", default=None, help="query ('complete' only, required)")
         else:
             p.add_argument("program")
             p.add_argument("query")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--dot", metavar="FILE", default=None, help="write Graphviz output")
-        _budget_args(p)
+        for flag, flag_help in flags:
+            if flag == "--dot":
+                p.add_argument(flag, metavar="FILE", default=None, help=flag_help)
+            else:
+                p.add_argument(flag, type=_bound, default=None, help=flag_help)
         p.set_defaults(func=handler)
     return parser
 

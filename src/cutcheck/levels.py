@@ -60,13 +60,11 @@ def level_of(atom, mappings: dict) -> int:
     return total
 
 
-def _spine(t):
-    """The number of list cells along t's spine, and the term that ends it."""
-    n = 0
+def _spine_end(t):
+    """The term that ends t's list spine."""
     while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
-        n += 1
         t = t.args[1]
-    return n, t
+    return t
 
 
 def level_reads(atom, mappings: dict) -> set:
@@ -83,29 +81,9 @@ def level_reads(atom, mappings: dict) -> set:
             continue
         arg = atom.args[idx]
         if norm == "len":
-            tail = _spine(arg)[1]
+            tail = _spine_end(arg)
             if isinstance(tail, Var):
                 out.add(tail.name)
         else:
             out.update(vars_of(arg))
     return out
-
-
-def atom_level_bound(atom: Pred, mappings: dict):
-    """Max level over all ground instances of the atom, or None if unbounded."""
-    lm = _mapping(atom, mappings)
-    total = lm.constant
-    for coeff, norm, idx in lm.terms:
-        if coeff == 0:
-            continue
-        arg = atom.args[idx]
-        if norm == "len":
-            n, tail = _spine(arg)
-            if isinstance(tail, Var):
-                return None
-            total += coeff * n
-        else:  # size varies with any variable
-            if vars_of(arg):
-                return None
-            total += coeff * term_size(arg)
-    return total

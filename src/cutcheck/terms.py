@@ -81,10 +81,6 @@ Term = Union[Var, Compound]
 NIL = Compound("[]")
 
 
-def const(name: str) -> Compound:
-    return Compound(name)
-
-
 def cons(head: Term, tail: Term) -> Compound:
     return Compound(".", (head, tail))
 

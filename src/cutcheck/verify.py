@@ -29,7 +29,7 @@ from .atomsets import (
     set_predicates,
 )
 from .engine import Budget, Program
-from .levels import atom_level_bound, level_of, level_reads
+from .levels import level_of, level_reads
 from .pruning import PrunedTree, pruned_tree
 from .syntax import (
     SpecSuite,
@@ -62,6 +62,7 @@ from .terms import (
 from .verdicts import Verdict, weakest
 
 _DEFAULT_CAP = 50_000
+_BRANCH_CAP = 512  # pattern branches the well-asserted check follows per clause
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,8 @@ class _CoverContext:
     """What the coverage checks of one loop over the atoms of S share.
 
     ``semi_complete`` and ``_query_free_stages`` build one when their loop
-    starts and drop it when it ends; ``covered`` and ``c_covered`` build a
-    throwaway one when called without one.  It holds a ``_ClauseInfo`` per
+    starts and drop it when it ends; ``covered`` builds a throwaway one, and
+    ``c_covered`` does when called without one.  It holds a ``_ClauseInfo`` per
     clause seen (kept by the clause's id: the info holds the clause, so the id
     is not reused while the context lives), the texts of ground atom
     arguments (``texts``, as ``atom_text`` reads it) and the text of the
@@ -271,20 +272,17 @@ def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s, alphabet: 
 
 
 def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
-            cap: int = _DEFAULT_CAP, ctx: Optional[_CoverContext] = None) -> Verdict:
+            cap: int = _DEFAULT_CAP) -> Verdict:
     """Is the ground atom ``a`` the head of a ground instance of the clause
     with body in s + {!}?
 
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
-    ``ctx`` is the calling loop's ``_CoverContext``; without one, a
-    throwaway one is built.  Raises ValueError when ``a`` is not ground.
+    Raises ValueError when ``a`` is not ground.
     """
     _require_ground(a)
-    if ctx is None:
-        ctx = _CoverContext()
     return _cover_verdict(a, clause, match(clause.head, a), s, alphabet, depth, resolver, cap,
-                          ctx)
+                          _CoverContext())
 
 
 def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
@@ -528,13 +526,17 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
 
 
 def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth: int = 3,
-                         resolver=None, cap: int = _DEFAULT_CAP,
-                         branch_cap: int = 512) -> Verdict:
+                         resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
     """Check one clause against a call/success specification.
 
     For every instance with the head in pre: each body atom whose earlier
     body atoms all lie in post + {!} must lie in pre + {!}, and if the whole
     body lies in post + {!} the head must lie in post.
+
+    When the pattern branches pass ``_BRANCH_CAP``, the walk stops: every
+    implication it did not establish, checked or not, goes to the ground
+    search, and the verdict is Unknown naming the branch cap only if that
+    search refutes none.
     """
     fresh = FreshNames()
     forbidden = set(vars_of(clause))
@@ -544,6 +546,7 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
     branches = head_branches
     # implications the patterns could not establish: a body position, or None for the head
     failing: list = []
+    branch_capped = None
     for k, b in enumerate(clause.body):
         if b is not CUT:
             if not all(_entailed_member(b, pre, sg, facts, resolver) for sg, facts in branches):
@@ -554,10 +557,15 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
                     _membership_branches(b, post, sigma, facts, forbidden, fresh, resolver)
                 )
             branches = next_branches
-            if len(branches) > branch_cap:
-                return Verdict.unknown(f"branch cap {branch_cap} hit")
-    if not all(_entailed_member(clause.head, post, sg, facts, resolver) for sg, facts in branches):
-        failing.append(None)
+            if len(branches) > _BRANCH_CAP:
+                branch_capped = f"branch cap {_BRANCH_CAP} hit"
+                later = range(k + 1, len(clause.body))
+                failing += [j for j in later if clause.body[j] is not CUT] + [None]
+                break
+    else:
+        if not all(_entailed_member(clause.head, post, sg, facts, resolver)
+                   for sg, facts in branches):
+            failing.append(None)
     if not failing:
         return Verdict.verified()
     # The pattern strategy could not establish the implications; look for a
@@ -574,7 +582,8 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
         if witness is not None:
             return Verdict.refuted(witness)
     return Verdict.unknown(
-        capped or f"pattern strategy inconclusive; no ground witness within depth {depth}"
+        branch_capped or capped
+        or f"pattern strategy inconclusive; no ground witness within depth {depth}"
     )
 
 
@@ -771,36 +780,33 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
     return Verdict.verified()
 
 
-def c_covered(a: Pred, program: Program, s, pre, post, *, alphabet: Optional[Alphabet] = None,
-              depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP,
-              s_subset_post: Optional[bool] = None,
-              ctx: Optional[_CoverContext] = None) -> Verdict:
+def c_covered(a: Pred, program: Program, s, pre, post, *, s_subset_post: bool,
+              alphabet: Optional[Alphabet] = None, depth: int = 3, resolver=None,
+              cap: int = _DEFAULT_CAP, ctx: Optional[_CoverContext] = None) -> Verdict:
     """Coverage that survives pruning: some clause covers ``a`` and neither an
     earlier cut clause nor the clause's own cut can discard that inference.
 
-    ``ctx`` is the calling loop's ``_CoverContext``; without one, a
-    throwaway one is built.  Raises ValueError when ``a`` is not ground."""
+    ``s_subset_post`` is whether the premise S subset-of post holds (as
+    ``s_subset_post_check`` decides it, once for the whole of S); only then
+    may condition 1 use the clause cut short before its last cut.  ``ctx`` is
+    the calling loop's ``_CoverContext``; without one, a throwaway one is
+    built.  Raises ValueError when ``a`` is not ground."""
     _require_ground(a)
     alphabet = alphabet or resolve_alphabet(program, (a,))
     if ctx is None:
         ctx = _CoverContext()
     text = ctx.atom_text(a)
-    if s_subset_post is None:
-        s_subset_post = s_subset_post_check(
-            s, post, alphabet=alphabet, depth=depth, resolver=resolver
-        ).is_verified
     clause_parts = []
-    matching = program.matching(a)
-    for idx, clause in matching:
+    cond2s = []  # condition 2 of each clause the loop has moved past
+    previous = None
+    for idx, clause in program.matching(a):
         info = ctx.clause(clause)
         theta = match(clause.head, a)  # one head match for all three conditions
         cond3 = _cond3_own_cut(a, info, theta, s, pre, post, alphabet, depth, resolver, cap, ctx)
-        cond2s = []
-        for pidx, pclause in matching:
-            if pidx >= idx:
-                break
-            cond2s.append(_cond2_preceding(a, ctx.clause(pclause), pre, post, alphabet, depth,
-                                           resolver, cap, ctx))
+        if previous is not None:
+            cond2s.append(_cond2_preceding(a, previous, pre, post, alphabet, depth, resolver,
+                                           cap, ctx))
+        previous = info
         cond2 = weakest(cond2s) if cond2s else _NO_PRECEDING
         cond1 = None
         if s_subset_post and info.prefix is not None and cond3.is_verified:
@@ -1140,18 +1146,3 @@ def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optiona
     )
     # a level violation refutes even when correctness stayed Unknown
     return weakest([levels, model])
-
-
-def bounded_query(query: tuple, level_maps: dict) -> Verdict:
-    """Decide symbolically whether every atom's level is bounded over instances."""
-    total = 0
-    for a in query:
-        if a is CUT:
-            continue
-        bound = atom_level_bound(a, level_maps)
-        if bound is None:
-            return Verdict.refuted(
-                {"atom": atom_text(a), "note": "level unbounded over instances"},
-            )
-        total = max(total, bound)
-    return Verdict.verified(f"bounded by {total + 1}")

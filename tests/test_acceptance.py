@@ -33,11 +33,11 @@ from cutcheck.pruning import is_executing
 from cutcheck.syntax import query_text, resolve_alphabet
 from cutcheck.terms import (
     Alphabet,
+    Compound,
     Pred,
     Var,
     apply,
     canonical,
-    const,
     ground_terms,
     is_ground,
     match,
@@ -196,15 +196,15 @@ class TestCriterion4ArtificialExample:
         prog = load_program("artificial.pl")
         suite = parse_spec(load_spec_text("artificial.spec"))
         alpha = resolve_alphabet(prog, (), suite)
-        atom = Pred("p", (const("a"), const("c")))
+        atom = Pred("p", (Compound("a"), Compound("c")))
 
         v = c_covered(atom, prog, suite.s, suite.pre, suite.post,
-                      alphabet=alpha, depth=1, resolver=suite.resolver)
+                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
         assert v.is_verified
 
         hb = parse_spec(load_spec_text("artificial_posthb.spec"))
         v2 = c_covered(atom, prog, hb.s, hb.pre, hb.post,
-                       alphabet=alpha, depth=1, resolver=hb.resolver)
+                       s_subset_post=True, alphabet=alpha, depth=1, resolver=hb.resolver)
         assert v2.is_refuted
         clause2 = dict(v2.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -229,10 +229,10 @@ class TestCriterion5NotpExample:
         prog = load_program("notp.pl")
         suite = parse_spec(load_spec_text("notp.spec"))
         alpha = resolve_alphabet(prog, (), suite)
-        atom = Pred("notp", (const("b"),))  # p(b) is not in post0
+        atom = Pred("notp", (Compound("b"),))  # p(b) is not in post0
 
         v = c_covered(atom, prog, suite.s, suite.pre, suite.post,
-                      alphabet=alpha, depth=1, resolver=suite.resolver)
+                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
         assert v.is_verified
         clause3 = dict(v.parts)["clause 3: notp(X)."]
         assert dict(clause3.parts)["condition 2 (earlier cut clauses)"].is_verified
@@ -242,7 +242,7 @@ class TestCriterion5NotpExample:
 
         nonground = parse_spec(load_spec_text("notp_nonground.spec"))
         v2 = c_covered(atom, prog, nonground.s, nonground.pre, nonground.post,
-                       alphabet=alpha, depth=1, resolver=nonground.resolver)
+                       s_subset_post=True, alphabet=alpha, depth=1, resolver=nonground.resolver)
         assert v2.is_refuted
         clause3 = dict(v2.parts)["clause 3: notp(X)."]
         cond2 = dict(clause3.parts)["condition 2 (earlier cut clauses)"]
@@ -324,14 +324,10 @@ class TestCriterion8CoreAlgebra:
         r = rng.random()
         if depth == 0 or r < 0.35:
             return rng.choice(
-                [const("a"), const("b"), Var("X"), Var("Y"), Var("Z")]
+                [Compound("a"), Compound("b"), Var("X"), Var("Y"), Var("Z")]
             )
         if r < 0.75:
-            from cutcheck.terms import Compound
-
             return Compound("f", (self._random_term(rng, depth - 1),))
-        from cutcheck.terms import Compound
-
         return Compound(
             "g",
             (self._random_term(rng, depth - 1), self._random_term(rng, depth - 1)),
@@ -438,11 +434,10 @@ def _occurs_in_own_binding(theta, v):
 def _brute_force_terms(alphabet, depth):
     """Independent reconstruction of the depth-bounded ground term universe."""
     layers = [set()]
-    consts = [const(n) for n, k in alphabet.functors if k == 0]
+    consts = [Compound(n) for n, k in alphabet.functors if k == 0]
     layers[0] = set(consts)
     for d in range(1, depth + 1):
         layer = set(layers[d - 1])
-        from cutcheck.terms import Compound
         import itertools as it
 
         for name, k in alphabet.functors:

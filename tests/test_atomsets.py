@@ -20,10 +20,10 @@ from cutcheck.atomsets import (
 )
 from cutcheck.terms import (
     Alphabet,
+    Compound,
     Pred,
     Var,
     apply,
-    const,
     ground_terms,
     is_ground,
     make_list,
@@ -35,7 +35,7 @@ from cutcheck.terms import (
 
 from derivations import variant_equal
 
-a, b, one, two = const("a"), const("b"), const("1"), const("2")
+a, b, one, two = Compound("a"), Compound("b"), Compound("1"), Compound("2")
 X, Y = Var("X"), Var("Y")
 ALPHA = Alphabet((("1", 0), ("2", 0), ("[]", 0), (".", 2)), (("p", 1), ("q", 2)))
 
@@ -63,7 +63,7 @@ class TestGuards:
             None,
             None,
         )
-        assert not guard_holds(Guard("member", (const("3"), Var("L"))), env, None, None)
+        assert not guard_holds(Guard("member", (Compound("3"), Var("L"))), env, None, None)
 
     def test_ground_and_list(self):
         assert guard_holds(Guard("ground", (a,)), {}, None, None)
@@ -171,7 +171,7 @@ class TestMaxGeneralizations:
         # eq(X, Y) ties the last two arguments; the six other values come
         # first in the atom, and the most general member still shares c's slot
         s = pat(Pred("p", tuple(Var(n) for n in "ABCDEFXY")), Guard("eq", (X, Y)))
-        atom = Pred("p", tuple(const(f"b{i}") for i in range(1, 7)) + (const("c"), const("c")))
+        atom = Pred("p", tuple(Compound(f"b{i}") for i in range(1, 7)) + (Compound("c"), Compound("c")))
         want = Pred("p", tuple(Var(f"G{i}") for i in range(1, 8)) + (Var("G7"),))
         try:
             gens = max_generalizations(atom, s, None)

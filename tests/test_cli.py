@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -147,7 +148,7 @@ class TestCheck:
         ["check", "complete", "in.pl", "--spec", "in.spec", "--query", "in([], [])",
          "--nodes=-5"],
         ["run", "in.pl", "in([], [])", "--steps", "-3"],
-        ["oracle", "in.pl", "in([], [])", "--depth", "-2"],
+        ["oracle", "in.pl", "in([], [])", "--steps", "-2"],
     ], ids=" ".join)
     def test_negative_bound_exit_2(self, capsys, fixtures_dir, argv):
         argv = [str(fixtures_dir / a) if a.endswith((".pl", ".spec")) else a for a in argv]
@@ -166,6 +167,31 @@ class TestCheck:
         code, out, err = run(capsys, "check", "complete", str(fixtures_dir / "in.pl"),
                              "--spec", str(fixtures_dir / "in.spec"))
         assert (code, out) == (2, "") and err == "error: check complete needs a query: give --query\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "in.pl", "in([], [])", "--depth", "2"],
+        ["tree", "in.pl", "in([], [])", "--depth", "2"],
+        ["prune", "in.pl", "in([], [])", "--depth", "0"],
+        ["oracle", "in.pl", "in([], [])", "--nodes", "9"],
+        ["oracle", "in.pl", "in([], [])", "--dot", "t.dot"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, fixtures_dir, argv):
+        argv = [str(fixtures_dir / a) if a.endswith(".pl") else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+    @pytest.mark.parametrize("kind", [k for k in CHECK_KINDS if k != "complete"])
+    @pytest.mark.parametrize("flag", ["--dot", "--query"])
+    def test_dot_and_query_apply_to_complete_only(self, capsys, fixtures_dir, tmp_path, kind,
+                                                  flag):
+        target = tmp_path / "t.dot"
+        value = str(target) if flag == "--dot" else "in([], [])"
+        code, out, err = run(capsys, "check", kind, str(fixtures_dir / "in.pl"),
+                             "--spec", str(fixtures_dir / "in.spec"), flag, value)
+        assert (code, out) == (2, "") and err == f"error: {flag} applies to check complete only\n"
+        assert not target.exists()
 
     def test_complete_verified_exit_0(self, capsys, fixtures_dir):
         code, out, _ = run(
@@ -251,8 +277,8 @@ class TestCheck:
         spec = tmp_path / "p.spec"
         spec.write_text("[alphabet]\nfunctor 1/0.\nfunctor '[]'/0.\nfunctor '.'/2.\n\n"
                         "[S]\np(L) where ground_list(L), member(X, L).\n\n[bounds]\ndepth = 2.\n")
-        code, out, err = run(capsys, "check", kind, str(prog), "--spec", str(spec),
-                             "--query", "p([1])")
+        query = ["--query", "p([1])"] if kind == "complete" else []
+        code, out, err = run(capsys, "check", kind, str(prog), "--spec", str(spec), *query)
         assert code == 0 and err == "" and "verdict: verified" in out
 
     @pytest.mark.parametrize("post_var", ["X", "W"])
@@ -357,8 +383,7 @@ class TestLinearity:
 
 P, Q, S = "prog.pl", "p(X)", "prog.spec"
 PARSER_ARGVS = [
-    ["run", P, Q], ["run", P, Q, "--json", "--dot", "t.dot", "--depth", "2", "--nodes", "9",
-                    "--steps", "4"],
+    ["run", P, Q], ["run", P, Q, "--json", "--dot", "t.dot", "--nodes", "9", "--steps", "4"],
     ["tree", P, Q], ["tree", P, Q, "--json"], ["prune", P, Q], ["prune", P, Q, "--nodes=5"],
     ["oracle", P, Q], ["oracle", "--json", P, Q, "--steps", "3"],
     *[["check", kind, P, "--spec", S] for kind in CHECK_KINDS],
@@ -372,8 +397,17 @@ PARSER_ARGVS = [
     ["run", P, Q, "--dep", "1"], ["check", "acceptable", P, "--dep", "1", "--spe", S],
     ["run", P, Q, "--d", "1"], ["prune", P, Q, "--nodes", "x"], ["tree", P, Q, "--nodes"],
     ["run", P, Q, "--depth", "-1"], ["check", "correct", P, "--nodes=-5"],
-    ["oracle", P, Q, "--steps", "-3"], ["prune", P, Q, "--depth", "0", "--steps", "0"],
+    ["oracle", P, Q, "--steps", "-3"], ["prune", P, Q, "--nodes", "0", "--steps", "0"],
 ]
+
+# The flags each command reads beside --json: --dot and its bounds.
+COMMAND_FLAGS = {
+    "run": {"--dot", "--nodes", "--steps"},
+    "tree": {"--dot", "--nodes", "--steps"},
+    "prune": {"--dot", "--nodes", "--steps"},
+    "oracle": {"--steps"},
+    "check": {"--dot", "--depth", "--nodes", "--steps"},
+}
 
 
 def parse_outcome(parser, argv):
@@ -407,11 +441,38 @@ class TestParser:
         for name in names:
             assert subcommands(build_parser(name)) == [name]
 
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_the_flags_the_command_reads(self, command):
+        _, out, _ = parse_outcome(build_parser(command), [command, "-h"])
+        assert set(re.findall(r"--(?:dot|depth|nodes|steps)\b", out)) == COMMAND_FLAGS[command]
+        steps = "resolution step budget" if command == "oracle" else "derivation length bound"
+        assert steps in out
+
     def test_messages_name_every_command(self):
         _, _, err = parse_outcome(build_parser("run"), ["run", P, Q, "--bogus"])
         assert err.startswith("usage: cutcheck [-h] {run,tree,prune,oracle,check} ...\n")
         _, _, err = parse_outcome(build_parser(), [])
         assert err.endswith("error: the following arguments are required: command\n")
+
+
+class TestPublicSurface:
+    def test_every_exported_name_is_read_in_src_or_documented(self):
+        """A name of ``cutcheck.__all__`` is read by some module of the package
+        other than ``__init__.py`` (a line that does not define it names it),
+        or the README names it."""
+        package = Path(cutcheck.__file__).parent
+        readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+        lines = [line for path in package.glob("*.py") if path.name != "__init__.py"
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        unread = []
+        for name in cutcheck.__all__:
+            used = re.compile(rf"(?<![\w.]){re.escape(name)}\b")
+            defined = re.compile(rf"^(?:def |class ){re.escape(name)}\b|^{re.escape(name)} *[:=]")
+            if f"`{name}`" not in readme and not any(
+                used.search(line) and not defined.match(line) for line in lines
+            ):
+                unread.append(name)
+        assert unread == []
 
 
 def cli(argv, prefix=("-m", "cutcheck.cli")):
@@ -436,8 +497,8 @@ class TestErrorsAndEnv:
     def test_undeclared_notin_set_exit_2(self, fixtures_dir, tmp_path, kind):
         spec = tmp_path / "notp.spec"
         spec.write_text((fixtures_dir / "notp.spec").read_text().replace("post)", "postt)"))
-        proc = cli(["check", kind, str(fixtures_dir / "notp.pl"), "--spec", str(spec),
-                    "--query", "notp(a)"])
+        query = ["--query", "notp(a)"] if kind == "complete" else []
+        proc = cli(["check", kind, str(fixtures_dir / "notp.pl"), "--spec", str(spec), *query])
         assert proc.returncode == 2
         assert proc.stderr.strip() == "parse error: 3:38: undeclared set 'postt' in notin guard"
         assert "Traceback" not in proc.stderr
@@ -489,8 +550,8 @@ class TestErrorsAndEnv:
     @pytest.mark.parametrize("command", ["run", "oracle", "tree", "prune"])
     def test_deep_list_query_no_traceback(self, fixtures_dir, command, cells):
         query = "app(X, Y, [" + ", ".join(["1"] * cells) + "])"
-        proc = cli([command, str(fixtures_dir / "append.pl"), query, "--nodes", "20",
-                    "--steps", "10"])
+        nodes = [] if command == "oracle" else ["--nodes", "20"]  # oracle has no node budget
+        proc = cli([command, str(fixtures_dir / "append.pl"), query, *nodes, "--steps", "10"])
         if command in ("run", "oracle"):
             assert proc.returncode in (0, 3) and proc.stderr == ""
             assert proc.stdout.startswith("app([], [1, 1, 1")

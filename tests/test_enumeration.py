@@ -17,11 +17,11 @@ from cutcheck.atomsets import (
     enumerate_atoms,
 )
 from cutcheck.syntax import parse_spec, resolve_alphabet
-from cutcheck.terms import Alphabet, Pred, Var, atom_key, const, ground_atoms, make_list
+from cutcheck.terms import Alphabet, Compound, Pred, Var, atom_key, ground_atoms, make_list
 
 from enumerate_reference import reference_enumerate_pattern
 
-one, two = const("1"), const("2")
+one, two = Compound("1"), Compound("2")
 LISTS = (("[]", 0), (".", 2))
 ALPHABETS = {  # depth -> functors, chosen so that each depth has 12 to 38 terms
     1: (("1", 0), ("2", 0)) + LISTS,

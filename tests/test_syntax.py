@@ -15,7 +15,7 @@ from cutcheck.syntax import (
     _name_text,
 )
 from cutcheck.syntax import tokenize
-from cutcheck.terms import NIL, Compound, Pred, Var, const, list_items, make_list
+from cutcheck.terms import NIL, Compound, Pred, Var, list_items, make_list
 
 from conftest import FIXTURES, random_term_program
 from tokenize_reference import reference_tokenize
@@ -56,12 +56,12 @@ class TestProgramParsing:
     def test_list_sugar(self):
         p = parse_program("p([a, b | T]).")
         t = p.clauses[0].head.args[0]
-        assert t == Compound(".", (const("a"), Compound(".", (const("b"), Var("T")))))
+        assert t == Compound(".", (Compound("a"), Compound(".", (Compound("b"), Var("T")))))
 
     def test_quoted_and_primed_names(self):
         p = parse_program("p(a', 'Hello world').")
-        assert p.clauses[0].head.args[0] == const("a'")
-        assert p.clauses[0].head.args[1] == const("Hello world")
+        assert p.clauses[0].head.args[0] == Compound("a'")
+        assert p.clauses[0].head.args[1] == Compound("Hello world")
 
     def test_comments_ignored(self):
         p = parse_program("% top\np(a). % trailing\n")
@@ -97,7 +97,7 @@ class TestPrinting:
         assert program_text(parse_program(program_text(p))) == program_text(p)
 
     def test_improper_list(self):
-        t = Compound(".", (const("a"), Var("T")))
+        t = Compound(".", (Compound("a"), Var("T")))
         assert term_text(t) == "[a | T]"
 
     def test_query_text(self):
@@ -130,7 +130,7 @@ class TestPrinting:
             assert parse_query(f"p({text})")[0].args == (t,)
 
     def test_non_term_does_not_print(self):
-        for t in (Compound("f", ("x",)), Compound("f", (1,)), make_list([const("a")], ")")):
+        for t in (Compound("f", ("x",)), Compound("f", (1,)), make_list([Compound("a")], ")")):
             with pytest.raises(TypeError, match="cannot print"):
                 term_text(t)
 
@@ -214,10 +214,10 @@ class TestSpecParsing:
             """
         )
         assert not suite.s.universal
-        assert suite.s.atoms == (Pred("p", (const("a"),)),)
+        assert suite.s.atoms == (Pred("p", (Compound("a"),)),)
         assert [p.template for p in suite.s.patterns] == [Pred("q", (Var("X"),))]
         assert suite.pre == UNIVERSAL
-        assert suite.post == AtomSet(atoms=(Pred("p", (const("a"),)),))
+        assert suite.post == AtomSet(atoms=(Pred("p", (Compound("a"),)),))
         assert suite.budget == Budget(depth=2, nodes=10, steps=20)
 
     def test_alphabet_and_levels(self):
@@ -246,7 +246,7 @@ class TestSpecParsing:
             q(X) where ground(X), notin(p(X), mine).
             """
         )
-        assert suite.named_sets["mine"] == AtomSet(atoms=(Pred("p", (const("a"),)),))
+        assert suite.named_sets["mine"] == AtomSet(atoms=(Pred("p", (Compound("a"),)),))
         pattern = suite.s.patterns[0]
         assert pattern.guards[1].name == "notin"
         assert pattern.guards[1].args[1] == "mine"

@@ -21,7 +21,6 @@ from cutcheck.terms import (
     collect_symbols,
     compose,
     cons,
-    const,
     ground_atoms,
     ground_term_count,
     ground_terms,
@@ -55,7 +54,7 @@ from naive_unify import (
     range_vars,
 )
 
-a, b = const("a"), const("b")
+a, b = Compound("a"), Compound("b")
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
 
@@ -523,7 +522,7 @@ class TestMeasures:
         def random_term(rng, depth):
             r = rng.random()
             if depth == 0 or r < 0.3:
-                return rng.choice([a, b, X, Y, const("[]")])
+                return rng.choice([a, b, X, Y, Compound("[]")])
             if r < 0.6:
                 return cons(random_term(rng, depth - 1), random_term(rng, depth - 1))
             return f(*(random_term(rng, depth - 1) for _ in range(rng.randint(1, 3))))

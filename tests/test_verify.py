@@ -8,7 +8,6 @@ from cutcheck import (
     Budget,
     UNIVERSAL,
     acceptable_check,
-    bounded_query,
     c_covered,
     completeness_check,
     correct_check,
@@ -26,10 +25,10 @@ from cutcheck import (
     well_asserted_query,
 )
 from cutcheck.atomsets import AtomPattern, CapHit, Guard, contains, membership_reads
-from cutcheck.levels import LevelMapping, atom_level_bound, level_of, level_reads
+from cutcheck.levels import LevelMapping, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import (
-    CUT, Alphabet, Clause, Pred, Var, apply, const, ground_atoms, is_ground, make_list, match,
+    CUT, Alphabet, Clause, Compound, Pred, Var, apply, ground_atoms, is_ground, make_list, match,
     vars_of,
 )
 from cutcheck.verdicts import Verdict, weakest
@@ -41,7 +40,7 @@ import full_product
 from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
 
-a, b, c = const("a"), const("b"), const("c")
+a, b, c = Compound("a"), Compound("b"), Compound("c")
 
 
 def setup_example(pl, spec):
@@ -71,7 +70,7 @@ class TestLevels:
     }
 
     def test_level_of(self):
-        atom = Pred("p", (make_list([a, b]), const("x")))
+        atom = Pred("p", (make_list([a, b]), Compound("x")))
         assert level_of(atom, self.MAPS) == 1 + 2 + 2 * 1
         assert level_of(CUT, self.MAPS) == 0
 
@@ -82,23 +81,6 @@ class TestLevels:
     def test_undeclared_predicate(self):
         with pytest.raises(KeyError):
             level_of(Pred("z", ()), self.MAPS)
-
-    def test_bound_closed_spine(self):
-        atom = Pred("p", (make_list([Var("X"), Var("Y")]), a))
-        # len is fixed by the closed spine; size of the ground constant is 1
-        assert atom_level_bound(atom, self.MAPS) == 1 + 2 + 2 * 1
-
-    def test_bound_open_spine_unbounded(self):
-        from cutcheck.terms import cons
-
-        atom = Pred("p", (cons(a, Var("T")), a))
-        assert atom_level_bound(atom, self.MAPS) is None
-
-    def test_bounded_query_verdicts(self):
-        q = (Pred("p", (make_list([a]), b)),)
-        assert bounded_query(q, self.MAPS).is_verified
-        q2 = (Pred("p", (Var("L"), b)),)
-        assert bounded_query(q2, self.MAPS).is_refuted
 
 
 class TestCovered:
@@ -165,6 +147,32 @@ class TestWellAsserted:
         assert v.is_refuted
         assert v.witness["position"] == 1
 
+    @staticmethod
+    def branch_capped(body):
+        """The well-asserted verdict of ``p :- body.`` over constants a0..a8,
+        with pre = {p, q(a0..a8)} and post = pre + {r(a0..a8)}: three q/1
+        atoms with a free argument give 9^3 pattern branches."""
+        consts = [f"a{i}" for i in range(9)]
+        qs = " ".join(f"q({k})." for k in consts)
+        rs = " ".join(f"r({k})." for k in consts)
+        alphabet = " ".join(f"functor {k}/0." for k in consts)
+        suite = parse_spec(f"[alphabet]\n{alphabet}\n[pre]\np. {qs}\n[post]\np. {qs} {rs}\n")
+        prog = parse_program(f"p :- {body}.")
+        return well_asserted_clause(prog.clauses[0], suite.pre, suite.post,
+                                    alphabet=resolve_alphabet(prog, (), suite), depth=1,
+                                    resolver=suite.resolver)
+
+    def test_branch_cap_leaves_the_ground_search_to_refute(self, monkeypatch):
+        v = self.branch_capped("r(W), q(X), q(Y), q(Z)")
+        assert v.is_refuted and v.witness["position"] == 1
+        assert v.witness["instance"] == "p :- r(a0), q(a0), q(a0), q(a0)."
+        monkeypatch.setattr(cutcheck.verify, "_BRANCH_CAP", 10**6)
+        assert self.branch_capped("r(W), q(X), q(Y), q(Z)") == v
+
+    def test_branch_cap_without_a_ground_witness_is_unknown(self):
+        v = self.branch_capped("q(X), q(Y), q(Z)")
+        assert v.is_unknown and v.reason == "branch cap 512 hit"
+
     def test_query_well_asserted_uses_fresh_predicate(self):
         prog = parse_program("p(a).")
         pre = AtomSet(patterns=(AtomPattern(Pred("p", (Var("X"),)), ()),))
@@ -177,18 +185,34 @@ class TestCCovered:
     def test_artificial_with_real_post(self):
         prog, suite, alpha = setup_example("artificial.pl", "artificial.spec")
         v = c_covered(Pred("p", (a, c)), prog, suite.s, suite.pre, suite.post,
-                      alphabet=alpha, depth=1, resolver=suite.resolver)
+                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
         assert v.is_verified
 
     def test_artificial_with_universal_post_lists_both_failures(self):
         prog, suite, alpha = setup_example("artificial.pl", "artificial_posthb.spec")
         v = c_covered(Pred("p", (a, c)), prog, suite.s, suite.pre, suite.post,
-                      alphabet=alpha, depth=1, resolver=suite.resolver)
+                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
         assert v.is_refuted
         clause2 = dict(v.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
         assert conds["condition 2 (earlier cut clauses)"].is_refuted
         assert conds["condition 3 (own cut)"].is_refuted
+
+    @pytest.mark.parametrize("clauses, most", [(5, 8), (10, 18)])
+    def test_condition_2_once_per_preceding_clause(self, monkeypatch, clauses, most):
+        # r/1 is not in S, so no clause covers an atom and the loop reaches every clause
+        prog = parse_program("p(X) :- q(X), !, r(X).\n" * clauses)
+        suite = parse_spec("[S]\np(a). p(b). q(a). q(b).\n[pre]\nany.\n[post]\nany.\n")
+        alpha = resolve_alphabet(prog, (), suite)
+        calls = []
+        cond2 = cutcheck.verify._cond2_preceding
+        monkeypatch.setattr(cutcheck.verify, "_cond2_preceding",
+                            lambda *args: calls.append(args) or cond2(*args))
+        for atom in (Pred("p", (a,)), Pred("p", (b,))):
+            v = c_covered(atom, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
+                          alphabet=alpha, depth=1)
+            assert v.is_refuted and len(v.parts) == clauses
+        assert len(calls) <= most
 
 
 class TestPipeline:
@@ -415,8 +439,8 @@ class TestHonestCaps:
         assert v.is_verified and v.witness["instance"] == "p(a) :- q(a), !, q(a), q(a)."
         sp = AtomSet(atoms=(Pred("q", (a,)), Pred("p", (a,))))
         for cap, status in ((2, "unknown"), (3, "verified")):  # condition 3 probes q(a), q(a)
-            assert c_covered(Pred("p", (a,)), prog, sp, sp, sp, alphabet=alpha, depth=1,
-                             cap=cap).status == status
+            assert c_covered(Pred("p", (a,)), prog, sp, sp, sp, s_subset_post=True,
+                             alphabet=alpha, depth=1, cap=cap).status == status
         missing = AtomSet(atoms=(Pred("q", (b,)),))  # the first probe fails before any cap
         v = covered(Pred("p", (a,)), prog.clauses[0], missing, alphabet=alpha, depth=1, cap=1)
         assert v.is_refuted and v.witness["note"] == "no ground body instance in the set"
@@ -428,7 +452,8 @@ class TestHonestCaps:
         with pytest.raises(ValueError, match="ground atoms, not p"):
             covered(Pred("p", (Var("X"),)), prog.clauses[0], s, alphabet=alpha, depth=1)
         with pytest.raises(ValueError, match="ground atoms, not p"):
-            c_covered(Pred("p", (Var("X"),)), prog, s, s, s, alphabet=alpha, depth=1)
+            c_covered(Pred("p", (Var("X"),)), prog, s, s, s, s_subset_post=True, alphabet=alpha,
+                      depth=1)
 
     def test_refuted_at_depth_d_never_verified_at_d_plus_1(self):
         rng = random.Random(1)
@@ -868,10 +893,12 @@ class TestDirectProbe:
                     atoms = enumerate_atoms(suite.s, LIST_ALPHA, depth, suite.resolver)
                 except CapHit:
                     continue
+                premise = s_subset_post_check(suite.s, suite.post, alphabet=LIST_ALPHA,
+                                              depth=depth, resolver=suite.resolver).is_verified
                 for a in rng.sample(atoms, min(4, len(atoms))):
                     for cap in (2, 3, 50_000):
-                        kw = dict(alphabet=LIST_ALPHA, depth=depth, resolver=suite.resolver,
-                                  cap=cap)
+                        kw = dict(s_subset_post=premise, alphabet=LIST_ALPHA, depth=depth,
+                                  resolver=suite.resolver, cap=cap)
                         got = c_covered(a, prog, suite.s, suite.pre, suite.post, **kw)
                         with monkeypatch.context() as m:
                             m.setattr(cutcheck.verify, "is_ground",
@@ -919,7 +946,7 @@ class TestClosedFormGeneralizations:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where ground_list(Y), eq(X, Y).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = c_covered(a, prog, suite.s, suite.pre, suite.post,
+        v = c_covered(a, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
                       alphabet=resolve_alphabet(prog, (), suite), depth=1,
                       resolver=suite.resolver)
         [(_, clause)] = v.parts
