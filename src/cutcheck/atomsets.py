@@ -42,6 +42,9 @@ from .terms import (
     vars_of,
 )
 
+ENUM_CAP = 1_000_000  # atoms and pattern candidates one whole-set enumeration counts
+GENERALIZATION_CAP = 8_192  # generalizations one lattice walk builds
+
 GUARD_ARITIES = {
     "any": 0,
     "list": 1,
@@ -77,10 +80,21 @@ class AtomPattern:
     guards: tuple = ()
 
     @cached_property
-    def forces_ground(self) -> bool:
-        """Whether the guards force every template variable ground
-        (``forced_ground``), so that every member is ground."""
-        return forced_ground(self.guards).issuperset(vars_of(self.template))
+    def closed_form(self):
+        """The variables the guards force ground (``forced_ground``), when every
+        guard other than ``any`` and a ``list``, ``ground`` or ``ground_list``
+        guard on a variable has all its template variables among them; else
+        None.  Then ``max_generalizations_pattern`` needs no search."""
+        forced = forced_ground(self.guards)
+        tvars = set(vars_of(self.template))
+        for g in self.guards:
+            if g.name == "any" or (g.name in ("list", "ground", "ground_list")
+                                   and isinstance(g.args[0], Var)):
+                continue
+            terms = tuple(a for a in g.args if not isinstance(a, str))
+            if not forced.issuperset(tvars.intersection(vars_of(terms))):
+                return None
+        return forced
 
 
 @dataclass(frozen=True)
@@ -401,20 +415,23 @@ def _freeze_resolver(resolver):
 
 
 def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
-                    cap: int = 1_000_000, predicate=None):
+                    cap: int | None = None, predicate=None):
     """All ground atoms of ``s`` with argument depth <= depth, sorted, deduped.
 
     With ``predicate`` = (name, arity) only the atoms of that predicate, and
     only the part of ``s`` that can hold them is enumerated (see
-    ``_predicate_part``); the cap counts that part's work alone.  One counter
-    serves the whole set: the universal part adds the size of its product
-    before it is built, each pattern every candidate it tries.
+    ``_predicate_part``); the cap (``ENUM_CAP`` when None) counts that
+    part's work alone.  One counter serves the whole set: the universal part
+    adds the size of its product before it is built, each pattern every
+    candidate it tries.
 
     Results are memoized, the too-large outcome included: all set objects
     involved are immutable, so repeated checks over the same specification
     reuse one enumeration.  The memo keeps the ``_ENUM_CACHE_SIZE`` most
     recently used entries.
     """
+    if cap is None:
+        cap = ENUM_CAP
     if predicate is not None:
         s, alphabet = _predicate_part(s, alphabet, predicate)
     key = (s, alphabet, depth, _freeze_resolver(resolver), cap)
@@ -457,8 +474,7 @@ def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
     return part, alphabet
 
 
-def _enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
-                     cap: int = 1_000_000):
+def _enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver, cap: int):
     counter = [0]
     out: dict = {}
     if s.universal:
@@ -568,64 +584,58 @@ def forced_ground(guards: tuple) -> set:
     return forced
 
 
-def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None, cap: int = 8192):
+def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None):
     """Maximally general atoms of a pattern set that have ``a`` as an instance.
 
-    When the guards force every template variable ground (``forces_ground``),
-    the answer is ``[a]`` if the guards hold on the match of the template
-    against ``a``, else ``[]``, with no search.  Membership is decided by
-    ``guard_holds`` without facts, and there a ``ground`` or ``ground_list``
-    guard holds only on a ground argument, while ``member``, ``subset``,
-    ``concat`` and ``eq`` compare their arguments with ``==``, so a side
-    equal to parts of a ground side is ground too.  Every member above ``a``
-    then binds every template variable to a ground term: it is ground, and
-    a ground atom with ``a`` as an instance is ``a``.
+    When the pattern has a closed form (``AtomPattern.closed_form``), the
+    answer is one candidate, kept when its guards hold on it as ``contains``
+    evaluates them: each forced variable keeps its value in the match of the
+    template against ``a``, a variable under a ``list`` guard becomes a list
+    of fresh variables as long as its value, and every other variable
+    becomes fresh.  Membership is decided
+    by ``guard_holds`` without facts, and there a ``ground`` or
+    ``ground_list`` guard holds only on a ground argument, while ``member``,
+    ``subset``, ``concat`` and ``eq`` compare their arguments with ``==``,
+    so a side equal to parts of a ground side is ground too: every member
+    above ``a`` binds the forced variables to their values in ``a``.  The
+    other guards read only forced variables, or a variable's list spine, so
+    they hold on the candidate exactly when they hold on ``a``.
 
-    Raises CapHit when the lattice walk generates more than ``cap``
-    generalizations.
+    Every other pattern walks the generalization lattice, which raises
+    CapHit past ``GENERALIZATION_CAP`` generalizations.
     """
     theta = match(pattern.template, a)
     if theta is None:
         return []
-    if pattern.forces_ground:
-        return [a] if all(guard_holds(g, theta, None, resolver) for g in pattern.guards) else []
-    one = AtomSet(patterns=(pattern,))
-    constraints: dict = {}
-    relational = False
-    for g in pattern.guards:
-        if g.name in ("list", "ground", "ground_list") and isinstance(g.args[0], Var):
-            constraints.setdefault(g.args[0].name, set()).add(g.name)
-        elif g.name != "any":
-            relational = True
-
-    if not relational:
-        fresh = itertools.count(1)
-        mapping = {}
-        for v in vars_of(pattern.template):
-            t = theta.get(v, Var(v))
-            ks = constraints.get(v, set())
-            if "ground" in ks or "ground_list" in ks:
-                mapping[v] = t
-            elif "list" in ks:
-                items = list_items(t)
-                if items is None:
-                    return []
-                mapping[v] = make_list([Var(f"G{next(fresh)}") for _ in items])
-            else:
-                mapping[v] = Var(f"G{next(fresh)}")
-        cand = apply(mapping, pattern.template)
-        if match(cand, a) is None or not contains(one, cand, resolver):
-            return [a] if contains(one, a, resolver) else []
-        return [cand]
-
-    return _lattice_generalizations(a, pattern, resolver, cap)
+    forced = pattern.closed_form
+    if forced is None:
+        return _lattice_generalizations(a, pattern, resolver)
+    lists = {g.args[0].name for g in pattern.guards
+             if g.name == "list" and isinstance(g.args[0], Var)}
+    fresh = itertools.count(1)
+    env = dict(theta)  # the candidate's match: what ``contains`` checks the guards on
+    for v in vars_of(pattern.template):
+        if v in forced:
+            continue
+        if v in lists:
+            items = list_items(theta[v])
+            if items is None:
+                return []
+            env[v] = make_list([Var(f"G{next(fresh)}") for _ in items])
+        else:
+            env[v] = Var(f"G{next(fresh)}")
+    if not all(guard_holds(g, env, None, resolver) for g in pattern.guards):
+        return []
+    return [apply(env, pattern.template) if env != theta else a]
 
 
-def _lattice_generalizations(a: Pred, pattern: AtomPattern, resolver=None, cap: int = 8192):
+def _lattice_generalizations(a: Pred, pattern: AtomPattern, resolver=None):
     """The members of the pattern set above ``a`` found by a bounded walk
-    over the generalization lattice of ``a``, maximal ones only: the general
-    path for relational guards.  Raises CapHit past ``cap`` generalizations.
+    over the generalization lattice of ``a``, maximal ones only: the path
+    for a pattern with no closed form.  Raises CapHit past
+    ``GENERALIZATION_CAP`` generalizations.
     """
+    cap = GENERALIZATION_CAP
     one = AtomSet(patterns=(pattern,))
     fresh = itertools.count(1)
     spent = itertools.count(1)
@@ -649,7 +659,7 @@ def _lattice_generalizations(a: Pred, pattern: AtomPattern, resolver=None, cap: 
     return _maximal_filter(members)
 
 
-def max_generalizations(a: Pred, s: AtomSet, resolver=None, cap: int = 8192):
+def max_generalizations(a: Pred, s: AtomSet, resolver=None):
     """Maximally general members of ``s`` with ``a`` as an instance.
 
     Raises CapHit when a pattern's lattice walk reaches its cap."""
@@ -657,5 +667,5 @@ def max_generalizations(a: Pred, s: AtomSet, resolver=None, cap: int = 8192):
     if a in s.atoms:
         members.append(a)
     for p in s.patterns:
-        members.extend(max_generalizations_pattern(a, p, resolver, cap))
+        members.extend(max_generalizations_pattern(a, p, resolver))
     return _maximal_filter(members)

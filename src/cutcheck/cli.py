@@ -14,7 +14,6 @@ import sys
 import time
 from dataclasses import replace
 
-from .atomsets import CapHit
 from .dot import tree_dot
 from .engine import Budget, build_tree
 from .pruning import prolog_search, pruned_tree
@@ -27,7 +26,7 @@ from .syntax import (
     query_text,
     resolve_alphabet,
 )
-from .terms import CUT, InputError
+from .terms import InputError
 from .verdicts import Verdict
 from .verify import (
     CheckReport,
@@ -35,7 +34,6 @@ from .verify import (
     completeness_check,
     correct_check,
     cs_correct,
-    query_transform,
     recurrent_check,
     semi_complete,
 )
@@ -165,28 +163,16 @@ def cmd_check(args) -> int:
     program = _load_program(args.program)
     suite = _load_spec(args.spec)
     budget = _make_budget(args, suite)
-    alphabet = resolve_alphabet(program, (), suite)
-    resolver = suite.resolver
-    start = time.perf_counter()
-
-    report = None
     if args.kind == "complete":
         if args.query is None:
             raise InputError("check complete needs a query: give --query")
-        query = parse_query(args.query)
-        try:
-            extra, query2, suite2 = (
-                query_transform(query, suite, program, depth=budget.depth)
-                if any(a is CUT for a in query)
-                else ([], query, suite)
-            )
-        except CapHit as exc:  # the S extension of a query with cut is too large
-            verdict = Verdict.unknown(str(exc))
-        else:
-            program2 = type(program)(program.clauses + tuple(extra))
-            report = completeness_check(program2, query2, suite2, budget=budget)
+        report = completeness_check(program, parse_query(args.query), suite, budget=budget)
+        if report.pruned is not None:  # None when the S extension of a query with cut hit its cap
             _emit_tree(args, report.pruned.base, report.pruned)
     else:
+        start = time.perf_counter()
+        alphabet = resolve_alphabet(program, (), suite)
+        resolver = suite.resolver
         if args.kind == "semicomplete":
             verdict = semi_complete(
                 program, suite.s, alphabet=alphabet, depth=budget.depth, resolver=resolver
@@ -211,15 +197,11 @@ def cmd_check(args) -> int:
             )
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(args.kind)
-    if report is None:
-        witnesses = []
-        if verdict.witness is not None:
-            witnesses.append(verdict.witness)
         report = CheckReport(
             check=args.kind,
             verdict=verdict,
             bounds={"depth": budget.depth, "nodes": budget.nodes, "steps": budget.steps},
-            witnesses=witnesses,
+            witnesses=[] if verdict.witness is None else [verdict.witness],
             per_atom=[(label, v.status) for label, v in verdict.parts],
             timing_ms=int((time.perf_counter() - start) * 1000),
         )
@@ -260,6 +242,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="cutcheck",
+        allow_abbrev=False,
         description="Build pruned LD-trees for logic programs with cut and "
         "check completeness, correctness, and termination conditions.",
     )
@@ -271,7 +254,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, help_text, handler, flags in COMMANDS:
         if one and name != command:
             continue
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "check":
             p.add_argument("kind", choices=CHECK_KINDS)
             p.add_argument("program")

@@ -600,8 +600,16 @@ def parse_spec(text: str) -> SpecSuite:
 
 
 def resolve_alphabet(program: Program, query: tuple = (), suite: Optional[SpecSuite] = None) -> Alphabet:
-    """The declared alphabet if any, merged with symbols of program and query."""
-    inferred = infer_alphabet(program.clauses, query)
+    """The declared alphabet if any, merged with the symbols of the program,
+    the query, and the atoms, templates and guard terms of the spec's sets."""
+    listed: list = []
+    if suite is not None:
+        for s in (suite.s, suite.pre, suite.post, *suite.named_sets.values()):
+            listed.append(s.atoms)
+            for p in s.patterns:
+                listed.append(p.template)
+                listed.extend(a for g in p.guards for a in g.args if not isinstance(a, str))
+    inferred = infer_alphabet(program.clauses, query, listed)
     if suite is not None and suite.alphabet is not None:
         return merge_alphabets(suite.alphabet, inferred)
     return inferred

@@ -61,8 +61,41 @@ from .terms import (
 )
 from .verdicts import Verdict, weakest
 
-_DEFAULT_CAP = 50_000
+INSTANCE_CAP = 50_000  # ground instances one grounding or instance search builds
+VISIT_CAP = 50_000  # goals one cover search visits, and candidates it enumerates per goal
 _BRANCH_CAP = 512  # pattern branches the well-asserted check follows per clause
+
+
+class _CheckContext:
+    """One check's alphabet, depth bound and set resolver, and the memos its
+    searches share.
+
+    Each public checker builds one on entry and hands it down; the sets a
+    search runs over (S, pre, post) stay arguments, since each call searches
+    a different one.  The memos: a ``_ClauseInfo`` per clause seen (kept by
+    the clause's id: the info holds the clause, so the id is not reused
+    while the context lives), the texts of ground atom arguments (``texts``,
+    as ``atom_text`` reads it) and the text of the last atom rendered.
+    """
+
+    def __init__(self, alphabet: Alphabet, depth: int, resolver=None):
+        self.alphabet = alphabet
+        self.depth = depth
+        self.resolver = resolver
+        self.texts: dict = {}  # ground term -> its text
+        self._clauses: dict = {}  # id(clause) -> _ClauseInfo
+        self._atom = self._atom_text = None
+
+    def atom_text(self, a: Pred) -> str:
+        if a is not self._atom:
+            self._atom, self._atom_text = a, atom_text(a, self.texts)
+        return self._atom_text
+
+    def clause(self, c: Clause) -> "_ClauseInfo":
+        info = self._clauses.get(id(c))
+        if info is None:
+            info = self._clauses[id(c)] = _ClauseInfo(c)
+        return info
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +103,11 @@ _BRANCH_CAP = 512  # pattern branches the well-asserted check follows per clause
 # ---------------------------------------------------------------------------
 
 
-def _groundings(sigma: dict, names, alphabet: Alphabet, depth: int, cap: int, read=None):
+def _groundings(sigma: dict, names, ctx: _CheckContext, read=None):
     """Extend sigma with every depth-bounded grounding of the names it leaves
     free, in product order.  Only the names in ``read`` (every name when it
     is None) vary; the others stay at the first ground term.  Raises CapHit
-    instead of yielding grounding ``cap + 1``.
+    instead of yielding grounding ``INSTANCE_CAP + 1``.
 
     A check whose outcome does not depend on the names outside ``read``
     finds the same first counterexample as over the full product: that one
@@ -84,14 +117,15 @@ def _groundings(sigma: dict, names, alphabet: Alphabet, depth: int, cap: int, re
     if not names:
         yield sigma
         return
-    terms = ground_terms(alphabet, depth)
+    terms = ground_terms(ctx.alphabet, ctx.depth)
     if not terms:
         return
     vary = names if read is None else [n for n in names if n in read]
     first = dict.fromkeys(names, terms[0])
+    cap = INSTANCE_CAP
     for count, combo in enumerate(itertools.product(terms, repeat=len(vary)), 1):
         if count > cap:
-            raise CapHit(f"instance cap {cap} hit at depth {depth}")
+            raise CapHit(f"instance cap {cap} hit at depth {ctx.depth}")
         theta = dict(first)
         theta.update(zip(vary, combo))
         yield compose(sigma, theta) if sigma else theta
@@ -103,17 +137,14 @@ class _CoverSearch:
     Solutions are substitutions sigma with every instantiated atom ground and
     a member of the set.  ``exhaustive`` stays True only when every candidate
     source was complete (extensional sets are; pattern and universal sets are
-    enumerated up to the depth bound).  Raises CapHit at the visit cap or
-    when a candidate enumeration reaches its cap.
+    enumerated up to the depth bound).  Raises CapHit past ``VISIT_CAP``
+    visits, or when a candidate enumeration passes ``VISIT_CAP``.
     """
 
-    def __init__(self, s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
-                 cap: int = _DEFAULT_CAP):
+    def __init__(self, s: AtomSet, ctx: _CheckContext):
         self.s = s
-        self.alphabet = alphabet
-        self.depth = depth
-        self.resolver = resolver
-        self.cap = cap
+        self.ctx = ctx
+        self.resolver = ctx.resolver
         self.exhaustive = True
         self.visits = 0
 
@@ -122,14 +153,15 @@ class _CoverSearch:
         if not self.s.universal and not self.s.patterns:
             return [a for a in self.s.atoms if (a.name, len(a.args)) == key]
         self.exhaustive = False
-        return enumerate_atoms(self.s, self.alphabet, self.depth, self.resolver, self.cap,
+        ctx = self.ctx
+        return enumerate_atoms(self.s, ctx.alphabet, ctx.depth, ctx.resolver, VISIT_CAP,
                                predicate=key)
 
     def _visit(self) -> None:
         """Count one visit: each goal reached, and the end of a goal list."""
         self.visits += 1
-        if self.visits > self.cap:
-            raise CapHit(f"cover search visit cap {self.cap} hit at depth {self.depth}")
+        if self.visits > VISIT_CAP:
+            raise CapHit(f"cover search visit cap {VISIT_CAP} hit at depth {self.ctx.depth}")
 
     def holds(self, goals: tuple) -> bool:
         """Whether every non-cut goal of a ground goal list lies in the set,
@@ -187,42 +219,16 @@ class _ClauseInfo:
     def __init__(self, clause: Clause):
         self.clause = clause
         self.text = clause_text(clause)
-        self.first_cut = _first_cut_split(clause.body)
-        self.last_cut = _last_cut_split(clause.body)
+        body = clause.body
+        cuts = [i for i, b in enumerate(body) if b is CUT]
+        # (before, after) the first and the last cut, or None without a cut
+        self.first_cut = (body[:cuts[0]], body[cuts[0] + 1:]) if cuts else None
+        self.last_cut = (body[:cuts[-1]], body[cuts[-1] + 1:]) if cuts else None
         self.prefix = None if self.last_cut is None else Clause(clause.head, self.last_cut[0])
 
 
-class _CoverContext:
-    """What the coverage checks of one loop over the atoms of S share.
-
-    ``semi_complete`` and ``_query_free_stages`` build one when their loop
-    starts and drop it when it ends; ``covered`` builds a throwaway one, and
-    ``c_covered`` does when called without one.  It holds a ``_ClauseInfo`` per
-    clause seen (kept by the clause's id: the info holds the clause, so the id
-    is not reused while the context lives), the texts of ground atom
-    arguments (``texts``, as ``atom_text`` reads it) and the text of the
-    last atom rendered.
-    """
-
-    def __init__(self):
-        self.texts: dict = {}  # ground term -> its text
-        self._clauses: dict = {}  # id(clause) -> _ClauseInfo
-        self._atom = self._atom_text = None
-
-    def atom_text(self, a: Pred) -> str:
-        if a is not self._atom:
-            self._atom, self._atom_text = a, atom_text(a, self.texts)
-        return self._atom_text
-
-    def clause(self, c: Clause) -> _ClauseInfo:
-        info = self._clauses.get(id(c))
-        if info is None:
-            info = self._clauses[id(c)] = _ClauseInfo(c)
-        return info
-
-
-def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s, alphabet: Alphabet,
-                       depth: int, resolver, cap: int) -> tuple:
+def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
+                       ctx: _CheckContext) -> tuple:
     """Search a ground instance of the clause with head ``a`` and body in s + {!}.
 
     ``a`` must be ground, so it shares no variable with the clause and the
@@ -236,7 +242,7 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s, alphab
     if theta is None:
         return "refuted", "head does not match"
     body = apply(theta, clause.body)
-    search = _CoverSearch(s, alphabet, depth, resolver, cap)
+    search = _CoverSearch(s, ctx)
     try:
         if is_ground(body):
             if search.holds(body):
@@ -250,7 +256,7 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s, alphab
         return "unknown", str(exc)
     if search.exhaustive:
         return "refuted", "no ground body instance in the set"
-    return "unknown", f"cover search exhausted depth {depth}"
+    return "unknown", f"cover search exhausted depth {ctx.depth}"
 
 
 def _require_ground(a: Pred) -> None:
@@ -258,10 +264,10 @@ def _require_ground(a: Pred) -> None:
         raise ValueError(f"coverage is defined for ground atoms, not {atom_text(a)}")
 
 
-def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s, alphabet: Alphabet,
-                   depth: int, resolver, cap: int, ctx: _CoverContext) -> Verdict:
+def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s,
+                   ctx: _CheckContext) -> Verdict:
     """``covered``'s verdict, given ``theta = match(clause.head, a)``."""
-    status, found = _covering_instance(a, clause, theta, s, alphabet, depth, resolver, cap)
+    status, found = _covering_instance(a, clause, theta, s, ctx)
     if status == "unknown":
         return Verdict.unknown(found)
     text = ctx.atom_text(a)
@@ -271,8 +277,8 @@ def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s, alphabet: 
     return Verdict.refuted({"atom": text, "clause": ctx.clause(clause).text, "note": found})
 
 
-def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resolver=None,
-            cap: int = _DEFAULT_CAP) -> Verdict:
+def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int,
+            resolver=None) -> Verdict:
     """Is the ground atom ``a`` the head of a ground instance of the clause
     with body in s + {!}?
 
@@ -281,26 +287,24 @@ def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int, resol
     Raises ValueError when ``a`` is not ground.
     """
     _require_ground(a)
-    return _cover_verdict(a, clause, match(clause.head, a), s, alphabet, depth, resolver, cap,
-                          _CoverContext())
+    return _cover_verdict(a, clause, match(clause.head, a), s,
+                          _CheckContext(alphabet, depth, resolver))
 
 
 def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
-                  resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
+                  resolver=None) -> Verdict:
     """Every enumerated atom of s must be covered by some clause w.r.t. s."""
-    alphabet = alphabet or resolve_alphabet(program)
+    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
     try:
-        atoms = enumerate_atoms(s, alphabet, depth, resolver)
+        atoms = enumerate_atoms(s, ctx.alphabet, depth, resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
-    ctx = _CoverContext()
     per_atom = []
     for a in atoms:
         text = ctx.atom_text(a)
         verdict = None  # the first Unknown, until some clause covers the atom
         for idx, c in program.matching(a):
-            status, found = _covering_instance(a, c, match(c.head, a), s, alphabet, depth,
-                                               resolver, cap)
+            status, found = _covering_instance(a, c, match(c.head, a), s, ctx)
             if status == "verified":
                 verdict = _VERIFIED
                 break
@@ -311,20 +315,20 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
 
 
 def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
-                  resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
+                  resolver=None) -> Verdict:
     """Model check: each ground clause instance with body in s + {!} has its head in s.
 
     The cover search grounds the body; of the variables left, only those
     the head's membership in s reads are enumerated."""
-    alphabet = alphabet or resolve_alphabet(program)
+    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
     bounded = False
     capped = None  # the reason, once a clause's search stopped at a cap
     for clause in program.clauses:
-        search = _CoverSearch(s, alphabet, depth, resolver, cap)
+        search = _CoverSearch(s, ctx)
         read = membership_reads(s, clause.head)
         try:
             for sol in search.solutions(clause.body, {}):
-                for full in _groundings(sol, vars_of(clause), alphabet, depth, cap, read):
+                for full in _groundings(sol, vars_of(clause), ctx, read):
                     head = apply(full, clause.head)
                     if not is_ground(head):
                         bounded = True
@@ -475,16 +479,18 @@ def _entailed_member(atom, s, sigma: dict, facts: dict, resolver) -> bool:
     return contains(s, apply(sigma, atom), resolver, frozen)
 
 
-def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, alphabet, depth,
-                                 resolver, cap):
+def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
+                                 ctx: _CheckContext):
     """Bounded ground search for an instance violating one implication.
 
     ``k`` is the index of the body atom that must be in pre (prefix in post);
     ``k is None`` checks the head-in-post condition with the full body.
-    Returns a witness dict or None; raises CapHit once more than ``cap``
-    instances, counted over all heads together, were searched.
+    Returns a witness dict or None; raises CapHit once more than
+    ``INSTANCE_CAP`` instances, counted over all heads together, were searched.
     """
-    heads = enumerate_atoms(pre, alphabet, depth, resolver, cap,
+    cap = INSTANCE_CAP
+    resolver = ctx.resolver
+    heads = enumerate_atoms(pre, ctx.alphabet, ctx.depth, resolver, cap,
                             predicate=(clause.head.name, len(clause.head.args)))
     prefix = clause.body[:k] if k is not None else clause.body
     thetas = (unify(clause.head, h) for h in heads)
@@ -492,11 +498,11 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
         apply(full, clause)
         for theta in thetas
         if theta is not None
-        for full in _groundings(theta, vars_of(clause), alphabet, depth, cap)
+        for full in _groundings(theta, vars_of(clause), ctx)
     )
     for count, instance in enumerate(instances, 1):
         if count > cap:
-            raise CapHit(f"instance cap {cap} hit at depth {depth}")
+            raise CapHit(f"instance cap {cap} hit at depth {ctx.depth}")
         if not is_ground(instance):
             continue
         if not all(
@@ -526,7 +532,7 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post, al
 
 
 def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth: int = 3,
-                         resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
+                         resolver=None) -> Verdict:
     """Check one clause against a call/success specification.
 
     For every instance with the head in pre: each body atom whose earlier
@@ -538,6 +544,11 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
     search, and the verdict is Unknown naming the branch cap only if that
     search refutes none.
     """
+    return _well_asserted(clause, pre, post, _CheckContext(alphabet, depth, resolver))
+
+
+def _well_asserted(clause: Clause, pre, post, ctx: _CheckContext) -> Verdict:
+    resolver = ctx.resolver
     fresh = FreshNames()
     forbidden = set(vars_of(clause))
     head_branches = _membership_branches(clause.head, pre, {}, {}, forbidden, fresh, resolver)
@@ -573,9 +584,7 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
     capped = None
     for k in failing:
         try:
-            witness = _ground_refute_well_asserted(
-                clause, k, pre, post, alphabet, depth, resolver, cap
-            )
+            witness = _ground_refute_well_asserted(clause, k, pre, post, ctx)
         except CapHit as exc:
             capped = str(exc)  # later positions can still refute
             continue
@@ -583,63 +592,45 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
             return Verdict.refuted(witness)
     return Verdict.unknown(
         branch_capped or capped
-        or f"pattern strategy inconclusive; no ground witness within depth {depth}"
+        or f"pattern strategy inconclusive; no ground witness within depth {ctx.depth}"
     )
 
 
 def cs_correct(program: Program, pre, post, *, alphabet: Optional[Alphabet] = None,
-               depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
+               depth: int = 3, resolver=None) -> Verdict:
     """All clauses well-asserted w.r.t. (pre, post)."""
-    alphabet = alphabet or resolve_alphabet(program)
+    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
     parts = [
-        (label, well_asserted_clause(
-            clause, pre, post, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap
-        ))
-        for label, clause in zip(_clause_labels(program), program.clauses)
+        (f"clause {idx + 1}: {clause_text(clause)}", _well_asserted(clause, pre, post, ctx))
+        for idx, clause in enumerate(program.clauses)
     ]
     return weakest([v for _, v in parts], tuple(parts))
 
 
-def _clause_labels(program: Program) -> list:
-    """``clause {i}: ...`` for each clause, in program order: the label of its
-    part in a verdict."""
-    return [f"clause {idx + 1}: {clause_text(c)}" for idx, c in enumerate(program.clauses)]
-
-
-def _fresh_pred_name(taken: set) -> str:
-    i = 0
-    while True:
-        name = f"q{i}"
-        if name not in taken:
-            return name
-        i += 1
-
-
-def _taken_pred_names(program: Program, *sets) -> set:
-    taken = {c.head.name for c in program.clauses}
-    for c in program.clauses:
-        taken.update(a.name for a in c.body if a is not CUT)
+def _fresh_pred_name(program: Program, query: tuple, *sets) -> str:
+    """The first of q0, q1, ... that names no predicate of the program, the
+    query or the sets."""
+    taken = {a.name for c in program.clauses for a in (c.head,) + c.body if a is not CUT}
+    taken.update(a.name for a in query if a is not CUT)
     for s in sets:
         taken.update(name for name, _ in set_predicates(s))
-    return taken
+    i = 0
+    while f"q{i}" in taken:
+        i += 1
+    return f"q{i}"
 
 
 def well_asserted_query(query: tuple, pre, post, *, program: Optional[Program] = None,
                         alphabet: Optional[Alphabet] = None, depth: int = 3,
-                        resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
+                        resolver=None) -> Verdict:
     """A query is well-asserted iff the clause p <- Q is, for fresh p added to both sets."""
     program = program or Program()
-    taken = _taken_pred_names(program, pre, post)
-    taken.update(a.name for a in query if a is not CUT)
-    name = _fresh_pred_name(taken)
-    marker = Pred(name)
+    ctx = _CheckContext(alphabet or resolve_alphabet(program, query), depth, resolver)
+    marker = Pred(_fresh_pred_name(program, query, pre, post))
     clause = Clause(marker, tuple(query))
     pre2 = pre | AtomSet(atoms=(marker,))
     post2 = post | AtomSet(atoms=(marker,))
-    alphabet = alphabet or resolve_alphabet(program, query)
-    return well_asserted_clause(
-        clause, pre2, post2, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap
-    )
+    return _well_asserted(clause, pre2, post2, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -647,29 +638,15 @@ def well_asserted_query(query: tuple, pre, post, *, program: Optional[Program] =
 # ---------------------------------------------------------------------------
 
 
-def _first_cut_split(body: tuple):
-    for i, b in enumerate(body):
-        if b is CUT:
-            return body[:i], body[i + 1 :]
-    return None
-
-
-def _last_cut_split(body: tuple):
-    for i in range(len(body) - 1, -1, -1):
-        if body[i] is CUT:
-            return body[:i], body[i + 1 :]
-    return None
-
-
-def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post, alphabet, depth, resolver,
-                     cap, ctx: _CoverContext) -> Verdict:
+def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post,
+                     ctx: _CheckContext) -> Verdict:
     """No ground instance of H' <- A0 (head an instance of a maximally general
     pre-atom above ``a``) may be covered w.r.t. the ground part of post."""
     if preceding.first_cut is None:
         return _PRECEDING_NO_CUT
     a0, _ = preceding.first_cut
     try:
-        gens = max_generalizations(a, pre, resolver)
+        gens = max_generalizations(a, pre, ctx.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     unknown = None  # the reason, once some search was incomplete
@@ -679,11 +656,11 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post, alphabet, depth
         if theta is None:
             continue
         target = apply(theta, variant)
-        search = _CoverSearch(post, alphabet, depth, resolver, cap)
+        search = _CoverSearch(post, ctx)
         instances = (
             apply(full, target)
             for sol in search.solutions(target.body, theta)
-            for full in _groundings(sol, vars_of(target), alphabet, depth, cap)
+            for full in _groundings(sol, vars_of(target), ctx)
         )
         try:
             found = next((inst for inst in instances if is_ground(inst)), None)
@@ -701,14 +678,15 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post, alphabet, depth
                 "an earlier cut clause can fire on a pre-instance",
             )
         if not search.exhaustive:
-            unknown = unknown or f"cover search for the preceding clause exhausted depth {depth}"
+            unknown = unknown or (
+                f"cover search for the preceding clause exhausted depth {ctx.depth}")
     if unknown:
         return Verdict.unknown(unknown)
     return Verdict.verified()
 
 
-def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, post, alphabet,
-                   depth, resolver, cap, ctx: _CoverContext) -> Verdict:
+def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, post,
+                   ctx: _CheckContext) -> Verdict:
     """For each maximally general pre-instance H rho above ``a`` and each ground
     eta putting B0 rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta.
 
@@ -725,7 +703,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
         rhos = [({}, clause.head)]
     else:
         try:
-            gens = max_generalizations(a, pre, resolver)
+            gens = max_generalizations(a, pre, ctx.resolver)
         except CapHit as exc:
             return Verdict.unknown(str(exc))
         rhos = []
@@ -745,7 +723,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
     for rho, head_r in rhos:
         b0r = apply(rho, b0)
         b1r = apply(rho, b1)
-        search = _CoverSearch(post, alphabet, depth, resolver, cap)
+        search = _CoverSearch(post, ctx)
         etas = []
         try:
             if is_ground(b0r):
@@ -756,13 +734,12 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
         except CapHit as exc:
             unknown = str(exc)  # the etas found so far can still refute
         if not search.exhaustive:
-            unknown = unknown or f"eta enumeration exhausted depth {depth}"
+            unknown = unknown or f"eta enumeration exhausted depth {ctx.depth}"
         for eta in etas:
             reduced = Clause(apply(eta, head_r), apply(eta, b1r))
             # a ground H rho is ``a`` itself, which the reduced head matches with no binding
             reduced_theta = {} if head_r is a else match(reduced.head, a)
-            status, found = _covering_instance(a, reduced, reduced_theta, s, alphabet, depth,
-                                               resolver, cap)
+            status, found = _covering_instance(a, reduced, reduced_theta, s, ctx)
             if status == "refuted":
                 return Verdict.refuted(
                     {
@@ -781,20 +758,22 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
 
 
 def c_covered(a: Pred, program: Program, s, pre, post, *, s_subset_post: bool,
-              alphabet: Optional[Alphabet] = None, depth: int = 3, resolver=None,
-              cap: int = _DEFAULT_CAP, ctx: Optional[_CoverContext] = None) -> Verdict:
+              alphabet: Optional[Alphabet] = None, depth: int = 3, resolver=None) -> Verdict:
     """Coverage that survives pruning: some clause covers ``a`` and neither an
     earlier cut clause nor the clause's own cut can discard that inference.
 
     ``s_subset_post`` is whether the premise S subset-of post holds (as
     ``s_subset_post_check`` decides it, once for the whole of S); only then
-    may condition 1 use the clause cut short before its last cut.  ``ctx`` is
-    the calling loop's ``_CoverContext``; without one, a throwaway one is
-    built.  Raises ValueError when ``a`` is not ground."""
+    may condition 1 use the clause cut short before its last cut.  Raises
+    ValueError when ``a`` is not ground."""
     _require_ground(a)
-    alphabet = alphabet or resolve_alphabet(program, (a,))
-    if ctx is None:
-        ctx = _CoverContext()
+    ctx = _CheckContext(alphabet or resolve_alphabet(program, (a,)), depth, resolver)
+    return _c_covered(a, program, s, pre, post, s_subset_post, ctx)
+
+
+def _c_covered(a: Pred, program: Program, s, pre, post, s_subset_post: bool,
+               ctx: _CheckContext) -> Verdict:
+    """``c_covered`` for a ground ``a``, with the calling loop's context."""
     text = ctx.atom_text(a)
     clause_parts = []
     cond2s = []  # condition 2 of each clause the loop has moved past
@@ -802,19 +781,18 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, s_subset_post: bool,
     for idx, clause in program.matching(a):
         info = ctx.clause(clause)
         theta = match(clause.head, a)  # one head match for all three conditions
-        cond3 = _cond3_own_cut(a, info, theta, s, pre, post, alphabet, depth, resolver, cap, ctx)
+        cond3 = _cond3_own_cut(a, info, theta, s, pre, post, ctx)
         if previous is not None:
-            cond2s.append(_cond2_preceding(a, previous, pre, post, alphabet, depth, resolver,
-                                           cap, ctx))
+            cond2s.append(_cond2_preceding(a, previous, pre, post, ctx))
         previous = info
         cond2 = weakest(cond2s) if cond2s else _NO_PRECEDING
         cond1 = None
         if s_subset_post and info.prefix is not None and cond3.is_verified:
-            v = _cover_verdict(a, info.prefix, theta, s, alphabet, depth, resolver, cap, ctx)
+            v = _cover_verdict(a, info.prefix, theta, s, ctx)
             if v.is_verified:
                 cond1 = v
         if cond1 is None:
-            cond1 = _cover_verdict(a, clause, theta, s, alphabet, depth, resolver, cap, ctx)
+            cond1 = _cover_verdict(a, clause, theta, s, ctx)
         parts = (
             ("condition 1 (covered)", cond1),
             ("condition 2 (earlier cut clauses)", cond2),
@@ -917,27 +895,23 @@ def _collect_witnesses(verdict: Verdict, out: list, limit: int = 20, status: Opt
         _collect_witnesses(sub, out, limit, status)
 
 
-def _query_free_stages(program: Program, suite: SpecSuite, alphabet: Alphabet, depth: int):
+def _query_free_stages(program: Program, suite: SpecSuite, ctx: _CheckContext):
     """The stages of the completeness pipeline that do not look at the query:
-    S inside post, the program well-asserted, every atom of S c-covered."""
-    resolver = suite.resolver
+    S inside post, the program well-asserted, every atom of S c-covered.
+    ``ctx`` resolves the names of ``suite``'s sets."""
     premise = s_subset_post_check(
-        suite.s, suite.post, alphabet=alphabet, depth=depth, resolver=resolver
+        suite.s, suite.post, alphabet=ctx.alphabet, depth=ctx.depth, resolver=ctx.resolver
     )
-    wa_program = cs_correct(
-        program, suite.pre, suite.post, alphabet=alphabet, depth=depth, resolver=resolver
-    )
+    wa_program = cs_correct(program, suite.pre, suite.post, alphabet=ctx.alphabet,
+                            depth=ctx.depth, resolver=ctx.resolver)
     try:
-        atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
+        atoms = enumerate_atoms(suite.s, ctx.alphabet, ctx.depth, ctx.resolver)
     except CapHit as exc:
         return premise, wa_program, Verdict.unknown(str(exc))
-    ctx = _CoverContext()
     per_atom = []
     for a in atoms:
-        per_atom.append((ctx.atom_text(a), c_covered(
-            a, program, suite.s, suite.pre, suite.post,
-            alphabet=alphabet, depth=depth, resolver=resolver,
-            s_subset_post=premise.is_verified, ctx=ctx,
+        per_atom.append((ctx.atom_text(a), _c_covered(
+            a, program, suite.s, suite.pre, suite.post, premise.is_verified, ctx
         )))
     return premise, wa_program, weakest([v for _, v in per_atom], tuple(per_atom))
 
@@ -949,14 +923,24 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     Stages: the pruned tree must be exact; S must lie inside post; the
     program must be well-asserted; the (cut-free) query must be well-asserted;
     and every enumerated atom of S must be c-covered.
+
+    A query with cut is first rewritten by ``query_transform``, and the
+    stages check the rewritten program, query and sets.  When the S
+    extension passes its cap, the report is Unknown naming the cap, with no
+    stages and no pruned tree.
     """
     start = time.perf_counter()
     budget = budget or suite.budget
-    if any(a is CUT for a in query):
-        raise ValueError("query contains cut; rewrite it with query_transform first")
-    alphabet = resolve_alphabet(program, query, suite)
-    resolver = suite.resolver
     depth = budget.depth
+    bounds = {"depth": depth, "nodes": budget.nodes, "steps": budget.steps}
+    if any(a is CUT for a in query):
+        try:
+            extra, query, suite = query_transform(query, suite, program, depth=depth)
+        except CapHit as exc:
+            return CheckReport("complete", Verdict.unknown(str(exc)), bounds,
+                               timing_ms=int((time.perf_counter() - start) * 1000))
+        program = Program(program.clauses + tuple(extra))
+    ctx = _CheckContext(resolve_alphabet(program, query, suite), depth, suite.resolver)
 
     pt = pruned_tree(program, query, budget, answers=False)  # the check reads only exactness
     tree_v = (
@@ -965,17 +949,15 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
         else Verdict.unknown("tree budget exhausted; pruned tree is not exact")
     )
 
-    premise, wa_program, coverage = _query_free_stages(program, suite, alphabet, depth)
+    premise, wa_program, coverage = _query_free_stages(program, suite, ctx)
     if premise.is_refuted:
         premise = Verdict.unknown(
             "premise S subset-of post is violated: "
             f"{premise.witness['atom']} is in S but not in post"
         )
 
-    wa_query = well_asserted_query(
-        query, suite.pre, suite.post, program=program, alphabet=alphabet,
-        depth=depth, resolver=resolver,
-    )
+    wa_query = well_asserted_query(query, suite.pre, suite.post, program=program,
+                                   alphabet=ctx.alphabet, depth=depth, resolver=ctx.resolver)
 
     stages = (
         ("pruned tree exact", tree_v),
@@ -990,7 +972,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     report = CheckReport(
         check="complete",
         verdict=verdict,
-        bounds={"depth": depth, "nodes": budget.nodes, "steps": budget.steps},
+        bounds=bounds,
         witnesses=witnesses,
         per_atom=[
             (label, v.status) for label, v in coverage.parts
@@ -1002,29 +984,26 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
 
 
 def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
-                    depth: Optional[int] = None, cap: int = _DEFAULT_CAP):
+                    depth: Optional[int] = None):
     """Rewrite a query with cuts: add p(V...) <- Q for fresh p and extend the sets.
 
     Returns (extra clauses, new query, new suite).  The S extension holds the
     ground p-instances whose query instance lies in S + {!} (bounded
     enumeration up to the depth bound).  Raises CapHit when more than
-    ``cap`` instances would have to be enumerated: a truncated extension
-    would let the completeness check verify a smaller S.
+    ``INSTANCE_CAP`` instances would have to be enumerated: a truncated
+    extension would let the completeness check verify a smaller S.
     """
     depth = depth if depth is not None else suite.budget.depth
-    alphabet = resolve_alphabet(program, query, suite)
-    resolver = suite.resolver
-    taken = _taken_pred_names(program, suite.s, suite.pre, suite.post)
-    taken.update(a.name for a in query if a is not CUT)
-    name = _fresh_pred_name(taken)
+    ctx = _CheckContext(resolve_alphabet(program, query, suite), depth, suite.resolver)
+    name = _fresh_pred_name(program, query, suite.s, suite.pre, suite.post)
     names = vars_of(query)
     head = Pred(name, tuple(Var(v) for v in names))
     clause = Clause(head, tuple(query))
 
     ext = []
-    for theta in _groundings({}, names, alphabet, depth, cap):
+    for theta in _groundings({}, names, ctx):
         inst = apply(theta, query)
-        if all(x is CUT or contains(suite.s, x, resolver) for x in inst):
+        if all(x is CUT or contains(suite.s, x, ctx.resolver) for x in inst):
             ext.append(apply(theta, head))
     marker = AtomSet(patterns=(AtomPattern(most_general_atom(name, len(names)), ()),))
     s2 = suite.s | AtomSet(atoms=tuple(ext))
@@ -1042,20 +1021,19 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
 
 
 def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
-                         budget: Optional[Budget] = None, cap: int = _DEFAULT_CAP) -> Verdict:
+                         budget: Optional[Budget] = None) -> Verdict:
     """Brute-force completeness probe: every depth-bounded ground instance of
     the query that S satisfies must be an instance of a pruned-tree answer."""
     budget = budget or suite.budget
-    alphabet = resolve_alphabet(program, query, suite)
-    resolver = suite.resolver
+    ctx = _CheckContext(resolve_alphabet(program, query, suite), budget.depth, suite.resolver)
     pt = pruned_tree(program, query, budget)
     if not pt.exact:
         return Verdict.unknown("tree budget exhausted; answers may be missing")
     answers = pt.answers
     try:
-        for theta in _groundings({}, vars_of(query), alphabet, budget.depth, cap):
+        for theta in _groundings({}, vars_of(query), ctx):
             inst = apply(theta, query)
-            if not all(x is CUT or contains(suite.s, x, resolver) for x in inst):
+            if not all(x is CUT or contains(suite.s, x, ctx.resolver) for x in inst):
                 continue
             if not any(match(ans, inst) is not None for ans in answers):
                 return Verdict.refuted(
@@ -1083,8 +1061,8 @@ def _require_level_maps(program: Program, level_maps: dict):
                 raise InputError(f"no level mapping declared for {atom.indicator}")
 
 
-def _level_decrease(program: Program, level_maps: dict, s, resolver, alphabet: Alphabet,
-                    depth: int, cap: int, violation: str) -> Verdict:
+def _level_decrease(program: Program, level_maps: dict, s, ctx: _CheckContext,
+                    violation: str) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance and
     every body atom whose preceding atoms lie in s + {!}.
 
@@ -1093,13 +1071,14 @@ def _level_decrease(program: Program, level_maps: dict, s, resolver, alphabet: A
     up to the cap; unless a later clause refutes, the verdict is Unknown
     naming the cap.
     """
+    resolver = ctx.resolver
     capped = None  # the reason, once a clause's instances stopped at the cap
     for clause in program.clauses:
         read = level_reads(clause.head, level_maps)
         for b in clause.body:
             read |= level_reads(b, level_maps) | membership_reads(s, b)
         try:
-            for theta in _groundings({}, vars_of(clause), alphabet, depth, cap, read):
+            for theta in _groundings({}, vars_of(clause), ctx, read):
                 instance = apply(theta, clause)
                 h = level_of(instance.head, level_maps)
                 for i, b in enumerate(instance.body):
@@ -1120,29 +1099,27 @@ def _level_decrease(program: Program, level_maps: dict, s, resolver, alphabet: A
             capped = str(exc)  # later clauses can still refute
     if capped:
         return Verdict.unknown(capped)
-    return Verdict.verified(f"no counterexample within depth {depth}")
+    return Verdict.verified(f"no counterexample within depth {ctx.depth}")
 
 
 def recurrent_check(program: Program, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
-                    depth: int = 3, cap: int = _DEFAULT_CAP) -> Verdict:
+                    depth: int = 3) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance."""
     _require_level_maps(program, level_maps)
-    alphabet = alphabet or resolve_alphabet(program)
-    return _level_decrease(program, level_maps, UNIVERSAL, None, alphabet, depth, cap,
-                           "level does not decrease")
+    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth)
+    return _level_decrease(program, level_maps, UNIVERSAL, ctx, "level does not decrease")
 
 
 def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
-                     depth: int = 3, resolver=None, cap: int = _DEFAULT_CAP) -> Verdict:
+                     depth: int = 3, resolver=None) -> Verdict:
     """Correctness w.r.t. s plus level decrease whenever s satisfies the prefix."""
     _require_level_maps(program, level_maps)
-    alphabet = alphabet or resolve_alphabet(program)
-    model = correct_check(program, s, alphabet=alphabet, depth=depth, resolver=resolver, cap=cap)
+    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
+    model = correct_check(program, s, alphabet=ctx.alphabet, depth=depth, resolver=resolver)
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
     levels = _level_decrease(
-        program, level_maps, s, resolver, alphabet, depth, cap,
-        "level does not decrease under a satisfied prefix",
+        program, level_maps, s, ctx, "level does not decrease under a satisfied prefix"
     )
     # a level violation refutes even when correctness stayed Unknown
     return weakest([levels, model])

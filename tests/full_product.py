@@ -5,7 +5,9 @@ reads (membership in S, the levels) and keeps every other variable at the
 first ground term.  The functions here ground *every* clause variable over
 all terms up to the depth, as the checks did before that reduction, so the
 tests can compare the two: wherever the full product finishes within the
-cap, both must give the same status, witness and reason.
+cap, both must give the same status, witness and reason.  The ``cap``
+argument bounds the groundings here; the cover search reads
+``cutcheck.verify.VISIT_CAP``, which a test sets to the same value.
 
 ``CAP_HITS`` collects the message of every instance cap the full product
 reaches; a caller clears it before a run to learn whether the run finished.
@@ -18,7 +20,7 @@ from cutcheck.levels import level_of
 from cutcheck.syntax import atom_text, clause_text
 from cutcheck.terms import CUT, apply, compose, ground_terms, is_ground, vars_of
 from cutcheck.verdicts import Verdict, weakest
-from cutcheck.verify import _CoverSearch
+from cutcheck.verify import _CheckContext, _CoverSearch
 
 CAP_HITS: list = []
 
@@ -41,7 +43,7 @@ def full_correct_check(program, s, *, alphabet, depth, resolver=None, cap=50_000
     bounded = False
     capped = None
     for clause in program.clauses:
-        search = _CoverSearch(s, alphabet, depth, resolver, cap)
+        search = _CoverSearch(s, _CheckContext(alphabet, depth, resolver))
         try:
             for sol in search.solutions(clause.body, {}):
                 for full in full_groundings(sol, vars_of(clause), alphabet, depth, cap):

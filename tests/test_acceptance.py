@@ -159,11 +159,11 @@ class TestCriterion3InExample:
         stages = cutcheck.verify._query_free_stages
         memo: dict = {}
 
-        def memo_stages(program, suite, alphabet, depth):
+        def memo_stages(program, suite, ctx):
             key = (program, suite.s, suite.pre, suite.post,
-                   tuple(sorted(suite.named_sets.items())), alphabet, depth)
+                   tuple(sorted(suite.named_sets.items())), ctx.alphabet, ctx.depth)
             if key not in memo:
-                memo[key] = stages(program, suite, alphabet, depth)
+                memo[key] = stages(program, suite, ctx)
             return memo[key]
 
         monkeypatch.setattr(cutcheck.verify, "_query_free_stages", memo_stages)
@@ -255,7 +255,7 @@ class TestCriterion5NotpExample:
 
 
 class TestCriterion6SemiCompletenessAndTermination:
-    def test_append_and_in(self):
+    def test_append_and_in(self, monkeypatch):
         t0 = time.perf_counter()
         prog = load_program("append.pl")
         suite = parse_spec(load_spec_text("append.spec"))
@@ -276,8 +276,8 @@ class TestCriterion6SemiCompletenessAndTermination:
         in_alpha = resolve_alphabet(in_prog, (), in_suite)
         assert set(in_suite.level_maps) == {"m/2", "in/2"}
         # the ground instances of in/2's clauses at depth 3 pass the cap
-        v3 = recurrent_check(in_prog, in_suite.level_maps, alphabet=in_alpha,
-                             depth=3, cap=10_000)
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 10_000)
+        v3 = recurrent_check(in_prog, in_suite.level_maps, alphabet=in_alpha, depth=3)
         assert v3.is_unknown and v3.reason == "instance cap 10000 hit at depth 3"
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cutcheck.atomsets
 from cutcheck.atomsets import (
     _lattice_generalizations,
     AtomPattern,
@@ -24,6 +25,7 @@ from cutcheck.terms import (
     Pred,
     Var,
     apply,
+    canonical,
     ground_terms,
     is_ground,
     make_list,
@@ -179,13 +181,14 @@ class TestMaxGeneralizations:
             return
         assert any(variant_equal(g, want) for g in gens), gens
 
-    def test_relational_walk_cap(self):
+    def test_relational_walk_cap(self, monkeypatch):
         s = pat(Pred("p", (X, Y)), Guard("eq", (X, Y)))
         atom = Pred("p", (make_list([one, two]), make_list([one, two])))
         [gen] = max_generalizations(atom, s, None)
         assert variant_equal(gen, Pred("p", (X, X)))
+        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 10)
         with pytest.raises(CapHit, match="^generalization cap 10 hit$"):
-            max_generalizations(atom, s, None, cap=10)
+            max_generalizations(atom, s, None)
 
 
 LIST_ALPHA = Alphabet((("1", 0), ("[]", 0), (".", 2)), (("p", 2),))
@@ -228,28 +231,42 @@ class TestForcedGround:
         assert forced_ground(chain) == {"X", "Y", "L"}
         assert forced_ground((g("notin", Pred("q", (X,)), "s"), g("any"))) == set()
 
-    def test_closed_form_has_no_cap(self):
+    def test_closed_form_has_no_cap(self, monkeypatch):
         # the walk over the generalizations of a forced pattern's atom can pass
         # its cap; the closed form decides the atom all the same
         pattern = AtomPattern(Pred("p", (X, Y)), (Guard("ground_list", (Y,)), Guard("eq", (X, Y))))
-        assert pattern.forces_ground
+        assert pattern.closed_form == {"X", "Y"}
         member = Pred("p", (make_list([one, two]), make_list([one, two])))
         other = Pred("p", (make_list([one, two]), make_list([two, one])))
+        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 10)
         for atom, want in ((member, [member]), (other, [])):
-            assert max_generalizations_pattern(atom, pattern, None, cap=10) == want
+            assert max_generalizations_pattern(atom, pattern, None) == want
             with pytest.raises(CapHit, match="^generalization cap 10 hit$"):
-                _lattice_generalizations(atom, pattern, None, cap=10)
+                _lattice_generalizations(atom, pattern, None)
 
-    def test_closed_form_equals_the_lattice_walk(self):
-        """Where the guards force every template variable ground, the
-        closed form gives what the lattice walk gives, on members and on
-        non-members; every other pattern with a relational guard still takes
+    def test_closed_form_with_free_variables(self):
+        # the relational guards read only forced variables: the others generalise
+        pattern = AtomPattern(Pred("p", (X, Y, L)),
+                              (Guard("eq", (X, make_list([one]))), Guard("list", (L,))))
+        assert pattern.closed_form == {"X"}
+        atom = Pred("p", (make_list([one]), two, make_list([two, one])))
+        [gen] = max_generalizations_pattern(atom, pattern, None)
+        assert variant_equal(gen, Pred("p", (make_list([one]), Y, make_list([K, M]))))
+        assert max_generalizations_pattern(Pred("p", (one, two, make_list([]))), pattern) == []
+        assert max_generalizations_pattern(Pred("p", (make_list([one]), two, one)), pattern) == []
+        unforced = AtomPattern(Pred("p", (X, Y)), (Guard("eq", (X, Y)),))
+        assert unforced.closed_form is None
+
+    def test_closed_form_equals_the_lattice_walk(self, monkeypatch):
+        """Wherever a pattern has a closed form, it gives what the lattice walk
+        gives, on members and on non-members; every other pattern still takes
         the walk."""
         rng = random.Random(15)
         pool = ground_terms(LIST_ALPHA, 2)
         shallow = ground_terms(LIST_ALPHA, 1)
-        counts = {"forced": 0, "unforced": 0, "members": 0, "capped": 0}
-        for _ in range(300):
+        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 3000)
+        counts = {"closed": 0, "walked": 0, "members": 0, "capped": 0}
+        for _ in range(400):
             names = ["X", "Y", "L", "K"][: rng.randint(2, 3)]
             template = Pred("p", (Var(rng.choice(names)), Var(rng.choice(names))))
             guards = [random_guard(rng, names, RELATIONAL)]
@@ -258,7 +275,7 @@ class TestForcedGround:
                 guards.insert(0, Guard("ground_list", (Var(rng.choice(names)),)))
             pattern = AtomPattern(template, tuple(guards))
             members = enumerate_atoms(AtomSet(patterns=(pattern,)), LIST_ALPHA, 1)
-            if pattern.forces_ground:
+            if pattern.closed_form is not None:
                 # small depth-2 members hold two-element lists, whose generalizations
                 # tell a variable that is forced from one that is not
                 deep = [m for m in enumerate_atoms(AtomSet(patterns=(pattern,)), LIST_ALPHA, 2)
@@ -270,13 +287,15 @@ class TestForcedGround:
                 atoms = [Pred("p", (rng.choice(shallow), rng.choice(shallow)))]
             for atom in atoms:
                 try:
-                    want = _lattice_generalizations(atom, pattern, None, cap=3000)
+                    want = _lattice_generalizations(atom, pattern, None)
                 except CapHit:
                     counts["capped"] += 1
                     continue
                 got = max_generalizations_pattern(atom, pattern, None)
-                assert got == want, (pattern, atom, got, want)
-                counts["forced" if pattern.forces_ground else "unforced"] += 1
+                # the closed form and the walk name their fresh variables apart
+                assert [canonical(g) for g in got] == [canonical(g) for g in want], (
+                    pattern, atom, got, want)
+                counts["walked" if pattern.closed_form is None else "closed"] += 1
                 counts["members"] += bool(got)
-        assert counts["forced"] > 250 and counts["unforced"] > 100, counts
+        assert counts["closed"] > 250 and counts["walked"] > 100, counts
         assert counts["members"] > 150, counts

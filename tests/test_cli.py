@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -181,6 +182,26 @@ class TestCheck:
             main(argv)
         assert exc.value.code == 2 and capsys.readouterr().err.endswith(
             f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+    def test_spec_constants_join_the_alphabet(self, capsys, tmp_path):
+        """A spec without ``[alphabet]`` still grounds over the constants its
+        sets list: here the ground search past the branch cap finds the
+        witness it finds with the constants declared."""
+        consts = [f"a{i}" for i in range(9)]
+        qs = " ".join(f"q({k})." for k in consts)
+        rs = " ".join(f"r({k})." for k in consts)
+        sets = f"[pre]\np. {qs}\n[post]\np. {qs} {rs}\n"
+        declared = "[alphabet]\n" + " ".join(f"functor {k}/0." for k in consts) + "\n"
+        (tmp_path / "p.pl").write_text("p :- r(W), q(X), q(Y), q(Z).\n")
+        outputs = []
+        for name, text in (("listed.spec", sets), ("declared.spec", declared + sets)):
+            (tmp_path / name).write_text(text)
+            outputs.append(run(capsys, "check", "cscorrect", str(tmp_path / "p.pl"),
+                               "--spec", str(tmp_path / name), "--depth", "1"))
+        assert outputs[0] == outputs[1]
+        code, out, _ = outputs[0]
+        assert code == 1 and "verdict: refuted" in out
+        assert "instance=p :- r(a0), q(a0), q(a0), q(a0)." in out
 
     @pytest.mark.parametrize("kind", [k for k in CHECK_KINDS if k != "complete"])
     @pytest.mark.parametrize("flag", ["--dot", "--query"])
@@ -448,6 +469,25 @@ class TestParser:
         steps = "resolution step budget" if command == "oracle" else "derivation length bound"
         assert steps in out
 
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_a_flag_prefix_exit_2(self, capsys, fixtures_dir, tmp_path, monkeypatch, command):
+        # every proper prefix of a flag is unrecognized; none writes a file
+        monkeypatch.chdir(tmp_path)
+        program = str(fixtures_dir / "in.pl")
+        base = ([command, program, "in([1], [1])"] if command != "check"
+                else ["check", "correct", program, "--spec", str(fixtures_dir / "in.spec")])
+        flags = COMMAND_FLAGS[command] | {"--json"}
+        if command == "check":
+            flags |= {"--spec", "--query"}
+        for flag in sorted(flags):
+            for end in range(3, len(flag)):
+                with pytest.raises(SystemExit) as exc:
+                    main(base + [flag[:end], "1"])
+                assert exc.value.code == 2, flag[:end]
+                assert capsys.readouterr().err.endswith(
+                    f"error: unrecognized arguments: {flag[:end]} 1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_messages_name_every_command(self):
         _, _, err = parse_outcome(build_parser("run"), ["run", P, Q, "--bogus"])
         assert err.startswith("usage: cutcheck [-h] {run,tree,prune,oracle,check} ...\n")
@@ -456,6 +496,19 @@ class TestParser:
 
 
 class TestPublicSurface:
+    def test_no_exported_function_takes_a_cap_or_a_context(self):
+        """Each search's cap is a named module constant, and each checker
+        builds its own context: no exported function but ``enumerate_atoms``
+        takes ``cap``, and none takes ``ctx``."""
+        takers = []
+        for name in cutcheck.__all__:
+            obj = getattr(cutcheck, name)
+            if inspect.isfunction(obj):
+                params = inspect.signature(obj).parameters
+                if "ctx" in params or ("cap" in params and name != "enumerate_atoms"):
+                    takers.append(name)
+        assert takers == []
+
     def test_every_exported_name_is_read_in_src_or_documented(self):
         """A name of ``cutcheck.__all__`` is read by some module of the package
         other than ``__init__.py`` (a line that does not define it names it),

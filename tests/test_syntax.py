@@ -11,6 +11,7 @@ from cutcheck.syntax import (
     parse_query,
     parse_spec,
     query_text,
+    resolve_alphabet,
     term_text,
     _name_text,
 )
@@ -235,6 +236,26 @@ class TestSpecParsing:
         assert (".", 2) in suite.alphabet.functors
         lm = suite.level_maps["p/1"]
         assert lm.constant == 1 and lm.terms == ((2, "len", 0),)
+
+    def test_resolved_alphabet_holds_the_symbols_the_sets_list(self):
+        suite = parse_spec(
+            """
+            [set mine]
+            r(c).
+
+            [S]
+            p(a).
+            q(X) where member(X, [b]), notin(s(X, d), mine).
+
+            [post]
+            p(e) .
+            """
+        )
+        got = resolve_alphabet(parse_program("p(X) :- q(X)."), (), suite)
+        assert got.functors == tuple(sorted(
+            [("a", 0), ("b", 0), ("c", 0), ("d", 0), ("e", 0), (".", 2), ("[]", 0)]))
+        assert got.predicates == (("p", 1), ("q", 1), ("r", 1), ("s", 2))
+        assert resolve_alphabet(parse_program("p(X) :- q(X).")).functors == ()
 
     def test_named_sets_and_notin(self):
         suite = parse_spec(

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from cutcheck import (
     well_asserted_query,
 )
 from cutcheck.atomsets import AtomPattern, CapHit, Guard, contains, membership_reads
+from cutcheck.cli import main
 from cutcheck.levels import LevelMapping, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import (
@@ -33,7 +35,7 @@ from cutcheck.terms import (
 )
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
-    _CoverSearch, _covering_instance, _query_free_stages, s_subset_post_check,
+    _CheckContext, _CoverSearch, _covering_instance, _query_free_stages, s_subset_post_check,
 )
 
 import full_product
@@ -41,6 +43,13 @@ from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, 
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
 
 a, b, c = Compound("a"), Compound("b"), Compound("c")
+
+
+def set_caps(m, cap):
+    """Set the instance cap and the visit cap to ``cap`` under the monkeypatch
+    (or monkeypatch context) ``m``."""
+    m.setattr(cutcheck.verify, "INSTANCE_CAP", cap)
+    m.setattr(cutcheck.verify, "VISIT_CAP", cap)
 
 
 def setup_example(pl, spec):
@@ -222,10 +231,32 @@ class TestPipeline:
         assert rep.verdict.is_verified
         assert oracle_tree_complete(prog, parse_query("p(a, Z)"), suite).is_verified
 
-    def test_query_with_cut_rejected(self):
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_query_with_cut_library_and_cli_agree(self, fixtures_dir, tmp_path, capsys,
+                                                  monkeypatch, cap):
+        """``completeness_check`` rewrites a query with cut itself, and reports
+        what ``check complete`` reports, also when the S extension passes the
+        instance cap: then Unknown naming the cap, with no pruned tree."""
+        if cap is not None:
+            monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", cap)
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec")
-        with pytest.raises(ValueError):
-            completeness_check(prog, parse_query("p(a, Z), !"), suite)
+        report = completeness_check(prog, parse_query("p(a, Z), !"), suite)
+        dot = tmp_path / "t.dot"
+        code = main(["check", "complete", str(fixtures_dir / "artificial.pl"),
+                     "--spec", str(fixtures_dir / "artificial.spec"),
+                     "--query", "p(a, Z), !", "--json", "--dot", str(dot)])
+        printed = json.loads(capsys.readouterr().out)
+        want = json.loads(json.dumps(report.to_json_obj()))
+        assert printed | {"timing_ms": 0} == want | {"timing_ms": 0}
+        assert code == {"verified": 0, "refuted": 1, "unknown": 3}[report.verdict.status]
+        if cap is None:
+            assert report.pruned is not None and dot.exists()
+            assert len(want["per_atom"]) > 0
+        else:
+            assert report.verdict.is_unknown
+            assert report.verdict.reason == "instance cap 2 hit at depth 1"
+            assert report.pruned is None and not dot.exists()
+            assert want["witnesses"] == want["per_atom"] == []
 
     def test_query_transform_handles_cut(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec")
@@ -376,24 +407,25 @@ class TestHonestCaps:
         assert v2.is_refuted
         assert v2.witness == v1.witness
 
-    def test_acceptable_returns_correct_checks_unknown(self):
+    def test_acceptable_returns_correct_checks_unknown(self, monkeypatch):
         # S reads all five arguments of p/5: 13^5 groundings pass the cap
         prog = parse_program(P5_PROGRAM)
         suite = parse_spec(P5_GUARDED_SPEC)
         alpha = resolve_alphabet(prog, (), suite)
-        model = correct_check(prog, suite.s, alphabet=alpha, depth=2,
-                              resolver=suite.resolver, cap=1000)
+        set_caps(monkeypatch, 1000)
+        model = correct_check(prog, suite.s, alphabet=alpha, depth=2, resolver=suite.resolver)
         v = acceptable_check(prog, suite.s, suite.level_maps, alphabet=alpha, depth=2,
-                             resolver=suite.resolver, cap=1000)
+                             resolver=suite.resolver)
         assert model.is_unknown
         assert v == model
 
-    def test_level_loop_cap_still_reports_cap_hit(self):
+    def test_level_loop_cap_still_reports_cap_hit(self, monkeypatch):
         # the level of p/5 reads all five arguments: 13^5 groundings pass the cap
         prog = parse_program(P5_PROGRAM)
         suite = parse_spec(P5_SIZED_SPEC)
         alpha = resolve_alphabet(prog, (), suite)
-        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2, cap=1000)
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 1000)
+        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
         assert v.is_unknown and v.reason == "instance cap 1000 hit at depth 2"
 
     def test_level_loop_refuted_then_unknown_not_verified(self):
@@ -419,30 +451,36 @@ class TestHonestCaps:
         clause1 = dict(v2.parts)["clause 1: p(A, B, C, D, E) :- q."]
         assert clause1.reason == "universal enumeration cap 50000 hit at depth 2"
 
-    def test_cover_search_cap_is_unknown(self):
+    def test_cover_search_cap_is_unknown(self, monkeypatch):
         prog = parse_program("p(X) :- q(X), q(Y), q(Z).")
         s = AtomSet(atoms=(Pred("q", (a,)), Pred("q", (b,))))
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
-        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=2)
+        with monkeypatch.context() as m:
+            m.setattr(cutcheck.verify, "VISIT_CAP", 2)
+            v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
         assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
         assert covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1).is_verified
 
-    def test_cover_search_cap_on_a_ground_body(self):
+    def test_cover_search_cap_on_a_ground_body(self, monkeypatch):
         # the head match leaves the body ground: one visit per atom found, one for the end
         prog = parse_program("p(X) :- q(X), !, q(X), q(X).")
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
         s = AtomSet(atoms=(Pred("q", (a,)),))
         for cap in (1, 2, 3):
-            v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=cap)
+            monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
+            v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
             assert v.is_unknown and v.reason == f"cover search visit cap {cap} hit at depth 1"
-        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1, cap=4)
+        monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 4)
+        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
         assert v.is_verified and v.witness["instance"] == "p(a) :- q(a), !, q(a), q(a)."
         sp = AtomSet(atoms=(Pred("q", (a,)), Pred("p", (a,))))
         for cap, status in ((2, "unknown"), (3, "verified")):  # condition 3 probes q(a), q(a)
+            set_caps(monkeypatch, cap)
             assert c_covered(Pred("p", (a,)), prog, sp, sp, sp, s_subset_post=True,
-                             alphabet=alpha, depth=1, cap=cap).status == status
+                             alphabet=alpha, depth=1).status == status
         missing = AtomSet(atoms=(Pred("q", (b,)),))  # the first probe fails before any cap
-        v = covered(Pred("p", (a,)), prog.clauses[0], missing, alphabet=alpha, depth=1, cap=1)
+        monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 1)
+        v = covered(Pred("p", (a,)), prog.clauses[0], missing, alphabet=alpha, depth=1)
         assert v.is_refuted and v.witness["note"] == "no ground body instance in the set"
 
     def test_non_ground_atom_raises(self):
@@ -455,16 +493,17 @@ class TestHonestCaps:
             c_covered(Pred("p", (Var("X"),)), prog, s, s, s, s_subset_post=True, alphabet=alpha,
                       depth=1)
 
-    def test_refuted_at_depth_d_never_verified_at_d_plus_1(self):
+    def test_refuted_at_depth_d_never_verified_at_d_plus_1(self, monkeypatch):
         rng = random.Random(1)
         refuted = dict.fromkeys(CHECKS, 0)
         for clauses, prog, s, maps in random_check_cases(rng, 150):
             cap = rng.choice(RANDOM_CAPS)
+            set_caps(monkeypatch, cap)
             for name, check in CHECKS.items():
                 for d in (1, 2):
-                    if check(prog, s, maps, alphabet=AF_ALPHA, depth=d, cap=cap).is_refuted:
+                    if check(prog, s, maps, alphabet=AF_ALPHA, depth=d).is_refuted:
                         refuted[name] += 1
-                        after = check(prog, s, maps, alphabet=AF_ALPHA, depth=d + 1, cap=cap)
+                        after = check(prog, s, maps, alphabet=AF_ALPHA, depth=d + 1)
                         assert not after.is_verified, (name, clauses, s, maps, cap, d)
         assert min(refuted.values()) > 100, refuted
 
@@ -577,7 +616,7 @@ class TestReducedGrounding:
     wherever the full product finishes within the cap the verdict, witness
     and reason are the full product's."""
 
-    def compare(self, cases, alphabet, resolver_of):
+    def compare(self, monkeypatch, cases, alphabet, resolver_of):
         counts = {"equal": 0, "refuted": 0, "capped": 0, "rechecked": 0}
         for clauses, prog, s, maps, cap in cases:
             resolver = resolver_of(s)
@@ -588,8 +627,9 @@ class TestReducedGrounding:
                         kw["resolver"] = resolver
                     for c in (10**6, cap):  # 10**6: a cap the full product never reaches
                         full_product.CAP_HITS.clear()
+                        set_caps(monkeypatch, c)
                         want = FULL_CHECKS[name](prog, s, maps, cap=c, **kw)
-                        got = CHECKS[name](prog, s, maps, cap=c, **kw)
+                        got = CHECKS[name](prog, s, maps, **kw)
                         context = (name, clauses, s, maps, c, d)
                         if not full_product.CAP_HITS:
                             assert (got.status, got.witness, got.reason) == (
@@ -604,17 +644,17 @@ class TestReducedGrounding:
                             counts["rechecked"] += 1
         return counts
 
-    def test_equal_to_full_product_on_random_programs(self):
+    def test_equal_to_full_product_on_random_programs(self, monkeypatch):
         rng = random.Random(1)
         cases = ((*case, rng.choice(RANDOM_CAPS)) for case in random_check_cases(rng, 150))
-        counts = self.compare(cases, AF_ALPHA, lambda s: None)
+        counts = self.compare(monkeypatch, cases, AF_ALPHA, lambda s: None)
         assert counts["equal"] > 1500 and counts["refuted"] > 1000, counts
         assert counts["capped"] > 40 and counts["rechecked"] > 10, counts
 
-    def test_equal_to_full_product_on_list_programs(self):
+    def test_equal_to_full_product_on_list_programs(self, monkeypatch):
         rng = random.Random(2)
         cases = ((*case, rng.choice(RANDOM_CAPS)) for case in random_list_cases(rng, 100))
-        counts = self.compare(cases, LIST_ALPHA, lambda s: {"s": s})
+        counts = self.compare(monkeypatch, cases, LIST_ALPHA, lambda s: {"s": s})
         assert counts["equal"] > 900 and counts["refuted"] > 600, counts
         assert counts["capped"] > 100 and counts["rechecked"] > 25, counts
 
@@ -714,7 +754,7 @@ class TestCoverContext:
         got = semi_complete(program, suite.s, alphabet=alphabet, depth=depth, resolver=resolver)
         want = semi_complete_atom_by_atom(program, suite.s, alphabet, depth, resolver)
         assert got.to_json_obj() == want.to_json_obj()
-        got = _query_free_stages(program, suite, alphabet, depth)[2]
+        got = _query_free_stages(program, suite, _CheckContext(alphabet, depth, resolver))[2]
         want = c_coverage_atom_by_atom(program, suite, alphabet, depth)
         assert got.to_json_obj() == want.to_json_obj()
         return got, len(got.parts)
@@ -798,14 +838,14 @@ class TestPatternVariableNames:
         assert statuses == {"verified", "refuted", "unknown"}, statuses
 
 
-def searched_covering_instance(a, clause, s, alphabet, depth, resolver, cap):
+def searched_covering_instance(a, clause, s, ctx):
     """``_covering_instance`` as the cover search alone decides it, with no
     direct probe of a ground body."""
     theta = match(clause.head, a)
     if theta is None:
         return "refuted", "head does not match"
     body = apply(theta, clause.body)
-    search = _CoverSearch(s, alphabet, depth, resolver, cap)
+    search = _CoverSearch(s, ctx)
     try:
         for sol in search.solutions(body, {}):
             instance = Clause(a, apply(sol, body))
@@ -815,7 +855,7 @@ def searched_covering_instance(a, clause, s, alphabet, depth, resolver, cap):
         return "unknown", str(exc)
     if search.exhaustive:
         return "refuted", "no ground body instance in the set"
-    return "unknown", f"cover search exhausted depth {depth}"
+    return "unknown", f"cover search exhausted depth {ctx.depth}"
 
 
 def searched_holds(search, goals):
@@ -827,7 +867,7 @@ class TestDirectProbe:
     """A ground goal list is probed atom by atom instead of searched; the
     status, instance and note are the cover search's, at the visit cap too."""
 
-    def test_ground_goal_lists(self):
+    def test_ground_goal_lists(self, monkeypatch):
         rng = random.Random(15)
         atoms = ground_atoms(LIST_ALPHA, 1)
         counts = {"held": 0, "failed": 0, "capped": 0}
@@ -835,10 +875,12 @@ class TestDirectProbe:
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 4)))).s
             goals = tuple(rng.choice(atoms + (CUT,)) for _ in range(rng.randint(0, 4)))
             n = sum(g is not CUT for g in goals)
+            ctx = _CheckContext(LIST_ALPHA, 1, {"s": s})
             for cap in range(n + 3):
+                monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
                 outcomes = []
                 for probe in (searched_holds, _CoverSearch.holds):
-                    search = _CoverSearch(s, LIST_ALPHA, 1, {"s": s}, cap)
+                    search = _CoverSearch(s, ctx)
                     try:
                         got = probe(search, goals)
                     except CapHit as exc:
@@ -849,13 +891,13 @@ class TestDirectProbe:
                 counts["capped" if isinstance(got, str) else "held" if got else "failed"] += 1
         assert min(counts.values()) > 100, counts
 
-    def test_covering_instance_equals_the_search(self):
+    def test_covering_instance_equals_the_search(self, monkeypatch):
         rng = random.Random(16)
         counts = {"verified": 0, "refuted": 0, "unknown": 0, "ground": 0}
         for _, prog, _, _ in random_list_cases(rng, 150):
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 3)))).s
-            resolver = {"s": s}
             for depth in (1, 2):
+                ctx = _CheckContext(LIST_ALPHA, depth, {"s": s})
                 atoms = list(ground_atoms(LIST_ALPHA, depth))
                 # each clause, and each clause cut short before a cut (condition 1's prefix)
                 clauses = list(prog.clauses) + [
@@ -866,10 +908,9 @@ class TestDirectProbe:
                     for clause in clauses:
                         n = sum(g is not CUT for g in clause.body)
                         for cap in {1, n, n + 1, n + 2, 50_000}:
-                            want = searched_covering_instance(a, clause, s, LIST_ALPHA, depth,
-                                                              resolver, cap)
-                            got = _covering_instance(a, clause, match(clause.head, a), s,
-                                                     LIST_ALPHA, depth, resolver, cap)
+                            monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
+                            want = searched_covering_instance(a, clause, s, ctx)
+                            got = _covering_instance(a, clause, match(clause.head, a), s, ctx)
                             assert got == want, (a, clause, s, depth, cap)
                             counts[got[0]] += 1
                             theta = match(clause.head, a)
@@ -897,8 +938,9 @@ class TestDirectProbe:
                                               depth=depth, resolver=suite.resolver).is_verified
                 for a in rng.sample(atoms, min(4, len(atoms))):
                     for cap in (2, 3, 50_000):
+                        set_caps(monkeypatch, cap)
                         kw = dict(s_subset_post=premise, alphabet=LIST_ALPHA, depth=depth,
-                                  resolver=suite.resolver, cap=cap)
+                                  resolver=suite.resolver)
                         got = c_covered(a, prog, suite.s, suite.pre, suite.post, **kw)
                         with monkeypatch.context() as m:
                             m.setattr(cutcheck.verify, "is_ground",
@@ -931,10 +973,12 @@ class TestClosedFormGeneralizations:
         prog = parse_program(RELATIONAL_PRE_PROGRAM)
         suite = parse_spec(RELATIONAL_PRE_SPEC)
         alpha = resolve_alphabet(prog, (), suite)
-        got = [v.to_json_obj() for v in _query_free_stages(prog, suite, alpha, 1)]
-        # every pattern takes the guard-directed path or the lattice walk again
-        monkeypatch.setattr(AtomPattern, "forces_ground", property(lambda self: False))
-        want = [v.to_json_obj() for v in _query_free_stages(prog, suite, alpha, 1)]
+        stages = lambda: [v.to_json_obj() for v in
+                          _query_free_stages(prog, suite, _CheckContext(alpha, 1, suite.resolver))]
+        got = stages()
+        # every pattern walks the generalization lattice
+        monkeypatch.setattr(AtomPattern, "closed_form", property(lambda self: None))
+        want = stages()
         assert got == want
         coverage = got[2]
         assert coverage["status"] == "refuted" and len(coverage["parts"]) == 18
@@ -945,6 +989,19 @@ class TestClosedFormGeneralizations:
         prog = parse_program("p(L, L) :- !.")
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where ground_list(Y), eq(X, Y).\n[post]\nany.\n")
+        [a] = suite.s.atoms
+        v = c_covered(a, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
+                      alphabet=resolve_alphabet(prog, (), suite), depth=1,
+                      resolver=suite.resolver)
+        [(_, clause)] = v.parts
+        assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
+
+    def test_free_variable_past_the_walk_cap(self):
+        # eq forces X ground and leaves Y free: the closed form generalises Y
+        # where the lattice walk passed its cap of 8192 and condition 3 read Unknown
+        prog = parse_program("p(L, M) :- !.")
+        suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
+                           "[pre]\np(X, Y) where eq(X, [1, 1, 1, 1, 1]).\n[post]\nany.\n")
         [a] = suite.s.atoms
         v = c_covered(a, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
                       alphabet=resolve_alphabet(prog, (), suite), depth=1,
