@@ -24,7 +24,6 @@ from .syntax import (
     parse_query,
     parse_spec,
     query_text,
-    resolve_alphabet,
 )
 from .terms import InputError
 from .verdicts import Verdict
@@ -45,7 +44,15 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process a closed pipe ended
 
-CHECK_KINDS = ("complete", "semicomplete", "correct", "cscorrect", "recurrent", "acceptable")
+# the query-free check kinds, each with its checker
+CHECKERS = {
+    "semicomplete": semi_complete,
+    "correct": correct_check,
+    "cscorrect": cs_correct,
+    "recurrent": recurrent_check,
+    "acceptable": acceptable_check,
+}
+CHECK_KINDS = ("complete", *CHECKERS)
 
 
 def _bound(text: str) -> int:
@@ -118,20 +125,21 @@ def cmd_tree(args) -> int:
 def cmd_prune(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
-    pruned = pruned_tree(program, query, _make_budget(args, None), answers=False)
+    pruned = pruned_tree(program, query, _make_budget(args, None))
     _emit_tree(args, pruned.base, pruned)
     return _report_nodes(args, "pruned tree", pruned.base, pruned.kept, pruned.exact)
 
 
 def _report_answers(args, answers: list, exact: bool, note: str, extra: dict) -> int:
-    """Print the answers of ``run`` or ``oracle``; ``note`` names the budget
-    an inexact search exhausted, ``extra`` holds further JSON fields."""
+    """Print the answers of ``run`` or ``oracle``, given as texts; ``note``
+    names the budget an inexact search exhausted, ``extra`` holds further
+    JSON fields."""
     if args.json:
-        obj = {"answers": [query_text(a) for a in answers], "exact": exact, **extra}
+        obj = {"answers": answers, "exact": exact, **extra}
         print(json.dumps(obj, sort_keys=True))
     else:
         for a in answers:
-            print(query_text(a) if a else "yes")
+            print(a or "yes")  # the empty answer of a query that succeeded
         if not answers:
             print("no answers")
         if not exact:
@@ -142,17 +150,19 @@ def _report_answers(args, answers: list, exact: bool, note: str, extra: dict) ->
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
-    pruned = pruned_tree(program, query, _make_budget(args, None))
+    answers: list = []  # as texts, so that no answer's terms outlive the walk's visit
+    pruned = pruned_tree(program, query, _make_budget(args, None),
+                         on_answer=lambda a: answers.append(query_text(a)))
     _emit_tree(args, pruned.base, pruned)
-    return _report_answers(args, pruned.answers, pruned.exact, "budget", {})
+    return _report_answers(args, answers, pruned.exact, "budget", {})
 
 
 def cmd_oracle(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
     result = prolog_search(program, query, _make_budget(args, None))
-    return _report_answers(args, result.answers, result.exact, "step budget",
-                           {"steps": result.steps})
+    return _report_answers(args, [query_text(a) for a in result.answers], result.exact,
+                           "step budget", {"steps": result.steps})
 
 
 def cmd_check(args) -> int:
@@ -162,49 +172,19 @@ def cmd_check(args) -> int:
                 raise InputError(f"{flag} applies to check complete only")
     program = _load_program(args.program)
     suite = _load_spec(args.spec)
-    budget = _make_budget(args, suite)
+    suite = replace(suite, budget=_make_budget(args, suite))
     if args.kind == "complete":
         if args.query is None:
             raise InputError("check complete needs a query: give --query")
-        report = completeness_check(program, parse_query(args.query), suite, budget=budget)
+        report = completeness_check(program, parse_query(args.query), suite)
         if report.pruned is not None:  # None when the S extension of a query with cut hit its cap
             _emit_tree(args, report.pruned.base, report.pruned)
     else:
         start = time.perf_counter()
-        alphabet = resolve_alphabet(program, (), suite)
-        resolver = suite.resolver
-        if args.kind == "semicomplete":
-            verdict = semi_complete(
-                program, suite.s, alphabet=alphabet, depth=budget.depth, resolver=resolver
-            )
-        elif args.kind == "correct":
-            verdict = correct_check(
-                program, suite.s, alphabet=alphabet, depth=budget.depth, resolver=resolver
-            )
-        elif args.kind == "cscorrect":
-            verdict = cs_correct(
-                program, suite.pre, suite.post,
-                alphabet=alphabet, depth=budget.depth, resolver=resolver,
-            )
-        elif args.kind == "recurrent":
-            verdict = recurrent_check(
-                program, suite.level_maps, alphabet=alphabet, depth=budget.depth
-            )
-        elif args.kind == "acceptable":
-            verdict = acceptable_check(
-                program, suite.s, suite.level_maps,
-                alphabet=alphabet, depth=budget.depth, resolver=resolver,
-            )
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(args.kind)
-        report = CheckReport(
-            check=args.kind,
-            verdict=verdict,
-            bounds={"depth": budget.depth, "nodes": budget.nodes, "steps": budget.steps},
-            witnesses=[] if verdict.witness is None else [verdict.witness],
-            per_atom=[(label, v.status) for label, v in verdict.parts],
-            timing_ms=int((time.perf_counter() - start) * 1000),
-        )
+        verdict = CHECKERS[args.kind](program, suite)
+        report = CheckReport.of(args.kind, verdict, suite, start,
+                                [] if verdict.witness is None else [verdict.witness],
+                                verdict.parts)
 
     if args.json:
         print(json.dumps(report.to_json_obj()))

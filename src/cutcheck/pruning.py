@@ -16,13 +16,14 @@ the same tree: on reaching an executing node it drops the unvisited right
 siblings along the cutting sequence, which is the top of the walk's own
 stack, and it stops at the first Truncated node.  The walk expands a node
 only when it reaches it, so dropped siblings are never expanded, and, when
-asked, it collects the computed answers of the Success leaves it reaches.
+asked, it hands the computed answer of each Success leaf it reaches to a
+callback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import (
     Budget,
@@ -74,29 +75,25 @@ class PrunedTree:
     pruned_by: dict  # removed node id -> executing node id
     iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
     exact: bool
-    # the root query under each kept Success leaf's root path, in preorder;
-    # None when the walk was not asked for them
-    answers: Optional[list]
 
     @property
     def pruned(self) -> set:
         return set(self.pruned_by)
 
 
-def _walk(builder: TreeBuilder, answers: bool) -> PrunedTree:
+def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
     """The one-pass preorder walk, expanding each node when it reaches it.
 
     The mgus of the current root path live in one triangular binding store;
     the trail records their names in binding order, and moving to a node's
     next child cuts it back to the mark taken when the node was expanded.
-    With ``answers`` False no answer is resolved or kept.
+    With ``on_answer`` None no answer is resolved.
     """
     base = builder.tree
     nodes = base.nodes
     kept: set = set()
     pruned_by: dict = {}
     log: list = []
-    found: Optional[list] = [] if answers else None
     exact = True
     bindings: dict = {}  # every step mgu on the current root path
     trail: list = []  # the names in ``bindings``, in binding order
@@ -121,8 +118,8 @@ def _walk(builder: TreeBuilder, answers: bool) -> PrunedTree:
         if node.status == TRUNCATED:
             exact = False
             break
-        if node.status == SUCCESS and found is not None:
-            found.append(resolve(bindings, base.query))
+        if node.status == SUCCESS and on_answer is not None:
+            on_answer(resolve(bindings, base.query))
         stack.append([list(children), 0, len(trail)])  # a copy: dropping siblings edits it
         nid = None
         while stack and nid is None:
@@ -138,17 +135,18 @@ def _walk(builder: TreeBuilder, answers: bool) -> PrunedTree:
                 trail.extend(mgu)
             else:
                 stack.pop()
-    return PrunedTree(base, kept, pruned_by, log, exact, found)
+    return PrunedTree(base, kept, pruned_by, log, exact)
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None, *,
-                answers: bool = True) -> PrunedTree:
+                on_answer: Optional[Callable] = None) -> PrunedTree:
     """Build the pruned LD-tree, expanding a node only when the walk reaches
     it.  ``base`` holds the materialised nodes: the kept ones, the dropped
     siblings (never expanded) and whatever was pending when the walk stopped
-    at a Truncated node.  With ``answers`` False the computed answers are
-    not resolved, and ``answers`` of the result is None."""
-    return _walk(TreeBuilder(program, query, budget), answers)
+    at a Truncated node.  ``on_answer``, when given, is called with each
+    computed answer (the root query under a kept Success leaf's root path)
+    when the walk reaches that leaf, so in preorder; the tree keeps none."""
+    return _walk(TreeBuilder(program, query, budget), on_answer)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .atomsets import (
     membership_reads,
     set_predicates,
 )
-from .engine import Budget, Program
+from .engine import Program
 from .levels import level_of, level_reads
 from .pruning import PrunedTree, pruned_tree
 from .syntax import (
@@ -42,7 +42,6 @@ from .syntax import (
 )
 from .terms import (
     CUT,
-    Alphabet,
     Clause,
     Compound,
     FreshNames,
@@ -70,7 +69,10 @@ class _CheckContext:
     """One check's alphabet, depth bound and set resolver, and the memos its
     searches share.
 
-    Each public checker builds one on entry and hands it down; the sets a
+    Each public checker builds one on entry from its subject and the spec
+    suite, by one rule: the alphabet is ``resolve_alphabet`` of the program
+    (or clause), the query (or atom) and the suite; the depth is the
+    suite's ``budget.depth``; the resolver is the suite's.  The sets a
     search runs over (S, pre, post) stay arguments, since each call searches
     a different one.  The memos: a ``_ClauseInfo`` per clause seen (kept by
     the clause's id: the info holds the clause, so the id is not reused
@@ -78,10 +80,10 @@ class _CheckContext:
     as ``atom_text`` reads it) and the text of the last atom rendered.
     """
 
-    def __init__(self, alphabet: Alphabet, depth: int, resolver=None):
-        self.alphabet = alphabet
-        self.depth = depth
-        self.resolver = resolver
+    def __init__(self, program: Program, query: tuple, suite: SpecSuite):
+        self.alphabet = resolve_alphabet(program, query, suite)
+        self.depth = suite.budget.depth
+        self.resolver = suite.resolver
         self.texts: dict = {}  # ground term -> its text
         self._clauses: dict = {}  # id(clause) -> _ClauseInfo
         self._atom = self._atom_text = None
@@ -277,26 +279,25 @@ def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s,
     return Verdict.refuted({"atom": text, "clause": ctx.clause(clause).text, "note": found})
 
 
-def covered(a: Pred, clause: Clause, s, *, alphabet: Alphabet, depth: int,
-            resolver=None) -> Verdict:
+def covered(a: Pred, clause: Clause, suite: SpecSuite) -> Verdict:
     """Is the ground atom ``a`` the head of a ground instance of the clause
-    with body in s + {!}?
+    with body in S + {!}?
 
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
     Raises ValueError when ``a`` is not ground.
     """
     _require_ground(a)
-    return _cover_verdict(a, clause, match(clause.head, a), s,
-                          _CheckContext(alphabet, depth, resolver))
+    return _cover_verdict(a, clause, match(clause.head, a), suite.s,
+                          _CheckContext(Program((clause,)), (a,), suite))
 
 
-def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
-                  resolver=None) -> Verdict:
-    """Every enumerated atom of s must be covered by some clause w.r.t. s."""
-    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
+def semi_complete(program: Program, suite: SpecSuite) -> Verdict:
+    """Every enumerated atom of S must be covered by some clause w.r.t. S."""
+    s = suite.s
+    ctx = _CheckContext(program, (), suite)
     try:
-        atoms = enumerate_atoms(s, ctx.alphabet, depth, resolver)
+        atoms = enumerate_atoms(s, ctx.alphabet, ctx.depth, ctx.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     per_atom = []
@@ -314,13 +315,13 @@ def semi_complete(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
     return weakest([v for _, v in per_atom], tuple(per_atom))
 
 
-def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, depth: int = 3,
-                  resolver=None) -> Verdict:
-    """Model check: each ground clause instance with body in s + {!} has its head in s.
+def correct_check(program: Program, suite: SpecSuite) -> Verdict:
+    """Model check: each ground clause instance with body in S + {!} has its head in S.
 
     The cover search grounds the body; of the variables left, only those
-    the head's membership in s reads are enumerated."""
-    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
+    the head's membership in S reads are enumerated."""
+    s = suite.s
+    ctx = _CheckContext(program, (), suite)
     bounded = False
     capped = None  # the reason, once a clause's search stopped at a cap
     for clause in program.clauses:
@@ -333,7 +334,7 @@ def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
                     if not is_ground(head):
                         bounded = True
                         continue
-                    if not contains(s, head, resolver):
+                    if not contains(s, head, ctx.resolver):
                         return Verdict.refuted(
                             {
                                 "clause": clause_text(clause),
@@ -350,7 +351,7 @@ def correct_check(program: Program, s, *, alphabet: Optional[Alphabet] = None, d
             bounded = True
     if capped:
         return Verdict.unknown(capped)
-    reason = f"no counterexample within depth {depth}" + (" (bounded)" if bounded else "")
+    reason = f"no counterexample within depth {ctx.depth}" + (" (bounded)" if bounded else "")
     return Verdict.verified(reason)
 
 
@@ -531,9 +532,8 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
     return None
 
 
-def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth: int = 3,
-                         resolver=None) -> Verdict:
-    """Check one clause against a call/success specification.
+def well_asserted_clause(clause: Clause, suite: SpecSuite) -> Verdict:
+    """Check one clause against the call/success specification (pre, post).
 
     For every instance with the head in pre: each body atom whose earlier
     body atoms all lie in post + {!} must lie in pre + {!}, and if the whole
@@ -544,7 +544,8 @@ def well_asserted_clause(clause: Clause, pre, post, *, alphabet: Alphabet, depth
     search, and the verdict is Unknown naming the branch cap only if that
     search refutes none.
     """
-    return _well_asserted(clause, pre, post, _CheckContext(alphabet, depth, resolver))
+    return _well_asserted(clause, suite.pre, suite.post,
+                          _CheckContext(Program((clause,)), (), suite))
 
 
 def _well_asserted(clause: Clause, pre, post, ctx: _CheckContext) -> Verdict:
@@ -596,12 +597,15 @@ def _well_asserted(clause: Clause, pre, post, ctx: _CheckContext) -> Verdict:
     )
 
 
-def cs_correct(program: Program, pre, post, *, alphabet: Optional[Alphabet] = None,
-               depth: int = 3, resolver=None) -> Verdict:
+def cs_correct(program: Program, suite: SpecSuite) -> Verdict:
     """All clauses well-asserted w.r.t. (pre, post)."""
-    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
+    return _cs_correct(program, suite, _CheckContext(program, (), suite))
+
+
+def _cs_correct(program: Program, suite: SpecSuite, ctx: _CheckContext) -> Verdict:
     parts = [
-        (f"clause {idx + 1}: {clause_text(clause)}", _well_asserted(clause, pre, post, ctx))
+        (f"clause {idx + 1}: {clause_text(clause)}",
+         _well_asserted(clause, suite.pre, suite.post, ctx))
         for idx, clause in enumerate(program.clauses)
     ]
     return weakest([v for _, v in parts], tuple(parts))
@@ -620,17 +624,14 @@ def _fresh_pred_name(program: Program, query: tuple, *sets) -> str:
     return f"q{i}"
 
 
-def well_asserted_query(query: tuple, pre, post, *, program: Optional[Program] = None,
-                        alphabet: Optional[Alphabet] = None, depth: int = 3,
-                        resolver=None) -> Verdict:
-    """A query is well-asserted iff the clause p <- Q is, for fresh p added to both sets."""
-    program = program or Program()
-    ctx = _CheckContext(alphabet or resolve_alphabet(program, query), depth, resolver)
-    marker = Pred(_fresh_pred_name(program, query, pre, post))
+def well_asserted_query(query: tuple, program: Program, suite: SpecSuite) -> Verdict:
+    """A query is well-asserted iff the clause p <- Q is, for a p fresh for
+    the program, the query and the sets, added to pre and post."""
+    marker = Pred(_fresh_pred_name(program, query, suite.pre, suite.post))
     clause = Clause(marker, tuple(query))
-    pre2 = pre | AtomSet(atoms=(marker,))
-    post2 = post | AtomSet(atoms=(marker,))
-    return _well_asserted(clause, pre2, post2, ctx)
+    pre2 = suite.pre | AtomSet(atoms=(marker,))
+    post2 = suite.post | AtomSet(atoms=(marker,))
+    return _well_asserted(clause, pre2, post2, _CheckContext(program, query, suite))
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +758,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
     return Verdict.verified()
 
 
-def c_covered(a: Pred, program: Program, s, pre, post, *, s_subset_post: bool,
-              alphabet: Optional[Alphabet] = None, depth: int = 3, resolver=None) -> Verdict:
+def c_covered(a: Pred, program: Program, suite: SpecSuite, *, s_subset_post: bool) -> Verdict:
     """Coverage that survives pruning: some clause covers ``a`` and neither an
     earlier cut clause nor the clause's own cut can discard that inference.
 
@@ -767,13 +767,13 @@ def c_covered(a: Pred, program: Program, s, pre, post, *, s_subset_post: bool,
     may condition 1 use the clause cut short before its last cut.  Raises
     ValueError when ``a`` is not ground."""
     _require_ground(a)
-    ctx = _CheckContext(alphabet or resolve_alphabet(program, (a,)), depth, resolver)
-    return _c_covered(a, program, s, pre, post, s_subset_post, ctx)
+    return _c_covered(a, program, suite, s_subset_post, _CheckContext(program, (a,), suite))
 
 
-def _c_covered(a: Pred, program: Program, s, pre, post, s_subset_post: bool,
+def _c_covered(a: Pred, program: Program, suite: SpecSuite, s_subset_post: bool,
                ctx: _CheckContext) -> Verdict:
     """``c_covered`` for a ground ``a``, with the calling loop's context."""
+    s, pre, post = suite.s, suite.pre, suite.post
     text = ctx.atom_text(a)
     clause_parts = []
     cond2s = []  # condition 2 of each clause the loop has moved past
@@ -817,24 +817,29 @@ def _c_covered(a: Pred, program: Program, s, pre, post, s_subset_post: bool,
     )
 
 
-def s_subset_post_check(s: AtomSet, post: AtomSet, *, alphabet: Alphabet, depth: int = 3,
-                        resolver=None) -> Verdict:
+def s_subset_post_check(program: Program, suite: SpecSuite) -> Verdict:
     """Premise check S subset-of post: the members of S up to the depth bound,
-    then every atom S lists, whatever its depth, must lie in post."""
+    then every atom S lists, whatever its depth, must lie in post.  The
+    program gives the alphabet its symbols."""
+    return _s_subset_post(suite, _CheckContext(program, (), suite))
+
+
+def _s_subset_post(suite: SpecSuite, ctx: _CheckContext) -> Verdict:
+    s, post = suite.s, suite.post
     if post == UNIVERSAL:
         return Verdict.verified("post is the universal set")
     try:
-        members = enumerate_atoms(s, alphabet, depth, resolver)
+        members = enumerate_atoms(s, ctx.alphabet, ctx.depth, ctx.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     for a in itertools.chain(members, s.atoms):
-        if not contains(post, a, resolver):
+        if not contains(post, a, ctx.resolver):
             return Verdict.refuted(
                 {"atom": atom_text(a), "note": "in S but not in post"}
             )
     if not s.universal and not s.patterns:
         return Verdict.verified("all members probed")
-    return Verdict.verified(f"probe up to depth {depth} passed")
+    return Verdict.verified(f"probe up to depth {ctx.depth} passed")
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +856,17 @@ class CheckReport:
     per_atom: list = field(default_factory=list)
     timing_ms: int = 0
     pruned: Optional[PrunedTree] = field(default=None, repr=False, compare=False)  # not in --json
+
+    @classmethod
+    def of(cls, check: str, verdict: Verdict, suite: SpecSuite, start: float, witnesses: list,
+           parts: tuple, pruned: Optional[PrunedTree] = None) -> "CheckReport":
+        """The report of a check begun at ``perf_counter`` time ``start``:
+        the suite's bounds, and the label and status of each of ``parts``."""
+        budget = suite.budget
+        return cls(check, verdict, {"depth": budget.depth, "nodes": budget.nodes,
+                                    "steps": budget.steps},
+                   witnesses, [(label, v.status) for label, v in parts],
+                   int((time.perf_counter() - start) * 1000), pruned)
 
     def to_json_obj(self):
         return {
@@ -899,30 +915,25 @@ def _query_free_stages(program: Program, suite: SpecSuite, ctx: _CheckContext):
     """The stages of the completeness pipeline that do not look at the query:
     S inside post, the program well-asserted, every atom of S c-covered.
     ``ctx`` resolves the names of ``suite``'s sets."""
-    premise = s_subset_post_check(
-        suite.s, suite.post, alphabet=ctx.alphabet, depth=ctx.depth, resolver=ctx.resolver
-    )
-    wa_program = cs_correct(program, suite.pre, suite.post, alphabet=ctx.alphabet,
-                            depth=ctx.depth, resolver=ctx.resolver)
+    premise = _s_subset_post(suite, ctx)
+    wa_program = _cs_correct(program, suite, ctx)
     try:
         atoms = enumerate_atoms(suite.s, ctx.alphabet, ctx.depth, ctx.resolver)
     except CapHit as exc:
         return premise, wa_program, Verdict.unknown(str(exc))
     per_atom = []
     for a in atoms:
-        per_atom.append((ctx.atom_text(a), _c_covered(
-            a, program, suite.s, suite.pre, suite.post, premise.is_verified, ctx
-        )))
+        per_atom.append((ctx.atom_text(a), _c_covered(a, program, suite, premise.is_verified, ctx)))
     return premise, wa_program, weakest([v for _, v in per_atom], tuple(per_atom))
 
 
-def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
-                       budget: Optional[Budget] = None) -> CheckReport:
+def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> CheckReport:
     """The sufficient condition for completeness of the pruned LD-tree.
 
     Stages: the pruned tree must be exact; S must lie inside post; the
     program must be well-asserted; the (cut-free) query must be well-asserted;
-    and every enumerated atom of S must be c-covered.
+    and every enumerated atom of S must be c-covered.  The tree is built
+    within the suite's budget.
 
     A query with cut is first rewritten by ``query_transform``, and the
     stages check the rewritten program, query and sets.  When the S
@@ -930,19 +941,15 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     stages and no pruned tree.
     """
     start = time.perf_counter()
-    budget = budget or suite.budget
-    depth = budget.depth
-    bounds = {"depth": depth, "nodes": budget.nodes, "steps": budget.steps}
     if any(a is CUT for a in query):
         try:
-            extra, query, suite = query_transform(query, suite, program, depth=depth)
+            extra, query, suite = query_transform(query, program, suite)
         except CapHit as exc:
-            return CheckReport("complete", Verdict.unknown(str(exc)), bounds,
-                               timing_ms=int((time.perf_counter() - start) * 1000))
+            return CheckReport.of("complete", Verdict.unknown(str(exc)), suite, start, [], ())
         program = Program(program.clauses + tuple(extra))
-    ctx = _CheckContext(resolve_alphabet(program, query, suite), depth, suite.resolver)
+    ctx = _CheckContext(program, query, suite)
 
-    pt = pruned_tree(program, query, budget, answers=False)  # the check reads only exactness
+    pt = pruned_tree(program, query, suite.budget)  # the check reads only exactness
     tree_v = (
         Verdict.verified()
         if pt.exact
@@ -956,8 +963,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
             f"{premise.witness['atom']} is in S but not in post"
         )
 
-    wa_query = well_asserted_query(query, suite.pre, suite.post, program=program,
-                                   alphabet=ctx.alphabet, depth=depth, resolver=ctx.resolver)
+    wa_query = well_asserted_query(query, program, suite)
 
     stages = (
         ("pruned tree exact", tree_v),
@@ -969,22 +975,20 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite, *,
     verdict = weakest([v for _, v in stages], stages)
     witnesses: list = []
     _collect_witnesses(verdict, witnesses)
-    report = CheckReport(
-        check="complete",
-        verdict=verdict,
-        bounds=bounds,
-        witnesses=witnesses,
-        per_atom=[
-            (label, v.status) for label, v in coverage.parts
-        ],
-        timing_ms=int((time.perf_counter() - start) * 1000),
-        pruned=pt,
-    )
-    return report
+    return CheckReport.of("complete", verdict, suite, start, witnesses, coverage.parts, pt)
 
 
-def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
-                    depth: Optional[int] = None):
+def _s_true_instances(query: tuple, s, ctx: _CheckContext):
+    """The groundings theta of the query's variables, in product order, whose
+    instance of the query lies in s + {!}, each with that instance.  Raises
+    CapHit past ``INSTANCE_CAP`` groundings."""
+    for theta in _groundings({}, vars_of(query), ctx):
+        inst = apply(theta, query)
+        if all(x is CUT or contains(s, x, ctx.resolver) for x in inst):
+            yield theta, inst
+
+
+def query_transform(query: tuple, program: Program, suite: SpecSuite):
     """Rewrite a query with cuts: add p(V...) <- Q for fresh p and extend the sets.
 
     Returns (extra clauses, new query, new suite).  The S extension holds the
@@ -993,48 +997,32 @@ def query_transform(query: tuple, suite: SpecSuite, program: Program, *,
     ``INSTANCE_CAP`` instances would have to be enumerated: a truncated
     extension would let the completeness check verify a smaller S.
     """
-    depth = depth if depth is not None else suite.budget.depth
-    ctx = _CheckContext(resolve_alphabet(program, query, suite), depth, suite.resolver)
+    ctx = _CheckContext(program, query, suite)
     name = _fresh_pred_name(program, query, suite.s, suite.pre, suite.post)
-    names = vars_of(query)
-    head = Pred(name, tuple(Var(v) for v in names))
-    clause = Clause(head, tuple(query))
-
-    ext = []
-    for theta in _groundings({}, names, ctx):
-        inst = apply(theta, query)
-        if all(x is CUT or contains(suite.s, x, ctx.resolver) for x in inst):
-            ext.append(apply(theta, head))
-    marker = AtomSet(patterns=(AtomPattern(most_general_atom(name, len(names)), ()),))
-    s2 = suite.s | AtomSet(atoms=tuple(ext))
-    pre2 = suite.pre | marker
-    post2 = suite.post | marker
+    head = Pred(name, tuple(Var(v) for v in vars_of(query)))
+    ext = [apply(theta, head) for theta, _ in _s_true_instances(query, suite.s, ctx)]
+    marker = AtomSet(patterns=(AtomPattern(most_general_atom(name, len(head.args)), ()),))
     suite2 = replace(
         suite,
-        s=s2,
-        pre=pre2,
-        post=post2,
+        s=suite.s | AtomSet(atoms=tuple(ext)),
+        pre=suite.pre | marker,
+        post=suite.post | marker,
         named_sets=dict(suite.named_sets),
     )
-    new_query = (head,)
-    return [clause], new_query, suite2
+    return [Clause(head, tuple(query))], (head,), suite2
 
 
-def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
-                         budget: Optional[Budget] = None) -> Verdict:
+def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite) -> Verdict:
     """Brute-force completeness probe: every depth-bounded ground instance of
-    the query that S satisfies must be an instance of a pruned-tree answer."""
-    budget = budget or suite.budget
-    ctx = _CheckContext(resolve_alphabet(program, query, suite), budget.depth, suite.resolver)
-    pt = pruned_tree(program, query, budget)
+    the query that S satisfies must be an instance of a pruned-tree answer,
+    the tree built within the suite's budget."""
+    ctx = _CheckContext(program, query, suite)
+    answers: list = []
+    pt = pruned_tree(program, query, suite.budget, on_answer=answers.append)
     if not pt.exact:
         return Verdict.unknown("tree budget exhausted; answers may be missing")
-    answers = pt.answers
     try:
-        for theta in _groundings({}, vars_of(query), ctx):
-            inst = apply(theta, query)
-            if not all(x is CUT or contains(suite.s, x, ctx.resolver) for x in inst):
-                continue
+        for _, inst in _s_true_instances(query, suite.s, ctx):
             if not any(match(ans, inst) is not None for ans in answers):
                 return Verdict.refuted(
                     {
@@ -1045,7 +1033,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite, *,
                 )
     except CapHit as exc:
         return Verdict.unknown(str(exc))
-    return Verdict.verified(f"all S-true instances up to depth {budget.depth} are answered")
+    return Verdict.verified(f"all S-true instances up to depth {ctx.depth} are answered")
 
 
 # ---------------------------------------------------------------------------
@@ -1102,24 +1090,23 @@ def _level_decrease(program: Program, level_maps: dict, s, ctx: _CheckContext,
     return Verdict.verified(f"no counterexample within depth {ctx.depth}")
 
 
-def recurrent_check(program: Program, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
-                    depth: int = 3) -> Verdict:
-    """|head| > |body atom| for every enumerated ground clause instance."""
-    _require_level_maps(program, level_maps)
-    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth)
-    return _level_decrease(program, level_maps, UNIVERSAL, ctx, "level does not decrease")
+def recurrent_check(program: Program, suite: SpecSuite) -> Verdict:
+    """|head| > |body atom| for every enumerated ground clause instance, under
+    the suite's level mappings."""
+    _require_level_maps(program, suite.level_maps)
+    return _level_decrease(program, suite.level_maps, UNIVERSAL, _CheckContext(program, (), suite),
+                           "level does not decrease")
 
 
-def acceptable_check(program: Program, s, level_maps: dict, *, alphabet: Optional[Alphabet] = None,
-                     depth: int = 3, resolver=None) -> Verdict:
-    """Correctness w.r.t. s plus level decrease whenever s satisfies the prefix."""
-    _require_level_maps(program, level_maps)
-    ctx = _CheckContext(alphabet or resolve_alphabet(program), depth, resolver)
-    model = correct_check(program, s, alphabet=ctx.alphabet, depth=depth, resolver=resolver)
+def acceptable_check(program: Program, suite: SpecSuite) -> Verdict:
+    """Correctness w.r.t. S plus level decrease whenever S satisfies the prefix."""
+    _require_level_maps(program, suite.level_maps)
+    model = correct_check(program, suite)
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
     levels = _level_decrease(
-        program, level_maps, s, ctx, "level does not decrease under a satisfied prefix"
+        program, suite.level_maps, suite.s, _CheckContext(program, (), suite),
+        "level does not decrease under a satisfied prefix"
     )
     # a level violation refutes even when correctness stayed Unknown
     return weakest([levels, model])

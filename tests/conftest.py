@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from cutcheck import CUT, AtomSet, Budget, Program, UNIVERSAL, parse_program, parse_query
+from cutcheck import (
+    CUT, AtomSet, Budget, Program, UNIVERSAL, parse_program, parse_query, pruned_tree,
+)
 from cutcheck.syntax import SpecSuite
 from cutcheck.terms import Pred
 
@@ -21,6 +23,13 @@ def load_program(name: str) -> Program:
 
 def load_spec_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def pruned_answers(program: Program, query: tuple, budget=None):
+    """The pruned tree and the computed answers its walk hands to
+    ``on_answer``, in the order the walk reaches them."""
+    answers: list = []
+    return pruned_tree(program, query, budget, on_answer=answers.append), answers
 
 
 # A pre pattern whose guards force both arguments ground; with S over

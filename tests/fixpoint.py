@@ -8,6 +8,7 @@ This recomputes the preorder once per executing node, so it is only used to
 check ``cutcheck.pruned_tree`` on small trees.
 """
 
+from dataclasses import dataclass, field
 from typing import Optional
 
 from cutcheck.engine import LdTree
@@ -37,7 +38,14 @@ def pruned_by_sequence(tree: LdTree, cs: CuttingSequence, kept=None) -> set:
     return removed
 
 
-def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> PrunedTree:
+@dataclass
+class FixpointTree(PrunedTree):
+    """The fixpoint's pruned tree, with the answers of its Success leaves."""
+
+    answers: list = field(default_factory=list)
+
+
+def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> FixpointTree:
     """Iterate the cutting-sequence fixpoint on the (sub)tree."""
     kept = set(kept) if kept is not None else {n.id for n in tree.nodes}
     pruned_by: dict = {}
@@ -58,11 +66,12 @@ def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> PrunedTree:
         i += 1
     final = preorder(tree, kept)
     kept = set(final.ids)
-    return PrunedTree(tree, kept, pruned_by, log, final.exact, answers(tree, kept))
+    return FixpointTree(tree, kept, pruned_by, log, final.exact, answers(tree, kept))
 
 
-def walk_and_fixpoint(lazy: PrunedTree, want: PrunedTree):
-    """The lazy walk's result and the fixpoint's, restated so they compare.
+def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
+    """The lazy walk's result, with the answers it reached, and the
+    fixpoint's, restated so they compare.
 
     Each materialised node of ``lazy.base`` maps to the node of the full tree
     ``want.base`` with the same child-index path from the root; the full tree
@@ -90,7 +99,7 @@ def walk_and_fixpoint(lazy: PrunedTree, want: PrunedTree):
             (to_full[e], frozenset(to_full[r] for r in removed))
             for e, removed in lazy.iteration_log
         ],
-        "answers": [canonical(a) for a in lazy.answers],
+        "answers": [canonical(a) for a in lazy_answers],
     }
     expected = {
         "kept": {n: shape(want.base, n) for n in want.kept},

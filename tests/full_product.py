@@ -5,8 +5,10 @@ reads (membership in S, the levels) and keeps every other variable at the
 first ground term.  The functions here ground *every* clause variable over
 all terms up to the depth, as the checks did before that reduction, so the
 tests can compare the two: wherever the full product finishes within the
-cap, both must give the same status, witness and reason.  The ``cap``
-argument bounds the groundings here; the cover search reads
+cap, both must give the same status, witness and reason.  Each takes the
+program and the spec suite, as its counterpart does, and reads the suite
+by the same rule (alphabet, depth and resolver).  The ``cap`` argument
+bounds the groundings here; the cover search reads
 ``cutcheck.verify.VISIT_CAP``, which a test sets to the same value.
 
 ``CAP_HITS`` collects the message of every instance cap the full product
@@ -17,7 +19,7 @@ import itertools
 
 from cutcheck.atomsets import UNIVERSAL, CapHit, contains
 from cutcheck.levels import level_of
-from cutcheck.syntax import atom_text, clause_text
+from cutcheck.syntax import atom_text, clause_text, resolve_alphabet
 from cutcheck.terms import CUT, apply, compose, ground_terms, is_ground, vars_of
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import _CheckContext, _CoverSearch
@@ -39,11 +41,13 @@ def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
         yield compose(sigma, theta) if sigma else theta
 
 
-def full_correct_check(program, s, *, alphabet, depth, resolver=None, cap=50_000) -> Verdict:
+def full_correct_check(program, suite, cap) -> Verdict:
+    s, resolver, depth = suite.s, suite.resolver, suite.budget.depth
+    alphabet = resolve_alphabet(program, (), suite)
     bounded = False
     capped = None
     for clause in program.clauses:
-        search = _CoverSearch(s, _CheckContext(alphabet, depth, resolver))
+        search = _CoverSearch(s, _CheckContext(program, (), suite))
         try:
             for sol in search.solutions(clause.body, {}):
                 for full in full_groundings(sol, vars_of(clause), alphabet, depth, cap):
@@ -100,17 +104,17 @@ def _full_level_decrease(program, level_maps, s, resolver, alphabet, depth, cap,
     return Verdict.verified(f"no counterexample within depth {depth}")
 
 
-def full_recurrent_check(program, level_maps, *, alphabet, depth, cap=50_000) -> Verdict:
-    return _full_level_decrease(program, level_maps, UNIVERSAL, None, alphabet, depth, cap,
+def full_recurrent_check(program, suite, cap) -> Verdict:
+    return _full_level_decrease(program, suite.level_maps, UNIVERSAL, None,
+                                resolve_alphabet(program, (), suite), suite.budget.depth, cap,
                                 "level does not decrease")
 
 
-def full_acceptable_check(program, s, level_maps, *, alphabet, depth, resolver=None,
-                          cap=50_000) -> Verdict:
-    model = full_correct_check(program, s, alphabet=alphabet, depth=depth, resolver=resolver,
-                               cap=cap)
+def full_acceptable_check(program, suite, cap) -> Verdict:
+    model = full_correct_check(program, suite, cap)
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
-    levels = _full_level_decrease(program, level_maps, s, resolver, alphabet, depth, cap,
+    levels = _full_level_decrease(program, suite.level_maps, suite.s, suite.resolver,
+                                  resolve_alphabet(program, (), suite), suite.budget.depth, cap,
                                   "level does not decrease under a satisfied prefix")
     return weakest([levels, model])

@@ -6,6 +6,7 @@ also enforces its own wall-clock budget.  Randomized tests use fixed seeds.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -52,6 +53,7 @@ from conftest import (
     load_program,
     load_spec_text,
     propositional_suite,
+    pruned_answers,
     random_propositional_program,
     random_term_program,
 )
@@ -70,8 +72,8 @@ class TestCriterion1PruningSemantics:
         prog = load_program("pruning_tree.pl")
         tree = build_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         assert tree.exact
-        pt = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
-        got, expected = walk_and_fixpoint(pt, fixpoint_prune(tree))
+        pt, pt_answers = pruned_answers(prog, parse_query("p"), Budget(nodes=1000, steps=100))
+        got, expected = walk_and_fixpoint(pt, pt_answers, fixpoint_prune(tree))
         assert got == expected
         kept_labels = {query_text(pt.base.nodes[n].query) for n in pt.kept}
         executing = next(
@@ -82,16 +84,17 @@ class TestCriterion1PruningSemantics:
         # only (r, !) below it and the top-level r branch remain
         assert "r, !" in kept_labels and "r" in kept_labels
         assert {"t, !", "r, r, !", ""}.isdisjoint(kept_labels)
-        assert pt.answers == []
+        assert pt_answers == []
 
         modified = load_program("pruning_tree_modified.pl")
         tree2 = build_tree(modified, parse_query("p"), Budget(nodes=1000, steps=100))
-        pt2 = pruned_tree(modified, parse_query("p"), Budget(nodes=1000, steps=100))
-        got, expected = walk_and_fixpoint(pt2, fixpoint_prune(tree2))
+        pt2, pt2_answers = pruned_answers(modified, parse_query("p"),
+                                          Budget(nodes=1000, steps=100))
+        got, expected = walk_and_fixpoint(pt2, pt2_answers, fixpoint_prune(tree2))
         assert got == expected
         removed = {query_text(pt2.base.nodes[n].query) for n in set(pt2.base.ids) - pt2.kept}
         assert removed == {"r, r, !", "r"}
-        answers = [query_text(a) for a in pt2.answers]
+        answers = [query_text(a) for a in pt2_answers]
         assert answers == ["p"]
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
@@ -110,13 +113,13 @@ class TestCriterion2OracleEquivalence:
 
     @staticmethod
     def _sequences_equal(prog, query, nodes=400, steps=400):
-        pt = pruned_tree(prog, query, Budget(nodes=nodes, steps=steps))
+        pt, pt_answers = pruned_answers(prog, query, Budget(nodes=nodes, steps=steps))
         if not pt.exact:
             return None
         res = prolog_search(prog, query, Budget(steps=5000))
         if not res.exact:
             return None
-        got = [repr(canonical(a)) for a in pt.answers]
+        got = [repr(canonical(a)) for a in pt_answers]
         want = [repr(canonical(a)) for a in res.answers]
         return got == want
 
@@ -194,17 +197,14 @@ class TestCriterion4ArtificialExample:
     def test_c_covered_and_pipeline(self):
         t0 = time.perf_counter()
         prog = load_program("artificial.pl")
-        suite = parse_spec(load_spec_text("artificial.spec"))
-        alpha = resolve_alphabet(prog, (), suite)
+        suite = parse_spec(load_spec_text("artificial.spec"))  # at depth 1
         atom = Pred("p", (Compound("a"), Compound("c")))
 
-        v = c_covered(atom, prog, suite.s, suite.pre, suite.post,
-                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
+        v = c_covered(atom, prog, suite, s_subset_post=True)
         assert v.is_verified
 
-        hb = parse_spec(load_spec_text("artificial_posthb.spec"))
-        v2 = c_covered(atom, prog, hb.s, hb.pre, hb.post,
-                       s_subset_post=True, alphabet=alpha, depth=1, resolver=hb.resolver)
+        hb = parse_spec(load_spec_text("artificial_posthb.spec"))  # at depth 1
+        v2 = c_covered(atom, prog, hb, s_subset_post=True)
         assert v2.is_refuted
         clause2 = dict(v2.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -214,7 +214,7 @@ class TestCriterion4ArtificialExample:
         query = parse_query("p(a, Z)")
         rep = completeness_check(prog, query, suite)
         assert rep.verdict.is_verified
-        answers = [query_text(a) for a in pruned_tree(prog, query, suite.budget).answers]
+        answers = [query_text(a) for a in pruned_answers(prog, query, suite.budget)[1]]
         assert answers == ["p(a, c)"]
         assert oracle_tree_complete(prog, query, suite).is_verified
         elapsed = time.perf_counter() - t0
@@ -227,12 +227,10 @@ class TestCriterion5NotpExample:
     def test_negation_as_failure(self):
         t0 = time.perf_counter()
         prog = load_program("notp.pl")
-        suite = parse_spec(load_spec_text("notp.spec"))
-        alpha = resolve_alphabet(prog, (), suite)
+        suite = parse_spec(load_spec_text("notp.spec"))  # at depth 1
         atom = Pred("notp", (Compound("b"),))  # p(b) is not in post0
 
-        v = c_covered(atom, prog, suite.s, suite.pre, suite.post,
-                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
+        v = c_covered(atom, prog, suite, s_subset_post=True)
         assert v.is_verified
         clause3 = dict(v.parts)["clause 3: notp(X)."]
         assert dict(clause3.parts)["condition 2 (earlier cut clauses)"].is_verified
@@ -240,9 +238,8 @@ class TestCriterion5NotpExample:
         rep = completeness_check(prog, parse_query("notp(b)"), suite)
         assert rep.verdict.is_verified
 
-        nonground = parse_spec(load_spec_text("notp_nonground.spec"))
-        v2 = c_covered(atom, prog, nonground.s, nonground.pre, nonground.post,
-                       s_subset_post=True, alphabet=alpha, depth=1, resolver=nonground.resolver)
+        nonground = parse_spec(load_spec_text("notp_nonground.spec"))  # at depth 1
+        v2 = c_covered(atom, prog, nonground, s_subset_post=True)
         assert v2.is_refuted
         clause3 = dict(v2.parts)["clause 3: notp(X)."]
         cond2 = dict(clause3.parts)["condition 2 (earlier cut clauses)"]
@@ -258,26 +255,23 @@ class TestCriterion6SemiCompletenessAndTermination:
     def test_append_and_in(self, monkeypatch):
         t0 = time.perf_counter()
         prog = load_program("append.pl")
-        suite = parse_spec(load_spec_text("append.spec"))
-        alpha = resolve_alphabet(prog, (), suite)
-        v = semi_complete(prog, suite.s, alphabet=alpha, depth=3,
-                          resolver=suite.resolver)
+        suite = parse_spec(load_spec_text("append.spec"))  # at depth 3
+        v = semi_complete(prog, suite)
         assert v.is_verified
 
         only_base = Program(prog.clauses[:1])
-        v2 = semi_complete(only_base, suite.s, alphabet=alpha, depth=3,
-                           resolver=suite.resolver)
+        v2 = semi_complete(only_base, suite)
         assert v2.is_refuted
         witness = next(sub.witness for _, sub in v2.parts if sub.is_refuted)
         assert witness["atom"].startswith("app(")
 
         in_prog = load_program("in.pl")
         in_suite = parse_spec(load_spec_text("in.spec"))
-        in_alpha = resolve_alphabet(in_prog, (), in_suite)
         assert set(in_suite.level_maps) == {"m/2", "in/2"}
         # the ground instances of in/2's clauses at depth 3 pass the cap
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 10_000)
-        v3 = recurrent_check(in_prog, in_suite.level_maps, alphabet=in_alpha, depth=3)
+        v3 = recurrent_check(in_prog,
+                             replace(in_suite, budget=replace(in_suite.budget, depth=3)))
         assert v3.is_unknown and v3.reason == "instance cap 10000 hit at depth 3"
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0

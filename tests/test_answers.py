@@ -12,12 +12,12 @@ import random
 
 import pytest
 
-from cutcheck import Budget, parse_program, parse_query, prolog_search, pruned_tree
+from cutcheck import Budget, parse_program, parse_query, prolog_search
 from cutcheck.cli import main
 from cutcheck.engine import SUCCESS
 from cutcheck.terms import CUT, canonical
 
-from conftest import load_program
+from conftest import load_program, pruned_answers
 from full_tree import preorder
 from naive_unify import naive_apply, naive_compose, naive_unify
 
@@ -53,8 +53,7 @@ def naive_answers(pt) -> list:
 
 
 def check_answers(program, query, budget) -> list:
-    pt = pruned_tree(program, query, budget)
-    got = pt.answers
+    pt, got = pruned_answers(program, query, budget)
     assert got == naive_answers(pt)
     return got
 
@@ -114,8 +113,7 @@ class TestAnswersEqualNaiveComposition:
         for _ in range(300):
             program = parse_program(random_af_program(rng))
             query = parse_query(rng.choice(["p(X)", "q(X, Y)", "q(f(X), X)"]))
-            pt = pruned_tree(program, query, Budget(nodes=200, steps=20))
-            got = pt.answers
+            pt, got = pruned_answers(program, query, Budget(nodes=200, steps=20))
             assert got == naive_answers(pt)
             answered += bool(got)
             search = prolog_search(program, query, Budget(steps=200))

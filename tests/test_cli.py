@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,21 @@ import cutcheck
 import cutcheck.atomsets
 import cutcheck.cli
 import cutcheck.verify
+from cutcheck import (
+    acceptable_check,
+    completeness_check,
+    correct_check,
+    cs_correct,
+    parse_program,
+    parse_query,
+    parse_spec,
+    recurrent_check,
+    semi_complete,
+)
 from cutcheck.cli import CHECK_KINDS, build_parser, main
+from cutcheck.terms import InputError
 
-from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
+from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text
 
 
 def run(capsys, *argv):
@@ -509,6 +522,18 @@ class TestPublicSurface:
                     takers.append(name)
         assert takers == []
 
+    def test_no_checker_takes_an_alphabet_a_depth_a_resolver_or_a_budget(self):
+        """Every public function of ``cutcheck.verify`` reads its alphabet,
+        depth, set resolver and tree budget from the spec suite it is given."""
+        takers = []
+        for name, obj in vars(cutcheck.verify).items():
+            if inspect.isfunction(obj) and obj.__module__ == "cutcheck.verify" \
+                    and not name.startswith("_"):
+                params = inspect.signature(obj).parameters
+                if {"alphabet", "depth", "resolver", "budget"} & set(params):
+                    takers.append(name)
+        assert takers == []
+
     def test_every_exported_name_is_read_in_src_or_documented(self):
         """A name of ``cutcheck.__all__`` is read by some module of the package
         other than ``__init__.py`` (a line that does not define it names it),
@@ -526,6 +551,98 @@ class TestPublicSurface:
             ):
                 unread.append(name)
         assert unread == []
+
+
+FIXTURE_PAIRS = (
+    ("append.pl", "append.spec"),
+    ("in.pl", "in.spec"),
+    ("artificial.pl", "artificial.spec"),
+    ("artificial.pl", "artificial_posthb.spec"),
+    ("notp.pl", "notp.spec"),
+    ("notp.pl", "notp_nonground.spec"),
+)
+COMPLETE_QUERIES = {
+    "append.pl": "app(X, Y, [1, 2])",
+    "in.pl": "in([X], [1, 2])",
+    "artificial.pl": "p(a, Z)",
+    "notp.pl": "notp(b)",
+}
+LIBRARY_CHECKERS = {
+    "semicomplete": semi_complete,
+    "correct": correct_check,
+    "cscorrect": cs_correct,
+    "recurrent": recurrent_check,
+    "acceptable": acceptable_check,
+}
+
+
+class TestLibraryEqualsCli:
+    """A checker called with the parsed spec suite answers what ``check KIND
+    --json`` prints on the same files: verdict, witnesses and per-atom
+    statuses, the time aside."""
+
+    @pytest.mark.parametrize("pl, spec", FIXTURE_PAIRS)
+    @pytest.mark.parametrize("kind", sorted(LIBRARY_CHECKERS))
+    def test_query_free_kinds(self, capsys, fixtures_dir, pl, spec, kind):
+        code, out, err = run(capsys, "check", kind, str(fixtures_dir / pl),
+                             "--spec", str(fixtures_dir / spec), "--json")
+        prog, suite = load_program(pl), parse_spec(load_spec_text(spec))
+        if code == 2:  # a predicate without a level mapping: the library raises the error printed
+            with pytest.raises(InputError) as info:
+                LIBRARY_CHECKERS[kind](prog, suite)
+            assert err == f"error: {info.value}\n"
+            return
+        v = LIBRARY_CHECKERS[kind](prog, suite)
+        printed = json.loads(out)
+        assert printed["verdict"] == json.loads(json.dumps(v.to_json_obj()))
+        assert printed["witnesses"] == ([] if v.witness is None else [v.witness])
+        assert printed["per_atom"] == [[label, part.status] for label, part in v.parts]
+        assert code == {"verified": 0, "refuted": 1, "unknown": 3}[v.status]
+
+    @pytest.mark.parametrize("pl, spec", FIXTURE_PAIRS)
+    @pytest.mark.parametrize("cut", ["", ", !"])
+    def test_complete(self, capsys, fixtures_dir, pl, spec, cut):
+        """At depth 2: the flag's depth reaches the library as the suite's
+        (``append.spec``'s depth 3 takes seconds per check)."""
+        query = COMPLETE_QUERIES[pl] + cut
+        code, out, _ = run(capsys, "check", "complete", str(fixtures_dir / pl),
+                           "--spec", str(fixtures_dir / spec), "--query", query, "--json",
+                           "--depth", "2")
+        suite = parse_spec(load_spec_text(spec))
+        suite = replace(suite, budget=replace(suite.budget, depth=2))
+        report = completeness_check(load_program(pl), parse_query(query), suite)
+        want = json.loads(json.dumps(report.to_json_obj()))
+        assert json.loads(out) | {"timing_ms": 0} == want | {"timing_ms": 0}
+        assert code == {"verified": 0, "refuted": 1, "unknown": 3}[report.verdict.status]
+
+    def test_notin_guards_read_the_suite_sets(self, capsys, tmp_path):
+        """S = {q(X) : X ground, r(X) not in post} holds q(b), which no clause
+        covers.  The library used to resolve no set, so every ``notin``
+        guard failed, S enumerated empty and the check read Verified."""
+        (tmp_path / "p.pl").write_text("q(a).\nr(a).\n")
+        spec = ("[alphabet]\nfunctor a/0.\nfunctor b/0.\n[S]\nq(X) where ground(X), "
+                "notin(r(X), post).\n[post]\nr(a). q(a). q(b).\n[bounds]\ndepth = 0.\n")
+        (tmp_path / "p.spec").write_text(spec)
+        code, out, _ = run(capsys, "check", "semicomplete", str(tmp_path / "p.pl"),
+                           "--spec", str(tmp_path / "p.spec"), "--json")
+        v = semi_complete(parse_program("q(a).\nr(a).\n"), parse_spec(spec))
+        witness = {"atom": "q(b)", "note": "not covered"}
+        assert code == 1 and json.loads(out)["witnesses"] == [witness]
+        assert v.is_refuted and v.witness == witness
+
+    def test_spec_constants_reach_the_library_alphabet(self):
+        """Without ``[alphabet]``, the constants the sets list join the
+        alphabet in the library as in ``check cscorrect`` (see
+        ``TestCheck::test_spec_constants_join_the_alphabet``).  The library
+        used to ground over the program's symbols alone and stopped at the
+        branch cap, Unknown."""
+        consts = [f"a{i}" for i in range(9)]
+        qs = " ".join(f"q({k})." for k in consts)
+        rs = " ".join(f"r({k})." for k in consts)
+        suite = parse_spec(f"[pre]\np. {qs}\n[post]\np. {qs} {rs}\n[bounds]\ndepth = 1.\n")
+        v = cs_correct(parse_program("p :- r(W), q(X), q(Y), q(Z).\n"), suite)
+        assert v.is_refuted
+        assert v.witness["instance"] == "p :- r(a0), q(a0), q(a0), q(a0)."
 
 
 def cli(argv, prefix=("-m", "cutcheck.cli")):

@@ -15,7 +15,9 @@ from cutcheck.pruning import cutting_sequence_of, is_executing
 from cutcheck.syntax import query_text
 from cutcheck.terms import canonical
 
-from conftest import load_program, random_propositional_program, random_term_program
+from conftest import (
+    load_program, pruned_answers, random_propositional_program, random_term_program,
+)
 from fixpoint import fixpoint_prune, walk_and_fixpoint
 
 
@@ -52,20 +54,20 @@ class TestPruneFixture:
         prog = load_program("pruning_tree.pl")
         t = build_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         assert len(t) == 10 and t.exact
-        pt = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
+        pt, answers = pruned_answers(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         # after the executing (!, r, !) node, the only surviving descendants
         # on that side are the (r, !) node and the top-level r node
         labels = {query_text(pt.base.nodes[n].query) for n in pt.kept}
         assert "r, !" in labels and "r" in labels
         assert "t, !" not in labels and "r, r, !" not in labels
-        assert pt.answers == []
+        assert answers == []
 
     def test_modified_tree_prunes_two_nodes(self):
         prog = load_program("pruning_tree_modified.pl")
-        pt = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
+        pt, answers = pruned_answers(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         removed = {query_text(pt.base.nodes[n].query) for n in set(pt.base.ids) - pt.kept}
         assert removed == {"r, r, !", "r"}
-        assert [query_text(a) for a in pt.answers] == ["p"]
+        assert [query_text(a) for a in answers] == ["p"]
 
     def test_pruned_by_points_to_executing_node(self):
         prog = load_program("pruning_tree.pl")
@@ -101,13 +103,13 @@ class TestPrologSearch:
 
 class TestDifferential:
     def _agree(self, prog, query, nodes=400, steps=400):
-        pt = pruned_tree(prog, query, Budget(nodes=nodes, steps=steps))
+        pt, answers = pruned_answers(prog, query, Budget(nodes=nodes, steps=steps))
         if not pt.exact:
             return None
         res = prolog_search(prog, query, Budget(steps=100_000))
         if not res.exact:
             return None
-        got = [repr(canonical(a)) for a in pt.answers]
+        got = [repr(canonical(a)) for a in answers]
         want = [repr(canonical(a)) for a in res.answers]
         return got == want
 
@@ -139,8 +141,8 @@ class TestDifferential:
     def test_success_nodes_survive_iff_oracle_finds_them(self):
         prog = load_program("in.pl")
         q = parse_query("in([X], [1, 2])")
-        pt = pruned_tree(prog, q, Budget(nodes=2000, steps=500))
-        got = [query_text(a) for a in pt.answers]
+        _, answers = pruned_answers(prog, q, Budget(nodes=2000, steps=500))
+        got = [query_text(a) for a in answers]
         res = prolog_search(prog, q)
         assert got == [query_text(a) for a in res.answers] == ["in([1], [1, 2])"]
 
@@ -183,14 +185,14 @@ class TestOnePassEqualsFixpoint:
             prog = parse_program(src)
             tree = build_tree(prog, query, budget)
             want = fixpoint_prune(tree)
-            lazy = pruned_tree(prog, query, budget)
+            lazy, lazy_answers = pruned_answers(prog, query, budget)
             # the full tree expanded every node the walk expanded unless its
             # node budget, which the walk spends differently, ran out first
             by_steps_only = all(
                 n.depth >= steps for n in tree.nodes if n.status == TRUNCATED
             )
             if want.exact or by_steps_only:
-                got, expected = walk_and_fixpoint(lazy, want)
+                got, expected = walk_and_fixpoint(lazy, lazy_answers, want)
                 assert got == expected, src
                 counts["compared"] += 1
             if want.exact:
@@ -200,7 +202,7 @@ class TestOnePassEqualsFixpoint:
                 if lazy.exact:
                     res = prolog_search(prog, query, Budget(steps=100_000))
                     assert res.exact, src
-                    assert _canonical_answers(lazy.answers) == \
+                    assert _canonical_answers(lazy_answers) == \
                         _canonical_answers(res.answers), src
         assert counts["exact"] > self.PROGRAMS // 4
         if nodes < 100:
@@ -212,8 +214,9 @@ class TestOnePassEqualsFixpoint:
             prog = load_program(name)
             tree = build_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
             want = fixpoint_prune(tree)
-            lazy = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
-            got, expected = walk_and_fixpoint(lazy, want)
+            lazy, lazy_answers = pruned_answers(prog, parse_query("p"),
+                                                Budget(nodes=1000, steps=100))
+            got, expected = walk_and_fixpoint(lazy, lazy_answers, want)
             assert want.exact and got == expected
 
 
@@ -221,9 +224,9 @@ class TestPrunedTree:
     def test_ladder_keeps_only_the_committed_branch(self):
         # the unpruned tree has 3^10 branches; the pruned one keeps 3k + 2 nodes
         query = parse_query("loop(" + "s(" * 10 + "z" + ")" * 10 + ")")
-        pt = pruned_tree(parse_program(LADDER), query, Budget(nodes=2000))
+        pt, answers = pruned_answers(parse_program(LADDER), query, Budget(nodes=2000))
         assert pt.exact and len(pt.kept) == 32
-        assert _canonical_answers(pt.answers) == _canonical_answers([query])
+        assert _canonical_answers(answers) == _canonical_answers([query])
 
     def test_dropped_siblings_are_never_expanded(self):
         query = parse_query("loop(s(s(s(z))))")
@@ -235,23 +238,24 @@ class TestPrunedTree:
 
     def test_cut_away_infinite_branch_is_exact(self):
         prog = parse_program(INFINITE)
-        pt = pruned_tree(prog, parse_query("p"), Budget(nodes=500))
+        pt, answers = pruned_answers(prog, parse_query("p"), Budget(nodes=500))
         assert pt.exact and len(pt.kept) == 4
         full = build_tree(prog, parse_query("p"), Budget(nodes=500))
         want = fixpoint_prune(full)
         assert not full.exact and want.exact and len(want.kept) == 4
-        got, expected = walk_and_fixpoint(pt, want)
+        got, expected = walk_and_fixpoint(pt, answers, want)
         assert got == expected
         res = prolog_search(prog, parse_query("p"))
-        assert _canonical_answers(pt.answers) == _canonical_answers(res.answers)
+        assert _canonical_answers(answers) == _canonical_answers(res.answers)
 
     def test_sibling_bindings_are_undone(self):
         # the first clause binds Y; the second binds its own Z to f(Y) and
         # leaves Y free, so the answer must not see the first clause's binding
-        pt = pruned_tree(parse_program("p(f(a)).\np(Z)."), parse_query("p(f(Y))"))
-        assert [query_text(a) for a in pt.answers] == ["p(f(a))", "p(f(Y))"]
+        _, answers = pruned_answers(parse_program("p(f(a)).\np(Z)."), parse_query("p(f(Y))"))
+        assert [query_text(a) for a in answers] == ["p(f(a))", "p(f(Y))"]
 
     def test_stops_at_first_truncated_node(self):
-        pt = pruned_tree(parse_program("p :- p.\np."), parse_query("p"), Budget(steps=5))
+        pt, answers = pruned_answers(parse_program("p :- p.\np."), parse_query("p"),
+                                     Budget(steps=5))
         assert not pt.exact
-        assert pt.answers == []
+        assert answers == []

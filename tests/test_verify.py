@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,8 @@ import cutcheck.verify
 from cutcheck import (
     AtomSet,
     Budget,
+    Program,
+    SpecSuite,
     UNIVERSAL,
     acceptable_check,
     c_covered,
@@ -52,11 +55,22 @@ def set_caps(m, cap):
     m.setattr(cutcheck.verify, "VISIT_CAP", cap)
 
 
-def setup_example(pl, spec):
+def setup_example(pl, spec, depth=None):
+    """The fixture program and spec, with the spec's depth replaced by
+    ``depth`` when given, and the alphabet the checkers resolve from them."""
     prog = load_program(pl)
     suite = parse_spec(load_spec_text(spec))
+    if depth is not None:
+        suite = at_depth(suite, depth)
     alpha = resolve_alphabet(prog, (), suite)
     return prog, suite, alpha
+
+
+def at_depth(suite: SpecSuite, depth: int, alphabet=None) -> SpecSuite:
+    """``suite`` with its depth bound set to ``depth`` and, when given, its
+    declared alphabet set to ``alphabet``."""
+    suite = replace(suite, budget=replace(suite.budget, depth=depth))
+    return suite if alphabet is None else replace(suite, alphabet=alphabet)
 
 
 class TestVerdicts:
@@ -96,53 +110,49 @@ class TestCovered:
     def test_fact_covers_itself(self):
         prog = parse_program("p(a).")
         s = AtomSet(atoms=(Pred("p", (a,)),))
-        alpha = resolve_alphabet(prog)
-        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
+        v = covered(Pred("p", (a,)), prog.clauses[0], SpecSuite(s=s, budget=Budget(depth=1)))
         assert v.is_verified
 
     def test_body_must_lie_in_set(self):
         prog = parse_program("p(X) :- q(X).")
         s = AtomSet(atoms=(Pred("p", (a,)),))
-        alpha = resolve_alphabet(prog)
-        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
+        v = covered(Pred("p", (a,)), prog.clauses[0], SpecSuite(s=s, budget=Budget(depth=1)))
         assert v.is_refuted
 
     def test_cut_in_body_ignored(self):
         prog = parse_program("p(X) :- !, q(X).")
         s = AtomSet(atoms=(Pred("p", (a,)), Pred("q", (a,))))
-        alpha = resolve_alphabet(prog)
-        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
+        v = covered(Pred("p", (a,)), prog.clauses[0], SpecSuite(s=s, budget=Budget(depth=1)))
         assert v.is_verified
 
 
 class TestSemiCompleteAndCorrect:
     def test_append_semi_complete_small(self):
-        prog, suite, alpha = setup_example("append.pl", "append.spec")
-        v = semi_complete(prog, suite.s, alphabet=alpha, depth=2, resolver=suite.resolver)
+        prog, suite, _ = setup_example("append.pl", "append.spec", depth=2)
+        v = semi_complete(prog, suite)
         assert v.is_verified
 
     def test_append_not_correct(self):
         # app([], 1, 1) has an empty (true) body but a head outside the set
-        prog, suite, alpha = setup_example("append.pl", "append.spec")
-        v = correct_check(prog, suite.s, alphabet=alpha, depth=2, resolver=suite.resolver)
+        prog, suite, _ = setup_example("append.pl", "append.spec", depth=2)
+        v = correct_check(prog, suite)
         assert v.is_refuted
         assert v.witness["head"].startswith("app([]")
 
     def test_correct_propositional(self):
         prog = parse_program("p :- q.\nq.")
         s = AtomSet(atoms=(Pred("p"), Pred("q")))
-        v = correct_check(prog, s, alphabet=resolve_alphabet(prog), depth=0)
+        v = correct_check(prog, SpecSuite(s=s, budget=Budget(depth=0)))
         assert v.is_verified
         s2 = AtomSet(atoms=(Pred("q"),))
-        v2 = correct_check(prog, s2, alphabet=resolve_alphabet(prog), depth=0)
+        v2 = correct_check(prog, SpecSuite(s=s2, budget=Budget(depth=0)))
         assert v2.is_refuted
 
 
 class TestWellAsserted:
     def test_in_program_well_asserted(self):
-        prog, suite, alpha = setup_example("in.pl", "in.spec")
-        v = cs_correct(prog, suite.pre, suite.post, alphabet=alpha, depth=2,
-                       resolver=suite.resolver)
+        prog, suite, _ = setup_example("in.pl", "in.spec", depth=2)
+        v = cs_correct(prog, suite)
         assert v.is_verified
 
     def test_violating_clause_refuted_with_ground_witness(self):
@@ -150,9 +160,8 @@ class TestWellAsserted:
         pre = AtomSet(atoms=(Pred("p", (a,)),))
         post = UNIVERSAL
         # q(a) is not in pre, so the clause is not well-asserted
-        v = well_asserted_clause(
-            prog.clauses[0], pre, AtomSet(), alphabet=resolve_alphabet(prog), depth=1
-        )
+        v = well_asserted_clause(prog.clauses[0],
+                                 SpecSuite(pre=pre, post=AtomSet(), budget=Budget(depth=1)))
         assert v.is_refuted
         assert v.witness["position"] == 1
 
@@ -167,9 +176,7 @@ class TestWellAsserted:
         alphabet = " ".join(f"functor {k}/0." for k in consts)
         suite = parse_spec(f"[alphabet]\n{alphabet}\n[pre]\np. {qs}\n[post]\np. {qs} {rs}\n")
         prog = parse_program(f"p :- {body}.")
-        return well_asserted_clause(prog.clauses[0], suite.pre, suite.post,
-                                    alphabet=resolve_alphabet(prog, (), suite), depth=1,
-                                    resolver=suite.resolver)
+        return well_asserted_clause(prog.clauses[0], at_depth(suite, 1))
 
     def test_branch_cap_leaves_the_ground_search_to_refute(self, monkeypatch):
         v = self.branch_capped("r(W), q(X), q(Y), q(Z)")
@@ -185,22 +192,20 @@ class TestWellAsserted:
     def test_query_well_asserted_uses_fresh_predicate(self):
         prog = parse_program("p(a).")
         pre = AtomSet(patterns=(AtomPattern(Pred("p", (Var("X"),)), ()),))
-        v = well_asserted_query(parse_query("p(Y)"), pre, UNIVERSAL,
-                                program=prog, depth=1)
+        v = well_asserted_query(parse_query("p(Y)"), prog,
+                                SpecSuite(pre=pre, post=UNIVERSAL, budget=Budget(depth=1)))
         assert v.is_verified
 
 
 class TestCCovered:
     def test_artificial_with_real_post(self):
-        prog, suite, alpha = setup_example("artificial.pl", "artificial.spec")
-        v = c_covered(Pred("p", (a, c)), prog, suite.s, suite.pre, suite.post,
-                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
+        prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
+        v = c_covered(Pred("p", (a, c)), prog, suite, s_subset_post=True)
         assert v.is_verified
 
     def test_artificial_with_universal_post_lists_both_failures(self):
-        prog, suite, alpha = setup_example("artificial.pl", "artificial_posthb.spec")
-        v = c_covered(Pred("p", (a, c)), prog, suite.s, suite.pre, suite.post,
-                      s_subset_post=True, alphabet=alpha, depth=1, resolver=suite.resolver)
+        prog, suite, _ = setup_example("artificial.pl", "artificial_posthb.spec", depth=1)
+        v = c_covered(Pred("p", (a, c)), prog, suite, s_subset_post=True)
         assert v.is_refuted
         clause2 = dict(v.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -211,15 +216,14 @@ class TestCCovered:
     def test_condition_2_once_per_preceding_clause(self, monkeypatch, clauses, most):
         # r/1 is not in S, so no clause covers an atom and the loop reaches every clause
         prog = parse_program("p(X) :- q(X), !, r(X).\n" * clauses)
-        suite = parse_spec("[S]\np(a). p(b). q(a). q(b).\n[pre]\nany.\n[post]\nany.\n")
-        alpha = resolve_alphabet(prog, (), suite)
+        suite = parse_spec("[S]\np(a). p(b). q(a). q(b).\n[pre]\nany.\n[post]\nany.\n"
+                           "[bounds]\ndepth = 1.\n")
         calls = []
         cond2 = cutcheck.verify._cond2_preceding
         monkeypatch.setattr(cutcheck.verify, "_cond2_preceding",
                             lambda *args: calls.append(args) or cond2(*args))
         for atom in (Pred("p", (a,)), Pred("p", (b,))):
-            v = c_covered(atom, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
-                          alphabet=alpha, depth=1)
+            v = c_covered(atom, prog, suite, s_subset_post=True)
             assert v.is_refuted and len(v.parts) == clauses
         assert len(calls) <= most
 
@@ -260,11 +264,9 @@ class TestPipeline:
 
     def test_query_transform_handles_cut(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec")
-        extra, query, suite2 = query_transform(parse_query("p(a, Z), !"), suite, prog)
+        extra, query, suite2 = query_transform(parse_query("p(a, Z), !"), prog, suite)
         assert len(extra) == 1 and extra[0].body[-1] is CUT
         assert len(query) == 1 and not any(x is CUT for x in query)
-        from cutcheck import Program
-
         rep = completeness_check(Program(prog.clauses + tuple(extra)), query, suite2)
         assert rep.verdict.status in ("verified", "unknown")
 
@@ -279,13 +281,13 @@ class TestPipeline:
         alpha = Alphabet((("a", 0), ("f", 1)), (("p", 1), ("q", 1)))
         listed = parse_spec("[S]\np(f(f(f(a)))).\n\n[post]\nq(a).\n")
         for depth in (1, 2, 3):
-            v = s_subset_post_check(listed.s, listed.post, alphabet=alpha, depth=depth)
+            v = s_subset_post_check(Program(), at_depth(listed, depth, alpha))
             assert v.is_refuted and v.witness["atom"] == "p(f(f(f(a))))"
         inside = parse_spec("[S]\np(f(f(f(a)))).\n\n[post]\np(X).\n")
-        v = s_subset_post_check(inside.s, inside.post, alphabet=alpha, depth=1)
+        v = s_subset_post_check(Program(), at_depth(inside, 1, alpha))
         assert v.is_verified and v.reason == "all members probed"
         patterns = parse_spec("[S]\np(X) where ground(X).\n\n[post]\np(X).\n")
-        v = s_subset_post_check(patterns.s, patterns.post, alphabet=alpha, depth=1)
+        v = s_subset_post_check(Program(), at_depth(patterns, 1, alpha))
         assert v.is_verified and v.reason == "probe up to depth 1 passed"
 
     def test_violated_premise_reason_is_plain_text(self):
@@ -300,8 +302,6 @@ class TestPipeline:
 
     def test_unknown_when_tree_truncated(self):
         prog = parse_program("p :- p.")
-        from cutcheck.syntax import SpecSuite
-
         suite = SpecSuite(budget=Budget(depth=1, nodes=5, steps=5))
         rep = completeness_check(prog, parse_query("p"), suite)
         assert rep.verdict.is_unknown
@@ -309,17 +309,17 @@ class TestPipeline:
 
 class TestTermination:
     def test_in_recurrent(self):
-        prog, suite, alpha = setup_example("in.pl", "in.spec")
-        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=1)
+        prog, suite, _ = setup_example("in.pl", "in.spec")
+        v = recurrent_check(prog, at_depth(suite, 1))
         assert v.is_verified
         # the levels read only T and L (E is a list element): 147^2 instances at depth 2
-        v2 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
+        v2 = recurrent_check(prog, at_depth(suite, 2))
         assert v2.is_verified and v2.reason == "no counterexample within depth 2"
 
     def test_non_decreasing_refuted(self):
         prog = parse_program("p(X) :- p(X).\np(a).")
         maps = {"p/1": LevelMapping("p", 1, 0, ((1, "size", 0),))}
-        v = recurrent_check(prog, maps, alphabet=resolve_alphabet(prog), depth=1)
+        v = recurrent_check(prog, SpecSuite(level_maps=maps, budget=Budget(depth=1)))
         assert v.is_refuted
 
     def test_acceptable_uses_prefix(self):
@@ -330,7 +330,7 @@ class TestTermination:
             "p/1": LevelMapping("p", 1, 0, ((1, "size", 0),)),
             "q/1": LevelMapping("q", 1, 0, ()),
         }
-        v = acceptable_check(prog, s, maps, alphabet=resolve_alphabet(prog), depth=1)
+        v = acceptable_check(prog, SpecSuite(s=s, level_maps=maps, budget=Budget(depth=1)))
         assert v.is_refuted  # p(b) :- q(b), p(a): level 0 -> 0 with prefix true
 
 
@@ -398,24 +398,21 @@ class TestHonestCaps:
     def test_p5_refuted_then_unknown_not_verified(self):
         prog = parse_program(P5_PROGRAM)
         suite = parse_spec(P5_SPEC)
-        alpha = resolve_alphabet(prog, (), suite)
-        v1 = correct_check(prog, suite.s, alphabet=alpha, depth=1, resolver=suite.resolver)
+        v1 = correct_check(prog, at_depth(suite, 1))
         assert v1.is_refuted
         assert v1.witness["head"] == "p(g(a, a), a, a, a, a)"
         # S reads only A, so 13 groundings at depth 2 reach the same witness
-        v2 = correct_check(prog, suite.s, alphabet=alpha, depth=2, resolver=suite.resolver)
+        v2 = correct_check(prog, at_depth(suite, 2))
         assert v2.is_refuted
         assert v2.witness == v1.witness
 
     def test_acceptable_returns_correct_checks_unknown(self, monkeypatch):
         # S reads all five arguments of p/5: 13^5 groundings pass the cap
         prog = parse_program(P5_PROGRAM)
-        suite = parse_spec(P5_GUARDED_SPEC)
-        alpha = resolve_alphabet(prog, (), suite)
+        suite = at_depth(parse_spec(P5_GUARDED_SPEC), 2)
         set_caps(monkeypatch, 1000)
-        model = correct_check(prog, suite.s, alphabet=alpha, depth=2, resolver=suite.resolver)
-        v = acceptable_check(prog, suite.s, suite.level_maps, alphabet=alpha, depth=2,
-                             resolver=suite.resolver)
+        model = correct_check(prog, suite)
+        v = acceptable_check(prog, suite)
         assert model.is_unknown
         assert v == model
 
@@ -423,75 +420,73 @@ class TestHonestCaps:
         # the level of p/5 reads all five arguments: 13^5 groundings pass the cap
         prog = parse_program(P5_PROGRAM)
         suite = parse_spec(P5_SIZED_SPEC)
-        alpha = resolve_alphabet(prog, (), suite)
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 1000)
-        v = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
+        v = recurrent_check(prog, at_depth(suite, 2))
         assert v.is_unknown and v.reason == "instance cap 1000 hit at depth 2"
 
     def test_level_loop_refuted_then_unknown_not_verified(self):
         prog = parse_program(LEVEL_PROGRAM)
         suite = parse_spec(LEVEL_SPEC)
-        alpha = resolve_alphabet(prog, (), suite)
-        v1 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=1)
+        v1 = recurrent_check(prog, at_depth(suite, 1))
         assert v1.is_refuted
         assert v1.witness["instance"] == "p(g(a, a), a, a, a, a) :- r(g(a, a))."
         # the levels read only A, so 13 groundings at depth 2 reach the same witness
-        v2 = recurrent_check(prog, suite.level_maps, alphabet=alpha, depth=2)
+        v2 = recurrent_check(prog, at_depth(suite, 2))
         assert v2.is_refuted and v2.witness == v1.witness
 
     def test_universal_pre_enumeration_stops_at_its_cap(self):
         # pre = any: refuting the head needs p/5 heads, 3^5 at depth 1 and 13^5 at depth 2
         prog = parse_program(P5_PROGRAM)
         suite = parse_spec(P5_SPEC.split("[S]")[0] + "[post]\nq.\np(a, B, C, D, E).\n")
-        alpha = resolve_alphabet(prog, (), suite)
-        v1 = cs_correct(prog, suite.pre, suite.post, alphabet=alpha, depth=1)
+        v1 = cs_correct(prog, at_depth(suite, 1))
         assert v1.is_refuted and v1.witness["atom"] == "p(f(a), a, a, a, a)"
-        v2 = cs_correct(prog, suite.pre, suite.post, alphabet=alpha, depth=2)
+        v2 = cs_correct(prog, at_depth(suite, 2))
         assert v2.is_unknown
         clause1 = dict(v2.parts)["clause 1: p(A, B, C, D, E) :- q."]
         assert clause1.reason == "universal enumeration cap 50000 hit at depth 2"
 
     def test_cover_search_cap_is_unknown(self, monkeypatch):
         prog = parse_program("p(X) :- q(X), q(Y), q(Z).")
-        s = AtomSet(atoms=(Pred("q", (a,)), Pred("q", (b,))))
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
+        suite = SpecSuite(s=AtomSet(atoms=(Pred("q", (a,)), Pred("q", (b,)))), alphabet=alpha,
+                          budget=Budget(depth=1))
         with monkeypatch.context() as m:
             m.setattr(cutcheck.verify, "VISIT_CAP", 2)
-            v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
+            v = covered(Pred("p", (a,)), prog.clauses[0], suite)
         assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
-        assert covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1).is_verified
+        assert covered(Pred("p", (a,)), prog.clauses[0], suite).is_verified
 
     def test_cover_search_cap_on_a_ground_body(self, monkeypatch):
         # the head match leaves the body ground: one visit per atom found, one for the end
         prog = parse_program("p(X) :- q(X), !, q(X), q(X).")
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
-        s = AtomSet(atoms=(Pred("q", (a,)),))
+        suite = SpecSuite(s=AtomSet(atoms=(Pred("q", (a,)),)), alphabet=alpha,
+                          budget=Budget(depth=1))
         for cap in (1, 2, 3):
             monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
-            v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
+            v = covered(Pred("p", (a,)), prog.clauses[0], suite)
             assert v.is_unknown and v.reason == f"cover search visit cap {cap} hit at depth 1"
         monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 4)
-        v = covered(Pred("p", (a,)), prog.clauses[0], s, alphabet=alpha, depth=1)
+        v = covered(Pred("p", (a,)), prog.clauses[0], suite)
         assert v.is_verified and v.witness["instance"] == "p(a) :- q(a), !, q(a), q(a)."
         sp = AtomSet(atoms=(Pred("q", (a,)), Pred("p", (a,))))
+        all_sp = replace(suite, s=sp, pre=sp, post=sp)
         for cap, status in ((2, "unknown"), (3, "verified")):  # condition 3 probes q(a), q(a)
             set_caps(monkeypatch, cap)
-            assert c_covered(Pred("p", (a,)), prog, sp, sp, sp, s_subset_post=True,
-                             alphabet=alpha, depth=1).status == status
+            assert c_covered(Pred("p", (a,)), prog, all_sp, s_subset_post=True).status == status
         missing = AtomSet(atoms=(Pred("q", (b,)),))  # the first probe fails before any cap
         monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 1)
-        v = covered(Pred("p", (a,)), prog.clauses[0], missing, alphabet=alpha, depth=1)
+        v = covered(Pred("p", (a,)), prog.clauses[0], replace(suite, s=missing))
         assert v.is_refuted and v.witness["note"] == "no ground body instance in the set"
 
     def test_non_ground_atom_raises(self):
         prog = parse_program("p(Y) :- q(Y).")
         s = AtomSet(atoms=(Pred("q", (a,)),))
-        alpha = Alphabet((("a", 0),), (("p", 1), ("q", 1)))
+        suite = SpecSuite(s=s, pre=s, post=s, budget=Budget(depth=1))
         with pytest.raises(ValueError, match="ground atoms, not p"):
-            covered(Pred("p", (Var("X"),)), prog.clauses[0], s, alphabet=alpha, depth=1)
+            covered(Pred("p", (Var("X"),)), prog.clauses[0], suite)
         with pytest.raises(ValueError, match="ground atoms, not p"):
-            c_covered(Pred("p", (Var("X"),)), prog, s, s, s, s_subset_post=True, alphabet=alpha,
-                      depth=1)
+            c_covered(Pred("p", (Var("X"),)), prog, suite, s_subset_post=True)
 
     def test_refuted_at_depth_d_never_verified_at_d_plus_1(self, monkeypatch):
         rng = random.Random(1)
@@ -501,9 +496,9 @@ class TestHonestCaps:
             set_caps(monkeypatch, cap)
             for name, check in CHECKS.items():
                 for d in (1, 2):
-                    if check(prog, s, maps, alphabet=AF_ALPHA, depth=d).is_refuted:
+                    if check(prog, af_suite(s, maps, d)).is_refuted:
                         refuted[name] += 1
-                        after = check(prog, s, maps, alphabet=AF_ALPHA, depth=d + 1)
+                        after = check(prog, af_suite(s, maps, d + 1))
                         assert not after.is_verified, (name, clauses, s, maps, cap, d)
         assert min(refuted.values()) > 100, refuted
 
@@ -511,16 +506,16 @@ class TestHonestCaps:
 AF_PREDS = (("p", 1), ("q", 1), ("r", 2), ("s", 3))
 AF_ALPHA = Alphabet((("a", 0), ("f", 1)), AF_PREDS)
 RANDOM_CAPS = [2, 3, 4, 5, 6, 7, 8, 12, 30, 1000]
-CHECKS = {
-    "correct": lambda prog, s, maps, **kw: correct_check(prog, s, **kw),
-    "recurrent": lambda prog, s, maps, **kw: recurrent_check(prog, maps, **kw),
-    "acceptable": acceptable_check,
-}
+CHECKS = {"correct": correct_check, "recurrent": recurrent_check, "acceptable": acceptable_check}
 FULL_CHECKS = {
-    "correct": lambda prog, s, maps, **kw: full_correct_check(prog, s, **kw),
-    "recurrent": lambda prog, s, maps, **kw: full_recurrent_check(prog, maps, **kw),
+    "correct": full_correct_check,
+    "recurrent": full_recurrent_check,
     "acceptable": full_acceptable_check,
 }
+
+
+def af_suite(s, maps, depth) -> SpecSuite:
+    return SpecSuite(s=s, level_maps=maps, alphabet=AF_ALPHA, budget=Budget(depth=depth))
 
 
 def random_check_cases(rng, count):
@@ -616,20 +611,18 @@ class TestReducedGrounding:
     wherever the full product finishes within the cap the verdict, witness
     and reason are the full product's."""
 
-    def compare(self, monkeypatch, cases, alphabet, resolver_of):
+    def compare(self, monkeypatch, cases, alphabet):
         counts = {"equal": 0, "refuted": 0, "capped": 0, "rechecked": 0}
         for clauses, prog, s, maps, cap in cases:
-            resolver = resolver_of(s)
             for name in CHECKS:
                 for d in (1, 2):
-                    kw = dict(alphabet=alphabet, depth=d)
-                    if name != "recurrent":
-                        kw["resolver"] = resolver
+                    suite = SpecSuite(s=s, level_maps=maps, alphabet=alphabet,
+                                      budget=Budget(depth=d))
                     for c in (10**6, cap):  # 10**6: a cap the full product never reaches
                         full_product.CAP_HITS.clear()
                         set_caps(monkeypatch, c)
-                        want = FULL_CHECKS[name](prog, s, maps, cap=c, **kw)
-                        got = CHECKS[name](prog, s, maps, **kw)
+                        want = FULL_CHECKS[name](prog, suite, c)
+                        got = CHECKS[name](prog, suite)
                         context = (name, clauses, s, maps, c, d)
                         if not full_product.CAP_HITS:
                             assert (got.status, got.witness, got.reason) == (
@@ -640,21 +633,21 @@ class TestReducedGrounding:
                         assert c == cap, context
                         counts["capped"] += 1
                         if got.is_refuted:
-                            assert_real_counterexample(name, prog, s, maps, got, resolver)
+                            assert_real_counterexample(name, prog, s, maps, got, suite.resolver)
                             counts["rechecked"] += 1
         return counts
 
     def test_equal_to_full_product_on_random_programs(self, monkeypatch):
         rng = random.Random(1)
         cases = ((*case, rng.choice(RANDOM_CAPS)) for case in random_check_cases(rng, 150))
-        counts = self.compare(monkeypatch, cases, AF_ALPHA, lambda s: None)
+        counts = self.compare(monkeypatch, cases, AF_ALPHA)
         assert counts["equal"] > 1500 and counts["refuted"] > 1000, counts
         assert counts["capped"] > 40 and counts["rechecked"] > 10, counts
 
     def test_equal_to_full_product_on_list_programs(self, monkeypatch):
         rng = random.Random(2)
         cases = ((*case, rng.choice(RANDOM_CAPS)) for case in random_list_cases(rng, 100))
-        counts = self.compare(monkeypatch, cases, LIST_ALPHA, lambda s: {"s": s})
+        counts = self.compare(monkeypatch, cases, LIST_ALPHA)
         assert counts["equal"] > 900 and counts["refuted"] > 600, counts
         assert counts["capped"] > 100 and counts["rechecked"] > 25, counts
 
@@ -703,18 +696,19 @@ FIXTURE_PAIRS = (
 )
 
 
-def semi_complete_atom_by_atom(program, s, alphabet, depth, resolver):
+def semi_complete_atom_by_atom(program, suite):
     """``semi_complete``'s verdict, from one ``covered`` call per atom and
     clause, each without a shared context."""
     try:
-        atoms = enumerate_atoms(s, alphabet, depth, resolver)
+        atoms = enumerate_atoms(suite.s, resolve_alphabet(program, (), suite), suite.budget.depth,
+                                suite.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     per_atom = []
     for a in atoms:
         verdict = None
         for _, clause in program.matching(a):
-            v = covered(a, clause, s, alphabet=alphabet, depth=depth, resolver=resolver)
+            v = covered(a, clause, suite)
             if v.is_verified:
                 verdict = Verdict.verified()
                 break
@@ -725,23 +719,17 @@ def semi_complete_atom_by_atom(program, s, alphabet, depth, resolver):
     return weakest([v for _, v in per_atom], tuple(per_atom))
 
 
-def c_coverage_atom_by_atom(program, suite, alphabet, depth):
+def c_coverage_atom_by_atom(program, suite):
     """The c-coverage stage's verdict, from one ``c_covered`` call per atom,
     each without a shared context.  The premise S subset-of post is checked
     once, as the stage does, so that the reference stays linear in S."""
-    resolver = suite.resolver
     try:
-        atoms = enumerate_atoms(suite.s, alphabet, depth, resolver)
+        atoms = enumerate_atoms(suite.s, resolve_alphabet(program, (), suite), suite.budget.depth,
+                                suite.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
-    premise = s_subset_post_check(suite.s, suite.post, alphabet=alphabet, depth=depth,
-                                  resolver=resolver).is_verified
-    per_atom = [
-        (atom_text(a), c_covered(a, program, suite.s, suite.pre, suite.post,
-                                 alphabet=alphabet, depth=depth, resolver=resolver,
-                                 s_subset_post=premise))
-        for a in atoms
-    ]
+    premise = s_subset_post_check(program, suite).is_verified
+    per_atom = [(atom_text(a), c_covered(a, program, suite, s_subset_post=premise)) for a in atoms]
     return weakest([v for _, v in per_atom], tuple(per_atom))
 
 
@@ -750,12 +738,12 @@ class TestCoverContext:
     are the ones the per-atom entry points give without one."""
 
     def check(self, program, suite, alphabet, depth):
-        resolver = suite.resolver
-        got = semi_complete(program, suite.s, alphabet=alphabet, depth=depth, resolver=resolver)
-        want = semi_complete_atom_by_atom(program, suite.s, alphabet, depth, resolver)
+        suite = at_depth(suite, depth, alphabet)
+        got = semi_complete(program, suite)
+        want = semi_complete_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
-        got = _query_free_stages(program, suite, _CheckContext(alphabet, depth, resolver))[2]
-        want = c_coverage_atom_by_atom(program, suite, alphabet, depth)
+        got = _query_free_stages(program, suite, _CheckContext(program, (), suite))[2]
+        want = c_coverage_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
         return got, len(got.parts)
 
@@ -820,19 +808,16 @@ class TestPatternVariableNames:
             suite = parse_spec(f"[S]\nm(A, B).\n[pre]\n{sets[0]}\n[post]\n{sets[1]}\n")
             clause = prog.clauses[0]
             query = (clause.head,) + clause.body
-            want_cs = cs_correct(prog, suite.pre, suite.post, alphabet=LIST_ALPHA, depth=1,
-                                 resolver=suite.resolver).to_json_obj()
-            want_q = well_asserted_query(query, suite.pre, suite.post, program=prog,
-                                         alphabet=LIST_ALPHA, depth=1,
-                                         resolver=suite.resolver).to_json_obj()
+            suite = at_depth(suite, 1, LIST_ALPHA)
+            want_cs = cs_correct(prog, suite).to_json_obj()
+            want_q = well_asserted_query(query, prog, suite).to_json_obj()
             for _ in range(5):
                 pre = rename_pattern_vars(suite.pre, rng, self.POOL)
                 post = rename_pattern_vars(suite.post, rng, self.POOL)
-                got = cs_correct(prog, pre, post, alphabet=LIST_ALPHA, depth=1,
-                                 resolver=suite.resolver)
+                renamed = replace(suite, pre=pre, post=post)
+                got = cs_correct(prog, renamed)
                 assert got.to_json_obj() == want_cs, (prog, pre, post)
-                got = well_asserted_query(query, pre, post, program=prog, alphabet=LIST_ALPHA,
-                                          depth=1, resolver=suite.resolver)
+                got = well_asserted_query(query, prog, renamed)
                 assert got.to_json_obj() == want_q, (query, pre, post)
                 statuses.add(got.status)
         assert statuses == {"verified", "refuted", "unknown"}, statuses
@@ -875,7 +860,7 @@ class TestDirectProbe:
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 4)))).s
             goals = tuple(rng.choice(atoms + (CUT,)) for _ in range(rng.randint(0, 4)))
             n = sum(g is not CUT for g in goals)
-            ctx = _CheckContext(LIST_ALPHA, 1, {"s": s})
+            ctx = _CheckContext(Program(), (), at_depth(SpecSuite(s=s), 1, LIST_ALPHA))
             for cap in range(n + 3):
                 monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
                 outcomes = []
@@ -897,7 +882,7 @@ class TestDirectProbe:
         for _, prog, _, _ in random_list_cases(rng, 150):
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 3)))).s
             for depth in (1, 2):
-                ctx = _CheckContext(LIST_ALPHA, depth, {"s": s})
+                ctx = _CheckContext(Program(), (), at_depth(SpecSuite(s=s), depth, LIST_ALPHA))
                 atoms = list(ground_atoms(LIST_ALPHA, depth))
                 # each clause, and each clause cut short before a cut (condition 1's prefix)
                 clauses = list(prog.clauses) + [
@@ -934,18 +919,16 @@ class TestDirectProbe:
                     atoms = enumerate_atoms(suite.s, LIST_ALPHA, depth, suite.resolver)
                 except CapHit:
                     continue
-                premise = s_subset_post_check(suite.s, suite.post, alphabet=LIST_ALPHA,
-                                              depth=depth, resolver=suite.resolver).is_verified
+                bounded = at_depth(suite, depth, LIST_ALPHA)
+                premise = s_subset_post_check(prog, bounded).is_verified
                 for a in rng.sample(atoms, min(4, len(atoms))):
                     for cap in (2, 3, 50_000):
                         set_caps(monkeypatch, cap)
-                        kw = dict(s_subset_post=premise, alphabet=LIST_ALPHA, depth=depth,
-                                  resolver=suite.resolver)
-                        got = c_covered(a, prog, suite.s, suite.pre, suite.post, **kw)
+                        got = c_covered(a, prog, bounded, s_subset_post=premise)
                         with monkeypatch.context() as m:
                             m.setattr(cutcheck.verify, "is_ground",
                                       lambda e: not isinstance(e, tuple) and is_ground(e))
-                            want = c_covered(a, prog, suite.s, suite.pre, suite.post, **kw)
+                            want = c_covered(a, prog, bounded, s_subset_post=premise)
                         assert got.to_json_obj() == want.to_json_obj(), (prog, suite, a, cap)
                         counts[got.status] += 1
         assert min(counts.values()) > 50, counts
@@ -971,10 +954,9 @@ def random_cut_clause(rng) -> str:
 class TestClosedFormGeneralizations:
     def test_relational_pre_keeps_the_lattice_verdicts(self, monkeypatch):
         prog = parse_program(RELATIONAL_PRE_PROGRAM)
-        suite = parse_spec(RELATIONAL_PRE_SPEC)
-        alpha = resolve_alphabet(prog, (), suite)
+        suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 1)
         stages = lambda: [v.to_json_obj() for v in
-                          _query_free_stages(prog, suite, _CheckContext(alpha, 1, suite.resolver))]
+                          _query_free_stages(prog, suite, _CheckContext(prog, (), suite))]
         got = stages()
         # every pattern walks the generalization lattice
         monkeypatch.setattr(AtomPattern, "closed_form", property(lambda self: None))
@@ -990,9 +972,7 @@ class TestClosedFormGeneralizations:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where ground_list(Y), eq(X, Y).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = c_covered(a, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
-                      alphabet=resolve_alphabet(prog, (), suite), depth=1,
-                      resolver=suite.resolver)
+        v = c_covered(a, prog, at_depth(suite, 1), s_subset_post=True)
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
 
@@ -1003,8 +983,6 @@ class TestClosedFormGeneralizations:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where eq(X, [1, 1, 1, 1, 1]).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = c_covered(a, prog, suite.s, suite.pre, suite.post, s_subset_post=True,
-                      alphabet=resolve_alphabet(prog, (), suite), depth=1,
-                      resolver=suite.resolver)
+        v = c_covered(a, prog, at_depth(suite, 1), s_subset_post=True)
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
