@@ -55,6 +55,7 @@ from .terms import (
     match,
     most_general_atom,
     rename_apart,
+    term_size,
     unify,
     vars_of,
 )
@@ -63,6 +64,7 @@ from .verdicts import Verdict, weakest
 INSTANCE_CAP = 50_000  # ground instances one grounding or instance search builds
 VISIT_CAP = 50_000  # goals one cover search visits, and candidates it enumerates per goal
 _BRANCH_CAP = 512  # pattern branches the well-asserted check follows per clause
+SLICE_CAP = 1_024  # symbols, summed over its atoms, that one query slice of S holds
 
 
 class _CheckContext:
@@ -77,7 +79,9 @@ class _CheckContext:
     a different one.  The memos: a ``_ClauseInfo`` per clause seen (kept by
     the clause's id: the info holds the clause, so the id is not reused
     while the context lives), the texts of ground atom arguments (``texts``,
-    as ``atom_text`` reads it) and the text of the last atom rendered.
+    as ``atom_text`` reads it), the text of the last atom rendered, and the
+    c-coverage verdict of each atom the query slice tried (``c_covered``),
+    which the loop over the whole of S reuses when the slice gives way.
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
@@ -86,6 +90,7 @@ class _CheckContext:
         self.resolver = suite.resolver
         self.texts: dict = {}  # ground term -> its text
         self._clauses: dict = {}  # id(clause) -> _ClauseInfo
+        self.c_covered: dict = {}  # ground atom -> its _c_covered verdict
         self._atom = self._atom_text = None
 
     def atom_text(self, a: Pred) -> str:
@@ -131,6 +136,14 @@ def _groundings(sigma: dict, names, ctx: _CheckContext, read=None):
         theta = dict(first)
         theta.update(zip(vary, combo))
         yield compose(sigma, theta) if sigma else theta
+
+
+def _check_groundings(names, ctx: _CheckContext) -> None:
+    """Raise the CapHit that grounding every one of ``names`` with
+    ``_groundings`` would raise once it passed ``INSTANCE_CAP``, before any
+    grounding is built."""
+    if names and len(ground_terms(ctx.alphabet, ctx.depth)) ** len(names) > INSTANCE_CAP:
+        raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
 
 
 class _CoverSearch:
@@ -267,13 +280,17 @@ def _require_ground(a: Pred) -> None:
 
 
 def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s,
-                   ctx: _CheckContext) -> Verdict:
-    """``covered``'s verdict, given ``theta = match(clause.head, a)``."""
+                   ctx: _CheckContext, bodies: Optional[list] = None) -> Verdict:
+    """``covered``'s verdict, given ``theta = match(clause.head, a)``.  When
+    it is Verified and ``bodies`` is a list, the covering instance's body is
+    appended to it."""
     status, found = _covering_instance(a, clause, theta, s, ctx)
     if status == "unknown":
         return Verdict.unknown(found)
     text = ctx.atom_text(a)
     if status == "verified":
+        if bodies is not None:
+            bodies.append(found.body)
         instance = rule_text(text, found.body, ctx.texts)
         return Verdict("verified", {"atom": text, "instance": instance}, None, ())
     return Verdict.refuted({"atom": text, "clause": ctx.clause(clause).text, "note": found})
@@ -687,13 +704,14 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post,
 
 
 def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, post,
-                   ctx: _CheckContext) -> Verdict:
+                   ctx: _CheckContext, bodies: Optional[list] = None) -> Verdict:
     """For each maximally general pre-instance H rho above ``a`` and each ground
     eta putting B0 rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta.
 
     ``theta`` is ``match(H, a)``.  When it is None the condition holds
     vacuously: every H rho is an instance of H, so none has ``a`` as an
-    instance."""
+    instance.  When ``bodies`` is a list, the body of each covering instance
+    found is appended to it."""
     if info.last_cut is None:
         return _NO_CUT
     if theta is None:
@@ -753,6 +771,8 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
                 )
             if status == "unknown":
                 unknown = unknown or found
+            elif bodies is not None:
+                bodies.append(found.body)
     if unknown:
         return Verdict.unknown(unknown)
     return Verdict.verified()
@@ -771,8 +791,12 @@ def c_covered(a: Pred, program: Program, suite: SpecSuite, *, s_subset_post: boo
 
 
 def _c_covered(a: Pred, program: Program, suite: SpecSuite, s_subset_post: bool,
-               ctx: _CheckContext) -> Verdict:
-    """``c_covered`` for a ground ``a``, with the calling loop's context."""
+               ctx: _CheckContext, reached: Optional[list] = None) -> Verdict:
+    """``c_covered`` for a ground ``a``, with the calling loop's context.
+
+    When ``reached`` is a list and a clause c-covers ``a``, the non-cut body
+    atoms of that clause's covering instances are appended to it: those of
+    condition 3's reduced clause for each eta, then condition 1's."""
     s, pre, post = suite.s, suite.pre, suite.post
     text = ctx.atom_text(a)
     clause_parts = []
@@ -781,18 +805,19 @@ def _c_covered(a: Pred, program: Program, suite: SpecSuite, s_subset_post: bool,
     for idx, clause in program.matching(a):
         info = ctx.clause(clause)
         theta = match(clause.head, a)  # one head match for all three conditions
-        cond3 = _cond3_own_cut(a, info, theta, s, pre, post, ctx)
+        bodies = None if reached is None else []
+        cond3 = _cond3_own_cut(a, info, theta, s, pre, post, ctx, bodies)
         if previous is not None:
             cond2s.append(_cond2_preceding(a, previous, pre, post, ctx))
         previous = info
         cond2 = weakest(cond2s) if cond2s else _NO_PRECEDING
         cond1 = None
         if s_subset_post and info.prefix is not None and cond3.is_verified:
-            v = _cover_verdict(a, info.prefix, theta, s, ctx)
+            v = _cover_verdict(a, info.prefix, theta, s, ctx, bodies)
             if v.is_verified:
                 cond1 = v
         if cond1 is None:
-            cond1 = _cover_verdict(a, clause, theta, s, ctx)
+            cond1 = _cover_verdict(a, clause, theta, s, ctx, bodies)
         parts = (
             ("condition 1 (covered)", cond1),
             ("condition 2 (earlier cut clauses)", cond2),
@@ -801,6 +826,8 @@ def _c_covered(a: Pred, program: Program, suite: SpecSuite, s_subset_post: bool,
         v = weakest([cond1, cond2, cond3], parts)
         clause_parts.append((f"clause {idx + 1}: {info.text}", v))
         if v.is_verified:
+            if reached is not None:
+                reached += [b for body in bodies for b in body if b is not CUT]
             return Verdict.verified(
                 f"clause {idx + 1} c-covers the atom", tuple(clause_parts)
             )
@@ -911,20 +938,67 @@ def _collect_witnesses(verdict: Verdict, out: list, limit: int = 20, status: Opt
         _collect_witnesses(sub, out, limit, status)
 
 
-def _query_free_stages(program: Program, suite: SpecSuite, ctx: _CheckContext):
-    """The stages of the completeness pipeline that do not look at the query:
-    S inside post, the program well-asserted, every atom of S c-covered.
-    ``ctx`` resolves the names of ``suite``'s sets."""
-    premise = _s_subset_post(suite, ctx)
-    wa_program = _cs_correct(program, suite, ctx)
+def _s_coverage(program: Program, suite: SpecSuite, s_subset_post: bool,
+                ctx: _CheckContext) -> Verdict:
+    """Every atom of S up to the depth c-covered, with one part per atom."""
     try:
         atoms = enumerate_atoms(suite.s, ctx.alphabet, ctx.depth, ctx.resolver)
     except CapHit as exc:
-        return premise, wa_program, Verdict.unknown(str(exc))
-    per_atom = []
-    for a in atoms:
-        per_atom.append((ctx.atom_text(a), _c_covered(a, program, suite, premise.is_verified, ctx)))
-    return premise, wa_program, weakest([v for _, v in per_atom], tuple(per_atom))
+        return Verdict.unknown(str(exc))
+    known = ctx.c_covered
+    per_atom = [(ctx.atom_text(a),
+                 known.get(a) or _c_covered(a, program, suite, s_subset_post, ctx))
+                for a in atoms]
+    return weakest([v for _, v in per_atom], tuple(per_atom))
+
+
+def _atom_size(a: Pred) -> int:
+    return 1 + sum(term_size(t) for t in a.args)
+
+
+def _slice_coverage(program: Program, query: tuple, suite: SpecSuite, s_subset_post: bool,
+                    ctx: _CheckContext) -> Optional[Verdict]:
+    """Every atom of the query's slice S' of S c-covered, with one part per
+    atom; None when the slice gives way to the whole of S.
+
+    The roots of S' are the atoms of the query's S-true instances, the query
+    variables ranging over the ground terms up to the depth.  Each atom, in
+    the order found, must lie in post and be c-covered; the body atoms of
+    the covering instances of the clause that c-covers it join S'.  The
+    slice gives way when the groundings of the query pass ``INSTANCE_CAP``
+    or the root search stops at a cap, when an atom of S' is outside post or
+    not Verified c-covered, and when the atoms of S' sum to more than
+    ``SLICE_CAP`` symbols."""
+    try:
+        _check_groundings(vars_of(query), ctx)
+        roots = [x for _, inst in _s_true_instances(query, suite.s, ctx) for x in inst]
+    except CapHit:
+        return None
+    found: list = []  # the atoms of S' in the order found, c-covered first to last
+    seen: set = set()
+    size = 0
+    parts = []
+    reached = roots
+    while True:
+        for b in reached:
+            if b is CUT or b in seen:
+                continue
+            size += _atom_size(b)
+            if size > SLICE_CAP:
+                return None
+            seen.add(b)
+            found.append(b)
+        if len(parts) == len(found):
+            return Verdict.verified(f"query slice of S: {len(parts)} atoms c-covered",
+                                    tuple(parts))
+        a = found[len(parts)]
+        if not contains(suite.post, a, ctx.resolver):
+            return None
+        reached = []
+        v = ctx.c_covered[a] = _c_covered(a, program, suite, s_subset_post, ctx, reached)
+        if not v.is_verified:
+            return None
+        parts.append((ctx.atom_text(a), v))
 
 
 def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> CheckReport:
@@ -932,8 +1006,19 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
 
     Stages: the pruned tree must be exact; S must lie inside post; the
     program must be well-asserted; the (cut-free) query must be well-asserted;
-    and every enumerated atom of S must be c-covered.  The tree is built
-    within the suite's budget.
+    and the atoms of S the query reaches must be c-covered.  The tree is
+    built within the suite's budget.
+
+    The source paper's theorem asks that every atom of S be c-covered.  It
+    applies as well to any S' subset-of S that holds the query's S-true
+    instances and is closed under the bodies of the covering instances
+    (Drabent's approximate specifications, ACM TOCL 2016): every atom of S'
+    is then c-covered w.r.t. S', so the pruned tree answers every S'-true
+    instance of the query, and those are all its S-true instances.  S'
+    subset-of S subset-of post keeps the premise, and conditions 2 and 3
+    read only pre, post and the clauses.  So the c-coverage stage first
+    closes the query's slice S' (``_slice_coverage``) and reports its atoms;
+    when the slice gives way, it c-covers every atom of S up to the depth.
 
     A query with cut is first rewritten by ``query_transform``, and the
     stages check the rewritten program, query and sets.  When the S
@@ -956,7 +1041,10 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
         else Verdict.unknown("tree budget exhausted; pruned tree is not exact")
     )
 
-    premise, wa_program, coverage = _query_free_stages(program, suite, ctx)
+    premise = _s_subset_post(suite, ctx)
+    wa_program = _cs_correct(program, suite, ctx)
+    coverage = (_slice_coverage(program, query, suite, premise.is_verified, ctx)
+                or _s_coverage(program, suite, premise.is_verified, ctx))
     if premise.is_refuted:
         premise = Verdict.unknown(
             "premise S subset-of post is violated: "
@@ -998,6 +1086,7 @@ def query_transform(query: tuple, program: Program, suite: SpecSuite):
     extension would let the completeness check verify a smaller S.
     """
     ctx = _CheckContext(program, query, suite)
+    _check_groundings(vars_of(query), ctx)  # every grounding is tested: fail before the first
     name = _fresh_pred_name(program, query, suite.s, suite.pre, suite.post)
     head = Pred(name, tuple(Var(v) for v in vars_of(query)))
     ext = [apply(theta, head) for theta, _ in _s_true_instances(query, suite.s, ctx)]

@@ -22,6 +22,7 @@ from cutcheck import (
     parse_program,
     parse_query,
     parse_spec,
+    prolog_search,
     query_transform,
     recurrent_check,
     semi_complete,
@@ -33,12 +34,13 @@ from cutcheck.cli import main
 from cutcheck.levels import LevelMapping, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import (
-    CUT, Alphabet, Clause, Compound, Pred, Var, apply, ground_atoms, is_ground, make_list, match,
-    vars_of,
+    CUT, Alphabet, Clause, Compound, Pred, Var, apply, ground_atoms, ground_terms, is_ground,
+    make_list, match, vars_of,
 )
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
-    _CheckContext, _CoverSearch, _covering_instance, _query_free_stages, s_subset_post_check,
+    _CheckContext, _CoverSearch, _atom_size, _covering_instance, _cs_correct, _s_coverage,
+    _s_subset_post, _s_true_instances, _slice_coverage, s_subset_post_check,
 )
 
 import full_product
@@ -742,7 +744,8 @@ class TestCoverContext:
         got = semi_complete(program, suite)
         want = semi_complete_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
-        got = _query_free_stages(program, suite, _CheckContext(program, (), suite))[2]
+        ctx = _CheckContext(program, (), suite)
+        got = _s_coverage(program, suite, _s_subset_post(suite, ctx).is_verified, ctx)
         want = c_coverage_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
         return got, len(got.parts)
@@ -955,8 +958,13 @@ class TestClosedFormGeneralizations:
     def test_relational_pre_keeps_the_lattice_verdicts(self, monkeypatch):
         prog = parse_program(RELATIONAL_PRE_PROGRAM)
         suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 1)
-        stages = lambda: [v.to_json_obj() for v in
-                          _query_free_stages(prog, suite, _CheckContext(prog, (), suite))]
+
+        def stages():
+            ctx = _CheckContext(prog, (), suite)
+            premise = _s_subset_post(suite, ctx)
+            return [v.to_json_obj() for v in (premise, _cs_correct(prog, suite, ctx),
+                                              _s_coverage(prog, suite, premise.is_verified, ctx))]
+
         got = stages()
         # every pattern walks the generalization lattice
         monkeypatch.setattr(AtomPattern, "closed_form", property(lambda self: None))
@@ -986,3 +994,142 @@ class TestClosedFormGeneralizations:
         v = c_covered(a, prog, at_depth(suite, 1), s_subset_post=True)
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
+
+
+def whole_s_report(program, query, suite, monkeypatch):
+    """``completeness_check`` with the query's slice always giving way to the
+    whole of S."""
+    with monkeypatch.context() as m:
+        m.setattr(cutcheck.verify, "_slice_coverage", lambda *args: None)
+        return completeness_check(program, query, suite)
+
+
+def report_obj(report):
+    return report.to_json_obj() | {"timing_ms": 0}
+
+
+def slice_taken(report) -> bool:
+    coverage = dict(report.verdict.parts)["every S atom c-covered"]
+    return (coverage.reason or "").startswith("query slice of S: ")
+
+
+# query arguments with at most the one variable X
+SLICE_QUERY_ARGS = ("[]", "[1]", "1", "[1, 1]", "[1 | X]", "[X]", "X")
+
+
+class TestQuerySlice:
+    """The c-coverage stage closes the query's slice of S or gives way to
+    the whole of S, with the whole-S report then unchanged."""
+
+    def test_seeded_programs_specs_and_queries(self, monkeypatch):
+        """A Verified report over a closed slice is never refuted by
+        ``oracle_tree_complete``, and ``prolog_search`` answers every S-true
+        instance; where the whole-S report is Verified, so is the slice's."""
+        rng = random.Random(19)
+        counts = {"closed": 0, "verified": 0, "searched": 0, "fallback": 0}
+        for _, prog, _, _ in random_list_cases(rng, 60):
+            sets = ["\n".join(rng.sample(LIST_SETS, rng.randint(1, 3))) for _ in range(3)]
+            pre = rng.choice(["any.", sets[1]])
+            post = rng.choice(["any.", sets[0], sets[2]])
+            suite = parse_spec(f"[S]\n{sets[0]}\n[pre]\n{pre}\n[post]\n{post}\n")
+            for depth in (1, 2):
+                # whole-S reports over more depth-2 atoms are too slow for Tier-1
+                if depth == 2 and len(enumerate_atoms(suite.s, LIST_ALPHA, 2, suite.resolver)) > 300:
+                    continue
+                bounded = replace(suite, alphabet=LIST_ALPHA,
+                                  budget=Budget(depth=depth, nodes=300, steps=300))
+                for _ in range(3):
+                    name, arity = rng.choice(LIST_PREDS)
+                    args = ", ".join(rng.choice(SLICE_QUERY_ARGS) for _ in range(arity))
+                    query = parse_query(f"{name}({args})")
+                    got = completeness_check(prog, query, bounded)
+                    want = whole_s_report(prog, query, bounded, monkeypatch)
+                    context = (prog, suite, query, depth)
+                    if not slice_taken(got):
+                        assert report_obj(got) == report_obj(want), context
+                        counts["fallback"] += 1
+                        continue
+                    counts["closed"] += 1
+                    assert got.verdict.is_verified or not want.verdict.is_verified, context
+                    if not got.verdict.is_verified:
+                        continue
+                    counts["verified"] += 1
+                    assert not oracle_tree_complete(prog, query, bounded).is_refuted, context
+                    search = prolog_search(prog, query, Budget(steps=2000))
+                    if search.exact:
+                        counts["searched"] += 1
+                        ctx = _CheckContext(prog, query, bounded)
+                        for _, inst in _s_true_instances(query, bounded.s, ctx):
+                            assert any(match(ans, inst) is not None for ans in search.answers), (
+                                context, inst)
+        assert counts["closed"] > 150 and counts["fallback"] > 80, counts
+        assert counts["verified"] > 25 and counts["searched"] > 25, counts
+
+    @pytest.mark.parametrize("pl, spec, query", [
+        ("artificial.pl", "artificial_posthb.spec", "p(a, Z)"),
+        ("notp.pl", "notp_nonground.spec", "notp(b)"),
+    ])
+    def test_failed_condition_falls_back(self, monkeypatch, pl, spec, query):
+        prog, suite, _ = setup_example(pl, spec)
+        got = completeness_check(prog, parse_query(query), suite)
+        assert not slice_taken(got) and got.verdict.is_refuted
+        assert report_obj(got) == report_obj(whole_s_report(prog, parse_query(query), suite,
+                                                            monkeypatch))
+
+    def test_incomplete_query_not_verified(self):
+        prog, suite, _ = setup_example("in.pl", "in.spec")
+        query = parse_query("in([X], [1, 2])")
+        got = completeness_check(prog, query, suite)
+        assert slice_taken(got) and not got.verdict.is_verified
+        assert oracle_tree_complete(prog, query, suite).is_refuted
+
+    def test_ground_slice(self):
+        prog, suite, _ = setup_example("in.pl", "in.spec", depth=3)
+        got = completeness_check(prog, parse_query("in([1], [1, 2])"), suite)
+        assert got.verdict.is_verified
+        assert dict(got.verdict.parts)["every S atom c-covered"].reason == (
+            "query slice of S: 3 atoms c-covered")
+        assert got.per_atom == [("in([1], [1, 2])", "verified"), ("in([], [1, 2])", "verified"),
+                                ("m(1, [1, 2])", "verified")]
+
+    def test_long_list_passes_the_slice_cap(self, monkeypatch):
+        prog, suite, _ = setup_example("in.pl", "in.spec", depth=1)
+        cells = lambda n: parse_query("in([" + ", ".join(["1"] * n) + "], [1])")
+        short = completeness_check(prog, cells(10), suite)
+        assert slice_taken(short) and len(short.per_atom) == 12
+        size = sum(_atom_size(parse_query(text)[0]) for text, _ in short.per_atom)
+        assert size <= cutcheck.verify.SLICE_CAP
+        monkeypatch.setattr(cutcheck.verify, "SLICE_CAP", size - 1)
+        assert report_obj(completeness_check(prog, cells(10), suite)) == report_obj(
+            whole_s_report(prog, cells(10), suite, monkeypatch))
+        monkeypatch.undo()
+        long = cells(4000)
+        assert _atom_size(long[0]) > cutcheck.verify.SLICE_CAP
+        ctx = _CheckContext(prog, long, suite)
+        assert _slice_coverage(prog, long, suite, True, ctx) is None
+
+    def test_groundings_past_the_cap_build_none(self, monkeypatch):
+        """The slice's root search and ``query_transform`` give up before the
+        first grounding when the product passes the instance cap."""
+        built = []
+
+        def counted(sigma, names, ctx, read=None):
+            for theta in groundings(sigma, names, ctx, read):
+                built.append(theta)
+                yield theta
+
+        groundings = cutcheck.verify._groundings
+        monkeypatch.setattr(cutcheck.verify, "_groundings", counted)
+        prog, suite, _ = setup_example("append.pl", "append.spec")  # 1,446 terms at depth 3
+        with pytest.raises(CapHit, match="^instance cap 50000 hit at depth 3$"):
+            query_transform(parse_query("app(X, Y, [1]), !"), prog, suite)
+        assert built == []
+        prog, suite, _ = setup_example("in.pl", "in.spec", depth=1)
+        query = parse_query("in([X], [Y])")
+        ctx = _CheckContext(prog, query, suite)
+        product = len(ground_terms(ctx.alphabet, 1)) ** 2  # 12 terms at depth 1
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product - 1)
+        assert _slice_coverage(prog, query, suite, True, ctx) is None and built == []
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product)
+        assert _slice_coverage(prog, query, suite, True, ctx) is not None
+        assert len(built) == product == 144
