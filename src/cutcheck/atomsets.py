@@ -11,9 +11,8 @@ what the pre/post interpretation requires.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .terms import (
     CUT,
@@ -254,23 +253,6 @@ def set_predicates(s: AtomSet) -> set:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _term_pool(alphabet: Alphabet, depth: int) -> tuple:
-    """``(term, depth, spine length)`` for each term of ``ground_terms``, in its
-    order; a term that is not a proper list has length 0."""
-    out = []
-    for t in ground_terms(alphabet, depth):
-        items = list_items(t)
-        out.append((t, term_depth(t), 0 if items is None else len(items)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _list_pool(alphabet: Alphabet, depth: int) -> tuple:
-    """The entries of ``_term_pool`` that are proper lists, in its order."""
-    return tuple(e for e in _term_pool(alphabet, depth) if is_list(e[0]))
-
-
 def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, resolver, cap, counter):
     """Ground atoms of argument depth <= depth matching one guarded pattern.
 
@@ -279,7 +261,10 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     subset arguments are drawn from the already-chosen list.  A leaf's
     assignment is the template's match, so every guard is evaluated on it
     and each atom is built once.  Every value carries its depth, read from
-    the pools or derived from how the value was made.
+    the pools or derived from how the value was made.  The pools hold
+    ``(term, depth, spine length)`` for each term of ``ground_terms`` (a
+    term that is not a proper list has length 0), and for its proper lists;
+    they are built once, when a variable first draws from them.
 
     For ``concat(K, L, M)`` with M a template variable the atom's depth is
     at least ``depth(M) = max(depth(K), len(K) + depth(L))``, so once one
@@ -331,6 +316,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     out = []
     targs = template.args
     depths: dict = {}  # the depth of each assigned value
+    pools: dict = {}  # "term" and "list" -> the pool's entries, once built
 
     def value_depth(t: Term, value: Term) -> int:
         return depths[t.name] if t.__class__ is Var else term_depth(value)
@@ -361,7 +347,11 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
                     if d <= depth:
                         found.append((cand, d))
             return found
-        pool = _list_pool(alphabet, depth) if kinds.get(v) == "list" else _term_pool(alphabet, depth)
+        if not pools:
+            pools["term"] = [(t, term_depth(t), len(list_items(t) or ()))
+                             for t in ground_terms(alphabet, depth)]
+            pools["list"] = [e for e in pools["term"] if is_list(e[0])]
+        pool = pools[kinds.get(v, "term")]
         max_len = max_depth = depth
         for other in len_cuts.get(v, ()):
             if other in env:
@@ -404,16 +394,6 @@ def _func_input_vars(entry):
     return names
 
 
-_ENUM_CACHE_SIZE = 256
-_ENUM_CACHE: OrderedDict = OrderedDict()  # key -> atom list or the CapHit raised, LRU order
-
-
-def _freeze_resolver(resolver):
-    if not resolver:
-        return ()
-    return tuple(sorted(resolver.items(), key=lambda kv: kv[0]))
-
-
 def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
                     cap: int | None = None, predicate=None):
     """All ground atoms of ``s`` with argument depth <= depth, sorted, deduped.
@@ -424,36 +404,25 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
     part's work alone.  One counter serves the whole set: the universal part
     adds the size of its product before it is built, each pattern every
     candidate it tries.
-
-    Results are memoized, the too-large outcome included: all set objects
-    involved are immutable, so repeated checks over the same specification
-    reuse one enumeration.  The memo keeps the ``_ENUM_CACHE_SIZE`` most
-    recently used entries.
     """
     if cap is None:
         cap = ENUM_CAP
     if predicate is not None:
         s, alphabet = _predicate_part(s, alphabet, predicate)
-    key = (s, alphabet, depth, _freeze_resolver(resolver), cap)
-    try:
-        result = _ENUM_CACHE.get(key)
-    except TypeError:
-        result = None
-        key = None
-    if result is not None:
-        _ENUM_CACHE.move_to_end(key)
-    else:
-        try:
-            result = _enumerate_atoms(s, alphabet, depth, resolver, cap)
-        except CapHit as exc:
-            result = exc
-        if key is not None:
-            _ENUM_CACHE[key] = result
-            if len(_ENUM_CACHE) > _ENUM_CACHE_SIZE:
-                _ENUM_CACHE.popitem(last=False)
-    if isinstance(result, CapHit):
-        raise result
-    return result
+    counter = [0]
+    out: dict = {}
+    if s.universal:
+        n = ground_term_count(alphabet, depth, cap)
+        counter[0] = sum(n ** k for _, k in alphabet.predicates)
+        if counter[0] > cap:
+            raise AtomSetTooLarge(f"universal enumeration cap {cap} hit at depth {depth}")
+        if not s.atoms and not s.patterns:
+            return list(ground_atoms(alphabet, depth))  # sorted
+        out.update(dict.fromkeys(ground_atoms(alphabet, depth)))
+    out.update(dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth))
+    for p in s.patterns:
+        out.update(dict.fromkeys(_enumerate_pattern(p, alphabet, depth, resolver, cap, counter)))
+    return sorted(out, key=atom_key)
 
 
 def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
@@ -472,23 +441,6 @@ def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
     if s.universal:
         alphabet = Alphabet(alphabet.functors, (predicate,))
     return part, alphabet
-
-
-def _enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver, cap: int):
-    counter = [0]
-    out: dict = {}
-    if s.universal:
-        n = ground_term_count(alphabet, depth, cap)
-        counter[0] = sum(n ** k for _, k in alphabet.predicates)
-        if counter[0] > cap:
-            raise AtomSetTooLarge(f"universal enumeration cap {cap} hit at depth {depth}")
-        if not s.atoms and not s.patterns:
-            return list(ground_atoms(alphabet, depth))  # sorted, and cached by ground_atoms
-        out.update(dict.fromkeys(ground_atoms(alphabet, depth)))
-    out.update(dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth))
-    for p in s.patterns:
-        out.update(dict.fromkeys(_enumerate_pattern(p, alphabet, depth, resolver, cap, counter)))
-    return sorted(out, key=atom_key)
 
 
 # ---------------------------------------------------------------------------

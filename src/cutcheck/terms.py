@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import is_
 from typing import Optional, Union
 
@@ -732,7 +731,6 @@ def ground_term_count(alphabet: Alphabet, depth: int, stop: Optional[int] = None
     return n
 
 
-@lru_cache(maxsize=256)
 def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
     """All ground terms of depth <= depth over the alphabet, sorted.
 
@@ -753,7 +751,6 @@ def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
     return tuple(sorted(current, key=term_key))
 
 
-@lru_cache(maxsize=256)
 def ground_atoms(alphabet: Alphabet, depth: int) -> tuple:
     """All ground atoms with argument depth <= depth, sorted."""
     terms = ground_terms(alphabet, depth) if any(k for _, k in alphabet.predicates) else ()

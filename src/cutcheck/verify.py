@@ -76,12 +76,15 @@ class _CheckContext:
     (or clause), the query (or atom) and the suite; the depth is the
     suite's ``budget.depth``; the resolver is the suite's.  The sets a
     search runs over (S, pre, post) stay arguments, since each call searches
-    a different one.  The memos: a ``_ClauseInfo`` per clause seen (kept by
-    the clause's id: the info holds the clause, so the id is not reused
-    while the context lives), the texts of ground atom arguments (``texts``,
-    as ``atom_text`` reads it), the text of the last atom rendered, and the
-    c-coverage verdict of each atom the query slice tried (``c_covered``),
-    which the loop over the whole of S reuses when the slice gives way.
+    a different one.  The memos: the ground terms up to the depth
+    (``ground_terms``), each enumeration of a set, keyed by the set, the cap
+    and the predicate (``enumerate``), a ``_ClauseInfo`` per clause seen
+    (kept by the clause's id: the info holds the clause, so the id is not
+    reused while the context lives), the texts of ground atom arguments
+    (``texts``, as ``atom_text`` reads it), the text of the last atom
+    rendered, and the c-coverage verdict of each atom the query slice tried
+    (``c_covered``), which the loop over the whole of S reuses when the
+    slice gives way.  None of them outlives the context.
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
@@ -92,6 +95,29 @@ class _CheckContext:
         self._clauses: dict = {}  # id(clause) -> _ClauseInfo
         self.c_covered: dict = {}  # ground atom -> its _c_covered verdict
         self._atom = self._atom_text = None
+        self._computed: dict = {}  # key -> the value computed, or the CapHit it raised
+
+    def _once(self, key, compute):
+        """``compute()`` for the first call with ``key``; every call returns
+        its value, or raises the CapHit it raised."""
+        if key not in self._computed:
+            try:
+                self._computed[key] = compute()
+            except CapHit as exc:
+                self._computed[key] = exc
+        value = self._computed[key]
+        if isinstance(value, CapHit):
+            raise value.with_traceback(None)  # no frames pile up on the kept exception
+        return value
+
+    def ground_terms(self) -> tuple:
+        return self._once("ground terms", lambda: ground_terms(self.alphabet, self.depth))
+
+    def enumerate(self, s: AtomSet, cap: Optional[int] = None, predicate=None) -> list:
+        """``enumerate_atoms`` of ``s`` over the context's alphabet, depth and
+        resolver."""
+        return self._once((s, cap, predicate), lambda: enumerate_atoms(
+            s, self.alphabet, self.depth, self.resolver, cap, predicate=predicate))
 
     def atom_text(self, a: Pred) -> str:
         if a is not self._atom:
@@ -124,7 +150,7 @@ def _groundings(sigma: dict, names, ctx: _CheckContext, read=None):
     if not names:
         yield sigma
         return
-    terms = ground_terms(ctx.alphabet, ctx.depth)
+    terms = ctx.ground_terms()
     if not terms:
         return
     vary = names if read is None else [n for n in names if n in read]
@@ -142,7 +168,7 @@ def _check_groundings(names, ctx: _CheckContext) -> None:
     """Raise the CapHit that grounding every one of ``names`` with
     ``_groundings`` would raise once it passed ``INSTANCE_CAP``, before any
     grounding is built."""
-    if names and len(ground_terms(ctx.alphabet, ctx.depth)) ** len(names) > INSTANCE_CAP:
+    if names and len(ctx.ground_terms()) ** len(names) > INSTANCE_CAP:
         raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
 
 
@@ -151,9 +177,11 @@ class _CoverSearch:
 
     Solutions are substitutions sigma with every instantiated atom ground and
     a member of the set.  ``exhaustive`` stays True only when every candidate
-    source was complete (extensional sets are; pattern and universal sets are
-    enumerated up to the depth bound).  Raises CapHit past ``VISIT_CAP``
-    visits, or when a candidate enumeration passes ``VISIT_CAP``.
+    source was complete: the listed atoms of a goal's predicate are, when the
+    set is not universal and has no pattern of that predicate; otherwise the
+    set is enumerated up to the depth bound.  Raises CapHit past
+    ``VISIT_CAP`` visits, or when a candidate enumeration passes
+    ``VISIT_CAP``.
     """
 
     def __init__(self, s: AtomSet, ctx: _CheckContext):
@@ -165,12 +193,12 @@ class _CoverSearch:
 
     def _candidates(self, atom: Pred):
         key = (atom.name, len(atom.args))
-        if not self.s.universal and not self.s.patterns:
-            return [a for a in self.s.atoms if (a.name, len(a.args)) == key]
+        s = self.s
+        if not s.universal and all((p.template.name, len(p.template.args)) != key
+                                   for p in s.patterns):
+            return [a for a in s.atoms if (a.name, len(a.args)) == key]
         self.exhaustive = False
-        ctx = self.ctx
-        return enumerate_atoms(self.s, ctx.alphabet, ctx.depth, ctx.resolver, VISIT_CAP,
-                               predicate=key)
+        return self.ctx.enumerate(s, VISIT_CAP, key)
 
     def _visit(self) -> None:
         """Count one visit: each goal reached, and the end of a goal list."""
@@ -314,7 +342,7 @@ def semi_complete(program: Program, suite: SpecSuite) -> Verdict:
     s = suite.s
     ctx = _CheckContext(program, (), suite)
     try:
-        atoms = enumerate_atoms(s, ctx.alphabet, ctx.depth, ctx.resolver)
+        atoms = ctx.enumerate(s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     per_atom = []
@@ -337,8 +365,11 @@ def correct_check(program: Program, suite: SpecSuite) -> Verdict:
 
     The cover search grounds the body; of the variables left, only those
     the head's membership in S reads are enumerated."""
+    return _correct_check(program, suite, _CheckContext(program, (), suite))
+
+
+def _correct_check(program: Program, suite: SpecSuite, ctx: _CheckContext) -> Verdict:
     s = suite.s
-    ctx = _CheckContext(program, (), suite)
     bounded = False
     capped = None  # the reason, once a clause's search stopped at a cap
     for clause in program.clauses:
@@ -508,8 +539,7 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
     """
     cap = INSTANCE_CAP
     resolver = ctx.resolver
-    heads = enumerate_atoms(pre, ctx.alphabet, ctx.depth, resolver, cap,
-                            predicate=(clause.head.name, len(clause.head.args)))
+    heads = ctx.enumerate(pre, cap, (clause.head.name, len(clause.head.args)))
     prefix = clause.body[:k] if k is not None else clause.body
     thetas = (unify(clause.head, h) for h in heads)
     instances = (
@@ -644,11 +674,15 @@ def _fresh_pred_name(program: Program, query: tuple, *sets) -> str:
 def well_asserted_query(query: tuple, program: Program, suite: SpecSuite) -> Verdict:
     """A query is well-asserted iff the clause p <- Q is, for a p fresh for
     the program, the query and the sets, added to pre and post."""
+    return _well_asserted_query(query, program, suite, _CheckContext(program, query, suite))
+
+
+def _well_asserted_query(query: tuple, program: Program, suite: SpecSuite,
+                         ctx: _CheckContext) -> Verdict:
     marker = Pred(_fresh_pred_name(program, query, suite.pre, suite.post))
-    clause = Clause(marker, tuple(query))
-    pre2 = suite.pre | AtomSet(atoms=(marker,))
-    post2 = suite.post | AtomSet(atoms=(marker,))
-    return _well_asserted(clause, pre2, post2, _CheckContext(program, query, suite))
+    marked = AtomSet(atoms=(marker,))
+    return _well_asserted(Clause(marker, tuple(query)), suite.pre | marked,
+                          suite.post | marked, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +890,7 @@ def _s_subset_post(suite: SpecSuite, ctx: _CheckContext) -> Verdict:
     if post == UNIVERSAL:
         return Verdict.verified("post is the universal set")
     try:
-        members = enumerate_atoms(s, ctx.alphabet, ctx.depth, ctx.resolver)
+        members = ctx.enumerate(s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     for a in itertools.chain(members, s.atoms):
@@ -942,7 +976,7 @@ def _s_coverage(program: Program, suite: SpecSuite, s_subset_post: bool,
                 ctx: _CheckContext) -> Verdict:
     """Every atom of S up to the depth c-covered, with one part per atom."""
     try:
-        atoms = enumerate_atoms(suite.s, ctx.alphabet, ctx.depth, ctx.resolver)
+        atoms = ctx.enumerate(suite.s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     known = ctx.c_covered
@@ -1051,7 +1085,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
             f"{premise.witness['atom']} is in S but not in post"
         )
 
-    wa_query = well_asserted_query(query, program, suite)
+    wa_query = _well_asserted_query(query, program, suite, ctx)
 
     stages = (
         ("pruned tree exact", tree_v),
@@ -1190,12 +1224,11 @@ def recurrent_check(program: Program, suite: SpecSuite) -> Verdict:
 def acceptable_check(program: Program, suite: SpecSuite) -> Verdict:
     """Correctness w.r.t. S plus level decrease whenever S satisfies the prefix."""
     _require_level_maps(program, suite.level_maps)
-    model = correct_check(program, suite)
+    ctx = _CheckContext(program, (), suite)
+    model = _correct_check(program, suite, ctx)
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
-    levels = _level_decrease(
-        program, suite.level_maps, suite.s, _CheckContext(program, (), suite),
-        "level does not decrease under a satisfied prefix"
-    )
+    levels = _level_decrease(program, suite.level_maps, suite.s, ctx,
+                             "level does not decrease under a satisfied prefix")
     # a level violation refutes even when correctness stayed Unknown
     return weakest([levels, model])

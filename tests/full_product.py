@@ -13,8 +13,11 @@ bounds the groundings here; the cover search reads
 
 ``CAP_HITS`` collects the message of every instance cap the full product
 reaches; a caller clears it before a run to learn whether the run finished.
+The ground terms of each (alphabet, depth) are built once per test session
+(``_ground_terms``), since ``cutcheck.terms.ground_terms`` keeps no memo.
 """
 
+import functools
 import itertools
 
 from cutcheck.atomsets import UNIVERSAL, CapHit, contains
@@ -25,6 +28,7 @@ from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import _CheckContext, _CoverSearch
 
 CAP_HITS: list = []
+_ground_terms = functools.lru_cache(maxsize=None)(ground_terms)
 
 
 def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
@@ -32,7 +36,7 @@ def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
     if not names:
         yield sigma
         return
-    combos = itertools.product(ground_terms(alphabet, depth), repeat=len(names))
+    combos = itertools.product(_ground_terms(alphabet, depth), repeat=len(names))
     for count, combo in enumerate(combos, 1):
         if count > cap:
             CAP_HITS.append(f"instance cap {cap} hit at depth {depth}")
@@ -44,10 +48,11 @@ def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
 def full_correct_check(program, suite, cap) -> Verdict:
     s, resolver, depth = suite.s, suite.resolver, suite.budget.depth
     alphabet = resolve_alphabet(program, (), suite)
+    ctx = _CheckContext(program, (), suite)
     bounded = False
     capped = None
     for clause in program.clauses:
-        search = _CoverSearch(s, _CheckContext(program, (), suite))
+        search = _CoverSearch(s, ctx)
         try:
             for sol in search.solutions(clause.body, {}):
                 for full in full_groundings(sol, vars_of(clause), alphabet, depth, cap):

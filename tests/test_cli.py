@@ -2,10 +2,12 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -876,6 +878,18 @@ class TestNoMemoOutlivesACall:
         fresh = [cli(argv) for argv in argvs]
         assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
         assert [code for code, _, _ in in_process] == [0, 1]
-        cutcheck.atomsets._ENUM_CACHE.clear()  # the enumeration memo keeps its sets (ROADMAP item 5)
         gc.collect()
         assert len(sets) == 4 and all(ref() is None for ref in sets)
+
+    def test_no_function_keeps_a_functools_cache(self):
+        # a functools cache lives as long as its module; a check's memos live on its context
+        modules = [importlib.import_module(f"cutcheck.{m.name}")
+                   for m in pkgutil.iter_modules(cutcheck.__path__)]
+        cached = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name, value in vars(module).items()
+            for f in [value, *(vars(value).values() if inspect.isclass(value) else ())]
+            if hasattr(f, "cache_info")
+        ]
+        assert len(modules) >= 10 and cached == []

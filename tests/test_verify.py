@@ -1133,3 +1133,97 @@ class TestQuerySlice:
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product)
         assert _slice_coverage(prog, query, suite, True, ctx) is not None
         assert len(built) == product == 144
+
+
+class TestMemoScope:
+    """Every memo a check reads lives on its ``_CheckContext``: one
+    enumeration per (set, cap, predicate) and one build of the ground terms
+    per context, and one context per public call."""
+
+    @staticmethod
+    def record(monkeypatch) -> dict:
+        calls = {"contexts": 0, "ground_terms": [], "enumerations": []}
+        init, terms, enumerate_ = (_CheckContext.__init__, cutcheck.verify.ground_terms,
+                                   cutcheck.verify.enumerate_atoms)
+
+        def counted_init(self, *args):
+            calls["contexts"] += 1
+            init(self, *args)
+
+        def counted_terms(alphabet, depth):
+            calls["ground_terms"].append((alphabet, depth))
+            return terms(alphabet, depth)
+
+        def counted_enumerate(s, alphabet, depth, resolver=None, cap=None, predicate=None):
+            calls["enumerations"].append((s, cap, predicate))
+            return enumerate_(s, alphabet, depth, resolver, cap, predicate=predicate)
+
+        monkeypatch.setattr(_CheckContext, "__init__", counted_init)
+        monkeypatch.setattr(cutcheck.verify, "ground_terms", counted_terms)
+        monkeypatch.setattr(cutcheck.verify, "enumerate_atoms", counted_enumerate)
+        return calls
+
+    def test_one_enumeration_per_key(self, monkeypatch):
+        # m(1, []) is not c-covered, so the query slice gives way to all 722 atoms of S
+        prog = parse_program(RELATIONAL_PRE_PROGRAM)
+        suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 2)
+        calls = self.record(monkeypatch)
+        report = completeness_check(prog, parse_query("m(1, [])"), suite)
+        assert report.verdict.is_refuted and len(report.per_atom) == 722
+        keys = calls["enumerations"]
+        assert (suite.s, None, None) in keys and len(set(keys)) == len(keys)
+        assert calls["contexts"] == 1 and len(calls["ground_terms"]) <= 1
+
+    def test_a_cut_query_enumerates_each_key_once(self, monkeypatch):
+        # query_transform builds its own context: the program and sets it checks differ
+        prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
+        calls = self.record(monkeypatch)
+        completeness_check(prog, parse_query("p(X, Z), !"), suite)
+        keys, built = calls["enumerations"], calls["ground_terms"]
+        assert keys and len(set(keys)) == len(keys)
+        assert calls["contexts"] == 2 and len(built) == len(set(built)) == 2
+
+    def test_acceptable_check_shares_one_context(self, monkeypatch):
+        # the model part grounds the clauses and refutes; the level part is not reached
+        prog, suite, _ = setup_example("in.pl", "in.spec", depth=1)
+        calls = self.record(monkeypatch)
+        assert acceptable_check(prog, suite).is_refuted
+        assert calls["contexts"] == 1 and len(calls["ground_terms"]) == 1
+        prog = parse_program("p(X) :- q(X).\nq(a).\n")
+        suite = parse_spec("[S]\np(a).\nq(a).\n[level]\np(X) = 1.\nq(X) = 0.\n")
+        calls = self.record(monkeypatch)
+        assert acceptable_check(prog, suite).is_verified  # both parts ground p(X) :- q(X)
+        assert calls["contexts"] == 1 and len(calls["ground_terms"]) == 1
+
+    def test_the_query_stage_shares_the_context(self, monkeypatch):
+        prog, suite, _ = setup_example("notp.pl", "notp.spec", depth=1)
+        query = parse_query("notp(X)")
+        want = well_asserted_query(query, prog, suite)
+        calls = self.record(monkeypatch)
+        report = completeness_check(prog, query, suite)
+        stage = dict(report.verdict.parts)["query well-asserted"]
+        assert stage.to_json_obj() == want.to_json_obj() and calls["contexts"] == 1
+
+
+class TestCandidates:
+    """A cover search is exhaustive on a goal whose predicate has no pattern
+    in a set that is not universal: its candidates are the listed atoms."""
+
+    def test_a_pattern_of_another_predicate(self):
+        p, q, X = (lambda t: Pred("p", (t,))), (lambda t: Pred("q", (t,))), Var("X")
+        s = AtomSet(atoms=(p(a), p(b)), patterns=(AtomPattern(q(X)),))
+        ctx = _CheckContext(Program(()), (), SpecSuite(s=s, alphabet=Alphabet(((c.functor, 0),))))
+        search = _CoverSearch(s, ctx)
+        assert list(search.solutions((p(X),), {})) == [{"X": a}, {"X": b}] and search.exhaustive
+        search = _CoverSearch(s, ctx)
+        # the alphabet holds a and b, from the listed atoms, and the declared c
+        want = [{"X": a}, {"X": b}, {"X": c}]
+        assert list(search.solutions((q(X),), {})) == want and not search.exhaustive
+
+    def test_a_cut_query_is_verified_as_the_oracle_finds(self):
+        # the marker pattern q0(V...) joins post; the eta search on q0's clause stays exhaustive
+        prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
+        query = parse_query("p(a, Z), !")
+        report = completeness_check(prog, query, suite)
+        assert report.verdict.is_verified, report.to_text()
+        assert oracle_tree_complete(prog, query, suite).is_verified
