@@ -11,8 +11,9 @@ what the pre/post interpretation requires.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 from .terms import (
     CUT,
@@ -44,18 +45,6 @@ from .terms import (
 ENUM_CAP = 1_000_000  # atoms and pattern candidates one whole-set enumeration counts
 GENERALIZATION_CAP = 8_192  # generalizations one lattice walk builds
 
-GUARD_ARITIES = {
-    "any": 0,
-    "list": 1,
-    "ground": 1,
-    "ground_list": 1,
-    "member": 2,
-    "subset": 2,
-    "concat": 3,
-    "eq": 2,
-    "notin": 2,
-}
-
 
 class AtomSetTooLarge(CapHit):
     """An atom-set enumeration reached its cap."""
@@ -64,13 +53,17 @@ class AtomSetTooLarge(CapHit):
 @dataclass(frozen=True)
 class Guard:
     name: str
-    args: tuple = ()  # terms; for notin: (atom template, set name string)
+    args: tuple = ()  # one per kind in ``GUARDS[name].signature``
+    terms: tuple = field(init=False, repr=False, compare=False)  # the args but a set name
 
     def __post_init__(self):
-        if self.name not in GUARD_ARITIES:
+        kind = GUARDS.get(self.name)
+        if kind is None:
             raise ValueError(f"unknown guard {self.name!r}")
-        if len(self.args) != GUARD_ARITIES[self.name]:
-            raise ValueError(f"guard {self.name}/{GUARD_ARITIES[self.name]} got {len(self.args)} args")
+        if len(self.args) != len(kind.signature):
+            raise ValueError(f"guard {self.name}/{len(kind.signature)} got {len(self.args)} args")
+        terms = tuple(a for a, k in zip(self.args, kind.signature) if k != "set")
+        object.__setattr__(self, "terms", terms)
 
 
 @dataclass(frozen=True)
@@ -81,17 +74,15 @@ class AtomPattern:
     @cached_property
     def closed_form(self):
         """The variables the guards force ground (``forced_ground``), when every
-        guard other than ``any`` and a ``list``, ``ground`` or ``ground_list``
-        guard on a variable has all its template variables among them; else
+        guard but one that gives facts of a variable (``list``, ``ground``,
+        ``ground_list``) has all its template variables among them; else
         None.  Then ``max_generalizations_pattern`` needs no search."""
         forced = forced_ground(self.guards)
         tvars = set(vars_of(self.template))
         for g in self.guards:
-            if g.name == "any" or (g.name in ("list", "ground", "ground_list")
-                                   and isinstance(g.args[0], Var)):
+            if GUARDS[g.name].facts and isinstance(g.args[0], Var):
                 continue
-            terms = tuple(a for a in g.args if not isinstance(a, str))
-            if not forced.issuperset(tvars.intersection(vars_of(terms))):
+            if not forced.issuperset(tvars.intersection(vars_of(g.terms))):
                 return None
         return forced
 
@@ -145,40 +136,106 @@ def definitely_ground(t, facts=None) -> bool:
     return all("ground" in _flags(facts, v) for v in vars_of(t))
 
 
+def _member(guard, args, facts, resolver) -> bool:
+    items = list_items(args[1])
+    return items is not None and args[0] in items
+
+
+def _subset(guard, args, facts, resolver) -> bool:
+    a, b = list_items(args[0]), list_items(args[1])
+    return a is not None and b is not None and all(x in b for x in a)
+
+
+def _concat(guard, args, facts, resolver) -> bool:
+    a = list_items(args[0])
+    return a is not None and args[2] == make_list(a, tail=args[1])
+
+
+def _notin(guard, args, facts, resolver) -> bool:
+    if resolver is None:
+        return False
+    target = resolver.get(guard.args[1])
+    if target is None:
+        raise KeyError(f"unknown set name {guard.args[1]!r} in notin guard")
+    return not possibly_contains(target, args[0], resolver)
+
+
+def _members(terms, values, value_depth, bound) -> list:
+    items = list_items(values[0])
+    return [] if items is None else [(x, term_depth(x)) for x in dict.fromkeys(items)]
+
+
+def _sublists(terms, values, value_depth, bound) -> list:
+    """The lists over the source's elements, up to the depth bound."""
+    items = list_items(values[0])
+    if items is None:
+        return []
+    pool = list(dict.fromkeys(items))
+    found = []
+    for n in range(0, bound + 1):
+        for combo in itertools.product(pool, repeat=n):
+            cand = make_list(combo)
+            d = term_depth(cand)
+            if d <= bound:
+                found.append((cand, d))
+    return found
+
+
+def _concatenation(terms, values, value_depth, bound) -> list:
+    head, tail = values
+    k = list_items(head)
+    if k is None:
+        return []
+    d = max(value_depth(terms[0], head), len(k) + value_depth(terms[1], tail))
+    return [(make_list(k, tail=tail), d)]
+
+
+class GuardKind(NamedTuple):
+    """What one guard of the spec language means to every site that reads it
+    (the README's guard table shows each)."""
+
+    signature: tuple  # per argument: "term", "atom" (a template) or "set" (a set name)
+    test: Callable  # test(guard, term arguments under the match, facts, resolver)
+    facts: tuple = ()  # what a holding guard says of its one argument: "list", "ground"
+    # (output position, input positions, generate): generate(input terms, their values,
+    # value_depth, depth bound) gives the output's (value, depth) candidates
+    mode: Optional[tuple] = None
+    forces: tuple = ()  # ((from, to), ...): forced ground at positions from forces to
+
+
+GUARDS = {
+    "any": GuardKind((), lambda guard, args, facts, resolver: True),
+    "list": GuardKind(("term",), lambda guard, args, facts, resolver:
+                      definitely_list(args[0], facts), facts=("list",)),
+    "ground": GuardKind(("term",), lambda guard, args, facts, resolver:
+                        definitely_ground(args[0], facts), facts=("ground",)),
+    "ground_list": GuardKind(("term",), lambda guard, args, facts, resolver:
+                             definitely_list(args[0], facts) and definitely_ground(args[0], facts),
+                             facts=("list", "ground")),
+    "member": GuardKind(("term", "term"), _member, mode=(0, (1,), _members),
+                        forces=(((1,), (0,)),)),
+    "subset": GuardKind(("term", "term"), _subset, mode=(0, (1,), _sublists),
+                        forces=(((1,), (0,)),)),
+    "concat": GuardKind(("term", "term", "term"), _concat, mode=(2, (0, 1), _concatenation),
+                        forces=(((2,), (0, 1)), ((0, 1), (2,)))),
+    "eq": GuardKind(("term", "term"), lambda guard, args, facts, resolver: args[0] == args[1],
+                    forces=(((1,), (0,)), ((0,), (1,)))),
+    "notin": GuardKind(("atom", "set"), _notin),
+}
+
+
 def guard_holds(guard: Guard, env: dict, facts=None, resolver=None) -> bool:
-    """Sound evaluation of a guard under a matching environment."""
-    name = guard.name
-    if name == "any":
-        return True
-    args = [
-        env.get(a.name, a) if a.__class__ is Var else apply(env, a)
-        for a in guard.args if not isinstance(a, str)
-    ]
-    if name == "list":
-        return definitely_list(args[0], facts)
-    if name == "ground":
-        return definitely_ground(args[0], facts)
-    if name == "ground_list":
-        return definitely_list(args[0], facts) and definitely_ground(args[0], facts)
-    if name == "member":
-        items = list_items(args[1])
-        return items is not None and args[0] in items
-    if name == "subset":
-        a, b = list_items(args[0]), list_items(args[1])
-        return a is not None and b is not None and all(x in b for x in a)
-    if name == "concat":
-        a = list_items(args[0])
-        return a is not None and args[2] == make_list(a, tail=args[1])
-    if name == "eq":
-        return args[0] == args[1]
-    if name == "notin":
-        if resolver is None:
-            return False
-        target = resolver.get(guard.args[1])
-        if target is None:
-            raise KeyError(f"unknown set name {guard.args[1]!r} in notin guard")
-        return not possibly_contains(target, args[0], resolver)
-    raise ValueError(f"unknown guard {name!r}")  # pragma: no cover
+    """Sound evaluation of a guard under a matching environment: its ground
+    test on its term arguments under ``env``."""
+    args = [env.get(a.name, a) if a.__class__ is Var else apply(env, a) for a in guard.terms]
+    return GUARDS[guard.name].test(guard, args, facts, resolver)
+
+
+def _list_vars(guards) -> set:
+    """The variables that are a whole argument of a guard whose facts say it
+    is a list."""
+    return {g.args[0].name for g in guards
+            if "list" in GUARDS[g.name].facts and isinstance(g.args[0], Var)}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +289,7 @@ def membership_reads(s: AtomSet, atom: Pred) -> set:
         t = p.template
         if (t.name, len(t.args)) != key:
             continue
-        guarded = vars_of(tuple(a for g in p.guards for a in g.args if not isinstance(a, str)))
+        guarded = vars_of(tuple(a for g in p.guards for a in g.terms))
         for i in list(free):
             x, others = t.args[i], t.args[:i] + t.args[i + 1:]
             if not isinstance(x, Var) or x.name in guarded or x.name in vars_of(others):
@@ -257,8 +314,9 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     """Ground atoms of argument depth <= depth matching one guarded pattern.
 
     Enumeration is guard-driven: list-guarded variables range over ground
-    lists, concat outputs are computed rather than searched, and member /
-    subset arguments are drawn from the already-chosen list.  A leaf's
+    lists, and the output of a guard with a generation mode (``GUARDS``:
+    concat's result, member's element, subset's sublist) is computed from
+    its inputs once they are chosen, rather than searched.  A leaf's
     assignment is the template's match, so every guard is evaluated on it
     and each atom is built once.  Every value carries its depth, read from
     the pools or derived from how the value was made.  The pools hold
@@ -273,21 +331,14 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     """
     template = pattern.template
     tvars = vars_of(template)
-    kinds: dict = {}
-    for g in pattern.guards:
-        if g.name in ("list", "ground_list") and isinstance(g.args[0], Var):
-            kinds[g.args[0].name] = "list"
+    lists = _list_vars(pattern.guards)
 
-    # Functional/source guards: output variable <- recipe.
-    func: dict = {}
+    func: dict = {}  # output variable -> (the input terms, the generator)
     for g in pattern.guards:
-        if g.name == "concat" and isinstance(g.args[2], Var):
-            func.setdefault(g.args[2].name, ("concat", g))
-        elif g.name == "member" and isinstance(g.args[0], Var):
-            func.setdefault(g.args[0].name, ("member", g))
-        elif g.name == "subset" and isinstance(g.args[0], Var):
-            func.setdefault(g.args[0].name, ("subset", g))
-    inputs = {v: _func_input_vars(entry) for v, entry in func.items()}
+        mode = GUARDS[g.name].mode
+        if mode is not None and isinstance(g.args[mode[0]], Var):
+            func.setdefault(g.args[mode[0]].name, (tuple(g.args[i] for i in mode[1]), mode[2]))
+    inputs = {v: vars_of(terms) for v, (terms, _) in func.items()}
 
     # Assignment order: plain variables first, functional outputs once ready.
     order = []
@@ -316,7 +367,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     out = []
     targs = template.args
     depths: dict = {}  # the depth of each assigned value
-    pools: dict = {}  # "term" and "list" -> the pool's entries, once built
+    pools: list = []  # the entries of every term, then of the lists, once built
 
     def value_depth(t: Term, value: Term) -> int:
         return depths[t.name] if t.__class__ is Var else term_depth(value)
@@ -324,34 +375,13 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     def candidates(v, env: dict):
         """``(value, depth, ...)`` tuples for ``v``, in enumeration order."""
         if v in func and all(n in env for n in inputs[v]):
-            kind, g = func[v]
-            if kind == "concat":
-                head, tail = apply(env, g.args[0]), apply(env, g.args[1])
-                k = list_items(head)
-                if k is None:
-                    return []
-                d = max(value_depth(g.args[0], head), len(k) + value_depth(g.args[1], tail))
-                return [(make_list(k, tail=tail), d)]
-            src = list_items(apply(env, g.args[1]))
-            if src is None:
-                return []
-            if kind == "member":
-                return [(x, term_depth(x)) for x in dict.fromkeys(src)]
-            # subset: lists over the source elements, up to the depth bound
-            pool = list(dict.fromkeys(src))
-            found = []
-            for n in range(0, depth + 1):
-                for combo in itertools.product(pool, repeat=n):
-                    cand = make_list(combo)
-                    d = term_depth(cand)
-                    if d <= depth:
-                        found.append((cand, d))
-            return found
+            terms, generate = func[v]
+            return generate(terms, [apply(env, t) for t in terms], value_depth, depth)
         if not pools:
-            pools["term"] = [(t, term_depth(t), len(list_items(t) or ()))
-                             for t in ground_terms(alphabet, depth)]
-            pools["list"] = [e for e in pools["term"] if is_list(e[0])]
-        pool = pools[kinds.get(v, "term")]
+            every = [(t, term_depth(t), len(list_items(t) or ()))
+                     for t in ground_terms(alphabet, depth)]
+            pools.extend((every, [e for e in every if is_list(e[0])]))
+        pool = pools[1] if v in lists else pools[0]
         max_len = max_depth = depth
         for other in len_cuts.get(v, ()):
             if other in env:
@@ -383,15 +413,6 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
 
     assign(0, {})
     return out
-
-
-def _func_input_vars(entry):
-    kind, g = entry
-    src = g.args[:2] if kind == "concat" else g.args[1:2]
-    names = []
-    for t in src:
-        names.extend(vars_of(t))
-    return names
 
 
 def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
@@ -503,28 +524,18 @@ def _maximal_filter(members):
     return kept
 
 
-# guard name -> ((from, to), ...): when every variable of the arguments at
-# the positions ``from`` is forced ground, so is every variable of those at ``to``
-_FORCES = {
-    "member": (((1,), (0,)),),
-    "subset": (((1,), (0,)),),
-    "concat": (((2,), (0, 1)), ((0, 1), (2,))),
-    "eq": (((1,), (0,)), ((0,), (1,))),
-}
-
-
 def forced_ground(guards: tuple) -> set:
-    """The variables the guards force ground: those of a ``ground`` or
-    ``ground_list`` argument, then, to a fixpoint, those of a ``member``,
-    ``subset``, ``concat`` or ``eq`` side whose other side (``_FORCES``)
-    holds only forced variables."""
+    """The variables the guards force ground: those of an argument whose
+    guard's facts say it is ground, then, to a fixpoint, those of the side
+    of a forcing rule (``GUARDS``) whose other side holds only forced
+    variables."""
     forced = set()
     for g in guards:
-        if g.name in ("ground", "ground_list"):
+        if "ground" in GUARDS[g.name].facts:
             forced.update(vars_of(g.args[0]))
     rules = [
         (vars_of(tuple(g.args[i] for i in src)), vars_of(tuple(g.args[i] for i in dst)))
-        for g in guards for src, dst in _FORCES.get(g.name, ())
+        for g in guards for src, dst in GUARDS[g.name].forces
     ]
     changed = True
     while changed:
@@ -562,8 +573,7 @@ def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None):
     forced = pattern.closed_form
     if forced is None:
         return _lattice_generalizations(a, pattern, resolver)
-    lists = {g.args[0].name for g in pattern.guards
-             if g.name == "list" and isinstance(g.args[0], Var)}
+    lists = _list_vars(pattern.guards)
     fresh = itertools.count(1)
     env = dict(theta)  # the candidate's match: what ``contains`` checks the guards on
     for v in vars_of(pattern.template):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .atomsets import UNIVERSAL, AtomPattern, AtomSet, Guard, GUARD_ARITIES
+from .atomsets import GUARDS, UNIVERSAL, AtomPattern, AtomSet, Guard
 from .engine import Budget, Program
 from .levels import LevelMapping
 from .terms import (
@@ -430,20 +430,20 @@ class _SpecEntryParser(_Parser):
     def parse_guard(self) -> Guard:
         tok = self.expect("name")
         name = tok.value
-        if name not in GUARD_ARITIES:
+        if name not in GUARDS:
             self.error(f"unknown guard {name!r}", tok)
-        arity = GUARD_ARITIES[name]
+        signature = GUARDS[name].signature
         args: list = []
-        if arity:
+        if signature:
             self.expect("punct", "(")
-            for k in range(arity):
+            for k, kind in enumerate(signature):
                 if k:
                     self.expect("punct", ",")
-                if name == "notin" and k == 1:
+                if kind == "set":
                     ref = self.expect("name")
                     self.set_refs.append(ref)
                     args.append(ref.value)
-                elif name == "notin" and k == 0:
+                elif kind == "atom":
                     args.append(self.parse_atom(allow_cut=False))
                 else:
                     args.append(self.parse_term())
@@ -608,7 +608,7 @@ def resolve_alphabet(program: Program, query: tuple = (), suite: Optional[SpecSu
             listed.append(s.atoms)
             for p in s.patterns:
                 listed.append(p.template)
-                listed.extend(a for g in p.guards for a in g.args if not isinstance(a, str))
+                listed.extend(a for g in p.guards for a in g.terms)
     inferred = infer_alphabet(program.clauses, query, listed)
     if suite is not None and suite.alphabet is not None:
         return merge_alphabets(suite.alphabet, inferred)

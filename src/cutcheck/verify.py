@@ -20,10 +20,10 @@ from .atomsets import (
     AtomPattern,
     AtomSet,
     CapHit,
+    GUARDS,
     Guard,
     contains,
     enumerate_atoms,
-    guard_holds,
     max_generalizations,
     membership_reads,
     set_predicates,
@@ -118,6 +118,14 @@ class _CheckContext:
         resolver."""
         return self._once((s, cap, predicate), lambda: enumerate_atoms(
             s, self.alphabet, self.depth, self.resolver, cap, predicate=predicate))
+
+    def transformed(self, program: Program, query: tuple, suite: SpecSuite) -> "_CheckContext":
+        """The context of the check ``query_transform`` made of this one's,
+        with its ground terms: the transform adds only a predicate."""
+        ctx = _CheckContext(program, query, suite)
+        if "ground terms" in self._computed:
+            ctx._computed["ground terms"] = self._computed["ground terms"]
+        return ctx
 
     def atom_text(self, a: Pred) -> str:
         if a is not self._atom:
@@ -408,51 +416,40 @@ def _correct_check(program: Program, suite: SpecSuite, ctx: _CheckContext) -> Ve
 # ---------------------------------------------------------------------------
 
 
-def _guard_facts(guard: Guard, env: dict, resolver):
-    """Facts a *holding* guard gives about the variables of the matched term.
+def _guard_facts(guard: Guard, env: dict, facts: dict, resolver):
+    """The match ``env`` refined by a *holding* guard, with what the guard
+    tells of the variables of the matched term added to ``facts``; None when
+    no instance can satisfy the guard.
 
-    Returns (facts dict | 'drop' | None, refined substitution | None):
-    'drop' means no instance can satisfy the guard; None facts means the
-    guard gives no usable information (kept as an over-approximation).
+    A guard with facts (``GUARDS``) marks its argument: ``ground`` marks
+    every variable in it, and ``list`` the variable that ends its list
+    spine, or drops the branch when the spine ends in a non-list.  ``eq``
+    refines the match by the unifier of its sides.  Any other guard drops
+    the branch only when its arguments are ground and its ground test fails,
+    and one that reads a named set (``notin``) tells nothing.
     """
-    name = guard.name
-    if name == "any":
-        return {}, None
-    args = [apply(env, a) for a in guard.args if not isinstance(a, str)]
-    if name in ("list", "ground_list"):
-        facts: dict = {}
-        t = args[0]
-        while True:
-            if isinstance(t, Var):
-                flags = {"list"} if name == "list" else {"list", "ground"}
-                facts.setdefault(t.name, set()).update(flags)
-                break
-            if isinstance(t, Compound) and t.functor == "[]" and not t.args:
-                break
-            if isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
-                if name == "ground_list":
-                    for v in vars_of(t.args[0]):
-                        facts.setdefault(v, set()).add("ground")
+    kind = GUARDS[guard.name]
+    args = [apply(env, a) for a in guard.terms]
+    if kind.facts:
+        if "ground" in kind.facts:
+            for v in vars_of(args[0]):
+                facts.setdefault(v, set()).add("ground")
+        if "list" in kind.facts:
+            t = args[0]
+            while isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
                 t = t.args[1]
-            else:
-                return "drop", None
-        return facts, None
-    if name == "ground":
-        facts = {v: {"ground"} for v in vars_of(args[0])}
-        return facts, None
-    if name == "eq":
+            if isinstance(t, Var):
+                facts.setdefault(t.name, set()).add("list")
+            elif not (isinstance(t, Compound) and t.functor == "[]" and not t.args):
+                return None
+        return env
+    if guard.name == "eq":  # the one guard whose facts are a unifier
         theta = unify(args[0], args[1])
-        if theta is None:
-            return "drop", None
-        return {}, theta
-    if name in ("member", "subset", "concat"):
-        # Definitely unsatisfiable only when the ground skeleton already fails.
-        if all(is_ground(t) for t in args) and not guard_holds(guard, env, None, resolver):
-            return "drop", None
-        return None, None
-    if name == "notin":
-        return None, None
-    raise ValueError(f"unknown guard {name!r}")  # pragma: no cover
+        return None if theta is None else compose(env, theta)
+    if ("set" not in kind.signature and all(is_ground(t) for t in args)
+            and not kind.test(guard, args, None, resolver)):
+        return None
+    return env
 
 
 def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbidden: set,
@@ -480,36 +477,19 @@ def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbi
             continue
         new_facts = {k: set(v) for k, v in facts.items()}
         refined = theta
-        dropped = False
         for g in variant_pattern.guards:
-            got, extra_theta = _guard_facts(g, refined, resolver)
-            if got == "drop":
-                dropped = True
+            refined = _guard_facts(g, refined, new_facts, resolver)
+            if refined is None:
                 break
-            if extra_theta is not None:
-                refined = compose(refined, extra_theta)
-            if got:
-                for k, flags in got.items():
-                    new_facts.setdefault(k, set()).update(flags)
-        if dropped:
-            continue
-        out.append((compose(sigma, refined), new_facts))
+        else:
+            out.append((compose(sigma, refined), new_facts))
     return out
-
-
-def _guard_var_names(p: AtomPattern) -> set:
-    names = set(vars_of(p.template))
-    for g in p.guards:
-        for a in g.args:
-            if not isinstance(a, str):
-                names.update(vars_of(a))
-    return names
 
 
 def _rename_pattern(p: AtomPattern, forbidden: set, fresh: FreshNames) -> AtomPattern:
     """A variant of ``p`` sharing no variable with ``forbidden``, which is
     extended with the variant's variables."""
-    own = _guard_var_names(p)
+    own = set(vars_of((p.template,) + tuple(t for g in p.guards for t in g.terms)))
     bundle = tuple(Var(v) for v in own)
     renamed = rename_apart(bundle, forbidden, fresh)
     forbidden.update(r.name for r in renamed)
@@ -1060,13 +1040,14 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     stages and no pruned tree.
     """
     start = time.perf_counter()
+    ctx = _CheckContext(program, query, suite)
     if any(a is CUT for a in query):
         try:
-            extra, query, suite = query_transform(query, program, suite)
+            extra, query, suite = _query_transform(query, program, suite, ctx)
         except CapHit as exc:
             return CheckReport.of("complete", Verdict.unknown(str(exc)), suite, start, [], ())
         program = Program(program.clauses + tuple(extra))
-    ctx = _CheckContext(program, query, suite)
+        ctx = ctx.transformed(program, query, suite)
 
     pt = pruned_tree(program, query, suite.budget)  # the check reads only exactness
     tree_v = (
@@ -1119,7 +1100,10 @@ def query_transform(query: tuple, program: Program, suite: SpecSuite):
     ``INSTANCE_CAP`` instances would have to be enumerated: a truncated
     extension would let the completeness check verify a smaller S.
     """
-    ctx = _CheckContext(program, query, suite)
+    return _query_transform(query, program, suite, _CheckContext(program, query, suite))
+
+
+def _query_transform(query: tuple, program: Program, suite: SpecSuite, ctx: _CheckContext):
     _check_groundings(vars_of(query), ctx)  # every grounding is tested: fail before the first
     name = _fresh_pred_name(program, query, suite.s, suite.pre, suite.post)
     head = Pred(name, tuple(Var(v) for v in vars_of(query)))

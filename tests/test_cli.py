@@ -33,6 +33,7 @@ from cutcheck import (
     recurrent_check,
     semi_complete,
 )
+from cutcheck.atomsets import GUARDS
 from cutcheck.cli import CHECK_KINDS, build_parser, main
 from cutcheck.terms import InputError
 
@@ -539,23 +540,29 @@ class TestPublicSurface:
                     takers.append(name)
         assert takers == []
 
-    def test_every_exported_name_is_read_in_src_or_documented(self):
-        """A name of ``cutcheck.__all__`` is read by some module of the package
-        other than ``__init__.py`` (a line that does not define it names it),
-        or the README names it."""
-        package = Path(cutcheck.__file__).parent
-        readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
-        lines = [line for path in package.glob("*.py") if path.name != "__init__.py"
-                 for line in path.read_text(encoding="utf-8").splitlines()]
-        unread = []
-        for name in cutcheck.__all__:
-            used = re.compile(rf"(?<![\w.]){re.escape(name)}\b")
-            defined = re.compile(rf"^(?:def |class ){re.escape(name)}\b|^{re.escape(name)} *[:=]")
-            if f"`{name}`" not in readme and not any(
-                used.search(line) and not defined.match(line) for line in lines
-            ):
-                unread.append(name)
-        assert unread == []
+    def test_every_exported_name_is_in_the_readme(self):
+        """The README names every name of ``cutcheck.__all__`` in backquotes."""
+        readme = (Path(cutcheck.__file__).parent.parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        assert [name for name in cutcheck.__all__ if f"`{name}`" not in readme] == []
+
+    def test_the_readme_guard_table_mirrors_the_code(self):
+        """The README's guard table lists the guards of ``atomsets.GUARDS``,
+        each with the arity of its signature."""
+        readme = (Path(cutcheck.__file__).parent.parent.parent / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = readme.index(
+            "| guard | arity | ground test | generation mode | forcing rules | facts |")
+        rows = {}
+        for line in readme[start + 2:]:
+            if not line.startswith("|"):
+                break
+            m = re.match(r"\| `(\w+)(?:\(([^)]*)\))?` \| (\d+) \|", line)
+            assert m, line
+            name, params, arity = m.groups()
+            assert (len(params.split(", ")) if params else 0) == int(arity), line
+            rows[name] = int(arity)
+        assert rows == {name: len(kind.signature) for name, kind in GUARDS.items()}
 
 
 FIXTURE_PAIRS = (

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -29,18 +30,20 @@ from cutcheck import (
     well_asserted_clause,
     well_asserted_query,
 )
-from cutcheck.atomsets import AtomPattern, CapHit, Guard, contains, membership_reads
+from cutcheck.atomsets import (
+    GUARDS, AtomPattern, CapHit, Guard, contains, guard_holds, membership_reads,
+)
 from cutcheck.cli import main
 from cutcheck.levels import LevelMapping, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import (
     CUT, Alphabet, Clause, Compound, Pred, Var, apply, ground_atoms, ground_terms, is_ground,
-    make_list, match, vars_of,
+    is_list, make_list, match, vars_of,
 )
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
-    _CheckContext, _CoverSearch, _atom_size, _covering_instance, _cs_correct, _s_coverage,
-    _s_subset_post, _s_true_instances, _slice_coverage, s_subset_post_check,
+    _CheckContext, _CoverSearch, _atom_size, _covering_instance, _cs_correct, _guard_facts,
+    _s_coverage, _s_subset_post, _s_true_instances, _slice_coverage, s_subset_post_check,
 )
 
 import full_product
@@ -1175,13 +1178,18 @@ class TestMemoScope:
         assert calls["contexts"] == 1 and len(calls["ground_terms"]) <= 1
 
     def test_a_cut_query_enumerates_each_key_once(self, monkeypatch):
-        # query_transform builds its own context: the program and sets it checks differ
+        # the transformed check gets a context of its own, since its program and sets
+        # differ, but keeps the ground terms: its alphabet adds only a predicate
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
+        query = parse_query("p(X, Z), !")
+        extra, query2, suite2 = query_transform(query, prog, suite)
+        transformed = resolve_alphabet(Program(prog.clauses + tuple(extra)), query2, suite2)
+        assert transformed.functors == resolve_alphabet(prog, query, suite).functors
         calls = self.record(monkeypatch)
-        completeness_check(prog, parse_query("p(X, Z), !"), suite)
+        completeness_check(prog, query, suite)
         keys, built = calls["enumerations"], calls["ground_terms"]
         assert keys and len(set(keys)) == len(keys)
-        assert calls["contexts"] == 2 and len(built) == len(set(built)) == 2
+        assert calls["contexts"] == 2 and len(built) == 1
 
     def test_acceptable_check_shares_one_context(self, monkeypatch):
         # the model part grounds the clauses and refutes; the level part is not reached
@@ -1227,3 +1235,53 @@ class TestCandidates:
         report = completeness_check(prog, query, suite)
         assert report.verdict.is_verified, report.to_text()
         assert oracle_tree_complete(prog, query, suite).is_verified
+
+
+class TestGuardFacts:
+    """The facts the well-asserted walk draws from a holding guard agree with
+    ground enumeration: a dropped branch has no grounding that satisfies the
+    guard, a ``list`` fact holds on every grounding that does, and every
+    grounding that satisfies ``eq`` is an instance of the refined match."""
+
+    NIL = Compound("[]")
+    ALPHA = Alphabet((("a", 0), ("[]", 0), (".", 2)), (("q", 1),))
+    RESOLVER = {"s": AtomSet(atoms=(Pred("q", (a,)),),
+                             patterns=(AtomPattern(Pred("q", (Var("E"),)),
+                                                   (Guard("list", (Var("E"),)),)),))}
+
+    def random_arg(self, rng, depth=2):
+        if depth == 0 or rng.random() < 0.45:
+            return rng.choice([Var("X"), Var("Y"), a, self.NIL])
+        return Compound(".", (self.random_arg(rng, depth - 1), self.random_arg(rng, depth - 1)))
+
+    def random_guard(self, rng, name):
+        args = [Pred("q", (self.random_arg(rng),)) if kind == "atom"
+                else "s" if kind == "set" else self.random_arg(rng)
+                for kind in GUARDS[name].signature]
+        return Guard(name, tuple(args))
+
+    def test_facts_agree_with_ground_enumeration(self):
+        rng = random.Random(21)
+        terms = ground_terms(self.ALPHA, 2)
+        seen = {"drop": 0, "list": 0, "unifier": 0, "held": 0}
+        for name in sorted(GUARDS):
+            for _ in range(30):
+                g = self.random_guard(rng, name)
+                facts: dict = {}
+                refined = _guard_facts(g, {}, facts, self.RESOLVER)
+                names = vars_of(g.terms)
+                pick = Pred("t", tuple(Var(v) for v in names))
+                lists = [v for v, flags in facts.items() if "list" in flags]
+                for combo in itertools.product(terms, repeat=len(names)):
+                    sigma = dict(zip(names, combo))
+                    if not guard_holds(g, sigma, None, self.RESOLVER):
+                        continue
+                    seen["held"] += 1
+                    assert refined is not None, (g, sigma)
+                    assert all(is_list(sigma[v]) for v in lists), (g, sigma, facts)
+                    assert match(apply(refined, pick), apply(sigma, pick)) is not None, (
+                        g, sigma, refined)
+                seen["drop"] += refined is None
+                seen["list"] += bool(lists)
+                seen["unifier"] += bool(refined)
+        assert min(seen.values()) >= 5, seen
