@@ -54,12 +54,9 @@ class Program:
 
 @dataclass(frozen=True)
 class LdStep:
-    """One derivation step: the mgu and the clause variant used.
-
-    The mgu is this step's own, not composed with the steps above it; the
-    pruned-tree walk keeps the bindings of the root path and resolves the
-    query through them only at success leaves.  A cut-consumption step has
-    ``clause_index is None`` and an empty mgu.
+    """One derivation step as ``ld_expand`` returns it: the mgu and the
+    clause variant used.  A cut-consumption step has ``clause_index is None``
+    and an empty mgu.  A tree node keeps only the mgu.
     """
 
     mgu: dict
@@ -76,14 +73,16 @@ TRUNCATED = "truncated"
 @dataclass
 class Node:
     """A derivation node: its query, already instantiated by every mgu on its
-    root path, and the step that produced it from its parent (None at the
-    root).  Only the step's own mgu is kept; see ``LdStep``."""
+    root path, and the mgu of the step that produced it from its parent
+    (empty at the root).  The mgu is the step's own, not composed with the
+    steps above it; the pruned-tree walk keeps the bindings of the root path
+    and resolves the query through them only at success leaves."""
 
     id: int
     query: tuple
     origins: tuple  # per atom: id of the node whose clause application introduced it
     parent: Optional[int]
-    step: Optional[LdStep]
+    mgu: dict
     depth: int
     children: list = field(default_factory=list)
     status: str = OPEN
@@ -132,11 +131,7 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     variables of each clause variant used, keeping the whole derivation
     standardized apart.
 
-    ``forbidden`` must hold every variable of ``query``.  The clause variant
-    then shares no variable with the tail ``query[1:]``, so an mgu that binds
-    no variable of the selected atom binds only variant variables and leaves
-    the tail as it is: the tail is joined on unchanged when the mgu is empty
-    or touches only the clause, and substituted only otherwise.
+    ``forbidden`` must hold every variable of ``query``.
     """
     if not query:
         return []
@@ -144,7 +139,6 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     tail = query[1:]
     if selected is CUT:
         return [(tail, LdStep({}, None, None))]
-    selected_vars = None
     out = []
     for idx, clause in program.matching(selected):
         variant = rename_apart(clause, forbidden, fresh)
@@ -152,16 +146,7 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
         if theta is None:
             continue
         forbidden.update(vars_of(variant))
-        if not theta:
-            child = variant.body + tail
-        else:
-            if selected_vars is None:
-                selected_vars = set(vars_of(selected))
-            if selected_vars.isdisjoint(theta):
-                child = apply(theta, variant.body) + tail
-            else:
-                child = apply(theta, variant.body + tail)
-        out.append((child, LdStep(theta, idx, variant)))
+        out.append((apply(theta, variant.body + tail), LdStep(theta, idx, variant)))
     return out
 
 
@@ -178,7 +163,7 @@ class TreeBuilder:
         self.budget = budget or Budget()
         self.fresh = FreshNames()
         self.forbidden = set(vars_of(query))
-        root = Node(0, query, tuple(None for _ in query), None, None, 0)
+        root = Node(0, query, tuple(None for _ in query), None, {}, 0)
         self.tree = LdTree(query, [root])
 
     def expand(self, nid: int) -> list:
@@ -202,13 +187,11 @@ class TreeBuilder:
         if len(nodes) + len(expansions) > self.budget.nodes:
             node.status = TRUNCATED
             return []
+        tail_origins = node.origins[1:]
         for child_query, step in expansions:
-            if step.clause_index is None:
-                child_origins = node.origins[1:]
-            else:
-                body_len = len(step.clause_variant.body)
-                child_origins = tuple(nid for _ in range(body_len)) + node.origins[1:]
-            child = Node(len(nodes), child_query, child_origins, nid, step, node.depth + 1)
+            # the atoms before the tail are the clause body, introduced here
+            child_origins = (nid,) * (len(child_query) - len(tail_origins)) + tail_origins
+            child = Node(len(nodes), child_query, child_origins, nid, step.mgu, node.depth + 1)
             nodes.append(child)
             node.children.append(child.id)
         return node.children

@@ -130,7 +130,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
                 for name in trail[frame[2] :]:
                     del bindings[name]
                 del trail[frame[2] :]
-                mgu = nodes[nid].step.mgu
+                mgu = nodes[nid].mgu
                 bindings.update(mgu.items())
                 trail.extend(mgu)
             else:

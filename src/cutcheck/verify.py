@@ -81,10 +81,10 @@ class _CheckContext:
     and the predicate (``enumerate``), a ``_ClauseInfo`` per clause seen
     (kept by the clause's id: the info holds the clause, so the id is not
     reused while the context lives), the texts of ground atom arguments
-    (``texts``, as ``atom_text`` reads it), the text of the last atom
-    rendered, and the c-coverage verdict of each atom the query slice tried
-    (``c_covered``), which the loop over the whole of S reuses when the
-    slice gives way.  None of them outlives the context.
+    (``texts``, as ``atom_text`` reads it), and the c-coverage verdict of
+    each atom the query slice tried (``c_covered``), which the loop over the
+    whole of S reuses when the slice gives way.  None of them outlives the
+    context.
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
@@ -94,7 +94,6 @@ class _CheckContext:
         self.texts: dict = {}  # ground term -> its text
         self._clauses: dict = {}  # id(clause) -> _ClauseInfo
         self.c_covered: dict = {}  # ground atom -> its _c_covered verdict
-        self._atom = self._atom_text = None
         self._computed: dict = {}  # key -> the value computed, or the CapHit it raised
 
     def _once(self, key, compute):
@@ -128,9 +127,7 @@ class _CheckContext:
         return ctx
 
     def atom_text(self, a: Pred) -> str:
-        if a is not self._atom:
-            self._atom, self._atom_text = a, atom_text(a, self.texts)
-        return self._atom_text
+        return atom_text(a, self.texts)
 
     def clause(self, c: Clause) -> "_ClauseInfo":
         info = self._clauses.get(id(c))
@@ -214,19 +211,6 @@ class _CoverSearch:
         if self.visits > VISIT_CAP:
             raise CapHit(f"cover search visit cap {VISIT_CAP} hit at depth {self.ctx.depth}")
 
-    def holds(self, goals: tuple) -> bool:
-        """Whether every non-cut goal of a ground goal list lies in the set,
-        probed in order: what ``solutions`` decides for it (one solution,
-        ``{}``, or none), with the same visits, without a generator."""
-        for g in goals:
-            if g is CUT:
-                continue
-            self._visit()
-            if not contains(self.s, g, self.resolver):
-                return False
-        self._visit()
-        return True
-
     def solutions(self, goals: tuple, sigma: dict):
         """Yield substitutions grounding the goals inside the set.
 
@@ -287,18 +271,13 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
     ``match(clause.head, a)``.  Returns ``("verified", instance)`` when one
     is found, ``("refuted", note)`` when none exists (the head does not
     match, or the search was exhaustive), and ``("unknown", reason)`` when a
-    bound stopped it.  A body the head match leaves ground is probed
-    with ``holds``.
+    bound stopped it.
     """
     if theta is None:
         return "refuted", "head does not match"
     body = apply(theta, clause.body)
     search = _CoverSearch(s, ctx)
     try:
-        if is_ground(body):
-            if search.holds(body):
-                return "verified", Clause(a, body)
-            return "refuted", "no ground body instance in the set"
         for sol in search.solutions(body, {}):
             instance = Clause(a, apply(sol, body))
             if is_ground(instance):
@@ -741,9 +720,6 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
             return Verdict.unknown(str(exc))
         rhos = []
         for h2 in gens:
-            if is_ground(h2):  # then h2 is ``a``, and unifying the head with it is matching
-                rhos.append((theta, a))
-                continue
             h2r = rename_apart(h2, set(vars_of(clause)))
             rho = unify(clause.head, h2r)
             if rho is None:
@@ -759,20 +735,15 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
         search = _CoverSearch(post, ctx)
         etas = []
         try:
-            if is_ground(b0r):
-                etas = [{}] if search.holds(b0r) else []
-            else:
-                for eta in search.solutions(b0r, {}):
-                    etas.append(eta)
+            for eta in search.solutions(b0r, {}):
+                etas.append(eta)
         except CapHit as exc:
             unknown = str(exc)  # the etas found so far can still refute
         if not search.exhaustive:
             unknown = unknown or f"eta enumeration exhausted depth {ctx.depth}"
         for eta in etas:
             reduced = Clause(apply(eta, head_r), apply(eta, b1r))
-            # a ground H rho is ``a`` itself, which the reduced head matches with no binding
-            reduced_theta = {} if head_r is a else match(reduced.head, a)
-            status, found = _covering_instance(a, reduced, reduced_theta, s, ctx)
+            status, found = _covering_instance(a, reduced, match(reduced.head, a), s, ctx)
             if status == "refuted":
                 return Verdict.refuted(
                     {

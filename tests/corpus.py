@@ -15,13 +15,18 @@ The argv set:
   the spec's depth and at ``--depth 1``;
 - ``check complete`` on each pair with the pair's query, with and without a
   trailing cut, at both depths;
+- ``tree``, and ``tree``, ``run`` and ``prune`` with ``--dot``, on the
+  fixture programs with and without a trailing cut, one tree cut off at
+  ``--nodes``; ``check complete`` with ``--dot`` on each pair;
 - the inputs of the CI smoke steps.
 
-A digest covers the exit code, stdout and stderr of one run, with the
-``timing_ms`` field of a check report stripped.  Every run is also checked
-against two invariants, and ``--out`` exits 1 when one fails:
+A digest covers the exit code, stdout and stderr of one run, and the text of
+the DOT file a ``--dot`` run writes, with the ``timing_ms`` field of a check
+report stripped.  Every run is also checked against three invariants, and
+``--out`` exits 1 when one fails:
 
 - the text output, the ``--json`` output and the exit code agree;
+- the text run and the ``--json`` run write the same DOT file;
 - exit 2 comes only with an input error (``error: …`` or ``parse error: …``
   on stderr), and exit 4 never happens.
 """
@@ -38,6 +43,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -57,6 +63,15 @@ QUERIES = {
     "artificial.pl": "p(a, Z)",
     "notp.pl": "notp(b)",
 }
+# the tree commands' programs and queries, each also with a trailing cut, and their bounds
+TREE_RUNS = (
+    ("pruning_tree.pl", "p", ()),
+    ("pruning_tree_modified.pl", "p", ()),
+    ("append.pl", "app(X, Y, [1, 2])", ()),
+    ("artificial.pl", "p(X, Z)", ()),
+    ("notp.pl", "notp(b)", ()),
+    ("in.pl", "in(X, [1, 2])", ("--nodes", "200")),  # an infinite tree, cut off
+)
 EXIT_BY_STATUS = {"verified": 0, "refuted": 1, "unknown": 3}
 # the CI relational-pre smoke step's files
 REL_PROGRAM = "n(X) :- !, !.\nm([], [1 | T]) :- !.\nn([1]) :- !, m(T, [X, 1]).\n"
@@ -78,6 +93,7 @@ class Run:
     rc: object  # the exit code
     out: str
     err: str
+    dot: Optional[str] = None  # the text of the DOT file a --dot run wrote
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +141,29 @@ def _fixture_case(args: tuple) -> Case:
                                       for a in args))
 
 
+def tree_cases(workdir: Path) -> list:
+    """``tree`` and the ``--dot`` runs, each DOT file written under ``workdir``."""
+    dot = ("--dot", str(workdir / "tree.dot"))
+    cases = []
+    for pl, query, bounds in TREE_RUNS:
+        for cut in ("", ", !"):
+            args = (f"fixtures/{pl}", query + cut) + bounds
+            cases.append(_fixture_case(("tree",) + args))
+            for command in ("tree", "run", "prune"):
+                cases.append(_dot_case((command,) + args, dot))
+    for pl, spec in FIXTURE_PAIRS:
+        for cut in ("", ", !"):
+            cases.append(_dot_case(("check", "complete", f"fixtures/{pl}", "--spec",
+                                    f"fixtures/{spec}", "--query", QUERIES[pl] + cut,
+                                    "--depth", "1"), dot))
+    return cases
+
+
+def _dot_case(args: tuple, dot: tuple) -> Case:
+    case = _fixture_case(args)
+    return Case(f"{case.key} --dot tree.dot", case.argv + dot)
+
+
 def smoke_cases(workdir: Path) -> list:
     """The inputs of the CI smoke steps, their files written under ``workdir``."""
     cells = ", ".join(["1"] * 5000)
@@ -153,7 +192,7 @@ def smoke_cases(workdir: Path) -> list:
 
 def all_cases(workdir: Path) -> list:
     """The whole argv set, each argv once."""
-    cases = workload_cases(workdir) + fixture_cases() + smoke_cases(workdir)
+    cases = workload_cases(workdir) + fixture_cases() + tree_cases(workdir) + smoke_cases(workdir)
     return list({c.key: c for c in cases}.values())
 
 
@@ -181,13 +220,17 @@ def _drop_package() -> dict:
 
 
 def run_once(argv) -> Run:
+    dot = Path(argv[argv.index("--dot") + 1]) if "--dot" in argv else None
+    if dot is not None and dot.exists():
+        dot.unlink()  # so that a run that writes none reads no earlier run's
     out, err = io.StringIO(), io.StringIO()
     with fresh_import() as main, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = main(list(argv))
         except SystemExit as exc:  # argparse rejected the arguments
             rc = exc.code
-    return Run(rc, out.getvalue(), err.getvalue())
+    dot_text = dot.read_text(encoding="utf-8") if dot is not None and dot.exists() else None
+    return Run(rc, out.getvalue(), err.getvalue(), dot_text)
 
 
 def run_case(case: Case) -> tuple:
@@ -203,13 +246,14 @@ def stripped(run: Run) -> Run:
         return run
     if isinstance(obj, dict) and "timing_ms" in obj:
         obj.pop("timing_ms")
-        return Run(run.rc, json.dumps(obj), run.err)
+        return Run(run.rc, json.dumps(obj), run.err, run.dot)
     return run
 
 
 def digest(run: Run) -> str:
     run = stripped(run)
-    return hashlib.sha256(json.dumps([run.rc, run.out, run.err]).encode()).hexdigest()
+    parts = [run.rc, run.out, run.err] + ([] if run.dot is None else [run.dot])
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
 def _text_of(command: str, obj: dict) -> str:
@@ -248,6 +292,8 @@ def problems(case: Case, text: Run, as_json: Run) -> list:
             found.append(f"{mode}: internal error, exit {run.rc}: {run.err.strip()}")
         elif run.rc == 2 and not run.err.startswith(("error: ", "parse error: ")):
             found.append(f"{mode}: exit 2 without an input error: {run.err.strip()!r}")
+    if text.dot != as_json.dot:
+        found.append("the text run and the --json run write different DOT files")
     if text.rc != as_json.rc or text.err != as_json.err:
         found.append(f"text exit {text.rc} but --json exit {as_json.rc}")
     elif text.rc in EXIT_BY_STATUS.values():

@@ -1,14 +1,19 @@
 """Single derivations and subderivations, kept as test helpers.
 
 ``branch_derivation`` reads one root-to-node branch of an LD-tree as the
-queries Q_0..Q_n and the steps between them; ``subderivation`` follows a
-prefix of some Q_j until it has fully succeeded.  The tests use them to
-check the standardization-apart and subderivation lemmas on built trees.
+queries Q_0..Q_n and the mgus between them; ``subderivation`` follows a
+prefix of some Q_j until it has fully succeeded.  A tree node keeps only its
+mgu, so ``recorded_steps`` records the clause index and variant of each
+step as ``ld_expand`` returned them.  The tests use these to check the
+standardization-apart and subderivation lemmas on built trees.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
-from cutcheck.engine import LdTree
+from cutcheck import engine
+from cutcheck.engine import LdTree, TreeBuilder
 from cutcheck.terms import apply, canonical
 
 
@@ -17,12 +22,37 @@ def variant_equal(a, b) -> bool:
     return canonical(a) == canonical(b)
 
 
+@contextmanager
+def recorded_steps():
+    """Record the ``LdStep`` behind each LD-tree node materialised in the
+    block.  Yields a dict from each tree built to its {node id: step}; the
+    root has no step."""
+    steps: dict = {}
+    last: list = []  # the steps of the latest ``ld_expand`` call
+    real_ld_expand, real_expand = engine.ld_expand, TreeBuilder.expand
+
+    def ld_expand(*args):
+        out = real_ld_expand(*args)
+        last[:] = [step for _, step in out]
+        return out
+
+    def expand(builder, nid):
+        last.clear()
+        children = real_expand(builder, nid)
+        steps.setdefault(builder.tree, {}).update(zip(children, last))
+        return children
+
+    with mock.patch.object(engine, "ld_expand", ld_expand), \
+            mock.patch.object(TreeBuilder, "expand", expand):
+        yield steps
+
+
 @dataclass
 class Derivation:
-    """A single branch: queries Q_0..Q_n and the steps between them."""
+    """A single branch: queries Q_0..Q_n and the mgus between them."""
 
     queries: list
-    steps: list  # len == len(queries) - 1
+    mgus: list  # len == len(queries) - 1
 
     def __len__(self):
         return len(self.queries)
@@ -32,7 +62,7 @@ def branch_derivation(tree: LdTree, nid: int) -> Derivation:
     chain = tree.ancestors(nid)
     return Derivation(
         [tree.nodes[i].query for i in chain],
-        [tree.nodes[i].step for i in chain[1:]],
+        [tree.nodes[i].mgu for i in chain[1:]],
     )
 
 
@@ -55,13 +85,13 @@ def subderivation(d: Derivation, j: int, prefix_len: int):
     inst_prefix = prefix
     for m in range(j, len(d.queries)):
         if m > j:
-            theta = d.steps[m - 1].mgu
+            theta = d.mgus[m - 1]
             inst_suffix = apply(theta, inst_suffix)
             inst_prefix = apply(theta, inst_prefix)
         if d.queries[m] == inst_suffix:
             return (
-                Derivation(d.queries[j : m + 1], d.steps[j:m]),
+                Derivation(d.queries[j : m + 1], d.mgus[j:m]),
                 True,
                 inst_prefix,
             )
-    return (Derivation(d.queries[j:], d.steps[j:]), False, None)
+    return (Derivation(d.queries[j:], d.mgus[j:]), False, None)

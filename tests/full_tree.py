@@ -62,8 +62,7 @@ def computed_answer(tree: LdTree, nid: int) -> tuple:
     cur = nid
     while cur is not None:
         node = tree.nodes[cur]
-        if node.step is not None:
-            bindings.update(node.step.mgu.items())
+        bindings.update(node.mgu.items())
         cur = node.parent
     return resolve(bindings, tree.query)
 

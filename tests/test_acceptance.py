@@ -57,7 +57,7 @@ from conftest import (
     random_propositional_program,
     random_term_program,
 )
-from derivations import branch_derivation, subderivation, variant_equal
+from derivations import branch_derivation, recorded_steps, subderivation, variant_equal
 from fixpoint import fixpoint_prune, walk_and_fixpoint
 from naive_unify import is_idempotent, naive_apply, naive_unify, occurs, range_vars
 
@@ -378,14 +378,18 @@ class TestCriterion8CoreAlgebra:
             src = random_term_program(rng, max_clauses=4)
             prog = parse_program(src)
             query = parse_query(f"{rng.choice(['p', 'q', 'r'])}(g(X, Y))")
-            tree = build_tree(prog, query, Budget(nodes=60, steps=12))
+            with recorded_steps() as steps:
+                tree = build_tree(prog, query, Budget(nodes=60, steps=12))
             leaves = [n.id for n in tree.nodes if not n.children]
             if not leaves:
                 continue
-            d = branch_derivation(tree, rng.choice(leaves))
+            leaf = rng.choice(leaves)
+            d = branch_derivation(tree, leaf)
             checked_derivations += 1
             seen_vars = set(vars_of(d.queries[0]))
-            for i, step in enumerate(d.steps):
+            for i, nid in enumerate(tree.ancestors(leaf)[1:]):
+                step = steps[tree][nid]
+                assert step.mgu is d.mgus[i]
                 if step.clause_variant is None:
                     continue
                 vvars = set(vars_of(step.clause_variant))

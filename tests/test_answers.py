@@ -18,6 +18,7 @@ from cutcheck.engine import SUCCESS
 from cutcheck.terms import CUT, canonical
 
 from conftest import load_program, pruned_answers
+from derivations import recorded_steps
 from full_tree import preorder
 from naive_unify import naive_apply, naive_compose, naive_unify
 
@@ -29,9 +30,10 @@ mem(X, [H|T]) :- mem(X, T).
 """
 
 
-def naive_answers(pt) -> list:
+def naive_answers(pt, steps: dict) -> list:
     """The root query under the naively recomputed and composed mgus of the
-    root path of every kept Success leaf, in preorder."""
+    root path of every kept Success leaf, in preorder.  ``steps`` is the
+    tree's {node id: step} from ``recorded_steps``."""
     tree = pt.base
     out = []
     for nid in preorder(tree, pt.kept).ids:
@@ -40,21 +42,22 @@ def naive_answers(pt) -> list:
         sigma = {}
         chain = tree.ancestors(nid)
         for parent, child in zip(chain, chain[1:]):
-            step = tree.nodes[child].step
+            step, mgu = steps[child], tree.nodes[child].mgu
             selected = tree.nodes[parent].query[0]
             if step.clause_index is None:
-                assert selected is CUT and not step.mgu
+                assert selected is CUT and not mgu
                 continue
             theta = naive_unify(selected, step.clause_variant.head)
-            assert theta == step.mgu
+            assert theta == mgu
             sigma = naive_compose(sigma, theta)
         out.append(naive_apply(sigma, tree.query))
     return out
 
 
 def check_answers(program, query, budget) -> list:
-    pt, got = pruned_answers(program, query, budget)
-    assert got == naive_answers(pt)
+    with recorded_steps() as steps:
+        pt, got = pruned_answers(program, query, budget)
+    assert got == naive_answers(pt, steps[pt.base])
     return got
 
 
@@ -113,8 +116,9 @@ class TestAnswersEqualNaiveComposition:
         for _ in range(300):
             program = parse_program(random_af_program(rng))
             query = parse_query(rng.choice(["p(X)", "q(X, Y)", "q(f(X), X)"]))
-            pt, got = pruned_answers(program, query, Budget(nodes=200, steps=20))
-            assert got == naive_answers(pt)
+            with recorded_steps() as steps:
+                pt, got = pruned_answers(program, query, Budget(nodes=200, steps=20))
+            assert got == naive_answers(pt, steps[pt.base])
             answered += bool(got)
             search = prolog_search(program, query, Budget(steps=200))
             if pt.exact and search.exact:
