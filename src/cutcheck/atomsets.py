@@ -368,6 +368,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     targs = template.args
     depths: dict = {}  # the depth of each assigned value
     pools: list = []  # the entries of every term, then of the lists, once built
+    cut_pools: dict = {}  # (list pool?, max_len, max_depth) -> the cut pool, built once
 
     def value_depth(t: Term, value: Term) -> int:
         return depths[t.name] if t.__class__ is Var else term_depth(value)
@@ -390,7 +391,10 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
             if other in env:
                 max_depth = min(max_depth, depth - len(list_items(env[other]) or ()))
         if max_len < depth or max_depth < depth:
-            pool = [e for e in pool if e[2] <= max_len and e[1] <= max_depth]
+            key = (v in lists, max_len, max_depth)
+            if key not in cut_pools:
+                cut_pools[key] = [e for e in pool if e[2] <= max_len and e[1] <= max_depth]
+            pool = cut_pools[key]
         return pool
 
     def assign(i, env: dict):

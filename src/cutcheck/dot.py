@@ -14,7 +14,7 @@ def _escape(text: str) -> str:
 
 
 def _node_label(tree: LdTree, nid: int) -> str:
-    node = tree.node(nid)
+    node = tree.nodes[nid]
     body = query_text(node.query) if node.query else "□"
     return f"n{nid}: {body}"
 
@@ -32,7 +32,7 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
                 path_edges.add((above, below))
     ids = tree.ids
     for nid in ids:
-        node = tree.node(nid)
+        node = tree.nodes[nid]
         attrs = [f'label="{_escape(_node_label(tree, nid))}"']
         if node.status == TRUNCATED:
             attrs.append("shape=doubleoctagon")
@@ -48,7 +48,7 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
             attrs.append("color=red")
         lines.append(f"  n{nid} [{', '.join(attrs)}];")
     for nid in ids:
-        node = tree.node(nid)
+        node = tree.nodes[nid]
         if node.parent is None:
             continue
         style = []

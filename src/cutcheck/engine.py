@@ -16,11 +16,10 @@ from typing import Optional
 
 from .terms import (
     CUT,
-    Clause,
     FreshNames,
     Pred,
     apply,
-    rename_apart,
+    renaming,
     unify,
     vars_of,
 )
@@ -39,29 +38,20 @@ class Budget:
 class Program:
     clauses: tuple = ()
     _index: dict = field(default=None, init=False, repr=False, compare=False)
+    # per clause: its variable names in first-occurrence order, for every step that renames it
+    clause_vars: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict = {}
         for i, c in enumerate(self.clauses):
             index.setdefault((c.head.name, len(c.head.args)), []).append((i, c))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "clause_vars", tuple(tuple(vars_of(c)) for c in self.clauses))
 
     def matching(self, atom: Pred) -> list:
         """The (index, clause) pairs whose head has the atom's name and arity,
         in clause order.  The list is shared: callers must not modify it."""
         return self._index.get((atom.name, len(atom.args)), [])
-
-
-@dataclass(frozen=True)
-class LdStep:
-    """One derivation step as ``ld_expand`` returns it: the mgu and the
-    clause variant used.  A cut-consumption step has ``clause_index is None``
-    and an empty mgu.  A tree node keeps only the mgu.
-    """
-
-    mgu: dict
-    clause_index: Optional[int] = None
-    clause_variant: Optional[Clause] = None
 
 
 OPEN = "open"
@@ -95,13 +85,6 @@ class LdTree:
         self.query = query
         self.nodes = nodes
 
-    @property
-    def root(self) -> Node:
-        return self.nodes[0]
-
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
-
     def __len__(self):
         return len(self.nodes)
 
@@ -124,12 +107,27 @@ class LdTree:
         return chain
 
 
+def head_step(program: Program, idx: int, atom: Pred, forbidden: set, fresh: FreshNames):
+    """Unify ``atom`` with the head of clause ``idx`` renamed apart from
+    ``forbidden``: ``(theta, rho)``, the mgu and the renaming, or None.  The
+    renaming advances ``fresh`` either way; ``forbidden`` gains the renamed
+    clause's names on success only, and the caller builds the body."""
+    names = program.clause_vars[idx]
+    rho = renaming(names, forbidden, fresh) if names else {}
+    theta = unify(atom, apply(rho, program.clauses[idx].head))
+    if theta is None:
+        return None
+    forbidden.update(names, [v.name for v in rho.values()])  # names rho renames are in it already
+    return theta, rho
+
+
 def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames):
     """All LD-resolvents of a query, in clause order.
 
-    Returns a list of (child query, step).  ``forbidden`` is extended with the
-    variables of each clause variant used, keeping the whole derivation
-    standardized apart.
+    Returns a list of (child query, mgu): the clause body under theta after
+    rho in one pass, then the tail under theta.  ``forbidden`` is extended
+    with the variables of each clause variant used, keeping the whole
+    derivation standardized apart.
 
     ``forbidden`` must hold every variable of ``query``.
     """
@@ -138,15 +136,15 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     selected = query[0]
     tail = query[1:]
     if selected is CUT:
-        return [(tail, LdStep({}, None, None))]
+        return [(tail, {})]
     out = []
     for idx, clause in program.matching(selected):
-        variant = rename_apart(clause, forbidden, fresh)
-        theta = unify(selected, variant.head)
-        if theta is None:
+        step = head_step(program, idx, selected, forbidden, fresh)
+        if step is None:
             continue
-        forbidden.update(vars_of(variant))
-        out.append((apply(theta, variant.body + tail), LdStep(theta, idx, variant)))
+        theta, rho = step
+        sigma = {**theta, **{n: theta.get(r.name, r) for n, r in rho.items()}} if rho else theta
+        out.append((apply(sigma, clause.body) + apply(theta, tail), theta))
     return out
 
 
@@ -188,10 +186,10 @@ class TreeBuilder:
             node.status = TRUNCATED
             return []
         tail_origins = node.origins[1:]
-        for child_query, step in expansions:
+        for child_query, mgu in expansions:
             # the atoms before the tail are the clause body, introduced here
             child_origins = (nid,) * (len(child_query) - len(tail_origins)) + tail_origins
-            child = Node(len(nodes), child_query, child_origins, nid, step.mgu, node.depth + 1)
+            child = Node(len(nodes), child_query, child_origins, nid, mgu, node.depth + 1)
             nodes.append(child)
             node.children.append(child.id)
         return node.children

@@ -32,13 +32,13 @@ from .engine import (
     SUCCESS,
     TRUNCATED,
     TreeBuilder,
+    head_step,
 )
 from .terms import (
     CUT,
     FreshNames,
-    rename_apart,
+    apply,
     resolve,
-    unify,
     vars_of,
 )
 
@@ -208,15 +208,15 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
                 raise _OutOfSteps
             idx = frame.alternatives[frame.pos]
             frame.pos += 1
-            variant = rename_apart(program.clauses[idx], forbidden, fresh)
-            theta = unify(frame.call, variant.head)
-            if theta is None:
+            step = head_step(program, idx, frame.call, forbidden, fresh)
+            if step is None:
                 continue
-            forbidden.update(vars_of(variant))
+            theta, rho = step
             bindings.update(theta.items())
             trail.extend(theta)
-            barriers = tuple(frame.height for _ in variant.body) + frame.barriers[1:]
-            return (variant.body + frame.goals[1:], barriers)
+            body = apply(rho, program.clauses[idx].body)
+            barriers = tuple(frame.height for _ in body) + frame.barriers[1:]
+            return (body + frame.goals[1:], barriers)
         return None
 
     class _OutOfSteps(Exception):

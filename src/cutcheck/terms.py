@@ -141,9 +141,6 @@ class Pred:
         return f"{self.name}/{len(self.args)}"
 
 
-Atom = Union[Pred, CutAtom]
-
-
 @dataclass(frozen=True)
 class Clause:
     """An ordered definite clause; the body may contain cut, the head may not."""
@@ -530,12 +527,15 @@ def rename_apart(clause, forbidden, fresh: Optional[FreshNames] = None):
     a derivation can pass its growing set of used names at constant cost.
     When no variable clashes, the input itself is returned.
     """
-    if fresh is None:
-        fresh = FreshNames()
-    own = vars_of(clause)
-    taken = set(own)  # besides forbidden: the clause's names and those chosen here
+    return apply(renaming(vars_of(clause), forbidden, fresh or FreshNames()), clause)
+
+
+def renaming(names, forbidden, fresh: FreshNames) -> dict:
+    """``rename_apart``'s map for variable names in first-occurrence order:
+    each name in ``forbidden`` to the first free ``{name}{n}`` of the counter."""
+    taken = set(names)  # besides forbidden: the clause's names and those chosen here
     mapping = {}
-    for v in own:
+    for v in names:
         if v in forbidden:
             while True:
                 cand = f"{v}{fresh.n}"
@@ -544,9 +544,7 @@ def rename_apart(clause, forbidden, fresh: Optional[FreshNames] = None):
                     break
             mapping[v] = Var(cand)
             taken.add(cand)
-    if not mapping:
-        return clause
-    return apply(mapping, clause)
+    return mapping
 
 
 def canonical(e):

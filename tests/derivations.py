@@ -4,17 +4,18 @@
 queries Q_0..Q_n and the mgus between them; ``subderivation`` follows a
 prefix of some Q_j until it has fully succeeded.  A tree node keeps only its
 mgu, so ``recorded_steps`` records the clause index and variant of each
-step as ``ld_expand`` returned them.  The tests use these to check the
+step from the head steps ``ld_expand`` makes.  The tests use these to check the
 standardization-apart and subderivation lemmas on built trees.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 from unittest import mock
 
 from cutcheck import engine
 from cutcheck.engine import LdTree, TreeBuilder
-from cutcheck.terms import apply, canonical
+from cutcheck.terms import CUT, Clause, apply, canonical
 
 
 def variant_equal(a, b) -> bool:
@@ -22,27 +23,42 @@ def variant_equal(a, b) -> bool:
     return canonical(a) == canonical(b)
 
 
+class Step(NamedTuple):
+    """One recorded derivation step: a cut-consumption step has
+    ``clause_index`` and ``clause_variant`` None and an empty mgu."""
+
+    mgu: dict
+    clause_index: Optional[int] = None
+    clause_variant: Optional[Clause] = None
+
+
 @contextmanager
 def recorded_steps():
-    """Record the ``LdStep`` behind each LD-tree node materialised in the
-    block.  Yields a dict from each tree built to its {node id: step}; the
-    root has no step."""
+    """Record the step behind each LD-tree node materialised in the block.
+    Yields a dict from each tree built to its {node id: step}; the root has
+    no step.  A resolution step is read from the head step it made, the
+    variant being the whole clause under the step's renaming."""
     steps: dict = {}
-    last: list = []  # the steps of the latest ``ld_expand`` call
-    real_ld_expand, real_expand = engine.ld_expand, TreeBuilder.expand
+    last: list = []  # the resolution steps of the latest expansion
+    real_head_step, real_expand = engine.head_step, TreeBuilder.expand
 
-    def ld_expand(*args):
-        out = real_ld_expand(*args)
-        last[:] = [step for _, step in out]
+    def head_step(program, idx, *args):
+        out = real_head_step(program, idx, *args)
+        if out is not None:
+            theta, rho = out
+            last.append(Step(theta, idx, apply(rho, program.clauses[idx])))
         return out
 
     def expand(builder, nid):
         last.clear()
         children = real_expand(builder, nid)
+        nodes = builder.tree.nodes
+        if children and nodes[nid].query[0] is CUT:
+            last.append(Step(nodes[children[0]].mgu))
         steps.setdefault(builder.tree, {}).update(zip(children, last))
         return children
 
-    with mock.patch.object(engine, "ld_expand", ld_expand), \
+    with mock.patch.object(engine, "head_step", head_step), \
             mock.patch.object(TreeBuilder, "expand", expand):
         yield steps
 

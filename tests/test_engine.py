@@ -1,15 +1,19 @@
+import contextlib
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 
-from cutcheck import Budget, CUT, apply, build_tree, parse_program, parse_query, pruned_tree
+from cutcheck import (
+    Budget, CUT, apply, build_tree, engine, parse_program, parse_query, prolog_search, pruned_tree,
+    pruning,
+)
 from cutcheck.engine import (
     FAILURE,
     SUCCESS,
     TRUNCATED,
-    LdStep,
     ld_expand,
 )
 from cutcheck.syntax import query_text
@@ -39,14 +43,14 @@ class TestBuildTree:
 
     def test_cut_step_consumes(self):
         t = tree_of("p :- !.", "p")
-        child = t.nodes[t.root.children[0]]
+        child = t.nodes[t.nodes[0].children[0]]
         assert child.query[0] is CUT
         grandchild = t.nodes[child.children[0]]
         assert grandchild.query == () and grandchild.status == SUCCESS
 
     def test_query_with_leading_cut(self):
         t = tree_of("p.", "!, p")
-        assert t.root.query[0] is CUT
+        assert t.nodes[0].query[0] is CUT
         assert any(n.status == SUCCESS for n in t.nodes)
 
     def test_step_budget_truncates(self):
@@ -71,12 +75,12 @@ class TestBuildTree:
     def test_clause_order_is_child_order(self):
         with recorded_steps() as steps:
             t = tree_of("p(b).\np(a).", "p(X)")
-        kids = [steps[t][c].clause_index for c in t.root.children]
+        kids = [steps[t][c].clause_index for c in t.nodes[0].children]
         assert kids == sorted(kids) == [0, 1]
 
     def test_failure_status(self):
         t = tree_of("p(a).", "q(X)")
-        assert t.root.status == FAILURE
+        assert t.nodes[0].status == FAILURE
 
 
 class TestNodeMemory:
@@ -93,6 +97,45 @@ class TestNodeMemory:
             tracemalloc.stop()
         assert len(pt.base) == 8000
         assert traced / len(pt.base) < 1300
+
+
+class TestClauseWalks:
+    @staticmethod
+    def walks(build) -> dict:
+        """The calls ``build()`` makes to ``vars_of`` and ``rename_apart``,
+        counted wherever ``engine`` and ``pruning`` import them."""
+        counts: dict = {}
+        with contextlib.ExitStack() as stack:
+            for module in (engine, pruning):
+                for name in ("vars_of", "rename_apart"):
+                    real = getattr(module, name, None)
+                    if real is None:
+                        continue
+
+                    def counted(*args, _real=real, _name=name, **kw):
+                        counts[_name] = counts.get(_name, 0) + 1
+                        return _real(*args, **kw)
+
+                    stack.enter_context(mock.patch.object(module, name, counted))
+            build()
+        return counts
+
+    def test_no_clause_walk_per_step(self):
+        """A resolution step reads the variable names the program worked out
+        once per clause: the pruned tree of ``in(X, [1, 2])`` walks no
+        clause more often at 2,000 nodes than at 500, nor the oracle's
+        search at 1,000 steps than at 250 (its answers grow, so more steps
+        cost more than linear time)."""
+        program, query = load_program("in.pl"), parse_query("in(X, [1, 2])")
+
+        def tree(n):
+            return lambda: pruned_tree(program, query, Budget(nodes=n))
+
+        def search(n):
+            return lambda: prolog_search(program, query, Budget(steps=n))
+
+        assert self.walks(tree(500)) == self.walks(tree(2000))
+        assert self.walks(search(250)) == self.walks(search(1000))
 
 
 class TestPreorder:
@@ -173,29 +216,33 @@ class TestClauseIndex:
         assert repr(p1) == f"Program(clauses={p1.clauses!r})"
 
 
-def reference_ld_expand(program, query, forbidden, fresh):
-    """The textbook resolvent: the mgu is applied to the clause body and the
-    tail together."""
+def reference_ld_expand(program, query, forbidden, fresh, failed=None):
+    """The textbook resolvent: the whole clause is renamed apart, and the
+    mgu is applied to the renamed body and the tail together.  Returns
+    (child, mgu) pairs; ``failed``, when given, counts the matching clauses
+    whose head does not unify."""
     if not query:
         return []
     selected = query[0]
     if selected is CUT:
-        return [(query[1:], LdStep({}, None, None))]
+        return [(query[1:], {})]
     out = []
-    for idx, clause in program.matching(selected):
+    for _, clause in program.matching(selected):
         variant = rename_apart(clause, forbidden, fresh)
         theta = unify(selected, variant.head)
         if theta is None:
+            if failed is not None:
+                failed[0] += 1
             continue
         forbidden.update(vars_of(variant))
-        out.append((apply(theta, variant.body + query[1:]), LdStep(theta, idx, variant)))
+        out.append((apply(theta, variant.body + query[1:]), theta))
     return out
 
 
-def tail_case(query, step) -> str:
-    if not step.mgu:
+def tail_case(query, mgu) -> str:
+    if not mgu:
         return "empty"
-    if set(vars_of(query[0])).isdisjoint(step.mgu):
+    if set(vars_of(query[0])).isdisjoint(mgu):
         return "clause"
     return "tail"
 
@@ -213,12 +260,16 @@ class TestResolventTail:
         return parse_program(src), parse_query(", ".join(atoms))
 
     def test_children_equal_the_old_formula(self):
-        """The derivations of 300 seeded programs, expanded
-        breadth-first with ``ld_expand`` and the reference side by side from
-        the same state, under empty mgus, mgus of the clause only and mgus
-        that reach the tail."""
+        """The head-first step against the whole-clause resolvent: the
+        derivations of 300 seeded programs, expanded breadth-first with
+        ``ld_expand`` and the reference side by side from the same state,
+        give the same children and mgus, and leave the same fresh-name
+        counter and forbidden names after every call.  The steps cover
+        empty mgus, mgus of the clause only, mgus that reach the tail and
+        clauses whose head fails after renaming."""
         rng = random.Random(5)
         cases = {"empty": 0, "clause": 0, "tail": 0}
+        failed = [0]
         for _ in range(300):
             program, query = self.random_case(rng)
             forbidden, fresh = set(vars_of(query)), FreshNames()
@@ -226,31 +277,31 @@ class TestResolventTail:
             queue = [query]
             for q in itertools.islice(queue, 60):  # the loop reaches children appended below
                 got = ld_expand(program, q, forbidden, fresh)
-                want = reference_ld_expand(program, q, ref_forbidden, ref_fresh)
+                want = reference_ld_expand(program, q, ref_forbidden, ref_fresh, failed)
                 assert got == want, (program, q)
                 assert (fresh.n, forbidden) == (ref_fresh.n, ref_forbidden)
-                for child, step in got:
-                    if step.clause_index is not None:
-                        cases[tail_case(q, step)] += 1
+                for child, mgu in got:
+                    if q[0] is not CUT:
+                        cases[tail_case(q, mgu)] += 1
                     queue.append(child)
-        assert min(cases.values()) > 300, cases
+        assert min(cases.values()) > 300 and failed[0] > 300, (cases, failed)
 
     def expand_one(self, src, query):
         q = parse_query(query)
-        ((child, step),) = ld_expand(parse_program(src), q, set(vars_of(q)), FreshNames())
-        return q, child, step
+        ((child, mgu),) = ld_expand(parse_program(src), q, set(vars_of(q)), FreshNames())
+        return q, child, mgu
 
     def test_empty_mgu_keeps_the_tail(self):
-        q, child, step = self.expand_one("p :- q.", "p, r(Y)")
-        assert tail_case(q, step) == "empty"
+        q, child, mgu = self.expand_one("p :- q.", "p, r(Y)")
+        assert tail_case(q, mgu) == "empty"
         assert child == parse_query("q, r(Y)")
 
     def test_mgu_of_the_clause_only_keeps_the_tail(self):
-        q, child, step = self.expand_one("p(X, f(Z)) :- q(X, Z).", "p(a, f(b)), r(Y, a)")
-        assert tail_case(q, step) == "clause"
+        q, child, mgu = self.expand_one("p(X, f(Z)) :- q(X, Z).", "p(a, f(b)), r(Y, a)")
+        assert tail_case(q, mgu) == "clause"
         assert child == parse_query("q(a, b), r(Y, a)")
 
     def test_mgu_of_the_selected_atom_reaches_the_tail(self):
-        q, child, step = self.expand_one("p(a, X) :- q(X).", "p(Y, Y), r(Y)")
-        assert tail_case(q, step) == "tail"
+        q, child, mgu = self.expand_one("p(a, X) :- q(X).", "p(Y, Y), r(Y)")
+        assert tail_case(q, mgu) == "tail"
         assert child == parse_query("q(a), r(a)")

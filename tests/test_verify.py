@@ -829,39 +829,40 @@ class TestPatternVariableNames:
         assert statuses == {"verified", "refuted", "unknown"}, statuses
 
 
-def searched_covering_instance(a, clause, s, ctx):
-    """``_covering_instance`` as the cover search alone decides it, with no
-    direct probe of a ground body."""
-    theta = match(clause.head, a)
-    if theta is None:
-        return "refuted", "head does not match"
-    body = apply(theta, clause.body)
-    search = _CoverSearch(s, ctx)
-    try:
-        for sol in search.solutions(body, {}):
-            instance = Clause(a, apply(sol, body))
-            if is_ground(instance):
-                return "verified", instance
-    except CapHit as exc:
-        return "unknown", str(exc)
-    if search.exhaustive:
-        return "refuted", "no ground body instance in the set"
-    return "unknown", f"cover search exhausted depth {ctx.depth}"
+def probed_covering_instance(a, clause, s, ctx, cap):
+    """``_covering_instance`` for a clause whose body the head match leaves
+    ground, from ``contains`` alone: the body's atoms are probed in order,
+    one visit each, and one more for the end of the body; past ``cap``
+    visits the answer is Unknown."""
+    body = apply(match(clause.head, a), clause.body)
+    atoms = [b for b in body if b is not CUT]
+    failing = next((i for i, b in enumerate(atoms) if not contains(s, b, ctx.resolver)), None)
+    visits = len(atoms) + 1 if failing is None else failing + 1
+    if visits > cap:
+        return "unknown", f"cover search visit cap {cap} hit at depth {ctx.depth}"
+    if failing is None:
+        return "verified", Clause(a, body)
+    return "refuted", "no ground body instance in the set"
 
 
 class TestDirectProbe:
-    """A goal list the head match leaves ground is decided by the cover
-    search's own probe of leading ground goals; the status, instance and
-    note are those of the search alone, at the visit cap too."""
+    """``_covering_instance`` against references outside the cover search.
+    A body the head match leaves ground is decided as probing its atoms
+    with ``contains`` decides it, at the visit cap too.  Otherwise a
+    Verified instance is a ground instance of the clause with head ``a``
+    and every body atom in the set, and a Refuted one leaves no grounding
+    of the body's variables over the terms up to the depth inside the set."""
 
-    def test_covering_instance_equals_the_search(self, monkeypatch):
+    def test_covering_instance_against_contains(self, monkeypatch):
         rng = random.Random(16)
-        counts = {"verified": 0, "refuted": 0, "unknown": 0, "ground": 0}
+        counts = dict.fromkeys(["verified", "refuted", "unknown", "ground", "open verified",
+                                "open refuted", "open unknown"], 0)
         for _, prog, _, _ in random_list_cases(rng, 150):
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 3)))).s
             for depth in (1, 2):
                 ctx = _CheckContext(Program(), (), at_depth(SpecSuite(s=s), depth, LIST_ALPHA))
                 atoms = list(ground_atoms(LIST_ALPHA, depth))
+                terms = ground_terms(LIST_ALPHA, depth)
                 # each clause, and each clause cut short before a cut (condition 1's prefix)
                 clauses = list(prog.clauses) + [
                     Clause(c.head, c.body[:i]) for c in prog.clauses
@@ -869,64 +870,35 @@ class TestDirectProbe:
                 ]
                 for a in rng.sample(atoms, 12):
                     for clause in clauses:
-                        n = sum(g is not CUT for g in clause.body)
+                        theta = match(clause.head, a)
+                        if theta is None:
+                            continue
+                        body = apply(theta, clause.body)
+                        n = sum(g is not CUT for g in body)
                         for cap in {1, n, n + 1, n + 2, 50_000}:
                             monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
-                            want = searched_covering_instance(a, clause, s, ctx)
-                            got = _covering_instance(a, clause, match(clause.head, a), s, ctx)
-                            assert got == want, (a, clause, s, depth, cap)
+                            got = _covering_instance(a, clause, theta, s, ctx)
                             counts[got[0]] += 1
-                            theta = match(clause.head, a)
-                            counts["ground"] += theta is not None and is_ground(
-                                apply(theta, clause.body))
-        assert min(counts.values()) > 200, counts
-
-    def test_c_covered_equals_the_search(self, monkeypatch):
-        """Condition 3's eta search and the body searches of conditions 1
-        and 3 give the verdicts they give when ``is_ground`` calls no goal
-        list ground.  The clauses hold atoms on both sides of a cut,
-        so that B0 rho can fall outside post while B1 rho fails."""
-        rng = random.Random(17)
-        counts = {"verified": 0, "refuted": 0, "unknown": 0}
-        for _ in range(60):
-            prog = parse_program("\n".join(random_cut_clause(rng) for _ in range(rng.randint(1, 3))))
-            sets = ["\n".join(rng.sample(LIST_SETS, rng.randint(1, 3))) for _ in range(3)]
-            suite = parse_spec(f"[S]\n{sets[0]}\n[pre]\n{sets[1]}\n[post]\n{sets[2]}\n")
-            for depth in (1, 2):
-                try:
-                    atoms = enumerate_atoms(suite.s, LIST_ALPHA, depth, suite.resolver)
-                except CapHit:
-                    continue
-                bounded = at_depth(suite, depth, LIST_ALPHA)
-                premise = s_subset_post_check(prog, bounded).is_verified
-                for a in rng.sample(atoms, min(4, len(atoms))):
-                    for cap in (2, 3, 50_000):
-                        set_caps(monkeypatch, cap)
-                        got = c_covered(a, prog, bounded, s_subset_post=premise)
-                        with monkeypatch.context() as m:
-                            m.setattr(cutcheck.verify, "is_ground",
-                                      lambda e: not isinstance(e, tuple) and is_ground(e))
-                            want = c_covered(a, prog, bounded, s_subset_post=premise)
-                        assert got.to_json_obj() == want.to_json_obj(), (prog, suite, a, cap)
-                        counts[got.status] += 1
-        assert min(counts.values()) > 50, counts
-
-
-def random_cut_clause(rng) -> str:
-    """A clause over m/2 and n/1: a fact, or one to two atoms before and
-    after a cut, at times with no cut."""
-    def atom():
-        name, arity = rng.choice(LIST_PREDS)
-        args = (rng.choice(["[]", "[1]", "[X | T]", "[1 | T]", "X", "T", "[X, 1]", "1"])
-                for _ in range(arity))
-        return f"{name}({', '.join(args)})"
-
-    if rng.random() < 0.3:
-        return f"{atom()}."
-    body = [atom() for _ in range(rng.randint(1, 2))]
-    if rng.random() < 0.8:
-        body += ["!"] + [atom() for _ in range(rng.randint(1, 2))]
-    return f"{atom()} :- {', '.join(body)}."
+                            if is_ground(body):
+                                counts["ground"] += 1
+                                assert got == probed_covering_instance(a, clause, s, ctx, cap), (
+                                    a, clause, s, depth, cap)
+                                continue
+                            counts["open " + got[0]] += 1
+                            if got[0] == "verified":
+                                instance = got[1]
+                                assert is_ground(instance) and instance.head == a
+                                assert match(body, instance.body) is not None
+                                assert all(b is CUT or contains(s, b, ctx.resolver)
+                                           for b in instance.body)
+                            elif got[0] == "refuted":
+                                names = vars_of(body)
+                                for combo in itertools.product(terms, repeat=len(names)):
+                                    grounded = apply(dict(zip(names, combo)), body)
+                                    assert not all(b is CUT or contains(s, b, ctx.resolver)
+                                                   for b in grounded), (a, clause, s, depth)
+        assert min(counts[k] for k in ("verified", "refuted", "unknown", "ground")) > 200, counts
+        assert min(counts["open verified"], counts["open refuted"]) > 20, counts
 
 
 class TestClosedFormGeneralizations:
