@@ -20,10 +20,10 @@ from .pruning import prolog_search, pruned_tree
 from .syntax import (
     ParseError,
     SpecSuite,
+    answer_printer,
     parse_program,
     parse_query,
     parse_spec,
-    query_text,
 )
 from .terms import InputError
 from .verdicts import Verdict
@@ -150,9 +150,10 @@ def _report_answers(args, answers: list, exact: bool, note: str, extra: dict) ->
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
-    answers: list = []  # as texts, so that no answer's terms outlive the walk's visit
+    answers: list = []  # as texts, printed from the walk's binding store
+    print_answer = answer_printer(query)
     pruned = pruned_tree(program, query, _make_budget(args, None),
-                         on_answer=lambda a: answers.append(query_text(a)))
+                         on_answer=lambda store: answers.append(print_answer(store)))
     _emit_tree(args, pruned.base, pruned)
     return _report_answers(args, answers, pruned.exact, "budget", {})
 
@@ -160,9 +161,11 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     program = _load_program(args.program)
     query = parse_query(args.query)
-    result = prolog_search(program, query, _make_budget(args, None))
-    return _report_answers(args, [query_text(a) for a in result.answers], result.exact,
-                           "step budget", {"steps": result.steps})
+    answers: list = []  # as texts, printed from the search's binding store
+    print_answer = answer_printer(query)
+    result = prolog_search(program, query, _make_budget(args, None),
+                           on_answer=lambda store: answers.append(print_answer(store)))
+    return _report_answers(args, answers, result.exact, "step budget", {"steps": result.steps})
 
 
 def cmd_check(args) -> int:

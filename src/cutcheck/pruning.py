@@ -16,8 +16,14 @@ the same tree: on reaching an executing node it drops the unvisited right
 siblings along the cutting sequence, which is the top of the walk's own
 stack, and it stops at the first Truncated node.  The walk expands a node
 only when it reaches it, so dropped siblings are never expanded, and, when
-asked, it hands the computed answer of each Success leaf it reaches to a
+asked, it hands the binding store of each Success leaf it reaches to a
 callback.
+
+Both engines answer through such a callback, ``on_answer(store)``: the
+store is the triangular map of every mgu on the success leaf's root path,
+so the computed answer is ``resolve(store, query)``.  The store is valid
+only during the call; a caller that keeps an answer resolves it there, and
+the CLI prints it from the store (``syntax.answer_printer``).
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
     The mgus of the current root path live in one triangular binding store;
     the trail records their names in binding order, and moving to a node's
     next child cuts it back to the mark taken when the node was expanded.
-    With ``on_answer`` None no answer is resolved.
+    ``on_answer``, when given, gets the store at each Success leaf.
     """
     base = builder.tree
     nodes = base.nodes
@@ -119,7 +125,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
             exact = False
             break
         if node.status == SUCCESS and on_answer is not None:
-            on_answer(resolve(bindings, base.query))
+            on_answer(bindings)
         stack.append([list(children), 0, len(trail)])  # a copy: dropping siblings edits it
         nid = None
         while stack and nid is None:
@@ -143,9 +149,10 @@ def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None,
     """Build the pruned LD-tree, expanding a node only when the walk reaches
     it.  ``base`` holds the materialised nodes: the kept ones, the dropped
     siblings (never expanded) and whatever was pending when the walk stopped
-    at a Truncated node.  ``on_answer``, when given, is called with each
-    computed answer (the root query under a kept Success leaf's root path)
-    when the walk reaches that leaf, so in preorder; the tree keeps none."""
+    at a Truncated node.  ``on_answer``, when given, is called with the
+    binding store of each kept Success leaf when the walk reaches it, so in
+    preorder: the leaf's computed answer is ``resolve(store, query)``, and
+    the store is valid only during the call."""
     return _walk(TreeBuilder(program, query, budget), on_answer)
 
 
@@ -156,8 +163,8 @@ def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None,
 # machinery above: cut discards choice points younger than the barrier
 # recorded when the clause that introduced it was invoked.  Bindings live in
 # one triangular store with a trail, as in a Prolog machine: a retried choice
-# point undoes the bindings made after it, and an answer is the query
-# resolved through the store.
+# point undoes the bindings made after it, and an answer is the store
+# handed to ``on_answer``, as ``pruned_tree`` hands it.
 # ---------------------------------------------------------------------------
 
 
@@ -174,21 +181,22 @@ class _Frame:
 
 @dataclass
 class SearchResult:
-    answers: list
     exact: bool
     steps: int
 
 
-def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = None) -> SearchResult:
+def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = None, *,
+                  on_answer: Optional[Callable] = None) -> SearchResult:
     """Depth-first, left-to-right search with standard cut semantics.
 
-    Returns the computed answers (instances of the query) in discovery
-    order; ``exact`` is False when the step budget ran out first.
+    ``on_answer``, when given, is called with the binding store at each
+    answer, in discovery order, as ``pruned_tree`` calls it: the answer is
+    ``resolve(store, query)``, and the store is valid only during the call.
+    ``exact`` is False when the step budget ran out first.
     """
     budget = budget or Budget()
     fresh = FreshNames()
     forbidden = set(vars_of(query))
-    answers: list = []
     steps = 0
     exact = True
     bindings: dict = {}  # every mgu of the current branch, triangular
@@ -236,7 +244,8 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
             goals, barriers = current
             current = None
             if not goals:
-                answers.append(resolve(bindings, query))
+                if on_answer is not None:
+                    on_answer(bindings)
                 continue
             if goals[0] is CUT:
                 del stack[barriers[0]:]
@@ -248,4 +257,4 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
     except _OutOfSteps:
         exact = False
 
-    return SearchResult(answers, exact, steps)
+    return SearchResult(exact, steps)

@@ -22,6 +22,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .atomsets import GUARDS, UNIVERSAL, AtomPattern, AtomSet, Guard
@@ -284,12 +285,8 @@ def atom_text(a, texts: Optional[dict] = None) -> str:
     """The text of an atom.  ``texts``, when given, maps ground arguments to
     their texts: an argument found there is not rendered again, and a ground
     argument rendered is stored there."""
-    if a is CUT:
-        return "!"
-    if not a.args:
-        return _name_text(a.name)
-    if texts is None:
-        return _text(_name_text(a.name) + "(", a.args, ")")
+    if texts is None or a is CUT or not a.args:
+        return _text("", (a,), "")
     pieces = []
     for t in a.args:
         if t.__class__ is Compound and t.ground:
@@ -303,10 +300,19 @@ def atom_text(a, texts: Optional[dict] = None) -> str:
 
 
 _COMMA, _BAR, _CLOSE_LIST, _CLOSE_ARGS = (", ",), (" | ",), ("]",), (")",)
+_EMPTY = MappingProxyType({})  # no bindings, or no memo of ground texts
 
 
-def _text(opening: str, items, closing: str) -> str:
+def _text(opening: str, items, closing: str, bindings=_EMPTY, known=_EMPTY) -> str:
     """``opening``, the texts of ``items`` separated by ", ", then ``closing``.
+
+    ``items`` are terms, atoms or ``!``, each printed under ``bindings``, a
+    triangular binding map read as ``resolve`` reads it: a bound variable is
+    printed as its binding, and no resolved term is built.  A chain of
+    variables bound to variables is followed once per call (``_chain_end``).
+    ``known`` maps the ids of ground compounds that outlive the call to
+    their texts (None: not printed yet); such a compound is printed once,
+    then copied.
 
     The walk keeps its own stack and writes each piece once, so a term of
     any depth is fine and costs time linear in its text.  On the stack, a
@@ -316,6 +322,9 @@ def _text(opening: str, items, closing: str) -> str:
     write = out.append
     todo = [(closing,)]  # what is still to write, next last
     pop = todo.pop
+    get = bindings.get
+    ends: dict = {}  # variable bound to a variable -> where its chain ends
+    names: dict = {}  # constant's functor -> its text
     while True:
         if len(items) == 1:
             todo.append(items[0])
@@ -323,37 +332,119 @@ def _text(opening: str, items, closing: str) -> str:
             pieces = [_COMMA] * (2 * len(items) - 1)
             pieces[::2] = items
             todo += pieces[::-1]
-        while todo:  # write up to the next compound with arguments
+        while todo:  # write up to the next compound or atom with arguments
             x = pop()
             cls = x.__class__
             if cls is tuple:
                 write(x[0])
-            elif cls is Var:
-                write(x.name)
-            elif cls is not Compound:
-                raise TypeError(f"cannot print {x!r} as a term")
-            elif not x.args:
-                write("[]" if x.functor == "[]" else _name_text(x.functor))
-            elif x.functor == "." and len(x.args) == 2:
-                items = []
-                while x.__class__ is Compound and x.functor == "." and len(x.args) == 2:
-                    items.append(x.args[0])
-                    x = x.args[1]
-                write("[")
-                todo.append(_CLOSE_LIST)
-                if x.__class__ is not Compound or x.functor != "[]" or x.args:
-                    todo += (x, _BAR)  # an improper list: its tail follows a |
-                break
-            else:
-                items = x.args
+                continue
+            if cls is Var:
+                value = get(x.name)
+                if value is not None:
+                    x = value if value.__class__ is not Var else _chain_end(x.name, value, get, ends)
+                    cls = x.__class__
+                if cls is Var:
+                    write(x.name)
+                    continue
+            if cls is Compound:
+                if not x.args:
+                    text = names.get(x.functor)
+                    if text is None:
+                        text = names[x.functor] = "[]" if x.functor == "[]" else _name_text(x.functor)
+                    write(text)
+                    continue
+                if x.ground and id(x) in known:
+                    text = known[id(x)]
+                    if text is None:
+                        text = known[id(x)] = _text("", (x,), "")
+                    write(text)
+                    continue
+                if x.functor == "." and len(x.args) == 2:
+                    items = []
+                    while True:
+                        items.append(x.args[0])
+                        x = x.args[1]
+                        if x.__class__ is Var:
+                            value = get(x.name)
+                            if value is not None:
+                                x = value if value.__class__ is not Var else _chain_end(x.name, value, get, ends)
+                        if x.__class__ is not Compound or x.functor != "." or len(x.args) != 2:
+                            break
+                    write("[")
+                    todo.append(_CLOSE_LIST)
+                    if x.__class__ is not Compound or x.functor != "[]" or x.args:
+                        todo += (x, _BAR)  # an improper list: its tail follows a |
+                    break
                 write(_name_text(x.functor) + "(")
-                todo.append(_CLOSE_ARGS)
-                break
+            elif cls is Pred:
+                if not x.args:
+                    write(_name_text(x.name))
+                    continue
+                write(_name_text(x.name) + "(")
+            elif x is CUT:
+                write("!")
+                continue
+            else:
+                raise TypeError(f"cannot print {x!r} as a term")
+            items = x.args
+            todo.append(_CLOSE_ARGS)
+            break
         else:
             return "".join(out)
 
 
+def _chain_end(name: str, value: Var, get, ends: dict):
+    """Where the chain of variables from ``name``, bound to ``value``, ends:
+    an unbound variable or a compound.  Every variable of the chain that is
+    bound to a variable is entered in ``ends``, so the chain is followed
+    once."""
+    end = ends.get(name)
+    if end is not None:
+        return end
+    names = [name]
+    end = value
+    while True:
+        met = ends.get(end.name)  # the rest of the chain, followed before
+        if met is not None:
+            end = met
+            break
+        bound = get(end.name)
+        if bound is None:
+            break
+        if bound.__class__ is not Var:
+            end = bound
+            break
+        names.append(end.name)
+        end = bound
+    for n in names:
+        ends[n] = end
+    return end
+
+
+def answer_printer(query: tuple):
+    """The printer of ``query``'s answers: a function from a triangular
+    binding store to the text ``query_text(resolve(store, query))``, written
+    from the store without building the resolved query.
+
+    Resolution copies no ground term, so a store binds variables to the
+    query's own ground subterms; the printer prints each of them once for
+    all answers, keyed by identity.  Its memo holds the ids of terms the
+    query holds, so it keeps no term alive and grows with the query, not
+    with the answers."""
+    known: dict = {}
+    stack = [t for a in query if a is not CUT for t in a.args]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Compound and t.args and id(t) not in known:
+            if t.ground:
+                known[id(t)] = None
+            stack += t.args
+    return lambda store: _text("", query, "", store, known)
+
+
 def query_text(q: tuple, texts: Optional[dict] = None) -> str:
+    if texts is None:
+        return _text("", q, "")
     return ", ".join(atom_text(a, texts) for a in q)
 
 

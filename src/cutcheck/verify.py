@@ -55,6 +55,7 @@ from .terms import (
     match,
     most_general_atom,
     rename_apart,
+    resolve,
     term_size,
     unify,
     vars_of,
@@ -1095,8 +1096,9 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite) -> Ve
     the query that S satisfies must be an instance of a pruned-tree answer,
     the tree built within the suite's budget."""
     ctx = _CheckContext(program, query, suite)
-    answers: list = []
-    pt = pruned_tree(program, query, suite.budget, on_answer=answers.append)
+    answers: list = []  # resolved in the callback: the store is valid only during it
+    pt = pruned_tree(program, query, suite.budget,
+                     on_answer=lambda store: answers.append(resolve(store, query)))
     if not pt.exact:
         return Verdict.unknown("tree budget exhausted; answers may be missing")
     try:

@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 
 from cutcheck import (
-    CUT, AtomSet, Budget, Program, UNIVERSAL, parse_program, parse_query, pruned_tree,
+    CUT, AtomSet, Budget, Program, UNIVERSAL, parse_program, parse_query, prolog_search,
+    pruned_tree,
 )
 from cutcheck.syntax import SpecSuite
-from cutcheck.terms import Pred
+from cutcheck.terms import Pred, resolve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,10 +27,21 @@ def load_spec_text(name: str) -> str:
 
 
 def pruned_answers(program: Program, query: tuple, budget=None):
-    """The pruned tree and the computed answers its walk hands to
-    ``on_answer``, in the order the walk reaches them."""
+    """The pruned tree and its computed answers, resolved from the store the
+    walk hands to ``on_answer``, in the order the walk reaches them."""
     answers: list = []
-    return pruned_tree(program, query, budget, on_answer=answers.append), answers
+    pt = pruned_tree(program, query, budget,
+                     on_answer=lambda store: answers.append(resolve(store, query)))
+    return pt, answers
+
+
+def search_answers(program: Program, query: tuple, budget=None):
+    """``prolog_search``'s result and its computed answers, resolved from the
+    store it hands to ``on_answer``, in discovery order."""
+    answers: list = []
+    result = prolog_search(program, query, budget,
+                           on_answer=lambda store: answers.append(resolve(store, query)))
+    return result, answers
 
 
 # A pre pattern whose guards force both arguments ground; with S over

@@ -18,6 +18,10 @@ The argv set:
 - ``tree``, and ``tree``, ``run`` and ``prune`` with ``--dot``, on the
   fixture programs with and without a trailing cut, one tree cut off at
   ``--nodes``; ``check complete`` with ``--dot`` on each pair;
+- ``run`` and ``oracle`` on queries whose answers share, repeat or leave
+  variables unbound, each at two budgets: ``app(X, X, Z)``,
+  ``app(X, [a | T], Z)``, ``in(X, Y)``, the ``appmem`` query on 14 cells
+  and a query ending in ``!``;
 - the inputs of the CI smoke steps.
 
 A digest covers the exit code, stdout and stderr of one run, and the text of
@@ -72,6 +76,15 @@ TREE_RUNS = (
     ("notp.pl", "notp(b)", ()),
     ("in.pl", "in(X, [1, 2])", ("--nodes", "200")),  # an infinite tree, cut off
 )
+# the answer commands' programs and queries; each runs at every budget of ANSWER_BUDGETS
+ANSWER_RUNS = (
+    ("append.pl", "app(X, X, Z)"),
+    ("append.pl", "app(X, [a | T], Z)"),
+    ("in.pl", "in(X, Y)"),
+    ("appmem.pl", "app(X, Y, [" + ", ".join(["a"] * 14) + "]), mem(a, X)"),
+    ("append.pl", "app(X, Y, [1, 2, 3]), !"),
+)
+ANSWER_BUDGETS = ("30", "300")  # run: --nodes; oracle: --steps
 EXIT_BY_STATUS = {"verified": 0, "refuted": 1, "unknown": 3}
 # the CI relational-pre smoke step's files
 REL_PROGRAM = "n(X) :- !, !.\nm([], [1 | T]) :- !.\nn([1]) :- !, m(T, [X, 1]).\n"
@@ -80,6 +93,9 @@ REL_SPEC = (
     "[S]\nm(X, L) where list(L).\nm(X, L) where ground_list(L), member(X, L).\nm([], [1]).\n"
     "[pre]\nm(X, L) where ground_list(L), member(X, L).\n[post]\nany.\n"
 )
+# the program of the appmem workload and of the CI resolution smoke step
+APPMEM_PROGRAM = ("app([], L, L).\napp([H|K], L, [H|M]) :- app(K, L, M).\n"
+                  "mem(X, [X|T]).\nmem(X, [H|T]) :- mem(X, T).\n")
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,22 @@ def _dot_case(args: tuple, dot: tuple) -> Case:
     return Case(f"{case.key} --dot tree.dot", case.argv + dot)
 
 
+def answer_cases(workdir: Path) -> list:
+    """``run`` and ``oracle`` on the answer queries, ``appmem.pl`` written
+    under ``workdir``."""
+    (workdir / "appmem.pl").write_text(APPMEM_PROGRAM, encoding="utf-8")
+    cases = []
+    for pl, query in ANSWER_RUNS:
+        for budget in ANSWER_BUDGETS:
+            for command, flag in (("run", "--nodes"), ("oracle", "--steps")):
+                args = (command, pl, query, flag, budget)
+                if pl == "appmem.pl":
+                    cases.append(Case(" ".join(args), (command, str(workdir / pl)) + args[2:]))
+                else:
+                    cases.append(_fixture_case((command, f"fixtures/{pl}") + args[2:]))
+    return cases
+
+
 def smoke_cases(workdir: Path) -> list:
     """The inputs of the CI smoke steps, their files written under ``workdir``."""
     cells = ", ".join(["1"] * 5000)
@@ -187,12 +219,20 @@ def smoke_cases(workdir: Path) -> list:
     cases.append(Case("smoke check complete rel.pl --spec rel.spec --query m(1, []) --depth 2",
                       ("check", "complete", str(workdir / "rel.pl"), "--spec",
                        str(workdir / "rel.spec"), "--query", "m(1, [])", "--depth", "2")))
+    (workdir / "appmem.pl").write_text(APPMEM_PROGRAM, encoding="utf-8")
+    split = "app(X, Y, [" + ", ".join(["b"] * 299 + ["a"]) + "]), mem(a, X)"
+    for command in ("run", "oracle"):
+        cases.append(Case(f"smoke {command} appmem.pl <300-cell split>",
+                          (command, str(workdir / "appmem.pl"), split)))
+    cases += [_fixture_case(("oracle", "fixtures/in.pl", "in(X, Y)", "--steps", "5000")),
+              _fixture_case(("run", "fixtures/in.pl", "in(X, Y)", "--nodes", "5000"))]
     return cases
 
 
 def all_cases(workdir: Path) -> list:
     """The whole argv set, each argv once."""
-    cases = workload_cases(workdir) + fixture_cases() + tree_cases(workdir) + smoke_cases(workdir)
+    cases = (workload_cases(workdir) + fixture_cases() + tree_cases(workdir)
+             + answer_cases(workdir) + smoke_cases(workdir))
     return list({c.key: c for c in cases}.values())
 
 

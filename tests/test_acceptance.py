@@ -25,7 +25,6 @@ from cutcheck import (
     parse_program,
     parse_query,
     parse_spec,
-    prolog_search,
     pruned_tree,
     recurrent_check,
     semi_complete,
@@ -56,6 +55,7 @@ from conftest import (
     pruned_answers,
     random_propositional_program,
     random_term_program,
+    search_answers,
 )
 from derivations import branch_derivation, recorded_steps, subderivation, variant_equal
 from fixpoint import fixpoint_prune, walk_and_fixpoint
@@ -116,11 +116,11 @@ class TestCriterion2OracleEquivalence:
         pt, pt_answers = pruned_answers(prog, query, Budget(nodes=nodes, steps=steps))
         if not pt.exact:
             return None
-        res = prolog_search(prog, query, Budget(steps=5000))
+        res, res_answers = search_answers(prog, query, Budget(steps=5000))
         if not res.exact:
             return None
         got = [repr(canonical(a)) for a in pt_answers]
-        want = [repr(canonical(a)) for a in res.answers]
+        want = [repr(canonical(a)) for a in res_answers]
         return got == want
 
     def test_pruned_answers_equal_prolog_search(self):

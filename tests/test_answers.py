@@ -1,23 +1,27 @@
-"""Answers resolved at success leaves, checked against the naive algebra.
+"""Answers at success leaves, checked against the naive algebra, and the
+printer that writes them from the binding store.
 
-Every node keeps only its own step mgu, and the pruned-tree walk resolves an
-answer once per Success leaf through the bindings of the current root path;
+Every node keeps only its own step mgu, and the pruned-tree walk hands the
+bindings of the current root path to ``on_answer`` once per Success leaf;
 here each leaf's answer is recomputed the slow way: every mgu
 on its root path is recomputed with the naive unification of
 ``tests/naive_unify.py`` and composed naively, and the composition is
-applied to the query.
+applied to the query.  The printer's text of a store is checked against
+the text of the query resolved through it.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
-from cutcheck import Budget, parse_program, parse_query, prolog_search
+from cutcheck import Budget, parse_program, parse_query, prolog_search, pruned_tree
 from cutcheck.cli import main
 from cutcheck.engine import SUCCESS
-from cutcheck.terms import CUT, canonical
+from cutcheck.syntax import answer_printer, query_text
+from cutcheck.terms import CUT, Compound, Var, canonical, make_list, resolve
 
-from conftest import load_program, pruned_answers
+from conftest import load_program, pruned_answers, random_term_program, search_answers
 from derivations import recorded_steps
 from full_tree import preorder
 from naive_unify import naive_apply, naive_compose, naive_unify
@@ -120,10 +124,10 @@ class TestAnswersEqualNaiveComposition:
                 pt, got = pruned_answers(program, query, Budget(nodes=200, steps=20))
             assert got == naive_answers(pt, steps[pt.base])
             answered += bool(got)
-            search = prolog_search(program, query, Budget(steps=200))
+            search, want = search_answers(program, query, Budget(steps=200))
             if pt.exact and search.exact:
                 compared += 1
-                assert [canonical(a) for a in got] == [canonical(a) for a in search.answers]
+                assert [canonical(a) for a in got] == [canonical(a) for a in want]
         assert answered > 50 and compared > 100
 
 
@@ -138,3 +142,114 @@ class TestDeepAnswers:
         assert len(lines[:-1]) == 800
         for i, line in enumerate(lines[:-1]):
             assert line == "in([" + ", ".join(["1"] * i) + "], [1, 2])"
+
+
+def printed_pairs(program, query, budget) -> list:
+    """Per answer of either engine, pruned tree first: the printer's text of
+    the store and the text of the query resolved through it, both taken
+    during the callback."""
+    print_answer = answer_printer(query)
+    pairs: list = []
+
+    def record(store):
+        pairs.append((print_answer(store), query_text(resolve(store, query))))
+
+    pruned_tree(program, query, budget, on_answer=record)
+    prolog_search(program, query, budget, on_answer=record)
+    return pairs
+
+
+# repeated, shared and unbound variables, ground arguments, cuts
+PRINTER_QUERIES = (
+    "p(X)", "p(X), q(X)", "q(g(X, X))", "r(f(a)), p(Y)", "p(g(X, Y)), q(Y)",
+    "q(f(a)), r(g(a, b))", "p(X), !, r(Z)", "r(g(f(X), Y)), p(Y), !",
+)
+
+
+class TestAnswerPrinter:
+    def test_random_programs(self):
+        """The printer's text of every store both engines hand over is the
+        text of the resolved query."""
+        rng = random.Random(24)
+        printed = 0
+        for _ in range(300):
+            program = parse_program(src := random_term_program(rng))
+            for query in rng.sample(PRINTER_QUERIES, 3):
+                for got, want in printed_pairs(program, parse_query(query),
+                                               Budget(nodes=300, steps=30)):
+                    assert got == want, (src, query)
+                    printed += 1
+        assert printed > 300
+
+    @pytest.mark.parametrize(
+        "program, query",
+        [
+            ("append.pl", "app(X, Y, [1, 2])"),
+            ("append.pl", "app(X, X, Z)"),
+            ("append.pl", "app(X, [a | T], Z)"),
+            ("append.pl", "app(X, Y, Z), !"),
+            ("in.pl", "in(X, Y)"),
+            ("in.pl", "in(X, [1, 2])"),
+            ("in.pl", "in([X, Y], [1, X])"),
+            ("in.pl", "m(E, L)"),
+            ("artificial.pl", "p(X, Z)"),
+            ("artificial.pl", "q(X, Y), r(Y, Z)"),
+            ("notp.pl", "notp(b)"),
+            ("pruning_tree_modified.pl", "p"),
+            (APPMEM, "app(X, Y, [a, b, a, a]), mem(a, X)"),
+            (APPMEM, "app(X, Y, [a, b | T]), mem(a, Y)"),
+            (APPMEM, "app(X, Y, Z), mem(W, X), mem(W, Y)"),
+        ],
+    )
+    def test_fixtures_and_appmem(self, program, query):
+        program = load_program(program) if program.endswith(".pl") else parse_program(program)
+        pairs = printed_pairs(program, parse_query(query), Budget(nodes=400, steps=40))
+        assert pairs and all(got == want for got, want in pairs)
+
+    def test_deep_answer(self):
+        """An answer thousands of bindings deep prints without recursion,
+        from a hand-built store and from both engines' own."""
+        depth = 5000
+        store = {f"X{i}": Compound("s", (Var(f"X{i + 1}"),)) for i in range(depth)}
+        store[f"X{depth}"] = Compound("z")
+        want = "n(" + "s(" * depth + "z" + ")" * depth + ")"
+        assert answer_printer(parse_query("n(X0)"))(store) == want
+        # d(K, N) binds N to s(N1), N1 to s(N2), ... once per s of K
+        program = parse_program("d(0, z).\nd(s(K), s(N)) :- d(K, N).")
+        query = parse_query("d(" + "s(" * depth + "0" + ")" * depth + ", N)")
+        want = "d(" + "s(" * depth + "0" + ")" * depth + ", " + "s(" * depth + "z" + ")" * depth + ")"
+        assert printed_pairs(program, query, Budget(steps=3 * depth)) == [(want, want)] * 2
+
+    def test_variable_chain_is_followed_once(self):
+        """A chain of 2,000 variables bound to variables, reached 2,000
+        times: the store is read O(chain + occurrences) times, not once per
+        link and occurrence."""
+
+        class CountingStore(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        n = 2000
+        store = CountingStore({f"X{i}": Var(f"X{i + 1}") for i in range(n)})
+        store["L"] = make_list([Var("X0"), Var(f"X{n // 2}")] * (n // 2))
+        assert answer_printer(parse_query("p(L)"))(store) == "p([" + ", ".join([f"X{n}"] * n) + "])"
+        assert store.gets <= 2 * (n + n) + 10
+
+    def test_search_keeps_no_answer(self):
+        """With a callback that keeps nothing, the search's traced peak grows
+        by the bindings of its one branch, some hundreds of bytes a step;
+        answers kept would add tens of kilobytes a step (their lists
+        grow with the step count)."""
+        program, query = load_program("in.pl"), parse_query("in(X, Y)")
+        peaks = []
+        for steps in (500, 2000):
+            tracemalloc.start()
+            try:
+                prolog_search(program, query, Budget(steps=steps), on_answer=lambda store: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 1500 < 2000, peaks

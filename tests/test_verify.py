@@ -23,7 +23,6 @@ from cutcheck import (
     parse_program,
     parse_query,
     parse_spec,
-    prolog_search,
     query_transform,
     recurrent_check,
     semi_complete,
@@ -47,7 +46,9 @@ from cutcheck.verify import (
 )
 
 import full_product
-from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text
+from conftest import (
+    RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text, search_answers,
+)
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
 
 a, b, c = Compound("a"), Compound("b"), Compound("c")
@@ -1002,12 +1003,12 @@ class TestQuerySlice:
                         continue
                     counts["verified"] += 1
                     assert not oracle_tree_complete(prog, query, bounded).is_refuted, context
-                    search = prolog_search(prog, query, Budget(steps=2000))
+                    search, answers = search_answers(prog, query, Budget(steps=2000))
                     if search.exact:
                         counts["searched"] += 1
                         ctx = _CheckContext(prog, query, bounded)
                         for _, inst in _s_true_instances(query, bounded.s, ctx):
-                            assert any(match(ans, inst) is not None for ans in search.answers), (
+                            assert any(match(ans, inst) is not None for ans in answers), (
                                 context, inst)
         assert counts["closed"] > 150 and counts["fallback"] > 80, counts
         assert counts["verified"] > 25 and counts["searched"] > 25, counts
