@@ -213,6 +213,7 @@ COMMANDS = (
      (("--dot", "write Graphviz output ('complete' only)"), ("--depth", "term depth bound"),
       _NODES, _STEPS)),
 )
+COMMAND_NAMES = tuple(entry[0] for entry in COMMANDS)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -229,10 +230,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Build pruned LD-trees for logic programs with cut and "
         "check completeness, correctness, and termination conditions.",
     )
-    names = [entry[0] for entry in COMMANDS]
-    one = command in names
+    one = command in COMMAND_NAMES
     sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(names) + "}" if one else None
+        dest="command", required=True, metavar="{" + ",".join(COMMAND_NAMES) + "}" if one else None
     )
     for name, help_text, handler, flags in COMMANDS:
         if one and name != command:
@@ -268,10 +268,19 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
+# argv[0] if it names a command, else None -> its parser, built on first use.  A parser
+# holds no input: ``parse_args`` writes a fresh Namespace and never writes to the parser.
+_PARSERS: dict = {}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
+    args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit

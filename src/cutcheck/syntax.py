@@ -58,19 +58,19 @@ class ParseError(InputError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<arrow>:-)
-  | (?P<name>[a-z][A-Za-z0-9_']*|[0-9]+)
-  | (?P<var>[A-Z_][A-Za-z0-9_]*)
-  | (?P<quoted>'(?:[^'\\]|'')*')
-  | (?P<punct>[()\[\],|.!=/*+])
+    (?:\s+|%[^\n]*(?![^\n]))*  # white space and comments, each comment to its line's end
+    (?:
+        ([a-z][A-Za-z0-9_']*|[0-9]+|'(?:[^'\\]|'')*')  # a name, quoted names with their quotes
+      | ([A-Z_][A-Za-z0-9_]*)  # a variable
+      | (:-|[()\[\],|.!=/*+])  # punctuation
+      | \Z  # the end of the text: the eof token
+      | (.)  # a character no token starts with
+    )
     """,
     re.VERBOSE,
 )
-
-
-_TOKEN_KIND = {"name": "name", "var": "var", "arrow": "punct", "punct": "punct"}
+_KINDS = (None, "name", "var", "punct")  # a token's kind, by the number of its group
+_EOF = ("eof", "")
 
 
 class Token(NamedTuple):
@@ -80,66 +80,83 @@ class Token(NamedTuple):
     col: int
 
 
+def _value(lexeme: str) -> str:
+    """A token's value: a quoted name's text, or the lexeme."""
+    return lexeme[1:-1].replace("''", "'") if lexeme[0] == "'" else lexeme
+
+
 def tokenize(text: str) -> list:
-    """The tokens of ``text`` and a closing ``eof`` token, from one scan.
+    """The tokens of ``text`` and a closing ``eof`` token, with their positions.
 
     A token's ``line`` and ``col`` (both from 1) are those of its first
     character; a character no token starts with raises ParseError there.
+    The parser reads ``_pairs``; this view is for errors and tests.
     """
     tokens = []
-    append = tokens.append
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    pos = 0
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    pos = 0  # where the last token starts: a quoted name's newlines count with the gap after it
     for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind in _TOKEN_KIND:
-            append(Token(_TOKEN_KIND[kind], m.group(), line, start - line_start + 1))
-        elif kind != "comment":  # white space or a quoted name: either may span lines
-            if kind == "quoted":
-                value = text[start + 1 : pos - 1].replace("''", "'")
-                append(Token("name", value, line, start - line_start + 1))
-            newlines = text.count("\n", start, pos)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, pos) + 1
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+        group = m.lastindex  # None at the end of the text
+        start = m.start(group) if group else m.end()
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, start) + 1
+        pos = start
+        col = start - line_start + 1
+        if group is None:  # a second, empty match may follow trailing white space: not read
+            tokens.append(Token("eof", "", line, col))
+            return tokens
+        if group == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", line, col)
+        tokens.append(Token(_KINDS[group], _value(m.group(group)), line, col))
+
+
+def _pairs(text: str) -> list:
+    """The ``(kind, value)`` pairs of ``tokenize(text)``, from one ``findall`` call."""
+    pairs = []
+    append = pairs.append
+    for name, var, punct, bad in _TOKEN_RE.findall(text):
+        if punct:
+            append(("punct", punct))
+        elif name:
+            append(("name", _value(name)))
+        elif var:
+            append(("var", var))
+        elif bad:
+            tokenize(text)  # raises ParseError at the character
+        else:
+            append(_EOF)
+            return pairs
 
 
 class _Parser:
+    """A parser over the ``(kind, value)`` pairs of a text; only ``error`` reads positions."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.tokens = _pairs(text)
         self.i = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
+    def error(self, message: str, at: Optional[int] = None):
+        """Raise ParseError at the token numbered ``at``, by default the next one."""
+        tok = tokenize(self.text)[self.i if at is None else at]
         raise ParseError(message, tok.line, tok.col)
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
+    def expect(self, kind: str, value: Optional[str] = None) -> str:
+        """The value of the next token, which must be of ``kind`` (and be ``value``)."""
+        tok_kind, tok_value = self.tokens[self.i]
+        if tok_kind != kind or (value is not None and tok_value != value):
             want = value if value is not None else kind
-            got = tok.value or tok.kind
-            self.error(f"expected {want!r}, found {got!r}")
-        return self.next()
+            self.error(f"expected {want!r}, found {tok_value or tok_kind!r}")
+        self.i += 1
+        return tok_value
 
     def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+        return self.tokens[self.i] == ("punct", value)
 
     # -- terms -------------------------------------------------------------
 
@@ -148,26 +165,24 @@ class _Parser:
         lists still open, so a term of any depth is fine."""
         frames: list = []  # per open compound or list: [functor (None: a list), items, after a |]
         while True:
-            tok = self.peek()
-            if tok.kind == "var":
-                self.next()
-                value = Var(tok.value)
-            elif tok.kind == "name":
-                self.next()
+            kind, value = self.tokens[self.i]
+            self.i += 1
+            if kind == "var":
+                value = Var(value)
+            elif kind == "name":
                 if self.at_punct("("):
-                    self.next()
-                    frames.append([tok.value, [], False])
+                    self.i += 1
+                    frames.append([value, [], False])
                     continue
-                value = Compound(tok.value)
-            elif self.at_punct("["):
-                self.next()
+                value = Compound(value)
+            elif kind == "punct" and value == "[":
                 if not self.at_punct("]"):
                     frames.append([None, [], False])
                     continue
-                self.next()
+                self.i += 1
                 value = NIL
             else:
-                self.error(f"expected a term, found {tok.value or tok.kind!r}")
+                self.error(f"expected a term, found {value or kind!r}", self.i - 1)
             # ``value`` is finished: hand it to the enclosing frames
             while frames:
                 frame = frames[-1]
@@ -179,13 +194,13 @@ class _Parser:
                     continue
                 items.append(value)
                 if self.at_punct(","):
-                    self.next()
+                    self.i += 1
                     break
                 if functor is not None:
                     self.expect("punct", ")")
                     value = Compound(functor, tuple(items))
                 elif self.at_punct("|"):
-                    self.next()
+                    self.i += 1
                     frame[2] = True
                     break
                 else:
@@ -198,60 +213,59 @@ class _Parser:
     def parse_term_list(self):
         args = [self.parse_term()]
         while self.at_punct(","):
-            self.next()
+            self.i += 1
             args.append(self.parse_term())
         return args
 
     # -- atoms, clauses, queries -------------------------------------------
 
     def parse_atom(self, allow_cut: bool = True):
-        tok = self.peek()
-        if self.at_punct("!"):
+        kind, name = self.peek()
+        if kind == "punct" and name == "!":
             if not allow_cut:
                 self.error("cut (!) cannot appear here")
-            self.next()
+            self.i += 1
             return CUT
-        if tok.kind != "name":
-            self.error(f"expected an atom, found {tok.value or tok.kind!r}")
-        self.next()
+        if kind != "name":
+            self.error(f"expected an atom, found {name or kind!r}")
+        self.i += 1
         args: tuple = ()
         if self.at_punct("("):
-            self.next()
+            self.i += 1
             args = tuple(self.parse_term_list())
             self.expect("punct", ")")
-        return Pred(tok.value, args)
+        return Pred(name, args)
 
     def parse_body(self):
         atoms = [self.parse_atom()]
         while self.at_punct(","):
-            self.next()
+            self.i += 1
             atoms.append(self.parse_atom())
         return tuple(atoms)
 
     def parse_clause(self) -> Clause:
-        head_tok = self.peek()
         head = self.parse_atom()
         if head is CUT:
-            self.error("cut (!) cannot be a clause head", head_tok)
+            self.error("cut (!) cannot be a clause head", self.i - 1)
         body: tuple = ()
         if self.at_punct(":-"):
-            self.next()
+            self.i += 1
             body = self.parse_body()
         self.expect("punct", ".")
         return Clause(head, body)
 
     def parse_program(self) -> Program:
         clauses = []
-        while self.peek().kind != "eof":
+        while self.peek() != _EOF:
             clauses.append(self.parse_clause())
         return Program(tuple(clauses))
 
     def parse_query(self) -> tuple:
-        if self.peek().kind == "eof":
+        if self.peek() == _EOF:
             return ()
         atoms = self.parse_body()
         if self.at_punct("."):
-            self.next()
+            self.i += 1
         self.expect("eof")
         return atoms
 
@@ -516,13 +530,12 @@ def _split_sections(text: str):
 class _SpecEntryParser(_Parser):
     def __init__(self, text: str):
         super().__init__(text)
-        self.set_refs: list = []  # the set-name token of every notin guard
+        self.set_refs: list = []  # (set name, token number) of every notin guard
 
     def parse_guard(self) -> Guard:
-        tok = self.expect("name")
-        name = tok.value
+        name = self.expect("name")
         if name not in GUARDS:
-            self.error(f"unknown guard {name!r}", tok)
+            self.error(f"unknown guard {name!r}", self.i - 1)
         signature = GUARDS[name].signature
         args: list = []
         if signature:
@@ -532,8 +545,8 @@ class _SpecEntryParser(_Parser):
                     self.expect("punct", ",")
                 if kind == "set":
                     ref = self.expect("name")
-                    self.set_refs.append(ref)
-                    args.append(ref.value)
+                    self.set_refs.append((ref, self.i - 1))
+                    args.append(ref)
                 elif kind == "atom":
                     args.append(self.parse_atom(allow_cut=False))
                 else:
@@ -545,22 +558,18 @@ class _SpecEntryParser(_Parser):
         """Entries of a set section: 'any.' or 'atom (where guards)?.'"""
         universal = False
         patterns = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind == "name" and tok.value == "any":
-                nxt = self.tokens[self.i + 1]
-                if nxt.kind == "punct" and nxt.value == ".":
-                    self.next()
-                    self.next()
-                    universal = True
-                    continue
+        while self.peek() != _EOF:
+            if self.peek() == ("name", "any") and self.tokens[self.i + 1] == ("punct", "."):
+                self.i += 2
+                universal = True
+                continue
             atom = self.parse_atom(allow_cut=False)
             guards: list = []
-            if self.peek().kind == "name" and self.peek().value == "where":
-                self.next()
+            if self.peek() == ("name", "where"):
+                self.i += 1
                 guards.append(self.parse_guard())
                 while self.at_punct(","):
-                    self.next()
+                    self.i += 1
                     guards.append(self.parse_guard())
             self.expect("punct", ".")
             patterns.append(AtomPattern(atom, tuple(guards)))
@@ -569,23 +578,22 @@ class _SpecEntryParser(_Parser):
     def parse_alphabet_entries(self):
         functors: list = []
         predicates: list = []
-        while self.peek().kind != "eof":
+        while self.peek() != _EOF:
             kw = self.expect("name")
-            if kw.value not in ("functor", "predicate"):
-                self.error("expected 'functor' or 'predicate'", kw)
-            name = self.expect("name").value
+            if kw not in ("functor", "predicate"):
+                self.error("expected 'functor' or 'predicate'", self.i - 1)
+            name = self.expect("name")
             self.expect("punct", "/")
-            tok = self.expect("name")
-            if not tok.value.isdigit():
-                self.error("expected an arity", tok)
-            arity = int(tok.value)
+            arity = self.expect("name")
+            if not arity.isdigit():
+                self.error("expected an arity", self.i - 1)
             self.expect("punct", ".")
-            (functors if kw.value == "functor" else predicates).append((name, arity))
+            (functors if kw == "functor" else predicates).append((name, int(arity)))
         return functors, predicates
 
     def parse_level_entries(self) -> dict:
         maps: dict = {}
-        while self.peek().kind != "eof":
+        while self.peek() != _EOF:
             head = self.parse_atom(allow_cut=False)
             params = []
             for a in head.args:
@@ -599,29 +607,30 @@ class _SpecEntryParser(_Parser):
             terms: list = []
             while True:
                 coeff = 1
-                tok = self.peek()
-                if tok.kind == "name" and tok.value.isdigit():
-                    self.next()
+                kind, value = self.peek()
+                if kind == "name" and value.isdigit():
+                    self.i += 1
                     if self.at_punct("*"):
-                        self.next()
-                        coeff = int(tok.value)
+                        self.i += 1
+                        coeff = int(value)
                     else:
-                        constant += int(tok.value)
+                        constant += int(value)
                         if self.at_punct("+"):
-                            self.next()
+                            self.i += 1
                             continue
                         break
-                tok = self.expect("name")
-                if tok.value not in ("len", "size"):
-                    self.error("expected len(...) or size(...)", tok)
+                measure = self.expect("name")
+                at = self.i - 1
+                if measure not in ("len", "size"):
+                    self.error("expected len(...) or size(...)", at)
                 self.expect("punct", "(")
-                v = self.expect("var").value
+                v = self.expect("var")
                 self.expect("punct", ")")
                 if v not in params:
-                    self.error(f"unknown argument variable {v!r}", tok)
-                terms.append((coeff, tok.value, params.index(v)))
+                    self.error(f"unknown argument variable {v!r}", at)
+                terms.append((coeff, measure, params.index(v)))
                 if self.at_punct("+"):
-                    self.next()
+                    self.i += 1
                     continue
                 break
             self.expect("punct", ".")
@@ -644,7 +653,7 @@ def parse_spec(text: str) -> SpecSuite:
     functors: list = []
     predicates: list = []
     saw_alphabet = False
-    set_refs: list = []  # (set name, line, col) of every notin guard
+    set_refs: list = []  # (set name, section body, token number, section lines) per notin guard
     for name, lineno, lines in _split_sections(text):
         if name not in _SECTIONS and not name.startswith("set "):
             raise ParseError(f"unknown section [{name}]", lineno, 1)
@@ -677,11 +686,13 @@ def parse_spec(text: str) -> SpecSuite:
         except ParseError as exc:
             # body line k is the section's k-th non-blank line
             raise ParseError(exc.message, lines[exc.line - 1][0], exc.col) from None
-        set_refs += [(t.value, lines[t.line - 1][0], t.col) for t in parser.set_refs]
+        set_refs += [(ref, body, at, lines) for ref, at in parser.set_refs]
     declared = {"s", "pre", "post"} | set(suite.named_sets)
-    for set_name, line, col in set_refs:
+    for set_name, body, at, lines in set_refs:
         if set_name not in declared:
-            raise ParseError(f"undeclared set {set_name!r} in notin guard", line, col)
+            tok = tokenize(body)[at]
+            raise ParseError(f"undeclared set {set_name!r} in notin guard",
+                             lines[tok.line - 1][0], tok.col)
     suite.s = functools.reduce(operator.or_, s_parts, AtomSet())
     if suite.s.universal:  # an ``any.`` section: the other sections add nothing
         suite.s = UNIVERSAL

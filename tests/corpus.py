@@ -22,7 +22,10 @@ The argv set:
   variables unbound, each at two budgets: ``app(X, X, Z)``,
   ``app(X, [a | T], Z)``, ``in(X, Y)``, the ``appmem`` query on 14 cells
   and a query ending in ``!``;
-- the inputs of the CI smoke steps.
+- the inputs of the CI smoke steps;
+- malformed inputs, each exit 2: a bad character on line 3 of a program, an
+  unterminated quote, an error inside a spec section, an undeclared
+  ``notin`` set, a bad query and an unknown flag.
 
 A digest covers the exit code, stdout and stderr of one run, and the text of
 the DOT file a ``--dot`` run writes, with the ``timing_ms`` field of a check
@@ -32,7 +35,8 @@ report stripped.  Every run is also checked against three invariants, and
 - the text output, the ``--json`` output and the exit code agree;
 - the text run and the ``--json`` run write the same DOT file;
 - exit 2 comes only with an input error (``error: …`` or ``parse error: …``
-  on stderr), and exit 4 never happens.
+  on stderr, or argparse's ``usage: …`` and ``cutcheck …: error: …``), and
+  exit 4 never happens.
 """
 
 from __future__ import annotations
@@ -226,13 +230,44 @@ def smoke_cases(workdir: Path) -> list:
                           (command, str(workdir / "appmem.pl"), split)))
     cases += [_fixture_case(("oracle", "fixtures/in.pl", "in(X, Y)", "--steps", "5000")),
               _fixture_case(("run", "fixtures/in.pl", "in(X, Y)", "--nodes", "5000"))]
+    links = [f"p{i} :- !, p{i + 1}.\np{i}." for i in range(1, 20001)]
+    (workdir / "chain.pl").write_text("\n".join(links + ["p20001."]) + "\n", encoding="utf-8")
+    (workdir / "chain_bad.pl").write_text("\n".join(links + ["p20001.", "^"]) + "\n", encoding="utf-8")
+    for name in ("chain.pl", "chain_bad.pl"):
+        cases.append(Case(f"smoke tree {name} <20,000 links> p1 --nodes 10",
+                          ("tree", str(workdir / name), "p1", "--nodes", "10")))
+    return cases
+
+
+# malformed inputs: the file the argv names, as (name, text) or None, and the argv
+MALFORMED_RUNS = (
+    (("bad3.pl", "p.\nq :- p.\nr :- q, #.\n"), ("run", "bad3.pl", "r")),
+    (("quote.pl", "p :- q.\nq :- 'open.\n"), ("tree", "quote.pl", "p")),
+    (("section.spec", "[S]\napp([], [], []).\n\n% the guard\n[pre]\napp(X, Y, Z) where odd(X).\n"),
+     ("check", "correct", "fixtures/append.pl", "--spec", "section.spec")),
+    (("notin.spec", "[S]\napp(X, Y, Z) where ground(X),\n  notin(app(X, X, X), nowhere).\n"),
+     ("check", "semicomplete", "fixtures/append.pl", "--spec", "notin.spec")),
+    (None, ("run", "fixtures/append.pl", "app(X, Y")),
+    (None, ("prune", "fixtures/append.pl", "app(X, Y, [1])", "--bogus")),
+)
+
+
+def malformed_cases(workdir: Path) -> list:
+    """The malformed inputs, their files written under ``workdir``."""
+    cases = []
+    for file, args in MALFORMED_RUNS:
+        if file is not None:
+            (workdir / file[0]).write_text(file[1], encoding="utf-8")
+        case = _fixture_case(args)
+        cases.append(Case("malformed " + case.key, tuple(
+            str(workdir / a) if file is not None and a == file[0] else a for a in case.argv)))
     return cases
 
 
 def all_cases(workdir: Path) -> list:
     """The whole argv set, each argv once."""
     cases = (workload_cases(workdir) + fixture_cases() + tree_cases(workdir)
-             + answer_cases(workdir) + smoke_cases(workdir))
+             + answer_cases(workdir) + smoke_cases(workdir) + malformed_cases(workdir))
     return list({c.key: c for c in cases}.values())
 
 
@@ -259,18 +294,27 @@ def _drop_package() -> dict:
     return {m: sys.modules.pop(m) for m in names}
 
 
-def run_once(argv) -> Run:
+def run_once(argv, main=None) -> Run:
+    """One run of ``argv``: by ``main`` if given, else on a fresh import."""
     dot = Path(argv[argv.index("--dot") + 1]) if "--dot" in argv else None
     if dot is not None and dot.exists():
         dot.unlink()  # so that a run that writes none reads no earlier run's
     out, err = io.StringIO(), io.StringIO()
-    with fresh_import() as main, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    entry = fresh_import() if main is None else contextlib.nullcontext(main)
+    with entry as main, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = main(list(argv))
         except SystemExit as exc:  # argparse rejected the arguments
             rc = exc.code
     dot_text = dot.read_text(encoding="utf-8") if dot is not None and dot.exists() else None
     return Run(rc, out.getvalue(), err.getvalue(), dot_text)
+
+
+def _usage_error(err: str) -> bool:
+    """Whether ``err`` is argparse's report of a command line it rejected."""
+    lines = err.splitlines()
+    return (len(lines) >= 2 and lines[0].startswith("usage: cutcheck")
+            and lines[-1].startswith("cutcheck") and ": error: " in lines[-1])
 
 
 def run_case(case: Case) -> tuple:
@@ -330,7 +374,8 @@ def problems(case: Case, text: Run, as_json: Run) -> list:
     for mode, run in (("text", text), ("json", as_json)):
         if run.rc == 4 or "internal error" in run.err:
             found.append(f"{mode}: internal error, exit {run.rc}: {run.err.strip()}")
-        elif run.rc == 2 and not run.err.startswith(("error: ", "parse error: ")):
+        elif run.rc == 2 and not (run.err.startswith(("error: ", "parse error: "))
+                                  or _usage_error(run.err)):
             found.append(f"{mode}: exit 2 without an input error: {run.err.strip()!r}")
     if text.dot != as_json.dot:
         found.append("the text run and the --json run write different DOT files")

@@ -37,6 +37,7 @@ from cutcheck.atomsets import GUARDS
 from cutcheck.cli import CHECK_KINDS, build_parser, main
 from cutcheck.terms import InputError
 
+import corpus
 from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text
 
 
@@ -506,6 +507,33 @@ class TestParser:
                 assert capsys.readouterr().err.endswith(
                     f"error: unrecognized arguments: {flag[:end]} 1\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_kept_parser_answers_as_a_fresh_import(self, fixtures_dir, tmp_path, monkeypatch):
+        """``main`` builds each command's parser once and keeps it; calls that
+        give a flag and then leave it out, a usage error, then a valid call,
+        and help each print and exit as on a fresh import."""
+        built = []
+        monkeypatch.setattr(cutcheck.cli, "_PARSERS", {})
+        monkeypatch.setattr(cutcheck.cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        pl, spec = str(fixtures_dir / "append.pl"), str(fixtures_dir / "append.spec")
+        query = "app(X, Y, [1, 2])"
+        dot = ("--dot", str(tmp_path / "t.dot"))
+        complete = ["check", "complete", pl, "--spec", spec, "--query", query]
+        argvs = [
+            ["run", pl, query, *dot, "--nodes", "4"], complete + ["--depth", "1", *dot],
+            ["run", pl, query], complete, ["tree", pl, query, "--nodes", "2"],
+            ["tree", pl, query, "--nodes"], ["tree", pl, query], ["check", "correct", pl, "--spec", spec],
+            ["check", "correct", pl, "--spec", spec, "--depth", "1", "--json"],
+            ["oracle", pl, query, "--steps", "3"], ["oracle", pl, query], ["prune", pl, query, *dot],
+            ["prune", pl, query, "--bogus"], ["prune", pl, query], ["-h"], ["run", "-h"], ["check", "-h"],
+            ["bogus", pl], [], ["run", pl, "app(X"],
+        ]
+        for argv in argvs:
+            kept = corpus.stripped(corpus.run_once(argv, main))
+            assert kept == corpus.stripped(corpus.run_once(argv)), argv
+        assert built == ["run", "check", "tree", "oracle", "prune", None]
+        assert corpus.run_once(["tree", pl, query, "--nodes"], main).rc == 2
 
     def test_messages_name_every_command(self):
         _, _, err = parse_outcome(build_parser("run"), ["run", P, Q, "--bogus"])

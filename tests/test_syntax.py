@@ -15,7 +15,7 @@ from cutcheck.syntax import (
     term_text,
     _name_text,
 )
-from cutcheck.syntax import tokenize
+from cutcheck.syntax import _pairs, tokenize
 from cutcheck.terms import NIL, Compound, Pred, Var, list_items, make_list
 
 from conftest import FIXTURES, random_term_program
@@ -155,6 +155,13 @@ def _tokens_or_error(tokenizer, text):
         return ("error", str(exc), exc.message, exc.line, exc.col)
 
 
+def _pairs_or_error(text):
+    try:
+        return _pairs(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.message, exc.line, exc.col)
+
+
 class TestTokenizer:
     # pieces of program and spec text; the last eight cannot start a token
     PIECES = (
@@ -170,17 +177,43 @@ class TestTokenizer:
         pieces = self.PIECES[:-8] if rng.random() < 0.6 else self.PIECES
         return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
 
+    # the traps of one token pattern scanned by ``findall``: a comment skip
+    # that backtracks (``c`` a token), a trailing comment or white space
+    # scanned again, the empty quoted name lost; then multi-line quoted
+    # names, an unterminated quote and a bad character after a comment
+    TRAPS = (
+        "p(\n%c\n  a)", "p(\n%c\n  #", "p. % end", "p.  \n\t", "p.\n%", "  ", "% only",
+        "p('').", "'' :- ''.", "p('a\nb', 'c\n\nd') :- q.", "'two\nlines' %c\n ;",
+        "p('open).", "p :- q('it''s", "p. % c\n#", "p % 'q\n  @", "%a\n%b\n\n é",
+    )
+
     def test_agrees_with_the_reference_tokenizer(self):
         rng = random.Random(12)
-        texts = [self.random_text(rng) for _ in range(3000)]
+        texts = [self.random_text(rng) for _ in range(3000)] + list(self.TRAPS)
         texts += [random_term_program(rng) for _ in range(300)]
         texts += [f.read_text() for f in sorted(FIXTURES.iterdir()) if f.suffix in (".pl", ".spec")]
         errors = 0
         for text in texts:
             want = _tokens_or_error(reference_tokenize, text)
             assert _tokens_or_error(tokenize, text) == want, text
+            # the parser's pairs: the same tokens, or the same error
+            pairs = want if want[0] == "error" else [(kind, value) for kind, value, _, _ in want]
+            assert _pairs_or_error(text) == pairs, text
             errors += want[0] == "error"
         assert 500 < errors < len(texts) - 1000  # both outcomes are well represented
+
+    def test_traps(self):
+        assert [t.value for t in tokenize("p(\n%c\n  a)")] == ["p", "(", "a", ")", ""]
+        assert _pairs("p. % end") == [("name", "p"), ("punct", "."), ("eof", "")]
+        assert _pairs("p.  \n\t") == [("name", "p"), ("punct", "."), ("eof", "")]
+        assert tokenize("p.  \n\t")[-1] == ("eof", "", 2, 2)
+        assert _pairs("p('').") == [("name", "p"), ("punct", "("), ("name", ""), ("punct", ")"),
+                                    ("punct", "."), ("eof", "")]
+        for text, line, col in (("p('open).", 1, 3), ("p. % c\n#", 2, 1),
+                                ("p('a\nb', 'c\n\nd') :- #.", 4, 8)):
+            with pytest.raises(ParseError) as exc:
+                _pairs(text)
+            assert (exc.value.line, exc.value.col) == (line, col), text
 
     def test_error_positions(self):
         for text, line, col in (("p.\n  q :- #.", 2, 8), ("'it''s' @", 1, 9),
@@ -188,6 +221,32 @@ class TestTokenizer:
             with pytest.raises(ParseError) as exc:
                 tokenize(text)
             assert (exc.value.line, exc.value.col) == (line, col)
+
+    # each as the parser before the one-call reader reported it
+    @pytest.mark.parametrize("parse, text, message, line, col", [
+        (parse_program, "p.\nq :- r.\nr :- #.\n", "unexpected character '#'", 3, 6),
+        (parse_program, "p :- 'open.\n", "unexpected character \"'\"", 1, 6),
+        (parse_program, "p(a) :- q(\n  'two\nlines', ;).", "unexpected character ';'", 3, 9),
+        (parse_program, "p. % trailing comment\n\n  ^", "unexpected character '^'", 3, 3),
+        (parse_program, "! :- p.", "cut (!) cannot be a clause head", 1, 1),
+        (parse_program, "p :- q\n", "expected '.', found 'eof'", 2, 1),
+        (parse_query, "app(X, Y", "expected ')', found 'eof'", 1, 9),
+        (parse_query, "p(X). q", "expected 'eof', found 'q'", 1, 7),
+        (parse_query, "p(X) % c\n, 'it''s'(Y) @", "unexpected character '@'", 2, 14),
+        (parse_spec, "[S]\np(a).\n\n[pre]\np(X) where odd(X).\n", "unknown guard 'odd'", 5, 12),
+        (parse_spec, "[S]\n% note\nq(X) where ground(X), notin(p(X), nowhere).\n",
+         "undeclared set 'nowhere' in notin guard", 3, 35),
+        (parse_spec, "[set mine]\np(a).\n[S]\n\nq(X) where ground(X),\n"
+         "   notin(p(X), mine), notin(r(X), other).\n", "undeclared set 'other' in notin guard", 6, 35),
+        (parse_spec, "[alphabet]\nfunctor f/2.\npredicate p/x.\n", "expected an arity", 3, 13),
+        (parse_spec, "[level]\np(X) = 1 + 2*len(Y).\n", "unknown argument variable 'Y'", 2, 14),
+        (parse_spec, "[level]\np(X) = 1 + 2*depth(X).\n", "expected len(...) or size(...)", 2, 14),
+        (parse_spec, "[post]\np('a\nb') where #.\n", "unexpected character '#'", 3, 11),
+    ])
+    def test_parse_errors_keep_message_and_position(self, parse, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
 
     def test_tokens_are_tuples(self):
         assert tokenize("p :- 'q x'.") == [
