@@ -25,11 +25,13 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
     lines = ["digraph ldtree {", "  node [shape=box, fontname=\"monospace\"];"]
     kept = pruned.kept if pruned is not None else None
     path_edges = set()
+    pruned_by: dict = {}
     if pruned is not None:
-        for executing, _removed in pruned.iteration_log:
+        for executing, removed in pruned.iteration_log:
             cs = cutting_sequence_of(tree, executing)
             for above, below in zip(cs.path, cs.path[1:]):
                 path_edges.add((above, below))
+            pruned_by.update(dict.fromkeys(removed, executing))
     ids = tree.ids
     for nid in ids:
         node = tree.nodes[nid]
@@ -39,7 +41,7 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
         elif node.status == SUCCESS:
             attrs.append("peripheries=2")
         if pruned is not None and nid not in kept:
-            executing = pruned.pruned_by.get(nid)
+            executing = pruned_by.get(nid)
             attrs.append("style=dashed")
             if executing is not None:
                 label = _escape(f"{_node_label(tree, nid)}\\npruned by n{executing}")

@@ -78,13 +78,8 @@ class PrunedTree:
 
     base: LdTree
     kept: set
-    pruned_by: dict  # removed node id -> executing node id
     iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
     exact: bool
-
-    @property
-    def pruned(self) -> set:
-        return set(self.pruned_by)
 
 
 def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
@@ -98,7 +93,6 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
     base = builder.tree
     nodes = base.nodes
     kept: set = set()
-    pruned_by: dict = {}
     log: list = []
     exact = True
     bindings: dict = {}  # every step mgu on the current root path
@@ -118,7 +112,6 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
             for frame in stack[0 if intro is None else nodes[intro].depth :]:
                 removed.update(frame[0][frame[1] :])
                 del frame[0][frame[1] :]
-            pruned_by.update(dict.fromkeys(removed, nid))
             log.append((nid, frozenset(removed)))
         children = builder.expand(nid)
         if node.status == TRUNCATED:
@@ -141,7 +134,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
                 trail.extend(mgu)
             else:
                 stack.pop()
-    return PrunedTree(base, kept, pruned_by, log, exact)
+    return PrunedTree(base, kept, log, exact)
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None, *,

@@ -5,7 +5,8 @@ with ``!`` allowed in bodies and queries (never as a clause head), list sugar
 ``[a, b | T]``, ``%`` line comments, and quoted atoms (so ``a'`` and ``'.'``
 are fine constant/functor names).
 
-Spec files are section-structured::
+Spec files are ``[name]`` sections, each header on a line of its own, their
+entries read with the program tokens (comments and quoted names alike)::
 
     [alphabet]   functor f/2.  predicate p/1.
     [S]          ground atoms
@@ -13,7 +14,7 @@ Spec files are section-structured::
     [pre]/[post] patterns or ``any.``
     [set NAME]   auxiliary named sets usable in notin guards
     [level]      p(X, Y) = 1 + len(X) + 2*size(Y).
-    [bounds]     depth=3 nodes=50000 steps=200000.
+    [bounds]     depth = 3. nodes = 50000. steps = 200000.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -85,25 +86,26 @@ def _value(lexeme: str) -> str:
     return lexeme[1:-1].replace("''", "'") if lexeme[0] == "'" else lexeme
 
 
-def tokenize(text: str) -> list:
-    """The tokens of ``text`` and a closing ``eof`` token, with their positions.
+def tokenize(text: str, start: int = 0, end: Optional[int] = None) -> list:
+    """The tokens of ``text[start:end]`` and a closing ``eof`` token, placed in ``text``.
 
     A token's ``line`` and ``col`` (both from 1) are those of its first
     character; a character no token starts with raises ParseError there.
     The parser reads ``_pairs``; this view is for errors and tests.
     """
     tokens = []
-    line, line_start = 1, 0  # line_start: offset of the line's first character
-    pos = 0  # where the last token starts: a quoted name's newlines count with the gap after it
-    for m in _TOKEN_RE.finditer(text):
+    line = text.count("\n", 0, start) + 1
+    line_start = text.rfind("\n", 0, start) + 1  # offset of the line's first character
+    pos = start  # where the last token starts: a quoted name's newlines count with the gap after it
+    for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end):
         group = m.lastindex  # None at the end of the text
-        start = m.start(group) if group else m.end()
-        newlines = text.count("\n", pos, start)
+        at = m.start(group) if group else m.end()
+        newlines = text.count("\n", pos, at)
         if newlines:
             line += newlines
-            line_start = text.rindex("\n", pos, start) + 1
-        pos = start
-        col = start - line_start + 1
+            line_start = text.rindex("\n", pos, at) + 1
+        pos = at
+        col = at - line_start + 1
         if group is None:  # a second, empty match may follow trailing white space: not read
             tokens.append(Token("eof", "", line, col))
             return tokens
@@ -112,11 +114,11 @@ def tokenize(text: str) -> list:
         tokens.append(Token(_KINDS[group], _value(m.group(group)), line, col))
 
 
-def _pairs(text: str) -> list:
-    """The ``(kind, value)`` pairs of ``tokenize(text)``, from one ``findall`` call."""
+def _pairs(text: str, start: int = 0, end: Optional[int] = None) -> list:
+    """The ``(kind, value)`` pairs of ``tokenize(text, start, end)``, from one ``findall`` call."""
     pairs = []
     append = pairs.append
-    for name, var, punct, bad in _TOKEN_RE.findall(text):
+    for name, var, punct, bad in _TOKEN_RE.findall(text, start, len(text) if end is None else end):
         if punct:
             append(("punct", punct))
         elif name:
@@ -124,18 +126,18 @@ def _pairs(text: str) -> list:
         elif var:
             append(("var", var))
         elif bad:
-            tokenize(text)  # raises ParseError at the character
+            tokenize(text, start, end)  # raises ParseError at the character
         else:
             append(_EOF)
             return pairs
 
 
 class _Parser:
-    """A parser over the ``(kind, value)`` pairs of a text; only ``error`` reads positions."""
+    """Parses ``text[start:end]`` from its ``(kind, value)`` pairs; ``error`` reads positions."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _pairs(text)
+    def __init__(self, text: str, start: int = 0, end: Optional[int] = None):
+        self.text, self.start, self.end = text, start, end
+        self.tokens = _pairs(text, start, end)
         self.i = 0
 
     def peek(self) -> tuple:
@@ -143,7 +145,7 @@ class _Parser:
 
     def error(self, message: str, at: Optional[int] = None):
         """Raise ParseError at the token numbered ``at``, by default the next one."""
-        tok = tokenize(self.text)[self.i if at is None else at]
+        tok = tokenize(self.text, self.start, self.end)[self.i if at is None else at]
         raise ParseError(message, tok.line, tok.col)
 
     def expect(self, kind: str, value: Optional[str] = None) -> str:
@@ -505,32 +507,29 @@ class SpecSuite:
         return out
 
 
-_SECTION_RE = re.compile(r"^\[([A-Za-z][\w-]*(?: +[\w-]+)?)\]\s*$")
+# a header is a line of its own, bar white space and a comment
+_HEADER_RE = re.compile(r"^[^\S\n]*\[([A-Za-z][\w-]*(?: +[\w-]+)?)\][^\S\n]*(?:%.*)?$", re.M)
 _SECTIONS = ("alphabet", "S", "S-patterns", "pre", "post", "level", "bounds")
-_BOUND_RE = re.compile(r"(depth|nodes|steps)\s*=\s*(\d+)")
-
-
-def _split_sections(text: str):
-    sections: list = []
-    current: Optional[tuple] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("%", 1)[0].rstrip()
-        m = _SECTION_RE.match(stripped.strip()) if stripped.strip() else None
-        if m:
-            current = (m.group(1), lineno, [])
-            sections.append(current)
-            continue
-        if stripped.strip():
-            if current is None:
-                raise ParseError("declarations must appear under a [section]", lineno, 1)
-            current[2].append((lineno, stripped))
-    return sections
 
 
 class _SpecEntryParser(_Parser):
-    def __init__(self, text: str):
-        super().__init__(text)
+    def __init__(self, text: str, start: int, end: int):
+        super().__init__(text, start, end)
         self.set_refs: list = []  # (set name, token number) of every notin guard
+
+    def error(self, message: str, at: Optional[int] = None):
+        if self.tokens[self.i if at is None else at] == _EOF:
+            # a section's eof sits right after its last token, not at the next header
+            for m in _TOKEN_RE.finditer(self.text, self.start, self.end):
+                if m.lastindex:
+                    self.end = m.end()
+        super().error(message, at)
+
+    def expect_number(self, message: str) -> int:
+        value = self.expect("name")
+        if not value.isdecimal():  # not isdigit: int() rejects digits such as '²'
+            self.error(message, self.i - 1)
+        return int(value)
 
     def parse_guard(self) -> Guard:
         name = self.expect("name")
@@ -584,11 +583,9 @@ class _SpecEntryParser(_Parser):
                 self.error("expected 'functor' or 'predicate'", self.i - 1)
             name = self.expect("name")
             self.expect("punct", "/")
-            arity = self.expect("name")
-            if not arity.isdigit():
-                self.error("expected an arity", self.i - 1)
+            arity = self.expect_number("expected an arity")
             self.expect("punct", ".")
-            (functors if kw == "functor" else predicates).append((name, int(arity)))
+            (functors if kw == "functor" else predicates).append((name, arity))
         return functors, predicates
 
     def parse_level_entries(self) -> dict:
@@ -608,7 +605,7 @@ class _SpecEntryParser(_Parser):
             while True:
                 coeff = 1
                 kind, value = self.peek()
-                if kind == "name" and value.isdigit():
+                if kind == "name" and value.isdecimal():
                     self.i += 1
                     if self.at_punct("*"):
                         self.i += 1
@@ -638,6 +635,17 @@ class _SpecEntryParser(_Parser):
             maps[lm.indicator] = lm
         return maps
 
+    def parse_bounds_entries(self, budget: Budget) -> Budget:
+        """Entries ``NAME = N.``, NAME a field of Budget; a later entry overrides."""
+        while self.peek() != _EOF:
+            name = self.expect("name")
+            if name not in ("depth", "nodes", "steps"):
+                self.error("expected 'depth', 'nodes' or 'steps'", self.i - 1)
+            self.expect("punct", "=")
+            budget = replace(budget, **{name: self.expect_number("expected a number")})
+            self.expect("punct", ".")
+        return budget
+
 
 def _make_set(universal: bool, patterns: list) -> AtomSet:
     if universal:
@@ -653,46 +661,42 @@ def parse_spec(text: str) -> SpecSuite:
     functors: list = []
     predicates: list = []
     saw_alphabet = False
-    set_refs: list = []  # (set name, section body, token number, section lines) per notin guard
-    for name, lineno, lines in _split_sections(text):
+    parsers: list = []  # per section, for the notin refs checked once every set is declared
+    headers = list(_HEADER_RE.finditer(text))
+    first = _TOKEN_RE.match(text, 0, headers[0].start() if headers else len(text))
+    if first.lastindex:  # a token, or a character no token starts with, before the first header
+        raise ParseError("declarations must appear under a [section]",
+                         text.count("\n", 0, first.start(first.lastindex)) + 1, 1)
+    for k, header in enumerate(headers):
+        name = header.group(1)
         if name not in _SECTIONS and not name.startswith("set "):
-            raise ParseError(f"unknown section [{name}]", lineno, 1)
-        body = "\n".join(s for _, s in lines)
-        try:
-            parser = _SpecEntryParser(body)
-            if name == "alphabet":
-                fs, ps = parser.parse_alphabet_entries()
-                functors.extend(fs)
-                predicates.extend(ps)
-                saw_alphabet = True
-            elif name in ("S", "S-patterns"):
-                universal, patterns = parser.parse_pattern_entries()
-                s_parts.append(_make_set(universal, patterns))
-            elif name in ("pre", "post"):
-                universal, patterns = parser.parse_pattern_entries()
-                setattr(suite, name, _make_set(universal, patterns))
-            elif name.startswith("set "):
-                universal, patterns = parser.parse_pattern_entries()
-                suite.named_sets[name.split(None, 1)[1]] = _make_set(universal, patterns)
-            elif name == "level":
-                suite.level_maps.update(parser.parse_level_entries())
-            else:  # bounds
-                values = dict(_BOUND_RE.findall(body))
-                suite.budget = Budget(
-                    depth=int(values.get("depth", suite.budget.depth)),
-                    nodes=int(values.get("nodes", suite.budget.nodes)),
-                    steps=int(values.get("steps", suite.budget.steps)),
-                )
-        except ParseError as exc:
-            # body line k is the section's k-th non-blank line
-            raise ParseError(exc.message, lines[exc.line - 1][0], exc.col) from None
-        set_refs += [(ref, body, at, lines) for ref, at in parser.set_refs]
+            raise ParseError(f"unknown section [{name}]", text.count("\n", 0, header.start()) + 1, 1)
+        end = headers[k + 1].start() if k + 1 < len(headers) else len(text)
+        parser = _SpecEntryParser(text, header.end(), end)
+        parsers.append(parser)
+        if name == "alphabet":
+            fs, ps = parser.parse_alphabet_entries()
+            functors.extend(fs)
+            predicates.extend(ps)
+            saw_alphabet = True
+        elif name in ("S", "S-patterns"):
+            universal, patterns = parser.parse_pattern_entries()
+            s_parts.append(_make_set(universal, patterns))
+        elif name in ("pre", "post"):
+            universal, patterns = parser.parse_pattern_entries()
+            setattr(suite, name, _make_set(universal, patterns))
+        elif name.startswith("set "):
+            universal, patterns = parser.parse_pattern_entries()
+            suite.named_sets[name.split(None, 1)[1]] = _make_set(universal, patterns)
+        elif name == "level":
+            suite.level_maps.update(parser.parse_level_entries())
+        else:  # bounds
+            suite.budget = parser.parse_bounds_entries(suite.budget)
     declared = {"s", "pre", "post"} | set(suite.named_sets)
-    for set_name, body, at, lines in set_refs:
-        if set_name not in declared:
-            tok = tokenize(body)[at]
-            raise ParseError(f"undeclared set {set_name!r} in notin guard",
-                             lines[tok.line - 1][0], tok.col)
+    for parser in parsers:
+        for set_name, at in parser.set_refs:
+            if set_name not in declared:
+                parser.error(f"undeclared set {set_name!r} in notin guard", at)
     suite.s = functools.reduce(operator.or_, s_parts, AtomSet())
     if suite.s.universal:  # an ``any.`` section: the other sections add nothing
         suite.s = UNIVERSAL

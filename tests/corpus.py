@@ -25,7 +25,9 @@ The argv set:
 - the inputs of the CI smoke steps;
 - malformed inputs, each exit 2: a bad character on line 3 of a program, an
   unterminated quote, an error inside a spec section, an undeclared
-  ``notin`` set, a bad query and an unknown flag.
+  ``notin`` set, a bad query, an unknown flag, a bad ``[bounds]`` value and
+  an unknown bound name; and a valid spec whose entry holds a ``%`` inside a
+  quoted name.
 
 A digest covers the exit code, stdout and stderr of one run, and the text of
 the DOT file a ``--dot`` run writes, with the ``timing_ms`` field of a check
@@ -239,28 +241,38 @@ def smoke_cases(workdir: Path) -> list:
     return cases
 
 
-# malformed inputs: the file the argv names, as (name, text) or None, and the argv
+# malformed inputs, and a valid spec with a % inside a quoted name: the files the argv
+# names, as (name, text) pairs, and the argv
+QUOTED_PROGRAM = "p('a%b').\n"  # the program and spec of the CI spec reader smoke step
+QUOTED_SPEC = "[S] % the one atom\np('a%b'). % a % in a quoted name\n"
 MALFORMED_RUNS = (
-    (("bad3.pl", "p.\nq :- p.\nr :- q, #.\n"), ("run", "bad3.pl", "r")),
-    (("quote.pl", "p :- q.\nq :- 'open.\n"), ("tree", "quote.pl", "p")),
-    (("section.spec", "[S]\napp([], [], []).\n\n% the guard\n[pre]\napp(X, Y, Z) where odd(X).\n"),
+    ((("bad3.pl", "p.\nq :- p.\nr :- q, #.\n"),), ("run", "bad3.pl", "r")),
+    ((("quote.pl", "p :- q.\nq :- 'open.\n"),), ("tree", "quote.pl", "p")),
+    ((("section.spec", "[S]\napp([], [], []).\n\n% the guard\n[pre]\napp(X, Y, Z) where odd(X).\n"),),
      ("check", "correct", "fixtures/append.pl", "--spec", "section.spec")),
-    (("notin.spec", "[S]\napp(X, Y, Z) where ground(X),\n  notin(app(X, X, X), nowhere).\n"),
+    ((("notin.spec", "[S]\napp(X, Y, Z) where ground(X),\n  notin(app(X, X, X), nowhere).\n"),),
      ("check", "semicomplete", "fixtures/append.pl", "--spec", "notin.spec")),
-    (None, ("run", "fixtures/append.pl", "app(X, Y")),
-    (None, ("prune", "fixtures/append.pl", "app(X, Y, [1])", "--bogus")),
+    ((), ("run", "fixtures/append.pl", "app(X, Y")),
+    ((), ("prune", "fixtures/append.pl", "app(X, Y, [1])", "--bogus")),
+    ((("badbound.spec", "[S]\napp([], [], []).\n\n[bounds]\ndepth = 2.\nnodes = 5O000.\n"),),
+     ("check", "semicomplete", "fixtures/append.pl", "--spec", "badbound.spec")),
+    ((("bound.spec", "[S]\napp([], [], []).\n[bounds]\ndeph = 1.\n"),),
+     ("check", "semicomplete", "fixtures/append.pl", "--spec", "bound.spec")),
+    ((("quoted.pl", QUOTED_PROGRAM), ("quoted.spec", QUOTED_SPEC)),
+     ("check", "semicomplete", "quoted.pl", "--spec", "quoted.spec")),
 )
 
 
 def malformed_cases(workdir: Path) -> list:
     """The malformed inputs, their files written under ``workdir``."""
     cases = []
-    for file, args in MALFORMED_RUNS:
-        if file is not None:
-            (workdir / file[0]).write_text(file[1], encoding="utf-8")
+    for files, args in MALFORMED_RUNS:
+        for name, text in files:
+            (workdir / name).write_text(text, encoding="utf-8")
+        names = {name for name, _ in files}
         case = _fixture_case(args)
         cases.append(Case("malformed " + case.key, tuple(
-            str(workdir / a) if file is not None and a == file[0] else a for a in case.argv)))
+            str(workdir / a) if a in names else a for a in case.argv)))
     return cases
 
 

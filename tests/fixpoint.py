@@ -38,6 +38,11 @@ def pruned_by_sequence(tree: LdTree, cs: CuttingSequence, kept=None) -> set:
     return removed
 
 
+def pruned_by(pt: PrunedTree) -> dict:
+    """Removed node id -> the executing node that removed it, read from the log."""
+    return {r: e for e, removed in pt.iteration_log for r in removed}
+
+
 @dataclass
 class FixpointTree(PrunedTree):
     """The fixpoint's pruned tree, with the answers of its Success leaves."""
@@ -48,7 +53,6 @@ class FixpointTree(PrunedTree):
 def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> FixpointTree:
     """Iterate the cutting-sequence fixpoint on the (sub)tree."""
     kept = set(kept) if kept is not None else {n.id for n in tree.nodes}
-    pruned_by: dict = {}
     log: list = []
     i = 1
     while True:
@@ -59,14 +63,12 @@ def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> FixpointTree:
         ex = executing[i - 1]
         cs = cutting_sequence_of(tree, ex)
         removed = pruned_by_sequence(tree, cs, kept)
-        for r in removed:
-            pruned_by[r] = ex
         kept -= removed
         log.append((ex, frozenset(removed)))
         i += 1
     final = preorder(tree, kept)
     kept = set(final.ids)
-    return FixpointTree(tree, kept, pruned_by, log, final.exact, answers(tree, kept))
+    return FixpointTree(tree, kept, log, final.exact, answers(tree, kept))
 
 
 def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
@@ -77,7 +79,7 @@ def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
     ``want.base`` with the same child-index path from the root; the full tree
     must have expanded every node the walk expanded (true when ``want`` is
     exact, or when the full tree was truncated by the step budget only).
-    ``pruned_by`` and ``iteration_log`` are compared on materialised nodes,
+    ``pruned_by`` (read from the log) and ``iteration_log`` are compared on materialised nodes,
     nodes by canonical query and status, and answers up to variable names.
     """
     to_full = {0: 0}
@@ -94,7 +96,7 @@ def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
     got = {
         "kept": {to_full[n]: shape(lazy.base, n) for n in lazy.kept},
         "exact": lazy.exact,
-        "pruned_by": {to_full[r]: to_full[e] for r, e in lazy.pruned_by.items()},
+        "pruned_by": {to_full[r]: to_full[e] for r, e in pruned_by(lazy).items()},
         "iteration_log": [
             (to_full[e], frozenset(to_full[r] for r in removed))
             for e, removed in lazy.iteration_log
@@ -104,7 +106,7 @@ def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
     expected = {
         "kept": {n: shape(want.base, n) for n in want.kept},
         "exact": want.exact,
-        "pruned_by": {r: e for r, e in want.pruned_by.items() if r in image},
+        "pruned_by": {r: e for r, e in pruned_by(want).items() if r in image},
         "iteration_log": [(e, removed & image) for e, removed in want.iteration_log],
         "answers": [canonical(a) for a in want.answers],
     }

@@ -18,7 +18,7 @@ from conftest import (
     load_program, pruned_answers, random_propositional_program, random_term_program,
     search_answers,
 )
-from fixpoint import fixpoint_prune, walk_and_fixpoint
+from fixpoint import fixpoint_prune, pruned_by, walk_and_fixpoint
 
 
 def build(src, query, **kw):
@@ -72,8 +72,8 @@ class TestPruneFixture:
     def test_pruned_by_points_to_executing_node(self):
         prog = load_program("pruning_tree.pl")
         pt = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
-        assert pt.pruned_by
-        for removed, executing in pt.pruned_by.items():
+        assert pruned_by(pt)
+        for removed, executing in pruned_by(pt).items():
             assert is_executing(pt.base, executing)
             assert removed not in pt.kept
 
@@ -230,10 +230,10 @@ class TestPrunedTree:
     def test_dropped_siblings_are_never_expanded(self):
         query = parse_query("loop(s(s(s(z))))")
         pt = pruned_tree(parse_program(LADDER), query, Budget(nodes=2000))
-        for removed, executing in pt.pruned_by.items():
+        for removed, executing in pruned_by(pt).items():
             assert is_executing(pt.base, executing)
             assert pt.base.nodes[removed].children == []
-        assert set(pt.base.ids) == pt.kept | pt.pruned
+        assert set(pt.base.ids) == pt.kept | set(pruned_by(pt))
 
     def test_cut_away_infinite_branch_is_exact(self):
         prog = parse_program(INFINITE)

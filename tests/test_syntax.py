@@ -353,6 +353,44 @@ class TestSpecParsing:
             parse_spec("[alphabet]\n\nfunctor f/two.\n")
         assert str(exc.value) == "3:11: expected an arity"
 
+    def test_sections_are_read_with_the_program_tokenizer(self):
+        # a % inside a quoted name is no comment, and a quoted name may span lines
+        suite = parse_spec("[S]\np('a%b').\n")
+        assert suite.s.atoms == (Pred("p", (Compound("a%b"),)),)
+        suite = parse_spec("[S] % note\np('x\ny'). % c\n% [pre]\nq.\n")
+        assert suite.s.atoms == (Pred("p", (Compound("x\ny"),)), Pred("q"))
+        assert suite.pre == UNIVERSAL  # ``% [pre]`` is a comment, not a header
+        # CRLF line ends, after a header too
+        assert parse_spec("[S]\r\np(a).\r\n").s.atoms == (Pred("p", (Compound("a"),)),)
+        suite = parse_spec("[S]\r\np(a).\r\n[pre]\r\nany.\r\n[bounds]\r\nnodes = 7.\r\n")
+        assert suite.budget.nodes == 7
+
+    def test_bounds_entries(self):
+        suite = parse_spec("[bounds]\ndepth=2. nodes = 10.\nsteps = 20. % c\ndepth = 4.\n"
+                           "[bounds]\nnodes = 9.\n")
+        assert suite.budget == Budget(depth=4, nodes=9, steps=20)  # a later entry overrides
+        assert parse_spec("[bounds]\n").budget == Budget()
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("#\n[S]\n", "declarations must appear under a [section]", 1, 1),
+        ("'open\n[S]\n", "declarations must appear under a [section]", 1, 1),
+        ("% c\n\n  p('a%b').\n[S]\n", "declarations must appear under a [section]", 3, 1),
+        ("[S]\np('a\n[pre]\nb').\n", "unexpected character \"'\"", 2, 3),  # headers are lines
+        ("[S]\r\np(a)\r\n% c\r\n\r\n[pre]\r\nany.\r\n", "expected '.', found 'eof'", 2, 5),
+        ("[S]\np(a). q('x\ny') % c\n\n[pre]\n", "expected '.', found 'eof'", 3, 4),
+        ("[bounds]\nnodes = 5O000.\n", "expected '.', found 'O000'", 2, 10),
+        ("[bounds]\ndeph = 1.\n", "expected 'depth', 'nodes' or 'steps'", 2, 1),
+        ("[bounds]\ndepth = 1. stray\n", "expected 'depth', 'nodes' or 'steps'", 2, 12),
+        ("[bounds]\ndepth=3 nodes=50000.\n", "expected '.', found 'nodes'", 2, 9),
+        ("[bounds]\nsteps = many.\n", "expected a number", 2, 9),
+        ("[bounds]\nnodes = '\u00b2'.\n", "expected a number", 2, 9),
+        ("[alphabet]\nfunctor f/'\u00b2'.\n", "expected an arity", 2, 11),
+    ])
+    def test_reader_errors(self, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
     def test_any_section_makes_s_universal(self):
         suite = parse_spec("[S]\np(a).\n\n[S-patterns]\nq(X).\nany.\n")
         assert suite.s == UNIVERSAL
