@@ -213,30 +213,18 @@ COMMANDS = (
      (("--dot", "write Graphviz output ('complete' only)"), ("--depth", "term depth bound"),
       _NODES, _STEPS)),
 )
-COMMAND_NAMES = tuple(entry[0] for entry in COMMANDS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every command's subparser, or with only
-    ``command``'s when it names a command.
-
-    The one-command parser parses that command's arguments as the full one
-    does and prints the same help and errors: its top-level usage still
-    lists every command.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, with every command's subparser."""
     parser = argparse.ArgumentParser(
         prog="cutcheck",
         allow_abbrev=False,
         description="Build pruned LD-trees for logic programs with cut and "
         "check completeness, correctness, and termination conditions.",
     )
-    one = command in COMMAND_NAMES
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(COMMAND_NAMES) + "}" if one else None
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, flags in COMMANDS:
-        if one and name != command:
-            continue
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "check":
             p.add_argument("kind", choices=CHECK_KINDS)
@@ -268,19 +256,17 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-# argv[0] if it names a command, else None -> its parser, built on first use.  A parser
-# holds no input: ``parse_args`` writes a fresh Namespace and never writes to the parser.
-_PARSERS: dict = {}
+# built on first use; ``parse_args`` writes a fresh Namespace, never the parser
+_PARSER = None
 
 
 def main(argv=None) -> int:
+    global _PARSER
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
-    parser = _PARSERS.get(command)
-    if parser is None:
-        parser = _PARSERS[command] = build_parser(command)
-    args = parser.parse_args(argv)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit

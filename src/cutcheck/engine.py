@@ -38,15 +38,12 @@ class Budget:
 class Program:
     clauses: tuple = ()
     _index: dict = field(default=None, init=False, repr=False, compare=False)
-    # per clause: its variable names in first-occurrence order, for every step that renames it
-    clause_vars: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict = {}
         for i, c in enumerate(self.clauses):
             index.setdefault((c.head.name, len(c.head.args)), []).append((i, c))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "clause_vars", tuple(tuple(vars_of(c)) for c in self.clauses))
 
     def matching(self, atom: Pred) -> list:
         """The (index, clause) pairs whose head has the atom's name and arity,
@@ -70,7 +67,6 @@ class Node:
 
     id: int
     query: tuple
-    origins: tuple  # per atom: id of the node whose clause application introduced it
     parent: Optional[int]
     mgu: dict
     depth: int
@@ -112,9 +108,10 @@ def head_step(program: Program, idx: int, atom: Pred, forbidden: set, fresh: Fre
     ``forbidden``: ``(theta, rho)``, the mgu and the renaming, or None.  The
     renaming advances ``fresh`` either way; ``forbidden`` gains the renamed
     clause's names on success only, and the caller builds the body."""
-    names = program.clause_vars[idx]
+    clause = program.clauses[idx]
+    names = clause.var_names
     rho = renaming(names, forbidden, fresh) if names else {}
-    theta = unify(atom, apply(rho, program.clauses[idx].head))
+    theta = unify(atom, apply(rho, clause.head))
     if theta is None:
         return None
     forbidden.update(names, [v.name for v in rho.values()])  # names rho renames are in it already
@@ -161,7 +158,7 @@ class TreeBuilder:
         self.budget = budget or Budget()
         self.fresh = FreshNames()
         self.forbidden = set(vars_of(query))
-        root = Node(0, query, tuple(None for _ in query), None, {}, 0)
+        root = Node(0, query, None, {}, 0)
         self.tree = LdTree(query, [root])
 
     def expand(self, nid: int) -> list:
@@ -185,11 +182,8 @@ class TreeBuilder:
         if len(nodes) + len(expansions) > self.budget.nodes:
             node.status = TRUNCATED
             return []
-        tail_origins = node.origins[1:]
         for child_query, mgu in expansions:
-            # the atoms before the tail are the clause body, introduced here
-            child_origins = (nid,) * (len(child_query) - len(tail_origins)) + tail_origins
-            child = Node(len(nodes), child_query, child_origins, nid, mgu, node.depth + 1)
+            child = Node(len(nodes), child_query, nid, mgu, node.depth + 1)
             nodes.append(child)
             node.children.append(child.id)
         return node.children

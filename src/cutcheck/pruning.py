@@ -63,10 +63,24 @@ class CuttingSequence:
     executing: int
 
 
+def introducing(tree: LdTree, nid: int) -> Optional[int]:
+    """The node whose clause brought in the cut ``nid`` executes (None for a
+    cut of the initial query): the nearest proper ancestor whose query is no
+    longer.  A step replaces only the first goal, so the goals after the cut
+    keep their number until it runs; each node in between holds the cut and
+    a goal before it, and the introducing node at most the goals after it."""
+    nodes = tree.nodes
+    length = len(nodes[nid].query)
+    cur = nodes[nid].parent
+    while cur is not None and len(nodes[cur].query) > length:
+        cur = nodes[cur].parent
+    return cur
+
+
 def cutting_sequence_of(tree: LdTree, executing: int) -> CuttingSequence:
     if not is_executing(tree, executing):
         raise ValueError(f"node {executing} does not start with !")
-    intro = tree.nodes[executing].origins[0]
+    intro = introducing(tree, executing)
     chain = tree.ancestors(executing)
     start = 0 if intro is None else tree.nodes[intro].depth
     return CuttingSequence(intro, tuple(chain[start:]), executing)
@@ -105,7 +119,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
         # The cut runs before the truncation check, as in the fixpoint, where a
         # Truncated executing node is still in the preorder sequence.
         if is_executing(base, nid):
-            intro = node.origins[0]
+            intro = introducing(base, nid)
             removed: set = set()
             # stack[d] belongs to the ancestor at depth d: the cutting sequence
             # starts at the introducing node's frame (the root's for query cuts)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import is_
 from typing import Optional, Union
 
@@ -147,6 +148,11 @@ class Clause:
 
     head: Pred
     body: tuple = ()
+
+    @cached_property
+    def var_names(self) -> tuple:
+        """Its variable names in first-occurrence order, worked out on first use."""
+        return tuple(vars_of(self))
 
 
 class InputError(ValueError):

@@ -99,6 +99,9 @@ REL_SPEC = (
     "[S]\nm(X, L) where list(L).\nm(X, L) where ground_list(L), member(X, L).\nm([], [1]).\n"
     "[pre]\nm(X, L) where ground_list(L), member(X, L).\n[post]\nany.\n"
 )
+# the program of the CI cut-scope smoke step: a cut at each of 300 nested calls
+SCOPE_PROGRAM = "c(0) :- a, !.\nc(s(N)) :- c(N), a, !.\na.\na.\nb(1).\nb(2).\nd(1).\nd(2).\n"
+SCOPE_QUERY = "b(X), c(" + "s(" * 300 + "0" + ")" * 300 + "), d(Y)"
 # the program of the appmem workload and of the CI resolution smoke step
 APPMEM_PROGRAM = ("app([], L, L).\napp([H|K], L, [H|M]) :- app(K, L, M).\n"
                   "mem(X, [X|T]).\nmem(X, [H|T]) :- mem(X, T).\n")
@@ -230,6 +233,10 @@ def smoke_cases(workdir: Path) -> list:
     for command in ("run", "oracle"):
         cases.append(Case(f"smoke {command} appmem.pl <300-cell split>",
                           (command, str(workdir / "appmem.pl"), split)))
+    (workdir / "scope.pl").write_text(SCOPE_PROGRAM, encoding="utf-8")
+    for command in ("run", "oracle"):
+        cases.append(Case(f"smoke {command} scope.pl <300 nested cuts>",
+                          (command, str(workdir / "scope.pl"), SCOPE_QUERY)))
     cases += [_fixture_case(("oracle", "fixtures/in.pl", "in(X, Y)", "--steps", "5000")),
               _fixture_case(("run", "fixtures/in.pl", "in(X, Y)", "--nodes", "5000"))]
     links = [f"p{i} :- !, p{i + 1}.\np{i}." for i in range(1, 20001)]

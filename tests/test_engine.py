@@ -1,4 +1,5 @@
 import contextlib
+import io
 import itertools
 import random
 import tracemalloc
@@ -8,8 +9,9 @@ import pytest
 
 from cutcheck import (
     Budget, CUT, apply, build_tree, engine, parse_program, parse_query, prolog_search, pruned_tree,
-    pruning,
+    pruning, terms,
 )
+from cutcheck.cli import main
 from cutcheck.engine import (
     FAILURE,
     SUCCESS,
@@ -86,9 +88,9 @@ class TestBuildTree:
 
 class TestNodeMemory:
     def test_bytes_per_node(self):
-        """A node keeps its query, origins and mgu, not the clause variant
-        of its step: under 1,300 traced bytes a node on Python 3.10 to 3.13
-        (about 1,000 to 1,200; 1,500 to 2,000 with the variant kept)."""
+        """A node keeps its query and mgu, not the clause variant of its
+        step: under 1,300 traced bytes a node on Python 3.10 to 3.13 (about
+        900 to 1,150; 1,500 to 2,000 with the variant kept)."""
         program, query = load_program("in.pl"), parse_query("in(X, [1, 2])")
         tracemalloc.start()
         try:
@@ -104,10 +106,11 @@ class TestClauseWalks:
     @staticmethod
     def walks(build) -> dict:
         """The calls ``build()`` makes to ``vars_of`` and ``rename_apart``,
-        counted wherever ``engine`` and ``pruning`` import them."""
+        counted wherever ``terms``, ``engine`` and ``pruning`` reach them: a
+        clause works out its variable names in ``terms``."""
         counts: dict = {}
         with contextlib.ExitStack() as stack:
-            for module in (engine, pruning):
+            for module in (terms, engine, pruning):
                 for name in ("vars_of", "rename_apart"):
                     real = getattr(module, name, None)
                     if real is None:
@@ -122,21 +125,46 @@ class TestClauseWalks:
         return counts
 
     def test_no_clause_walk_per_step(self):
-        """A resolution step reads the variable names the program worked out
-        once per clause: the pruned tree of ``in(X, [1, 2])`` walks no
-        clause more often at 2,000 nodes than at 500, nor the oracle's
-        search at 1,000 steps than at 250 (its answers grow, so more steps
-        cost more than linear time)."""
-        program, query = load_program("in.pl"), parse_query("in(X, [1, 2])")
+        """A resolution step reads the variable names a clause worked out on
+        its first use: the pruned tree of ``in(X, [1, 2])`` walks no clause
+        more often at 2,000 nodes than at 500, nor the oracle's search at
+        1,000 steps than at 250 (its answers grow, so more steps cost more
+        than linear time).  A clause keeps its names, so each measurement
+        parses its own program."""
+        query = parse_query("in(X, [1, 2])")
 
         def tree(n):
+            program = load_program("in.pl")
             return lambda: pruned_tree(program, query, Budget(nodes=n))
 
         def search(n):
+            program = load_program("in.pl")
             return lambda: prolog_search(program, query, Budget(steps=n))
 
-        assert self.walks(tree(500)) == self.walks(tree(2000))
+        small = self.walks(tree(500))
+        assert small["vars_of"] > 1  # the query and the clauses a step reached
+        assert small == self.walks(tree(2000))
         assert self.walks(search(250)) == self.walks(search(1000))
+
+    def test_building_a_program_walks_no_clause(self):
+        clauses = load_program("in.pl").clauses
+        assert self.walks(lambda: engine.Program(clauses)) == {}
+
+    def test_a_long_chain_walks_only_the_clauses_reached(self, tmp_path):
+        """``tree p1 --nodes 10`` on a cut chain of m links (the CI reader
+        smoke's program) walks as many clauses at 20,000 links as at 2,000."""
+
+        def tree_walks(m):
+            links = [f"p{i} :- !, p{i + 1}.\np{i}." for i in range(1, m + 1)]
+            path = tmp_path / f"chain{m}.pl"
+            path.write_text("\n".join(links + [f"p{m + 1}."]) + "\n", encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                counts = self.walks(lambda: main(["tree", str(path), "p1", "--nodes", "10"]))
+            assert out.getvalue().startswith("tree: "), out.getvalue()
+            return counts
+
+        assert tree_walks(2000) == tree_walks(20000)
 
 
 class TestPreorder:

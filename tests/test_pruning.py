@@ -10,15 +10,17 @@ from cutcheck import (
     pruned_tree,
 )
 from cutcheck.engine import TRUNCATED
-from cutcheck.pruning import cutting_sequence_of, is_executing
+from cutcheck.pruning import cutting_sequence_of, introducing, is_executing
 from cutcheck.syntax import query_text
-from cutcheck.terms import canonical
+from cutcheck.terms import CUT, canonical
 
+import corpus
 from conftest import (
-    load_program, pruned_answers, random_propositional_program, random_term_program,
-    search_answers,
+    load_program, pruned_answers, random_atom_text, random_propositional_program,
+    random_term_program, search_answers,
 )
 from fixpoint import fixpoint_prune, pruned_by, walk_and_fixpoint
+from origins_reference import origins
 
 
 def build(src, query, **kw):
@@ -47,6 +49,56 @@ class TestCuttingSequence:
         execs = [n.id for n in t.nodes if is_executing(t, n.id)]
         intros = {cutting_sequence_of(t, e).introducing for e in execs}
         assert len(intros) == 2  # the inner and outer cut have different origins
+
+    def test_300_nested_cut_scopes(self):
+        """The CI cut-scope smoke: each of 300 nested calls of ``c`` brings in
+        its own cut, between a query atom before the calls and one after."""
+        prog, query = parse_program(corpus.SCOPE_PROGRAM), parse_query(corpus.SCOPE_QUERY)
+        pt, answers = pruned_answers(prog, query)
+        ref = origins(pt.base)
+        execs = [e for e in pt.base.ids if is_executing(pt.base, e)]
+        intros = [cutting_sequence_of(pt.base, e).introducing for e in execs]
+        assert intros == [ref[e][0] for e in execs]
+        assert len(set(intros)) == 2 * 301 and None not in intros  # 301 under each b(X)
+        _, want = search_answers(prog, query)
+        assert pt.exact and len(answers) == 4
+        assert [query_text(a) for a in answers] == [query_text(a) for a in want]
+
+
+class TestIntroducing:
+    def test_equals_the_forward_origins(self):
+        """On seeded programs whose queries hold cuts too, at every executing
+        node of the full and of the pruned tree, ``introducing`` is the
+        origin the forward bookkeeping gives the cut."""
+        rng = random.Random("introducing")
+        counts = {"executing": 0, "query cuts": 0, "nested": 0}
+        for i in range(3000):
+            if i % 2:
+                src = random_propositional_program(rng, ["a", "b", "c"], max_cuts=3)
+                atoms = [rng.choice(["a", "b", "c"]) for _ in range(rng.randint(1, 3))]
+            else:
+                src = random_term_program(rng, max_cuts=3)
+                atoms = [random_atom_text(rng, depth=1) for _ in range(rng.randint(1, 3))]
+            goals = []
+            for atom in atoms:
+                goals += ["!", atom] if rng.random() < 0.3 else [atom]
+            goals += ["!"] if rng.random() < 0.3 else []
+            prog, query = parse_program(src), parse_query(", ".join(goals))
+            budget = Budget(nodes=300, steps=12)
+            for tree in (build_tree(prog, query, budget), pruned_tree(prog, query, budget).base):
+                ref = origins(tree)
+                for e in tree.ids:
+                    if not is_executing(tree, e):
+                        continue
+                    first = ref[e][0]
+                    assert introducing(tree, e) == first, (src, ", ".join(goals), e)
+                    counts["executing"] += 1
+                    counts["query cuts"] += first is None
+                    # a cut of another scope is pending behind this one
+                    counts["nested"] += any(a is CUT and o != first
+                                            for a, o in zip(tree.nodes[e].query, ref[e]))
+        assert counts["executing"] > 20_000, counts
+        assert counts["query cuts"] > 3_000 and counts["nested"] > 10_000, counts
 
 
 class TestPruneFixture:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import cutcheck.atomsets
 import cutcheck.verify
 from cutcheck import (
     AtomSet,
@@ -351,6 +352,105 @@ class TestOracleCompleteness:
         prog, suite, _ = setup_example("in.pl", "in.spec")
         v = oracle_tree_complete(prog, parse_query("in([1], [1, 2])"), suite)
         assert v.is_verified
+
+
+
+# constants a and b, and the predicates the cap-site tests use, at depth 1
+CAP_HEADER = ("[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/1.\npredicate p/2.\n"
+              "predicate q/1.\npredicate r/1.\n[bounds]\ndepth = 1.\n")
+
+
+class TestCapSites:
+    """Each site where a check stops at a cap answers Unknown, with a reason
+    naming the cap, its value and the depth, under a cap lowered for the test."""
+
+    @staticmethod
+    def clause_condition(v: Verdict, clause: str, condition: int) -> Verdict:
+        """The verdict of condition 1, 2 or 3 of ``clause`` in a ``c_covered`` verdict."""
+        return dict(v.parts)[clause].parts[condition - 1][1]
+
+    def test_semi_complete_enumeration_of_s(self, monkeypatch):
+        monkeypatch.setattr(cutcheck.atomsets, "ENUM_CAP", 3)  # S holds 10 atoms
+        prog = parse_program("p(a).\nq(b).")
+        suite = parse_spec(CAP_HEADER + "[S]\nany.\n")
+        v = semi_complete(prog, suite)
+        assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
+
+    def test_ground_well_asserted_search_counts_over_all_heads(self, monkeypatch):
+        # two heads in pre, two groundings of Y each: 4 instances, no head past the cap
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 3)
+        clause = parse_program("p(X) :- q(Y).").clauses[0]
+        suite = parse_spec(CAP_HEADER + "[pre]\np(a).\np(b).\nq(a).\nq(b).\n"
+                           "[post]\np(a).\np(b).\nq(a).\nq(b).\n")
+        v = well_asserted_clause(clause, suite)
+        assert v.is_unknown and v.reason == "instance cap 3 hit at depth 1"
+
+    # p(a, a) lies in pre only through a pattern with no closed form: a lattice walk
+    GEN_SPEC = (CAP_HEADER + "[S]\np(a, a).\nq(a).\nr(a).\n[pre]\np(X, Y) where eq(X, Y).\n"
+                "[post]\nany.\n")
+
+    def test_condition_2_generalizations(self, monkeypatch):
+        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 1)
+        prog = parse_program("p(X, Y) :- q(X), !.\np(X, Y) :- r(X).")
+        v = c_covered(Pred("p", (a, a)), prog, parse_spec(self.GEN_SPEC), s_subset_post=True)
+        cond2 = self.clause_condition(v, "clause 2: p(X, Y) :- r(X).", 2)
+        assert v.is_unknown and cond2 == Verdict.unknown("generalization cap 1 hit")
+
+    def test_condition_3_generalizations(self, monkeypatch):
+        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 1)
+        prog = parse_program("p(X, Y) :- q(X), !.")
+        v = c_covered(Pred("p", (a, a)), prog, parse_spec(self.GEN_SPEC), s_subset_post=True)
+        cond3 = self.clause_condition(v, "clause 1: p(X, Y) :- q(X), !.", 3)
+        assert v.is_unknown and cond3 == Verdict.unknown("generalization cap 1 hit")
+
+    def test_condition_2_grounding(self, monkeypatch):
+        # the search for q(X), r(X) in post visits q(a) and q(b), each to fail on r
+        monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 2)
+        prog = parse_program("p(X) :- q(X), r(X), !.\np(X) :- q(X).")
+        suite = parse_spec(CAP_HEADER + "[S]\np(a).\nq(a).\n[pre]\nany.\n"
+                           "[post]\np(a).\nq(a).\nq(b).\n")
+        v = c_covered(Pred("p", (a,)), prog, suite, s_subset_post=True)
+        cond2 = self.clause_condition(v, "clause 2: p(X) :- q(X).", 2)
+        assert v.is_unknown
+        assert cond2 == Verdict.unknown("cover search visit cap 2 hit at depth 1")
+
+    def test_condition_2_non_exhaustive_search(self):
+        # post holds q/1 by a pattern, so the search enumerates it and cannot be exhaustive
+        prog = parse_program("p(X) :- q(X), r(X), !.\np(X) :- q(X).")
+        suite = parse_spec(CAP_HEADER + "[S]\np(a).\nq(a).\n[pre]\nany.\n"
+                           "[post]\np(a).\nq(X).\n")
+        v = c_covered(Pred("p", (a,)), prog, suite, s_subset_post=True)
+        cond2 = self.clause_condition(v, "clause 2: p(X) :- q(X).", 2)
+        assert v.is_unknown and cond2 == Verdict.unknown(
+            "cover search for the preceding clause exhausted depth 1")
+
+    def test_s_subset_post_enumeration_of_s(self, monkeypatch):
+        monkeypatch.setattr(cutcheck.atomsets, "ENUM_CAP", 3)  # S holds 10 atoms
+        prog = parse_program("q(a).\nr(a).")
+        suite = parse_spec(CAP_HEADER + "[S]\nany.\n[post]\nq(a).\n")
+        v = s_subset_post_check(prog, suite)
+        assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
+
+    def test_s_coverage_enumeration_of_s(self, monkeypatch):
+        monkeypatch.setattr(cutcheck.atomsets, "ENUM_CAP", 3)
+        prog = parse_program("q(a).\nr(a).")
+        suite = parse_spec(CAP_HEADER + "[S]\nany.\n")
+        v = _s_coverage(prog, suite, True, _CheckContext(prog, (), suite))
+        assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
+
+    def test_oracle_tree_budget(self):
+        prog = parse_program("p :- p.\np.")
+        suite = replace(parse_spec(CAP_HEADER + "[S]\nany.\n"), budget=Budget(depth=1, steps=20))
+        v = oracle_tree_complete(prog, parse_query("p"), suite)
+        assert v.is_unknown and v.reason == "tree budget exhausted; answers may be missing"
+
+    def test_oracle_s_true_instances(self, monkeypatch):
+        # every instance is answered, and the four groundings of X and Y pass the cap
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 3)
+        prog = parse_program("p(X, Y).")
+        suite = parse_spec(CAP_HEADER + "[S]\nany.\n")
+        v = oracle_tree_complete(prog, parse_query("p(X, Y)"), suite)
+        assert v.is_unknown and v.reason == "instance cap 3 hit at depth 1"
 
 
 P5_PROGRAM = "p(A, B, C, D, E) :- q.\nq."
