@@ -28,9 +28,8 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
     pruned_by: dict = {}
     if pruned is not None:
         for executing, removed in pruned.iteration_log:
-            cs = cutting_sequence_of(tree, executing)
-            for above, below in zip(cs.path, cs.path[1:]):
-                path_edges.add((above, below))
+            path = cutting_sequence_of(tree, executing)
+            path_edges.update(zip(path, path[1:]))
             pruned_by.update(dict.fromkeys(removed, executing))
     ids = tree.ids
     for nid in ids:

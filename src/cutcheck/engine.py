@@ -10,9 +10,8 @@ one; anything unexpanded is marked Truncated, never silently dropped.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .terms import (
     CUT,
@@ -57,29 +56,32 @@ FAILURE = "failure"
 TRUNCATED = "truncated"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A derivation node: its query, already instantiated by every mgu on its
     root path, and the mgu of the step that produced it from its parent
     (empty at the root).  The mgu is the step's own, not composed with the
     steps above it; the pruned-tree walk keeps the bindings of the root path
-    and resolves the query through them only at success leaves."""
+    and resolves the query through them only at success leaves.  Its id is
+    its index in the arena, ``children`` the range of ids its expansion
+    appended (``()`` before), and its depth is what the walk that expands it
+    passes to ``TreeBuilder.expand``."""
 
-    id: int
     query: tuple
     parent: Optional[int]
     mgu: dict
-    depth: int
-    children: list = field(default_factory=list)
+    children: Sequence = ()
     status: str = OPEN
 
 
+NO_BINDINGS: dict = {}  # the mgu of the root and of every cut step; shared, so never modified
+
+
+@dataclass(eq=False)
 class LdTree:
     """An arena of derivation nodes; node 0 is the root."""
 
-    def __init__(self, query: tuple, nodes: list):
-        self.query = query
-        self.nodes = nodes
+    nodes: list
 
     def __len__(self):
         return len(self.nodes)
@@ -91,16 +93,6 @@ class LdTree:
     @property
     def exact(self) -> bool:
         return all(n.status != TRUNCATED for n in self.nodes)
-
-    def ancestors(self, nid: int) -> list:
-        """Node ids from the root down to (and including) nid."""
-        chain = []
-        cur: Optional[int] = nid
-        while cur is not None:
-            chain.append(cur)
-            cur = self.nodes[cur].parent
-        chain.reverse()
-        return chain
 
 
 def head_step(program: Program, idx: int, atom: Pred, forbidden: set, fresh: FreshNames):
@@ -133,7 +125,7 @@ def ld_expand(program: Program, query: tuple, forbidden: set, fresh: FreshNames)
     selected = query[0]
     tail = query[1:]
     if selected is CUT:
-        return [(tail, {})]
+        return [(tail, NO_BINDINGS)]
     out = []
     for idx, clause in program.matching(selected):
         step = head_step(program, idx, selected, forbidden, fresh)
@@ -158,34 +150,33 @@ class TreeBuilder:
         self.budget = budget or Budget()
         self.fresh = FreshNames()
         self.forbidden = set(vars_of(query))
-        root = Node(0, query, None, {}, 0)
-        self.tree = LdTree(query, [root])
+        self.tree = LdTree([Node(query, None, NO_BINDINGS)])
 
-    def expand(self, nid: int) -> list:
-        """Set the status of node ``nid`` and materialise its children.
+    def expand(self, nid: int, depth: int) -> Sequence:
+        """Set the status of node ``nid``, ``depth`` steps below the root, and
+        materialise its children.
 
-        Returns the ids of the new children; a node that could not be fully
-        expanded is Truncated and gets none.
+        Returns the range of the new children's ids; a node that could not be
+        fully expanded is Truncated and gets none.
         """
         nodes = self.tree.nodes
         node = nodes[nid]
         if not node.query:
             node.status = SUCCESS
-            return []
-        if node.depth >= self.budget.steps:
+            return ()
+        if depth >= self.budget.steps:
             node.status = TRUNCATED
-            return []
+            return ()
         expansions = ld_expand(self.program, node.query, self.forbidden, self.fresh)
         if not expansions:
             node.status = FAILURE
-            return []
-        if len(nodes) + len(expansions) > self.budget.nodes:
+            return ()
+        first = len(nodes)
+        if first + len(expansions) > self.budget.nodes:
             node.status = TRUNCATED
-            return []
-        for child_query, mgu in expansions:
-            child = Node(len(nodes), child_query, nid, mgu, node.depth + 1)
-            nodes.append(child)
-            node.children.append(child.id)
+            return ()
+        nodes.extend([Node(child_query, nid, mgu) for child_query, mgu in expansions])
+        node.children = range(first, len(nodes))
         return node.children
 
 
@@ -193,7 +184,9 @@ def build_tree(program: Program, query: tuple, budget: Optional[Budget] = None) 
     """Breadth-first construction of the whole LD-tree under a budget (see
     ``TreeBuilder``).  Nodes that could not be fully expanded are Truncated."""
     builder = TreeBuilder(program, query, budget)
-    queue: deque = deque([0])
-    while queue:
-        queue.extend(builder.expand(queue.popleft()))
+    level, depth = range(1), 0  # a level's children are the ids appended after it
+    while level:
+        for nid in level:
+            builder.expand(nid, depth)
+        level, depth = range(level.stop, len(builder.tree)), depth + 1
     return builder.tree

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import (
+    OPEN,
     Budget,
     LdTree,
     Program,
@@ -54,15 +55,6 @@ def is_executing(tree: LdTree, nid: int) -> bool:
     return bool(node.query) and node.query[0] is CUT
 
 
-@dataclass(frozen=True)
-class CuttingSequence:
-    """The path from the introducing node (or root) to the executing node."""
-
-    introducing: Optional[int]  # None for cuts of the initial query
-    path: tuple  # node ids, introducing (or root) first, executing last
-    executing: int
-
-
 def introducing(tree: LdTree, nid: int) -> Optional[int]:
     """The node whose clause brought in the cut ``nid`` executes (None for a
     cut of the initial query): the nearest proper ancestor whose query is no
@@ -77,23 +69,33 @@ def introducing(tree: LdTree, nid: int) -> Optional[int]:
     return cur
 
 
-def cutting_sequence_of(tree: LdTree, executing: int) -> CuttingSequence:
+def cutting_sequence_of(tree: LdTree, executing: int) -> tuple:
+    """The cutting sequence of an executing node: the ids of the path from
+    its introducing node (the root for a cut of the initial query) down to
+    it, introducing (or root) first, executing last."""
     if not is_executing(tree, executing):
         raise ValueError(f"node {executing} does not start with !")
-    intro = introducing(tree, executing)
-    chain = tree.ancestors(executing)
-    start = 0 if intro is None else tree.nodes[intro].depth
-    return CuttingSequence(intro, tuple(chain[start:]), executing)
+    nodes = tree.nodes
+    stop = introducing(tree, executing)
+    path = [executing]
+    while path[-1] != stop and nodes[path[-1]].parent is not None:
+        path.append(nodes[path[-1]].parent)
+    return tuple(reversed(path))
 
 
 @dataclass
 class PrunedTree:
-    """The result of pruning: which nodes survive and who pruned the rest."""
+    """The result of pruning: the materialised nodes and who pruned the rest."""
 
     base: LdTree
-    kept: set
     iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
     exact: bool
+
+    @property
+    def kept(self) -> set:
+        """The nodes the walk reached, which are the nodes it expanded: a
+        status other than Open, or some children."""
+        return {i for i, n in enumerate(self.base.nodes) if n.status != OPEN or n.children}
 
 
 def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
@@ -106,49 +108,50 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
     """
     base = builder.tree
     nodes = base.nodes
-    kept: set = set()
     log: list = []
-    exact = True
     bindings: dict = {}  # every step mgu on the current root path
     trail: list = []  # the names in ``bindings``, in binding order
-    stack: list = []  # per node on the path: [child ids, index of the next child, trail mark]
+    stack: list = []  # per proper ancestor of nid: [next child, end of child range, trail mark]
     nid: Optional[int] = 0
     while nid is not None:
-        kept.add(nid)
         node = nodes[nid]
         # The cut runs before the truncation check, as in the fixpoint, where a
         # Truncated executing node is still in the preorder sequence.
         if is_executing(base, nid):
-            intro = introducing(base, nid)
+            # The cutting sequence's frames, from the top of the stack down to
+            # the introducing node's (the root's for query cuts), as
+            # ``introducing`` finds it: each drops its unvisited children.  A
+            # frame's node is the parent of the child it visited last.
+            length = len(node.query)
             removed: set = set()
-            # stack[d] belongs to the ancestor at depth d: the cutting sequence
-            # starts at the introducing node's frame (the root's for query cuts)
-            for frame in stack[0 if intro is None else nodes[intro].depth :]:
-                removed.update(frame[0][frame[1] :])
-                del frame[0][frame[1] :]
+            for frame in reversed(stack):
+                removed.update(range(frame[0], frame[1]))
+                frame[1] = frame[0]
+                if len(nodes[nodes[frame[0] - 1].parent].query) <= length:
+                    break
             log.append((nid, frozenset(removed)))
-        children = builder.expand(nid)
+        children = builder.expand(nid, len(stack))  # its depth: a frame per proper ancestor
         if node.status == TRUNCATED:
-            exact = False
             break
         if node.status == SUCCESS and on_answer is not None:
             on_answer(bindings)
-        stack.append([list(children), 0, len(trail)])  # a copy: dropping siblings edits it
+        if children:
+            stack.append([children.start, children.stop, len(trail)])
         nid = None
-        while stack and nid is None:
+        while stack:
             frame = stack[-1]
-            if frame[1] < len(frame[0]):
-                nid = frame[0][frame[1]]
-                frame[1] += 1
+            if frame[0] < frame[1]:
+                nid = frame[0]
+                frame[0] += 1
                 for name in trail[frame[2] :]:
                     del bindings[name]
                 del trail[frame[2] :]
                 mgu = nodes[nid].mgu
                 bindings.update(mgu.items())
                 trail.extend(mgu)
-            else:
-                stack.pop()
-    return PrunedTree(base, kept, log, exact)
+                break
+            stack.pop()
+    return PrunedTree(base, log, nid is None)  # nid is left at a Truncated node
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None, *,

@@ -263,12 +263,16 @@ def _substitute(t: Term, bindings: dict, memo: Optional[dict]) -> Term:
     is replaced by its binding as is (``apply``).  With a dict the map is
     triangular and a binding is itself resolved, once per variable: ``memo``
     keeps each variable's resolved value (``resolve``).  A subterm that does
-    not change is returned as is, and a ground one is not entered.  The walk
-    keeps its own stack, so a list thousands of cells long cannot hit
-    Python's recursion limit.
+    not change is returned as is, and a ground one is not entered.  A
+    non-ground compound met again, by identity, within the call takes the
+    value it got the first time, so a term that shares its subterms costs
+    time in its size as a graph, not as a tree.  The walk keeps its own
+    stack, so a list thousands of cells long cannot hit Python's recursion
+    limit.
     """
     frames: list = []  # per compound being rebuilt: (term, resolved args, names)
     names = None  # the bound variables whose resolved value is the current term
+    shared: dict = {}  # id of a non-ground compound walked -> its value
     while True:
         cls = t.__class__
         if cls is Var:
@@ -288,10 +292,12 @@ def _substitute(t: Term, bindings: dict, memo: Optional[dict]) -> Term:
         elif cls is not Compound:
             raise TypeError(f"cannot apply substitution to {t!r}")
         elif not t.ground:
-            frames.append((t, [], names))
-            names = None
-            t = t.args[0]
-            continue
+            value = shared.get(id(t))
+            if value is None:
+                frames.append((t, [], names))
+                names = None
+                t = t.args[0]
+                continue
         else:
             value = t
         # ``value`` is finished: hand it to the enclosing frames
@@ -308,9 +314,8 @@ def _substitute(t: Term, bindings: dict, memo: Optional[dict]) -> Term:
                 names = None
                 break
             frames.pop()
-            if not all(map(is_, args, term.args)):
-                term = Compound(term.functor, tuple(args))
-            value = term
+            value = term if all(map(is_, args, term.args)) else Compound(term.functor, tuple(args))
+            shared[id(term)] = value
 
 
 def resolve(bindings: dict, e):

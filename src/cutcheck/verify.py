@@ -28,7 +28,7 @@ from .atomsets import (
     membership_reads,
     set_predicates,
 )
-from .engine import Program
+from .engine import TRUNCATED, Budget, Program
 from .levels import level_of, level_reads
 from .pruning import PrunedTree, pruned_tree
 from .syntax import (
@@ -1025,7 +1025,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     tree_v = (
         Verdict.verified()
         if pt.exact
-        else Verdict.unknown("tree budget exhausted; pruned tree is not exact")
+        else Verdict.unknown(f"{_tree_budget(pt, suite.budget)} exhausted; pruned tree is not exact")
     )
 
     premise = _s_subset_post(suite, ctx)
@@ -1051,6 +1051,20 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     witnesses: list = []
     _collect_witnesses(verdict, witnesses)
     return CheckReport.of("complete", verdict, suite, start, witnesses, coverage.parts, pt)
+
+
+def _tree_budget(pt: PrunedTree, budget: Budget) -> str:
+    """The budget an inexact pruned tree ran out of, with its value: the step
+    budget when the one Truncated node the walk kept lies that many steps
+    below the root, else the node budget."""
+    nodes = pt.base.nodes
+    nid = next(i for i, n in enumerate(nodes) if n.status == TRUNCATED)
+    depth = 0
+    while nodes[nid].parent is not None:
+        nid, depth = nodes[nid].parent, depth + 1
+    if depth >= budget.steps:
+        return f"tree step budget {budget.steps}"
+    return f"tree node budget {budget.nodes}"
 
 
 def _s_true_instances(query: tuple, s, ctx: _CheckContext):
@@ -1100,7 +1114,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite) -> Ve
     pt = pruned_tree(program, query, suite.budget,
                      on_answer=lambda store: answers.append(resolve(store, query)))
     if not pt.exact:
-        return Verdict.unknown("tree budget exhausted; answers may be missing")
+        return Verdict.unknown(f"{_tree_budget(pt, suite.budget)} exhausted; answers may be missing")
     try:
         for _, inst in _s_true_instances(query, suite.s, ctx):
             if not any(match(ans, inst) is not None for ans in answers):

@@ -22,7 +22,8 @@ The argv set:
   variables unbound, each at two budgets: ``app(X, X, Z)``,
   ``app(X, [a | T], Z)``, ``in(X, Y)``, the ``appmem`` query on 14 cells
   and a query ending in ``!``;
-- the inputs of the CI smoke steps;
+- the inputs of the CI smoke steps but the shared-term smoke's (with a
+  shared subterm rebuilt once per occurrence it runs for minutes);
 - malformed inputs, each exit 2: a bad character on line 3 of a program, an
   unterminated quote, an error inside a spec section, an undeclared
   ``notin`` set, a bad query, an unknown flag, a bad ``[bounds]`` value and
@@ -221,7 +222,12 @@ def smoke_cases(workdir: Path) -> list:
         _fixture_case(in_files + ("--depth", "3", "--query", "in([1], [1, 2])")),
         _fixture_case(("check", "complete", "fixtures/artificial.pl", "--spec",
                        "fixtures/artificial.spec", "--query", "p(a, Z), !", "--depth", "1")),
+        _fixture_case(("tree", "fixtures/append.pl", "app(X, Y, [1, 2])")),
+        _fixture_case(in_files + ("--depth", "2", "--query", "in(X, [1, 2])")),
     ]
+    cases.append(Case("smoke prune fixtures/in.pl in(X, [1, 2]) --nodes 2000 --dot t.dot",
+                      ("prune", str(FIXTURES / "in.pl"), "in(X, [1, 2])", "--nodes", "2000",
+                       "--dot", str(workdir / "t.dot"))))
     cases.append(Case("smoke check semicomplete fixtures/in.pl --spec deep.spec --depth 1",
                       ("check", "semicomplete", str(FIXTURES / "in.pl"), "--spec", str(deep),
                        "--depth", "1")))

@@ -17,6 +17,8 @@ from cutcheck import engine
 from cutcheck.engine import LdTree, TreeBuilder
 from cutcheck.terms import CUT, Clause, apply, canonical
 
+from full_tree import root_path
+
 
 def variant_equal(a, b) -> bool:
     """True when two terms/atoms/queries are equal up to variable renaming."""
@@ -49,9 +51,9 @@ def recorded_steps():
             last.append(Step(theta, idx, apply(rho, program.clauses[idx])))
         return out
 
-    def expand(builder, nid):
+    def expand(builder, nid, depth):
         last.clear()
-        children = real_expand(builder, nid)
+        children = real_expand(builder, nid, depth)
         nodes = builder.tree.nodes
         if children and nodes[nid].query[0] is CUT:
             last.append(Step(nodes[children[0]].mgu))
@@ -75,7 +77,7 @@ class Derivation:
 
 
 def branch_derivation(tree: LdTree, nid: int) -> Derivation:
-    chain = tree.ancestors(nid)
+    chain = root_path(tree, nid)
     return Derivation(
         [tree.nodes[i].query for i in chain],
         [tree.nodes[i].mgu for i in chain[1:]],

@@ -8,21 +8,21 @@ This recomputes the preorder once per executing node, so it is only used to
 check ``cutcheck.pruned_tree`` on small trees.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from cutcheck.engine import LdTree
-from cutcheck.pruning import CuttingSequence, PrunedTree, cutting_sequence_of, is_executing
+from cutcheck.pruning import PrunedTree, cutting_sequence_of, is_executing
 from cutcheck.terms import canonical
 
 from full_tree import answers, preorder
 
 
-def pruned_by_sequence(tree: LdTree, cs: CuttingSequence, kept=None) -> set:
-    """Nodes pruned by a cutting sequence: right-of-path children and their
-    descendants, restricted to ``kept`` when given."""
+def pruned_by_sequence(tree: LdTree, path: tuple, kept=None) -> set:
+    """Nodes pruned by a cutting sequence, given as its path: right-of-path
+    children and their descendants, restricted to ``kept`` when given."""
     removed: set = set()
-    for above, below in zip(cs.path, cs.path[1:]):
+    for above, below in zip(path, path[1:]):
         children = tree.nodes[above].children
         if kept is not None:
             children = [c for c in children if c in kept]
@@ -38,21 +38,26 @@ def pruned_by_sequence(tree: LdTree, cs: CuttingSequence, kept=None) -> set:
     return removed
 
 
-def pruned_by(pt: PrunedTree) -> dict:
+def pruned_by(pt) -> dict:
     """Removed node id -> the executing node that removed it, read from the log."""
     return {r: e for e, removed in pt.iteration_log for r in removed}
 
 
 @dataclass
-class FixpointTree(PrunedTree):
-    """The fixpoint's pruned tree, with the answers of its Success leaves."""
+class FixpointTree:
+    """The fixpoint's pruned tree: the kept nodes of the full tree ``base``,
+    who pruned the rest, and the answers of its Success leaves."""
 
-    answers: list = field(default_factory=list)
+    base: LdTree
+    kept: set
+    iteration_log: list
+    exact: bool
+    answers: list
 
 
 def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> FixpointTree:
     """Iterate the cutting-sequence fixpoint on the (sub)tree."""
-    kept = set(kept) if kept is not None else {n.id for n in tree.nodes}
+    kept = set(kept) if kept is not None else set(tree.ids)
     log: list = []
     i = 1
     while True:
@@ -61,8 +66,7 @@ def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> FixpointTree:
         if len(executing) < i:
             break
         ex = executing[i - 1]
-        cs = cutting_sequence_of(tree, ex)
-        removed = pruned_by_sequence(tree, cs, kept)
+        removed = pruned_by_sequence(tree, cutting_sequence_of(tree, ex), kept)
         kept -= removed
         log.append((ex, frozenset(removed)))
         i += 1

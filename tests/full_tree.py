@@ -54,6 +54,15 @@ def preorder(tree: LdTree, kept=None) -> PreorderResult:
     return PreorderResult(tuple(ids), root_exact)
 
 
+def root_path(tree: LdTree, nid: int) -> list:
+    """Node ids from the root down to (and including) nid."""
+    chain = [nid]
+    while tree.nodes[chain[-1]].parent is not None:
+        chain.append(tree.nodes[chain[-1]].parent)
+    chain.reverse()
+    return chain
+
+
 def computed_answer(tree: LdTree, nid: int) -> tuple:
     """The root query under the union of the step mgus from the root down to
     node ``nid``: the derivation is standardized apart and each mgu is
@@ -64,7 +73,7 @@ def computed_answer(tree: LdTree, nid: int) -> tuple:
         node = tree.nodes[cur]
         bindings.update(node.mgu.items())
         cur = node.parent
-    return resolve(bindings, tree.query)
+    return resolve(bindings, tree.nodes[0].query)
 
 
 def answers(tree: LdTree, kept=None) -> list:

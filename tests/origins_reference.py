@@ -15,8 +15,8 @@ def origins(tree: LdTree) -> dict:
     """Node id -> per atom of its query, the id of the node that brought it in."""
     nodes = tree.nodes
     out = {0: (None,) * len(nodes[0].query)}
-    for node in nodes[1:]:  # a parent comes before its children in the arena
-        parent = nodes[node.parent]
-        body = len(node.query) - len(parent.query) + 1
-        out[node.id] = (parent.id,) * body + out[parent.id][1:]
+    for nid in tree.ids[1:]:  # a parent comes before its children in the arena
+        parent = nodes[nid].parent
+        body = len(nodes[nid].query) - len(nodes[parent].query) + 1
+        out[nid] = (parent,) * body + out[parent][1:]
     return out

@@ -59,6 +59,7 @@ from conftest import (
 )
 from derivations import branch_derivation, recorded_steps, subderivation, variant_equal
 from fixpoint import fixpoint_prune, walk_and_fixpoint
+from full_tree import root_path
 from naive_unify import is_idempotent, naive_apply, naive_unify, occurs, range_vars
 
 
@@ -380,14 +381,14 @@ class TestCriterion8CoreAlgebra:
             query = parse_query(f"{rng.choice(['p', 'q', 'r'])}(g(X, Y))")
             with recorded_steps() as steps:
                 tree = build_tree(prog, query, Budget(nodes=60, steps=12))
-            leaves = [n.id for n in tree.nodes if not n.children]
+            leaves = [i for i, n in enumerate(tree.nodes) if not n.children]
             if not leaves:
                 continue
             leaf = rng.choice(leaves)
             d = branch_derivation(tree, leaf)
             checked_derivations += 1
             seen_vars = set(vars_of(d.queries[0]))
-            for i, nid in enumerate(tree.ancestors(leaf)[1:]):
+            for i, nid in enumerate(root_path(tree, leaf)[1:]):
                 step = steps[tree][nid]
                 assert step.mgu is d.mgus[i]
                 if step.clause_variant is None:

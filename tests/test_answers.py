@@ -23,7 +23,7 @@ from cutcheck.terms import CUT, Compound, Var, canonical, make_list, resolve
 
 from conftest import load_program, pruned_answers, random_term_program, search_answers
 from derivations import recorded_steps
-from full_tree import preorder
+from full_tree import preorder, root_path
 from naive_unify import naive_apply, naive_compose, naive_unify
 
 APPMEM = """\
@@ -44,7 +44,7 @@ def naive_answers(pt, steps: dict) -> list:
         if tree.nodes[nid].status != SUCCESS:
             continue
         sigma = {}
-        chain = tree.ancestors(nid)
+        chain = root_path(tree, nid)
         for parent, child in zip(chain, chain[1:]):
             step, mgu = steps[child], tree.nodes[child].mgu
             selected = tree.nodes[parent].query[0]
@@ -54,7 +54,7 @@ def naive_answers(pt, steps: dict) -> list:
             theta = naive_unify(selected, step.clause_variant.head)
             assert theta == mgu
             sigma = naive_compose(sigma, theta)
-        out.append(naive_apply(sigma, tree.query))
+        out.append(naive_apply(sigma, tree.nodes[0].query))
     return out
 
 

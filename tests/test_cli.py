@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import gc
 import hashlib
@@ -462,6 +463,23 @@ def parse_outcome(parser, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+# ``corpus.run_once`` on a fresh import in a child process; prints the run as a JSON list
+FRESH_RUN = ("import corpus, dataclasses, json, sys\n"
+             "print(json.dumps(dataclasses.astuple(corpus.run_once(json.loads(sys.argv[1])))))")
+
+
+def fresh_run(argv, cwd) -> corpus.Run:
+    """One run of ``argv`` on a fresh import, in a child process working in
+    ``cwd``, under this interpreter's warning options."""
+    path = [str(Path(cutcheck.__file__).parent.parent), str(Path(__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-c", FRESH_RUN, json.dumps(argv)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return corpus.Run(*json.loads(proc.stdout))
+
+
 class TestParser:
     @pytest.fixture(scope="class")
     def kept_parser(self):
@@ -505,26 +523,36 @@ class TestParser:
     def test_a_kept_parser_answers_as_a_fresh_import(self, fixtures_dir, tmp_path, monkeypatch):
         """``main`` builds the parser once and keeps it; calls that give a
         flag and then leave it out, a usage error, then a valid call, and
-        help each print and exit as on a fresh import."""
+        help each print and exit as on a fresh import.  The fresh imports run
+        in child processes, at most four at a time, while this process runs
+        the argvs in order; each side writes the DOT files in a directory of
+        its own, and each argv names its own file."""
         built = []
         monkeypatch.setattr(cutcheck.cli, "_PARSER", None)
         monkeypatch.setattr(cutcheck.cli, "build_parser", lambda: built.append(1) or build_parser())
         pl, spec = str(fixtures_dir / "append.pl"), str(fixtures_dir / "append.spec")
         query = "app(X, Y, [1, 2])"
-        dot = ("--dot", str(tmp_path / "t.dot"))
         complete = ["check", "complete", pl, "--spec", spec, "--query", query]
         argvs = [
-            ["run", pl, query, *dot, "--nodes", "4"], complete + ["--depth", "1", *dot],
+            ["run", pl, query, "--dot", "run.dot", "--nodes", "4"],
+            complete + ["--depth", "1", "--dot", "complete.dot"],
             ["run", pl, query], complete, ["tree", pl, query, "--nodes", "2"],
             ["tree", pl, query, "--nodes"], ["tree", pl, query], ["check", "correct", pl, "--spec", spec],
             ["check", "correct", pl, "--spec", spec, "--depth", "1", "--json"],
-            ["oracle", pl, query, "--steps", "3"], ["oracle", pl, query], ["prune", pl, query, *dot],
+            ["oracle", pl, query, "--steps", "3"], ["oracle", pl, query],
+            ["prune", pl, query, "--dot", "prune.dot"],
             ["prune", pl, query, "--bogus"], ["prune", pl, query], ["-h"], ["run", "-h"], ["check", "-h"],
             ["bogus", pl], [], ["run", pl, "app(X"],
         ]
-        for argv in argvs:
-            kept = corpus.stripped(corpus.run_once(argv, main))
-            assert kept == corpus.stripped(corpus.run_once(argv)), argv
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "kept").mkdir()
+        monkeypatch.chdir(tmp_path / "kept")
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            fresh = [pool.submit(fresh_run, argv, tmp_path / "fresh") for argv in argvs]
+            kept = [corpus.stripped(corpus.run_once(argv, main)) for argv in argvs]
+            fresh = [corpus.stripped(future.result()) for future in fresh]
+        for argv, kept_run, fresh_run_ in zip(argvs, kept, fresh):
+            assert kept_run == fresh_run_, argv
         assert built == [1]
         assert corpus.run_once(["tree", pl, query, "--nodes"], main).rc == 2
 
@@ -771,7 +799,7 @@ class TestErrorsAndEnv:
         proc = cli(["check", "complete", str(fixtures_dir / "in.pl"), "--spec",
                     str(fixtures_dir / "in.spec"), "--depth", "1", "--nodes", "50", "--query", query])
         assert proc.returncode == 3 and proc.stderr == ""
-        assert "reason: tree budget exhausted; pruned tree is not exact" in proc.stdout
+        assert "reason: tree node budget 50 exhausted; pruned tree is not exact" in proc.stdout
 
     def test_deep_query_under_a_repeated_variable_pattern(self, tmp_path):
         # pre's p(X, X) compares the query's two 5,000-cell lists

@@ -20,6 +20,7 @@ from conftest import (
     random_term_program, search_answers,
 )
 from fixpoint import fixpoint_prune, pruned_by, walk_and_fixpoint
+from full_tree import root_path
 from origins_reference import origins
 
 
@@ -32,22 +33,21 @@ def build(src, query, **kw):
 class TestCuttingSequence:
     def test_initial_query_cut_roots_at_top(self):
         _, t = build("p.", "p, !")
-        executing = next(n.id for n in t.nodes if is_executing(t, n.id))
-        cs = cutting_sequence_of(t, executing)
-        assert cs.introducing is None
-        assert cs.path[0] == 0
+        executing = next(e for e in t.ids if is_executing(t, e))
+        assert introducing(t, executing) is None
+        assert cutting_sequence_of(t, executing)[0] == 0
 
     def test_clause_cut_roots_at_introducing_node(self):
         _, t = build("p :- q, !.\nq.", "p")
-        executing = next(n.id for n in t.nodes if is_executing(t, n.id))
-        cs = cutting_sequence_of(t, executing)
-        assert cs.introducing == 0
-        assert cs.path[-1] == executing
+        executing = next(e for e in t.ids if is_executing(t, e))
+        path = cutting_sequence_of(t, executing)
+        assert introducing(t, executing) == 0 == path[0]
+        assert path[-1] == executing
 
     def test_nested_cuts_attribute_to_own_clause(self):
         _, t = build("p :- q, !.\nq :- !.", "p")
-        execs = [n.id for n in t.nodes if is_executing(t, n.id)]
-        intros = {cutting_sequence_of(t, e).introducing for e in execs}
+        execs = [e for e in t.ids if is_executing(t, e)]
+        intros = {cutting_sequence_of(t, e)[0] for e in execs}
         assert len(intros) == 2  # the inner and outer cut have different origins
 
     def test_300_nested_cut_scopes(self):
@@ -57,7 +57,7 @@ class TestCuttingSequence:
         pt, answers = pruned_answers(prog, query)
         ref = origins(pt.base)
         execs = [e for e in pt.base.ids if is_executing(pt.base, e)]
-        intros = [cutting_sequence_of(pt.base, e).introducing for e in execs]
+        intros = [introducing(pt.base, e) for e in execs]
         assert intros == [ref[e][0] for e in execs]
         assert len(set(intros)) == 2 * 301 and None not in intros  # 301 under each b(X)
         _, want = search_answers(prog, query)
@@ -240,7 +240,8 @@ class TestOnePassEqualsFixpoint:
             # the full tree expanded every node the walk expanded unless its
             # node budget, which the walk spends differently, ran out first
             by_steps_only = all(
-                n.depth >= steps for n in tree.nodes if n.status == TRUNCATED
+                len(root_path(tree, n)) > steps for n in tree.ids
+                if tree.nodes[n].status == TRUNCATED
             )
             if want.exact or by_steps_only:
                 got, expected = walk_and_fixpoint(lazy, lazy_answers, want)
@@ -284,7 +285,7 @@ class TestPrunedTree:
         pt = pruned_tree(parse_program(LADDER), query, Budget(nodes=2000))
         for removed, executing in pruned_by(pt).items():
             assert is_executing(pt.base, executing)
-            assert pt.base.nodes[removed].children == []
+            assert not pt.base.nodes[removed].children
         assert set(pt.base.ids) == pt.kept | set(pruned_by(pt))
 
     def test_cut_away_infinite_branch_is_exact(self):

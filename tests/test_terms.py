@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from cutcheck import Budget, parse_program, parse_query, pruned_tree
 from cutcheck.terms import (
     CUT,
     GROUND_TERM_CAP,
@@ -461,6 +463,35 @@ class TestSubst:
     def test_occurs(self):
         assert occurs("X", f(f(X)))
         assert not occurs("X", f(Y))
+
+    def test_a_shared_subterm_is_rebuilt_once(self):
+        """Each step binds Y to g(g(b, Y'), Y'), so the term X stands for
+        shares its subterms: as a tree it doubles with each step.  A
+        substitution rebuilds a shared subterm once, so a step rebuilds the
+        goal r(f(X)) down to its newest binding, one level more per step: the
+        builds grow by an amount that grows linearly with the steps (a
+        rebuild per occurrence made 8,200 at 12 steps, doubling with each
+        further step)."""
+        program = parse_program("q(g(g(b,Y),Y)) :- q(Y).  r(f(g(b,X))) :- p(X).")
+        query = parse_query("q(X), !, r(f(b)), r(f(X))")
+        real = Compound.__init__
+        builds = 0
+
+        def counted(self, *args):
+            nonlocal builds
+            builds += 1
+            real(self, *args)
+
+        counts = []
+        with mock.patch.object(Compound, "__init__", counted):
+            for steps in (12, 16, 20, 24):
+                builds = 0
+                pt = pruned_tree(program, query, Budget(nodes=300, steps=steps))
+                assert not pt.exact and len(pt.base) == steps + 1
+                counts.append(builds)
+                assert builds < 2 * steps * steps, counts
+        increments = [b - a for a, b in zip(counts, counts[1:])]
+        assert 0 < increments[1] - increments[0] == increments[2] - increments[1], counts
 
 
 class TestRename:

@@ -442,7 +442,7 @@ class TestCapSites:
         prog = parse_program("p :- p.\np.")
         suite = replace(parse_spec(CAP_HEADER + "[S]\nany.\n"), budget=Budget(depth=1, steps=20))
         v = oracle_tree_complete(prog, parse_query("p"), suite)
-        assert v.is_unknown and v.reason == "tree budget exhausted; answers may be missing"
+        assert v.is_unknown and v.reason == "tree step budget 20 exhausted; answers may be missing"
 
     def test_oracle_s_true_instances(self, monkeypatch):
         # every instance is answered, and the four groundings of X and Y pass the cap
