@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import SUCCESS, TRUNCATED, LdTree
+from .engine import SUCCESS, TRUNCATED, LdTree, resolved_queries
 from .pruning import PrunedTree, cutting_sequence_of, is_executing
 from .syntax import query_text
 
@@ -13,9 +13,8 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_label(tree: LdTree, nid: int) -> str:
-    node = tree.nodes[nid]
-    body = query_text(node.query) if node.query else "□"
+def _node_label(nid: int, query: tuple) -> str:
+    body = query_text(query) if query else "□"
     return f"n{nid}: {body}"
 
 
@@ -32,9 +31,10 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
             path_edges.update(zip(path, path[1:]))
             pruned_by.update(dict.fromkeys(removed, executing))
     ids = tree.ids
+    queries = resolved_queries(tree)
     for nid in ids:
         node = tree.nodes[nid]
-        attrs = [f'label="{_escape(_node_label(tree, nid))}"']
+        attrs = [f'label="{_escape(_node_label(nid, queries[nid]))}"']
         if node.status == TRUNCATED:
             attrs.append("shape=doubleoctagon")
         elif node.status == SUCCESS:
@@ -43,7 +43,7 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
             executing = pruned_by.get(nid)
             attrs.append("style=dashed")
             if executing is not None:
-                label = _escape(f"{_node_label(tree, nid)}\\npruned by n{executing}")
+                label = _escape(f"{_node_label(nid, queries[nid])}\\npruned by n{executing}")
                 attrs[0] = f'label="{label}"'
         if is_executing(tree, nid):
             attrs.append("color=red")

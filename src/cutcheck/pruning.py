@@ -45,14 +45,12 @@ from .terms import (
     CUT,
     FreshNames,
     apply,
-    resolve,
     vars_of,
 )
 
 
 def is_executing(tree: LdTree, nid: int) -> bool:
-    node = tree.nodes[nid]
-    return bool(node.query) and node.query[0] is CUT
+    return tree.nodes[nid].query[0] is CUT
 
 
 def introducing(tree: LdTree, nid: int) -> Optional[int]:
@@ -62,9 +60,9 @@ def introducing(tree: LdTree, nid: int) -> Optional[int]:
     keep their number until it runs; each node in between holds the cut and
     a goal before it, and the introducing node at most the goals after it."""
     nodes = tree.nodes
-    length = len(nodes[nid].query)
+    length = nodes[nid].query[2]
     cur = nodes[nid].parent
-    while cur is not None and len(nodes[cur].query) > length:
+    while cur is not None and nodes[cur].query[2] > length:
         cur = nodes[cur].parent
     return cur
 
@@ -117,20 +115,20 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
         node = nodes[nid]
         # The cut runs before the truncation check, as in the fixpoint, where a
         # Truncated executing node is still in the preorder sequence.
-        if is_executing(base, nid):
+        if node.query[0] is CUT:
             # The cutting sequence's frames, from the top of the stack down to
             # the introducing node's (the root's for query cuts), as
             # ``introducing`` finds it: each drops its unvisited children.  A
             # frame's node is the parent of the child it visited last.
-            length = len(node.query)
+            length = node.query[2]
             removed: set = set()
             for frame in reversed(stack):
                 removed.update(range(frame[0], frame[1]))
                 frame[1] = frame[0]
-                if len(nodes[nodes[frame[0] - 1].parent].query) <= length:
+                if nodes[nodes[frame[0] - 1].parent].query[2] <= length:
                     break
             log.append((nid, frozenset(removed)))
-        children = builder.expand(nid, len(stack))  # its depth: a frame per proper ancestor
+        children = builder.expand(nid, len(stack), bindings)  # its depth: a frame per proper ancestor
         if node.status == TRUNCATED:
             break
         if node.status == SUCCESS and on_answer is not None:
@@ -172,20 +170,21 @@ def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None,
 # This deliberately shares no traversal or pruning code with the tree
 # machinery above: cut discards choice points younger than the barrier
 # recorded when the clause that introduced it was invoked.  Bindings live in
-# one triangular store with a trail, as in a Prolog machine: a retried choice
-# point undoes the bindings made after it, and an answer is the store
-# handed to ``on_answer``, as ``pruned_tree`` hands it.
+# one triangular store with a trail, as in a Prolog machine: a call unifies
+# its goal as written against the store, a retried choice point undoes the
+# bindings made after it, and an answer is the store handed to
+# ``on_answer``, as ``pruned_tree`` hands it.  The continuation is a chain
+# of cells ``(atom, barrier, rest)``, ``()`` when empty, so a call shares
+# the goals after it with the choice point it makes.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
-    call: object  # goals[0] resolved through the bindings at call time
-    goals: tuple  # the call, then its continuation, as written in the clauses
-    barriers: tuple  # per goal: the stack height its cuts cut back to
+    goals: tuple  # the cell of the call: its atom, barrier and continuation
     mark: int  # trail length at call time
-    alternatives: list  # clause indices left to try
-    pos: int
+    alternatives: list  # the (index, clause) pairs the call may use
+    pos: int  # the next of them to try
     height: int  # stack height at call time == barrier for the body's cuts
 
 
@@ -213,28 +212,31 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
     trail: list = []  # the names in ``bindings``, in binding order
 
     stack: list = []
-    # (goals, barriers) of the state to run next, or None
-    current = (query, tuple(0 for _ in query))
+    current: Optional[tuple] = ()  # the goals of the state to run next, or None
+    for atom in reversed(query):
+        current = (atom, 0, current)
 
     def advance(frame: _Frame):
         nonlocal steps
         while len(trail) > frame.mark:
             del bindings[trail.pop()]
+        atom, _, rest = frame.goals
         while frame.pos < len(frame.alternatives):
             steps += 1
             if steps > budget.steps:
                 raise _OutOfSteps
-            idx = frame.alternatives[frame.pos]
+            idx, clause = frame.alternatives[frame.pos]
             frame.pos += 1
-            step = head_step(program, idx, frame.call, forbidden, fresh)
+            step = head_step(program, idx, atom, bindings, forbidden, fresh)
             if step is None:
                 continue
-            theta, rho = step
-            bindings.update(theta.items())
-            trail.extend(theta)
-            body = apply(rho, program.clauses[idx].body)
-            barriers = tuple(frame.height for _ in body) + frame.barriers[1:]
-            return (body + frame.goals[1:], barriers)
+            mgu, rho = step
+            bindings.update(mgu)
+            trail.extend(mgu)
+            goals = rest
+            for body_atom in reversed(apply(rho, clause.body)):
+                goals = (body_atom, frame.height, goals)
+            return goals
         return None
 
     class _OutOfSteps(Exception):
@@ -251,19 +253,17 @@ def prolog_search(program: Program, query: tuple, budget: Optional[Budget] = Non
                 if current is None:
                     break
                 continue
-            goals, barriers = current
-            current = None
+            goals, current = current, None
             if not goals:
                 if on_answer is not None:
                     on_answer(bindings)
                 continue
-            if goals[0] is CUT:
-                del stack[barriers[0]:]
-                current = (goals[1:], barriers[1:])
+            atom, barrier, rest = goals
+            if atom is CUT:
+                del stack[barrier:]
+                current = rest
                 continue
-            call = resolve(bindings, goals[0])
-            alternatives = [i for i, _ in program.matching(call)]
-            stack.append(_Frame(call, goals, barriers, len(trail), alternatives, 0, len(stack)))
+            stack.append(_Frame(goals, len(trail), program.matching(atom), 0, len(stack)))
     except _OutOfSteps:
         exact = False
 

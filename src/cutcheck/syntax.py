@@ -325,15 +325,17 @@ def _text(opening: str, items, closing: str, bindings=_EMPTY, known=_EMPTY) -> s
     ``items`` are terms, atoms or ``!``, each printed under ``bindings``, a
     triangular binding map read as ``resolve`` reads it: a bound variable is
     printed as its binding, and no resolved term is built.  A chain of
-    variables bound to variables is followed once per call (``_chain_end``).
-    ``known`` maps the ids of ground compounds that outlive the call to
-    their texts (None: not printed yet); such a compound is printed once,
-    then copied.
+    variables bound to variables is followed once per call (``_chain_end``),
+    and a compound reached through a variable is printed once per call: a
+    mark on the stack records where its text ends, and a later variable
+    bound to it copies that text.  ``known`` maps the ids of ground
+    compounds that outlive the call to their texts (None: not printed yet);
+    such a compound is printed once, then copied.
 
     The walk keeps its own stack and writes each piece once, so a term of
     any depth is fine and costs time linear in its text.  On the stack, a
-    piece of text is a one-element tuple, which no term is; anything else
-    that is not a term raises TypeError."""
+    piece of text is a one-element tuple and a mark a list, which no term
+    is; anything else that is not a term raises TypeError."""
     out = [opening]
     write = out.append
     todo = [(closing,)]  # what is still to write, next last
@@ -341,6 +343,7 @@ def _text(opening: str, items, closing: str, bindings=_EMPTY, known=_EMPTY) -> s
     get = bindings.get
     ends: dict = {}  # variable bound to a variable -> where its chain ends
     names: dict = {}  # constant's functor -> its text
+    bound_texts: dict = {}  # id of a compound a variable is bound to -> its text, or its span in out
     while True:
         if len(items) == 1:
             todo.append(items[0])
@@ -354,11 +357,22 @@ def _text(opening: str, items, closing: str, bindings=_EMPTY, known=_EMPTY) -> s
             if cls is tuple:
                 write(x[0])
                 continue
+            if cls is list:  # the mark after a bound compound's text: [its id, where the text starts]
+                bound_texts[x[0]] = (x[1], len(out))
+                continue
             if cls is Var:
                 value = get(x.name)
                 if value is not None:
                     x = value if value.__class__ is not Var else _chain_end(x.name, value, get, ends)
                     cls = x.__class__
+                    if cls is Compound and x.args and not (x.ground and id(x) in known):
+                        text = bound_texts.get(id(x))
+                        if text is not None:
+                            if text.__class__ is tuple:
+                                text = bound_texts[id(x)] = "".join(out[text[0]:text[1]])
+                            write(text)
+                            continue
+                        todo.append([id(x), len(out)])
                 if cls is Var:
                     write(x.name)
                     continue

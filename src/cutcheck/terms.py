@@ -370,35 +370,73 @@ def _occurs_bound(name: str, t: Term, bindings: dict) -> bool:
     return False
 
 
-def _unify_pairs(pairs) -> Optional[dict]:
-    """Unify pairs left to right with triangular bindings: a variable is bound
-    to a term that may itself contain bound variables, and every lookup
-    dereferences.  The map is resolved into an idempotent one once, at the
-    end."""
-    bindings: dict = {}
-    stack = list(reversed(pairs))
-    while stack:
-        x, y = stack.pop()
-        x = _deref(x, bindings)
-        y = _deref(y, bindings)
+def _unify_pairs(xs: list, ys: list, store: dict) -> Optional[dict]:
+    """The one unification loop: unify ``xs[i]`` with ``ys[i]`` for every i,
+    the last pair first (both lists are stacks, which the loop empties).
+
+    The terms may hold variables bound in ``store``, a triangular map, and
+    every lookup dereferences through it.  A variable on the left is bound
+    to the right-hand term, else a variable on the right to the left-hand
+    term, with the occurs check, which a binding to an unbound variable or
+    to a ground compound cannot fail and so skips.  Returns the bindings
+    the unification adds, triangular over ``store``, or None; ``store`` is
+    left as it was.  A binding to a variable that the same call binds later
+    is followed to that variable's end, so the result holds no chain of
+    variables of its own."""
+    added: list = []  # the names bound in ``store`` by this call, in binding order
+    get = store.get
+    out: Optional[dict] = {}
+    while xs:
+        x = xs.pop()
+        y = ys.pop()
+        while x.__class__ is Var:
+            bound = get(x.name)
+            if bound is None:
+                break
+            x = bound
+        while y.__class__ is Var:
+            bound = get(y.name)
+            if bound is None:
+                break
+            y = bound
         if x is y:
             continue
         if x.__class__ is Var:
-            if y.__class__ is Var and y.name == x.name:
-                continue
-            if _occurs_bound(x.name, y, bindings):
-                return None
-            bindings[x.name] = y
+            if y.__class__ is Var:
+                if y.name == x.name:
+                    continue
+            elif not y.ground and _occurs_bound(x.name, y, store):
+                out = None
+                break
+            store[x.name] = y
+            added.append(x.name)
         elif y.__class__ is Var:
-            if _occurs_bound(y.name, x, bindings):
-                return None
-            bindings[y.name] = x
+            if not x.ground and _occurs_bound(y.name, x, store):
+                out = None
+                break
+            store[y.name] = x
+            added.append(y.name)
+        elif x.functor != y.functor or len(x.args) != len(y.args):
+            out = None
+            break
         else:
-            if x.functor != y.functor or len(x.args) != len(y.args):
-                return None
-            stack.extend(reversed(list(zip(x.args, y.args))))
-    memo: dict = {}
-    return {name: _substitute(t, bindings, memo) for name, t in bindings.items()}
+            xs += x.args[::-1]
+            ys += y.args[::-1]
+    if out is not None:
+        for name in added:
+            out[name] = _deref(store[name], store)
+    for name in added:
+        del store[name]
+    return out
+
+
+def unify_in(store: dict, a: Pred, b: Pred) -> Optional[dict]:
+    """The bindings that unify two atoms of one name and arity add to the
+    triangular ``store``, or None: ``a`` is read as written, its variables
+    bound in ``store`` dereferenced as they are met.  Resolved through the
+    store and the result, they are ``unify``'s mgu of the two atoms
+    resolved through the store."""
+    return _unify_pairs(list(a.args[::-1]), list(b.args[::-1]), store)
 
 
 def unify(a, b) -> Optional[dict]:
@@ -406,6 +444,8 @@ def unify(a, b) -> Optional[dict]:
 
     Accepts two terms or two predicate atoms.  Passing ``!`` raises
     CutUnificationError (cut is a control construct, not a unifiable atom).
+    The unification loop's triangular bindings are resolved into an
+    idempotent map once, at the end.
     """
     if a is CUT or b is CUT:
         raise CutUnificationError("cut (!) cannot be unified")
@@ -414,8 +454,13 @@ def unify(a, b) -> Optional[dict]:
             raise TypeError("cannot unify an atom with a term")
         if a.name != b.name or len(a.args) != len(b.args):
             return None
-        return _unify_pairs(list(zip(a.args, b.args)))
-    return _unify_pairs([(a, b)])
+        bindings = unify_in({}, a, b)
+    else:
+        bindings = _unify_pairs([a], [b], {})
+    if bindings is None:
+        return None
+    memo: dict = {}
+    return {name: _substitute(t, bindings, memo) for name, t in bindings.items()}
 
 
 def _equal(t, u) -> bool:

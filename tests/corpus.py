@@ -23,7 +23,9 @@ The argv set:
   ``app(X, [a | T], Z)``, ``in(X, Y)``, the ``appmem`` query on 14 cells
   and a query ending in ``!``;
 - the inputs of the CI smoke steps but the shared-term smoke's (with a
-  shared subterm rebuilt once per occurrence it runs for minutes);
+  shared subterm rebuilt once per occurrence it runs for minutes), the
+  deep goal-list smoke's at 500 ``s`` in place of 4,000 (with the tail
+  rebuilt at every step, 4,000 take minutes);
 - malformed inputs, each exit 2: a bad character on line 3 of a program, an
   unterminated quote, an error inside a spec section, an undeclared
   ``notin`` set, a bad query, an unknown flag, a bad ``[bounds]`` value and
@@ -103,6 +105,14 @@ REL_SPEC = (
 # the program of the CI cut-scope smoke step: a cut at each of 300 nested calls
 SCOPE_PROGRAM = "c(0) :- a, !.\nc(s(N)) :- c(N), a, !.\na.\na.\nb(1).\nb(2).\nd(1).\nd(2).\n"
 SCOPE_QUERY = "b(X), c(" + "s(" * 300 + "0" + ")" * 300 + "), d(Y)"
+# the program of the CI deep goal-list smoke step, and its query with n s
+DEEP_PROGRAM = "p(z).\np(s(X)) :- p(X), q(X).\nq(X).\n"
+
+
+def deep_query(n: int) -> str:
+    return "p(" + "s(" * n + "z" + ")" * n + ")"
+
+
 # the program of the appmem workload and of the CI resolution smoke step
 APPMEM_PROGRAM = ("app([], L, L).\napp([H|K], L, [H|M]) :- app(K, L, M).\n"
                   "mem(X, [X|T]).\nmem(X, [H|T]) :- mem(X, T).\n")
@@ -243,6 +253,10 @@ def smoke_cases(workdir: Path) -> list:
     for command in ("run", "oracle"):
         cases.append(Case(f"smoke {command} scope.pl <300 nested cuts>",
                           (command, str(workdir / "scope.pl"), SCOPE_QUERY)))
+    (workdir / "deep.pl").write_text(DEEP_PROGRAM, encoding="utf-8")
+    for command, flag in (("run", "--nodes"), ("oracle", "--steps")):
+        cases.append(Case(f"smoke {command} deep.pl <500 s> {flag} 100000",
+                          (command, str(workdir / "deep.pl"), deep_query(500), flag, "100000")))
     cases += [_fixture_case(("oracle", "fixtures/in.pl", "in(X, Y)", "--steps", "5000")),
               _fixture_case(("run", "fixtures/in.pl", "in(X, Y)", "--nodes", "5000"))]
     links = [f"p{i} :- !, p{i + 1}.\np{i}." for i in range(1, 20001)]

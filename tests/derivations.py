@@ -4,7 +4,9 @@
 queries Q_0..Q_n and the mgus between them; ``subderivation`` follows a
 prefix of some Q_j until it has fully succeeded.  A tree node keeps only its
 mgu, so ``recorded_steps`` records the clause index and variant of each
-step from the head steps ``ld_expand`` makes.  The tests use these to check the
+step from the head steps ``ld_expand`` makes.  A node's goal list is as the
+clauses wrote it and its mgu binds over its parent's root path, so
+``branch_derivation`` resolves both through the mgus of the root path.  The tests use these to check the
 standardization-apart and subderivation lemmas on built trees.
 """
 
@@ -14,8 +16,8 @@ from typing import NamedTuple, Optional
 from unittest import mock
 
 from cutcheck import engine
-from cutcheck.engine import LdTree, TreeBuilder
-from cutcheck.terms import CUT, Clause, apply, canonical
+from cutcheck.engine import LdTree, TreeBuilder, goal_atoms
+from cutcheck.terms import CUT, Clause, apply, canonical, resolve
 
 from full_tree import root_path
 
@@ -51,9 +53,9 @@ def recorded_steps():
             last.append(Step(theta, idx, apply(rho, program.clauses[idx])))
         return out
 
-    def expand(builder, nid, depth):
+    def expand(builder, nid, depth, store):
         last.clear()
-        children = real_expand(builder, nid, depth)
+        children = real_expand(builder, nid, depth, store)
         nodes = builder.tree.nodes
         if children and nodes[nid].query[0] is CUT:
             last.append(Step(nodes[children[0]].mgu))
@@ -77,11 +79,18 @@ class Derivation:
 
 
 def branch_derivation(tree: LdTree, nid: int) -> Derivation:
-    chain = root_path(tree, nid)
-    return Derivation(
-        [tree.nodes[i].query for i in chain],
-        [tree.nodes[i].mgu for i in chain[1:]],
-    )
+    """The branch to ``nid`` with each query and mgu resolved through the
+    mgus of its root path: the queries instantiated by every mgu above
+    them, and idempotent mgus."""
+    queries, mgus = [], []
+    store: dict = {}
+    for i in root_path(tree, nid):
+        node = tree.nodes[i]
+        store.update(node.mgu)
+        if i:
+            mgus.append({name: resolve(store, t) for name, t in node.mgu.items()})
+        queries.append(resolve(store, goal_atoms(node.query)))
+    return Derivation(queries, mgus)
 
 
 def subderivation(d: Derivation, j: int, prefix_len: int):

@@ -11,7 +11,7 @@ check ``cutcheck.pruned_tree`` on small trees.
 from dataclasses import dataclass
 from typing import Optional
 
-from cutcheck.engine import LdTree
+from cutcheck.engine import LdTree, resolved_queries
 from cutcheck.pruning import PrunedTree, cutting_sequence_of, is_executing
 from cutcheck.terms import canonical
 
@@ -92,10 +92,10 @@ def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
         for i, child in enumerate(lazy.base.nodes[nid].children):
             to_full[child] = full_children[i]
     image = set(to_full.values())
+    queries = {id(tree): resolved_queries(tree) for tree in (lazy.base, want.base)}
 
     def shape(tree, nid):
-        node = tree.nodes[nid]
-        return canonical(node.query), node.status
+        return canonical(queries[id(tree)][nid]), tree.nodes[nid].status
 
     got = {
         "kept": {to_full[n]: shape(lazy.base, n) for n in lazy.kept},

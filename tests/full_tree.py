@@ -8,7 +8,7 @@ tests use them to check ``cutcheck.pruned_tree``, whose one walk does both.
 
 from dataclasses import dataclass
 
-from cutcheck.engine import SUCCESS, TRUNCATED, LdTree
+from cutcheck.engine import SUCCESS, TRUNCATED, LdTree, goal_atoms
 from cutcheck.terms import resolve
 
 
@@ -65,15 +65,16 @@ def root_path(tree: LdTree, nid: int) -> list:
 
 def computed_answer(tree: LdTree, nid: int) -> tuple:
     """The root query under the union of the step mgus from the root down to
-    node ``nid``: the derivation is standardized apart and each mgu is
-    idempotent, so the union is a triangular binding map."""
+    node ``nid``: the derivation is standardized apart and each mgu binds
+    only variables its parent's root path leaves unbound, so the union is a
+    triangular binding map."""
     bindings: dict = {}
     cur = nid
     while cur is not None:
         node = tree.nodes[cur]
         bindings.update(node.mgu.items())
         cur = node.parent
-    return resolve(bindings, tree.nodes[0].query)
+    return resolve(bindings, goal_atoms(tree.nodes[0].query))
 
 
 def answers(tree: LdTree, kept=None) -> list:

@@ -8,15 +8,17 @@ atom and keeps the origins of the rest; a cut step drops the cut and its
 origin.  The origin of an executing node's cut is its first entry.
 """
 
-from cutcheck.engine import LdTree
+from cutcheck.engine import LdTree, goal_atoms
 
 
 def origins(tree: LdTree) -> dict:
-    """Node id -> per atom of its query, the id of the node that brought it in."""
+    """Node id -> per atom of its query, the id of the node that brought it in.
+    Goal lists are counted atom by atom, not read from their cells."""
     nodes = tree.nodes
-    out = {0: (None,) * len(nodes[0].query)}
+    lengths = [len(goal_atoms(n.query)) for n in nodes]
+    out = {0: (None,) * lengths[0]}
     for nid in tree.ids[1:]:  # a parent comes before its children in the arena
         parent = nodes[nid].parent
-        body = len(nodes[nid].query) - len(nodes[parent].query) + 1
+        body = lengths[nid] - lengths[parent] + 1
         out[nid] = (parent,) * body + out[parent][1:]
     return out

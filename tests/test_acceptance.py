@@ -29,6 +29,7 @@ from cutcheck import (
     recurrent_check,
     semi_complete,
 )
+from cutcheck.engine import resolved_queries
 from cutcheck.pruning import is_executing
 from cutcheck.syntax import query_text, resolve_alphabet
 from cutcheck.terms import (
@@ -76,10 +77,11 @@ class TestCriterion1PruningSemantics:
         pt, pt_answers = pruned_answers(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         got, expected = walk_and_fixpoint(pt, pt_answers, fixpoint_prune(tree))
         assert got == expected
-        kept_labels = {query_text(pt.base.nodes[n].query) for n in pt.kept}
+        queries = resolved_queries(pt.base)
+        kept_labels = {query_text(queries[n]) for n in pt.kept}
         executing = next(
             n for n in pt.kept if is_executing(pt.base, n)
-            and query_text(pt.base.nodes[n].query) == "!, r, !"
+            and query_text(queries[n]) == "!, r, !"
         )
         # descendants/right-side survivors of the executing (!, r, !) node:
         # only (r, !) below it and the top-level r branch remain
@@ -93,7 +95,8 @@ class TestCriterion1PruningSemantics:
                                           Budget(nodes=1000, steps=100))
         got, expected = walk_and_fixpoint(pt2, pt2_answers, fixpoint_prune(tree2))
         assert got == expected
-        removed = {query_text(pt2.base.nodes[n].query) for n in set(pt2.base.ids) - pt2.kept}
+        queries2 = resolved_queries(pt2.base)
+        removed = {query_text(queries2[n]) for n in set(pt2.base.ids) - pt2.kept}
         assert removed == {"r, r, !", "r"}
         answers = [query_text(a) for a in pt2_answers]
         assert answers == ["p"]
@@ -390,7 +393,7 @@ class TestCriterion8CoreAlgebra:
             seen_vars = set(vars_of(d.queries[0]))
             for i, nid in enumerate(root_path(tree, leaf)[1:]):
                 step = steps[tree][nid]
-                assert step.mgu is d.mgus[i]
+                assert step.mgu is tree.nodes[nid].mgu
                 if step.clause_variant is None:
                     continue
                 vvars = set(vars_of(step.clause_variant))

@@ -14,13 +14,19 @@ from cutcheck import (
 )
 from cutcheck.cli import main
 from cutcheck.engine import (
+    EMPTY,
     FAILURE,
     SUCCESS,
     TRUNCATED,
+    goal_atoms,
+    goal_list,
     ld_expand,
+    resolved_queries,
 )
 from cutcheck.syntax import query_text
-from cutcheck.terms import FreshNames, match, rename_apart, unify, vars_of
+from cutcheck.terms import (
+    Compound, FreshNames, Pred, match, rename_apart, resolve, unify, vars_of,
+)
 
 from conftest import (
     load_program, pruned_answers, random_atom_text, random_propositional_program,
@@ -50,7 +56,7 @@ class TestBuildTree:
         child = t.nodes[t.nodes[0].children[0]]
         assert child.query[0] is CUT
         grandchild = t.nodes[child.children[0]]
-        assert grandchild.query == () and grandchild.status == SUCCESS
+        assert grandchild.query == EMPTY and grandchild.status == SUCCESS
 
     def test_query_with_leading_cut(self):
         t = tree_of("p.", "!, p")
@@ -67,14 +73,18 @@ class TestBuildTree:
         assert not t.exact
 
     def test_standardized_apart(self):
+        """A variant shares no variable with its parent's goals, as written
+        or resolved."""
         with recorded_steps() as steps:
             t = tree_of("q(f(X)) :- r(X).\nr(a).", "q(Y)")
         assert len(steps[t]) == len(t) - 1
+        queries = resolved_queries(t)
         for nid, step in steps[t].items():
             if step.clause_variant is not None:
                 variant_vars = set(vars_of(step.clause_variant))
-                parent = t.nodes[t.nodes[nid].parent]
-                assert variant_vars.isdisjoint(vars_of(parent.query))
+                parent = t.nodes[nid].parent
+                assert variant_vars.isdisjoint(vars_of(goal_atoms(t.nodes[parent].query)))
+                assert variant_vars.isdisjoint(vars_of(queries[parent]))
 
     def test_clause_order_is_child_order(self):
         with recorded_steps() as steps:
@@ -85,6 +95,35 @@ class TestBuildTree:
     def test_failure_status(self):
         t = tree_of("p(a).", "q(X)")
         assert t.nodes[0].status == FAILURE
+
+    def test_rebasing_changes_no_node(self, monkeypatch):
+        """``build_tree`` resolves a node's goal list and starts its store
+        afresh there once the node lies far enough below its base.  On 300
+        seeded programs, rebasing wherever it may (``REBASE_SLACK`` 0) and
+        never (10**9) build the same nodes: parents, children, statuses,
+        queries and answers.  Rebasing at slack 0 takes place 579 times."""
+        rng = random.Random(30)
+        rebased = 0
+        real_resolve = engine.resolve
+
+        def counted(store, e):
+            nonlocal rebased
+            rebased += 1
+            return real_resolve(store, e)
+
+        for _ in range(300):
+            program = parse_program(random_term_program(rng, max_body=3))
+            query = parse_query(", ".join(random_atom_text(rng) for _ in range(rng.randint(1, 3))))
+            shapes = []
+            for slack in (0, 10 ** 9):
+                monkeypatch.setattr(engine, "REBASE_SLACK", slack)
+                monkeypatch.setattr(engine, "resolve", counted)
+                t = build_tree(program, query, Budget(nodes=300, steps=30))
+                monkeypatch.setattr(engine, "resolve", real_resolve)
+                shapes.append(([(n.parent, n.children, n.status) for n in t.nodes],
+                               resolved_queries(t), answers(t)))
+            assert shapes[0] == shapes[1]
+        assert rebased > 300
 
 
 class TestNodeMemory:
@@ -175,6 +214,71 @@ class TestClauseWalks:
             return counts
 
         assert tree_walks(2000) == tree_walks(20000)
+
+
+class TestStepCost:
+    """On ``p(z).  p(s(X)) :- p(X), q(X).  q(X).`` with ``p(s(...s(z)...))``
+    the goal list grows by one ``q/1`` goal a step, to n goals.  A step
+    builds only its renamed clause and conses its body onto the goals after
+    the selected atom, so what a step builds does not depend on n."""
+
+    PROGRAM = "p(z).\np(s(X)) :- p(X), q(X).\nq(X)."
+
+    @staticmethod
+    def builds_per_call(run, owner, name) -> list:
+        """The ``Pred`` and ``Compound`` builds ``run()`` makes from each call
+        of ``owner.name`` to the next (the last: to the end of the run)."""
+        builds = 0
+        marks: list = []
+        real_compound, real_pred, real = Compound.__init__, Pred.__init__, getattr(owner, name)
+
+        def compound(self, *args):
+            nonlocal builds
+            builds += 1
+            real_compound(self, *args)
+
+        def pred(self, *args, **kw):
+            nonlocal builds
+            builds += 1
+            real_pred(self, *args, **kw)
+
+        def call(*args, **kw):
+            marks.append(builds)
+            return real(*args, **kw)
+
+        with mock.patch.object(Compound, "__init__", compound), \
+                mock.patch.object(Pred, "__init__", pred), mock.patch.object(owner, name, call):
+            run()
+        marks.append(builds)
+        return [b - a for a, b in zip(marks, marks[1:])]
+
+    def query(self, n):
+        return parse_query("p(" + "s(" * n + "z" + ")" * n + ")")
+
+    def test_a_node_costs_the_same_at_any_depth(self):
+        """The builds of each expansion of the pruned-tree walk take the
+        same values at n = 500 as at n = 2,000, at most four (applying each
+        mgu to the tail built one atom per goal of the list)."""
+        program, per_node = parse_program(self.PROGRAM), {}
+        for n in (500, 2000):
+            query = self.query(n)
+            per_node[n] = self.builds_per_call(lambda: pruned_tree(program, query, Budget()),
+                                               engine.TreeBuilder, "expand")
+            assert len(per_node[n]) == 2 * n + 2
+        assert set(per_node[500]) == set(per_node[2000]) and max(per_node[2000]) <= 4
+
+    def test_a_search_step_costs_the_same_at_any_depth(self):
+        """The builds of each step of ``prolog_search``, from one head
+        unification to the next, take the same values at n = 500 as at
+        n = 2,000, at most four (resolving each call built its goal and
+        every binding in it)."""
+        program, per_step = parse_program(self.PROGRAM), {}
+        for n in (500, 2000):
+            query = self.query(n)
+            per_step[n] = self.builds_per_call(lambda: prolog_search(program, query, Budget()),
+                                               pruning, "head_step")
+            assert len(per_step[n]) == 3 * n + 2
+        assert set(per_step[500]) == set(per_step[2000]) and max(per_step[2000]) <= 4
 
 
 class TestPreorder:
@@ -297,13 +401,16 @@ class TestResolventTail:
         return parse_program(src), parse_query(", ".join(atoms))
 
     def test_children_equal_the_old_formula(self):
-        """The head-first step against the whole-clause resolvent: the
-        derivations of 300 seeded programs, expanded breadth-first with
-        ``ld_expand`` and the reference side by side from the same state,
-        give the same children and mgus, and leave the same fresh-name
-        counter and forbidden names after every call.  The steps cover
-        empty mgus, mgus of the clause only, mgus that reach the tail and
-        clauses whose head fails after renaming."""
+        """The head-first step on goals as written against the whole-clause
+        resolvent on resolved queries: the derivations of 300 seeded
+        programs, expanded breadth-first with ``ld_expand`` and the
+        reference side by side from the same state, give the same children
+        and mgus once a child's goals and mgu are resolved through its
+        root-path store, share the parent's goals after the selected atom,
+        leave the store as it was, and leave the same fresh-name counter
+        and forbidden names after every call.  The steps cover empty mgus,
+        mgus of the clause only, mgus that reach the tail and clauses whose
+        head fails after renaming."""
         rng = random.Random(5)
         cases = {"empty": 0, "clause": 0, "tail": 0}
         failed = [0]
@@ -311,22 +418,35 @@ class TestResolventTail:
             program, query = self.random_case(rng)
             forbidden, fresh = set(vars_of(query)), FreshNames()
             ref_forbidden, ref_fresh = set(forbidden), FreshNames()
-            queue = [query]
-            for q in itertools.islice(queue, 60):  # the loop reaches children appended below
-                got = ld_expand(program, q, forbidden, fresh)
+            queue = [(query, goal_list(query), {})]  # resolved query, goal list, root-path store
+            for q, goals, store in itertools.islice(queue, 60):  # the loop reaches children appended below
+                before = dict(store)
+                got = ld_expand(program, goals, store, forbidden, fresh)
                 want = reference_ld_expand(program, q, ref_forbidden, ref_fresh, failed)
-                assert got == want, (program, q)
-                assert (fresh.n, forbidden) == (ref_fresh.n, ref_forbidden)
+                assert store == before
+                resolved = []
                 for child, mgu in got:
-                    if q[0] is not CUT:
+                    rest = child
+                    for _ in range(child[2] - goals[2] + 1):
+                        rest = rest[1]
+                    assert rest is goals[1]  # the goals after the selected atom, shared
+                    child_store = {**store, **mgu}
+                    resolved.append((resolve(child_store, goal_atoms(child)),
+                                     {name: resolve(child_store, t) for name, t in mgu.items()}))
+                    queue.append((resolved[-1][0], child, child_store))
+                assert resolved == want, (program, q)
+                assert (fresh.n, forbidden) == (ref_fresh.n, ref_forbidden)
+                if q and q[0] is not CUT:
+                    for _, mgu in resolved:
                         cases[tail_case(q, mgu)] += 1
-                    queue.append(child)
         assert min(cases.values()) > 300 and failed[0] > 300, (cases, failed)
 
     def expand_one(self, src, query):
         q = parse_query(query)
-        ((child, mgu),) = ld_expand(parse_program(src), q, set(vars_of(q)), FreshNames())
-        return q, child, mgu
+        goals = goal_list(q)
+        ((child, mgu),) = ld_expand(parse_program(src), goals, {}, set(vars_of(q)), FreshNames())
+        assert child[1] is goals[1]  # a one-atom body, consed onto the parent's tail
+        return q, resolve(mgu, goal_atoms(child)), {name: resolve(mgu, t) for name, t in mgu.items()}
 
     def test_empty_mgu_keeps_the_tail(self):
         q, child, mgu = self.expand_one("p :- q.", "p, r(Y)")

@@ -9,7 +9,7 @@ from cutcheck import (
     parse_query,
     pruned_tree,
 )
-from cutcheck.engine import TRUNCATED
+from cutcheck.engine import TRUNCATED, goal_atoms, resolved_queries
 from cutcheck.pruning import cutting_sequence_of, introducing, is_executing
 from cutcheck.syntax import query_text
 from cutcheck.terms import CUT, canonical
@@ -96,7 +96,7 @@ class TestIntroducing:
                     counts["query cuts"] += first is None
                     # a cut of another scope is pending behind this one
                     counts["nested"] += any(a is CUT and o != first
-                                            for a, o in zip(tree.nodes[e].query, ref[e]))
+                                            for a, o in zip(goal_atoms(tree.nodes[e].query), ref[e]))
         assert counts["executing"] > 20_000, counts
         assert counts["query cuts"] > 3_000 and counts["nested"] > 10_000, counts
 
@@ -109,7 +109,8 @@ class TestPruneFixture:
         pt, answers = pruned_answers(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         # after the executing (!, r, !) node, the only surviving descendants
         # on that side are the (r, !) node and the top-level r node
-        labels = {query_text(pt.base.nodes[n].query) for n in pt.kept}
+        queries = resolved_queries(pt.base)
+        labels = {query_text(queries[n]) for n in pt.kept}
         assert "r, !" in labels and "r" in labels
         assert "t, !" not in labels and "r, r, !" not in labels
         assert answers == []
@@ -117,7 +118,8 @@ class TestPruneFixture:
     def test_modified_tree_prunes_two_nodes(self):
         prog = load_program("pruning_tree_modified.pl")
         pt, answers = pruned_answers(prog, parse_query("p"), Budget(nodes=1000, steps=100))
-        removed = {query_text(pt.base.nodes[n].query) for n in set(pt.base.ids) - pt.kept}
+        queries = resolved_queries(pt.base)
+        removed = {query_text(queries[n]) for n in set(pt.base.ids) - pt.kept}
         assert removed == {"r, r, !", "r"}
         assert [query_text(a) for a in answers] == ["p"]
 

@@ -466,12 +466,13 @@ class TestSubst:
 
     def test_a_shared_subterm_is_rebuilt_once(self):
         """Each step binds Y to g(g(b, Y'), Y'), so the term X stands for
-        shares its subterms: as a tree it doubles with each step.  A
-        substitution rebuilds a shared subterm once, so a step rebuilds the
-        goal r(f(X)) down to its newest binding, one level more per step: the
-        builds grow by an amount that grows linearly with the steps (a
-        rebuild per occurrence made 8,200 at 12 steps, doubling with each
-        further step)."""
+        shares its subterms: as a tree it doubles with each step.  A step
+        leaves the goals after the selected atom as written and builds only
+        the renamed clause, so the builds grow by the same amount per step,
+        at most two a step (22, 30, 38 and 46 at 12 to 24 steps; applying
+        each mgu to the tail rebuilt r(f(X)) down to its newest binding and
+        made 166, 286, 438 and 622, and a rebuild per occurrence made 8,200
+        at 12 steps, doubling with each further step)."""
         program = parse_program("q(g(g(b,Y),Y)) :- q(Y).  r(f(g(b,X))) :- p(X).")
         query = parse_query("q(X), !, r(f(b)), r(f(X))")
         real = Compound.__init__
@@ -489,9 +490,9 @@ class TestSubst:
                 pt = pruned_tree(program, query, Budget(nodes=300, steps=steps))
                 assert not pt.exact and len(pt.base) == steps + 1
                 counts.append(builds)
-                assert builds < 2 * steps * steps, counts
+                assert builds <= 2 * steps, counts
         increments = [b - a for a, b in zip(counts, counts[1:])]
-        assert 0 < increments[1] - increments[0] == increments[2] - increments[1], counts
+        assert increments[0] == increments[1] == increments[2], counts
 
 
 class TestRename:
