@@ -20,6 +20,7 @@ from .terms import (
     Alphabet,
     CapHit,
     Compound,
+    NIL,
     Pred,
     Term,
     Var,
@@ -37,7 +38,7 @@ from .terms import (
     match,
     most_general_atom,
     rename_apart,
-    term_depth,
+    term_key,
     unify,
     vars_of,
 )
@@ -160,34 +161,36 @@ def _notin(guard, args, facts, resolver) -> bool:
     return not possibly_contains(target, args[0], resolver)
 
 
-def _members(terms, values, value_depth, bound) -> list:
+def _members(terms, values, value_depth, pool) -> list:
     items = list_items(values[0])
-    return [] if items is None else [(x, term_depth(x)) for x in dict.fromkeys(items)]
+    return [] if items is None else [(x, term_key(x)[0]) for x in dict.fromkeys(items)]
 
 
-def _sublists(terms, values, value_depth, bound) -> list:
-    """The lists over the source's elements, up to the depth bound."""
+def _sublists(terms, values, value_depth, pool) -> list:
+    """The lists over the source's elements, up to the depth bound.  A
+    list's depth is worked out from its items' depths before it is built:
+    that of ``[x1, ..., xn]`` is the largest ``i + depth(xi)``."""
     items = list_items(values[0])
     if items is None:
         return []
-    pool = list(dict.fromkeys(items))
+    bound = pool.depth
+    source = [(x, term_key(x)[0]) for x in dict.fromkeys(items)]
     found = []
     for n in range(0, bound + 1):
-        for combo in itertools.product(pool, repeat=n):
-            cand = make_list(combo)
-            d = term_depth(cand)
+        for combo in itertools.product(source, repeat=n):
+            d = max([i + dx for i, (_, dx) in enumerate(combo, 1)], default=0)
             if d <= bound:
-                found.append((cand, d))
+                found.append((pool.make_list([x for x, _ in combo]), d))
     return found
 
 
-def _concatenation(terms, values, value_depth, bound) -> list:
+def _concatenation(terms, values, value_depth, pool) -> list:
     head, tail = values
     k = list_items(head)
     if k is None:
         return []
     d = max(value_depth(terms[0], head), len(k) + value_depth(terms[1], tail))
-    return [(make_list(k, tail=tail), d)]
+    return [(pool.make_list(k, tail), d)]
 
 
 class GuardKind(NamedTuple):
@@ -198,7 +201,7 @@ class GuardKind(NamedTuple):
     test: Callable  # test(guard, term arguments under the match, facts, resolver)
     facts: tuple = ()  # what a holding guard says of its one argument: "list", "ground"
     # (output position, input positions, generate): generate(input terms, their values,
-    # value_depth, depth bound) gives the output's (value, depth) candidates
+    # value_depth, term pool) gives the output's (value, depth) candidates, values of the pool
     mode: Optional[tuple] = None
     forces: tuple = ()  # ((from, to), ...): forced ground at positions from forces to
 
@@ -310,35 +313,150 @@ def set_predicates(s: AtomSet) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, resolver, cap, counter):
-    """Ground atoms of argument depth <= depth matching one guarded pattern.
+class TermPool:
+    """The ground terms up to a depth over an alphabet's function symbols,
+    hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
+    2006): the pool holds one object per term, and the arguments of each are
+    objects of the pool, so two of its terms are equal exactly when they are
+    the same object, and a term's hash, ``term_key`` and depth (the key's
+    first field) are reads of values cached on the object.
 
-    Enumeration is guard-driven: list-guarded variables range over ground
-    lists, and the output of a guard with a generation mode (``GUARDS``:
-    concat's result, member's element, subset's sublist) is computed from
-    its inputs once they are chosen, rather than searched.  A leaf's
-    assignment is the template's match, so every guard is evaluated on it
-    and each atom is built once.  Every value carries its depth, read from
-    the pools or derived from how the value was made.  The pools hold
-    ``(term, depth, spine length)`` for each term of ``ground_terms`` (a
-    term that is not a proper list has length 0), and for its proper lists;
-    they are built once, when a variable first draws from them.
+    The terms of ``ground_terms`` are built once, on first use, and a CapHit
+    that build raises is kept and raised again by every draw.  The
+    enumeration adds the terms it makes, deeper ones too, with ``intern``,
+    ``cell`` and ``make_list``, which look a term up by its functor and the
+    ids of its arguments, so a cell is found without being built or walked.
+    Adding a term first tries the build, so that no term of the pool is
+    made twice.  A ``_CheckContext`` holds one pool for its whole check;
+    ``enumerate_atoms`` called without one builds its own.
+    """
+
+    def __init__(self, alphabet: Alphabet, depth: int):
+        self.alphabet = alphabet
+        self.depth = depth
+        self._table: dict = {}  # (functor, id of each argument) -> the pool's term
+        self._built = None  # the terms, their entries and the lists', or the CapHit raised
+        self._cuts: dict = {}  # (lists?, max_len, max_depth) -> the entries within both
+
+    def _build(self):
+        if self._built is None:
+            try:
+                terms = ground_terms(self.alphabet, self.depth)
+            except CapHit as exc:
+                self._built = exc
+                return
+            self._table.update(((t.functor, *map(id, t.args)), t) for t in terms)
+            every = [(t, term_key(t)[0], len(list_items(t) or ())) for t in terms]
+            self._built = (terms, every, [e for e in every if is_list(e[0])])
+
+    def _get(self) -> tuple:
+        self._build()
+        if isinstance(self._built, CapHit):
+            raise self._built.with_traceback(None)  # no frames pile up on the kept exception
+        return self._built
+
+    def terms(self) -> tuple:
+        """``ground_terms`` of the alphabet and depth."""
+        return self._get()[0]
+
+    def entries(self, lists: bool, max_len: int, max_depth: int) -> list:
+        """``(term, depth, spine length)`` for each term, or only for each
+        proper list, whose depth is at most ``max_depth`` and spine length at
+        most ``max_len`` (a term that is not a proper list has length 0), in
+        the order of ``terms``."""
+        every = self._get()[2 if lists else 1]
+        if max_len >= self.depth and max_depth >= self.depth:
+            return every
+        key = (lists, max_len, max_depth)
+        if key not in self._cuts:
+            self._cuts[key] = [e for e in every if e[2] <= max_len and e[1] <= max_depth]
+        return self._cuts[key]
+
+    def intern(self, t: Term) -> Term:
+        """The pool's object equal to the ground term ``t``; the subterms of
+        ``t`` that the pool lacks are added, from the leaves up."""
+        table = self._table
+        hit = table.get((t.functor, *map(id, t.args)))
+        if hit is not None:
+            return hit
+        self._build()
+        done: list = []  # the pool's objects for the arguments finished so far
+        stack = [(t, False)]
+        while stack:
+            u, expanded = stack.pop()
+            if not expanded:
+                hit = table.get((u.functor, *map(id, u.args)))
+                if hit is None:
+                    stack.append((u, True))
+                    stack += [(a, False) for a in reversed(u.args)]
+                else:
+                    done.append(hit)
+                continue
+            n = len(u.args)
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            key = (u.functor, *map(id, args))
+            done.append(table.get(key) or self._add(key, args))
+        return done[0]
+
+    def cell(self, head: Term, tail: Term) -> Compound:
+        """The pool's ``[head | tail]``, for ``head`` and ``tail`` of the pool."""
+        key = (".", id(head), id(tail))
+        t = self._table.get(key)
+        if t is None:
+            self._build()
+            t = self._table.get(key) or self._add(key, (head, tail))
+        return t
+
+    def _add(self, key: tuple, args: tuple) -> Compound:
+        t = self._table[key] = Compound(key[0], args)
+        term_key(t)  # cached on the term, with its depth
+        return t
+
+    def make_list(self, items, tail: Optional[Term] = None) -> Term:
+        """The pool's list of ``items`` ending in ``tail`` (``[]`` when None),
+        built cell by cell from the end; items and tail are of the pool."""
+        out = self.intern(NIL) if tail is None else tail
+        for x in reversed(items):
+            out = self.cell(x, out)
+        return out
+
+
+def _enumerate_pattern(pattern: AtomPattern, pool: TermPool, resolver, cap, counter):
+    """Ground atoms of argument depth <= ``pool.depth`` matching one guarded
+    pattern, every argument an object of the pool.
+
+    Enumeration is guard-driven: list-guarded variables range over the
+    pool's ground lists, other variables over all its terms, and the output
+    of a guard with a generation mode (``GUARDS``: concat's result, member's
+    element, subset's sublist) is computed from its inputs once they are
+    chosen, rather than searched.  A leaf's assignment is the template's
+    match, and each atom is built once.  Every value carries its depth, read
+    from the pool or derived from how the value was made.
+
+    A leaf tests the guards its construction did not establish.  Two kinds
+    are established: a guard that gives facts (``list``, ``ground``,
+    ``ground_list``) of a template variable drawn from the list pool, and a
+    mode guard whose output it generated, from inputs assigned before.
+    Every other guard is tested, and so is the depth of each argument that
+    was not drawn from the pool.
 
     For ``concat(K, L, M)`` with M a template variable the atom's depth is
     at least ``depth(M) = max(depth(K), len(K) + depth(L))``, so once one
     input is chosen the other's pool is cut to the values that keep M within
     the bound: ``depth(L) <= depth - len(K)`` and ``len(K) <= depth - depth(L)``.
     """
+    depth = pool.depth
     template = pattern.template
     tvars = vars_of(template)
     lists = _list_vars(pattern.guards)
 
-    func: dict = {}  # output variable -> (the input terms, the generator)
+    func: dict = {}  # output variable -> (the guard, its input terms, the generator)
     for g in pattern.guards:
         mode = GUARDS[g.name].mode
         if mode is not None and isinstance(g.args[mode[0]], Var):
-            func.setdefault(g.args[mode[0]].name, (tuple(g.args[i] for i in mode[1]), mode[2]))
-    inputs = {v: vars_of(terms) for v, (terms, _) in func.items()}
+            func.setdefault(g.args[mode[0]].name, (g, tuple(g.args[i] for i in mode[1]), mode[2]))
+    inputs = {v: vars_of(terms) for v, (_, terms, _) in func.items()}
 
     # Assignment order: plain variables first, functional outputs once ready.
     order = []
@@ -353,6 +471,25 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
         if not progressed:  # circular functional guards: fall back to domains
             order.extend(remaining)
             break
+    # the variables generated from inputs assigned before them; the others are drawn
+    generated = {v: func[v] for i, v in enumerate(order)
+                 if v in func and all(n in order[:i] for n in inputs[v])}
+
+    def established(g: Guard) -> bool:
+        kind = GUARDS[g.name]
+        if kind.facts:  # of a variable drawn from the list pool
+            v = g.args[0]
+            return (v.__class__ is Var and v.name in lists and v.name in tvars
+                    and v.name not in generated)
+        if kind.mode is None:
+            return False
+        v = g.args[kind.mode[0]]  # the output, generated by this guard
+        return v.__class__ is Var and v.name in generated and generated[v.name][0] is g
+
+    tested = tuple(g for g in pattern.guards if not established(g))
+    # the template arguments a leaf measures: a drawn value is within the bound
+    measured = tuple((i, a) for i, a in enumerate(template.args)
+                     if a.__class__ is not Var or a.name in generated)
 
     # The concat pool cuts: v -> the tails whose depth bounds len(v), and
     # v -> the heads whose length bounds depth(v).
@@ -367,22 +504,18 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
     out = []
     targs = template.args
     depths: dict = {}  # the depth of each assigned value
-    pools: list = []  # the entries of every term, then of the lists, once built
-    cut_pools: dict = {}  # (list pool?, max_len, max_depth) -> the cut pool, built once
 
     def value_depth(t: Term, value: Term) -> int:
-        return depths[t.name] if t.__class__ is Var else term_depth(value)
+        return depths[t.name] if t.__class__ is Var else term_key(value)[0]
+
+    def value(t: Term, env: dict) -> Term:
+        return env[t.name] if t.__class__ is Var else pool.intern(apply(env, t))
 
     def candidates(v, env: dict):
         """``(value, depth, ...)`` tuples for ``v``, in enumeration order."""
-        if v in func and all(n in env for n in inputs[v]):
-            terms, generate = func[v]
-            return generate(terms, [apply(env, t) for t in terms], value_depth, depth)
-        if not pools:
-            every = [(t, term_depth(t), len(list_items(t) or ()))
-                     for t in ground_terms(alphabet, depth)]
-            pools.extend((every, [e for e in every if is_list(e[0])]))
-        pool = pools[1] if v in lists else pools[0]
+        if v in generated:
+            _, terms, generate = generated[v]
+            return generate(terms, [value(t, env) for t in terms], value_depth, pool)
         max_len = max_depth = depth
         for other in len_cuts.get(v, ()):
             if other in env:
@@ -390,19 +523,15 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
         for other in depth_cuts.get(v, ()):
             if other in env:
                 max_depth = min(max_depth, depth - len(list_items(env[other]) or ()))
-        if max_len < depth or max_depth < depth:
-            key = (v in lists, max_len, max_depth)
-            if key not in cut_pools:
-                cut_pools[key] = [e for e in pool if e[2] <= max_len and e[1] <= max_depth]
-            pool = cut_pools[key]
-        return pool
+        return pool.entries(v in lists, max_len, max_depth)
 
     def assign(i, env: dict):
         if i == len(order):
-            args = tuple(env[a.name] if a.__class__ is Var else apply(env, a) for a in targs)
-            if any(value_depth(a, t) > depth for a, t in zip(targs, args)):
-                return
-            if all(guard_holds(g, env, None, resolver) for g in pattern.guards):
+            args = tuple([value(a, env) for a in targs])
+            for j, a in measured:
+                if value_depth(a, args[j]) > depth:
+                    return
+            if all(guard_holds(g, env, None, resolver) for g in tested):
                 out.append(Pred(template.name, args))
             return
         v = order[i]
@@ -420,7 +549,7 @@ def _enumerate_pattern(pattern: AtomPattern, alphabet: Alphabet, depth: int, res
 
 
 def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
-                    cap: int | None = None, predicate=None):
+                    cap: int | None = None, predicate=None, pool: Optional[TermPool] = None):
     """All ground atoms of ``s`` with argument depth <= depth, sorted, deduped.
 
     With ``predicate`` = (name, arity) only the atoms of that predicate, and
@@ -428,10 +557,17 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
     ``_predicate_part``); the cap (``ENUM_CAP`` when None) counts that
     part's work alone.  One counter serves the whole set: the universal part
     adds the size of its product before it is built, each pattern every
-    candidate it tries.
+    candidate it tries.  The universal part and the patterns draw their
+    terms from ``pool``, a ``TermPool`` of the alphabet's functors and the
+    depth; without one the call builds its own.  The atoms ``s`` lists keep
+    their own terms.
     """
     if cap is None:
         cap = ENUM_CAP
+    if pool is None:
+        pool = TermPool(alphabet, depth)
+    elif pool.depth != depth or pool.alphabet.functors != alphabet.functors:
+        raise ValueError("the term pool is of another alphabet or depth")
     if predicate is not None:
         s, alphabet = _predicate_part(s, alphabet, predicate)
     counter = [0]
@@ -441,12 +577,13 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
         counter[0] = sum(n ** k for _, k in alphabet.predicates)
         if counter[0] > cap:
             raise AtomSetTooLarge(f"universal enumeration cap {cap} hit at depth {depth}")
+        terms = pool.terms() if any(k for _, k in alphabet.predicates) else ()
         if not s.atoms and not s.patterns:
-            return list(ground_atoms(alphabet, depth))  # sorted
-        out.update(dict.fromkeys(ground_atoms(alphabet, depth)))
+            return list(ground_atoms(alphabet, depth, terms))  # sorted
+        out.update(dict.fromkeys(ground_atoms(alphabet, depth, terms)))
     out.update(dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth))
     for p in s.patterns:
-        out.update(dict.fromkeys(_enumerate_pattern(p, alphabet, depth, resolver, cap, counter)))
+        out.update(dict.fromkeys(_enumerate_pattern(p, pool, resolver, cap, counter)))
     return sorted(out, key=atom_key)
 
 

@@ -788,26 +788,36 @@ def ground_term_count(alphabet: Alphabet, depth: int, stop: Optional[int] = None
 def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
     """All ground terms of depth <= depth over the alphabet, sorted.
 
-    Raises CapHit, before building any, when there are more than
+    The terms are built by levels: those of depth d are the compounds whose
+    arguments are terms of depth < d with the first argument of depth d - 1
+    at some position j, so each is built once and no term is measured.
+    Every argument of a term is itself one of the terms returned.  Raises
+    CapHit, before building any, when there are more than
     ``GROUND_TERM_CAP``."""
     if ground_term_count(alphabet, depth, GROUND_TERM_CAP) > GROUND_TERM_CAP:
         raise CapHit(f"ground term cap {GROUND_TERM_CAP} hit at depth {depth}")
     if depth < 0:
         return ()
-    current = [Compound(n) for n, k in alphabet.functors if k == 0]
+    older: list = []  # the terms of depth < d - 1
+    last = [Compound(n) for n, k in alphabet.functors if k == 0]  # those of depth d - 1
     nonconst = [(n, k) for n, k in alphabet.functors if k > 0]
-    for d in range(1, depth + 1):
-        prev = list(current)
+    for _ in range(depth):
+        below = older + last
+        level = []
         for name, k in nonconst:
-            for args in itertools.product(prev, repeat=k):
-                if max(term_depth(a) for a in args) == d - 1:
-                    current.append(Compound(name, args))
-    return tuple(sorted(current, key=term_key))
+            for j in range(k):
+                for args in itertools.product(*[older] * j, last, *[below] * (k - 1 - j)):
+                    level.append(Compound(name, args))
+        older, last = below, level
+    return tuple(sorted(older + last, key=term_key))
 
 
-def ground_atoms(alphabet: Alphabet, depth: int) -> tuple:
-    """All ground atoms with argument depth <= depth, sorted."""
-    terms = ground_terms(alphabet, depth) if any(k for _, k in alphabet.predicates) else ()
+def ground_atoms(alphabet: Alphabet, depth: int, terms: Optional[tuple] = None) -> tuple:
+    """All ground atoms with argument depth <= depth, sorted; their arguments
+    are drawn from ``terms`` when given, which must be ``ground_terms`` of
+    the alphabet and depth."""
+    if terms is None:
+        terms = ground_terms(alphabet, depth) if any(k for _, k in alphabet.predicates) else ()
     out = []
     for name, k in alphabet.predicates:
         if k == 0:

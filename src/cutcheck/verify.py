@@ -22,6 +22,7 @@ from .atomsets import (
     CapHit,
     GUARDS,
     Guard,
+    TermPool,
     contains,
     enumerate_atoms,
     max_generalizations,
@@ -50,7 +51,6 @@ from .terms import (
     Var,
     apply,
     compose,
-    ground_terms,
     is_ground,
     match,
     most_general_atom,
@@ -77,9 +77,13 @@ class _CheckContext:
     (or clause), the query (or atom) and the suite; the depth is the
     suite's ``budget.depth``; the resolver is the suite's.  The sets a
     search runs over (S, pre, post) stay arguments, since each call searches
-    a different one.  The memos: the ground terms up to the depth
-    (``ground_terms``), each enumeration of a set, keyed by the set, the cap
-    and the predicate (``enumerate``), a ``_ClauseInfo`` per clause seen
+    a different one.  The memos: the pool of ground terms up to the depth
+    (``pool``, a ``TermPool``: every enumeration draws its values from it,
+    so equal terms of the check are one object), each enumeration of a set,
+    keyed by the set, the cap and the predicate (``enumerate``), the atoms
+    of the last set a pass over all of it enumerated, which
+    ``_covering_instance`` looks ground body atoms up in (``in_set``), a
+    ``_ClauseInfo`` per clause seen
     (kept by the clause's id: the info holds the clause, so the id is not
     reused while the context lives), the texts of ground atom arguments
     (``texts``, as ``atom_text`` reads it), and the c-coverage verdict of
@@ -92,6 +96,8 @@ class _CheckContext:
         self.alphabet = resolve_alphabet(program, query, suite)
         self.depth = suite.budget.depth
         self.resolver = suite.resolver
+        self.pool = TermPool(self.alphabet, self.depth)
+        self._members: tuple = (None, frozenset())  # (a set, its atoms up to the depth)
         self.texts: dict = {}  # ground term -> its text
         self._clauses: dict = {}  # id(clause) -> _ClauseInfo
         self.c_covered: dict = {}  # ground atom -> its _c_covered verdict
@@ -111,20 +117,36 @@ class _CheckContext:
         return value
 
     def ground_terms(self) -> tuple:
-        return self._once("ground terms", lambda: ground_terms(self.alphabet, self.depth))
+        return self.pool.terms()
 
     def enumerate(self, s: AtomSet, cap: Optional[int] = None, predicate=None) -> list:
-        """``enumerate_atoms`` of ``s`` over the context's alphabet, depth and
-        resolver."""
+        """``enumerate_atoms`` of ``s`` over the context's alphabet, depth,
+        resolver and pool."""
         return self._once((s, cap, predicate), lambda: enumerate_atoms(
-            s, self.alphabet, self.depth, self.resolver, cap, predicate=predicate))
+            s, self.alphabet, self.depth, self.resolver, cap, predicate=predicate,
+            pool=self.pool))
+
+    def members(self, s: AtomSet) -> list:
+        """``enumerate(s)``, for a pass over every atom of ``s``: from then on
+        ``in_set`` looks atoms up in them."""
+        atoms = self.enumerate(s)
+        if self._members[0] is not s:
+            self._members = (s, frozenset(atoms))
+        return atoms
+
+    def in_set(self, s: AtomSet, a: Pred) -> bool:
+        """Whether the ground atom ``a`` lies in ``s``: a lookup among the
+        atoms ``members`` enumerated, else ``contains``."""
+        known, atoms = self._members
+        return (known is s and a in atoms) or contains(s, a, self.resolver)
 
     def transformed(self, program: Program, query: tuple, suite: SpecSuite) -> "_CheckContext":
         """The context of the check ``query_transform`` made of this one's,
-        with its ground terms: the transform adds only a predicate."""
+        with its pool: the transform adds only a predicate, so the function
+        symbols, which are all a pool reads of the alphabet, stay the same."""
         ctx = _CheckContext(program, query, suite)
-        if "ground terms" in self._computed:
-            ctx._computed["ground terms"] = self._computed["ground terms"]
+        if ctx.alphabet.functors == self.alphabet.functors:
+            ctx.pool = self.pool
         return ctx
 
     def atom_text(self, a: Pred) -> str:
@@ -193,7 +215,6 @@ class _CoverSearch:
     def __init__(self, s: AtomSet, ctx: _CheckContext):
         self.s = s
         self.ctx = ctx
-        self.resolver = ctx.resolver
         self.exhaustive = True
         self.visits = 0
 
@@ -216,7 +237,7 @@ class _CoverSearch:
         """Yield substitutions grounding the goals inside the set.
 
         Leading ground goals are probed in a loop, so a ground body costs one
-        ``contains`` per atom."""
+        ``ctx.in_set`` per atom."""
         goals = tuple(g for g in goals if g is not CUT)
         i = 0
         while True:
@@ -227,7 +248,7 @@ class _CoverSearch:
             atom = apply(sigma, goals[i])
             if not is_ground(atom):
                 break
-            if not contains(self.s, atom, self.resolver):
+            if not self.ctx.in_set(self.s, atom):
                 return
             i += 1
         for cand in self._candidates(atom):
@@ -269,7 +290,10 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
 
     ``a`` must be ground, so it shares no variable with the clause and the
     instance has ``a`` itself as its head; ``theta`` is
-    ``match(clause.head, a)``.  Returns ``("verified", instance)`` when one
+    ``match(clause.head, a)``.  A body that ``theta`` grounds is probed atom
+    by atom with ``ctx.in_set``, as the cover search would probe it, with no
+    search built, unless its atoms reach the search's visit cap.  Returns
+    ``("verified", instance)`` when one
     is found, ``("refuted", note)`` when none exists (the head does not
     match, or the search was exhaustive), and ``("unknown", reason)`` when a
     bound stopped it.
@@ -277,6 +301,11 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
     if theta is None:
         return "refuted", "head does not match"
     body = apply(theta, clause.body)
+    goals = [b for b in body if b is not CUT]
+    if len(goals) < VISIT_CAP and is_ground(body):  # the search would probe each goal
+        if all(ctx.in_set(s, b) for b in goals):
+            return "verified", Clause(a, body)
+        return "refuted", "no ground body instance in the set"
     search = _CoverSearch(s, ctx)
     try:
         for sol in search.solutions(body, {}):
@@ -330,7 +359,7 @@ def semi_complete(program: Program, suite: SpecSuite) -> Verdict:
     s = suite.s
     ctx = _CheckContext(program, (), suite)
     try:
-        atoms = ctx.enumerate(s)
+        atoms = ctx.members(s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     per_atom = []
@@ -928,7 +957,7 @@ def _s_coverage(program: Program, suite: SpecSuite, s_subset_post: bool,
                 ctx: _CheckContext) -> Verdict:
     """Every atom of S up to the depth c-covered, with one part per atom."""
     try:
-        atoms = ctx.enumerate(suite.s)
+        atoms = ctx.members(suite.s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     known = ctx.c_covered

@@ -228,6 +228,8 @@ def smoke_cases(workdir: Path) -> list:
     cases = [
         _fixture_case(("check", "semicomplete", "fixtures/append.pl", "--spec",
                        "fixtures/append.spec")),
+        _fixture_case(("check", "semicomplete", "fixtures/in.pl", "--spec", "fixtures/in.spec",
+                       "--depth", "3")),
         _fixture_case(in_files + ("--depth", "1", "--query", f"in([{cells}], [1])")),
         _fixture_case(in_files + ("--depth", "3", "--query", "in([1], [1, 2])")),
         _fixture_case(("check", "complete", "fixtures/artificial.pl", "--spec",

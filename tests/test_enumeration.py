@@ -12,6 +12,7 @@ from cutcheck.atomsets import (
     AtomSet,
     AtomSetTooLarge,
     Guard,
+    TermPool,
     _enumerate_pattern,
     contains,
     enumerate_atoms,
@@ -71,7 +72,10 @@ def random_pattern(rng: random.Random, name: str) -> AtomPattern:
 
 
 def test_pattern_enumeration_matches_reference():
+    """One pool per depth serves every pattern, as one serves a whole check;
+    every argument of every atom is an object of that pool."""
     rng = random.Random(20161)
+    pools = {d: TermPool(Alphabet(functors, ()), d) for d, functors in ALPHABETS.items()}
     finished = 0
     for _ in range(100):
         depth = rng.randint(1, 3)
@@ -83,11 +87,37 @@ def test_pattern_enumeration_matches_reference():
         except AtomSetTooLarge:
             continue
         count = [0]
-        got = _enumerate_pattern(pattern, alphabet, depth, RESOLVER, CAP, count)
+        pool = pools[depth]
+        got = _enumerate_pattern(pattern, pool, RESOLVER, CAP, count)
         assert got == want, pattern
         assert count[0] <= want_count[0], pattern
+        assert all(pool.intern(t) is t for a in got for t in a.args), pattern
         finished += 1
     assert finished >= 90
+
+
+def test_a_shared_pool_gives_the_atoms_of_a_pool_of_its_own():
+    """The patterns of seeded sets, enumerated whole and by predicate over
+    one pool: the atoms equal those of calls that build their own pools, and
+    every argument of a pattern's atom is an object of the shared pool."""
+    rng = random.Random(3105)
+    pool = TermPool(Alphabet(ALPHABETS[2], PREDICATES), 2)
+    alphabet = Alphabet(ALPHABETS[2], PREDICATES)
+    checked = 0
+    for _ in range(15):
+        s = AtomSet(patterns=random_set(rng, 2).patterns)
+        for predicate in (None, ("p", 1), ("q", 2)):
+            try:
+                want = enumerate_atoms(s, alphabet, 2, RESOLVER, CAP, predicate=predicate)
+            except AtomSetTooLarge:
+                continue
+            got = enumerate_atoms(s, alphabet, 2, RESOLVER, CAP, predicate=predicate, pool=pool)
+            assert got == want, (s, predicate)
+            assert all(pool.intern(t) is t for a in got for t in a.args), (s, predicate)
+            checked += 1
+    assert checked >= 30
+    with pytest.raises(ValueError, match="another alphabet or depth"):
+        enumerate_atoms(UNIVERSAL, alphabet, 1, pool=pool)
 
 
 def random_set(rng: random.Random, depth: int) -> AtomSet:
@@ -177,9 +207,12 @@ def test_concat_output_outside_the_template_leaves_inputs_uncut():
     Guard("member", (Var("X"), Var("L"))),
     Guard("member", (Var("X"), make_list([one, two]))),
     Guard("concat", (Var("L"), Var("L"), Var("X"))),
+    Guard("list", (Var("X"),)),
+    Guard("ground_list", (Var("X"),)),
 ])
 def test_guard_output_outside_the_template_has_no_members(guard):
-    # X is no template variable: no atom binds it, and contains rejects every atom
+    # X is no template variable: no atom binds it, and contains rejects every atom,
+    # so the leaf tests a list guard on X although X is never drawn
     pattern = AtomPattern(Pred("p", (Var("L"),)), (Guard("ground_list", (Var("L"),)), guard))
     alphabet = Alphabet(ALPHABETS[1], ())
     assert enumerate_atoms(AtomSet(patterns=(pattern,)), alphabet, 1) == []
@@ -194,6 +227,6 @@ def test_append_s_enumerates_within_a_work_count():
     alphabet = resolve_alphabet(load_program("append.pl"), (), suite)
     [pattern] = suite.s.patterns
     count = [0]
-    atoms = _enumerate_pattern(pattern, alphabet, 3, None, 10_000, count)
+    atoms = _enumerate_pattern(pattern, TermPool(alphabet, 3), None, 10_000, count)
     assert len(atoms) == 2585 and count[0] <= 10_000
     assert len(enumerate_atoms(suite.s, alphabet, 3, cap=10_000)) == 2585

@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -578,6 +579,21 @@ class TestEnumeration:
         terms = ground_terms(alpha, 1)
         assert set(terms) == {a, f(a)}
 
+    @staticmethod
+    def depth_filter_terms(alpha: Alphabet, depth: int) -> tuple:
+        """The definition ``ground_terms`` built by: at each depth d, every
+        product of the terms so far whose deepest argument has depth d - 1."""
+        if depth < 0:
+            return ()
+        current = [Compound(n) for n, k in alpha.functors if k == 0]
+        for d in range(1, depth + 1):
+            prev = list(current)
+            for name, k in alpha.functors:
+                if k:
+                    current += [Compound(name, args) for args in itertools.product(prev, repeat=k)
+                                if max(term_depth(x) for x in args) == d - 1]
+        return tuple(sorted(current, key=term_key))
+
     @pytest.mark.parametrize("functors", [
         (),
         (("a", 0),),
@@ -586,12 +602,21 @@ class TestEnumeration:
         (("a", 0), ("b", 0), ("f", 1), ("g", 2)),
         (("1", 0), ("2", 0), ("[]", 0), (".", 2)),
         (("a", 0), ("h", 3)),
+        (("a", 0), ("f", 1), ("h", 3)),
+        (("a", 0), ("g", 2)),
     ])
     def test_ground_term_count(self, functors):
+        """Built by levels, the terms are those of the depth-filter
+        definition, in the same order, as many as ``ground_term_count``
+        says, and each argument of a term is one of the terms returned."""
         alpha = Alphabet(functors, ())
         for depth in range(-1, 4):
             if ground_term_count(alpha, depth) <= 5000:
-                assert ground_term_count(alpha, depth) == len(ground_terms(alpha, depth))
+                got = ground_terms(alpha, depth)
+                assert ground_term_count(alpha, depth) == len(got)
+                assert got == self.depth_filter_terms(alpha, depth), (functors, depth)
+                objects = {id(t) for t in got}
+                assert all(id(x) in objects for t in got for x in t.args), (functors, depth)
 
     def test_ground_term_count_stops_above_the_bound(self):
         alpha = Alphabet((("a", 0), ("g", 2)), ())  # 1, 2, 5, 26, 677, 458330, ...

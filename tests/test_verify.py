@@ -949,7 +949,9 @@ def probed_covering_instance(a, clause, s, ctx, cap):
 class TestDirectProbe:
     """``_covering_instance`` against references outside the cover search.
     A body the head match leaves ground is decided as probing its atoms
-    with ``contains`` decides it, at the visit cap too.  Otherwise a
+    with ``contains`` decides it, at the visit cap too, and also where a
+    pass over the set has enumerated it for ``in_set`` to look atoms up in
+    (depth 2 here).  Otherwise a
     Verified instance is a ground instance of the clause with head ``a``
     and every body atom in the set, and a Refuted one leaves no grounding
     of the body's variables over the terms up to the depth inside the set."""
@@ -962,6 +964,8 @@ class TestDirectProbe:
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 3)))).s
             for depth in (1, 2):
                 ctx = _CheckContext(Program(), (), at_depth(SpecSuite(s=s), depth, LIST_ALPHA))
+                if depth == 2:
+                    ctx.members(s)
                 atoms = list(ground_atoms(LIST_ALPHA, depth))
                 terms = ground_terms(LIST_ALPHA, depth)
                 # each clause, and each clause cut short before a cut (condition 1's prefix)
@@ -1186,12 +1190,13 @@ class TestQuerySlice:
 class TestMemoScope:
     """Every memo a check reads lives on its ``_CheckContext``: one
     enumeration per (set, cap, predicate) and one build of the ground terms
-    per context, and one context per public call."""
+    per context, that of the context's pool, which every enumeration draws
+    from, and one context per public call."""
 
     @staticmethod
     def record(monkeypatch) -> dict:
         calls = {"contexts": 0, "ground_terms": [], "enumerations": []}
-        init, terms, enumerate_ = (_CheckContext.__init__, cutcheck.verify.ground_terms,
+        init, terms, enumerate_ = (_CheckContext.__init__, cutcheck.atomsets.ground_terms,
                                    cutcheck.verify.enumerate_atoms)
 
         def counted_init(self, *args):
@@ -1202,12 +1207,14 @@ class TestMemoScope:
             calls["ground_terms"].append((alphabet, depth))
             return terms(alphabet, depth)
 
-        def counted_enumerate(s, alphabet, depth, resolver=None, cap=None, predicate=None):
+        def counted_enumerate(s, alphabet, depth, resolver=None, cap=None, predicate=None,
+                              pool=None):
             calls["enumerations"].append((s, cap, predicate))
-            return enumerate_(s, alphabet, depth, resolver, cap, predicate=predicate)
+            return enumerate_(s, alphabet, depth, resolver, cap, predicate=predicate, pool=pool)
 
         monkeypatch.setattr(_CheckContext, "__init__", counted_init)
-        monkeypatch.setattr(cutcheck.verify, "ground_terms", counted_terms)
+        # every pool, the context's and any an enumeration would build, calls this one
+        monkeypatch.setattr(cutcheck.atomsets, "ground_terms", counted_terms)
         monkeypatch.setattr(cutcheck.verify, "enumerate_atoms", counted_enumerate)
         return calls
 
