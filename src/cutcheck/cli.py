@@ -44,13 +44,15 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process a closed pipe ended
 
-# the query-free check kinds, each with its checker
+# the query-free check kinds, each with the name of its checker in this module; the
+# checker is looked up when it is called, so that a wrapper put in its place (as the
+# bench's tracer does) is the one that runs
 CHECKERS = {
-    "semicomplete": semi_complete,
-    "correct": correct_check,
-    "cscorrect": cs_correct,
-    "recurrent": recurrent_check,
-    "acceptable": acceptable_check,
+    "semicomplete": "semi_complete",
+    "correct": "correct_check",
+    "cscorrect": "cs_correct",
+    "recurrent": "recurrent_check",
+    "acceptable": "acceptable_check",
 }
 CHECK_KINDS = ("complete", *CHECKERS)
 
@@ -184,7 +186,7 @@ def cmd_check(args) -> int:
             _emit_tree(args, report.pruned.base, report.pruned)
     else:
         start = time.perf_counter()
-        verdict = CHECKERS[args.kind](program, suite)
+        verdict = globals()[CHECKERS[args.kind]](program, suite)
         report = CheckReport.of(args.kind, verdict, suite, start,
                                 [] if verdict.witness is None else [verdict.witness],
                                 verdict.parts)

@@ -44,31 +44,6 @@ def search_answers(program: Program, query: tuple, budget=None):
     return result, answers
 
 
-# A pre pattern whose guards force both arguments ground; with S over
-# 1, [] and '.'/2 at depth 2 (722 atoms), the lattice walk of condition 3
-# took about 27 s, the closed form well under a second.
-RELATIONAL_PRE_PROGRAM = "n(X) :- !, !.\nm([], [1 | T]) :- !.\nn([1]) :- !, m(T, [X, 1]).\n"
-RELATIONAL_PRE_SPEC = """\
-[alphabet]
-functor 1/0.
-functor '[]'/0.
-functor '.'/2.
-predicate m/2.
-predicate n/1.
-
-[S]
-m(X, L) where list(L).
-m(X, L) where ground_list(L), member(X, L).
-m([], [1]).
-
-[pre]
-m(X, L) where ground_list(L), member(X, L).
-
-[post]
-any.
-"""
-
-
 def random_propositional_program(rng: random.Random, preds, max_clauses=6, max_body=3,
                                  max_cuts=2) -> str:
     clauses, cuts = [], 0

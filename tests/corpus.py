@@ -22,15 +22,17 @@ The argv set:
   variables unbound, each at two budgets: ``app(X, X, Z)``,
   ``app(X, [a | T], Z)``, ``in(X, Y)``, the ``appmem`` query on 14 cells
   and a query ending in ``!``;
-- the inputs of the CI smoke steps but the shared-term smoke's (with a
-  shared subterm rebuilt once per occurrence it runs for minutes), the
-  deep goal-list smoke's at 500 ``s`` in place of 4,000 (with the tail
-  rebuilt at every step, 4,000 take minutes);
+- the ``cutcheck.cli`` rows of the smoke table, ``tests/smoke.py``, but the
+  shared-term row (with a shared subterm rebuilt once per occurrence it runs
+  for minutes), the deep goal-list rows at 500 ``s`` in place of 4,000 (with
+  the tail rebuilt at every step, 4,000 take minutes);
+- ``check complete`` on a spec whose pre pattern has no closed form, so that
+  membership in pre walks the generalization lattice, with and without a
+  trailing cut;
 - malformed inputs, each exit 2: a bad character on line 3 of a program, an
   unterminated quote, an error inside a spec section, an undeclared
   ``notin`` set, a bad query, an unknown flag, a bad ``[bounds]`` value and
-  an unknown bound name; and a valid spec whose entry holds a ``%`` inside a
-  quoted name.
+  an unknown bound name.
 
 A digest covers the exit code, stdout and stderr of one run, and the text of
 the DOT file a ``--dot`` run writes, with the ``timing_ms`` field of a check
@@ -58,8 +60,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
+import smoke
+
+ROOT = smoke.ROOT
 SEEDS = (1, 7)
 FIXTURE_PAIRS = (
     ("append.pl", "append.spec"),
@@ -95,27 +98,6 @@ ANSWER_RUNS = (
 )
 ANSWER_BUDGETS = ("30", "300")  # run: --nodes; oracle: --steps
 EXIT_BY_STATUS = {"verified": 0, "refuted": 1, "unknown": 3}
-# the CI relational-pre smoke step's files
-REL_PROGRAM = "n(X) :- !, !.\nm([], [1 | T]) :- !.\nn([1]) :- !, m(T, [X, 1]).\n"
-REL_SPEC = (
-    "[alphabet]\nfunctor 1/0.\nfunctor '[]'/0.\nfunctor '.'/2.\npredicate m/2.\npredicate n/1.\n"
-    "[S]\nm(X, L) where list(L).\nm(X, L) where ground_list(L), member(X, L).\nm([], [1]).\n"
-    "[pre]\nm(X, L) where ground_list(L), member(X, L).\n[post]\nany.\n"
-)
-# the program of the CI cut-scope smoke step: a cut at each of 300 nested calls
-SCOPE_PROGRAM = "c(0) :- a, !.\nc(s(N)) :- c(N), a, !.\na.\na.\nb(1).\nb(2).\nd(1).\nd(2).\n"
-SCOPE_QUERY = "b(X), c(" + "s(" * 300 + "0" + ")" * 300 + "), d(Y)"
-# the program of the CI deep goal-list smoke step, and its query with n s
-DEEP_PROGRAM = "p(z).\np(s(X)) :- p(X), q(X).\nq(X).\n"
-
-
-def deep_query(n: int) -> str:
-    return "p(" + "s(" * n + "z" + ")" * n + ")"
-
-
-# the program of the appmem workload and of the CI resolution smoke step
-APPMEM_PROGRAM = ("app([], L, L).\napp([H|K], L, [H|M]) :- app(K, L, M).\n"
-                  "mem(X, [X|T]).\nmem(X, [H|T]) :- mem(X, T).\n")
 
 
 @dataclass(frozen=True)
@@ -139,11 +121,7 @@ class Run:
 
 def workload_cases(workdir: Path, workloads=("appmem", "cuts", "checks"), seeds=SEEDS) -> list:
     """The jobs of the bench workloads, their files written under ``workdir``."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    try:
-        import workloads as bench_workloads
-    finally:
-        sys.path.pop(0)
+    bench_workloads = smoke.bench_module("workloads")
     cases = []
     for name in workloads:
         for seed in seeds:
@@ -165,115 +143,97 @@ def fixture_cases() -> list:
         files = (f"fixtures/{pl}", "--spec", f"fixtures/{spec}")
         for depth in ((), ("--depth", "1")):
             for kind in QUERY_FREE_KINDS:
-                cases.append(_fixture_case(("check", kind) + files + depth))
+                cases.append(_case(("check", kind) + files + depth))
             for cut in ("", ", !"):
                 query = ("--query", QUERIES[pl] + cut)
-                cases.append(_fixture_case(("check", "complete") + files + query + depth))
+                cases.append(_case(("check", "complete") + files + query + depth))
     return cases
 
 
-def _fixture_case(args: tuple) -> Case:
-    return Case(" ".join(args), tuple(str(ROOT / a) if a.startswith("fixtures/") else a
-                                      for a in args))
+def _case(args: tuple, workdir: Optional[Path] = None, files: tuple = ()) -> Case:
+    """The case of ``args``, whose ``fixtures/`` arguments name the repository's
+    files; ``files``, (name, text) pairs, are written under ``workdir``, and a
+    ``--dot`` file is written there too.  The key is the argv as written, each
+    argument longer than 200 characters given by its length and a hash."""
+    for name, text in files:
+        (workdir / name).write_text(text, encoding="utf-8")
+    names = {name for name, _ in files} | {b for a, b in zip(args, args[1:]) if a == "--dot"}
+    argv = tuple(str(workdir / a) if a in names else smoke.repo_path(a) for a in args)
+    return Case(" ".join(map(_key_argument, args)), argv)
+
+
+def _key_argument(arg: str) -> str:
+    if len(arg) <= 200:
+        return arg
+    return f"<{len(arg)} characters, sha1 {hashlib.sha1(arg.encode()).hexdigest()[:12]}>"
 
 
 def tree_cases(workdir: Path) -> list:
     """``tree`` and the ``--dot`` runs, each DOT file written under ``workdir``."""
-    dot = ("--dot", str(workdir / "tree.dot"))
+    dot = ("--dot", "tree.dot")
     cases = []
     for pl, query, bounds in TREE_RUNS:
         for cut in ("", ", !"):
             args = (f"fixtures/{pl}", query + cut) + bounds
-            cases.append(_fixture_case(("tree",) + args))
+            cases.append(_case(("tree",) + args))
             for command in ("tree", "run", "prune"):
-                cases.append(_dot_case((command,) + args, dot))
+                cases.append(_case((command,) + args + dot, workdir))
     for pl, spec in FIXTURE_PAIRS:
         for cut in ("", ", !"):
-            cases.append(_dot_case(("check", "complete", f"fixtures/{pl}", "--spec",
-                                    f"fixtures/{spec}", "--query", QUERIES[pl] + cut,
-                                    "--depth", "1"), dot))
+            cases.append(_case(("check", "complete", f"fixtures/{pl}", "--spec",
+                                f"fixtures/{spec}", "--query", QUERIES[pl] + cut,
+                                "--depth", "1") + dot, workdir))
     return cases
-
-
-def _dot_case(args: tuple, dot: tuple) -> Case:
-    case = _fixture_case(args)
-    return Case(f"{case.key} --dot tree.dot", case.argv + dot)
 
 
 def answer_cases(workdir: Path) -> list:
     """``run`` and ``oracle`` on the answer queries, ``appmem.pl`` written
     under ``workdir``."""
-    (workdir / "appmem.pl").write_text(APPMEM_PROGRAM, encoding="utf-8")
+    appmem = (("appmem.pl", smoke.bench_module("workloads").APPMEM_PROGRAM),)
     cases = []
     for pl, query in ANSWER_RUNS:
         for budget in ANSWER_BUDGETS:
             for command, flag in (("run", "--nodes"), ("oracle", "--steps")):
-                args = (command, pl, query, flag, budget)
                 if pl == "appmem.pl":
-                    cases.append(Case(" ".join(args), (command, str(workdir / pl)) + args[2:]))
+                    cases.append(_case((command, pl, query, flag, budget), workdir, appmem))
                 else:
-                    cases.append(_fixture_case((command, f"fixtures/{pl}") + args[2:]))
+                    cases.append(_case((command, f"fixtures/{pl}", query, flag, budget)))
     return cases
 
 
 def smoke_cases(workdir: Path) -> list:
-    """The inputs of the CI smoke steps, their files written under ``workdir``."""
-    cells = ", ".join(["1"] * 5000)
-    deep = workdir / "deep.spec"
-    deep.write_text((FIXTURES / "in.spec").read_text(encoding="utf-8")
-                    + f"\n[S]\nin([{cells}], [1]).\n", encoding="utf-8")
-    (workdir / "rel.pl").write_text(REL_PROGRAM, encoding="utf-8")
-    (workdir / "rel.spec").write_text(REL_SPEC, encoding="utf-8")
-    in_files = ("check", "complete", "fixtures/in.pl", "--spec", "fixtures/in.spec")
-    cases = [
-        _fixture_case(("check", "semicomplete", "fixtures/append.pl", "--spec",
-                       "fixtures/append.spec")),
-        _fixture_case(("check", "semicomplete", "fixtures/in.pl", "--spec", "fixtures/in.spec",
-                       "--depth", "3")),
-        _fixture_case(in_files + ("--depth", "1", "--query", f"in([{cells}], [1])")),
-        _fixture_case(in_files + ("--depth", "3", "--query", "in([1], [1, 2])")),
-        _fixture_case(("check", "complete", "fixtures/artificial.pl", "--spec",
-                       "fixtures/artificial.spec", "--query", "p(a, Z), !", "--depth", "1")),
-        _fixture_case(("tree", "fixtures/append.pl", "app(X, Y, [1, 2])")),
-        _fixture_case(in_files + ("--depth", "2", "--query", "in(X, [1, 2])")),
-    ]
-    cases.append(Case("smoke prune fixtures/in.pl in(X, [1, 2]) --nodes 2000 --dot t.dot",
-                      ("prune", str(FIXTURES / "in.pl"), "in(X, [1, 2])", "--nodes", "2000",
-                       "--dot", str(workdir / "t.dot"))))
-    cases.append(Case("smoke check semicomplete fixtures/in.pl --spec deep.spec --depth 1",
-                      ("check", "semicomplete", str(FIXTURES / "in.pl"), "--spec", str(deep),
-                       "--depth", "1")))
-    cases.append(Case("smoke check complete rel.pl --spec rel.spec --query m(1, []) --depth 2",
-                      ("check", "complete", str(workdir / "rel.pl"), "--spec",
-                       str(workdir / "rel.spec"), "--query", "m(1, [])", "--depth", "2")))
-    (workdir / "appmem.pl").write_text(APPMEM_PROGRAM, encoding="utf-8")
-    split = "app(X, Y, [" + ", ".join(["b"] * 299 + ["a"]) + "]), mem(a, X)"
-    for command in ("run", "oracle"):
-        cases.append(Case(f"smoke {command} appmem.pl <300-cell split>",
-                          (command, str(workdir / "appmem.pl"), split)))
-    (workdir / "scope.pl").write_text(SCOPE_PROGRAM, encoding="utf-8")
-    for command in ("run", "oracle"):
-        cases.append(Case(f"smoke {command} scope.pl <300 nested cuts>",
-                          (command, str(workdir / "scope.pl"), SCOPE_QUERY)))
-    (workdir / "deep.pl").write_text(DEEP_PROGRAM, encoding="utf-8")
-    for command, flag in (("run", "--nodes"), ("oracle", "--steps")):
-        cases.append(Case(f"smoke {command} deep.pl <500 s> {flag} 100000",
-                          (command, str(workdir / "deep.pl"), deep_query(500), flag, "100000")))
-    cases += [_fixture_case(("oracle", "fixtures/in.pl", "in(X, Y)", "--steps", "5000")),
-              _fixture_case(("run", "fixtures/in.pl", "in(X, Y)", "--nodes", "5000"))]
-    links = [f"p{i} :- !, p{i + 1}.\np{i}." for i in range(1, 20001)]
-    (workdir / "chain.pl").write_text("\n".join(links + ["p20001."]) + "\n", encoding="utf-8")
-    (workdir / "chain_bad.pl").write_text("\n".join(links + ["p20001.", "^"]) + "\n", encoding="utf-8")
-    for name in ("chain.pl", "chain_bad.pl"):
-        cases.append(Case(f"smoke tree {name} <20,000 links> p1 --nodes 10",
-                          ("tree", str(workdir / name), "p1", "--nodes", "10")))
+    """The ``cutcheck.cli`` rows of the smoke table, but the shared-term row,
+    and with the deep goal-list query at 500 ``s``; their files written under
+    ``workdir``."""
+    deep = smoke.deep_query(4000)
+    cases = []
+    for row in smoke.rows():
+        if row.argv[:2] != smoke.CLI or row.name == "Shared-term smoke":
+            continue
+        args = tuple(smoke.deep_query(500) if a == deep else a
+                     for a in row.argv[2:] if a != "--json")  # every case runs with --json too
+        cases.append(_case(args, workdir, row.files))
     return cases
 
 
-# malformed inputs, and a valid spec with a % inside a quoted name: the files the argv
-# names, as (name, text) pairs, and the argv
-QUOTED_PROGRAM = "p('a%b').\n"  # the program and spec of the CI spec reader smoke step
-QUOTED_SPEC = "[S] % the one atom\np('a%b'). % a % in a quoted name\n"
+# a pre pattern with no closed form, so that membership in pre walks the
+# generalization lattice: the files, as (name, text) pairs
+LATTICE_FILES = (
+    ("lattice.pl", "p(X, Y) :- q(X), !, q(Y).\nq(a).\nq(b).\n"),
+    ("lattice.spec", "[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/2.\npredicate q/1.\n"
+                     "[S]\np(a, a).\nq(a).\nq(b).\n[pre]\np(X, Y) where eq(X, Y).\nq(X).\n"
+                     "[post]\nany.\n"),
+)
+
+
+def lattice_cases(workdir: Path) -> list:
+    """``check complete`` on the lattice files, their files written under ``workdir``."""
+    return [_case(("check", "complete", "lattice.pl", "--spec", "lattice.spec", "--query", query,
+                   "--depth", "1"), workdir, LATTICE_FILES)
+            for query in ("p(a, a)", "p(a, a), !")]
+
+
+# malformed inputs: the files the argv names, as (name, text) pairs, and the argv
 MALFORMED_RUNS = (
     ((("bad3.pl", "p.\nq :- p.\nr :- q, #.\n"),), ("run", "bad3.pl", "r")),
     ((("quote.pl", "p :- q.\nq :- 'open.\n"),), ("tree", "quote.pl", "p")),
@@ -287,8 +247,6 @@ MALFORMED_RUNS = (
      ("check", "semicomplete", "fixtures/append.pl", "--spec", "badbound.spec")),
     ((("bound.spec", "[S]\napp([], [], []).\n[bounds]\ndeph = 1.\n"),),
      ("check", "semicomplete", "fixtures/append.pl", "--spec", "bound.spec")),
-    ((("quoted.pl", QUOTED_PROGRAM), ("quoted.spec", QUOTED_SPEC)),
-     ("check", "semicomplete", "quoted.pl", "--spec", "quoted.spec")),
 )
 
 
@@ -296,19 +254,16 @@ def malformed_cases(workdir: Path) -> list:
     """The malformed inputs, their files written under ``workdir``."""
     cases = []
     for files, args in MALFORMED_RUNS:
-        for name, text in files:
-            (workdir / name).write_text(text, encoding="utf-8")
-        names = {name for name, _ in files}
-        case = _fixture_case(args)
-        cases.append(Case("malformed " + case.key, tuple(
-            str(workdir / a) if a in names else a for a in case.argv)))
+        case = _case(args, workdir, files)
+        cases.append(Case("malformed " + case.key, case.argv))
     return cases
 
 
 def all_cases(workdir: Path) -> list:
     """The whole argv set, each argv once."""
     cases = (workload_cases(workdir) + fixture_cases() + tree_cases(workdir)
-             + answer_cases(workdir) + smoke_cases(workdir) + malformed_cases(workdir))
+             + answer_cases(workdir) + smoke_cases(workdir) + lattice_cases(workdir)
+             + malformed_cases(workdir))
     return list({c.key: c for c in cases}.values())
 
 

@@ -38,7 +38,8 @@ from cutcheck.cli import CHECK_KINDS, build_parser, main
 from cutcheck.terms import InputError
 
 import corpus
-from conftest import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text
+from conftest import load_program, load_spec_text
+from smoke import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
 
 
 def run(capsys, *argv):

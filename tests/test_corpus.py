@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import corpus
 
@@ -11,3 +12,12 @@ def test_a_seeded_slice_keeps_the_invariants(tmp_path):
     rng = random.Random(21)
     for case in rng.sample(cases, 8):
         assert corpus.problems(case, *corpus.run_case(case)) == [], case.key
+
+
+def test_every_file_a_case_names_is_absolute(tmp_path):
+    """A file a case reads or writes is named by an absolute path, so that no
+    corpus run reads or writes the working directory."""
+    for case in corpus.all_cases(tmp_path):
+        for arg in case.argv:
+            if arg.endswith((".pl", ".spec", ".dot")):
+                assert Path(arg).is_absolute(), case.key

@@ -14,7 +14,7 @@ from cutcheck.pruning import cutting_sequence_of, introducing, is_executing
 from cutcheck.syntax import query_text
 from cutcheck.terms import CUT, canonical
 
-import corpus
+import smoke
 from conftest import (
     load_program, pruned_answers, random_atom_text, random_propositional_program,
     random_term_program, search_answers,
@@ -51,9 +51,9 @@ class TestCuttingSequence:
         assert len(intros) == 2  # the inner and outer cut have different origins
 
     def test_300_nested_cut_scopes(self):
-        """The CI cut-scope smoke: each of 300 nested calls of ``c`` brings in
+        """The cut-scope smoke row: each of 300 nested calls of ``c`` brings in
         its own cut, between a query atom before the calls and one after."""
-        prog, query = parse_program(corpus.SCOPE_PROGRAM), parse_query(corpus.SCOPE_QUERY)
+        prog, query = parse_program(smoke.SCOPE_PROGRAM), parse_query(smoke.SCOPE_QUERY)
         pt, answers = pruned_answers(prog, query)
         ref = origins(pt.base)
         execs = [e for e in pt.base.ids if is_executing(pt.base, e)]

@@ -47,10 +47,9 @@ from cutcheck.verify import (
 )
 
 import full_product
-from conftest import (
-    RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC, load_program, load_spec_text, search_answers,
-)
+from conftest import load_program, load_spec_text, search_answers
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
+from smoke import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
 
 a, b, c = Compound("a"), Compound("b"), Compound("c")
 
