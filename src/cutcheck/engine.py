@@ -25,10 +25,10 @@ from .terms import (
     CUT,
     FreshNames,
     Pred,
+    _unify_pairs,
     apply,
     renaming,
     resolve,
-    unify_in,
     vars_of,
 )
 
@@ -150,15 +150,21 @@ def head_step(program: Program, idx: int, atom: Pred, store: dict, forbidden: se
               fresh: FreshNames):
     """Unify ``atom``, under the triangular ``store``, with the head of clause
     ``idx`` renamed apart from ``forbidden``: ``(mgu, rho)``, the bindings
-    the step adds to the store and the renaming, or None.  The renaming
-    advances ``fresh`` either way; ``forbidden`` gains the renamed clause's
-    names on success only, and the caller builds the body."""
+    the step adds to the store and the renaming, or None.  The head is read
+    as written, through the renaming, so only the head terms the mgu binds
+    are renamed.  The renaming advances ``fresh`` either way; ``forbidden``
+    gains the renamed clause's names on success only, and the caller builds
+    the body."""
     clause = program.clauses[idx]
     names = clause.var_names
     rho = renaming(names, forbidden, fresh) if names else {}
-    mgu = unify_in(store, atom, apply(rho, clause.head))
-    if mgu is None:
-        return None
+    if atom.args:
+        mgu = _unify_pairs(list(atom.args[::-1]), list(clause.head.args[::-1]), store, rho,
+                           clause.head_linear)
+        if mgu is None:
+            return None
+    else:
+        mgu = {}
     forbidden.update(names, [v.name for v in rho.values()])  # names rho renames are in it already
     return mgu, rho
 

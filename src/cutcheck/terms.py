@@ -10,6 +10,13 @@ binding as is), and ``resolve`` as triangular (a binding may hold bound
 variables, resolved in turn).  ``unify``, ``match`` and ``compose`` return
 such dicts; a binding of a variable to itself changes nothing under either
 reader.
+
+There is one unification loop, ``_unify_pairs``.  ``unify`` runs it on two
+terms or atoms, and a resolution step (``engine.head_step``) on a goal and
+a clause head as written, read through the clause's renaming, so that only
+the head terms the step binds are renamed.  The occurs check runs wherever
+a variable is bound to a non-ground compound, but at the one occurrence of
+a variable that occurs once in the clause head (``Clause.head_linear``).
 """
 
 from __future__ import annotations
@@ -153,6 +160,21 @@ class Clause:
     def var_names(self) -> tuple:
         """Its variable names in first-occurrence order, worked out on first use."""
         return tuple(vars_of(self))
+
+    @cached_property
+    def head_linear(self) -> frozenset:
+        """The names of the variables that occur exactly once in its head,
+        worked out on first use: a resolution step binds such a variable at
+        that occurrence without the occurs check (``_unify_pairs``)."""
+        once, twice = set(), set()
+        stack = list(self.head.args)
+        while stack:
+            t = stack.pop()
+            if t.__class__ is Var:
+                (twice if t.name in once else once).add(t.name)
+            elif not t.ground:
+                stack += t.args
+        return frozenset(once - twice)
 
 
 class InputError(ValueError):
@@ -370,30 +392,83 @@ def _occurs_bound(name: str, t: Term, bindings: dict) -> bool:
     return False
 
 
-def _unify_pairs(xs: list, ys: list, store: dict) -> Optional[dict]:
+def _unify_pairs(xs: list, ys: list, store: dict, rho: dict, linear: frozenset) -> Optional[dict]:
     """The one unification loop: unify ``xs[i]`` with ``ys[i]`` for every i,
     the last pair first (both lists are stacks, which the loop empties).
 
-    The terms may hold variables bound in ``store``, a triangular map, and
-    every lookup dereferences through it.  A variable on the left is bound
-    to the right-hand term, else a variable on the right to the left-hand
-    term, with the occurs check, which a binding to an unbound variable or
-    to a ground compound cannot fail and so skips.  Returns the bindings
-    the unification adds, triangular over ``store``, or None; ``store`` is
-    left as it was.  A binding to a variable that the same call binds later
-    is followed to that variable's end, so the result holds no chain of
-    variables of its own."""
+    The left-hand terms may hold variables bound in ``store``, a triangular
+    map, and every lookup dereferences through it.  The right-hand terms are
+    a clause head's arguments as written, read through the renaming ``rho``
+    (``unify`` passes an empty one): a variable is renamed when the loop
+    meets it, a non-ground compound is renamed only where it is bound to a
+    variable, and a compound met by a compound is descended into, so a head
+    that fails builds no term.  A variable's renamed name is dereferenced
+    too, and where it is bound the pair holds two terms as they are; such
+    pairs and those below them are kept on a stack of their own, which is
+    emptied first, so the pairs are taken in the order of one stack.
+
+    A variable on the left is bound to the right-hand term, else a variable
+    on the right to the left-hand term, with the occurs check, which a
+    binding to an unbound variable or to a ground compound cannot fail and
+    so skips.  It is skipped too at the occurrence of a variable named in
+    ``linear``, the variables that occur once in the head: its renamed name
+    is met there first, so it is unbound and no left-hand term can hold it
+    (the left-hand terms share no variable with the renamed head).  Met
+    again through a binding, it is checked like any variable.
+
+    Returns the bindings the unification adds, triangular over ``store``,
+    or None; ``store`` is left as it was.  A binding to a variable that the
+    same call binds later is followed to that variable's end, so the result
+    holds no chain of variables of its own."""
     added: list = []  # the names bound in ``store`` by this call, in binding order
     get = store.get
     out: Optional[dict] = {}
-    while xs:
-        x = xs.pop()
-        y = ys.pop()
+    lefts: list = []  # the pairs of terms as they are: lefts[i] with rights[i]
+    rights: list = []
+    while True:
+        if lefts:
+            x = lefts.pop()
+            y = rights.pop()
+            written = False
+        elif xs:
+            x = xs.pop()
+            y = ys.pop()
+            written = True
+        else:
+            break
         while x.__class__ is Var:
             bound = get(x.name)
             if bound is None:
                 break
             x = bound
+        if written:  # ``y`` is a head term as written
+            if y.__class__ is Var:
+                name = y.name
+                y = rho.get(name, y)
+                if name in linear:
+                    if x.__class__ is Var:
+                        store[x.name] = y
+                        added.append(x.name)
+                    else:
+                        store[y.name] = x
+                        added.append(y.name)
+                    continue
+            elif not y.ground:
+                if x.__class__ is Var:
+                    if rho:
+                        y = _substitute(y, rho, None)
+                    if _occurs_bound(x.name, y, store):
+                        out = None
+                        break
+                    store[x.name] = y
+                    added.append(x.name)
+                elif x.functor != y.functor or len(x.args) != len(y.args):
+                    out = None
+                    break
+                else:
+                    xs += x.args[::-1]
+                    ys += y.args[::-1]
+                continue
         while y.__class__ is Var:
             bound = get(y.name)
             if bound is None:
@@ -420,23 +495,14 @@ def _unify_pairs(xs: list, ys: list, store: dict) -> Optional[dict]:
             out = None
             break
         else:
-            xs += x.args[::-1]
-            ys += y.args[::-1]
+            lefts += x.args[::-1]
+            rights += y.args[::-1]
     if out is not None:
         for name in added:
             out[name] = _deref(store[name], store)
     for name in added:
         del store[name]
     return out
-
-
-def unify_in(store: dict, a: Pred, b: Pred) -> Optional[dict]:
-    """The bindings that unify two atoms of one name and arity add to the
-    triangular ``store``, or None: ``a`` is read as written, its variables
-    bound in ``store`` dereferenced as they are met.  Resolved through the
-    store and the result, they are ``unify``'s mgu of the two atoms
-    resolved through the store."""
-    return _unify_pairs(list(a.args[::-1]), list(b.args[::-1]), store)
 
 
 def unify(a, b) -> Optional[dict]:
@@ -454,9 +520,9 @@ def unify(a, b) -> Optional[dict]:
             raise TypeError("cannot unify an atom with a term")
         if a.name != b.name or len(a.args) != len(b.args):
             return None
-        bindings = unify_in({}, a, b)
+        bindings = _unify_pairs(list(a.args[::-1]), list(b.args[::-1]), {}, {}, frozenset())
     else:
-        bindings = _unify_pairs([a], [b], {})
+        bindings = _unify_pairs([a], [b], {}, {}, frozenset())
     if bindings is None:
         return None
     memo: dict = {}

@@ -22,10 +22,8 @@ The argv set:
   variables unbound, each at two budgets: ``app(X, X, Z)``,
   ``app(X, [a | T], Z)``, ``in(X, Y)``, the ``appmem`` query on 14 cells
   and a query ending in ``!``;
-- the ``cutcheck.cli`` rows of the smoke table, ``tests/smoke.py``, but the
-  shared-term row (with a shared subterm rebuilt once per occurrence it runs
-  for minutes), the deep goal-list rows at 500 ``s`` in place of 4,000 (with
-  the tail rebuilt at every step, 4,000 take minutes);
+- the ``cutcheck.cli`` rows of the smoke table, ``tests/smoke.py``, with
+  the inputs the table runs;
 - ``check complete`` on a spec whose pre pattern has no closed form, so that
   membership in pre walks the generalization lattice, with and without a
   trailing cut;
@@ -202,18 +200,11 @@ def answer_cases(workdir: Path) -> list:
 
 
 def smoke_cases(workdir: Path) -> list:
-    """The ``cutcheck.cli`` rows of the smoke table, but the shared-term row,
-    and with the deep goal-list query at 500 ``s``; their files written under
-    ``workdir``."""
-    deep = smoke.deep_query(4000)
-    cases = []
-    for row in smoke.rows():
-        if row.argv[:2] != smoke.CLI or row.name == "Shared-term smoke":
-            continue
-        args = tuple(smoke.deep_query(500) if a == deep else a
-                     for a in row.argv[2:] if a != "--json")  # every case runs with --json too
-        cases.append(_case(args, workdir, row.files))
-    return cases
+    """The ``cutcheck.cli`` rows of the smoke table, their files written
+    under ``workdir``."""
+    return [_case(tuple(a for a in row.argv[2:] if a != "--json"),  # every case runs with --json too
+                  workdir, row.files)
+            for row in smoke.rows() if row.argv[:2] == smoke.CLI]
 
 
 # a pre pattern with no closed form, so that membership in pre walks the

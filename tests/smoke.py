@@ -240,7 +240,8 @@ def rows() -> list:
             files=quoted + (("q_bad.spec", QUOTED_SPEC + "[bounds]\nnodes = 5O000.\n"),),
             timeout=10, exits=frozenset({2}), check=parse_error_at(4, 10)),
         # both resolution engines, the LD-tree walk (run) and the choice-point search (oracle),
-        # on 300 splits of a 300-cell list
+        # on 300 splits of a 300-cell list: about 1 s each on a 2-vCPU x86 host, 4-5 s when
+        # binding mem's T to the rest of the list ran the occurs check over that rest
         Row("Resolution smoke: run", cli("run", "appmem.pl", split), files=appmem),
         Row("Resolution smoke: oracle", cli("oracle", "appmem.pl", split), files=appmem,
             check=same_stdout_as("Resolution smoke: run")),

@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 import tracemalloc
+import types
 from unittest import mock
 
 import pytest
@@ -32,8 +33,9 @@ from conftest import (
     load_program, pruned_answers, random_atom_text, random_propositional_program,
     random_term_program,
 )
-from derivations import branch_derivation, recorded_steps, subderivation
+from derivations import branch_derivation, recorded_steps, subderivation, variant_equal
 from full_tree import answers, preorder
+import smoke
 
 
 def tree_of(src: str, query: str, **kw):
@@ -279,6 +281,85 @@ class TestStepCost:
                                                pruning, "head_step")
             assert len(per_step[n]) == 3 * n + 2
         assert set(per_step[500]) == set(per_step[2000]) and max(per_step[2000]) <= 4
+
+
+class TestOccursCheck:
+    """A resolution step skips the occurs check only at the one occurrence
+    of a head-linear variable, in both engines.  The answers are counted
+    from the store, never resolved, so a cyclic binding fails the test
+    instead of hanging it."""
+
+    @staticmethod
+    def answer_counts(src: str, query: str) -> tuple:
+        program, q = parse_program(src), parse_query(query)
+        counts = []
+        for run in (pruned_tree, prolog_search):
+            stores: list = []
+            assert run(program, q, Budget(), on_answer=stores.append).exact
+            counts.append(len(stores))
+        return tuple(counts)
+
+    @pytest.mark.parametrize("src, query, count", [
+        # X occurs once in the head, but Z reaches its variable through the store, bound by
+        # the first argument, before f(H) is bound to it: f(H) holds g(Z)
+        ("p(X, H, f(H)).", "p(Z, g(Z), Z)", 0),
+        ("p(X, f(X)).", "p(Y, Y)", 0),
+        ("p(f(X), X).", "p(Y, Y)", 0),  # X occurs twice in the head: checked at both
+        ("p(X, Y).", "p(Z, f(Z))", 1),
+    ])
+    def test_answer_count(self, src, query, count):
+        assert self.answer_counts(src, query) == (count, count)
+
+    def test_the_answer_of_linear_variables(self):
+        pt, answers = pruned_answers(parse_program("p(X, Y)."), parse_query("p(Z, f(Z))"))
+        assert len(answers) == 1 and variant_equal(answers[0], parse_query("p(Z, f(Z))"))
+
+
+class TestOccursCheckCost:
+    """On the resolution smoke query ``app(X, Y, [b, ..., b, a]), mem(a,
+    X)`` with n cells, the occurs check of a resolution step walks a number
+    of bound variables that does not grow with n, in both engines.  Binding
+    ``mem``'s ``T`` to the rest of the list walked that rest, one store
+    binding a cell, when the check ran at every binding."""
+
+    @staticmethod
+    def lookups_per_step(run) -> list:
+        """The store lookups ``terms._occurs_bound`` makes, one per variable
+        it visits, from each resolution step of ``run()`` to the next."""
+        lookups = 0
+        marks: list = []
+        real_occurs, real_step = terms._occurs_bound, engine.head_step
+
+        def occurs(name, t, store):
+            def get(key):
+                nonlocal lookups
+                lookups += 1
+                return store.get(key)
+
+            return real_occurs(name, t, types.SimpleNamespace(get=get))
+
+        def head_step(*args):
+            marks.append(lookups)
+            return real_step(*args)
+
+        with mock.patch.object(terms, "_occurs_bound", occurs), \
+                mock.patch.object(engine, "head_step", head_step), \
+                mock.patch.object(pruning, "head_step", head_step):
+            run()
+        marks.append(lookups)
+        return [b - a for a, b in zip(marks, marks[1:])]
+
+    @pytest.mark.parametrize("run", [pruned_tree, prolog_search],
+                             ids=["pruned_tree", "prolog_search"])
+    def test_lookups_per_step_stay_flat(self, run):
+        program = parse_program(smoke.bench_module("workloads").APPMEM_PROGRAM)
+        most = {}
+        for n in (25, 50, 100):
+            query = parse_query("app(X, Y, [" + ", ".join(["b"] * (n - 1) + ["a"]) + "]), mem(a, X)")
+            per_step = self.lookups_per_step(lambda: run(program, query, Budget()))
+            assert len(per_step) > n * n // 2
+            most[n] = max(per_step)
+        assert most[25] == most[50] == most[100] <= 2, most
 
 
 class TestPreorder:

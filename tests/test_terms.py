@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from cutcheck import Budget, parse_program, parse_query, pruned_tree
+from cutcheck import Budget, parse_program, parse_query, pruned_tree, terms
 from cutcheck.terms import (
     CUT,
     GROUND_TERM_CAP,
@@ -17,6 +17,7 @@ from cutcheck.terms import (
     NIL,
     Pred,
     Var,
+    _unify_pairs,
     apply,
     atom_depth,
     atom_key,
@@ -36,6 +37,7 @@ from cutcheck.terms import (
     match,
     most_general_atom,
     rename_apart,
+    renaming,
     resolve,
     term_depth,
     term_key,
@@ -95,6 +97,86 @@ class TestUnify:
     def test_shared_variable_chains(self):
         s = unify(f(X, f(X)), f(Y, Z))
         assert apply(s, f(X, f(X))) == apply(s, f(Y, Z))
+
+
+class TestHeadUnification:
+    """A resolution step unifies the goal with the clause head as written,
+    read through the renaming, and skips the occurs check at the one
+    occurrence of a head-linear variable."""
+
+    def test_head_linear_names(self):
+        clause = parse_program("p(X, f(X, Y), g(Z), [H | T], a) :- q(Y, W, W).").clauses[0]
+        assert clause.head_linear == {"Y", "Z", "H", "T"}
+        assert parse_program("p(X, Y, X).").clauses[0].head_linear == {"Y"}
+        assert parse_program("p.").clauses[0].head_linear == frozenset()
+
+    def test_lazy_head_equals_the_renamed_head(self):
+        """On 5,000 seeded heads with repeated and single variables, goals
+        and triangular stores, the loop on the head as written with the
+        renaming and the head-linear names gives the bindings, in order,
+        that it gives on the renamed head with neither, and leaves the store
+        as it was.  Resolved through the store, ``naive_unify`` agrees: the
+        goal and the head unify or fail alike, and the answer is a variant
+        of the naive one."""
+        rng = random.Random(36)
+        head_names = ("X", "Y", "H")
+        goal_names = ("X", "Y", "A")  # X and Y clash with head names: renamed
+
+        def term(names, depth):
+            r = rng.random()
+            if r < 0.45:
+                return Var(rng.choice(names))
+            if not depth or r < 0.55:
+                return a
+            if r < 0.85:
+                return f(term(names, depth - 1))
+            return Compound("g", (term(names, depth - 1), term(names, depth - 1)))
+
+        real_occurs = terms._occurs_bound
+        occurs_failed = [False]
+
+        def recorded_occurs(name, t, bindings):
+            found = real_occurs(name, t, bindings)
+            occurs_failed[0] |= found
+            return found
+
+        seen = {"unified": 0, "clash": 0, "occurs": 0, "linear bound": 0, "through the store": 0}
+        for _ in range(5000):
+            arity = rng.randint(1, 3)
+            clause = Clause(Pred("p", tuple(term(head_names, 2) for _ in range(arity))))
+            goal = Pred("p", tuple(term(goal_names, 2) for _ in range(arity)))
+            order = list(goal_names)
+            rng.shuffle(order)  # each name is bound to a term over the names after it: acyclic
+            store = {}
+            for i, n in enumerate(order):
+                if rng.random() < 0.4:
+                    store[n] = apply({m: a for m in order[: i + 1]}, term(goal_names, 2))
+            before = dict(store)
+            rho = renaming(clause.var_names, set(goal_names), FreshNames())
+            renamed = apply(rho, clause.head)
+            occurs_failed[0] = False
+            with mock.patch.object(terms, "_occurs_bound", recorded_occurs):
+                got = _unify_pairs(list(goal.args[::-1]), list(clause.head.args[::-1]), store, rho,
+                                   clause.head_linear)
+            want = _unify_pairs(list(goal.args[::-1]), list(renamed.args[::-1]), store, {},
+                                frozenset())
+            assert store == before
+            assert (got is None) == (want is None), (clause, goal, store)
+            resolved = naive_resolve(store, goal)
+            naive = naive_unify(resolved, renamed)
+            assert (naive is None) == (got is None), (clause, goal, store)
+            if got is None:
+                seen["occurs" if occurs_failed[0] else "clash"] += 1
+                continue
+            assert list(got.items()) == list(want.items()), (clause, goal, store)
+            answer = naive_resolve({**store, **got}, goal)
+            assert answer == naive_resolve({**store, **got}, renamed), (clause, goal, store)
+            assert variant_equal(answer, naive_apply(naive, resolved)), (clause, goal, store)
+            seen["unified"] += 1
+            linear = {rho.get(n, Var(n)).name for n in clause.head_linear}
+            seen["linear bound"] += any(n in linear and v.__class__ is Compound for n, v in got.items())
+            seen["through the store"] += any(isinstance(t, Var) and t.name in store for t in goal.args)
+        assert min(seen.values()) >= 100, seen
 
 
 class TestLongTerms:
