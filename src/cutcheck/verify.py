@@ -69,21 +69,25 @@ SLICE_CAP = 1_024  # symbols, summed over its atoms, that one query slice of S h
 
 
 class _CheckContext:
-    """One check's alphabet, depth bound and set resolver, and the memos its
-    searches share.
+    """One check's program, query and spec suite, its alphabet, depth bound
+    and set resolver, and the memos its searches share.
 
-    Each public checker builds one on entry from its subject and the spec
-    suite, by one rule: the alphabet is ``resolve_alphabet`` of the program
-    (or clause), the query (or atom) and the suite; the depth is the
-    suite's ``budget.depth``; the resolver is the suite's.  The sets a
-    search runs over (S, pre, post) stay arguments, since each call searches
-    a different one.  The memos: the pool of ground terms up to the depth
-    (``pool``, a ``TermPool``: every enumeration draws its values from it,
-    so equal terms of the check are one object), each enumeration of a set,
-    keyed by the set, the cap and the predicate (``enumerate``), the atoms
-    of the last set a pass over all of it enumerated, which
-    ``_covering_instance`` looks ground body atoms up in (``in_set``), a
-    ``_ClauseInfo`` per clause seen
+    Each public checker builds one on entry from its program, its query
+    (``()`` for a query-free check) and the spec suite, by one rule: the
+    alphabet is ``resolve_alphabet`` of the three; the depth is the suite's
+    ``budget.depth``; the resolver is the suite's.  Every stage reads the
+    program, the query and the suite's sets from the context.  A set is an
+    argument only where some caller passes one that is not the suite's: the
+    set a cover search runs over (``_CoverSearch``), the pre and post of
+    ``_well_asserted``, which the query's check extends by a marker, and the
+    set ``_level_decrease`` reads prefixes in.
+
+    The memos: the pool of ground terms up to the depth (``pool``, a
+    ``TermPool``: every enumeration draws its values from it, so equal terms
+    of the check are one object), each enumeration of a set, keyed by the
+    set, the cap and the predicate (``enumerate``), the atoms of the last
+    set a pass over all of it enumerated, which ``_covering_instance`` looks
+    ground body atoms up in (``in_set``), a ``_ClauseInfo`` per clause seen
     (kept by the clause's id: the info holds the clause, so the id is not
     reused while the context lives), the texts of ground atom arguments
     (``texts``, as ``atom_text`` reads it), and the c-coverage verdict of
@@ -93,6 +97,9 @@ class _CheckContext:
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
+        self.program = program
+        self.query = query
+        self.suite = suite
         self.alphabet = resolve_alphabet(program, query, suite)
         self.depth = suite.budget.depth
         self.resolver = suite.resolver
@@ -139,15 +146,6 @@ class _CheckContext:
         atoms ``members`` enumerated, else ``contains``."""
         known, atoms = self._members
         return (known is s and a in atoms) or contains(s, a, self.resolver)
-
-    def transformed(self, program: Program, query: tuple, suite: SpecSuite) -> "_CheckContext":
-        """The context of the check ``query_transform`` made of this one's,
-        with its pool: the transform adds only a predicate, so the function
-        symbols, which are all a pool reads of the alphabet, stay the same."""
-        ctx = _CheckContext(program, query, suite)
-        if ctx.alphabet.functors == self.alphabet.functors:
-            ctx.pool = self.pool
-        return ctx
 
     def atom_text(self, a: Pred) -> str:
         return atom_text(a, self.texts)
@@ -284,9 +282,9 @@ class _ClauseInfo:
         self.prefix = None if self.last_cut is None else Clause(clause.head, self.last_cut[0])
 
 
-def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
+def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
                        ctx: _CheckContext) -> tuple:
-    """Search a ground instance of the clause with head ``a`` and body in s + {!}.
+    """Search a ground instance of the clause with head ``a`` and body in S + {!}.
 
     ``a`` must be ground, so it shares no variable with the clause and the
     instance has ``a`` itself as its head; ``theta`` is
@@ -300,6 +298,7 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
     """
     if theta is None:
         return "refuted", "head does not match"
+    s = ctx.suite.s
     body = apply(theta, clause.body)
     goals = [b for b in body if b is not CUT]
     if len(goals) < VISIT_CAP and is_ground(body):  # the search would probe each goal
@@ -319,17 +318,16 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict], s,
     return "unknown", f"cover search exhausted depth {ctx.depth}"
 
 
-def _require_ground(a: Pred) -> None:
-    if not is_ground(a):
-        raise ValueError(f"coverage is defined for ground atoms, not {atom_text(a)}")
+def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckContext,
+                   bodies: Optional[list] = None) -> Verdict:
+    """Is the ground atom ``a`` the head of a ground instance of the clause
+    with body in S + {!}, given ``theta = match(clause.head, a)``?
 
-
-def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s,
-                   ctx: _CheckContext, bodies: Optional[list] = None) -> Verdict:
-    """``covered``'s verdict, given ``theta = match(clause.head, a)``.  When
-    it is Verified and ``bodies`` is a list, the covering instance's body is
-    appended to it."""
-    status, found = _covering_instance(a, clause, theta, s, ctx)
+    Verified comes with the witnessing ground instance; Refuted is definite
+    when the search space was exhausted, otherwise Unknown names the bound.
+    When it is Verified and ``bodies`` is a list, the covering instance's
+    body is appended to it."""
+    status, found = _covering_instance(a, clause, theta, ctx)
     if status == "unknown":
         return Verdict.unknown(found)
     text = ctx.atom_text(a)
@@ -341,25 +339,11 @@ def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], s,
     return Verdict.refuted({"atom": text, "clause": ctx.clause(clause).text, "note": found})
 
 
-def covered(a: Pred, clause: Clause, suite: SpecSuite) -> Verdict:
-    """Is the ground atom ``a`` the head of a ground instance of the clause
-    with body in S + {!}?
-
-    Verified comes with the witnessing ground instance; Refuted is definite
-    when the search space was exhausted, otherwise Unknown names the bound.
-    Raises ValueError when ``a`` is not ground.
-    """
-    _require_ground(a)
-    return _cover_verdict(a, clause, match(clause.head, a), suite.s,
-                          _CheckContext(Program((clause,)), (a,), suite))
-
-
 def semi_complete(program: Program, suite: SpecSuite) -> Verdict:
     """Every enumerated atom of S must be covered by some clause w.r.t. S."""
-    s = suite.s
     ctx = _CheckContext(program, (), suite)
     try:
-        atoms = ctx.members(s)
+        atoms = ctx.members(suite.s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     per_atom = []
@@ -367,7 +351,7 @@ def semi_complete(program: Program, suite: SpecSuite) -> Verdict:
         text = ctx.atom_text(a)
         verdict = None  # the first Unknown, until some clause covers the atom
         for idx, c in program.matching(a):
-            status, found = _covering_instance(a, c, match(c.head, a), s, ctx)
+            status, found = _covering_instance(a, c, match(c.head, a), ctx)
             if status == "verified":
                 verdict = _VERIFIED
                 break
@@ -382,14 +366,14 @@ def correct_check(program: Program, suite: SpecSuite) -> Verdict:
 
     The cover search grounds the body; of the variables left, only those
     the head's membership in S reads are enumerated."""
-    return _correct_check(program, suite, _CheckContext(program, (), suite))
+    return _correct_check(_CheckContext(program, (), suite))
 
 
-def _correct_check(program: Program, suite: SpecSuite, ctx: _CheckContext) -> Verdict:
-    s = suite.s
+def _correct_check(ctx: _CheckContext) -> Verdict:
+    s = ctx.suite.s
     bounded = False
     capped = None  # the reason, once a clause's search stopped at a cap
-    for clause in program.clauses:
+    for clause in ctx.program.clauses:
         search = _CoverSearch(s, ctx)
         read = membership_reads(s, clause.head)
         try:
@@ -568,7 +552,7 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
     return None
 
 
-def well_asserted_clause(clause: Clause, suite: SpecSuite) -> Verdict:
+def _well_asserted(clause: Clause, pre, post, ctx: _CheckContext) -> Verdict:
     """Check one clause against the call/success specification (pre, post).
 
     For every instance with the head in pre: each body atom whose earlier
@@ -580,11 +564,6 @@ def well_asserted_clause(clause: Clause, suite: SpecSuite) -> Verdict:
     search, and the verdict is Unknown naming the branch cap only if that
     search refutes none.
     """
-    return _well_asserted(clause, suite.pre, suite.post,
-                          _CheckContext(Program((clause,)), (), suite))
-
-
-def _well_asserted(clause: Clause, pre, post, ctx: _CheckContext) -> Verdict:
     resolver = ctx.resolver
     fresh = FreshNames()
     forbidden = set(vars_of(clause))
@@ -635,14 +614,14 @@ def _well_asserted(clause: Clause, pre, post, ctx: _CheckContext) -> Verdict:
 
 def cs_correct(program: Program, suite: SpecSuite) -> Verdict:
     """All clauses well-asserted w.r.t. (pre, post)."""
-    return _cs_correct(program, suite, _CheckContext(program, (), suite))
+    return _cs_correct(_CheckContext(program, (), suite))
 
 
-def _cs_correct(program: Program, suite: SpecSuite, ctx: _CheckContext) -> Verdict:
+def _cs_correct(ctx: _CheckContext) -> Verdict:
+    pre, post = ctx.suite.pre, ctx.suite.post
     parts = [
-        (f"clause {idx + 1}: {clause_text(clause)}",
-         _well_asserted(clause, suite.pre, suite.post, ctx))
-        for idx, clause in enumerate(program.clauses)
+        (f"clause {idx + 1}: {clause_text(clause)}", _well_asserted(clause, pre, post, ctx))
+        for idx, clause in enumerate(ctx.program.clauses)
     ]
     return weakest([v for _, v in parts], tuple(parts))
 
@@ -660,15 +639,11 @@ def _fresh_pred_name(program: Program, query: tuple, *sets) -> str:
     return f"q{i}"
 
 
-def well_asserted_query(query: tuple, program: Program, suite: SpecSuite) -> Verdict:
+def _well_asserted_query(ctx: _CheckContext) -> Verdict:
     """A query is well-asserted iff the clause p <- Q is, for a p fresh for
     the program, the query and the sets, added to pre and post."""
-    return _well_asserted_query(query, program, suite, _CheckContext(program, query, suite))
-
-
-def _well_asserted_query(query: tuple, program: Program, suite: SpecSuite,
-                         ctx: _CheckContext) -> Verdict:
-    marker = Pred(_fresh_pred_name(program, query, suite.pre, suite.post))
+    query, suite = ctx.query, ctx.suite
+    marker = Pred(_fresh_pred_name(ctx.program, query, suite.pre, suite.post))
     marked = AtomSet(atoms=(marker,))
     return _well_asserted(Clause(marker, tuple(query)), suite.pre | marked,
                           suite.post | marked, ctx)
@@ -679,15 +654,14 @@ def _well_asserted_query(query: tuple, program: Program, suite: SpecSuite,
 # ---------------------------------------------------------------------------
 
 
-def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post,
-                     ctx: _CheckContext) -> Verdict:
+def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Verdict:
     """No ground instance of H' <- A0 (head an instance of a maximally general
     pre-atom above ``a``) may be covered w.r.t. the ground part of post."""
     if preceding.first_cut is None:
         return _PRECEDING_NO_CUT
     a0, _ = preceding.first_cut
     try:
-        gens = max_generalizations(a, pre, ctx.resolver)
+        gens = max_generalizations(a, ctx.suite.pre, ctx.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     unknown = None  # the reason, once some search was incomplete
@@ -697,7 +671,7 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post,
         if theta is None:
             continue
         target = apply(theta, variant)
-        search = _CoverSearch(post, ctx)
+        search = _CoverSearch(ctx.suite.post, ctx)
         instances = (
             apply(full, target)
             for sol in search.solutions(target.body, theta)
@@ -726,8 +700,8 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, pre, post,
     return Verdict.verified()
 
 
-def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, post,
-                   ctx: _CheckContext, bodies: Optional[list] = None) -> Verdict:
+def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _CheckContext,
+                   bodies: Optional[list] = None) -> Verdict:
     """For each maximally general pre-instance H rho above ``a`` and each ground
     eta putting B0 rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta.
 
@@ -741,6 +715,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
         return _VERIFIED
     b0, b1 = info.last_cut
     clause = info.clause
+    pre = ctx.suite.pre
     if pre == UNIVERSAL:
         rhos = [({}, clause.head)]
     else:
@@ -762,7 +737,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
     for rho, head_r in rhos:
         b0r = apply(rho, b0)
         b1r = apply(rho, b1)
-        search = _CoverSearch(post, ctx)
+        search = _CoverSearch(ctx.suite.post, ctx)
         etas = []
         try:
             for eta in search.solutions(b0r, {}):
@@ -773,7 +748,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
             unknown = unknown or f"eta enumeration exhausted depth {ctx.depth}"
         for eta in etas:
             reduced = Clause(apply(eta, head_r), apply(eta, b1r))
-            status, found = _covering_instance(a, reduced, match(reduced.head, a), s, ctx)
+            status, found = _covering_instance(a, reduced, match(reduced.head, a), ctx)
             if status == "refuted":
                 return Verdict.refuted(
                     {
@@ -793,46 +768,38 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], s, pre, po
     return Verdict.verified()
 
 
-def c_covered(a: Pred, program: Program, suite: SpecSuite, *, s_subset_post: bool) -> Verdict:
-    """Coverage that survives pruning: some clause covers ``a`` and neither an
-    earlier cut clause nor the clause's own cut can discard that inference.
+def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
+               reached: Optional[list] = None) -> Verdict:
+    """Coverage that survives pruning: some clause covers the ground atom
+    ``a`` and neither an earlier cut clause nor the clause's own cut can
+    discard that inference.
 
     ``s_subset_post`` is whether the premise S subset-of post holds (as
-    ``s_subset_post_check`` decides it, once for the whole of S); only then
-    may condition 1 use the clause cut short before its last cut.  Raises
-    ValueError when ``a`` is not ground."""
-    _require_ground(a)
-    return _c_covered(a, program, suite, s_subset_post, _CheckContext(program, (a,), suite))
-
-
-def _c_covered(a: Pred, program: Program, suite: SpecSuite, s_subset_post: bool,
-               ctx: _CheckContext, reached: Optional[list] = None) -> Verdict:
-    """``c_covered`` for a ground ``a``, with the calling loop's context.
-
-    When ``reached`` is a list and a clause c-covers ``a``, the non-cut body
+    ``_s_subset_post`` decides it, once for the whole of S); only then may
+    condition 1 use the clause cut short before its last cut.  When
+    ``reached`` is a list and a clause c-covers ``a``, the non-cut body
     atoms of that clause's covering instances are appended to it: those of
     condition 3's reduced clause for each eta, then condition 1's."""
-    s, pre, post = suite.s, suite.pre, suite.post
     text = ctx.atom_text(a)
     clause_parts = []
     cond2s = []  # condition 2 of each clause the loop has moved past
     previous = None
-    for idx, clause in program.matching(a):
+    for idx, clause in ctx.program.matching(a):
         info = ctx.clause(clause)
         theta = match(clause.head, a)  # one head match for all three conditions
         bodies = None if reached is None else []
-        cond3 = _cond3_own_cut(a, info, theta, s, pre, post, ctx, bodies)
+        cond3 = _cond3_own_cut(a, info, theta, ctx, bodies)
         if previous is not None:
-            cond2s.append(_cond2_preceding(a, previous, pre, post, ctx))
+            cond2s.append(_cond2_preceding(a, previous, ctx))
         previous = info
         cond2 = weakest(cond2s) if cond2s else _NO_PRECEDING
         cond1 = None
         if s_subset_post and info.prefix is not None and cond3.is_verified:
-            v = _cover_verdict(a, info.prefix, theta, s, ctx, bodies)
+            v = _cover_verdict(a, info.prefix, theta, ctx, bodies)
             if v.is_verified:
                 cond1 = v
         if cond1 is None:
-            cond1 = _cover_verdict(a, clause, theta, s, ctx, bodies)
+            cond1 = _cover_verdict(a, clause, theta, ctx, bodies)
         parts = (
             ("condition 1 (covered)", cond1),
             ("condition 2 (earlier cut clauses)", cond2),
@@ -859,15 +826,10 @@ def _c_covered(a: Pred, program: Program, suite: SpecSuite, s_subset_post: bool,
     )
 
 
-def s_subset_post_check(program: Program, suite: SpecSuite) -> Verdict:
+def _s_subset_post(ctx: _CheckContext) -> Verdict:
     """Premise check S subset-of post: the members of S up to the depth bound,
-    then every atom S lists, whatever its depth, must lie in post.  The
-    program gives the alphabet its symbols."""
-    return _s_subset_post(suite, _CheckContext(program, (), suite))
-
-
-def _s_subset_post(suite: SpecSuite, ctx: _CheckContext) -> Verdict:
-    s, post = suite.s, suite.post
+    then every atom S lists, whatever its depth, must lie in post."""
+    s, post = ctx.suite.s, ctx.suite.post
     if post == UNIVERSAL:
         return Verdict.verified("post is the universal set")
     try:
@@ -953,16 +915,14 @@ def _collect_witnesses(verdict: Verdict, out: list, limit: int = 20, status: Opt
         _collect_witnesses(sub, out, limit, status)
 
 
-def _s_coverage(program: Program, suite: SpecSuite, s_subset_post: bool,
-                ctx: _CheckContext) -> Verdict:
+def _s_coverage(ctx: _CheckContext, s_subset_post: bool) -> Verdict:
     """Every atom of S up to the depth c-covered, with one part per atom."""
     try:
-        atoms = ctx.members(suite.s)
+        atoms = ctx.members(ctx.suite.s)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     known = ctx.c_covered
-    per_atom = [(ctx.atom_text(a),
-                 known.get(a) or _c_covered(a, program, suite, s_subset_post, ctx))
+    per_atom = [(ctx.atom_text(a), known.get(a) or _c_covered(a, ctx, s_subset_post))
                 for a in atoms]
     return weakest([v for _, v in per_atom], tuple(per_atom))
 
@@ -971,8 +931,7 @@ def _atom_size(a: Pred) -> int:
     return 1 + sum(term_size(t) for t in a.args)
 
 
-def _slice_coverage(program: Program, query: tuple, suite: SpecSuite, s_subset_post: bool,
-                    ctx: _CheckContext) -> Optional[Verdict]:
+def _slice_coverage(ctx: _CheckContext, s_subset_post: bool) -> Optional[Verdict]:
     """Every atom of the query's slice S' of S c-covered, with one part per
     atom; None when the slice gives way to the whole of S.
 
@@ -985,10 +944,11 @@ def _slice_coverage(program: Program, query: tuple, suite: SpecSuite, s_subset_p
     not Verified c-covered, and when the atoms of S' sum to more than
     ``SLICE_CAP`` symbols."""
     try:
-        _check_groundings(vars_of(query), ctx)
-        roots = [x for _, inst in _s_true_instances(query, suite.s, ctx) for x in inst]
+        _check_groundings(vars_of(ctx.query), ctx)
+        roots = [x for _, inst in _s_true_instances(ctx) for x in inst]
     except CapHit:
         return None
+    post, resolver = ctx.suite.post, ctx.resolver
     found: list = []  # the atoms of S' in the order found, c-covered first to last
     seen: set = set()
     size = 0
@@ -1007,10 +967,10 @@ def _slice_coverage(program: Program, query: tuple, suite: SpecSuite, s_subset_p
             return Verdict.verified(f"query slice of S: {len(parts)} atoms c-covered",
                                     tuple(parts))
         a = found[len(parts)]
-        if not contains(suite.post, a, ctx.resolver):
+        if not contains(post, a, resolver):
             return None
         reached = []
-        v = ctx.c_covered[a] = _c_covered(a, program, suite, s_subset_post, ctx, reached)
+        v = ctx.c_covered[a] = _c_covered(a, ctx, s_subset_post, reached)
         if not v.is_verified:
             return None
         parts.append((ctx.atom_text(a), v))
@@ -1035,7 +995,7 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     closes the query's slice S' (``_slice_coverage``) and reports its atoms;
     when the slice gives way, it c-covers every atom of S up to the depth.
 
-    A query with cut is first rewritten by ``query_transform``, and the
+    A query with cut is first rewritten by ``_query_transform``, and the
     stages check the rewritten program, query and sets.  When the S
     extension passes its cap, the report is Unknown naming the cap, with no
     stages and no pruned tree.
@@ -1044,11 +1004,10 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     ctx = _CheckContext(program, query, suite)
     if any(a is CUT for a in query):
         try:
-            extra, query, suite = _query_transform(query, program, suite, ctx)
+            ctx = _query_transform(ctx)
         except CapHit as exc:
             return CheckReport.of("complete", Verdict.unknown(str(exc)), suite, start, [], ())
-        program = Program(program.clauses + tuple(extra))
-        ctx = ctx.transformed(program, query, suite)
+        program, query, suite = ctx.program, ctx.query, ctx.suite
 
     pt = pruned_tree(program, query, suite.budget)  # the check reads only exactness
     tree_v = (
@@ -1057,17 +1016,17 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
         else Verdict.unknown(f"{_tree_budget(pt, suite.budget)} exhausted; pruned tree is not exact")
     )
 
-    premise = _s_subset_post(suite, ctx)
-    wa_program = _cs_correct(program, suite, ctx)
-    coverage = (_slice_coverage(program, query, suite, premise.is_verified, ctx)
-                or _s_coverage(program, suite, premise.is_verified, ctx))
+    premise = _s_subset_post(ctx)
+    wa_program = _cs_correct(ctx)
+    coverage = (_slice_coverage(ctx, premise.is_verified)
+                or _s_coverage(ctx, premise.is_verified))
     if premise.is_refuted:
         premise = Verdict.unknown(
             "premise S subset-of post is violated: "
             f"{premise.witness['atom']} is in S but not in post"
         )
 
-    wa_query = _well_asserted_query(query, program, suite, ctx)
+    wa_query = _well_asserted_query(ctx)
 
     stages = (
         ("pruned tree exact", tree_v),
@@ -1096,33 +1055,34 @@ def _tree_budget(pt: PrunedTree, budget: Budget) -> str:
     return f"tree node budget {budget.nodes}"
 
 
-def _s_true_instances(query: tuple, s, ctx: _CheckContext):
+def _s_true_instances(ctx: _CheckContext):
     """The groundings theta of the query's variables, in product order, whose
-    instance of the query lies in s + {!}, each with that instance.  Raises
+    instance of the query lies in S + {!}, each with that instance.  Raises
     CapHit past ``INSTANCE_CAP`` groundings."""
+    query, s, resolver = ctx.query, ctx.suite.s, ctx.resolver
     for theta in _groundings({}, vars_of(query), ctx):
         inst = apply(theta, query)
-        if all(x is CUT or contains(s, x, ctx.resolver) for x in inst):
+        if all(x is CUT or contains(s, x, resolver) for x in inst):
             yield theta, inst
 
 
-def query_transform(query: tuple, program: Program, suite: SpecSuite):
+def _query_transform(ctx: _CheckContext) -> _CheckContext:
     """Rewrite a query with cuts: add p(V...) <- Q for fresh p and extend the sets.
 
-    Returns (extra clauses, new query, new suite).  The S extension holds the
-    ground p-instances whose query instance lies in S + {!} (bounded
-    enumeration up to the depth bound).  Raises CapHit when more than
-    ``INSTANCE_CAP`` instances would have to be enumerated: a truncated
-    extension would let the completeness check verify a smaller S.
+    Returns the context of the rewritten program, query p(V...) and suite.
+    It shares the pool of ``ctx``: the transform adds only a predicate, so
+    the function symbols, which are all a pool reads of the alphabet, stay
+    the same.  The S extension holds the ground p-instances whose query
+    instance lies in S + {!} (bounded enumeration up to the depth bound).
+    Raises CapHit when more than ``INSTANCE_CAP`` instances would have to be
+    enumerated: a truncated extension would let the completeness check
+    verify a smaller S.
     """
-    return _query_transform(query, program, suite, _CheckContext(program, query, suite))
-
-
-def _query_transform(query: tuple, program: Program, suite: SpecSuite, ctx: _CheckContext):
+    program, query, suite = ctx.program, ctx.query, ctx.suite
     _check_groundings(vars_of(query), ctx)  # every grounding is tested: fail before the first
     name = _fresh_pred_name(program, query, suite.s, suite.pre, suite.post)
     head = Pred(name, tuple(Var(v) for v in vars_of(query)))
-    ext = [apply(theta, head) for theta, _ in _s_true_instances(query, suite.s, ctx)]
+    ext = [apply(theta, head) for theta, _ in _s_true_instances(ctx)]
     marker = AtomSet(patterns=(AtomPattern(most_general_atom(name, len(head.args)), ()),))
     suite2 = replace(
         suite,
@@ -1131,7 +1091,11 @@ def _query_transform(query: tuple, program: Program, suite: SpecSuite, ctx: _Che
         post=suite.post | marker,
         named_sets=dict(suite.named_sets),
     )
-    return [Clause(head, tuple(query))], (head,), suite2
+    rewritten = _CheckContext(Program(program.clauses + (Clause(head, tuple(query)),)),
+                              (head,), suite2)
+    if rewritten.alphabet.functors == ctx.alphabet.functors:
+        rewritten.pool = ctx.pool
+    return rewritten
 
 
 def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite) -> Verdict:
@@ -1145,7 +1109,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite) -> Ve
     if not pt.exact:
         return Verdict.unknown(f"{_tree_budget(pt, suite.budget)} exhausted; answers may be missing")
     try:
-        for _, inst in _s_true_instances(query, suite.s, ctx):
+        for _, inst in _s_true_instances(ctx):
             if not any(match(ans, inst) is not None for ans in answers):
                 return Verdict.refuted(
                     {
@@ -1172,8 +1136,7 @@ def _require_level_maps(program: Program, level_maps: dict):
                 raise InputError(f"no level mapping declared for {atom.indicator}")
 
 
-def _level_decrease(program: Program, level_maps: dict, s, ctx: _CheckContext,
-                    violation: str) -> Verdict:
+def _level_decrease(s, ctx: _CheckContext, violation: str) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance and
     every body atom whose preceding atoms lie in s + {!}.
 
@@ -1182,9 +1145,9 @@ def _level_decrease(program: Program, level_maps: dict, s, ctx: _CheckContext,
     up to the cap; unless a later clause refutes, the verdict is Unknown
     naming the cap.
     """
-    resolver = ctx.resolver
+    level_maps, resolver = ctx.suite.level_maps, ctx.resolver
     capped = None  # the reason, once a clause's instances stopped at the cap
-    for clause in program.clauses:
+    for clause in ctx.program.clauses:
         read = level_reads(clause.head, level_maps)
         for b in clause.body:
             read |= level_reads(b, level_maps) | membership_reads(s, b)
@@ -1217,18 +1180,16 @@ def recurrent_check(program: Program, suite: SpecSuite) -> Verdict:
     """|head| > |body atom| for every enumerated ground clause instance, under
     the suite's level mappings."""
     _require_level_maps(program, suite.level_maps)
-    return _level_decrease(program, suite.level_maps, UNIVERSAL, _CheckContext(program, (), suite),
-                           "level does not decrease")
+    return _level_decrease(UNIVERSAL, _CheckContext(program, (), suite), "level does not decrease")
 
 
 def acceptable_check(program: Program, suite: SpecSuite) -> Verdict:
     """Correctness w.r.t. S plus level decrease whenever S satisfies the prefix."""
     _require_level_maps(program, suite.level_maps)
     ctx = _CheckContext(program, (), suite)
-    model = _correct_check(program, suite, ctx)
+    model = _correct_check(ctx)
     if model.is_refuted:
         return Verdict.refuted(model.witness, "the program is not correct w.r.t. S")
-    levels = _level_decrease(program, suite.level_maps, suite.s, ctx,
-                             "level does not decrease under a satisfied prefix")
+    levels = _level_decrease(suite.s, ctx, "level does not decrease under a satisfied prefix")
     # a level violation refutes even when correctness stayed Unknown
     return weakest([levels, model])

@@ -8,7 +8,8 @@ from cutcheck import (
     pruned_tree,
 )
 from cutcheck.syntax import SpecSuite
-from cutcheck.terms import Pred, resolve
+from cutcheck.terms import Clause, Pred, resolve
+from cutcheck.verify import _CheckContext
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,6 +25,15 @@ def load_program(name: str) -> Program:
 
 def load_spec_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def stage_context(subject, suite: SpecSuite, query: tuple = ()) -> _CheckContext:
+    """The context through which a test calls one stage of ``cutcheck.verify``:
+    the one a check of ``subject``, a program or a single clause, with
+    ``query`` and ``suite`` builds, so that the alphabet is resolved from
+    the same symbols."""
+    program = Program((subject,)) if isinstance(subject, Clause) else subject
+    return _CheckContext(program, tuple(query), suite)
 
 
 def pruned_answers(program: Program, query: tuple, budget=None):

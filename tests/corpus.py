@@ -27,6 +27,11 @@ The argv set:
 - ``check complete`` on a spec whose pre pattern has no closed form, so that
   membership in pre walks the generalization lattice, with and without a
   trailing cut;
+- stage paths no other argv reaches: ``correct`` and ``acceptable``
+  answering Verified, a refuted level decrease, a refuted premise S
+  subset-of post, the tree step budget, an occurs check that fails, an S
+  pattern that builds a term deeper than the depth and a ``[set NAME]``
+  section;
 - malformed inputs, each exit 2: a bad character on line 3 of a program, an
   unterminated quote, an error inside a spec section, an undeclared
   ``notin`` set, a bad query, an unknown flag, a bad ``[bounds]`` value and
@@ -224,6 +229,46 @@ def lattice_cases(workdir: Path) -> list:
             for query in ("p(a, a)", "p(a, a), !")]
 
 
+# the paths of the check stages no other argv reaches: the files the argv
+# names, as (name, text) pairs, and the argv
+WELL_FOUNDED_SPEC = ("[S]\napp(K, L, M) where ground_list(K), ground(L), concat(K, L, M).\n"
+                     "[level]\napp(K, L, M) = len(K).\n")
+STAGE_RUNS = (
+    # correct answers Verified, and acceptable reaches its level stage
+    ((("wf.spec", WELL_FOUNDED_SPEC),),
+     ("check", "correct", "fixtures/append.pl", "--spec", "wf.spec")),
+    ((("wf.spec", WELL_FOUNDED_SPEC),),
+     ("check", "acceptable", "fixtures/append.pl", "--spec", "wf.spec")),
+    # a refuted level decrease
+    ((("second.spec", "[level]\napp(K, L, M) = len(L).\n"),),
+     ("check", "recurrent", "fixtures/append.pl", "--spec", "second.spec")),
+    # the premise S subset-of post refutes
+    ((("narrow.spec", "[S]\napp(K, L, M) where ground_list(K), ground_list(L), ground_list(M), "
+                      "concat(K, L, M).\n[pre]\nany.\n[post]\napp([], L, L).\n"),),
+     ("check", "complete", "fixtures/append.pl", "--spec", "narrow.spec",
+      "--query", "app(X, Y, [1])", "--depth", "2")),
+    # the tree step budget, and the ground search's cap
+    ((), ("check", "complete", "fixtures/in.pl", "--spec", "fixtures/in.spec",
+          "--query", "in(X, [1, 2])", "--steps", "3", "--depth", "1")),
+    # an occurs check that fails
+    ((("occurs.pl", "p(X, H, f(H)).\n"),), ("run", "occurs.pl", "p(Z, g(Z), Z)")),
+    ((("occurs.pl", "p(X, H, f(H)).\n"),), ("oracle", "occurs.pl", "p(Z, g(Z), Z)")),
+    # an S pattern that builds a term deeper than the depth, which the term pool adds
+    ((("nested.pl", "p([X]).\n"), ("nested.spec", "[S]\np([X]) where ground(X).\n")),
+     ("check", "semicomplete", "nested.pl", "--spec", "nested.spec", "--depth", "1")),
+    # a [set NAME] section, read by notin
+    ((("q.pl", "q(a).\nq(b).\n"),
+      ("q.spec", "[set bad]\nq(b).\n[S]\nq(X) where notin(q(X), bad).\n"
+                 "[pre]\nq(X) where notin(q(X), bad).\n[post]\nany.\n")),
+     ("check", "cscorrect", "q.pl", "--spec", "q.spec")),
+)
+
+
+def stage_cases(workdir: Path) -> list:
+    """The stage paths, their files written under ``workdir``."""
+    return [_case(args, workdir, files) for files, args in STAGE_RUNS]
+
+
 # malformed inputs: the files the argv names, as (name, text) pairs, and the argv
 MALFORMED_RUNS = (
     ((("bad3.pl", "p.\nq :- p.\nr :- q, #.\n"),), ("run", "bad3.pl", "r")),
@@ -254,7 +299,7 @@ def all_cases(workdir: Path) -> list:
     """The whole argv set, each argv once."""
     cases = (workload_cases(workdir) + fixture_cases() + tree_cases(workdir)
              + answer_cases(workdir) + smoke_cases(workdir) + lattice_cases(workdir)
-             + malformed_cases(workdir))
+             + stage_cases(workdir) + malformed_cases(workdir))
     return list({c.key: c for c in cases}.values())
 
 

@@ -18,7 +18,6 @@ from cutcheck import (
     Program,
     UNIVERSAL,
     build_tree,
-    c_covered,
     completeness_check,
     enumerate_atoms,
     oracle_tree_complete,
@@ -47,6 +46,7 @@ from cutcheck.terms import (
     unify,
     vars_of,
 )
+from cutcheck.verify import _c_covered
 
 from conftest import (
     least_model_propositional,
@@ -57,6 +57,7 @@ from conftest import (
     random_propositional_program,
     random_term_program,
     search_answers,
+    stage_context,
 )
 from derivations import branch_derivation, recorded_steps, subderivation, variant_equal
 from fixpoint import fixpoint_prune, walk_and_fixpoint
@@ -192,11 +193,11 @@ class TestCriterion4ArtificialExample:
         suite = parse_spec(load_spec_text("artificial.spec"))  # at depth 1
         atom = Pred("p", (Compound("a"), Compound("c")))
 
-        v = c_covered(atom, prog, suite, s_subset_post=True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
         assert v.is_verified
 
         hb = parse_spec(load_spec_text("artificial_posthb.spec"))  # at depth 1
-        v2 = c_covered(atom, prog, hb, s_subset_post=True)
+        v2 = _c_covered(atom, stage_context(prog, hb, (atom,)), True)
         assert v2.is_refuted
         clause2 = dict(v2.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -222,7 +223,7 @@ class TestCriterion5NotpExample:
         suite = parse_spec(load_spec_text("notp.spec"))  # at depth 1
         atom = Pred("notp", (Compound("b"),))  # p(b) is not in post0
 
-        v = c_covered(atom, prog, suite, s_subset_post=True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
         assert v.is_verified
         clause3 = dict(v.parts)["clause 3: notp(X)."]
         assert dict(clause3.parts)["condition 2 (earlier cut clauses)"].is_verified
@@ -231,7 +232,7 @@ class TestCriterion5NotpExample:
         assert rep.verdict.is_verified
 
         nonground = parse_spec(load_spec_text("notp_nonground.spec"))  # at depth 1
-        v2 = c_covered(atom, prog, nonground, s_subset_post=True)
+        v2 = _c_covered(atom, stage_context(prog, nonground, (atom,)), True)
         assert v2.is_refuted
         clause3 = dict(v2.parts)["clause 3: notp(X)."]
         cond2 = dict(clause3.parts)["condition 2 (earlier cut clauses)"]

@@ -590,6 +590,29 @@ class TestPublicSurface:
                     takers.append(name)
         assert takers == []
 
+    def test_each_stage_reads_its_program_and_suite_from_the_context(self):
+        """No function or method of ``cutcheck.verify`` takes ``ctx`` beside a
+        ``program`` or a ``suite``: a stage reads both from its context."""
+        found = list(vars(cutcheck.verify).items())
+        found += [(f"{name}.{attr}", value) for name, obj in vars(cutcheck.verify).items()
+                  if inspect.isclass(obj) and obj.__module__ == "cutcheck.verify"
+                  for attr, value in vars(obj).items()]
+        takers = [name for name, obj in found
+                  if inspect.isfunction(obj) and obj.__module__ == "cutcheck.verify"
+                  and "ctx" in (params := inspect.signature(obj).parameters)
+                  and {"program", "suite"} & set(params)]
+        assert takers == []
+
+    def test_the_public_checkers_are_the_commands(self):
+        """The public functions of ``cutcheck.verify`` are the checkers that
+        ``check KIND`` runs, and the completeness oracle."""
+        public = {name for name, obj in vars(cutcheck.verify).items()
+                  if inspect.isfunction(obj) and obj.__module__ == "cutcheck.verify"
+                  and not name.startswith("_")}
+        commands = {"completeness_check", *cutcheck.cli.CHECKERS.values()}
+        assert len(commands) == len(CHECK_KINDS) == 6
+        assert public == commands | {"oracle_tree_complete"}
+
     def test_every_exported_name_is_in_the_readme(self):
         """The README names every name of ``cutcheck.__all__`` in backquotes."""
         readme = (Path(cutcheck.__file__).parent.parent.parent / "README.md").read_text(

@@ -14,21 +14,16 @@ from cutcheck import (
     SpecSuite,
     UNIVERSAL,
     acceptable_check,
-    c_covered,
     completeness_check,
     correct_check,
-    covered,
     cs_correct,
     enumerate_atoms,
     oracle_tree_complete,
     parse_program,
     parse_query,
     parse_spec,
-    query_transform,
     recurrent_check,
     semi_complete,
-    well_asserted_clause,
-    well_asserted_query,
 )
 from cutcheck.atomsets import (
     GUARDS, AtomPattern, CapHit, Guard, contains, guard_holds, membership_reads,
@@ -42,12 +37,13 @@ from cutcheck.terms import (
 )
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
-    _CheckContext, _CoverSearch, _atom_size, _covering_instance, _cs_correct, _guard_facts,
-    _s_coverage, _s_subset_post, _s_true_instances, _slice_coverage, s_subset_post_check,
+    _CheckContext, _CoverSearch, _atom_size, _c_covered, _cover_verdict, _covering_instance,
+    _cs_correct, _guard_facts, _query_transform, _s_coverage, _s_subset_post, _s_true_instances,
+    _slice_coverage, _well_asserted, _well_asserted_query,
 )
 
 import full_product
-from conftest import load_program, load_spec_text, search_answers
+from conftest import load_program, load_spec_text, search_answers, stage_context
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
 from smoke import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
 
@@ -114,22 +110,25 @@ class TestLevels:
 
 class TestCovered:
     def test_fact_covers_itself(self):
-        prog = parse_program("p(a).")
+        [clause] = parse_program("p(a).").clauses
         s = AtomSet(atoms=(Pred("p", (a,)),))
-        v = covered(Pred("p", (a,)), prog.clauses[0], SpecSuite(s=s, budget=Budget(depth=1)))
-        assert v.is_verified
+        atom = Pred("p", (a,))
+        ctx = stage_context(clause, SpecSuite(s=s, budget=Budget(depth=1)), (atom,))
+        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx).is_verified
 
     def test_body_must_lie_in_set(self):
-        prog = parse_program("p(X) :- q(X).")
+        [clause] = parse_program("p(X) :- q(X).").clauses
         s = AtomSet(atoms=(Pred("p", (a,)),))
-        v = covered(Pred("p", (a,)), prog.clauses[0], SpecSuite(s=s, budget=Budget(depth=1)))
-        assert v.is_refuted
+        atom = Pred("p", (a,))
+        ctx = stage_context(clause, SpecSuite(s=s, budget=Budget(depth=1)), (atom,))
+        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx).is_refuted
 
     def test_cut_in_body_ignored(self):
-        prog = parse_program("p(X) :- !, q(X).")
+        [clause] = parse_program("p(X) :- !, q(X).").clauses
         s = AtomSet(atoms=(Pred("p", (a,)), Pred("q", (a,))))
-        v = covered(Pred("p", (a,)), prog.clauses[0], SpecSuite(s=s, budget=Budget(depth=1)))
-        assert v.is_verified
+        atom = Pred("p", (a,))
+        ctx = stage_context(clause, SpecSuite(s=s, budget=Budget(depth=1)), (atom,))
+        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx).is_verified
 
 
 class TestSemiCompleteAndCorrect:
@@ -166,8 +165,9 @@ class TestWellAsserted:
         pre = AtomSet(atoms=(Pred("p", (a,)),))
         post = UNIVERSAL
         # q(a) is not in pre, so the clause is not well-asserted
-        v = well_asserted_clause(prog.clauses[0],
-                                 SpecSuite(pre=pre, post=AtomSet(), budget=Budget(depth=1)))
+        suite = SpecSuite(pre=pre, post=AtomSet(), budget=Budget(depth=1))
+        v = _well_asserted(prog.clauses[0], suite.pre, suite.post,
+                           stage_context(prog.clauses[0], suite))
         assert v.is_refuted
         assert v.witness["position"] == 1
 
@@ -182,7 +182,9 @@ class TestWellAsserted:
         alphabet = " ".join(f"functor {k}/0." for k in consts)
         suite = parse_spec(f"[alphabet]\n{alphabet}\n[pre]\np. {qs}\n[post]\np. {qs} {rs}\n")
         prog = parse_program(f"p :- {body}.")
-        return well_asserted_clause(prog.clauses[0], at_depth(suite, 1))
+        suite = at_depth(suite, 1)
+        return _well_asserted(prog.clauses[0], suite.pre, suite.post,
+                              stage_context(prog.clauses[0], suite))
 
     def test_branch_cap_leaves_the_ground_search_to_refute(self, monkeypatch):
         v = self.branch_capped("r(W), q(X), q(Y), q(Z)")
@@ -198,20 +200,22 @@ class TestWellAsserted:
     def test_query_well_asserted_uses_fresh_predicate(self):
         prog = parse_program("p(a).")
         pre = AtomSet(patterns=(AtomPattern(Pred("p", (Var("X"),)), ()),))
-        v = well_asserted_query(parse_query("p(Y)"), prog,
-                                SpecSuite(pre=pre, post=UNIVERSAL, budget=Budget(depth=1)))
+        suite = SpecSuite(pre=pre, post=UNIVERSAL, budget=Budget(depth=1))
+        v = _well_asserted_query(stage_context(prog, suite, parse_query("p(Y)")))
         assert v.is_verified
 
 
 class TestCCovered:
     def test_artificial_with_real_post(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
-        v = c_covered(Pred("p", (a, c)), prog, suite, s_subset_post=True)
+        atom = Pred("p", (a, c))
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
         assert v.is_verified
 
     def test_artificial_with_universal_post_lists_both_failures(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial_posthb.spec", depth=1)
-        v = c_covered(Pred("p", (a, c)), prog, suite, s_subset_post=True)
+        atom = Pred("p", (a, c))
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
         assert v.is_refuted
         clause2 = dict(v.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -229,7 +233,7 @@ class TestCCovered:
         monkeypatch.setattr(cutcheck.verify, "_cond2_preceding",
                             lambda *args: calls.append(args) or cond2(*args))
         for atom in (Pred("p", (a,)), Pred("p", (b,))):
-            v = c_covered(atom, prog, suite, s_subset_post=True)
+            v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
             assert v.is_refuted and len(v.parts) == clauses
         assert len(calls) <= most
 
@@ -270,10 +274,11 @@ class TestPipeline:
 
     def test_query_transform_handles_cut(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec")
-        extra, query, suite2 = query_transform(parse_query("p(a, Z), !"), prog, suite)
+        ctx = _query_transform(stage_context(prog, suite, parse_query("p(a, Z), !")))
+        extra = ctx.program.clauses[len(prog.clauses):]
         assert len(extra) == 1 and extra[0].body[-1] is CUT
-        assert len(query) == 1 and not any(x is CUT for x in query)
-        rep = completeness_check(Program(prog.clauses + tuple(extra)), query, suite2)
+        assert len(ctx.query) == 1 and not any(x is CUT for x in ctx.query)
+        rep = completeness_check(ctx.program, ctx.query, ctx.suite)
         assert rep.verdict.status in ("verified", "unknown")
 
     def test_report_json_shape(self):
@@ -287,13 +292,13 @@ class TestPipeline:
         alpha = Alphabet((("a", 0), ("f", 1)), (("p", 1), ("q", 1)))
         listed = parse_spec("[S]\np(f(f(f(a)))).\n\n[post]\nq(a).\n")
         for depth in (1, 2, 3):
-            v = s_subset_post_check(Program(), at_depth(listed, depth, alpha))
+            v = _s_subset_post(stage_context(Program(), at_depth(listed, depth, alpha)))
             assert v.is_refuted and v.witness["atom"] == "p(f(f(f(a))))"
         inside = parse_spec("[S]\np(f(f(f(a)))).\n\n[post]\np(X).\n")
-        v = s_subset_post_check(Program(), at_depth(inside, 1, alpha))
+        v = _s_subset_post(stage_context(Program(), at_depth(inside, 1, alpha)))
         assert v.is_verified and v.reason == "all members probed"
         patterns = parse_spec("[S]\np(X) where ground(X).\n\n[post]\np(X).\n")
-        v = s_subset_post_check(Program(), at_depth(patterns, 1, alpha))
+        v = _s_subset_post(stage_context(Program(), at_depth(patterns, 1, alpha)))
         assert v.is_verified and v.reason == "probe up to depth 1 passed"
 
     def test_violated_premise_reason_is_plain_text(self):
@@ -365,7 +370,7 @@ class TestCapSites:
 
     @staticmethod
     def clause_condition(v: Verdict, clause: str, condition: int) -> Verdict:
-        """The verdict of condition 1, 2 or 3 of ``clause`` in a ``c_covered`` verdict."""
+        """The verdict of condition 1, 2 or 3 of ``clause`` in a ``_c_covered`` verdict."""
         return dict(v.parts)[clause].parts[condition - 1][1]
 
     def test_semi_complete_enumeration_of_s(self, monkeypatch):
@@ -381,7 +386,7 @@ class TestCapSites:
         clause = parse_program("p(X) :- q(Y).").clauses[0]
         suite = parse_spec(CAP_HEADER + "[pre]\np(a).\np(b).\nq(a).\nq(b).\n"
                            "[post]\np(a).\np(b).\nq(a).\nq(b).\n")
-        v = well_asserted_clause(clause, suite)
+        v = _well_asserted(clause, suite.pre, suite.post, stage_context(clause, suite))
         assert v.is_unknown and v.reason == "instance cap 3 hit at depth 1"
 
     # p(a, a) lies in pre only through a pattern with no closed form: a lattice walk
@@ -391,14 +396,16 @@ class TestCapSites:
     def test_condition_2_generalizations(self, monkeypatch):
         monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 1)
         prog = parse_program("p(X, Y) :- q(X), !.\np(X, Y) :- r(X).")
-        v = c_covered(Pred("p", (a, a)), prog, parse_spec(self.GEN_SPEC), s_subset_post=True)
+        atom = Pred("p", (a, a))
+        v = _c_covered(atom, stage_context(prog, parse_spec(self.GEN_SPEC), (atom,)), True)
         cond2 = self.clause_condition(v, "clause 2: p(X, Y) :- r(X).", 2)
         assert v.is_unknown and cond2 == Verdict.unknown("generalization cap 1 hit")
 
     def test_condition_3_generalizations(self, monkeypatch):
         monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 1)
         prog = parse_program("p(X, Y) :- q(X), !.")
-        v = c_covered(Pred("p", (a, a)), prog, parse_spec(self.GEN_SPEC), s_subset_post=True)
+        atom = Pred("p", (a, a))
+        v = _c_covered(atom, stage_context(prog, parse_spec(self.GEN_SPEC), (atom,)), True)
         cond3 = self.clause_condition(v, "clause 1: p(X, Y) :- q(X), !.", 3)
         assert v.is_unknown and cond3 == Verdict.unknown("generalization cap 1 hit")
 
@@ -408,7 +415,8 @@ class TestCapSites:
         prog = parse_program("p(X) :- q(X), r(X), !.\np(X) :- q(X).")
         suite = parse_spec(CAP_HEADER + "[S]\np(a).\nq(a).\n[pre]\nany.\n"
                            "[post]\np(a).\nq(a).\nq(b).\n")
-        v = c_covered(Pred("p", (a,)), prog, suite, s_subset_post=True)
+        atom = Pred("p", (a,))
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
         cond2 = self.clause_condition(v, "clause 2: p(X) :- q(X).", 2)
         assert v.is_unknown
         assert cond2 == Verdict.unknown("cover search visit cap 2 hit at depth 1")
@@ -418,7 +426,8 @@ class TestCapSites:
         prog = parse_program("p(X) :- q(X), r(X), !.\np(X) :- q(X).")
         suite = parse_spec(CAP_HEADER + "[S]\np(a).\nq(a).\n[pre]\nany.\n"
                            "[post]\np(a).\nq(X).\n")
-        v = c_covered(Pred("p", (a,)), prog, suite, s_subset_post=True)
+        atom = Pred("p", (a,))
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
         cond2 = self.clause_condition(v, "clause 2: p(X) :- q(X).", 2)
         assert v.is_unknown and cond2 == Verdict.unknown(
             "cover search for the preceding clause exhausted depth 1")
@@ -427,14 +436,14 @@ class TestCapSites:
         monkeypatch.setattr(cutcheck.atomsets, "ENUM_CAP", 3)  # S holds 10 atoms
         prog = parse_program("q(a).\nr(a).")
         suite = parse_spec(CAP_HEADER + "[S]\nany.\n[post]\nq(a).\n")
-        v = s_subset_post_check(prog, suite)
+        v = _s_subset_post(stage_context(prog, suite))
         assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
 
     def test_s_coverage_enumeration_of_s(self, monkeypatch):
         monkeypatch.setattr(cutcheck.atomsets, "ENUM_CAP", 3)
         prog = parse_program("q(a).\nr(a).")
         suite = parse_spec(CAP_HEADER + "[S]\nany.\n")
-        v = _s_coverage(prog, suite, True, _CheckContext(prog, (), suite))
+        v = _s_coverage(stage_context(prog, suite), True)
         assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
 
     def test_oracle_tree_budget(self):
@@ -555,11 +564,13 @@ class TestHonestCaps:
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
         suite = SpecSuite(s=AtomSet(atoms=(Pred("q", (a,)), Pred("q", (b,)))), alphabet=alpha,
                           budget=Budget(depth=1))
+        [clause], atom = prog.clauses, Pred("p", (a,))
+        theta = match(clause.head, atom)
         with monkeypatch.context() as m:
             m.setattr(cutcheck.verify, "VISIT_CAP", 2)
-            v = covered(Pred("p", (a,)), prog.clauses[0], suite)
+            v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)))
         assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
-        assert covered(Pred("p", (a,)), prog.clauses[0], suite).is_verified
+        assert _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,))).is_verified
 
     def test_cover_search_cap_on_a_ground_body(self, monkeypatch):
         # the head match leaves the body ground: one visit per atom found, one for the end
@@ -567,31 +578,25 @@ class TestHonestCaps:
         alpha = Alphabet((("a", 0), ("b", 0)), (("p", 1), ("q", 1)))
         suite = SpecSuite(s=AtomSet(atoms=(Pred("q", (a,)),)), alphabet=alpha,
                           budget=Budget(depth=1))
+        [clause], atom = prog.clauses, Pred("p", (a,))
+        theta = match(clause.head, atom)
         for cap in (1, 2, 3):
             monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
-            v = covered(Pred("p", (a,)), prog.clauses[0], suite)
+            v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)))
             assert v.is_unknown and v.reason == f"cover search visit cap {cap} hit at depth 1"
         monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 4)
-        v = covered(Pred("p", (a,)), prog.clauses[0], suite)
+        v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)))
         assert v.is_verified and v.witness["instance"] == "p(a) :- q(a), !, q(a), q(a)."
         sp = AtomSet(atoms=(Pred("q", (a,)), Pred("p", (a,))))
         all_sp = replace(suite, s=sp, pre=sp, post=sp)
         for cap, status in ((2, "unknown"), (3, "verified")):  # condition 3 probes q(a), q(a)
             set_caps(monkeypatch, cap)
-            assert c_covered(Pred("p", (a,)), prog, all_sp, s_subset_post=True).status == status
+            assert _c_covered(atom, stage_context(prog, all_sp, (atom,)), True).status == status
         missing = AtomSet(atoms=(Pred("q", (b,)),))  # the first probe fails before any cap
         monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 1)
-        v = covered(Pred("p", (a,)), prog.clauses[0], replace(suite, s=missing))
+        v = _cover_verdict(atom, clause, theta,
+                           stage_context(clause, replace(suite, s=missing), (atom,)))
         assert v.is_refuted and v.witness["note"] == "no ground body instance in the set"
-
-    def test_non_ground_atom_raises(self):
-        prog = parse_program("p(Y) :- q(Y).")
-        s = AtomSet(atoms=(Pred("q", (a,)),))
-        suite = SpecSuite(s=s, pre=s, post=s, budget=Budget(depth=1))
-        with pytest.raises(ValueError, match="ground atoms, not p"):
-            covered(Pred("p", (Var("X"),)), prog.clauses[0], suite)
-        with pytest.raises(ValueError, match="ground atoms, not p"):
-            c_covered(Pred("p", (Var("X"),)), prog, suite, s_subset_post=True)
 
     def test_refuted_at_depth_d_never_verified_at_d_plus_1(self, monkeypatch):
         rng = random.Random(1)
@@ -802,8 +807,8 @@ FIXTURE_PAIRS = (
 
 
 def semi_complete_atom_by_atom(program, suite):
-    """``semi_complete``'s verdict, from one ``covered`` call per atom and
-    clause, each without a shared context."""
+    """``semi_complete``'s verdict, from one ``_cover_verdict`` call per atom
+    and clause, each with a context of its own."""
     try:
         atoms = enumerate_atoms(suite.s, resolve_alphabet(program, (), suite), suite.budget.depth,
                                 suite.resolver)
@@ -813,7 +818,8 @@ def semi_complete_atom_by_atom(program, suite):
     for a in atoms:
         verdict = None
         for _, clause in program.matching(a):
-            v = covered(a, clause, suite)
+            v = _cover_verdict(a, clause, match(clause.head, a),
+                               stage_context(clause, suite, (a,)))
             if v.is_verified:
                 verdict = Verdict.verified()
                 break
@@ -825,16 +831,17 @@ def semi_complete_atom_by_atom(program, suite):
 
 
 def c_coverage_atom_by_atom(program, suite):
-    """The c-coverage stage's verdict, from one ``c_covered`` call per atom,
-    each without a shared context.  The premise S subset-of post is checked
+    """The c-coverage stage's verdict, from one ``_c_covered`` call per atom,
+    each with a context of its own.  The premise S subset-of post is checked
     once, as the stage does, so that the reference stays linear in S."""
     try:
         atoms = enumerate_atoms(suite.s, resolve_alphabet(program, (), suite), suite.budget.depth,
                                 suite.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
-    premise = s_subset_post_check(program, suite).is_verified
-    per_atom = [(atom_text(a), c_covered(a, program, suite, s_subset_post=premise)) for a in atoms]
+    premise = _s_subset_post(stage_context(program, suite)).is_verified
+    per_atom = [(atom_text(a), _c_covered(a, stage_context(program, suite, (a,)), premise))
+                for a in atoms]
     return weakest([v for _, v in per_atom], tuple(per_atom))
 
 
@@ -847,8 +854,8 @@ class TestCoverContext:
         got = semi_complete(program, suite)
         want = semi_complete_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
-        ctx = _CheckContext(program, (), suite)
-        got = _s_coverage(program, suite, _s_subset_post(suite, ctx).is_verified, ctx)
+        ctx = stage_context(program, suite)
+        got = _s_coverage(ctx, _s_subset_post(ctx).is_verified)
         want = c_coverage_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
         return got, len(got.parts)
@@ -916,14 +923,14 @@ class TestPatternVariableNames:
             query = (clause.head,) + clause.body
             suite = at_depth(suite, 1, LIST_ALPHA)
             want_cs = cs_correct(prog, suite).to_json_obj()
-            want_q = well_asserted_query(query, prog, suite).to_json_obj()
+            want_q = _well_asserted_query(stage_context(prog, suite, query)).to_json_obj()
             for _ in range(5):
                 pre = rename_pattern_vars(suite.pre, rng, self.POOL)
                 post = rename_pattern_vars(suite.post, rng, self.POOL)
                 renamed = replace(suite, pre=pre, post=post)
                 got = cs_correct(prog, renamed)
                 assert got.to_json_obj() == want_cs, (prog, pre, post)
-                got = well_asserted_query(query, prog, renamed)
+                got = _well_asserted_query(stage_context(prog, renamed, query))
                 assert got.to_json_obj() == want_q, (query, pre, post)
                 statuses.add(got.status)
         assert statuses == {"verified", "refuted", "unknown"}, statuses
@@ -962,7 +969,7 @@ class TestDirectProbe:
         for _, prog, _, _ in random_list_cases(rng, 150):
             s = parse_spec("[S]\n" + "\n".join(rng.sample(LIST_SETS, rng.randint(1, 3)))).s
             for depth in (1, 2):
-                ctx = _CheckContext(Program(), (), at_depth(SpecSuite(s=s), depth, LIST_ALPHA))
+                ctx = stage_context(Program(), at_depth(SpecSuite(s=s), depth, LIST_ALPHA))
                 if depth == 2:
                     ctx.members(s)
                 atoms = list(ground_atoms(LIST_ALPHA, depth))
@@ -981,7 +988,7 @@ class TestDirectProbe:
                         n = sum(g is not CUT for g in body)
                         for cap in {1, n, n + 1, n + 2, 50_000}:
                             monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
-                            got = _covering_instance(a, clause, theta, s, ctx)
+                            got = _covering_instance(a, clause, theta, ctx)
                             counts[got[0]] += 1
                             if is_ground(body):
                                 counts["ground"] += 1
@@ -1011,10 +1018,10 @@ class TestClosedFormGeneralizations:
         suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 1)
 
         def stages():
-            ctx = _CheckContext(prog, (), suite)
-            premise = _s_subset_post(suite, ctx)
-            return [v.to_json_obj() for v in (premise, _cs_correct(prog, suite, ctx),
-                                              _s_coverage(prog, suite, premise.is_verified, ctx))]
+            ctx = stage_context(prog, suite)
+            premise = _s_subset_post(ctx)
+            return [v.to_json_obj() for v in (premise, _cs_correct(ctx),
+                                              _s_coverage(ctx, premise.is_verified))]
 
         got = stages()
         # every pattern walks the generalization lattice
@@ -1031,7 +1038,7 @@ class TestClosedFormGeneralizations:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where ground_list(Y), eq(X, Y).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = c_covered(a, prog, at_depth(suite, 1), s_subset_post=True)
+        v = _c_covered(a, stage_context(prog, at_depth(suite, 1), (a,)), True)
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
 
@@ -1042,7 +1049,7 @@ class TestClosedFormGeneralizations:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where eq(X, [1, 1, 1, 1, 1]).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = c_covered(a, prog, at_depth(suite, 1), s_subset_post=True)
+        v = _c_covered(a, stage_context(prog, at_depth(suite, 1), (a,)), True)
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
 
@@ -1109,8 +1116,7 @@ class TestQuerySlice:
                     search, answers = search_answers(prog, query, Budget(steps=2000))
                     if search.exact:
                         counts["searched"] += 1
-                        ctx = _CheckContext(prog, query, bounded)
-                        for _, inst in _s_true_instances(query, bounded.s, ctx):
+                        for _, inst in _s_true_instances(stage_context(prog, bounded, query)):
                             assert any(match(ans, inst) is not None for ans in answers), (
                                 context, inst)
         assert counts["closed"] > 150 and counts["fallback"] > 80, counts
@@ -1156,11 +1162,10 @@ class TestQuerySlice:
         monkeypatch.undo()
         long = cells(4000)
         assert _atom_size(long[0]) > cutcheck.verify.SLICE_CAP
-        ctx = _CheckContext(prog, long, suite)
-        assert _slice_coverage(prog, long, suite, True, ctx) is None
+        assert _slice_coverage(stage_context(prog, suite, long), True) is None
 
     def test_groundings_past_the_cap_build_none(self, monkeypatch):
-        """The slice's root search and ``query_transform`` give up before the
+        """The slice's root search and ``_query_transform`` give up before the
         first grounding when the product passes the instance cap."""
         built = []
 
@@ -1173,16 +1178,16 @@ class TestQuerySlice:
         monkeypatch.setattr(cutcheck.verify, "_groundings", counted)
         prog, suite, _ = setup_example("append.pl", "append.spec")  # 1,446 terms at depth 3
         with pytest.raises(CapHit, match="^instance cap 50000 hit at depth 3$"):
-            query_transform(parse_query("app(X, Y, [1]), !"), prog, suite)
+            _query_transform(stage_context(prog, suite, parse_query("app(X, Y, [1]), !")))
         assert built == []
         prog, suite, _ = setup_example("in.pl", "in.spec", depth=1)
         query = parse_query("in([X], [Y])")
-        ctx = _CheckContext(prog, query, suite)
+        ctx = stage_context(prog, suite, query)
         product = len(ground_terms(ctx.alphabet, 1)) ** 2  # 12 terms at depth 1
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product - 1)
-        assert _slice_coverage(prog, query, suite, True, ctx) is None and built == []
+        assert _slice_coverage(ctx, True) is None and built == []
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product)
-        assert _slice_coverage(prog, query, suite, True, ctx) is not None
+        assert _slice_coverage(ctx, True) is not None
         assert len(built) == product == 144
 
 
@@ -1233,8 +1238,8 @@ class TestMemoScope:
         # differ, but keeps the ground terms: its alphabet adds only a predicate
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
         query = parse_query("p(X, Z), !")
-        extra, query2, suite2 = query_transform(query, prog, suite)
-        transformed = resolve_alphabet(Program(prog.clauses + tuple(extra)), query2, suite2)
+        ctx = _query_transform(stage_context(prog, suite, query))
+        transformed = resolve_alphabet(ctx.program, ctx.query, ctx.suite)
         assert transformed.functors == resolve_alphabet(prog, query, suite).functors
         calls = self.record(monkeypatch)
         completeness_check(prog, query, suite)
@@ -1257,7 +1262,7 @@ class TestMemoScope:
     def test_the_query_stage_shares_the_context(self, monkeypatch):
         prog, suite, _ = setup_example("notp.pl", "notp.spec", depth=1)
         query = parse_query("notp(X)")
-        want = well_asserted_query(query, prog, suite)
+        want = _well_asserted_query(stage_context(prog, suite, query))
         calls = self.record(monkeypatch)
         report = completeness_check(prog, query, suite)
         stage = dict(report.verdict.parts)["query well-asserted"]
