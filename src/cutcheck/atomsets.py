@@ -584,7 +584,28 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
     out.update(dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth))
     for p in s.patterns:
         out.update(dict.fromkeys(_enumerate_pattern(p, pool, resolver, cap, counter)))
-    return sorted(out, key=atom_key)
+    return _sorted_atoms(out)
+
+
+def _sorted_atoms(atoms) -> list:
+    """``sorted(atoms, key=atom_key)``, compared by small integers.
+
+    The distinct argument objects of the atoms are sorted once by
+    ``term_key`` and numbered in that order, equal terms sharing a number
+    (pool terms are one object each, and a listed atom keeps its own), so
+    an atom's key is its name, its arity and the numbers of its arguments:
+    a tuple of integers, which compares without descending into nested
+    term keys."""
+    args = {id(t): t for a in atoms for t in a.args}
+    ranks: dict = {}
+    rank, last = -1, None
+    for t in sorted(args.values(), key=term_key):
+        key = term_key(t)
+        if key != last:
+            rank, last = rank + 1, key
+        ranks[id(t)] = rank
+    rank_of = ranks.__getitem__
+    return sorted(atoms, key=lambda a: (a.name, len(a.args), tuple(map(rank_of, map(id, a.args)))))
 
 
 def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:

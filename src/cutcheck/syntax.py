@@ -294,7 +294,7 @@ def _name_text(name: str) -> str:
 
 
 def term_text(t) -> str:
-    return _text("", (t,), "")
+    return _text((t,))
 
 
 def atom_text(a, texts: Optional[dict] = None) -> str:
@@ -302,7 +302,7 @@ def atom_text(a, texts: Optional[dict] = None) -> str:
     their texts: an argument found there is not rendered again, and a ground
     argument rendered is stored there."""
     if texts is None or a is CUT or not a.args:
-        return _text("", (a,), "")
+        return _text((a,))
     pieces = []
     for t in a.args:
         if t.__class__ is Compound and t.ground:
@@ -317,40 +317,56 @@ def atom_text(a, texts: Optional[dict] = None) -> str:
 
 _COMMA, _BAR, _CLOSE_LIST, _CLOSE_ARGS = (", ",), (" | ",), ("]",), (")",)
 _EMPTY = MappingProxyType({})  # no bindings, or no memo of ground texts
+_UNBOUND = _EMPTY.get  # the lookup of no bindings
 
 
-def _text(opening: str, items, closing: str, bindings=_EMPTY, known=_EMPTY) -> str:
-    """``opening``, the texts of ``items`` separated by ", ", then ``closing``.
+def _separated(items) -> list:
+    """``items`` with a ", " piece between each two, in the order a stack pops them."""
+    pieces = [_COMMA] * (2 * len(items) - 1)
+    pieces[::2] = items
+    return pieces[::-1]
 
-    ``items`` are terms, atoms or ``!``, each printed under ``bindings``, a
-    triangular binding map read as ``resolve`` reads it: a bound variable is
-    printed as its binding, and no resolved term is built.  A chain of
-    variables bound to variables is followed once per call (``_chain_end``),
-    and a compound reached through a variable is printed once per call: a
-    mark on the stack records where its text ends, and a later variable
-    bound to it copies that text.  ``known`` maps the ids of ground
-    compounds that outlive the call to their texts (None: not printed yet);
-    such a compound is printed once, then copied.
+
+def _text(items) -> str:
+    """The texts of ``items``, separated by ", ", under no bindings."""
+    out: list = []
+    _write(out, items, _UNBOUND, _EMPTY, {}, {}, None, None)
+    return "".join(out)
+
+
+def _write(out: list, items, get, known, names: dict, opens: dict, ends, bound_texts) -> None:
+    """Append to ``out`` the texts of ``items``, separated by ", ".
+
+    ``items`` are terms, atoms or ``!``, each printed under a triangular
+    binding map read as ``resolve`` reads it, ``get`` being its lookup: a
+    bound variable is printed as its binding, and no resolved term is built.
+
+    Four memos save work; the first three read no binding, so a caller may
+    keep them across calls.  ``known`` maps the ids of ground compounds that
+    outlive the call to their texts (None: not printed yet); such a compound
+    is printed once, then copied.  ``names`` maps a constant's functor to
+    its text, and ``opens`` the functor of a compound or an atom to the text
+    that opens its arguments.  ``ends`` and ``bound_texts`` read the
+    bindings and must not outlive them: a chain of variables bound to
+    variables is followed once (``_chain_end``), and a compound reached
+    through a variable is printed once: a mark on the stack records where
+    its text ends in ``out``, and a later variable bound to it copies that
+    text.  Under no bindings the last two are not read, and may be None.
 
     The walk keeps its own stack and writes each piece once, so a term of
-    any depth is fine and costs time linear in its text.  On the stack, a
-    piece of text is a one-element tuple and a mark a list, which no term
-    is; anything else that is not a term raises TypeError."""
-    out = [opening]
+    any depth is fine and costs time linear in its text.  The leading items
+    of a list that resolve to an unbound variable, a constant or a compound
+    of ``known`` are written straight away.  On the stack, a piece of text
+    is a one-element tuple and a mark a list, which no term is; anything
+    else that is not a term raises TypeError."""
     write = out.append
-    todo = [(closing,)]  # what is still to write, next last
+    todo: list = []  # what is still to write, next last
     pop = todo.pop
-    get = bindings.get
-    ends: dict = {}  # variable bound to a variable -> where its chain ends
-    names: dict = {}  # constant's functor -> its text
-    bound_texts: dict = {}  # id of a compound a variable is bound to -> its text, or its span in out
     while True:
         if len(items) == 1:
             todo.append(items[0])
         else:
-            pieces = [_COMMA] * (2 * len(items) - 1)
-            pieces[::2] = items
-            todo += pieces[::-1]
+            todo += _separated(items)
         while todo:  # write up to the next compound or atom with arguments
             x = pop()
             cls = x.__class__
@@ -377,50 +393,90 @@ def _text(opening: str, items, closing: str, bindings=_EMPTY, known=_EMPTY) -> s
                     write(x.name)
                     continue
             if cls is Compound:
-                if not x.args:
-                    text = names.get(x.functor)
-                    if text is None:
-                        text = names[x.functor] = "[]" if x.functor == "[]" else _name_text(x.functor)
-                    write(text)
-                    continue
-                if x.ground and id(x) in known:
-                    text = known[id(x)]
-                    if text is None:
-                        text = known[id(x)] = _text("", (x,), "")
-                    write(text)
+                if not x.args or (x.ground and id(x) in known):
+                    write(_leaf_text(x, known, names, opens))
                     continue
                 if x.functor == "." and len(x.args) == 2:
-                    items = []
+                    texts = []  # the texts of the leading items that need no stack
+                    rest = None  # the items from the first one that does
                     while True:
-                        items.append(x.args[0])
-                        x = x.args[1]
+                        item, x = x.args
+                        if rest is None:
+                            value = item
+                            if value.__class__ is Var:
+                                value = get(item.name)
+                                if value is None:
+                                    value = item
+                                elif value.__class__ is Var:
+                                    value = _chain_end(item.name, value, get, ends)
+                            text = (value.__class__ is Compound and not value.args and names.get(value.functor)
+                                    or _leaf_text(value, known, names, opens))
+                            if text is None:
+                                rest = [item]
+                            else:
+                                texts.append(text)
+                        else:
+                            rest.append(item)
                         if x.__class__ is Var:
                             value = get(x.name)
                             if value is not None:
                                 x = value if value.__class__ is not Var else _chain_end(x.name, value, get, ends)
                         if x.__class__ is not Compound or x.functor != "." or len(x.args) != 2:
                             break
-                    write("[")
+                    write("[" + ", ".join(texts))
                     todo.append(_CLOSE_LIST)
                     if x.__class__ is not Compound or x.functor != "[]" or x.args:
                         todo += (x, _BAR)  # an improper list: its tail follows a |
+                    if rest is None:
+                        continue
+                    if texts:
+                        write(", ")
+                    items = rest
                     break
-                write(_name_text(x.functor) + "(")
+                name = x.functor
             elif cls is Pred:
                 if not x.args:
                     write(_name_text(x.name))
                     continue
-                write(_name_text(x.name) + "(")
+                name = x.name
             elif x is CUT:
                 write("!")
                 continue
             else:
                 raise TypeError(f"cannot print {x!r} as a term")
+            text = opens.get(name)
+            if text is None:
+                text = opens[name] = _name_text(name) + "("
+            write(text)
             items = x.args
             todo.append(_CLOSE_ARGS)
             break
         else:
-            return "".join(out)
+            return
+
+
+def _leaf_text(t, known, names: dict, opens: dict) -> Optional[str]:
+    """The text of ``t`` when it needs no stack: ``t`` is an unbound
+    variable, a constant or a ground compound of ``known``; else None.
+    The memos are ``_write``'s."""
+    cls = t.__class__
+    if cls is Var:
+        return t.name
+    if cls is not Compound:
+        return None
+    if not t.args:
+        text = names.get(t.functor)
+        if text is None:
+            text = names[t.functor] = "[]" if t.functor == "[]" else _name_text(t.functor)
+        return text
+    if not t.ground or id(t) not in known:
+        return None
+    text = known[id(t)]
+    if text is None:
+        out: list = []
+        _write(out, (t,), _UNBOUND, _EMPTY, names, opens, None, None)
+        text = known[id(t)] = "".join(out)
+    return text
 
 
 def _chain_end(name: str, value: Var, get, ends: dict):
@@ -451,30 +507,96 @@ def _chain_end(name: str, value: Var, get, ends: dict):
     return end
 
 
+class _AnswerPrinter:
+    """The printer ``answer_printer`` returns; see there."""
+
+    def __init__(self, query: tuple):
+        self.query = query  # the printer holds the terms whose ids ``known`` keys
+        self.names: dict = {}
+        self.opens: dict = {}
+        known = self.known = {}
+        stack = [t for a in query if a is not CUT for t in a.args]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is Compound and t.args and id(t) not in known:
+                if t.ground:
+                    known[id(t)] = None
+                stack += t.args
+        # the template: constant texts and slots, in order; no two texts are adjacent
+        template: list = []
+        pieces: list = []  # the constant text since the last slot
+        todo = _separated(query)
+        while todo:
+            x = todo.pop()
+            if x.__class__ is tuple:
+                pieces.append(x[0])
+            elif x.__class__ is Var or (x.__class__ is Compound and not x.ground
+                                         and x.functor == "." and len(x.args) == 2):
+                # a slot: a variable, or a list that holds one, whose tail may be bound to more items
+                template += ("".join(pieces), x)
+                pieces = []
+            elif x is CUT or not x.args or x.__class__ is Compound and x.ground:
+                _write(pieces, (x,), _UNBOUND, known, self.names, self.opens, None, None)
+            else:  # a non-ground compound that is not a list, or an atom with arguments
+                name = x.functor if x.__class__ is Compound else x.name
+                pieces.append(self.opens.get(name) or self.opens.setdefault(name, _name_text(name) + "("))
+                todo.append(_CLOSE_ARGS)
+                todo += _separated(x.args)
+        template.append("".join(pieces))
+        self.template = tuple(template)
+
+    def __call__(self, store) -> str:
+        get = store.get
+        known, names, opens = self.known, self.names, self.opens
+        out: list = []
+        write = out.append
+        ends: dict = {}
+        bound_texts: dict = {}
+        slots: dict = {}  # variable slot's name -> its text, or its span in out
+        for piece in self.template:
+            cls = piece.__class__
+            if cls is str:
+                write(piece)
+            elif cls is Var:
+                name = piece.name
+                text = slots.get(name)
+                if text is not None:
+                    if text.__class__ is tuple:
+                        text = slots[name] = "".join(out[text[0]:text[1]])
+                    write(text)
+                    continue
+                start = len(out)
+                _write(out, (piece,), get, known, names, opens, ends, bound_texts)
+                slots[name] = (start, len(out))
+            else:
+                _write(out, (piece,), get, known, names, opens, ends, bound_texts)
+        return "".join(out)
+
+
 def answer_printer(query: tuple):
     """The printer of ``query``'s answers: a function from a triangular
     binding store to the text ``query_text(resolve(store, query))``, written
     from the store without building the resolved query.
 
+    The query is compiled once into a template of constant texts and slots.
+    A slot is a variable, or a list that holds one, since a list's text
+    depends on its tail; the predicate names, the punctuation and the text
+    of every ground subterm are constant.  An answer fills the slots from
+    the store, a variable met again copying its first text.
+
     Resolution copies no ground term, so a store binds variables to the
     query's own ground subterms; the printer prints each of them once for
-    all answers, keyed by identity.  Its memo holds the ids of terms the
-    query holds, so it keeps no term alive and grows with the query, not
-    with the answers."""
-    known: dict = {}
-    stack = [t for a in query if a is not CUT for t in a.args]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Compound and t.args and id(t) not in known:
-            if t.ground:
-                known[id(t)] = None
-            stack += t.args
-    return lambda store: _text("", query, "", store, known)
+    all answers, keyed by identity.  That memo, and the texts of functors,
+    read no binding and live as long as the printer; what reads the store
+    lives for one answer.  The printer holds the query, so the ids stay
+    those of its terms, and its memos grow with the query and the functors
+    met, not with the answers."""
+    return _AnswerPrinter(query)
 
 
 def query_text(q: tuple, texts: Optional[dict] = None) -> str:
     if texts is None:
-        return _text("", q, "")
+        return _text(q)
     return ", ".join(atom_text(a, texts) for a in q)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import is_
 from typing import Optional, Union
 
@@ -149,6 +148,29 @@ class Pred:
         return f"{self.name}/{len(self.args)}"
 
 
+class _first_use:
+    """A property worked out on first use and kept in the instance's dict,
+    so that later reads find it there and never call the descriptor.
+
+    ``functools.cached_property`` does the same, but on Python 3.10 and 3.11
+    it takes a lock on every first use, and a search reaches most clauses
+    once; 3.12 dropped the lock.  Two threads that meet an unset value both
+    work it out, and get equal values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Clause:
     """An ordered definite clause; the body may contain cut, the head may not."""
@@ -156,12 +178,12 @@ class Clause:
     head: Pred
     body: tuple = ()
 
-    @cached_property
+    @_first_use
     def var_names(self) -> tuple:
         """Its variable names in first-occurrence order, worked out on first use."""
         return tuple(vars_of(self))
 
-    @cached_property
+    @_first_use
     def head_linear(self) -> frozenset:
         """The names of the variables that occur exactly once in its head,
         worked out on first use: a resolution step binds such a variable at
@@ -881,7 +903,12 @@ def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
 def ground_atoms(alphabet: Alphabet, depth: int, terms: Optional[tuple] = None) -> tuple:
     """All ground atoms with argument depth <= depth, sorted; their arguments
     are drawn from ``terms`` when given, which must be ``ground_terms`` of
-    the alphabet and depth."""
+    the alphabet and depth.
+
+    The atoms are built in ``atom_key`` order, so none is compared: the
+    predicates are sorted by name and arity, ``terms`` by ``term_key``, with
+    no two keys equal, and ``itertools.product`` yields the argument tuples
+    in the lexicographic order of their positions in ``terms``."""
     if terms is None:
         terms = ground_terms(alphabet, depth) if any(k for _, k in alphabet.predicates) else ()
     out = []
@@ -891,7 +918,7 @@ def ground_atoms(alphabet: Alphabet, depth: int, terms: Optional[tuple] = None) 
         else:
             for args in itertools.product(terms, repeat=k):
                 out.append(Pred(name, args))
-    return tuple(sorted(out, key=atom_key))
+    return tuple(out)
 
 
 def most_general_atom(name: str, arity: int) -> Pred:

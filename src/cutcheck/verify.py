@@ -464,6 +464,8 @@ def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbi
         if theta is not None:
             out.append((compose(sigma, theta), facts))
     for p in s.patterns:
+        if (p.template.name, len(p.template.args)) != (at.name, len(at.args)):
+            continue
         variant_pattern = _rename_pattern(p, forbidden, fresh)
         theta = unify(at, variant_pattern.template)
         if theta is None:

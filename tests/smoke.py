@@ -180,6 +180,7 @@ def rows() -> list:
                            "--spec", "fixtures/append.spec")
     appmem = (("appmem.pl", bench_module("workloads").APPMEM_PROGRAM),)
     split = "app(X, Y, [" + ", ".join(["b"] * 299 + ["a"]) + "]), mem(a, X)"
+    prefixes = "app(X, Y, [" + ", ".join(["a"] * 200) + "]), mem(a, X)"
     scope = (("scope.pl", SCOPE_PROGRAM),)
     deep = (("deep.pl", DEEP_PROGRAM),)
     quoted = (("q.pl", QUOTED_PROGRAM), ("q.spec", QUOTED_SPEC))
@@ -245,6 +246,13 @@ def rows() -> list:
         Row("Resolution smoke: run", cli("run", "appmem.pl", split), files=appmem),
         Row("Resolution smoke: oracle", cli("oracle", "appmem.pl", split), files=appmem,
             check=same_stdout_as("Resolution smoke: run")),
+        # 20,100 answers, one per a of each prefix of a 200-cell list, each printing the prefix
+        # twice and the rest of the list: about 2.4 s each on a 2-vCPU x86 host, 3.3-3.5 s when
+        # each answer re-walked the whole query
+        Row("Answer-text smoke: run", cli("run", "appmem.pl", prefixes), files=appmem,
+            rss_mb=150, check=answer_count(20100)),
+        Row("Answer-text smoke: oracle", cli("oracle", "appmem.pl", prefixes), files=appmem,
+            rss_mb=150, check=same_stdout_as("Answer-text smoke: run")),
         # 300 nested calls of c, each bringing in its own cut
         Row("Cut-scope smoke: run", cli("run", "scope.pl", SCOPE_QUERY), files=scope, timeout=30,
             check=answer_count(4)),

@@ -14,6 +14,7 @@ from cutcheck.atomsets import (
     Guard,
     TermPool,
     _enumerate_pattern,
+    _sorted_atoms,
     contains,
     enumerate_atoms,
 )
@@ -173,6 +174,35 @@ def test_union_is_the_union_of_its_parts():
             assert got == sorted(set(parts[0]) | set(parts[1]), key=atom_key), (x, y)
             enumerated += 1
     assert enumerated >= 20
+
+
+def test_atoms_are_in_atom_key_order():
+    """``enumerate_atoms`` sorts by the ranks of argument objects and
+    ``ground_atoms`` sorts nothing, building its atoms in order: on seeded
+    sets, and on shuffled atoms whose equal arguments are distinct objects,
+    some of them variables or terms of no pool, each order is
+    ``atom_key``'s."""
+    rng = random.Random(1131)
+    enumerated = 0
+    for _ in range(40):
+        depth = rng.randint(1, 3)
+        alphabet = Alphabet(ALPHABETS[depth], PREDICATES)
+        try:
+            got = enumerate_atoms(random_set(rng, depth), alphabet, depth, RESOLVER, CAP)
+        except AtomSetTooLarge:
+            continue
+        assert got == sorted(got, key=atom_key)
+        enumerated += 1
+        atoms = [Pred(rng.choice("pq"), tuple(rng.choice(
+            (one, two, Compound("1"), make_list([one]), make_list([Compound("1")]), Var("X"),
+             Compound("s", (Var("Y"),)), make_list([two, one])))
+            for _ in range(rng.randint(0, 2)))) for _ in range(60)] + got[:40]
+        rng.shuffle(atoms)
+        assert _sorted_atoms(atoms) == sorted(atoms, key=atom_key)
+    assert enumerated >= 30
+    for depth, functors in ALPHABETS.items():
+        atoms = ground_atoms(Alphabet(functors, PREDICATES + (("s", 0),)), depth)
+        assert list(atoms) == sorted(atoms, key=atom_key) and len(atoms) > 100
 
 
 def test_restricted_universal_holds_the_predicate_outside_the_alphabet():

@@ -197,6 +197,24 @@ class TestWellAsserted:
         v = self.branch_capped("q(X), q(Y), q(Z)")
         assert v.is_unknown and v.reason == "branch cap 512 hit"
 
+    def test_only_a_pattern_of_the_atoms_predicate_is_renamed(self, monkeypatch):
+        """A membership branch renames a pattern only when its template has
+        the atom's name and arity, as the listed atoms are filtered: on
+        in.pl's clauses, 4 renamings over in.spec's pre and post, against 8
+        when every pattern of the set was renamed before unification
+        rejected it."""
+        renamed = []
+        real = cutcheck.verify._rename_pattern
+
+        def counted(p, forbidden, fresh):
+            renamed.append(p.template.name)
+            return real(p, forbidden, fresh)
+
+        monkeypatch.setattr(cutcheck.verify, "_rename_pattern", counted)
+        prog, suite, _ = setup_example("in.pl", "in.spec", depth=2)
+        assert cs_correct(prog, suite).is_verified
+        assert sorted(renamed) == ["in", "in", "m", "m"]
+
     def test_query_well_asserted_uses_fresh_predicate(self):
         prog = parse_program("p(a).")
         pre = AtomSet(patterns=(AtomPattern(Pred("p", (Var("X"),)), ()),))
