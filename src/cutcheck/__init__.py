@@ -9,7 +9,6 @@ from .terms import (
     Pred,
     Var,
     apply,
-    compose,
     make_list,
     match,
     rename_apart,
@@ -79,7 +78,6 @@ __all__ = [
     "apply",
     "build_tree",
     "completeness_check",
-    "compose",
     "contains",
     "correct_check",
     "cs_correct",

@@ -265,7 +265,7 @@ def possibly_contains(s: AtomSet, a: Pred, resolver=None) -> bool:
         return True
     for p in s.patterns:
         t = rename_apart(p.template, vars_of(a))
-        if isinstance(t, Pred) and unify(t, a) is not None:
+        if unify(t, a) is not None:
             return True
     return False
 

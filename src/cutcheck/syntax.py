@@ -330,11 +330,11 @@ def _separated(items) -> list:
 def _text(items) -> str:
     """The texts of ``items``, separated by ", ", under no bindings."""
     out: list = []
-    _write(out, items, _UNBOUND, _EMPTY, {}, {}, None, None)
+    _write(out, items, _UNBOUND, _EMPTY, {}, {}, None)
     return "".join(out)
 
 
-def _write(out: list, items, get, known, names: dict, opens: dict, ends, bound_texts) -> None:
+def _write(out: list, items, get, known, names: dict, opens: dict, ends) -> None:
     """Append to ``out`` the texts of ``items``, separated by ", ".
 
     ``items`` are terms, atoms or ``!``, each printed under a triangular
@@ -346,19 +346,16 @@ def _write(out: list, items, get, known, names: dict, opens: dict, ends, bound_t
     outlive the call to their texts (None: not printed yet); such a compound
     is printed once, then copied.  ``names`` maps a constant's functor to
     its text, and ``opens`` the functor of a compound or an atom to the text
-    that opens its arguments.  ``ends`` and ``bound_texts`` read the
-    bindings and must not outlive them: a chain of variables bound to
-    variables is followed once (``_chain_end``), and a compound reached
-    through a variable is printed once: a mark on the stack records where
-    its text ends in ``out``, and a later variable bound to it copies that
-    text.  Under no bindings the last two are not read, and may be None.
+    that opens its arguments.  ``ends`` reads the bindings and must not
+    outlive them: a chain of variables bound to variables is followed once
+    (``_chain_end``).  Under no bindings it is not read, and may be None.
 
     The walk keeps its own stack and writes each piece once, so a term of
     any depth is fine and costs time linear in its text.  The leading items
     of a list that resolve to an unbound variable, a constant or a compound
-    of ``known`` are written straight away.  On the stack, a piece of text
-    is a one-element tuple and a mark a list, which no term is; anything
-    else that is not a term raises TypeError."""
+    of ``known`` are written straight away.  The stack holds pieces of text,
+    each a one-element tuple, which no term is, and the terms, atoms and
+    ``!`` still to print; anything else raises TypeError."""
     write = out.append
     todo: list = []  # what is still to write, next last
     pop = todo.pop
@@ -373,22 +370,11 @@ def _write(out: list, items, get, known, names: dict, opens: dict, ends, bound_t
             if cls is tuple:
                 write(x[0])
                 continue
-            if cls is list:  # the mark after a bound compound's text: [its id, where the text starts]
-                bound_texts[x[0]] = (x[1], len(out))
-                continue
             if cls is Var:
                 value = get(x.name)
                 if value is not None:
                     x = value if value.__class__ is not Var else _chain_end(x.name, value, get, ends)
                     cls = x.__class__
-                    if cls is Compound and x.args and not (x.ground and id(x) in known):
-                        text = bound_texts.get(id(x))
-                        if text is not None:
-                            if text.__class__ is tuple:
-                                text = bound_texts[id(x)] = "".join(out[text[0]:text[1]])
-                            write(text)
-                            continue
-                        todo.append([id(x), len(out)])
                 if cls is Var:
                     write(x.name)
                     continue
@@ -474,7 +460,7 @@ def _leaf_text(t, known, names: dict, opens: dict) -> Optional[str]:
     text = known[id(t)]
     if text is None:
         out: list = []
-        _write(out, (t,), _UNBOUND, _EMPTY, names, opens, None, None)
+        _write(out, (t,), _UNBOUND, _EMPTY, names, opens, None)
         text = known[id(t)] = "".join(out)
     return text
 
@@ -536,7 +522,7 @@ class _AnswerPrinter:
                 template += ("".join(pieces), x)
                 pieces = []
             elif x is CUT or not x.args or x.__class__ is Compound and x.ground:
-                _write(pieces, (x,), _UNBOUND, known, self.names, self.opens, None, None)
+                _write(pieces, (x,), _UNBOUND, known, self.names, self.opens, None)
             else:  # a non-ground compound that is not a list, or an atom with arguments
                 name = x.functor if x.__class__ is Compound else x.name
                 pieces.append(self.opens.get(name) or self.opens.setdefault(name, _name_text(name) + "("))
@@ -551,7 +537,6 @@ class _AnswerPrinter:
         out: list = []
         write = out.append
         ends: dict = {}
-        bound_texts: dict = {}
         slots: dict = {}  # variable slot's name -> its text, or its span in out
         for piece in self.template:
             cls = piece.__class__
@@ -566,10 +551,10 @@ class _AnswerPrinter:
                     write(text)
                     continue
                 start = len(out)
-                _write(out, (piece,), get, known, names, opens, ends, bound_texts)
+                _write(out, (piece,), get, known, names, opens, ends)
                 slots[name] = (start, len(out))
             else:
-                _write(out, (piece,), get, known, names, opens, ends, bound_texts)
+                _write(out, (piece,), get, known, names, opens, ends)
         return "".join(out)
 
 

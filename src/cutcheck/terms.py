@@ -7,9 +7,11 @@ compounds).  Atoms are predicate applications plus the special control atom
 A substitution is a plain ``dict`` from variable name to term.  It has two
 readers: ``apply`` reads it as simultaneous (each variable is replaced by its
 binding as is), and ``resolve`` as triangular (a binding may hold bound
-variables, resolved in turn).  ``unify``, ``match`` and ``compose`` return
-such dicts; a binding of a variable to itself changes nothing under either
-reader.
+variables, resolved in turn).  A map made once, such as a renaming or the
+result of ``unify`` or ``match``, is read by ``apply``; a map that a search
+extends, binding only variables it leaves free, grows by a dict merge and
+is read by ``resolve``.  ``match`` may bind a variable to itself, which
+``apply`` ignores and on which ``resolve`` never returns.
 
 There is one unification loop, ``_unify_pairs``.  ``unify`` runs it on two
 terms or atoms, and a resolution step (``engine.head_step``) on a goal and
@@ -363,20 +365,11 @@ def _substitute(t: Term, bindings: dict, memo: Optional[dict]) -> Term:
 
 
 def resolve(bindings: dict, e):
-    """Resolve a term, atom or query tuple through a triangular binding map
-    (variable name -> term that may hold bound variables, acyclic): the
-    result is ``e`` under the idempotent substitution the map stands for."""
+    """Resolve a term, atom, clause or query tuple through a triangular
+    binding map (variable name -> term that may hold bound variables,
+    acyclic): the result is ``e`` under the idempotent substitution the map
+    stands for."""
     return _substitute_in(e, bindings, {})
-
-
-def compose(s: dict, t: dict) -> dict:
-    """The substitution mapping each X to ``apply(t, apply(s, X))``, without
-    the bindings of a variable to itself."""
-    out = {k: apply(t, v) for k, v in s.items()}
-    for k, v in t.items():
-        if k not in out:
-            out[k] = v
-    return {k: v for k, v in out.items() if v.__class__ is not Var or v.name != k}
 
 
 # ---------------------------------------------------------------------------

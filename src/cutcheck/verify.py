@@ -50,7 +50,6 @@ from .terms import (
     Pred,
     Var,
     apply,
-    compose,
     is_ground,
     match,
     most_general_atom,
@@ -180,14 +179,14 @@ def _groundings(sigma: dict, names, ctx: _CheckContext, read=None):
     if not terms:
         return
     vary = names if read is None else [n for n in names if n in read]
-    first = dict.fromkeys(names, terms[0])
+    first = {**sigma, **dict.fromkeys(names, terms[0])}
     cap = INSTANCE_CAP
     for count, combo in enumerate(itertools.product(terms, repeat=len(vary)), 1):
         if count > cap:
             raise CapHit(f"instance cap {cap} hit at depth {ctx.depth}")
         theta = dict(first)
         theta.update(zip(vary, combo))
-        yield compose(sigma, theta) if sigma else theta
+        yield theta
 
 
 def _check_groundings(names, ctx: _CheckContext) -> None:
@@ -201,11 +200,12 @@ def _check_groundings(names, ctx: _CheckContext) -> None:
 class _CoverSearch:
     """Ground the non-cut atoms of a goal list inside an atom set.
 
-    Solutions are substitutions sigma with every instantiated atom ground and
-    a member of the set.  ``exhaustive`` stays True only when every candidate
-    source was complete: the listed atoms of a goal's predicate are, when the
-    set is not universal and has no pattern of that predicate; otherwise the
-    set is enumerated up to the depth bound.  Raises CapHit past
+    Solutions are triangular substitutions sigma, read with ``resolve``,
+    with every instantiated atom ground and a member of the set.
+    ``exhaustive`` stays True only when every candidate source was
+    complete: the listed atoms of a goal's predicate are, when the set is
+    not universal and has no pattern of that predicate; otherwise the set is
+    enumerated up to the depth bound.  Raises CapHit past
     ``VISIT_CAP`` visits, or when a candidate enumeration passes
     ``VISIT_CAP``.
     """
@@ -243,7 +243,7 @@ class _CoverSearch:
             if i == len(goals):
                 yield sigma
                 return
-            atom = apply(sigma, goals[i])
+            atom = resolve(sigma, goals[i])
             if not is_ground(atom):
                 break
             if not self.ctx.in_set(self.s, atom):
@@ -253,7 +253,7 @@ class _CoverSearch:
             theta = unify(atom, cand)
             if theta is None:
                 continue
-            yield from self.solutions(goals[i + 1:], compose(sigma, theta))
+            yield from self.solutions(goals[i + 1:], {**sigma, **theta})
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
     search = _CoverSearch(s, ctx)
     try:
         for sol in search.solutions(body, {}):
-            instance = Clause(a, apply(sol, body))
+            instance = Clause(a, resolve(sol, body))
             if is_ground(instance):
                 return "verified", instance
     except CapHit as exc:
@@ -379,7 +379,7 @@ def _correct_check(ctx: _CheckContext) -> Verdict:
         try:
             for sol in search.solutions(clause.body, {}):
                 for full in _groundings(sol, vars_of(clause), ctx, read):
-                    head = apply(full, clause.head)
+                    head = resolve(full, clause.head)
                     if not is_ground(head):
                         bounded = True
                         continue
@@ -387,12 +387,12 @@ def _correct_check(ctx: _CheckContext) -> Verdict:
                         return Verdict.refuted(
                             {
                                 "clause": clause_text(clause),
-                                "instance": clause_text(apply(full, clause)),
+                                "instance": clause_text(resolve(full, clause)),
                                 "head": atom_text(head),
                             },
                             "ground instance with true body but false head",
                         )
-                if vars_of(apply(sol, clause.head)):
+                if vars_of(resolve(sol, clause.head)):
                     bounded = True
         except CapHit as exc:
             capped = str(exc)  # later clauses can still refute
@@ -422,7 +422,7 @@ def _guard_facts(guard: Guard, env: dict, facts: dict, resolver):
     and one that reads a named set (``notin``) tells nothing.
     """
     kind = GUARDS[guard.name]
-    args = [apply(env, a) for a in guard.terms]
+    args = [resolve(env, a) for a in guard.terms]
     if kind.facts:
         if "ground" in kind.facts:
             for v in vars_of(args[0]):
@@ -438,7 +438,7 @@ def _guard_facts(guard: Guard, env: dict, facts: dict, resolver):
         return env
     if guard.name == "eq":  # the one guard whose facts are a unifier
         theta = unify(args[0], args[1])
-        return None if theta is None else compose(env, theta)
+        return None if theta is None else {**env, **theta}
     if ("set" not in kind.signature and all(is_ground(t) for t in args)
             and not kind.test(guard, args, None, resolver)):
         return None
@@ -455,14 +455,14 @@ def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbi
     far; it is extended with those of each variant used here, so a guard
     fact never lands on a clause variable not yet reached.
     """
-    at = apply(sigma, atom)
+    at = resolve(sigma, atom)
     out = [(sigma, facts)] if s.universal else []
     for m in s.atoms:
         if (m.name, len(m.args)) != (at.name, len(at.args)):
             continue
         theta = unify(at, m)
         if theta is not None:
-            out.append((compose(sigma, theta), facts))
+            out.append(({**sigma, **theta}, facts))
     for p in s.patterns:
         if (p.template.name, len(p.template.args)) != (at.name, len(at.args)):
             continue
@@ -477,7 +477,7 @@ def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbi
             if refined is None:
                 break
         else:
-            out.append((compose(sigma, refined), new_facts))
+            out.append(({**sigma, **refined}, new_facts))
     return out
 
 
@@ -497,10 +497,8 @@ def _rename_pattern(p: AtomPattern, forbidden: set, fresh: FreshNames) -> AtomPa
 
 
 def _entailed_member(atom, s, sigma: dict, facts: dict, resolver) -> bool:
-    if atom is CUT:
-        return True
     frozen = {k: frozenset(v) for k, v in facts.items()}
-    return contains(s, apply(sigma, atom), resolver, frozen)
+    return contains(s, resolve(sigma, atom), resolver, frozen)
 
 
 def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
@@ -518,7 +516,7 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
     prefix = clause.body[:k] if k is not None else clause.body
     thetas = (unify(clause.head, h) for h in heads)
     instances = (
-        apply(full, clause)
+        resolve(full, clause)
         for theta in thetas
         if theta is not None
         for full in _groundings(theta, vars_of(clause), ctx)
@@ -675,7 +673,7 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Ver
         target = apply(theta, variant)
         search = _CoverSearch(ctx.suite.post, ctx)
         instances = (
-            apply(full, target)
+            resolve(full, target)
             for sol in search.solutions(target.body, theta)
             for full in _groundings(sol, vars_of(target), ctx)
         )
@@ -749,14 +747,15 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _Chec
         if not search.exhaustive:
             unknown = unknown or f"eta enumeration exhausted depth {ctx.depth}"
         for eta in etas:
-            reduced = Clause(apply(eta, head_r), apply(eta, b1r))
+            reduced = Clause(resolve(eta, head_r), resolve(eta, b1r))
             status, found = _covering_instance(a, reduced, match(reduced.head, a), ctx)
             if status == "refuted":
                 return Verdict.refuted(
                     {
                         "atom": ctx.atom_text(a),
                         "clause": info.text,
-                        "eta": subst_text({v: eta[v] for v in vars_of(b0r) if v in eta}),
+                        "eta": subst_text({v: resolve(eta, Var(v))
+                                           for v in vars_of(b0r) if v in eta}),
                         "reduced_clause": clause_text(reduced),
                     },
                     "after the cut fires, the remaining clause no longer covers the atom",
@@ -1063,7 +1062,7 @@ def _s_true_instances(ctx: _CheckContext):
     CapHit past ``INSTANCE_CAP`` groundings."""
     query, s, resolver = ctx.query, ctx.suite.s, ctx.resolver
     for theta in _groundings({}, vars_of(query), ctx):
-        inst = apply(theta, query)
+        inst = resolve(theta, query)
         if all(x is CUT or contains(s, x, resolver) for x in inst):
             yield theta, inst
 
@@ -1084,7 +1083,7 @@ def _query_transform(ctx: _CheckContext) -> _CheckContext:
     _check_groundings(vars_of(query), ctx)  # every grounding is tested: fail before the first
     name = _fresh_pred_name(program, query, suite.s, suite.pre, suite.post)
     head = Pred(name, tuple(Var(v) for v in vars_of(query)))
-    ext = [apply(theta, head) for theta, _ in _s_true_instances(ctx)]
+    ext = [resolve(theta, head) for theta, _ in _s_true_instances(ctx)]
     marker = AtomSet(patterns=(AtomPattern(most_general_atom(name, len(head.args)), ()),))
     suite2 = replace(
         suite,
@@ -1155,7 +1154,7 @@ def _level_decrease(s, ctx: _CheckContext, violation: str) -> Verdict:
             read |= level_reads(b, level_maps) | membership_reads(s, b)
         try:
             for theta in _groundings({}, vars_of(clause), ctx, read):
-                instance = apply(theta, clause)
+                instance = resolve(theta, clause)
                 h = level_of(instance.head, level_maps)
                 for i, b in enumerate(instance.body):
                     prefix = instance.body[:i]

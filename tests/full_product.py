@@ -9,7 +9,9 @@ cap, both must give the same status, witness and reason.  Each takes the
 program and the spec suite, as its counterpart does, and reads the suite
 by the same rule (alphabet, depth and resolver).  The ``cap`` argument
 bounds the groundings here; the cover search reads
-``cutcheck.verify.VISIT_CAP``, which a test sets to the same value.
+``cutcheck.verify.VISIT_CAP``, which a test sets to the same value.  The
+cover search's solutions are triangular maps: the groundings here extend
+them with ``naive_unify.naive_compose`` and are read with ``resolve``.
 
 ``CAP_HITS`` collects the message of every instance cap the full product
 reaches; a caller clears it before a run to learn whether the run finished.
@@ -23,9 +25,10 @@ import itertools
 from cutcheck.atomsets import UNIVERSAL, CapHit, contains
 from cutcheck.levels import level_of
 from cutcheck.syntax import atom_text, clause_text, resolve_alphabet
-from cutcheck.terms import CUT, apply, compose, ground_terms, is_ground, vars_of
+from cutcheck.terms import CUT, apply, ground_terms, is_ground, resolve, vars_of
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import _CheckContext, _CoverSearch
+from naive_unify import naive_compose
 
 CAP_HITS: list = []
 _ground_terms = functools.lru_cache(maxsize=None)(ground_terms)
@@ -42,7 +45,7 @@ def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
             CAP_HITS.append(f"instance cap {cap} hit at depth {depth}")
             raise CapHit(CAP_HITS[-1])
         theta = dict(zip(names, combo))
-        yield compose(sigma, theta) if sigma else theta
+        yield naive_compose(sigma, theta) if sigma else theta
 
 
 def full_correct_check(program, suite, cap) -> Verdict:
@@ -56,7 +59,7 @@ def full_correct_check(program, suite, cap) -> Verdict:
         try:
             for sol in search.solutions(clause.body, {}):
                 for full in full_groundings(sol, vars_of(clause), alphabet, depth, cap):
-                    head = apply(full, clause.head)
+                    head = resolve(full, clause.head)
                     if not is_ground(head):
                         bounded = True
                         continue
@@ -64,12 +67,12 @@ def full_correct_check(program, suite, cap) -> Verdict:
                         return Verdict.refuted(
                             {
                                 "clause": clause_text(clause),
-                                "instance": clause_text(apply(full, clause)),
+                                "instance": clause_text(resolve(full, clause)),
                                 "head": atom_text(head),
                             },
                             "ground instance with true body but false head",
                         )
-                if vars_of(apply(sol, clause.head)):
+                if vars_of(resolve(sol, clause.head)):
                     bounded = True
         except CapHit as exc:
             capped = str(exc)

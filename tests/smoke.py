@@ -63,6 +63,7 @@ SCOPE_PROGRAM = "c(0) :- a, !.\nc(s(N)) :- c(N), a, !.\na.\na.\nb(1).\nb(2).\nd(
 SCOPE_QUERY = "b(X), c(" + "s(" * 300 + "0" + ")" * 300 + "), d(Y)"
 # each step binds Y to a term that holds the next Y twice
 SHARED_PROGRAM = "q(g(g(b,Y),Y)) :- q(Y).\nr(f(g(b,X))) :- p(X).\n"
+SHARED_QUERY = "q(X), !, r(f(b)), r(f(X))"
 # the goal list of p(s(...s(z)...)) grows by one q/1 goal per step
 DEEP_PROGRAM = "p(z).\np(s(X)) :- p(X), q(X).\nq(X).\n"
 # a quoted name that holds a %, with a comment after the section header and after the entry
@@ -183,6 +184,7 @@ def rows() -> list:
     prefixes = "app(X, Y, [" + ", ".join(["a"] * 200) + "]), mem(a, X)"
     scope = (("scope.pl", SCOPE_PROGRAM),)
     deep = (("deep.pl", DEEP_PROGRAM),)
+    shared = (("shared.pl", SHARED_PROGRAM),)
     quoted = (("q.pl", QUOTED_PROGRAM), ("q.spec", QUOTED_SPEC))
     return [
         # site-packages off: fails if anything under src/ imports a third-party package
@@ -259,10 +261,12 @@ def rows() -> list:
         Row("Cut-scope smoke: oracle", cli("oracle", "scope.pl", SCOPE_QUERY), files=scope,
             timeout=30, check=same_stdout_as("Cut-scope smoke: run")),
         # the goal r(f(X)) doubles with each step as a tree: the 60-step budget must run out
-        # (exit 3) within the timeout, which needs a substitution to rebuild a shared subterm once
-        Row("Shared-term smoke", cli("run", "shared.pl", "q(X), !, r(f(b)), r(f(X))", "--steps",
-                                     "60"),
-            files=(("shared.pl", SHARED_PROGRAM),), timeout=10, exits=frozenset({3})),
+        # (exit 3) within the timeout, which needs a substitution to rebuild a shared subterm
+        # once, and the breadth-first tree's rebase to resolve it once
+        Row("Shared-term smoke: run", cli("run", "shared.pl", SHARED_QUERY, "--steps", "60"),
+            files=shared, timeout=10, exits=frozenset({3})),
+        Row("Shared-term smoke: tree", cli("tree", "shared.pl", SHARED_QUERY, "--steps", "60"),
+            files=shared, timeout=10, exits=frozenset({3})),
         # answers that grow with the budget, printed from the binding store (kept answer terms
         # took the oracle to 347 MB at 5,000 steps)
         Row("Answer-stream smoke: oracle", cli("oracle", "fixtures/in.pl", "in(X, Y)", "--steps",

@@ -167,6 +167,23 @@ def printed_pairs(program, query, budget) -> list:
     return pairs
 
 
+def written_pieces(printer, store) -> tuple:
+    """The printer's text of ``store``, and how many pieces ``_write``
+    appended for it."""
+    real = syntax._write
+    pieces = 0
+
+    def counted(out, *args):
+        nonlocal pieces
+        start = len(out)
+        real(out, *args)
+        pieces += len(out) - start
+
+    with mock.patch.object(syntax, "_write", counted):
+        text = printer(store)
+    return text, pieces
+
+
 # repeated, shared and unbound variables, ground arguments, cuts; and one query per kind of
 # slot of the printer's template: a list with a variable tail inside a compound, a variable
 # repeated across atoms, a quoted constant, a ground list beside a non-ground one ending in it
@@ -322,6 +339,43 @@ class TestAnswerPrinter:
         assert "E1, a, E3" in want
         assert answer_printer(query)(store) == want
         assert store.gets <= n + 10, store.gets
+
+    def test_a_compound_bound_to_two_variables_is_written_at_each(self):
+        """Two query variables bound to one non-ground compound in one
+        answer, directly and through a third variable: the text is the
+        resolved query's, and ``_write`` appends no more pieces than the
+        text has characters."""
+        z = Var("Z")
+        shared = Compound("f", (Compound("g", (z,)), make_list([Compound("a"), z], z)))
+        store = {"X": shared, "Y": shared, "W": Var("X")}
+        query = parse_query("p(X, Y), q(W, g(Y))")
+        text, pieces = written_pieces(answer_printer(query), store)
+        assert text == query_text(resolve(store, query))
+        assert text.count("f(g(Z), [a, Z | Z])") == 4 and pieces <= len(text)
+        program = parse_program("t(f(g(Z), [a | Z])).\ns(T, T).")
+        pairs = printed_pairs(program, parse_query("t(X), s(X, Y)"), Budget())
+        assert pairs == [("t(f(g(Z), [a | Z])), s(f(g(Z), [a | Z]), f(g(Z), [a | Z]))",) * 2] * 2
+
+    def test_an_answer_that_doubles_is_written_in_time_linear_in_its_text(self):
+        """``t(f(A, A)) :- t(A)``: the k-th answer binds X to a chain of k
+        compounds, each holding the next twice, so its text doubles with k
+        while its store grows by one binding.  The pieces ``_write`` appends
+        stay within the text, in both engines."""
+        program = parse_program("t(z).\nt(f(A, A)) :- t(A).")
+        query = parse_query("t(X)")
+        printer = answer_printer(query)
+        for search in (pruned_tree, prolog_search):
+            lengths = []
+
+            def record(store):
+                text, pieces = written_pieces(printer, store)
+                assert text == query_text(resolve(store, query))
+                assert pieces <= len(text)
+                lengths.append(len(text) - len("t()"))
+
+            search(program, query, Budget(steps=16), on_answer=record)
+            assert len(lengths) >= 8, lengths
+            assert all(b == 2 * a + len("f(, )") for a, b in zip(lengths, lengths[1:])), lengths
 
     def test_search_keeps_no_answer(self):
         """With a callback that keeps nothing, the search's traced peak grows
