@@ -28,12 +28,7 @@ from .atomsets import (
 )
 from .levels import LevelMapping, level_of
 from .engine import Budget, LdTree, Program, build_tree
-from .pruning import (
-    PrunedTree,
-    cutting_sequence_of,
-    prolog_search,
-    pruned_tree,
-)
+from .pruning import PrunedTree, prolog_search, pruned_tree
 from .syntax import ParseError, SpecSuite, parse_program, parse_query, parse_spec
 from .dot import tree_dot
 from .verify import (
@@ -81,7 +76,6 @@ __all__ = [
     "contains",
     "correct_check",
     "cs_correct",
-    "cutting_sequence_of",
     "enumerate_atoms",
     "level_of",
     "make_list",

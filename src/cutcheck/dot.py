@@ -5,8 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .engine import SUCCESS, TRUNCATED, LdTree, resolved_queries
-from .pruning import PrunedTree, cutting_sequence_of, is_executing
+from .pruning import PrunedTree
 from .syntax import query_text
+from .terms import CUT
 
 
 def _escape(text: str) -> str:
@@ -20,16 +21,15 @@ def _node_label(nid: int, query: tuple) -> str:
 
 def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
     """Render the tree; with a pruning result, mark removed nodes and the
-    cutting-sequence paths that removed them."""
+    cutting-sequence paths that removed them, as the walk logged them."""
     lines = ["digraph ldtree {", "  node [shape=box, fontname=\"monospace\"];"]
     kept = pruned.kept if pruned is not None else None
     path_edges = set()
     pruned_by: dict = {}
     if pruned is not None:
-        for executing, removed in pruned.iteration_log:
-            path = cutting_sequence_of(tree, executing)
+        for path, removed in pruned.iteration_log:
             path_edges.update(zip(path, path[1:]))
-            pruned_by.update(dict.fromkeys(removed, executing))
+            pruned_by.update(dict.fromkeys(removed, path[-1]))
     ids = tree.ids
     queries = resolved_queries(tree)
     for nid in ids:
@@ -45,7 +45,7 @@ def tree_dot(tree: LdTree, pruned: Optional[PrunedTree] = None) -> str:
             if executing is not None:
                 label = _escape(f"{_node_label(nid, queries[nid])}\\npruned by n{executing}")
                 attrs[0] = f'label="{label}"'
-        if is_executing(tree, nid):
+        if node.query[0] is CUT:
             attrs.append("color=red")
         lines.append(f"  n{nid} [{', '.join(attrs)}];")
     for nid in ids:

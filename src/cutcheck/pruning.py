@@ -14,7 +14,12 @@ cutting sequence prunes.  Everything a cutting sequence removes lies after
 its executing node in preorder, so one left-to-right preorder walk computes
 the same tree: on reaching an executing node it drops the unvisited right
 siblings along the cutting sequence, which is the top of the walk's own
-stack, and it stops at the first Truncated node.  The walk expands a node
+stack, and logs that sequence with the ids it dropped; it stops at the first
+Truncated node and keeps it.  The introducing node is the nearest proper
+ancestor whose goal list is no longer than the executing node's: a step
+replaces only the first goal, so the goals after the cut keep their number
+until it runs; each node in between holds the cut and a goal before it, and
+the introducing node at most the goals after it.  The walk expands a node
 only when it reaches it, so dropped siblings are never expanded, and, when
 asked, it hands the binding store of each Success leaf it reaches to a
 callback.
@@ -49,45 +54,20 @@ from .terms import (
 )
 
 
-def is_executing(tree: LdTree, nid: int) -> bool:
-    return tree.nodes[nid].query[0] is CUT
-
-
-def introducing(tree: LdTree, nid: int) -> Optional[int]:
-    """The node whose clause brought in the cut ``nid`` executes (None for a
-    cut of the initial query): the nearest proper ancestor whose query is no
-    longer.  A step replaces only the first goal, so the goals after the cut
-    keep their number until it runs; each node in between holds the cut and
-    a goal before it, and the introducing node at most the goals after it."""
-    nodes = tree.nodes
-    length = nodes[nid].query[2]
-    cur = nodes[nid].parent
-    while cur is not None and nodes[cur].query[2] > length:
-        cur = nodes[cur].parent
-    return cur
-
-
-def cutting_sequence_of(tree: LdTree, executing: int) -> tuple:
-    """The cutting sequence of an executing node: the ids of the path from
-    its introducing node (the root for a cut of the initial query) down to
-    it, introducing (or root) first, executing last."""
-    if not is_executing(tree, executing):
-        raise ValueError(f"node {executing} does not start with !")
-    nodes = tree.nodes
-    stop = introducing(tree, executing)
-    path = [executing]
-    while path[-1] != stop and nodes[path[-1]].parent is not None:
-        path.append(nodes[path[-1]].parent)
-    return tuple(reversed(path))
-
-
 @dataclass
 class PrunedTree:
-    """The result of pruning: the materialised nodes and who pruned the rest."""
+    """The result of pruning: the materialised nodes, the cuts the walk
+    executed and where it stopped."""
 
     base: LdTree
-    iteration_log: list  # (executing node id, frozenset of removed ids) per executing node
-    exact: bool
+    # per executing node, (path, removed): its cutting sequence, from the introducing
+    # node (the root for a query cut) down to it, and the frozenset of ids it removed
+    iteration_log: list
+    stop: Optional[int]  # the Truncated node the walk stopped at, None if it finished
+
+    @property
+    def exact(self) -> bool:
+        return self.stop is None
 
     @property
     def kept(self) -> set:
@@ -117,17 +97,19 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
         # Truncated executing node is still in the preorder sequence.
         if node.query[0] is CUT:
             # The cutting sequence's frames, from the top of the stack down to
-            # the introducing node's (the root's for query cuts), as
-            # ``introducing`` finds it: each drops its unvisited children.  A
-            # frame's node is the parent of the child it visited last.
+            # the introducing node's (the root's for query cuts): each drops
+            # its unvisited children.  A frame's node is the parent of the
+            # child it visited last.
             length = node.query[2]
+            path = [nid]
             removed: set = set()
             for frame in reversed(stack):
                 removed.update(range(frame[0], frame[1]))
                 frame[1] = frame[0]
-                if nodes[nodes[frame[0] - 1].parent].query[2] <= length:
+                path.append(nodes[frame[0] - 1].parent)
+                if nodes[path[-1]].query[2] <= length:
                     break
-            log.append((nid, frozenset(removed)))
+            log.append((tuple(reversed(path)), frozenset(removed)))
         children = builder.expand(nid, len(stack), bindings)  # its depth: a frame per proper ancestor
         if node.status == TRUNCATED:
             break
@@ -149,7 +131,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
                 trail.extend(mgu)
                 break
             stack.pop()
-    return PrunedTree(base, log, nid is None)  # nid is left at a Truncated node
+    return PrunedTree(base, log, nid)  # nid is left at a Truncated node, or None
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None, *,

@@ -29,7 +29,7 @@ from .atomsets import (
     membership_reads,
     set_predicates,
 )
-from .engine import TRUNCATED, Budget, Program
+from .engine import Budget, Program
 from .levels import level_of, level_reads
 from .pruning import PrunedTree, pruned_tree
 from .syntax import (
@@ -54,6 +54,7 @@ from .terms import (
     match,
     most_general_atom,
     rename_apart,
+    renaming,
     resolve,
     term_size,
     unify,
@@ -484,11 +485,10 @@ def _membership_branches(atom: Pred, s: AtomSet, sigma: dict, facts: dict, forbi
 def _rename_pattern(p: AtomPattern, forbidden: set, fresh: FreshNames) -> AtomPattern:
     """A variant of ``p`` sharing no variable with ``forbidden``, which is
     extended with the variant's variables."""
-    own = set(vars_of((p.template,) + tuple(t for g in p.guards for t in g.terms)))
-    bundle = tuple(Var(v) for v in own)
-    renamed = rename_apart(bundle, forbidden, fresh)
-    forbidden.update(r.name for r in renamed)
-    mapping = dict(zip(own, renamed))
+    own = vars_of((p.template,) + tuple(t for g in p.guards for t in g.terms))
+    mapping = renaming(own, forbidden, fresh)
+    forbidden.update(own)
+    forbidden.update(r.name for r in mapping.values())
     guards = tuple(
         Guard(g.name, tuple(a if isinstance(a, str) else apply(mapping, a) for a in g.args))
         for g in p.guards
@@ -1044,11 +1044,10 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
 
 def _tree_budget(pt: PrunedTree, budget: Budget) -> str:
     """The budget an inexact pruned tree ran out of, with its value: the step
-    budget when the one Truncated node the walk kept lies that many steps
+    budget when the Truncated node the walk stopped at lies that many steps
     below the root, else the node budget."""
     nodes = pt.base.nodes
-    nid = next(i for i, n in enumerate(nodes) if n.status == TRUNCATED)
-    depth = 0
+    nid, depth = pt.stop, 0
     while nodes[nid].parent is not None:
         nid, depth = nodes[nid].parent, depth + 1
     if depth >= budget.steps:

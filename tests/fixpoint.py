@@ -4,18 +4,22 @@ Repeatedly take the i-th executing node in the current preorder sequence of
 the tree and remove what its cutting sequence prunes, until the sequence
 holds no unprocessed executing node; only the nodes in the preorder sequence
 of the fixpoint are kept, and the answers are those of its Success leaves.
-This recomputes the preorder once per executing node, so it is only used to
-check ``cutcheck.pruned_tree`` on small trees.
+A cutting sequence runs down the root path from the node that brought its
+cut in, as the forward bookkeeping of ``origins_reference`` records it, and
+not from the goal-list lengths the walk reads.  This recomputes the preorder
+once per executing node, so it is only used to check ``cutcheck.pruned_tree``
+on small trees.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from cutcheck.engine import LdTree, resolved_queries
-from cutcheck.pruning import PrunedTree, cutting_sequence_of, is_executing
-from cutcheck.terms import canonical
+from cutcheck.pruning import PrunedTree
+from cutcheck.terms import CUT, canonical
 
-from full_tree import answers, preorder
+from full_tree import answers, preorder, root_path
+from origins_reference import origins
 
 
 def pruned_by_sequence(tree: LdTree, path: tuple, kept=None) -> set:
@@ -38,9 +42,18 @@ def pruned_by_sequence(tree: LdTree, path: tuple, kept=None) -> set:
     return removed
 
 
+def cutting_sequence(tree: LdTree, origin: dict, executing: int) -> tuple:
+    """The path from the node that brought in the cut ``executing`` runs, by
+    the forward origins ``origin`` (the root for a cut of the query), down to
+    it."""
+    path = root_path(tree, executing)
+    first = origin[executing][0]
+    return tuple(path if first is None else path[path.index(first):])
+
+
 def pruned_by(pt) -> dict:
     """Removed node id -> the executing node that removed it, read from the log."""
-    return {r: e for e, removed in pt.iteration_log for r in removed}
+    return {r: path[-1] for path, removed in pt.iteration_log for r in removed}
 
 
 @dataclass
@@ -58,17 +71,18 @@ class FixpointTree:
 def fixpoint_prune(tree: LdTree, kept: Optional[set] = None) -> FixpointTree:
     """Iterate the cutting-sequence fixpoint on the (sub)tree."""
     kept = set(kept) if kept is not None else set(tree.ids)
+    origin = origins(tree)
     log: list = []
     i = 1
     while True:
         seq = preorder(tree, kept)
-        executing = [nid for nid in seq.ids if is_executing(tree, nid)]
+        executing = [nid for nid in seq.ids if tree.nodes[nid].query[0] is CUT]
         if len(executing) < i:
             break
-        ex = executing[i - 1]
-        removed = pruned_by_sequence(tree, cutting_sequence_of(tree, ex), kept)
+        path = cutting_sequence(tree, origin, executing[i - 1])
+        removed = pruned_by_sequence(tree, path, kept)
         kept -= removed
-        log.append((ex, frozenset(removed)))
+        log.append((path, frozenset(removed)))
         i += 1
     final = preorder(tree, kept)
     kept = set(final.ids)
@@ -102,8 +116,8 @@ def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
         "exact": lazy.exact,
         "pruned_by": {to_full[r]: to_full[e] for r, e in pruned_by(lazy).items()},
         "iteration_log": [
-            (to_full[e], frozenset(to_full[r] for r in removed))
-            for e, removed in lazy.iteration_log
+            (tuple(to_full[n] for n in path), frozenset(to_full[r] for r in removed))
+            for path, removed in lazy.iteration_log
         ],
         "answers": [canonical(a) for a in lazy_answers],
     }
@@ -111,7 +125,7 @@ def walk_and_fixpoint(lazy: PrunedTree, lazy_answers: list, want: FixpointTree):
         "kept": {n: shape(want.base, n) for n in want.kept},
         "exact": want.exact,
         "pruned_by": {r: e for r, e in pruned_by(want).items() if r in image},
-        "iteration_log": [(e, removed & image) for e, removed in want.iteration_log],
+        "iteration_log": [(path, removed & image) for path, removed in want.iteration_log],
         "answers": [canonical(a) for a in want.answers],
     }
     return got, expected

@@ -1,5 +1,7 @@
-"""The forward bookkeeping of cut origins, kept as a test oracle for
-``cutcheck.pruning.introducing``.
+"""The forward bookkeeping of cut origins, kept as a test oracle: the
+fixpoint oracle (``fixpoint.py``) starts each cutting sequence at the origin
+it gives a cut, and the tests check that every sequence the walk of
+``cutcheck.pruned_tree`` logs starts there too.
 
 Every atom of a node's query records the node whose clause application
 brought it in, None for the atoms of the initial query.  A resolution step

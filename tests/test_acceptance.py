@@ -29,7 +29,6 @@ from cutcheck import (
     semi_complete,
 )
 from cutcheck.engine import resolved_queries
-from cutcheck.pruning import is_executing
 from cutcheck.syntax import query_text, resolve_alphabet
 from cutcheck.terms import (
     Alphabet,
@@ -81,7 +80,7 @@ class TestCriterion1PruningSemantics:
         queries = resolved_queries(pt.base)
         kept_labels = {query_text(queries[n]) for n in pt.kept}
         executing = next(
-            n for n in pt.kept if is_executing(pt.base, n)
+            n for n in pt.kept if pt.base.nodes[n].query[0] is CUT
             and query_text(queries[n]) == "!, r, !"
         )
         # descendants/right-side survivors of the executing (!, r, !) node:

@@ -10,7 +10,6 @@ from cutcheck import (
     pruned_tree,
 )
 from cutcheck.engine import TRUNCATED, goal_atoms, resolved_queries
-from cutcheck.pruning import cutting_sequence_of, introducing, is_executing
 from cutcheck.syntax import query_text
 from cutcheck.terms import CUT, canonical
 
@@ -32,23 +31,20 @@ def build(src, query, **kw):
 
 class TestCuttingSequence:
     def test_initial_query_cut_roots_at_top(self):
-        _, t = build("p.", "p, !")
-        executing = next(e for e in t.ids if is_executing(t, e))
-        assert introducing(t, executing) is None
-        assert cutting_sequence_of(t, executing)[0] == 0
+        pt = pruned_tree(parse_program("p."), parse_query("p, !"))
+        [(path, removed)] = pt.iteration_log
+        assert path == (0, 1) and removed == frozenset()
+        assert origins(pt.base)[path[-1]][0] is None
 
     def test_clause_cut_roots_at_introducing_node(self):
-        _, t = build("p :- q, !.\nq.", "p")
-        executing = next(e for e in t.ids if is_executing(t, e))
-        path = cutting_sequence_of(t, executing)
-        assert introducing(t, executing) == 0 == path[0]
-        assert path[-1] == executing
+        pt = pruned_tree(parse_program("p :- q, !.\nq."), parse_query("p"))
+        [(path, _)] = pt.iteration_log
+        assert path == (0, 1, 2) and pt.base.nodes[2].query[0] is CUT
 
     def test_nested_cuts_attribute_to_own_clause(self):
-        _, t = build("p :- q, !.\nq :- !.", "p")
-        execs = [e for e in t.ids if is_executing(t, e)]
-        intros = {cutting_sequence_of(t, e)[0] for e in execs}
-        assert len(intros) == 2  # the inner and outer cut have different origins
+        pt = pruned_tree(parse_program("p :- q, !.\nq :- !."), parse_query("p"))
+        # the inner cut comes from q's clause at node 1, the outer from p's at the root
+        assert [path for path, _ in pt.iteration_log] == [(1, 2), (0, 1, 2, 3)]
 
     def test_300_nested_cut_scopes(self):
         """The cut-scope smoke row: each of 300 nested calls of ``c`` brings in
@@ -56,22 +52,23 @@ class TestCuttingSequence:
         prog, query = parse_program(smoke.SCOPE_PROGRAM), parse_query(smoke.SCOPE_QUERY)
         pt, answers = pruned_answers(prog, query)
         ref = origins(pt.base)
-        execs = [e for e in pt.base.ids if is_executing(pt.base, e)]
-        intros = [introducing(pt.base, e) for e in execs]
-        assert intros == [ref[e][0] for e in execs]
-        assert len(set(intros)) == 2 * 301 and None not in intros  # 301 under each b(X)
+        intros = [path[0] for path, _ in pt.iteration_log]
+        assert intros == [ref[path[-1]][0] for path, _ in pt.iteration_log]
+        assert len(set(intros)) == 2 * 301  # 301 under each b(X)
         _, want = search_answers(prog, query)
         assert pt.exact and len(answers) == 4
         assert [query_text(a) for a in answers] == [query_text(a) for a in want]
 
 
-class TestIntroducing:
-    def test_equals_the_forward_origins(self):
-        """On seeded programs whose queries hold cuts too, at every executing
-        node of the full and of the pruned tree, ``introducing`` is the
-        origin the forward bookkeeping gives the cut."""
+class TestCutLog:
+    def test_paths_follow_the_forward_origins(self):
+        """On seeded programs whose queries hold cuts too, the walk logs each
+        executing node it reaches once, with a path that starts at the origin
+        the forward bookkeeping gives the cut (the root for a cut of the
+        query) and follows parent links down to it; what it removes are the
+        path's right siblings that no earlier cut removed."""
         rng = random.Random("introducing")
-        counts = {"executing": 0, "query cuts": 0, "nested": 0}
+        counts = {"executing": 0, "query cuts": 0, "nested": 0, "removed": 0}
         for i in range(3000):
             if i % 2:
                 src = random_propositional_program(rng, ["a", "b", "c"], max_cuts=3)
@@ -84,21 +81,29 @@ class TestIntroducing:
                 goals += ["!", atom] if rng.random() < 0.3 else [atom]
             goals += ["!"] if rng.random() < 0.3 else []
             prog, query = parse_program(src), parse_query(", ".join(goals))
-            budget = Budget(nodes=300, steps=12)
-            for tree in (build_tree(prog, query, budget), pruned_tree(prog, query, budget).base):
-                ref = origins(tree)
-                for e in tree.ids:
-                    if not is_executing(tree, e):
-                        continue
-                    first = ref[e][0]
-                    assert introducing(tree, e) == first, (src, ", ".join(goals), e)
-                    counts["executing"] += 1
-                    counts["query cuts"] += first is None
-                    # a cut of another scope is pending behind this one
-                    counts["nested"] += any(a is CUT and o != first
-                                            for a, o in zip(goal_atoms(tree.nodes[e].query), ref[e]))
-        assert counts["executing"] > 20_000, counts
-        assert counts["query cuts"] > 3_000 and counts["nested"] > 10_000, counts
+            pt = pruned_tree(prog, query, Budget(nodes=300, steps=12))
+            nodes, ref, gone = pt.base.nodes, origins(pt.base), set()
+            case = (src, ", ".join(goals))
+            for path, removed in pt.iteration_log:
+                e = path[-1]
+                first = ref[e][0]
+                assert nodes[e].query[0] is CUT, case
+                assert path[0] == (0 if first is None else first), case
+                assert all(nodes[b].parent == a for a, b in zip(path, path[1:])), case
+                right = {c for a, b in zip(path, path[1:]) for c in nodes[a].children if c > b}
+                assert removed == right - gone, case
+                gone |= removed
+                counts["executing"] += 1
+                counts["query cuts"] += first is None
+                counts["removed"] += len(removed)
+                # a cut of another scope is pending behind this one
+                counts["nested"] += any(a is CUT and o != first
+                                        for a, o in zip(goal_atoms(nodes[e].query), ref[e]))
+            executing = [n for n in sorted(pt.kept) if nodes[n].query[0] is CUT]
+            assert sorted(path[-1] for path, _ in pt.iteration_log) == executing, case
+        # 2,682 executing nodes, 1,238 of them query cuts, 656 nested, 1,054 ids removed
+        assert counts["executing"] > 2_500 and counts["removed"] > 1_000, counts
+        assert counts["query cuts"] > 1_000 and counts["nested"] > 500, counts
 
 
 class TestPruneFixture:
@@ -128,7 +133,7 @@ class TestPruneFixture:
         pt = pruned_tree(prog, parse_query("p"), Budget(nodes=1000, steps=100))
         assert pruned_by(pt)
         for removed, executing in pruned_by(pt).items():
-            assert is_executing(pt.base, executing)
+            assert pt.base.nodes[executing].query[0] is CUT
             assert removed not in pt.kept
 
 
@@ -286,7 +291,7 @@ class TestPrunedTree:
         query = parse_query("loop(s(s(s(z))))")
         pt = pruned_tree(parse_program(LADDER), query, Budget(nodes=2000))
         for removed, executing in pruned_by(pt).items():
-            assert is_executing(pt.base, executing)
+            assert pt.base.nodes[executing].query[0] is CUT
             assert not pt.base.nodes[removed].children
         assert set(pt.base.ids) == pt.kept | set(pruned_by(pt))
 

@@ -1,10 +1,15 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import cutcheck
 import cutcheck.atomsets
 import cutcheck.verify
 from cutcheck import (
@@ -48,6 +53,30 @@ from full_product import full_acceptable_check, full_correct_check, full_recurre
 from smoke import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
 
 a, b, c = Compound("a"), Compound("b"), Compound("c")
+
+# renames append.spec's S pattern apart from its own variables and prints the variant
+RENAME_IN_CHILD = (
+    "from cutcheck import parse_spec\n"
+    "from cutcheck.syntax import atom_text\n"
+    "from cutcheck.terms import FreshNames, Pred\n"
+    "from cutcheck.verify import _rename_pattern\n"
+    "p = parse_spec('[S]\\napp(K, L, M) where ground_list(K), ground_list(L), "
+    "concat(K, L, M).\\n').s.patterns[0]\n"
+    "v = _rename_pattern(p, {'K', 'L', 'M'}, FreshNames())\n"
+    "print(atom_text(v.template), 'where', "
+    "', '.join(atom_text(Pred(g.name, g.args)) for g in v.guards))\n"
+)
+
+
+def _renamed_in_child(seed: str) -> str:
+    """The variant ``RENAME_IN_CHILD`` prints in a fresh interpreter under
+    ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(cutcheck.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", RENAME_IN_CHILD], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout.strip()
 
 
 def set_caps(m, cap):
@@ -214,6 +243,14 @@ class TestWellAsserted:
         prog, suite, _ = setup_example("in.pl", "in.spec", depth=2)
         assert cs_correct(prog, suite).is_verified
         assert sorted(renamed) == ["in", "in", "m", "m"]
+
+    def test_a_pattern_is_renamed_alike_under_every_hash_seed(self):
+        """The fresh names of a pattern variant follow the pattern's variables
+        in first-occurrence order, not the iteration order of a set, so two
+        interpreters with different hash seeds build the same variant."""
+        variants = {_renamed_in_child(seed) for seed in ("0", "1", "2", "3")}
+        assert variants == {"app(K1, L2, M3) where ground_list(K1), ground_list(L2), "
+                            "concat(K1, L2, M3)"}
 
     def test_query_well_asserted_uses_fresh_predicate(self):
         prog = parse_program("p(a).")
