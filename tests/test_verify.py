@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import cutcheck
 import cutcheck.atomsets
 import cutcheck.verify
 from cutcheck import (
@@ -54,7 +53,7 @@ from smoke import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
 
 a, b, c = Compound("a"), Compound("b"), Compound("c")
 
-# renames append.spec's S pattern apart from its own variables and prints the variant
+# renames a pattern apart from its own variables and prints the variant
 RENAME_IN_CHILD = (
     "from cutcheck import parse_spec\n"
     "from cutcheck.syntax import atom_text\n"
