@@ -24,7 +24,6 @@ from .atomsets import (
     Guard,
     contains,
     enumerate_atoms,
-    max_generalizations,
 )
 from .levels import LevelMapping, level_of
 from .engine import Budget, LdTree, Program, build_tree
@@ -80,7 +79,6 @@ __all__ = [
     "level_of",
     "make_list",
     "match",
-    "max_generalizations",
     "oracle_tree_complete",
     "parse_program",
     "parse_query",

@@ -27,7 +27,6 @@ from .terms import (
     apply,
     atom_depth,
     atom_key,
-    canonical,
     ground_atoms,
     ground_term_count,
     ground_terms,
@@ -44,7 +43,6 @@ from .terms import (
 )
 
 ENUM_CAP = 1_000_000  # atoms and pattern candidates one whole-set enumeration counts
-GENERALIZATION_CAP = 8_192  # generalizations one lattice walk builds
 
 
 class AtomSetTooLarge(CapHit):
@@ -73,19 +71,9 @@ class AtomPattern:
     guards: tuple = ()
 
     @cached_property
-    def closed_form(self):
-        """The variables the guards force ground (``forced_ground``), when every
-        guard but one that gives facts of a variable (``list``, ``ground``,
-        ``ground_list``) has all its template variables among them; else
-        None.  Then ``max_generalizations_pattern`` needs no search."""
-        forced = forced_ground(self.guards)
-        tvars = set(vars_of(self.template))
-        for g in self.guards:
-            if GUARDS[g.name].facts and isinstance(g.args[0], Var):
-                continue
-            if not forced.issuperset(tvars.intersection(vars_of(g.terms))):
-                return None
-        return forced
+    def forced(self) -> set:
+        """``forced_ground`` of its guards, worked out once."""
+        return forced_ground(self.guards)
 
 
 @dataclass(frozen=True)
@@ -627,63 +615,8 @@ def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Maximally general members above a ground atom
+# The members above a ground atom
 # ---------------------------------------------------------------------------
-
-
-def _anti_instances(t: Term, fresh, spend):
-    """All generalizations of a term obtained by cutting subterms to fresh
-    variables; ``spend`` is charged once per compound generalization."""
-    if isinstance(t, Var):
-        return [t]
-    options = [Var(f"G{next(fresh)}")]
-    if t.args:
-        for combo in itertools.product(*(_anti_instances(a, fresh, spend) for a in t.args)):
-            spend()
-            options.append(Compound(t.functor, combo))
-    else:
-        options.append(t)
-    return options
-
-
-def _value_shared_variants(atom: Pred, fresh):
-    """Variants where all occurrences of selected ground subterm values share
-    a variable, generated lazily, smaller selections first."""
-    values: dict = {}
-
-    def collect(t):
-        if isinstance(t, Compound):
-            if is_ground(t):
-                values.setdefault(t, None)
-            for a in t.args:
-                collect(a)
-
-    for a in atom.args:
-        collect(a)
-    for r in range(1, len(values) + 1):
-        for subset in itertools.combinations(values, r):
-            mapping = {v: Var(f"G{next(fresh)}") for v in subset}
-
-            def repl(t):
-                if t in mapping:
-                    return mapping[t]
-                if isinstance(t, Compound) and t.args:
-                    return Compound(t.functor, tuple(repl(a) for a in t.args))
-                return t
-
-            yield Pred(atom.name, tuple(repl(a) for a in atom.args))
-
-
-def _maximal_filter(members):
-    if len(members) <= 1:
-        return list(members)
-    items = list({canonical(g): g for g in members}.values())
-    kept = [
-        g for g in items
-        if not any(h is not g and match(h, g) is not None and match(g, h) is None for h in items)
-    ]
-    kept.sort(key=lambda a: repr(canonical(a)))
-    return kept
 
 
 def forced_ground(guards: tuple) -> set:
@@ -709,87 +642,31 @@ def forced_ground(guards: tuple) -> set:
     return forced
 
 
-def max_generalizations_pattern(a: Pred, pattern: AtomPattern, resolver=None):
-    """Maximally general atoms of a pattern set that have ``a`` as an instance.
-
-    When the pattern has a closed form (``AtomPattern.closed_form``), the
-    answer is one candidate, kept when its guards hold on it as ``contains``
-    evaluates them: each forced variable keeps its value in the match of the
-    template against ``a``, a variable under a ``list`` guard becomes a list
-    of fresh variables as long as its value, and every other variable
-    becomes fresh.  Membership is decided
-    by ``guard_holds`` without facts, and there a ``ground`` or
-    ``ground_list`` guard holds only on a ground argument, while ``member``,
-    ``subset``, ``concat`` and ``eq`` compare their arguments with ``==``,
-    so a side equal to parts of a ground side is ground too: every member
-    above ``a`` binds the forced variables to their values in ``a``.  The
-    other guards read only forced variables, or a variable's list spine, so
-    they hold on the candidate exactly when they hold on ``a``.
-
-    Every other pattern walks the generalization lattice, which raises
-    CapHit past ``GENERALIZATION_CAP`` generalizations.
+def seeds(a: Pred, s: AtomSet, resolver=None) -> list:
+    """One atom per part of ``s`` that holds the ground atom ``a``, above
+    every member of that part above ``a``: the most general atom alone for a
+    universal ``s``, else ``a`` when ``s`` lists it, and per pattern that
+    holds ``a``, its template with each variable the guards force ground
+    (``AtomPattern.forced``) at its value in ``a``, a ``list`` variable a
+    list of fresh variables as long as its value, and every other variable
+    fresh.  ``contains`` tests guards without facts, so every member above
+    ``a`` keeps those values and list lengths.  A seed need not lie in ``s``.
     """
-    theta = match(pattern.template, a)
-    if theta is None:
-        return []
-    forced = pattern.closed_form
-    if forced is None:
-        return _lattice_generalizations(a, pattern, resolver)
-    lists = _list_vars(pattern.guards)
-    fresh = itertools.count(1)
-    env = dict(theta)  # the candidate's match: what ``contains`` checks the guards on
-    for v in vars_of(pattern.template):
-        if v in forced:
-            continue
-        if v in lists:
-            items = list_items(theta[v])
-            if items is None:
-                return []
-            env[v] = make_list([Var(f"G{next(fresh)}") for _ in items])
-        else:
-            env[v] = Var(f"G{next(fresh)}")
-    if not all(guard_holds(g, env, None, resolver) for g in pattern.guards):
-        return []
-    return [apply(env, pattern.template) if env != theta else a]
-
-
-def _lattice_generalizations(a: Pred, pattern: AtomPattern, resolver=None):
-    """The members of the pattern set above ``a`` found by a bounded walk
-    over the generalization lattice of ``a``, maximal ones only: the path
-    for a pattern with no closed form.  Raises CapHit past
-    ``GENERALIZATION_CAP`` generalizations.
-    """
-    cap = GENERALIZATION_CAP
-    one = AtomSet(patterns=(pattern,))
-    fresh = itertools.count(1)
-    spent = itertools.count(1)
-
-    def spend():
-        if next(spent) > cap:
-            raise CapHit(f"generalization cap {cap} hit")
-
-    pool: dict = {}  # canonical form -> generalization
-    for variant in itertools.chain((a,), _value_shared_variants(a, fresh)):
-        spend()
-        for combo in itertools.product(*(_anti_instances(t, fresh, spend) for t in variant.args)):
-            spend()
-            g = Pred(a.name, combo)
-            pool[canonical(g)] = g
-    members = [
-        g
-        for g in pool.values()
-        if match(g, a) is not None and contains(one, g, resolver)
-    ]
-    return _maximal_filter(members)
-
-
-def max_generalizations(a: Pred, s: AtomSet, resolver=None):
-    """Maximally general members of ``s`` with ``a`` as an instance.
-
-    Raises CapHit when a pattern's lattice walk reaches its cap."""
-    members = [most_general_atom(a.name, len(a.args))] if s.universal else []
-    if a in s.atoms:
-        members.append(a)
+    if s.universal:  # every atom is an instance of the one seed
+        return [most_general_atom(a.name, len(a.args))]
+    out = [a] if a in s.atoms else []
     for p in s.patterns:
-        members.extend(max_generalizations_pattern(a, p, resolver))
-    return _maximal_filter(members)
+        theta = match(p.template, a)
+        if theta is None or not all(guard_holds(g, theta, None, resolver) for g in p.guards):
+            continue
+        lists, fresh = _list_vars(p.guards), itertools.count(1)
+        env = {}
+        for v in vars_of(p.template):
+            if v in p.forced:
+                env[v] = theta[v]
+            elif v in lists:
+                env[v] = make_list([Var(f"G{next(fresh)}") for _ in list_items(theta[v])])
+            else:
+                env[v] = Var(f"G{next(fresh)}")
+        out.append(apply(env, p.template))
+    return out

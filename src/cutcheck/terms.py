@@ -684,10 +684,30 @@ def renaming(names, forbidden, fresh: FreshNames) -> dict:
     return mapping
 
 
-def canonical(e):
-    """Rename variables to V1, V2, ... in first-occurrence order."""
-    mapping = {v: Var(f"V{i + 1}") for i, v in enumerate(vars_of(e))}
-    return apply(mapping, e)
+def lgg(a, b):
+    """Plotkin's least general generalization of two terms or two atoms: each
+    distinct pair of differing subterms becomes one variable, ``G1``, ``G2``,
+    ... in first-occurrence order, so positions holding the same pair share
+    it.  The walk keeps its own stack, so a term of any depth is fine."""
+    pairs: dict = {}  # (subterm of a, subterm of b) -> its variable
+    done: list = []  # the generalizations of the pairs finished so far
+    stack = [(a, b, False)]
+    while stack:
+        s, t, expanded = stack.pop()
+        if expanded:  # its arguments are the last entries of done
+            n = len(s.args)
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(Pred(s.name, args) if s.__class__ is Pred else Compound(s.functor, args))
+        elif _equal(s, t):
+            done.append(s)
+        elif s.__class__ is t.__class__ is not Var and len(s.args) == len(t.args) and (
+                s.name == t.name if s.__class__ is Pred else s.functor == t.functor):
+            stack.append((s, t, True))
+            stack += [(x, y, False) for x, y in zip(reversed(s.args), reversed(t.args))]
+        else:
+            done.append(pairs.setdefault((s, t), Var(f"G{len(pairs) + 1}")))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

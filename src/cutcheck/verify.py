@@ -25,8 +25,9 @@ from .atomsets import (
     TermPool,
     contains,
     enumerate_atoms,
-    max_generalizations,
     membership_reads,
+    possibly_contains,
+    seeds,
     set_predicates,
 )
 from .engine import Budget, Program
@@ -51,6 +52,7 @@ from .terms import (
     Var,
     apply,
     is_ground,
+    lgg,
     match,
     most_general_atom,
     rename_apart,
@@ -654,23 +656,66 @@ def _well_asserted_query(ctx: _CheckContext) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _pre_above(a: Pred, h: Pred, ctx: _CheckContext) -> tuple:
+    """Whether a member of pre lies above the ground atom ``a`` and unifies
+    with ``h``: ``(True, delta)``, delta grounding ``h`` below one,
+    ``(False, None)``, or ``(None, None)`` when that stays undecided.
+
+    One does exactly when pre holds ``lgg(a, h delta)`` for a ground delta:
+    every common generalization has the lgg as an instance (Plotkin), and
+    ``contains`` holds on the instances of what it holds on.  The deltas
+    bind ``h``'s variables to ``a``'s values and ``h``'s ground values where
+    the two differ (CapHit past ``INSTANCE_CAP`` of them).  ``contains`` is
+    sound only when True, so the answer is False only when no instance of
+    ``h`` lies in pre, or when ``h`` is ground and an instance of the lgg
+    lies outside pre (ground membership is exact): its variables take the
+    alphabet's constants and their values in ``h`` in turn, leaving out
+    the subterms of the lgg unless nothing else is left."""
+    pre, resolver = ctx.suite.pre, ctx.resolver
+    g = lgg(a, h)
+    at_h = match(g, h)
+    values = list(dict.fromkeys(itertools.chain(
+        match(g, a).values(), (t for t in at_h.values() if is_ground(t)))))
+    names = vars_of(h)
+    if len(values) ** len(names) > INSTANCE_CAP:
+        raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
+    for combo in itertools.product(values, repeat=len(names)):
+        delta = dict(zip(names, combo))
+        if contains(pre, lgg(a, apply(delta, h)), resolver):
+            return True, delta
+    if not possibly_contains(pre, h, resolver):  # a common instance would lie in pre
+        return False, None
+    if names:
+        return None, None
+    inner, stack = set(), [g]
+    while stack:
+        t = stack.pop()
+        inner.add(t)
+        stack += [x for x in t.args if x.__class__ is Compound]
+    values = [Compound(f) for f, k in ctx.alphabet.functors if k == 0] + list(at_h.values())
+    values = list(dict.fromkeys(v for v in values if v not in inner)) or values
+    spread = {n: values[i % len(values)] for i, n in enumerate(vars_of(g))}
+    return (None if ctx.in_set(pre, apply(spread, g)) else False), None
+
+
 def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Verdict:
-    """No ground instance of H' <- A0 (head an instance of a maximally general
-    pre-atom above ``a``) may be covered w.r.t. the ground part of post."""
+    """No ground instance (H' <- A0) sigma of the preceding clause, cut short
+    before its first cut, with A0 sigma in post may have H' sigma below a
+    member of pre above ``a``.  The cover search runs from each seed of pre
+    (``seeds``), above every such member; an instance is an obligation when
+    pre holds the seed or ``_pre_above`` finds a member, and one that stays
+    undecided is kept, making the condition Unknown unless another refutes."""
     if preceding.first_cut is None:
         return _PRECEDING_NO_CUT
     a0, _ = preceding.first_cut
-    try:
-        gens = max_generalizations(a, ctx.suite.pre, ctx.resolver)
-    except CapHit as exc:
-        return Verdict.unknown(str(exc))
     unknown = None  # the reason, once some search was incomplete
-    for h2 in gens:
-        variant = rename_apart(Clause(preceding.clause.head, a0), set(vars_of(h2)))
-        theta = unify(h2, variant.head)
+    for seed in seeds(a, ctx.suite.pre, ctx.resolver):
+        variant = rename_apart(Clause(preceding.clause.head, a0), set(vars_of(seed)))
+        theta = unify(seed, variant.head)
         if theta is None:
             continue
         target = apply(theta, variant)
+        seed_in_pre = contains(ctx.suite.pre, seed, ctx.resolver)
         search = _CoverSearch(ctx.suite.post, ctx)
         instances = (
             resolve(full, target)
@@ -678,20 +723,27 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Ver
             for full in _groundings(sol, vars_of(target), ctx)
         )
         try:
-            found = next((inst for inst in instances if is_ground(inst)), None)
+            for inst in instances:
+                if not is_ground(inst):
+                    continue
+                status = seed_in_pre or _pre_above(a, inst.head, ctx)[0]
+                if status is None:
+                    unknown = unknown or (f"kept obligation: {clause_text(inst)} "
+                                          f"(pre may hold {atom_text(lgg(a, inst.head))})")
+                elif status:
+                    member = seed if seed_in_pre else lgg(a, inst.head)
+                    return Verdict.refuted(
+                        {
+                            "atom": ctx.atom_text(a),
+                            "preceding_clause": preceding.text,
+                            "generalization": atom_text(member),
+                            "covered_instance": clause_text(inst),
+                        },
+                        "an earlier cut clause can fire on a pre-instance",
+                    )
         except CapHit as exc:
-            unknown = str(exc)  # later generalizations can still refute
+            unknown = str(exc)  # later seeds can still refute
             continue
-        if found is not None:
-            return Verdict.refuted(
-                {
-                    "atom": ctx.atom_text(a),
-                    "preceding_clause": preceding.text,
-                    "generalization": atom_text(h2),
-                    "covered_instance": clause_text(found),
-                },
-                "an earlier cut clause can fire on a pre-instance",
-            )
         if not search.exhaustive:
             unknown = unknown or (
                 f"cover search for the preceding clause exhausted depth {ctx.depth}")
@@ -702,8 +754,15 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Ver
 
 def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _CheckContext,
                    bodies: Optional[list] = None) -> Verdict:
-    """For each maximally general pre-instance H rho above ``a`` and each ground
-    eta putting B0 rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta.
+    """For each member of pre above ``a`` and each ground eta putting its B0
+    rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta.
+
+    The search for B0 runs from each seed of pre (``seeds``), and each eta
+    gives the reduced head h = H rho eta.  When ``a`` is an instance of h,
+    ``a`` must be covered by the reduced clause.  Otherwise, when pre holds
+    the seed or ``_pre_above`` finds a member that unifies with h, the
+    reduced clause under its delta refutes; a pair that stays undecided is
+    kept, making the condition Unknown unless another refutes.
 
     ``theta`` is ``match(H, a)``.  When it is None the condition holds
     vacuously: every H rho is an instance of H, so none has ``a`` as an
@@ -717,24 +776,17 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _Chec
     clause = info.clause
     pre = ctx.suite.pre
     if pre == UNIVERSAL:
-        rhos = [({}, clause.head)]
+        rhos = [({}, most_general_atom(a.name, len(a.args)))]
     else:
-        try:
-            gens = max_generalizations(a, pre, ctx.resolver)
-        except CapHit as exc:
-            return Verdict.unknown(str(exc))
         rhos = []
-        for h2 in gens:
-            h2r = rename_apart(h2, set(vars_of(clause)))
-            rho = unify(clause.head, h2r)
-            if rho is None:
-                continue
-            head_r = apply(rho, clause.head)
-            if match(head_r, a) is None:
-                continue
-            rhos.append((rho, head_r))
+        for seed in seeds(a, pre, ctx.resolver):
+            rho = unify(clause.head, rename_apart(seed, set(vars_of(clause))))
+            if rho is not None:
+                rhos.append((rho, seed))
     unknown = None  # the reason, once some search was incomplete
-    for rho, head_r in rhos:
+    for rho, seed in rhos:
+        seed_in_pre = contains(pre, seed, ctx.resolver)
+        head_r = apply(rho, clause.head)
         b0r = apply(rho, b0)
         b1r = apply(rho, b1)
         search = _CoverSearch(ctx.suite.post, ctx)
@@ -748,7 +800,22 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _Chec
             unknown = unknown or f"eta enumeration exhausted depth {ctx.depth}"
         for eta in etas:
             reduced = Clause(resolve(eta, head_r), resolve(eta, b1r))
-            status, found = _covering_instance(a, reduced, match(reduced.head, a), ctx)
+            here = match(reduced.head, a)
+            if here is not None:
+                status, found = _covering_instance(a, reduced, here, ctx)
+            else:
+                try:
+                    above, delta = (True, {}) if seed_in_pre else _pre_above(a, reduced.head, ctx)
+                except CapHit as exc:
+                    unknown = unknown or str(exc)
+                    continue
+                if above is None:
+                    unknown = unknown or (
+                        f"kept obligation: {clause_text(reduced)} (pre may hold a member "
+                        f"above the atom that unifies with {atom_text(reduced.head)})")
+                if not above:
+                    continue
+                status, reduced = "refuted", apply(delta, reduced)
             if status == "refuted":
                 return Verdict.refuted(
                     {

@@ -24,9 +24,10 @@ The argv set:
   and a query ending in ``!``;
 - the ``cutcheck.cli`` rows of the smoke table, ``tests/smoke.py``, with
   the inputs the table runs;
-- ``check complete`` on a spec whose pre pattern has no closed form, so that
-  membership in pre walks the generalization lattice, with and without a
-  trailing cut;
+- ``check complete`` on a spec whose pre pattern forces neither argument
+  ground, so that its seed lies outside pre, with and without a trailing
+  cut, and on a program that loses an S-true instance of its query only
+  through such a pattern, at depths 2 to 4;
 - stage paths no other argv reaches: ``correct`` and ``acceptable``
   answering Verified, a refuted level decrease, a refuted premise S
   subset-of post, the tree step budget, an occurs check that fails, an S
@@ -212,8 +213,8 @@ def smoke_cases(workdir: Path) -> list:
             for row in smoke.rows() if row.argv[:2] == smoke.CLI]
 
 
-# a pre pattern with no closed form, so that membership in pre walks the
-# generalization lattice: the files, as (name, text) pairs
+# a pre pattern that forces neither argument ground, so that its seed lies
+# outside pre: the files, as (name, text) pairs
 LATTICE_FILES = (
     ("lattice.pl", "p(X, Y) :- q(X), !, q(Y).\nq(a).\nq(b).\n"),
     ("lattice.spec", "[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/2.\npredicate q/1.\n"
@@ -222,11 +223,20 @@ LATTICE_FILES = (
 )
 
 
+# a pre pattern whose member guard leaves the list's elements free, on a program
+# that loses an S-true instance of the query
+MEMBER_PRE_FILES = (("member.pl", smoke.MEMBER_PRE_PROGRAM), ("member.spec", smoke.MEMBER_PRE_SPEC))
+
+
 def lattice_cases(workdir: Path) -> list:
-    """``check complete`` on the lattice files, their files written under ``workdir``."""
+    """``check complete`` on the lattice files and on the member-pre files, at
+    depths 2 to 4, their files written under ``workdir``."""
     return [_case(("check", "complete", "lattice.pl", "--spec", "lattice.spec", "--query", query,
                    "--depth", "1"), workdir, LATTICE_FILES)
-            for query in ("p(a, a)", "p(a, a), !")]
+            for query in ("p(a, a)", "p(a, a), !")] + [
+        _case(("check", "complete", "member.pl", "--spec", "member.spec", "--query",
+               smoke.MEMBER_PRE_QUERY, "--depth", depth), workdir, MEMBER_PRE_FILES)
+        for depth in ("2", "3", "4")]
 
 
 # the paths of the check stages no other argv reaches: the files the argv

@@ -17,9 +17,15 @@ from unittest import mock
 
 from cutcheck import engine
 from cutcheck.engine import LdTree, TreeBuilder, goal_atoms
-from cutcheck.terms import CUT, Clause, apply, canonical, resolve
+from cutcheck.terms import CUT, Clause, Var, apply, resolve, vars_of
 
 from full_tree import root_path
+
+
+def canonical(e):
+    """Rename variables to V1, V2, ... in first-occurrence order."""
+    mapping = {v: Var(f"V{i + 1}") for i, v in enumerate(vars_of(e))}
+    return apply(mapping, e)
 
 
 def variant_equal(a, b) -> bool:

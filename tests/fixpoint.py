@@ -16,8 +16,9 @@ from typing import Optional
 
 from cutcheck.engine import LdTree, resolved_queries
 from cutcheck.pruning import PrunedTree
-from cutcheck.terms import CUT, canonical
+from cutcheck.terms import CUT
 
+from derivations import canonical
 from full_tree import answers, preorder, root_path
 from origins_reference import origins
 

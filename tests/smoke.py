@@ -38,9 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI = ("-m", "cutcheck.cli")
 ANY_VERDICT = frozenset({0, 1, 3})  # Verified, Refuted or Unknown: no input or internal error
 
-# A pre pattern whose guards force both arguments ground; with S over 1, []
-# and '.'/2 at depth 2 (722 atoms), the lattice walk of condition 3 took
-# about 27 s, the closed form well under a second.
+# A pre pattern whose guards force both arguments ground, with S over 1, []
+# and '.'/2 at depth 2 (722 atoms): each atom is its own seed, so condition
+# 3 searches from the atom and generalizes none of them.
 RELATIONAL_PRE_PROGRAM = "n(X) :- !, !.\nm([], [1 | T]) :- !.\nn([1]) :- !, m(T, [X, 1]).\n"
 RELATIONAL_PRE_SPEC = """\
 [alphabet]
@@ -58,6 +58,20 @@ m(X, L) where ground_list(L), member(X, L).
 [post]
 any.
 """
+# the first clause's cut loses p(a, [b, a, a]) on the pre call p(X, [Y, X, Z]); only a
+# member of pre that shares two of the atom's three a's shows it (condition 2)
+MEMBER_PRE_PROGRAM = "p(X, L) :- q(X, L), !.\np(a, [b, a, a]).\nq(c, [d, c, e]).\n"
+MEMBER_PRE_SPEC = """\
+[S]
+p(a, [b, a, a]).
+[pre]
+p(X, L) where list(L), member(X, L).
+q(X, L).
+[post]
+p(X, L).
+q(c, [d, c, e]).
+"""
+MEMBER_PRE_QUERY = "p(X, [Y, X, Z])"
 # a cut at each of 300 nested calls of c, between a query atom before the calls and one after
 SCOPE_PROGRAM = "c(0) :- a, !.\nc(s(N)) :- c(N), a, !.\na.\na.\nb(1).\nb(2).\nd(1).\nd(2).\n"
 SCOPE_QUERY = "b(X), c(" + "s(" * 300 + "0" + ")" * 300 + "), d(Y)"
@@ -200,11 +214,16 @@ def rows() -> list:
             exits=ANY_VERDICT),
         # a pre pattern whose member guard forces its arguments ground, over 722 S atoms (the
         # query's slice of S gives way to all of S, since m(1, []) is not c-covered): fails if
-        # condition 3 walks the generalization lattice of each atom again
+        # condition 3 enumerates the generalizations of each atom
         Row("Relational-pre smoke", cli("check", "complete", "rel.pl", "--spec", "rel.spec",
                                         "--query", "m(1, [])", "--depth", "2"),
             files=(("rel.pl", RELATIONAL_PRE_PROGRAM), ("rel.spec", RELATIONAL_PRE_SPEC)),
             timeout=10, exits=ANY_VERDICT),
+        # a program that loses an S-true instance of the query: fails on a Verified (exit 0)
+        Row("Member-pre smoke", cli("check", "complete", "member.pl", "--spec", "member.spec",
+                                    "--query", MEMBER_PRE_QUERY, "--depth", "3"),
+            files=(("member.pl", MEMBER_PRE_PROGRAM), ("member.spec", MEMBER_PRE_SPEC)),
+            timeout=10, exits=frozenset({1, 3})),
         # a ground query at depth 3: fails if the check c-covers all 117,964 atoms of S instead
         # of the query's slice
         Row("Query-slice smoke", in_complete + ("--depth", "3", "--query", "in([1], [1, 2])"),

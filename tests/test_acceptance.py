@@ -36,7 +36,6 @@ from cutcheck.terms import (
     Pred,
     Var,
     apply,
-    canonical,
     ground_terms,
     is_ground,
     match,
@@ -58,7 +57,9 @@ from conftest import (
     search_answers,
     stage_context,
 )
-from derivations import branch_derivation, recorded_steps, subderivation, variant_equal
+from derivations import (
+    branch_derivation, canonical, recorded_steps, subderivation, variant_equal,
+)
 from fixpoint import fixpoint_prune, walk_and_fixpoint
 from full_tree import root_path
 from naive_unify import is_idempotent, naive_apply, naive_unify, occurs, range_vars

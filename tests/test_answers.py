@@ -21,10 +21,10 @@ from cutcheck import syntax
 from cutcheck.cli import main
 from cutcheck.engine import SUCCESS, goal_atoms
 from cutcheck.syntax import answer_printer, query_text
-from cutcheck.terms import CUT, Compound, Var, canonical, make_list, resolve
+from cutcheck.terms import CUT, Compound, Var, make_list, resolve
 
 from conftest import load_program, pruned_answers, random_term_program, search_answers
-from derivations import recorded_steps
+from derivations import canonical, recorded_steps
 from full_tree import preorder, root_path
 from naive_unify import naive_apply, naive_compose, naive_unify
 

@@ -2,40 +2,35 @@ import random
 
 import pytest
 
-import cutcheck.atomsets
 from cutcheck.atomsets import (
-    _lattice_generalizations,
     AtomPattern,
     AtomSetTooLarge,
     AtomSet,
-    CapHit,
     Guard,
     UNIVERSAL,
     contains,
     enumerate_atoms,
     forced_ground,
     guard_holds,
-    max_generalizations,
-    max_generalizations_pattern,
     possibly_contains,
+    seeds,
 )
 from cutcheck.terms import (
     Alphabet,
     Compound,
     Pred,
     Var,
-    apply,
-    canonical,
     ground_terms,
     is_ground,
+    lgg,
     make_list,
     match,
     most_general_atom,
     term_size,
-    vars_of,
 )
 
 from derivations import variant_equal
+from generalizations import LIST_ALPHA, RELATIONAL, Oracle, random_guard
 
 a, b, one, two = Compound("a"), Compound("b"), Compound("1"), Compound("2")
 X, Y = Var("X"), Var("Y")
@@ -142,76 +137,46 @@ class TestEnumerate:
             enumerate_atoms(s, ALPHA, 2, cap=10)
 
 
-class TestMaxGeneralizations:
+class TestSeeds:
     def test_universal_gives_most_general(self):
-        gens = max_generalizations(Pred("p", (a,)), UNIVERSAL, None)
-        assert gens == [most_general_atom("p", 1)]
+        assert seeds(Pred("p", (a,)), UNIVERSAL) == [most_general_atom("p", 1)]
 
     def test_extensional_gives_atom_itself(self):
         s = AtomSet(atoms=(Pred("p", (a,)),))
-        assert max_generalizations(Pred("p", (a,)), s, None) == [Pred("p", (a,))]
-        assert max_generalizations(Pred("p", (b,)), s, None) == []
+        assert seeds(Pred("p", (a,)), s) == [Pred("p", (a,))]
+        assert seeds(Pred("p", (b,)), s) == []
 
     def test_pattern_guard_directed(self):
         s = pat(Pred("q", (X, Y)), Guard("any", ()), Guard("ground", (Y,)))
         a_atom = Pred("q", (a, b))
-        gens = max_generalizations(a_atom, s, None)
-        assert len(gens) == 1
-        g = gens[0]
+        [g] = seeds(a_atom, s)
         # first argument generalized away, second kept verbatim
         assert isinstance(g.args[0], Var) and g.args[1] == b
-        assert match(g, a_atom) is not None
+        assert match(g, a_atom) is not None and contains(s, g)
 
-    def test_generalizations_stay_inside_set(self):
+    def test_a_list_seed_keeps_its_length(self):
         s = pat(Pred("p", (X,)), Guard("list", (X,)))
         atom = Pred("p", (make_list([one]),))
-        for g in max_generalizations(atom, s, None):
-            assert contains(s, g)
-            assert match(g, atom) is not None
+        [g] = seeds(atom, s)
+        assert variant_equal(g, Pred("p", (make_list([Y]),)))
+        assert contains(s, g) and match(g, atom) is not None
 
-    def test_relational_walk_shares_every_repeated_value(self):
+    def test_lgg_shares_every_repeated_pair(self):
         # eq(X, Y) ties the last two arguments; the six other values come
-        # first in the atom, and the most general member still shares c's slot
+        # first in the atom.  The seed forces nothing and lies outside the
+        # set; the lgg with another member shares c's slot and lies inside it
         s = pat(Pred("p", tuple(Var(n) for n in "ABCDEFXY")), Guard("eq", (X, Y)))
-        atom = Pred("p", tuple(Compound(f"b{i}") for i in range(1, 7)) + (Compound("c"), Compound("c")))
+        atom = Pred("p", tuple(Compound(f"b{i}") for i in range(1, 7)) + (Compound("c"),) * 2)
+        other = Pred("p", tuple(Compound(f"d{i}") for i in range(1, 7)) + (Compound("e"),) * 2)
+        [seed] = seeds(atom, s)
+        assert variant_equal(seed, Pred("p", tuple(Var(n) for n in "ABCDEFXY")))
+        assert not contains(s, seed)
         want = Pred("p", tuple(Var(f"G{i}") for i in range(1, 8)) + (Var("G7"),))
-        try:
-            gens = max_generalizations(atom, s, None)
-        except CapHit:
-            return
-        assert any(variant_equal(g, want) for g in gens), gens
-
-    def test_relational_walk_cap(self, monkeypatch):
-        s = pat(Pred("p", (X, Y)), Guard("eq", (X, Y)))
-        atom = Pred("p", (make_list([one, two]), make_list([one, two])))
-        [gen] = max_generalizations(atom, s, None)
-        assert variant_equal(gen, Pred("p", (X, X)))
-        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 10)
-        with pytest.raises(CapHit, match="^generalization cap 10 hit$"):
-            max_generalizations(atom, s, None)
+        assert lgg(atom, other) == want and contains(s, want)
+        assert not contains(s, lgg(atom, Pred("p", other.args[:7] + (Compound("f"),))))
 
 
-LIST_ALPHA = Alphabet((("1", 0), ("[]", 0), (".", 2)), (("p", 2),))
 K, L, M = Var("K"), Var("L"), Var("M")
-
-
-RELATIONAL = ["member", "member", "subset", "concat", "eq"]
-
-
-def random_guard(rng, names, kinds=RELATIONAL + ["ground_list"] * 4 + ["ground", "list", "any"]):
-    """A guard over variables drawn from ``names``, at times with a ground side."""
-    v = lambda: Var(rng.choice(names))
-    side = lambda: rng.choice([v(), v(), v(), make_list([one]), make_list([make_list([])])])
-    name = rng.choice(kinds)
-    if name in ("ground_list", "ground", "list"):
-        return Guard(name, (v(),))
-    if name in ("member", "subset"):
-        return Guard(name, (v(), side()))
-    if name == "concat":
-        return Guard(name, (v(), v(), side()))
-    if name == "eq":
-        return Guard(name, (v(), side()))
-    return Guard("any", ())
 
 
 class TestForcedGround:
@@ -231,41 +196,40 @@ class TestForcedGround:
         assert forced_ground(chain) == {"X", "Y", "L"}
         assert forced_ground((g("notin", Pred("q", (X,)), "s"), g("any"))) == set()
 
-    def test_closed_form_has_no_cap(self, monkeypatch):
-        # the walk over the generalizations of a forced pattern's atom can pass
-        # its cap; the closed form decides the atom all the same
+    def test_forced_seed_keeps_the_values(self):
+        # both arguments are forced ground: the seed of a member is the member
         pattern = AtomPattern(Pred("p", (X, Y)), (Guard("ground_list", (Y,)), Guard("eq", (X, Y))))
-        assert pattern.closed_form == {"X", "Y"}
+        assert pattern.forced == {"X", "Y"}
         member = Pred("p", (make_list([one, two]), make_list([one, two])))
         other = Pred("p", (make_list([one, two]), make_list([two, one])))
-        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 10)
-        for atom, want in ((member, [member]), (other, [])):
-            assert max_generalizations_pattern(atom, pattern, None) == want
-            with pytest.raises(CapHit, match="^generalization cap 10 hit$"):
-                _lattice_generalizations(atom, pattern, None)
+        one_set = AtomSet(patterns=(pattern,))
+        assert seeds(member, one_set) == [member]
+        assert seeds(other, one_set) == []
 
-    def test_closed_form_with_free_variables(self):
+    def test_seed_with_free_variables(self):
         # the relational guards read only forced variables: the others generalise
         pattern = AtomPattern(Pred("p", (X, Y, L)),
                               (Guard("eq", (X, make_list([one]))), Guard("list", (L,))))
-        assert pattern.closed_form == {"X"}
+        one_set = AtomSet(patterns=(pattern,))
+        assert pattern.forced == {"X"}
         atom = Pred("p", (make_list([one]), two, make_list([two, one])))
-        [gen] = max_generalizations_pattern(atom, pattern, None)
+        [gen] = seeds(atom, one_set)
         assert variant_equal(gen, Pred("p", (make_list([one]), Y, make_list([K, M]))))
-        assert max_generalizations_pattern(Pred("p", (one, two, make_list([]))), pattern) == []
-        assert max_generalizations_pattern(Pred("p", (make_list([one]), two, one)), pattern) == []
+        assert seeds(Pred("p", (one, two, make_list([]))), one_set) == []
+        assert seeds(Pred("p", (make_list([one]), two, one)), one_set) == []
         unforced = AtomPattern(Pred("p", (X, Y)), (Guard("eq", (X, Y)),))
-        assert unforced.closed_form is None
+        assert unforced.forced == set()
+        [gen] = seeds(Pred("p", (one, one)), AtomSet(patterns=(unforced,)))
+        assert variant_equal(gen, Pred("p", (X, Y)))
 
-    def test_closed_form_equals_the_lattice_walk(self, monkeypatch):
-        """Wherever a pattern has a closed form, it gives what the lattice walk
-        gives, on members and on non-members; every other pattern still takes
-        the walk."""
+    def test_seeds_hold_every_member_the_oracle_finds(self):
+        """Every generalization of the atom that ``contains`` puts in the set,
+        as the brute-force oracle lists them, is an instance of a seed; a
+        seed that lies in the set is one of them."""
         rng = random.Random(15)
         pool = ground_terms(LIST_ALPHA, 2)
         shallow = ground_terms(LIST_ALPHA, 1)
-        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 3000)
-        counts = {"closed": 0, "walked": 0, "members": 0, "capped": 0}
+        counts = {"in set": 0, "outside": 0, "members": 0, "generalizations": 0}
         for _ in range(400):
             names = ["X", "Y", "L", "K"][: rng.randint(2, 3)]
             template = Pred("p", (Var(rng.choice(names)), Var(rng.choice(names))))
@@ -273,29 +237,28 @@ class TestForcedGround:
             guards += [random_guard(rng, names) for _ in range(rng.randint(0, 2))]
             if rng.random() < 0.5:
                 guards.insert(0, Guard("ground_list", (Var(rng.choice(names)),)))
-            pattern = AtomPattern(template, tuple(guards))
-            members = enumerate_atoms(AtomSet(patterns=(pattern,)), LIST_ALPHA, 1)
-            if pattern.closed_form is not None:
-                # small depth-2 members hold two-element lists, whose generalizations
-                # tell a variable that is forced from one that is not
-                deep = [m for m in enumerate_atoms(AtomSet(patterns=(pattern,)), LIST_ALPHA, 2)
-                        if sum(term_size(t) for t in m.args) <= 6]
-                atoms = rng.sample(members, min(3, len(members)))
-                atoms += rng.sample(deep, min(2, len(deep)))
-                atoms.append(Pred("p", (rng.choice(shallow), rng.choice(pool))))
-            else:  # both sides walk: one atom checks the dispatch
-                atoms = [Pred("p", (rng.choice(shallow), rng.choice(shallow)))]
+            s = AtomSet(patterns=(AtomPattern(template, tuple(guards)),))
+            members = enumerate_atoms(s, LIST_ALPHA, 1)
+            # small depth-2 members hold two-element lists, whose generalizations
+            # tell a variable that is forced from one that is not
+            deep = [m for m in enumerate_atoms(s, LIST_ALPHA, 2)
+                    if sum(term_size(t) for t in m.args) <= 6]
+            atoms = rng.sample(members, min(3, len(members)))
+            atoms += rng.sample(deep, min(2, len(deep)))
+            atoms.append(Pred("p", (rng.choice(shallow), rng.choice(pool))))
             for atom in atoms:
-                try:
-                    want = _lattice_generalizations(atom, pattern, None)
-                except CapHit:
-                    counts["capped"] += 1
-                    continue
-                got = max_generalizations_pattern(atom, pattern, None)
-                # the closed form and the walk name their fresh variables apart
-                assert [canonical(g) for g in got] == [canonical(g) for g in want], (
-                    pattern, atom, got, want)
-                counts["walked" if pattern.closed_form is None else "closed"] += 1
-                counts["members"] += bool(got)
-        assert counts["closed"] > 250 and counts["walked"] > 100, counts
+                oracle = Oracle(atom, s, shallow)
+                got = seeds(atom, s)
+                assert bool(got) == contains(s, atom), (s, atom, got)
+                for m in oracle.members():
+                    assert any(match(g, m) is not None for g in got), (s, atom, m, got)
+                for g in got:
+                    if contains(s, g):
+                        assert any(variant_equal(g, m) for m in oracle.members()), (s, atom, g)
+                        counts["in set"] += 1
+                    else:
+                        counts["outside"] += 1
+                counts["members"] += bool(oracle.members())
+                counts["generalizations"] += len(oracle.classes)
+        assert counts["in set"] > 250 and counts["outside"] > 100, counts
         assert counts["members"] > 150, counts

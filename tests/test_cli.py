@@ -372,8 +372,8 @@ class TestCoverageGolden:
         assert "reason: ground term cap 50000 hit at depth 3" in proc.stdout
 
     def test_relational_pre_at_depth_2(self, tmp_path):
-        # the pre pattern's guards force both arguments ground, so condition 3
-        # needs no lattice walk over the 722 atoms of S; CI bounds its time.
+        # the pre pattern's guards force both arguments ground, so each of the
+        # 722 atoms of S is its own seed in condition 3; CI bounds its time.
         # m(1, []) is not c-covered, so the query's slice gives way to all of S
         (tmp_path / "rel.pl").write_text(RELATIONAL_PRE_PROGRAM)
         (tmp_path / "rel.spec").write_text(RELATIONAL_PRE_SPEC)

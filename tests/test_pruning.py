@@ -11,13 +11,14 @@ from cutcheck import (
 )
 from cutcheck.engine import TRUNCATED, goal_atoms, resolved_queries
 from cutcheck.syntax import query_text
-from cutcheck.terms import CUT, canonical
+from cutcheck.terms import CUT
 
 import smoke
 from conftest import (
     load_program, pruned_answers, random_atom_text, random_propositional_program,
     random_term_program, search_answers,
 )
+from derivations import canonical
 from fixpoint import fixpoint_prune, pruned_by, walk_and_fixpoint
 from full_tree import root_path
 from origins_reference import origins

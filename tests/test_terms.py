@@ -21,7 +21,6 @@ from cutcheck.terms import (
     apply,
     atom_depth,
     atom_key,
-    canonical,
     collect_symbols,
     cons,
     ground_atoms,
@@ -45,7 +44,7 @@ from cutcheck.terms import (
     vars_of,
 )
 
-from derivations import variant_equal
+from derivations import canonical, variant_equal
 from match_reference import recursive_match
 from term_key_reference import uncached_term_key
 from naive_unify import (

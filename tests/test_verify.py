@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import json
 import os
@@ -30,7 +32,7 @@ from cutcheck import (
     semi_complete,
 )
 from cutcheck.atomsets import (
-    GUARDS, AtomPattern, CapHit, Guard, contains, guard_holds, membership_reads,
+    GUARDS, AtomPattern, CapHit, Guard, contains, guard_holds, membership_reads, seeds,
 )
 from cutcheck.cli import main
 from cutcheck.levels import LevelMapping, level_of, level_reads
@@ -43,13 +45,19 @@ from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
     _CheckContext, _CoverSearch, _atom_size, _c_covered, _cover_verdict, _covering_instance,
     _cs_correct, _guard_facts, _query_transform, _s_coverage, _s_subset_post, _s_true_instances,
-    _slice_coverage, _well_asserted, _well_asserted_query,
+    _pre_above, _slice_coverage, _well_asserted, _well_asserted_query,
 )
 
 import full_product
 from conftest import load_program, load_spec_text, search_answers, stage_context
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
-from smoke import RELATIONAL_PRE_PROGRAM, RELATIONAL_PRE_SPEC
+from corpus import LATTICE_FILES
+from generalizations import RELATIONAL, Oracle, random_guard
+import generalizations
+from smoke import (
+    MEMBER_PRE_PROGRAM, MEMBER_PRE_QUERY, MEMBER_PRE_SPEC, RELATIONAL_PRE_PROGRAM,
+    RELATIONAL_PRE_SPEC,
+)
 
 a, b, c = Compound("a"), Compound("b"), Compound("c")
 
@@ -442,26 +450,6 @@ class TestCapSites:
                            "[post]\np(a).\np(b).\nq(a).\nq(b).\n")
         v = _well_asserted(clause, suite.pre, suite.post, stage_context(clause, suite))
         assert v.is_unknown and v.reason == "instance cap 3 hit at depth 1"
-
-    # p(a, a) lies in pre only through a pattern with no closed form: a lattice walk
-    GEN_SPEC = (CAP_HEADER + "[S]\np(a, a).\nq(a).\nr(a).\n[pre]\np(X, Y) where eq(X, Y).\n"
-                "[post]\nany.\n")
-
-    def test_condition_2_generalizations(self, monkeypatch):
-        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 1)
-        prog = parse_program("p(X, Y) :- q(X), !.\np(X, Y) :- r(X).")
-        atom = Pred("p", (a, a))
-        v = _c_covered(atom, stage_context(prog, parse_spec(self.GEN_SPEC), (atom,)), True)
-        cond2 = self.clause_condition(v, "clause 2: p(X, Y) :- r(X).", 2)
-        assert v.is_unknown and cond2 == Verdict.unknown("generalization cap 1 hit")
-
-    def test_condition_3_generalizations(self, monkeypatch):
-        monkeypatch.setattr(cutcheck.atomsets, "GENERALIZATION_CAP", 1)
-        prog = parse_program("p(X, Y) :- q(X), !.")
-        atom = Pred("p", (a, a))
-        v = _c_covered(atom, stage_context(prog, parse_spec(self.GEN_SPEC), (atom,)), True)
-        cond3 = self.clause_condition(v, "clause 1: p(X, Y) :- q(X), !.", 3)
-        assert v.is_unknown and cond3 == Verdict.unknown("generalization cap 1 hit")
 
     def test_condition_2_grounding(self, monkeypatch):
         # the search for q(X), r(X) in post visits q(a) and q(b), each to fail on r
@@ -1066,28 +1054,25 @@ class TestDirectProbe:
         assert min(counts["open verified"], counts["open refuted"]) > 20, counts
 
 
-class TestClosedFormGeneralizations:
-    def test_relational_pre_keeps_the_lattice_verdicts(self, monkeypatch):
+class TestForcedPre:
+    def test_relational_pre_keeps_its_verdicts(self):
+        # the stage output, pinned: the digest is the same with the seed and
+        # lgg conditions as it was when every pattern walked the
+        # generalization lattice
         prog = parse_program(RELATIONAL_PRE_PROGRAM)
         suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 1)
-
-        def stages():
-            ctx = stage_context(prog, suite)
-            premise = _s_subset_post(ctx)
-            return [v.to_json_obj() for v in (premise, _cs_correct(ctx),
-                                              _s_coverage(ctx, premise.is_verified))]
-
-        got = stages()
-        # every pattern walks the generalization lattice
-        monkeypatch.setattr(AtomPattern, "closed_form", property(lambda self: None))
-        want = stages()
-        assert got == want
+        ctx = stage_context(prog, suite)
+        premise = _s_subset_post(ctx)
+        got = [v.to_json_obj() for v in (premise, _cs_correct(ctx),
+                                          _s_coverage(ctx, premise.is_verified))]
+        assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == (
+            "25ff7303aac3e8e4d279f1593dc26e4e59db3b7af3eda975703b52747d756e28")
         coverage = got[2]
         assert coverage["status"] == "refuted" and len(coverage["parts"]) == 18
 
-    def test_forced_pre_past_the_walk_cap(self):
-        # the lattice walk over this atom's generalizations passes its cap of
-        # 8192, so condition 3 read Unknown; the closed form decides it
+    def test_forced_pre_on_a_long_list(self):
+        # the seed of a pre pattern whose guards force both arguments ground is
+        # the atom itself, so condition 3 needs no generalization of it
         prog = parse_program("p(L, L) :- !.")
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where ground_list(Y), eq(X, Y).\n[post]\nany.\n")
@@ -1096,9 +1081,8 @@ class TestClosedFormGeneralizations:
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
 
-    def test_free_variable_past_the_walk_cap(self):
-        # eq forces X ground and leaves Y free: the closed form generalises Y
-        # where the lattice walk passed its cap of 8192 and condition 3 read Unknown
+    def test_free_variable_on_a_long_list(self):
+        # eq forces X ground and leaves Y free: the seed generalises Y
         prog = parse_program("p(L, M) :- !.")
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where eq(X, [1, 1, 1, 1, 1]).\n[post]\nany.\n")
@@ -1395,3 +1379,134 @@ class TestGuardFacts:
                 seen["list"] += bool(lists)
                 seen["unifier"] += bool(refined)
         assert min(seen.values()) >= 5, seen
+
+
+def clause_parts(v: Verdict) -> dict:
+    """Clause text -> {condition name -> verdict} of a ``_c_covered`` verdict."""
+    return {name: dict(clause.parts) for name, clause in v.parts}
+
+
+class TestLggConditions:
+    """Conditions 2 and 3 test each candidate obligation that the search from
+    a seed of pre finds, by the lgg of the atom and the candidate's head."""
+
+    COND2 = "condition 2 (earlier cut clauses)"
+    COND3 = "condition 3 (own cut)"
+
+    @staticmethod
+    def covered(program: str, spec: str, atom: str, depth: int) -> Verdict:
+        [a] = parse_query(atom)
+        ctx = stage_context(parse_program(program), at_depth(parse_spec(spec), depth), (a,))
+        return _c_covered(a, ctx, True)
+
+    def test_a_lost_instance_is_never_verified(self):
+        # the first clause's cut loses p(a, [b, a, a]) on the pre call
+        # p(X, [Y, X, Z]): a member of pre that shares two of its three a's
+        program = parse_program(MEMBER_PRE_PROGRAM)
+        query = parse_query(MEMBER_PRE_QUERY)
+        for depth in (3, 4):
+            report = completeness_check(program, query, at_depth(parse_spec(MEMBER_PRE_SPEC), depth))
+            assert report.verdict.is_refuted, (depth, report.to_text())
+            assert "generalization=p(G1, [G2, G1, G3]), covered_instance=p(c, [d, c, e]) :- " \
+                   "q(c, [d, c, e])." in report.to_text()
+        # at depth 2 the atom lies deeper than the bound: the slice is vacuous
+        report = completeness_check(program, query, at_depth(parse_spec(MEMBER_PRE_SPEC), 2))
+        assert report.verdict.is_verified
+        answers = search_answers(program, query)[1]
+        assert [atom_text(x) for (x,) in answers] == ["p(c, [d, c, e])"]
+
+    def test_the_exit_code_agrees(self, capsys, tmp_path):
+        (tmp_path / "member.pl").write_text(MEMBER_PRE_PROGRAM)
+        (tmp_path / "member.spec").write_text(MEMBER_PRE_SPEC)
+        args = ["check", "complete", str(tmp_path / "member.pl"), "--spec",
+                str(tmp_path / "member.spec"), "--query", MEMBER_PRE_QUERY, "--depth", "3"]
+        assert main(args) == 1
+        assert "verdict: refuted" in capsys.readouterr().out
+        assert main(args + ["--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"]["status"] == "refuted"
+
+    def test_condition_2_goes_past_an_instance_that_is_no_obligation(self):
+        # q(c, [c, d, e]) comes first and its lgg with the atom lies outside pre
+        program = MEMBER_PRE_PROGRAM + "q(c, [c, d, e]).\n"
+        spec = MEMBER_PRE_SPEC + "q(c, [c, d, e]).\n"
+        v = self.covered(program, spec, "p(a, [b, a, a])", 3)
+        cond2 = clause_parts(v)["clause 2: p(a, [b, a, a])."][self.COND2]
+        assert cond2.is_refuted
+        assert cond2.witness["covered_instance"] == "p(c, [d, c, e]) :- q(c, [d, c, e])."
+
+    def test_condition_3_grounds_the_reduced_head(self):
+        # the search from the seed p(G1, G2) reduces the head to p(b, G2); the
+        # member p(V, V) of pre unifies with it, through p(b, b)
+        [(files_pl, program), (_, spec)] = LATTICE_FILES
+        v = self.covered(program, spec, "p(a, a)", 1)
+        cond3 = clause_parts(v)["clause 1: p(X, Y) :- q(X), !, q(Y)."][self.COND3]
+        assert cond3.is_refuted and cond3.witness["reduced_clause"] == "p(b, b) :- q(b)."
+
+    def test_an_undecided_obligation_is_kept(self):
+        # over the constants a and b, pre holds every instance of p(a, Y), which
+        # contains cannot show; the instance p(a, b) of the preceding clause is
+        # kept, and calling p(a, Y) does lose p(a, a)
+        program = "p(X, Y) :- q(X, Y), !, fail.\np(X, Y).\nq(a, b).\n"
+        spec = ("[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/2.\npredicate q/2.\n"
+                "predicate fail/0.\n[S]\np(a, a).\n[pre]\np(X, Y) where eq(X, Y).\np(a, b).\n"
+                "p(b, a).\n[post]\nq(a, b).\n")
+        v = self.covered(program, spec, "p(a, a)", 1)
+        assert v.is_unknown
+        cond2 = clause_parts(v)["clause 2: p(X, Y)."][self.COND2]
+        assert cond2 == Verdict.unknown("kept obligation: p(a, b) :- q(a, b). (pre may hold p(a, G1))")
+        report = completeness_check(parse_program(program), parse_query("p(a, Y)"),
+                                    at_depth(parse_spec(spec), 1))
+        assert not report.verdict.is_verified
+
+    def test_obligations_equal_the_oracle(self):
+        """On seeded relational pre patterns and atoms, the seed and lgg test of
+        each candidate head that a search from a seed can meet decides what
+        the brute-force oracle decides: condition 2 on ground heads,
+        condition 3 on heads with variables left.  Every obligation the
+        oracle finds, or cannot rule out, is kept; a head below no seed is
+        below no member of pre that ``contains`` shows."""
+        rng = random.Random(41)
+        shallow = ground_terms(generalizations.LIST_ALPHA, 1)
+        counts = collections.Counter()
+        for _ in range(300):
+            names = ["X", "Y", "L", "K"][: rng.randint(2, 3)]
+            template = Pred("p", (Var(rng.choice(names)), Var(rng.choice(names))))
+            guards = [random_guard(rng, names, RELATIONAL)]
+            guards += [random_guard(rng, names) for _ in range(rng.randint(0, 2))]
+            pre = AtomSet(patterns=(AtomPattern(template, tuple(guards)),))
+            members = enumerate_atoms(pre, generalizations.LIST_ALPHA, 1)
+            ctx = stage_context(Program(()), SpecSuite(pre=pre, alphabet=generalizations.LIST_ALPHA,
+                                                       budget=Budget(depth=1)))
+            for atom in rng.sample(members, min(2, len(members))):
+                oracle = Oracle(atom, pre, shallow)
+                tops = seeds(atom, pre)
+                in_pre = [g for g in tops if contains(pre, g)]
+                for head in ground_atoms(generalizations.LIST_ALPHA, 1):
+                    want = oracle.obligation(head, above=True)
+                    if not any(match(g, head) is not None for g in tops):
+                        # no search reaches it, and no member contains shows lies above it
+                        assert want != "yes", (pre, atom, head)
+                        continue
+                    got = (any(match(g, head) is not None for g in in_pre)
+                           or _pre_above(atom, head, ctx)[0])
+                    assert {"yes": got is True, "no": got is not True,
+                            "open": got is None}[want], (pre, atom, head, want, got)
+                    assert got is not False or want == "no", (pre, atom, head, got)
+                    counts[f"2 {want} {got}"] += 1
+                for g in tops:
+                    names_g = vars_of(g)
+                    for _ in range(6):
+                        head = apply({n: rng.choice(shallow) for n in names_g
+                                      if rng.random() < 0.6}, g)
+                        if match(head, atom) is not None:
+                            continue
+                        want = oracle.obligation(head, above=False)
+                        got = True if g in in_pre else _pre_above(atom, head, ctx)[0]
+                        assert got is not True or want == "yes", (pre, atom, head, got)
+                        assert got is not False or want == "no", (pre, atom, head, got)
+                        assert want != "open" or got is None, (pre, atom, head, got)
+                        counts[f"3 {want} {got}"] += 1
+        assert counts["2 yes True"] > 1000 and counts["2 no False"] > 1000, counts
+        assert counts["3 yes True"] > 250 and counts["3 no False"] > 100, counts
+        kept = counts["2 no None"] + counts["3 no None"] + counts["3 yes None"]
+        assert kept > 50, counts
