@@ -103,7 +103,6 @@ class Oracle:
     """The generalizations of one ground atom, classified against pre."""
 
     def __init__(self, atom: Pred, pre, pool):
-        self.atom = atom
         self.classes = [(g, classify(g, pre, pool)) for g in generalizations(atom)]
 
     def members(self) -> list:

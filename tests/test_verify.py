@@ -1056,9 +1056,8 @@ class TestDirectProbe:
 
 class TestForcedPre:
     def test_relational_pre_keeps_its_verdicts(self):
-        # the stage output, pinned: the digest is the same with the seed and
-        # lgg conditions as it was when every pattern walked the
-        # generalization lattice
+        # the stage output, pinned by its digest: the pre pattern forces both
+        # arguments ground, so each atom of S is its own seed
         prog = parse_program(RELATIONAL_PRE_PROGRAM)
         suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 1)
         ctx = stage_context(prog, suite)
@@ -1381,17 +1380,9 @@ class TestGuardFacts:
         assert min(seen.values()) >= 5, seen
 
 
-def clause_parts(v: Verdict) -> dict:
-    """Clause text -> {condition name -> verdict} of a ``_c_covered`` verdict."""
-    return {name: dict(clause.parts) for name, clause in v.parts}
-
-
 class TestLggConditions:
     """Conditions 2 and 3 test each candidate obligation that the search from
     a seed of pre finds, by the lgg of the atom and the candidate's head."""
-
-    COND2 = "condition 2 (earlier cut clauses)"
-    COND3 = "condition 3 (own cut)"
 
     @staticmethod
     def covered(program: str, spec: str, atom: str, depth: int) -> Verdict:
@@ -1405,7 +1396,8 @@ class TestLggConditions:
         program = parse_program(MEMBER_PRE_PROGRAM)
         query = parse_query(MEMBER_PRE_QUERY)
         for depth in (3, 4):
-            report = completeness_check(program, query, at_depth(parse_spec(MEMBER_PRE_SPEC), depth))
+            suite = at_depth(parse_spec(MEMBER_PRE_SPEC), depth)
+            report = completeness_check(program, query, suite)
             assert report.verdict.is_refuted, (depth, report.to_text())
             assert "generalization=p(G1, [G2, G1, G3]), covered_instance=p(c, [d, c, e]) :- " \
                    "q(c, [d, c, e])." in report.to_text()
@@ -1430,16 +1422,16 @@ class TestLggConditions:
         program = MEMBER_PRE_PROGRAM + "q(c, [c, d, e]).\n"
         spec = MEMBER_PRE_SPEC + "q(c, [c, d, e]).\n"
         v = self.covered(program, spec, "p(a, [b, a, a])", 3)
-        cond2 = clause_parts(v)["clause 2: p(a, [b, a, a])."][self.COND2]
+        cond2 = TestCapSites.clause_condition(v, "clause 2: p(a, [b, a, a]).", 2)
         assert cond2.is_refuted
         assert cond2.witness["covered_instance"] == "p(c, [d, c, e]) :- q(c, [d, c, e])."
 
     def test_condition_3_grounds_the_reduced_head(self):
         # the search from the seed p(G1, G2) reduces the head to p(b, G2); the
         # member p(V, V) of pre unifies with it, through p(b, b)
-        [(files_pl, program), (_, spec)] = LATTICE_FILES
+        [(_, program), (_, spec)] = LATTICE_FILES
         v = self.covered(program, spec, "p(a, a)", 1)
-        cond3 = clause_parts(v)["clause 1: p(X, Y) :- q(X), !, q(Y)."][self.COND3]
+        cond3 = TestCapSites.clause_condition(v, "clause 1: p(X, Y) :- q(X), !, q(Y).", 3)
         assert cond3.is_refuted and cond3.witness["reduced_clause"] == "p(b, b) :- q(b)."
 
     def test_an_undecided_obligation_is_kept(self):
@@ -1452,8 +1444,9 @@ class TestLggConditions:
                 "p(b, a).\n[post]\nq(a, b).\n")
         v = self.covered(program, spec, "p(a, a)", 1)
         assert v.is_unknown
-        cond2 = clause_parts(v)["clause 2: p(X, Y)."][self.COND2]
-        assert cond2 == Verdict.unknown("kept obligation: p(a, b) :- q(a, b). (pre may hold p(a, G1))")
+        cond2 = TestCapSites.clause_condition(v, "clause 2: p(X, Y).", 2)
+        assert cond2 == Verdict.unknown(
+            "kept obligation: p(a, b) :- q(a, b). (pre may hold p(a, G1))")
         report = completeness_check(parse_program(program), parse_query("p(a, Y)"),
                                     at_depth(parse_spec(spec), 1))
         assert not report.verdict.is_verified
