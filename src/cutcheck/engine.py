@@ -199,13 +199,15 @@ class TreeBuilder:
     """Materialises LD-tree nodes on demand under a budget.
 
     ``budget.steps`` caps the derivation length (tree depth); ``budget.nodes``
-    caps the number of materialised nodes.  The whole derivation is kept
+    caps the number of materialised nodes; ``exhausted`` names the one, with
+    its value, that last truncated a node.  The whole derivation is kept
     standardized apart, whatever order the nodes are expanded in.
     """
 
     def __init__(self, program: Program, query: tuple, budget: Optional[Budget] = None):
         self.program = program
         self.budget = budget or Budget()
+        self.exhausted: Optional[str] = None
         self.fresh = FreshNames()
         self.forbidden = set(vars_of(query))
         self.tree = LdTree([Node(goal_list(query), None, NO_BINDINGS)])
@@ -226,6 +228,7 @@ class TreeBuilder:
             return ()
         if depth >= self.budget.steps:
             node.status = TRUNCATED
+            self.exhausted = f"tree step budget {self.budget.steps}"
             return ()
         expansions = ld_expand(self.program, node.query, store, self.forbidden, self.fresh)
         if not expansions:
@@ -234,6 +237,7 @@ class TreeBuilder:
         first = len(nodes)
         if first + len(expansions) > self.budget.nodes:
             node.status = TRUNCATED
+            self.exhausted = f"tree node budget {self.budget.nodes}"
             return ()
         nodes.extend([Node(child_query, nid, mgu) for child_query, mgu in expansions])
         node.children = range(first, len(nodes))

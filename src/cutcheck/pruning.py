@@ -57,13 +57,14 @@ from .terms import (
 @dataclass
 class PrunedTree:
     """The result of pruning: the materialised nodes, the cuts the walk
-    executed and where it stopped."""
+    executed, where it stopped and which budget stopped it."""
 
     base: LdTree
     # per executing node, (path, removed): its cutting sequence, from the introducing
     # node (the root for a query cut) down to it, and the frozenset of ids it removed
     iteration_log: list
     stop: Optional[int]  # the Truncated node the walk stopped at, None if it finished
+    exhausted: Optional[str]  # the budget, with its value, that truncated ``stop``
 
     @property
     def exact(self) -> bool:
@@ -131,7 +132,7 @@ def _walk(builder: TreeBuilder, on_answer: Optional[Callable]) -> PrunedTree:
                 trail.extend(mgu)
                 break
             stack.pop()
-    return PrunedTree(base, log, nid)  # nid is left at a Truncated node, or None
+    return PrunedTree(base, log, nid, builder.exhausted)  # nid: a Truncated node, or None
 
 
 def pruned_tree(program: Program, query: tuple, budget: Optional[Budget] = None, *,

@@ -30,7 +30,7 @@ from .atomsets import (
     seeds,
     set_predicates,
 )
-from .engine import Budget, Program
+from .engine import Program
 from .levels import level_of, level_reads
 from .pruning import PrunedTree, pruned_tree
 from .syntax import (
@@ -58,6 +58,7 @@ from .terms import (
     rename_apart,
     renaming,
     resolve,
+    term_key,
     term_size,
     unify,
     vars_of,
@@ -67,7 +68,7 @@ from .verdicts import Verdict, weakest
 INSTANCE_CAP = 50_000  # ground instances one grounding or instance search builds
 VISIT_CAP = 50_000  # goals one cover search visits, and candidates it enumerates per goal
 _BRANCH_CAP = 512  # pattern branches the well-asserted check follows per clause
-SLICE_CAP = 1_024  # symbols, summed over its atoms, that one query slice of S holds
+SLICE_CAP = 1_024  # symbols, summed over its atoms, that one c-coverage closure adds to its roots
 
 
 class _CheckContext:
@@ -92,9 +93,7 @@ class _CheckContext:
     ground body atoms up in (``in_set``), a ``_ClauseInfo`` per clause seen
     (kept by the clause's id: the info holds the clause, so the id is not
     reused while the context lives), the texts of ground atom arguments
-    (``texts``, as ``atom_text`` reads it), and the c-coverage verdict of
-    each atom the query slice tried (``c_covered``), which the loop over the
-    whole of S reuses when the slice gives way.  None of them outlives the
+    (``texts``, as ``atom_text`` reads it).  None of them outlives the
     context.
     """
 
@@ -109,7 +108,6 @@ class _CheckContext:
         self._members: tuple = (None, frozenset())  # (a set, its atoms up to the depth)
         self.texts: dict = {}  # ground term -> its text
         self._clauses: dict = {}  # id(clause) -> _ClauseInfo
-        self.c_covered: dict = {}  # ground atom -> its _c_covered verdict
         self._computed: dict = {}  # key -> the value computed, or the CapHit it raised
 
     def _once(self, key, compute):
@@ -983,65 +981,72 @@ def _collect_witnesses(verdict: Verdict, out: list, limit: int = 20, status: Opt
         _collect_witnesses(sub, out, limit, status)
 
 
-def _s_coverage(ctx: _CheckContext, s_subset_post: bool) -> Verdict:
-    """Every atom of S up to the depth c-covered, with one part per atom."""
-    try:
-        atoms = ctx.members(ctx.suite.s)
-    except CapHit as exc:
-        return Verdict.unknown(str(exc))
-    known = ctx.c_covered
-    per_atom = [(ctx.atom_text(a), known.get(a) or _c_covered(a, ctx, s_subset_post))
-                for a in atoms]
-    return weakest([v for _, v in per_atom], tuple(per_atom))
+def _c_coverage(ctx: _CheckContext, roots: list, s_subset_post: bool) -> tuple:
+    """Every atom of a slice S' of S c-covered: the weakest of one part per
+    atom, in the order found, and whether S' stopped at ``SLICE_CAP``.
+
+    S' holds ``roots`` and is closed, at any depth, under the non-cut body
+    atoms of the covering instances of the clause that c-covers each of its
+    atoms; an atom that is not Verified c-covered adds none.  The premise
+    stage probed the roots and every atom of S up to the depth; an atom the
+    closure adds deeper than that must lie in post, or its part is Unknown.
+    The atoms added beyond the roots sum to at most ``SLICE_CAP`` symbols:
+    past that S' stops growing, what it holds is still c-covered, and an
+    Unknown part names the cap, so a refuted atom still refutes."""
+    post, depth = ctx.suite.post, ctx.depth
+    found = list(dict.fromkeys(x for x in roots if x is not CUT))
+    probed = len(found)  # the roots come first
+    seen = set(found)
+    size, capped = 0, False
+    parts = []
+    for i, a in enumerate(found):  # the loop reaches the atoms appended to ``found``
+        reached: list = []
+        if (i >= probed and any(term_key(t)[0] > depth for t in a.args)
+                and not contains(post, a, ctx.resolver)):
+            v = Verdict.unknown(f"deeper than depth {depth} and outside post")
+        else:
+            v = _c_covered(a, ctx, s_subset_post, reached)
+        parts.append((ctx.atom_text(a), v))
+        for b in reached:
+            if capped or b in seen:
+                continue
+            size += 1 + sum(term_size(t) for t in b.args)
+            capped = size > SLICE_CAP
+            if not capped:
+                seen.add(b)
+                found.append(b)
+    if capped:
+        note = f"slice cap {SLICE_CAP} hit"
+        parts.append((note, Verdict.unknown(note)))
+    return weakest([v for _, v in parts], tuple(parts)), capped
 
 
-def _atom_size(a: Pred) -> int:
-    return 1 + sum(term_size(t) for t in a.args)
-
-
-def _slice_coverage(ctx: _CheckContext, s_subset_post: bool) -> Optional[Verdict]:
-    """Every atom of the query's slice S' of S c-covered, with one part per
-    atom; None when the slice gives way to the whole of S.
-
-    The roots of S' are the atoms of the query's S-true instances, the query
-    variables ranging over the ground terms up to the depth.  Each atom, in
-    the order found, must lie in post and be c-covered; the body atoms of
-    the covering instances of the clause that c-covers it join S'.  The
-    slice gives way when the groundings of the query pass ``INSTANCE_CAP``
-    or the root search stops at a cap, when an atom of S' is outside post or
-    not Verified c-covered, and when the atoms of S' sum to more than
-    ``SLICE_CAP`` symbols."""
+def _coverage_stage(ctx: _CheckContext, s_subset_post: bool) -> Verdict:
+    """The c-coverage stage: ``_c_coverage`` rooted at the atoms of the
+    query's S-true instances, the query variables ranging over the ground
+    terms up to the depth.  When those cannot be computed (the groundings of
+    the query pass ``INSTANCE_CAP``, or the root search stops at a cap), or
+    that slice stopped at ``SLICE_CAP`` without refuting, it is rooted at
+    every atom of S up to the depth and every atom S lists, whatever its
+    depth, as ``_s_subset_post`` probes them."""
     try:
         _check_groundings(vars_of(ctx.query), ctx)
         roots = [x for _, inst in _s_true_instances(ctx) for x in inst]
     except CapHit:
-        return None
-    post, resolver = ctx.suite.post, ctx.resolver
-    found: list = []  # the atoms of S' in the order found, c-covered first to last
-    seen: set = set()
-    size = 0
-    parts = []
-    reached = roots
-    while True:
-        for b in reached:
-            if b is CUT or b in seen:
-                continue
-            size += _atom_size(b)
-            if size > SLICE_CAP:
-                return None
-            seen.add(b)
-            found.append(b)
-        if len(parts) == len(found):
-            return Verdict.verified(f"query slice of S: {len(parts)} atoms c-covered",
-                                    tuple(parts))
-        a = found[len(parts)]
-        if not contains(post, a, resolver):
-            return None
-        reached = []
-        v = ctx.c_covered[a] = _c_covered(a, ctx, s_subset_post, reached)
-        if not v.is_verified:
-            return None
-        parts.append((ctx.atom_text(a), v))
+        pass
+    else:
+        coverage, capped = _c_coverage(ctx, roots, s_subset_post)
+        if coverage.is_verified:
+            return Verdict.verified(f"query slice of S: {len(coverage.parts)} atoms c-covered",
+                                    coverage.parts)
+        if coverage.is_refuted or not capped:
+            return coverage
+    s = ctx.suite.s
+    try:
+        roots = ctx.members(s) + list(s.atoms)
+    except CapHit as exc:
+        return Verdict.unknown(str(exc))
+    return _c_coverage(ctx, roots, s_subset_post)[0]
 
 
 def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> CheckReport:
@@ -1059,9 +1064,10 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     is then c-covered w.r.t. S', so the pruned tree answers every S'-true
     instance of the query, and those are all its S-true instances.  S'
     subset-of S subset-of post keeps the premise, and conditions 2 and 3
-    read only pre, post and the clauses.  So the c-coverage stage first
-    closes the query's slice S' (``_slice_coverage``) and reports its atoms;
-    when the slice gives way, it c-covers every atom of S up to the depth.
+    read only pre, post and the clauses.  So the c-coverage stage
+    (``_coverage_stage``) closes the query's slice S' and reports its atoms,
+    and roots the closure at the whole of S only when the slice's roots
+    cannot be computed or the slice stops at ``SLICE_CAP`` without refuting.
 
     A query with cut is first rewritten by ``_query_transform``, and the
     stages check the rewritten program, query and sets.  When the S
@@ -1081,13 +1087,12 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     tree_v = (
         Verdict.verified()
         if pt.exact
-        else Verdict.unknown(f"{_tree_budget(pt, suite.budget)} exhausted; pruned tree is not exact")
+        else Verdict.unknown(f"{pt.exhausted} exhausted; pruned tree is not exact")
     )
 
     premise = _s_subset_post(ctx)
     wa_program = _cs_correct(ctx)
-    coverage = (_slice_coverage(ctx, premise.is_verified)
-                or _s_coverage(ctx, premise.is_verified))
+    coverage = _coverage_stage(ctx, premise.is_verified)
     if premise.is_refuted:
         premise = Verdict.unknown(
             "premise S subset-of post is violated: "
@@ -1107,19 +1112,6 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
     witnesses: list = []
     _collect_witnesses(verdict, witnesses)
     return CheckReport.of("complete", verdict, suite, start, witnesses, coverage.parts, pt)
-
-
-def _tree_budget(pt: PrunedTree, budget: Budget) -> str:
-    """The budget an inexact pruned tree ran out of, with its value: the step
-    budget when the Truncated node the walk stopped at lies that many steps
-    below the root, else the node budget."""
-    nodes = pt.base.nodes
-    nid, depth = pt.stop, 0
-    while nodes[nid].parent is not None:
-        nid, depth = nodes[nid].parent, depth + 1
-    if depth >= budget.steps:
-        return f"tree step budget {budget.steps}"
-    return f"tree node budget {budget.nodes}"
 
 
 def _s_true_instances(ctx: _CheckContext):
@@ -1174,7 +1166,7 @@ def oracle_tree_complete(program: Program, query: tuple, suite: SpecSuite) -> Ve
     pt = pruned_tree(program, query, suite.budget,
                      on_answer=lambda store: answers.append(resolve(store, query)))
     if not pt.exact:
-        return Verdict.unknown(f"{_tree_budget(pt, suite.budget)} exhausted; answers may be missing")
+        return Verdict.unknown(f"{pt.exhausted} exhausted; answers may be missing")
     try:
         for _, inst in _s_true_instances(ctx):
             if not any(match(ans, inst) is not None for ans in answers):

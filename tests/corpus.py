@@ -28,6 +28,8 @@ The argv set:
   ground, so that its seed lies outside pre, with and without a trailing
   cut, and on a program that loses an S-true instance of its query only
   through such a pattern, at depths 2 to 4;
+- ``check complete`` on a program that loses an S-true instance of its
+  query only through a body atom deeper than the depth, at depths 2 and 3;
 - stage paths no other argv reaches: ``correct`` and ``acceptable``
   answering Verified, a refuted level decrease, a refuted premise S
   subset-of post, the tree step budget, an occurs check that fails, an S
@@ -228,15 +230,30 @@ LATTICE_FILES = (
 MEMBER_PRE_FILES = (("member.pl", smoke.MEMBER_PRE_PROGRAM), ("member.spec", smoke.MEMBER_PRE_SPEC))
 
 
+# a program that loses the S-true instance p(b, [b, b]) of the query: clause 1 of q cuts
+# on the call q(b, L), and only the body atom q(b, [b, [a]]), of depth 3, shows it
+DEEP_BODY_FILES = (
+    ("deep_body.pl", "r([a], a).\nq(b, [b]) :- !, r(b, [b, a]).\nq(b, [b, X]) :- r(X, L).\n"
+                     "p(X, [X, X]) :- q(X, L).\n"),
+    ("deep_body.spec", "[S]\np(b, [b, b]).\nq(b, [b, [a]]).\nr([a], a).\n[pre]\nany.\n"
+                       "[post]\np(b, [b, b]).\nq(b, [b, [a]]).\nr([a], a).\n"),
+)
+DEEP_BODY_QUERY = "p(X, [Z, Y])"
+
+
 def lattice_cases(workdir: Path) -> list:
-    """``check complete`` on the lattice files and on the member-pre files, at
-    depths 2 to 4, their files written under ``workdir``."""
+    """``check complete`` on the lattice files, on the member-pre files at
+    depths 2 to 4 and on the deep-body files at depths 2 and 3, their files
+    written under ``workdir``."""
     return [_case(("check", "complete", "lattice.pl", "--spec", "lattice.spec", "--query", query,
                    "--depth", "1"), workdir, LATTICE_FILES)
             for query in ("p(a, a)", "p(a, a), !")] + [
         _case(("check", "complete", "member.pl", "--spec", "member.spec", "--query",
                smoke.MEMBER_PRE_QUERY, "--depth", depth), workdir, MEMBER_PRE_FILES)
-        for depth in ("2", "3", "4")]
+        for depth in ("2", "3", "4")] + [
+        _case(("check", "complete", "deep_body.pl", "--spec", "deep_body.spec", "--query",
+               DEEP_BODY_QUERY, "--depth", depth), workdir, DEEP_BODY_FILES)
+        for depth in ("2", "3")]
 
 
 # the paths of the check stages no other argv reaches: the files the argv

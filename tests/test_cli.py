@@ -337,17 +337,18 @@ class TestCheck:
 
 
 # SHA-256 of ``json.dumps(obj, sort_keys=True)`` of the ``--json`` report, with
-# ``timing_ms`` removed. The append/3 and notp/1 reports are as commit 4f8e775 printed
-# them before the coverage fast paths (notp(b) falls back to all of S); the in/2 one
-# is the query-slice report, over in([1], [1, 2]), in([], [1, 2]) and m(1, [1, 2]).
+# ``timing_ms`` removed. The append/3 report is as commit 4f8e775 printed it before the
+# coverage fast paths; the notp/1 one is the query-slice report over notp(b) alone, and
+# the in/2 one the query-slice report over in([1], [1, 2]), in([], [1, 2]) and
+# m(1, [1, 2]).
 COVERAGE_GOLDEN = [
     (("complete", "in.pl", "in.spec", "--query", "in([1], [1, 2])"), 0,
      "553af19e9cc6985a49fe2d75461fa08ead9738fa715967c69c682ff7b3185087"),
     (("semicomplete", "append.pl", "append.spec"), 0,
      "dd79f71f9b265f609ae88b5dbfdccfbc6e3b4791c21402fb72a76cb1843515c4"),
-    # refuted: condition 2 fails for notp(a)
+    # refuted: condition 2 fails for notp(b)
     (("complete", "notp.pl", "notp_nonground.spec", "--query", "notp(b)"), 1,
-     "c305cef7fb708628a1b3c4370c31cee2617722a9a7ee7a0d964b158551eb14aa"),
+     "c4d50644442f0b7450d4447965c3c25d43b90c55f105a651107de41b22f8cee7"),
 ]
 
 
@@ -374,11 +375,11 @@ class TestCoverageGolden:
     def test_relational_pre_at_depth_2(self, tmp_path):
         # the pre pattern's guards force both arguments ground, so each of the
         # 722 atoms of S is its own seed in condition 3; CI bounds its time.
-        # m(1, []) is not c-covered, so the query's slice gives way to all of S
+        # All of them are S-true instances of the query; m(1, []) is not c-covered
         (tmp_path / "rel.pl").write_text(RELATIONAL_PRE_PROGRAM)
         (tmp_path / "rel.spec").write_text(RELATIONAL_PRE_SPEC)
         proc = cli(["check", "complete", str(tmp_path / "rel.pl"), "--spec",
-                    str(tmp_path / "rel.spec"), "--query", "m(1, [])", "--depth", "2"])
+                    str(tmp_path / "rel.spec"), "--query", "m(X, Y)", "--depth", "2"])
         assert proc.returncode == 1 and proc.stderr == ""
         assert proc.stdout.count("\n") == 745
         assert "witness: atom=m(1, []), note=no clause c-covers the atom\n" in proc.stdout

@@ -15,10 +15,8 @@ The property: when ``completeness_check`` answers Verified and
 ``prolog_search`` finishes within its budget, every listed S atom that is an
 instance of the query, up to the depth, is an instance of some answer.  S is
 listed, so its S-true instances are the listed atoms the query matches, and
-the property needs no enumeration.  A case whose S holds an atom deeper
-than the depth is skipped: the check's slice of S leaves such atoms out.
-The checker reads only ``prolog_search`` and ``tests/match_reference.py``,
-nothing of ``cutcheck.verify``.
+the property needs no enumeration.  The checker reads only ``prolog_search``
+and ``tests/match_reference.py``, nothing of ``cutcheck.verify``.
 """
 
 from __future__ import annotations
@@ -161,8 +159,6 @@ def test_verified_complete_answers_every_s_instance():
         program, query = parse_program(text), parse_query(query_text)
         suite = parse_spec(spec_text + f"[bounds]\ndepth = {DEPTH}.\nnodes = {BUDGET.nodes}.\n"
                                        f"steps = {BUDGET.steps}.\n")
-        if any(atom_depth(a) > DEPTH for a in suite.s.atoms):
-            continue  # the check meets no S atom deeper than the depth
         if not completeness_check(program, query, suite).verdict.is_verified:
             continue
         missing = missing_instances(program, query, suite)

@@ -38,20 +38,20 @@ from cutcheck.cli import main
 from cutcheck.levels import LevelMapping, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import (
-    CUT, Alphabet, Clause, Compound, Pred, Var, apply, ground_atoms, ground_terms, is_ground,
-    is_list, make_list, match, vars_of,
+    CUT, Alphabet, Clause, Compound, Pred, Var, apply, atom_depth, ground_atoms, ground_terms,
+    is_ground, is_list, make_list, match, term_size, vars_of,
 )
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
-    _CheckContext, _CoverSearch, _atom_size, _c_covered, _cover_verdict, _covering_instance,
-    _cs_correct, _guard_facts, _query_transform, _s_coverage, _s_subset_post, _s_true_instances,
-    _pre_above, _slice_coverage, _well_asserted, _well_asserted_query,
+    _CheckContext, _CoverSearch, _c_coverage, _c_covered, _cover_verdict, _coverage_stage,
+    _covering_instance, _cs_correct, _guard_facts, _query_transform, _s_subset_post,
+    _s_true_instances, _pre_above, _well_asserted, _well_asserted_query,
 )
 
 import full_product
 from conftest import load_program, load_spec_text, search_answers, stage_context
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
-from corpus import LATTICE_FILES
+from corpus import DEEP_BODY_FILES, DEEP_BODY_QUERY, LATTICE_FILES
 from generalizations import RELATIONAL, Oracle, random_guard
 import generalizations
 from smoke import (
@@ -482,10 +482,12 @@ class TestCapSites:
         assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
 
     def test_s_coverage_enumeration_of_s(self, monkeypatch):
+        # the query's two groundings pass the instance cap, so the stage is rooted at S
         monkeypatch.setattr(cutcheck.atomsets, "ENUM_CAP", 3)
+        monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", 1)
         prog = parse_program("q(a).\nr(a).")
         suite = parse_spec(CAP_HEADER + "[S]\nany.\n")
-        v = _s_coverage(stage_context(prog, suite), True)
+        v = _coverage_stage(stage_context(prog, suite, parse_query("q(X)")), True)
         assert v.is_unknown and v.reason == "universal enumeration cap 3 hit at depth 1"
 
     def test_oracle_tree_budget(self):
@@ -873,18 +875,49 @@ def semi_complete_atom_by_atom(program, suite):
 
 
 def c_coverage_atom_by_atom(program, suite):
-    """The c-coverage stage's verdict, from one ``_c_covered`` call per atom,
-    each with a context of its own.  The premise S subset-of post is checked
-    once, as the stage does, so that the reference stays linear in S."""
+    """The S-rooted c-coverage stage's verdict, from one ``_c_covered`` call
+    per atom, each with a context of its own: the atoms of S up to the depth
+    and those S lists, then, in the order found, each body atom of the
+    covering instances of a Verified atom that no earlier part holds, until
+    those sum to more than ``SLICE_CAP`` symbols, where one more part names
+    the cap.  Such an atom deeper than the depth and outside post is
+    Unknown.  The premise S subset-of post is checked once, as the stage
+    does, so that the reference stays linear in S."""
     try:
         atoms = enumerate_atoms(suite.s, resolve_alphabet(program, (), suite), suite.budget.depth,
                                 suite.resolver)
     except CapHit as exc:
         return Verdict.unknown(str(exc))
     premise = _s_subset_post(stage_context(program, suite)).is_verified
-    per_atom = [(atom_text(a), _c_covered(a, stage_context(program, suite, (a,)), premise))
-                for a in atoms]
+    roots = list(dict.fromkeys(atoms + list(suite.s.atoms)))
+    seen_roots = frozenset(roots)
+    todo, per_atom = collections.deque(roots), []
+    seen, size, cap = set(roots), 0, cutcheck.verify.SLICE_CAP
+    while todo:
+        a = todo.popleft()
+        if (a not in seen_roots and atom_depth(a) > suite.budget.depth
+                and not contains(suite.post, a, suite.resolver)):
+            per_atom.append((atom_text(a), Verdict.unknown(
+                f"deeper than depth {suite.budget.depth} and outside post")))
+            continue
+        reached = []
+        per_atom.append((atom_text(a), _c_covered(a, stage_context(program, suite, (a,)), premise,
+                                                  reached)))
+        for b in reached:
+            if b not in seen and size <= cap:
+                size += atom_size(b)
+                if size <= cap:
+                    seen.add(b)
+                    todo.append(b)
+    if size > cap:
+        per_atom.append((f"slice cap {cap} hit", Verdict.unknown(f"slice cap {cap} hit")))
     return weakest([v for _, v in per_atom], tuple(per_atom))
+
+
+def s_rooted_coverage(ctx: _CheckContext, s_subset_post: bool) -> Verdict:
+    """``_c_coverage`` rooted at the atoms of S up to the depth and those S lists."""
+    s = ctx.suite.s
+    return _c_coverage(ctx, ctx.members(s) + list(s.atoms), s_subset_post)[0]
 
 
 class TestCoverContext:
@@ -897,7 +930,7 @@ class TestCoverContext:
         want = semi_complete_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
         ctx = stage_context(program, suite)
-        got = _s_coverage(ctx, _s_subset_post(ctx).is_verified)
+        got = s_rooted_coverage(ctx, _s_subset_post(ctx).is_verified)
         want = c_coverage_atom_by_atom(program, suite)
         assert got.to_json_obj() == want.to_json_obj()
         return got, len(got.parts)
@@ -1063,7 +1096,7 @@ class TestForcedPre:
         ctx = stage_context(prog, suite)
         premise = _s_subset_post(ctx)
         got = [v.to_json_obj() for v in (premise, _cs_correct(ctx),
-                                          _s_coverage(ctx, premise.is_verified))]
+                                          s_rooted_coverage(ctx, premise.is_verified))]
         assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == (
             "25ff7303aac3e8e4d279f1593dc26e4e59db3b7af3eda975703b52747d756e28")
         coverage = got[2]
@@ -1092,10 +1125,13 @@ class TestForcedPre:
 
 
 def whole_s_report(program, query, suite, monkeypatch):
-    """``completeness_check`` with the query's slice always giving way to the
-    whole of S."""
+    """``completeness_check`` with the c-coverage stage always rooted at S:
+    the query's groundings always pass the instance cap."""
+    def capped(names, ctx):
+        raise CapHit("instance cap hit")
+
     with monkeypatch.context() as m:
-        m.setattr(cutcheck.verify, "_slice_coverage", lambda *args: None)
+        m.setattr(cutcheck.verify, "_check_groundings", capped)
         return completeness_check(program, query, suite)
 
 
@@ -1103,9 +1139,17 @@ def report_obj(report):
     return report.to_json_obj() | {"timing_ms": 0}
 
 
+def coverage_stage(report) -> Verdict:
+    return dict(report.verdict.parts)["every S atom c-covered"]
+
+
 def slice_taken(report) -> bool:
-    coverage = dict(report.verdict.parts)["every S atom c-covered"]
-    return (coverage.reason or "").startswith("query slice of S: ")
+    return (coverage_stage(report).reason or "").startswith("query slice of S: ")
+
+
+def atom_size(a: Pred) -> int:
+    """The symbols of the ground atom ``a``, as ``SLICE_CAP`` counts them."""
+    return 1 + sum(term_size(t) for t in a.args)
 
 
 # query arguments with at most the one variable X
@@ -1113,15 +1157,19 @@ SLICE_QUERY_ARGS = ("[]", "[1]", "1", "[1, 1]", "[1 | X]", "[X]", "X")
 
 
 class TestQuerySlice:
-    """The c-coverage stage closes the query's slice of S or gives way to
-    the whole of S, with the whole-S report then unchanged."""
+    """The c-coverage stage closes the query's slice of S.  A Verified slice
+    answers every S-true instance; a slice that is not Verified is as weak
+    as its weakest atom, and no weaker than the whole of S."""
 
     def test_seeded_programs_specs_and_queries(self, monkeypatch):
         """A Verified report over a closed slice is never refuted by
         ``oracle_tree_complete``, and ``prolog_search`` answers every S-true
-        instance; where the whole-S report is Verified, so is the slice's."""
+        instance; where the whole-S report is Verified, so is the slice's.
+        A stage that is not Verified is the weakest of its parts, and when
+        the slice's roots lie within the depth, the whole-S report is not
+        Verified either."""
         rng = random.Random(19)
-        counts = {"closed": 0, "verified": 0, "searched": 0, "fallback": 0}
+        counts = {"closed": 0, "verified": 0, "searched": 0, "not verified": 0, "within": 0}
         for _, prog, _, _ in random_list_cases(rng, 60):
             sets = ["\n".join(rng.sample(LIST_SETS, rng.randint(1, 3))) for _ in range(3)]
             pre = rng.choice(["any.", sets[1]])
@@ -1140,11 +1188,18 @@ class TestQuerySlice:
                     got = completeness_check(prog, query, bounded)
                     want = whole_s_report(prog, query, bounded, monkeypatch)
                     context = (prog, suite, query, depth)
-                    if not slice_taken(got):
-                        assert report_obj(got) == report_obj(want), context
-                        counts["fallback"] += 1
+                    stage = coverage_stage(got)
+                    if not stage.is_verified:
+                        counts["not verified"] += 1
+                        weak = weakest([v for _, v in stage.parts], stage.parts)
+                        assert stage.to_json_obj() == weak.to_json_obj(), context
+                        ctx = stage_context(prog, bounded, query)
+                        roots = [x for _, inst in _s_true_instances(ctx) for x in inst]
+                        if all(atom_depth(x) <= depth for x in roots):
+                            counts["within"] += 1
+                            assert not want.verdict.is_verified, context
                         continue
-                    counts["closed"] += 1
+                    counts["closed"] += slice_taken(got)
                     assert got.verdict.is_verified or not want.verdict.is_verified, context
                     if not got.verdict.is_verified:
                         continue
@@ -1156,19 +1211,36 @@ class TestQuerySlice:
                         for _, inst in _s_true_instances(stage_context(prog, bounded, query)):
                             assert any(match(ans, inst) is not None for ans in answers), (
                                 context, inst)
-        assert counts["closed"] > 150 and counts["fallback"] > 80, counts
+        assert counts["not verified"] > 80 and counts["within"] > 50, counts
+        assert counts["closed"] > 150, counts
         assert counts["verified"] > 25 and counts["searched"] > 25, counts
 
     @pytest.mark.parametrize("pl, spec, query", [
         ("artificial.pl", "artificial_posthb.spec", "p(a, Z)"),
         ("notp.pl", "notp_nonground.spec", "notp(b)"),
     ])
-    def test_failed_condition_falls_back(self, monkeypatch, pl, spec, query):
+    def test_failed_condition_refutes(self, monkeypatch, pl, spec, query):
+        # an atom of the slice that is not c-covered refutes the stage
         prog, suite, _ = setup_example(pl, spec)
         got = completeness_check(prog, parse_query(query), suite)
-        assert not slice_taken(got) and got.verdict.is_refuted
-        assert report_obj(got) == report_obj(whole_s_report(prog, parse_query(query), suite,
-                                                            monkeypatch))
+        stage = coverage_stage(got)
+        assert got.verdict.is_refuted and stage.is_refuted
+        assert stage.witness == weakest([v for _, v in stage.parts]).witness
+        assert whole_s_report(prog, parse_query(query), suite, monkeypatch).verdict.is_refuted
+
+    def test_a_deep_body_atom_refutes(self):
+        # p(b, [b, b]) is S-true, and clause 1 of q cuts on the call q(b, L) and fails;
+        # only the body atom q(b, [b, [a]]), of depth 3, shows it (condition 2).  At depth
+        # 2 the query's 147 ** 3 groundings pass the instance cap, and S lists that atom
+        [(_, program), (_, spec)] = DEEP_BODY_FILES
+        program, query = parse_program(program), parse_query(DEEP_BODY_QUERY)
+        for depth in (2, 3):
+            report = completeness_check(program, query, at_depth(parse_spec(spec), depth))
+            assert report.verdict.is_refuted, (depth, report.to_text())
+            assert report.witnesses[0] == {"atom": "q(b, [b, [a]])",
+                                           "note": "no clause c-covers the atom"}
+        search, answers = search_answers(program, query)
+        assert search.exact and answers == []
 
     def test_incomplete_query_not_verified(self):
         prog, suite, _ = setup_example("in.pl", "in.spec")
@@ -1187,23 +1259,31 @@ class TestQuerySlice:
                                 ("m(1, [1, 2])", "verified")]
 
     def test_long_list_passes_the_slice_cap(self, monkeypatch):
+        # the cap bounds the atoms the closure adds to its one root, the query
         prog, suite, _ = setup_example("in.pl", "in.spec", depth=1)
         cells = lambda n: parse_query("in([" + ", ".join(["1"] * n) + "], [1])")
         short = completeness_check(prog, cells(10), suite)
         assert slice_taken(short) and len(short.per_atom) == 12
-        size = sum(_atom_size(parse_query(text)[0]) for text, _ in short.per_atom)
-        assert size <= cutcheck.verify.SLICE_CAP
-        monkeypatch.setattr(cutcheck.verify, "SLICE_CAP", size - 1)
-        assert report_obj(completeness_check(prog, cells(10), suite)) == report_obj(
-            whole_s_report(prog, cells(10), suite, monkeypatch))
+        added = sum(atom_size(parse_query(text)[0]) for text, _ in short.per_atom[1:])
+        assert added <= cutcheck.verify.SLICE_CAP
+        monkeypatch.setattr(cutcheck.verify, "SLICE_CAP", added - 1)
+        capped = completeness_check(prog, cells(10), suite)
+        assert not slice_taken(capped)
+        whole_s = whole_s_report(prog, cells(10), suite, monkeypatch)
+        assert report_obj(capped) == report_obj(whole_s)
         monkeypatch.undo()
         long = cells(4000)
-        assert _atom_size(long[0]) > cutcheck.verify.SLICE_CAP
-        assert _slice_coverage(stage_context(prog, suite, long), True) is None
+        assert atom_size(long[0]) > cutcheck.verify.SLICE_CAP
+        ctx = stage_context(prog, suite, long)
+        v, stopped = _c_coverage(ctx, list(long), True)
+        assert stopped and v.is_unknown and [label for label, _ in v.parts] == [
+            atom_text(long[0]), "slice cap 1024 hit"]
+        assert v.parts[-1][1] == Verdict.unknown("slice cap 1024 hit")
 
     def test_groundings_past_the_cap_build_none(self, monkeypatch):
         """The slice's root search and ``_query_transform`` give up before the
-        first grounding when the product passes the instance cap."""
+        first grounding when the product passes the instance cap; the stage
+        is then rooted at S."""
         built = []
 
         def counted(sigma, names, ctx, read=None):
@@ -1222,9 +1302,9 @@ class TestQuerySlice:
         ctx = stage_context(prog, suite, query)
         product = len(ground_terms(ctx.alphabet, 1)) ** 2  # 12 terms at depth 1
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product - 1)
-        assert _slice_coverage(ctx, True) is None and built == []
+        assert not _coverage_stage(ctx, True).reason.startswith("query slice") and built == []
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product)
-        assert _slice_coverage(ctx, True) is not None
+        assert _coverage_stage(ctx, True).reason.startswith("query slice")
         assert len(built) == product == 144
 
 
@@ -1260,11 +1340,12 @@ class TestMemoScope:
         return calls
 
     def test_one_enumeration_per_key(self, monkeypatch):
-        # m(1, []) is not c-covered, so the query slice gives way to all 722 atoms of S
+        # the query's 38 ** 3 groundings pass the instance cap, so the stage is rooted at
+        # all 722 atoms of S; m(1, []) is not c-covered
         prog = parse_program(RELATIONAL_PRE_PROGRAM)
         suite = at_depth(parse_spec(RELATIONAL_PRE_SPEC), 2)
         calls = self.record(monkeypatch)
-        report = completeness_check(prog, parse_query("m(1, [])"), suite)
+        report = completeness_check(prog, parse_query("m(X, [Y | Z])"), suite)
         assert report.verdict.is_refuted and len(report.per_atom) == 722
         keys = calls["enumerations"]
         assert (suite.s, None, None) in keys and len(set(keys)) == len(keys)
@@ -1395,15 +1476,14 @@ class TestLggConditions:
         # p(X, [Y, X, Z]): a member of pre that shares two of its three a's
         program = parse_program(MEMBER_PRE_PROGRAM)
         query = parse_query(MEMBER_PRE_QUERY)
-        for depth in (3, 4):
+        # at depth 2 the atom lies deeper than the bound, and the query's groundings pass
+        # the instance cap: the stage is rooted at S, which lists the atom
+        for depth in (2, 3, 4):
             suite = at_depth(parse_spec(MEMBER_PRE_SPEC), depth)
             report = completeness_check(program, query, suite)
             assert report.verdict.is_refuted, (depth, report.to_text())
             assert "generalization=p(G1, [G2, G1, G3]), covered_instance=p(c, [d, c, e]) :- " \
                    "q(c, [d, c, e])." in report.to_text()
-        # at depth 2 the atom lies deeper than the bound: the slice is vacuous
-        report = completeness_check(program, query, at_depth(parse_spec(MEMBER_PRE_SPEC), 2))
-        assert report.verdict.is_verified
         answers = search_answers(program, query)[1]
         assert [atom_text(x) for (x,) in answers] == ["p(c, [d, c, e])"]
 
