@@ -80,14 +80,19 @@ class AtomPattern:
 class AtomSet:
     """A set of atoms: every atom when ``universal``, else the listed ground
     ``atoms`` (kept sorted and deduplicated) and the instances of the guarded
-    ``patterns``.  ``a | b`` is the union, taken field by field."""
+    ``patterns``.  ``a | b`` is the union, taken field by field.  A universal
+    set has one form: it drops the atoms and patterns it is given, so it
+    equals ``UNIVERSAL``, as does every union with a universal side."""
 
     universal: bool = False
     atoms: tuple = ()
     patterns: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms), key=atom_key)))
+        atoms = () if self.universal else tuple(sorted(set(self.atoms), key=atom_key))
+        object.__setattr__(self, "atoms", atoms)
+        if self.universal:
+            object.__setattr__(self, "patterns", ())
 
     def __or__(self, other: "AtomSet") -> "AtomSet":
         return AtomSet(self.universal or other.universal, self.atoms + other.atoms,
@@ -289,8 +294,8 @@ def membership_reads(s: AtomSet, atom: Pred) -> set:
 
 
 def set_predicates(s: AtomSet) -> set:
-    """(name, arity) pairs the set lists; a universal set mentions every
-    predicate, and the caller must fall back to the alphabet for those."""
+    """(name, arity) pairs the set lists, none for a universal set, which
+    holds every predicate: the caller must fall back to the alphabet."""
     return {(a.name, len(a.args)) for a in s.atoms} | {
         (p.template.name, len(p.template.args)) for p in s.patterns
     }
@@ -543,12 +548,13 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
     With ``predicate`` = (name, arity) only the atoms of that predicate, and
     only the part of ``s`` that can hold them is enumerated (see
     ``_predicate_part``); the cap (``ENUM_CAP`` when None) counts that
-    part's work alone.  One counter serves the whole set: the universal part
-    adds the size of its product before it is built, each pattern every
-    candidate it tries.  The universal part and the patterns draw their
-    terms from ``pool``, a ``TermPool`` of the alphabet's functors and the
-    depth; without one the call builds its own.  The atoms ``s`` lists keep
-    their own terms.
+    part's work alone.  A universal set, which lists nothing, gives the
+    atoms of the alphabet's predicates, and the cap is compared with their
+    number before any is built.  Otherwise one counter serves the whole
+    set: each pattern adds every candidate it tries.  Both draw their terms
+    from ``pool``, a ``TermPool`` of the alphabet's functors and the depth;
+    without one the call builds its own.  The atoms ``s`` lists keep their
+    own terms.
     """
     if cap is None:
         cap = ENUM_CAP
@@ -558,18 +564,14 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
         raise ValueError("the term pool is of another alphabet or depth")
     if predicate is not None:
         s, alphabet = _predicate_part(s, alphabet, predicate)
-    counter = [0]
-    out: dict = {}
     if s.universal:
         n = ground_term_count(alphabet, depth, cap)
-        counter[0] = sum(n ** k for _, k in alphabet.predicates)
-        if counter[0] > cap:
+        if sum(n ** k for _, k in alphabet.predicates) > cap:
             raise AtomSetTooLarge(f"universal enumeration cap {cap} hit at depth {depth}")
         terms = pool.terms() if any(k for _, k in alphabet.predicates) else ()
-        if not s.atoms and not s.patterns:
-            return list(ground_atoms(alphabet, depth, terms))  # sorted
-        out.update(dict.fromkeys(ground_atoms(alphabet, depth, terms)))
-    out.update(dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth))
+        return list(ground_atoms(alphabet, depth, terms))  # sorted
+    counter = [0]
+    out = dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth)
     for p in s.patterns:
         out.update(dict.fromkeys(_enumerate_pattern(p, pool, resolver, cap, counter)))
     return _sorted_atoms(out)
@@ -604,13 +606,11 @@ def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
     universal set is enumerated over an alphabet whose only predicate is
     that one.
     """
-    part = AtomSet(
-        s.universal,
-        tuple(a for a in s.atoms if (a.name, len(a.args)) == predicate),
-        tuple(p for p in s.patterns if (p.template.name, len(p.template.args)) == predicate),
-    )
     if s.universal:
-        alphabet = Alphabet(alphabet.functors, (predicate,))
+        return s, Alphabet(alphabet.functors, (predicate,))
+    part = AtomSet(atoms=tuple(a for a in s.atoms if (a.name, len(a.args)) == predicate),
+                   patterns=tuple(p for p in s.patterns
+                                  if (p.template.name, len(p.template.args)) == predicate))
     return part, alphabet
 
 

@@ -769,11 +769,9 @@ class _SpecEntryParser(_Parser):
 
 
 def _make_set(universal: bool, patterns: list) -> AtomSet:
-    if universal:
-        return UNIVERSAL
     ground = [p.template for p in patterns if not p.guards and not vars_of(p.template)]
-    return AtomSet(atoms=tuple(ground),
-                   patterns=tuple(p for p in patterns if p.guards or vars_of(p.template)))
+    return AtomSet(universal, tuple(ground),
+                   tuple(p for p in patterns if p.guards or vars_of(p.template)))
 
 
 def parse_spec(text: str) -> SpecSuite:
@@ -819,8 +817,6 @@ def parse_spec(text: str) -> SpecSuite:
             if set_name not in declared:
                 parser.error(f"undeclared set {set_name!r} in notin guard", at)
     suite.s = functools.reduce(operator.or_, s_parts, AtomSet())
-    if suite.s.universal:  # an ``any.`` section: the other sections add nothing
-        suite.s = UNIVERSAL
     if saw_alphabet:
         suite.alphabet = Alphabet(tuple(functors), tuple(predicates))
     return suite

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import is_
 from typing import Optional, Union
 
@@ -150,46 +151,24 @@ class Pred:
         return f"{self.name}/{len(self.args)}"
 
 
-class _first_use:
-    """A property worked out on first use and kept in the instance's dict,
-    so that later reads find it there and never call the descriptor.
-
-    ``functools.cached_property`` does the same, but on Python 3.10 and 3.11
-    it takes a lock on every first use, and a search reaches most clauses
-    once; 3.12 dropped the lock.  Two threads that meet an unset value both
-    work it out, and get equal values."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Clause:
-    """An ordered definite clause; the body may contain cut, the head may not."""
+    """An ordered definite clause; the body may contain cut, the head may not.
+    Each property below is worked out on first use and kept."""
 
     head: Pred
     body: tuple = ()
 
-    @_first_use
+    @cached_property
     def var_names(self) -> tuple:
-        """Its variable names in first-occurrence order, worked out on first use."""
+        """Its variable names in first-occurrence order."""
         return tuple(vars_of(self))
 
-    @_first_use
+    @cached_property
     def head_linear(self) -> frozenset:
-        """The names of the variables that occur exactly once in its head,
-        worked out on first use: a resolution step binds such a variable at
-        that occurrence without the occurs check (``_unify_pairs``)."""
+        """The names of the variables that occur exactly once in its head: a
+        resolution step binds such a variable at that occurrence without the
+        occurs check (``_unify_pairs``)."""
         once, twice = set(), set()
         stack = list(self.head.args)
         while stack:
@@ -199,6 +178,23 @@ class Clause:
             elif not t.ground:
                 stack += t.args
         return frozenset(once - twice)
+
+    @cached_property
+    def first_cut(self) -> Optional[tuple]:
+        """The body before and after its first cut, or None without a cut."""
+        cut = next((i for i, b in enumerate(self.body) if b is CUT), None)
+        return None if cut is None else (self.body[:cut], self.body[cut + 1:])
+
+    @cached_property
+    def last_cut(self) -> Optional[tuple]:
+        """The body before and after its last cut, or None without a cut."""
+        cut = next((i for i in reversed(range(len(self.body))) if self.body[i] is CUT), None)
+        return None if cut is None else (self.body[:cut], self.body[cut + 1:])
+
+    @cached_property
+    def prefix(self) -> Optional[Clause]:
+        """The clause cut short before its last cut, or None without a cut."""
+        return None if self.last_cut is None else Clause(self.head, self.last_cut[0])
 
 
 class InputError(ValueError):

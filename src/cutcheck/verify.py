@@ -90,11 +90,12 @@ class _CheckContext:
     of the check are one object), each enumeration of a set, keyed by the
     set, the cap and the predicate (``enumerate``), the atoms of the last
     set a pass over all of it enumerated, which ``_covering_instance`` looks
-    ground body atoms up in (``in_set``), a ``_ClauseInfo`` per clause seen
-    (kept by the clause's id: the info holds the clause, so the id is not
-    reused while the context lives), the texts of ground atom arguments
-    (``texts``, as ``atom_text`` reads it).  None of them outlives the
-    context.
+    ground body atoms up in (``in_set``), the text of each clause seen
+    (``clause_text``, kept by the clause's id beside the clause itself, so
+    the id is not reused while the context lives), the texts of ground atom
+    arguments (``texts``, as ``atom_text`` reads it).  None of them outlives
+    the context.  What a clause alone determines, its cut splits and the
+    clause cut short before its last cut, the clause keeps itself.
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
@@ -107,7 +108,7 @@ class _CheckContext:
         self.pool = TermPool(self.alphabet, self.depth)
         self._members: tuple = (None, frozenset())  # (a set, its atoms up to the depth)
         self.texts: dict = {}  # ground term -> its text
-        self._clauses: dict = {}  # id(clause) -> _ClauseInfo
+        self._clause_texts: dict = {}  # id(clause) -> (the clause, its text)
         self._computed: dict = {}  # key -> the value computed, or the CapHit it raised
 
     def _once(self, key, compute):
@@ -122,9 +123,6 @@ class _CheckContext:
         if isinstance(value, CapHit):
             raise value.with_traceback(None)  # no frames pile up on the kept exception
         return value
-
-    def ground_terms(self) -> tuple:
-        return self.pool.terms()
 
     def enumerate(self, s: AtomSet, cap: Optional[int] = None, predicate=None) -> list:
         """``enumerate_atoms`` of ``s`` over the context's alphabet, depth,
@@ -150,11 +148,10 @@ class _CheckContext:
     def atom_text(self, a: Pred) -> str:
         return atom_text(a, self.texts)
 
-    def clause(self, c: Clause) -> "_ClauseInfo":
-        info = self._clauses.get(id(c))
-        if info is None:
-            info = self._clauses[id(c)] = _ClauseInfo(c)
-        return info
+    def clause_text(self, c: Clause) -> str:
+        if id(c) not in self._clause_texts:
+            self._clause_texts[id(c)] = (c, clause_text(c))
+        return self._clause_texts[id(c)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,7 @@ def _groundings(sigma: dict, names, ctx: _CheckContext, read=None):
     if not names:
         yield sigma
         return
-    terms = ctx.ground_terms()
+    terms = ctx.pool.terms()
     if not terms:
         return
     vary = names if read is None else [n for n in names if n in read]
@@ -194,7 +191,7 @@ def _check_groundings(names, ctx: _CheckContext) -> None:
     """Raise the CapHit that grounding every one of ``names`` with
     ``_groundings`` would raise once it passed ``INSTANCE_CAP``, before any
     grounding is built."""
-    if names and len(ctx.ground_terms()) ** len(names) > INSTANCE_CAP:
+    if names and len(ctx.pool.terms()) ** len(names) > INSTANCE_CAP:
         raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
 
 
@@ -268,21 +265,6 @@ _NO_PRECEDING = Verdict.verified("no preceding clauses")
 _PRECEDING_NO_CUT = Verdict.verified("preceding clause has no cut")
 
 
-class _ClauseInfo:
-    """The atom-independent parts of one clause: its text, its cut splits,
-    and the clause cut short before its last cut."""
-
-    def __init__(self, clause: Clause):
-        self.clause = clause
-        self.text = clause_text(clause)
-        body = clause.body
-        cuts = [i for i, b in enumerate(body) if b is CUT]
-        # (before, after) the first and the last cut, or None without a cut
-        self.first_cut = (body[:cuts[0]], body[cuts[0] + 1:]) if cuts else None
-        self.last_cut = (body[:cuts[-1]], body[cuts[-1] + 1:]) if cuts else None
-        self.prefix = None if self.last_cut is None else Clause(clause.head, self.last_cut[0])
-
-
 def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
                        ctx: _CheckContext) -> tuple:
     """Search a ground instance of the clause with head ``a`` and body in S + {!}.
@@ -337,7 +319,7 @@ def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckCo
             bodies.append(found.body)
         instance = rule_text(text, found.body, ctx.texts)
         return Verdict("verified", {"atom": text, "instance": instance}, None, ())
-    return Verdict.refuted({"atom": text, "clause": ctx.clause(clause).text, "note": found})
+    return Verdict.refuted({"atom": text, "clause": ctx.clause_text(clause), "note": found})
 
 
 def semi_complete(program: Program, suite: SpecSuite) -> Verdict:
@@ -696,19 +678,20 @@ def _pre_above(a: Pred, h: Pred, ctx: _CheckContext) -> tuple:
     return (None if ctx.in_set(pre, apply(spread, g)) else False), None
 
 
-def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Verdict:
-    """No ground instance (H' <- A0) sigma of the preceding clause, cut short
-    before its first cut, with A0 sigma in post may have H' sigma below a
-    member of pre above ``a``.  The cover search runs from each seed of pre
-    (``seeds``), above every such member; an instance is an obligation when
-    pre holds the seed or ``_pre_above`` finds a member, and one that stays
-    undecided is kept, making the condition Unknown unless another refutes."""
+def _cond2_preceding(a: Pred, preceding: Clause, ctx: _CheckContext) -> Verdict:
+    """No ground instance (H' <- A0) sigma of the ``preceding`` clause, cut
+    short before its first cut (A0 is ``preceding.first_cut[0]``), with A0
+    sigma in post may have H' sigma below a member of pre above ``a``.  The
+    cover search runs from each seed of pre (``seeds``), above every such
+    member; an instance is an obligation when pre holds the seed or
+    ``_pre_above`` finds a member, and one that stays undecided is kept,
+    making the condition Unknown unless another refutes."""
     if preceding.first_cut is None:
         return _PRECEDING_NO_CUT
     a0, _ = preceding.first_cut
     unknown = None  # the reason, once some search was incomplete
     for seed in seeds(a, ctx.suite.pre, ctx.resolver):
-        variant = rename_apart(Clause(preceding.clause.head, a0), set(vars_of(seed)))
+        variant = rename_apart(Clause(preceding.head, a0), set(vars_of(seed)))
         theta = unify(seed, variant.head)
         if theta is None:
             continue
@@ -733,7 +716,7 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Ver
                     return Verdict.refuted(
                         {
                             "atom": ctx.atom_text(a),
-                            "preceding_clause": preceding.text,
+                            "preceding_clause": ctx.clause_text(preceding),
                             "generalization": atom_text(member),
                             "covered_instance": clause_text(inst),
                         },
@@ -750,10 +733,12 @@ def _cond2_preceding(a: Pred, preceding: _ClauseInfo, ctx: _CheckContext) -> Ver
     return Verdict.verified()
 
 
-def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _CheckContext,
+def _cond3_own_cut(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckContext,
                    bodies: Optional[list] = None) -> Verdict:
     """For each member of pre above ``a`` and each ground eta putting its B0
-    rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta.
+    rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta, where H
+    is the head of ``clause`` and (B0, B1) its body split at its last cut
+    (``clause.last_cut``).
 
     The search for B0 runs from each seed of pre (``seeds``), and each eta
     gives the reduced head h = H rho eta.  When ``a`` is an instance of h,
@@ -766,12 +751,11 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _Chec
     vacuously: every H rho is an instance of H, so none has ``a`` as an
     instance.  When ``bodies`` is a list, the body of each covering instance
     found is appended to it."""
-    if info.last_cut is None:
+    if clause.last_cut is None:
         return _NO_CUT
     if theta is None:
         return _VERIFIED
-    b0, b1 = info.last_cut
-    clause = info.clause
+    b0, b1 = clause.last_cut
     pre = ctx.suite.pre
     if pre == UNIVERSAL:
         rhos = [({}, most_general_atom(a.name, len(a.args)))]
@@ -818,7 +802,7 @@ def _cond3_own_cut(a: Pred, info: _ClauseInfo, theta: Optional[dict], ctx: _Chec
                 return Verdict.refuted(
                     {
                         "atom": ctx.atom_text(a),
-                        "clause": info.text,
+                        "clause": ctx.clause_text(clause),
                         "eta": subst_text({v: resolve(eta, Var(v))
                                            for v in vars_of(b0r) if v in eta}),
                         "reduced_clause": clause_text(reduced),
@@ -842,7 +826,8 @@ def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
 
     ``s_subset_post`` is whether the premise S subset-of post holds (as
     ``_s_subset_post`` decides it, once for the whole of S); only then may
-    condition 1 use the clause cut short before its last cut.  When
+    condition 1 use the clause cut short before its last cut
+    (``Clause.prefix``).  Each condition takes the clause itself.  When
     ``reached`` is a list and a clause c-covers ``a``, the non-cut body
     atoms of that clause's covering instances are appended to it: those of
     condition 3's reduced clause for each eta, then condition 1's."""
@@ -851,17 +836,16 @@ def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
     cond2s = []  # condition 2 of each clause the loop has moved past
     previous = None
     for idx, clause in ctx.program.matching(a):
-        info = ctx.clause(clause)
         theta = match(clause.head, a)  # one head match for all three conditions
         bodies = None if reached is None else []
-        cond3 = _cond3_own_cut(a, info, theta, ctx, bodies)
+        cond3 = _cond3_own_cut(a, clause, theta, ctx, bodies)
         if previous is not None:
             cond2s.append(_cond2_preceding(a, previous, ctx))
-        previous = info
+        previous = clause
         cond2 = weakest(cond2s) if cond2s else _NO_PRECEDING
         cond1 = None
-        if s_subset_post and info.prefix is not None and cond3.is_verified:
-            v = _cover_verdict(a, info.prefix, theta, ctx, bodies)
+        if s_subset_post and clause.prefix is not None and cond3.is_verified:
+            v = _cover_verdict(a, clause.prefix, theta, ctx, bodies)
             if v.is_verified:
                 cond1 = v
         if cond1 is None:
@@ -872,7 +856,7 @@ def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
             ("condition 3 (own cut)", cond3),
         )
         v = weakest([cond1, cond2, cond3], parts)
-        clause_parts.append((f"clause {idx + 1}: {info.text}", v))
+        clause_parts.append((f"clause {idx + 1}: {ctx.clause_text(clause)}", v))
         if v.is_verified:
             if reached is not None:
                 reached += [b for body in bodies for b in body if b is not CUT]
@@ -1129,7 +1113,9 @@ def _query_transform(ctx: _CheckContext) -> _CheckContext:
     """Rewrite a query with cuts: add p(V...) <- Q for fresh p and extend the sets.
 
     Returns the context of the rewritten program, query p(V...) and suite.
-    It shares the pool of ``ctx``: the transform adds only a predicate, so
+    It shares the pool of ``ctx``: the transform adds one predicate and a
+    clause whose function symbols are the query's, the extension's atoms are
+    built from pool terms and the marker templates hold only variables, so
     the function symbols, which are all a pool reads of the alphabet, stay
     the same.  The S extension holds the ground p-instances whose query
     instance lies in S + {!} (bounded enumeration up to the depth bound).
@@ -1152,8 +1138,7 @@ def _query_transform(ctx: _CheckContext) -> _CheckContext:
     )
     rewritten = _CheckContext(Program(program.clauses + (Clause(head, tuple(query)),)),
                               (head,), suite2)
-    if rewritten.alphabet.functors == ctx.alphabet.functors:
-        rewritten.pool = ctx.pool
+    rewritten.pool = ctx.pool
     return rewritten
 
 

@@ -15,8 +15,11 @@ from cutcheck.atomsets import (
     possibly_contains,
     seeds,
 )
+from cutcheck.syntax import parse_program
 from cutcheck.terms import (
+    CUT,
     Alphabet,
+    Clause,
     Compound,
     Pred,
     Var,
@@ -95,6 +98,14 @@ class TestContains:
         assert contains(s, Pred("q", (b, b)))
         assert contains(UNIVERSAL, Pred("anything", ()))
         assert possibly_contains(s, Pred("q", (X, Y)))
+
+    def test_a_universal_set_has_one_form(self):
+        listed = AtomSet(atoms=(Pred("p", (a,)),), patterns=(AtomPattern(Pred("q", (X, Y))),))
+        given = AtomSet(universal=True, atoms=listed.atoms, patterns=listed.patterns)
+        assert given == UNIVERSAL and hash(given) == hash(UNIVERSAL)
+        assert given.atoms == given.patterns == ()
+        for s in (listed, AtomSet(), UNIVERSAL, given):
+            assert UNIVERSAL | s == s | UNIVERSAL == UNIVERSAL
 
 
 class TestEnumerate:
@@ -262,3 +273,20 @@ class TestForcedGround:
                 counts["generalizations"] += len(oracle.classes)
         assert counts["in set"] > 250 and counts["outside"] > 100, counts
         assert counts["members"] > 150, counts
+
+
+class TestClauseCuts:
+    @pytest.mark.parametrize("text", ["p(X) :- q(X), r(X).", "p(X) :- q(X), !, r(X).",
+                                      "p(X) :- q(X), !, r(X), !, s(X).", "p :- !, !."])
+    def test_splits_are_the_slices_at_the_cut_positions(self, text):
+        clause = parse_program(text).clauses[0]
+        body = clause.body
+        cuts = [i for i, x in enumerate(body) if x is CUT]
+        if not cuts:
+            assert clause.first_cut is clause.last_cut is clause.prefix is None
+            return
+        first, last = cuts[0], cuts[-1]
+        assert clause.first_cut == (body[:first], body[first + 1:])
+        assert clause.last_cut == (body[:last], body[last + 1:])
+        assert clause.prefix == Clause(clause.head, body[:last])
+        assert clause.prefix is clause.prefix  # kept on the clause

@@ -949,7 +949,7 @@ class TestNoMemoOutlivesACall:
         def recording_parse_spec(text):
             suite = parse_spec(text)
             sets.extend(weakref.ref(x) for x in (suite.s, suite.pre, suite.post)
-                        if x is not cutcheck.atomsets.UNIVERSAL)  # post: a module constant
+                        if x != cutcheck.atomsets.UNIVERSAL)  # post: any., the universal set
             return suite
 
         monkeypatch.setattr(cutcheck.cli, "parse_spec", recording_parse_spec)

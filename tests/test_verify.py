@@ -363,6 +363,21 @@ class TestPipeline:
         v = _s_subset_post(stage_context(Program(), at_depth(patterns, 1, alpha)))
         assert v.is_verified and v.reason == "probe up to depth 1 passed"
 
+    @pytest.mark.parametrize("argv", [
+        ("artificial.pl", "artificial_posthb.spec", "p(a, Z), !"),
+        ("in.pl", "in.spec", "in([X], [1, 2]), !", "--depth", "1"),
+    ])
+    def test_premise_holds_at_once_when_post_is_any(self, fixtures_dir, capsys, argv):
+        """post is ``any.``, so the rewrite of a query with cut joins a marker
+        to the universal set, which leaves it universal: the premise stage
+        probes no atom of S."""
+        program, spec, query, *flags = argv
+        main(["check", "complete", str(fixtures_dir / program), "--spec",
+              str(fixtures_dir / spec), "--query", query, "--json", *flags])
+        stages = dict(json.loads(capsys.readouterr().out)["verdict"]["parts"])
+        assert stages["S subset of post"] == {"status": "verified",
+                                              "reason": "post is the universal set"}
+
     def test_violated_premise_reason_is_plain_text(self):
         prog = load_program("in.pl")
         suite = parse_spec(load_spec_text("in.spec").replace(
@@ -823,7 +838,7 @@ class TestReaders:
         assert membership_reads(parse_spec(spec).s, p) == {"Z"}
         spec = "[S]\np(U, V, W).\np(a, V, W).\n"  # every p/3 pattern counts
         assert membership_reads(parse_spec(spec).s, p) == {"X"}
-        assert membership_reads(UNIVERSAL | parse_spec(spec).s, p) == {"X"}
+        assert membership_reads(UNIVERSAL | parse_spec(spec).s, p) == set()  # it is UNIVERSAL
 
     def test_level_reads(self):
         maps = {
