@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .terms import (
@@ -27,6 +26,7 @@ from .terms import (
     apply,
     atom_depth,
     atom_key,
+    cached,
     ground_atoms,
     ground_term_count,
     ground_terms,
@@ -70,7 +70,7 @@ class AtomPattern:
     template: Pred
     guards: tuple = ()
 
-    @cached_property
+    @cached
     def forced(self) -> set:
         """``forced_ground`` of its guards, worked out once."""
         return forced_ground(self.guards)

@@ -19,15 +19,37 @@ a clause head as written, read through the clause's renaming, so that only
 the head terms the step binds are renamed.  The occurs check runs wherever
 a variable is bound to a non-ground compound, but at the one occurrence of
 a variable that occurs once in the clause head (``Clause.head_linear``).
+Of two variables, the right-hand one, in a step the renamed head's, is
+bound to the left-hand one, so an answer keeps the query's names.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import is_
 from typing import Optional, Union
+
+
+class cached:
+    """A member worked out on first read and kept in the instance ``__dict__``,
+    where every later read finds it before this (non-data) descriptor.  It
+    is ``functools.cached_property`` without the lock that Python 3.11's
+    version takes on every first read; it writes the dict directly, so it
+    serves frozen dataclasses too."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -159,12 +181,12 @@ class Clause:
     head: Pred
     body: tuple = ()
 
-    @cached_property
+    @cached
     def var_names(self) -> tuple:
         """Its variable names in first-occurrence order."""
         return tuple(vars_of(self))
 
-    @cached_property
+    @cached
     def head_linear(self) -> frozenset:
         """The names of the variables that occur exactly once in its head: a
         resolution step binds such a variable at that occurrence without the
@@ -179,19 +201,19 @@ class Clause:
                 stack += t.args
         return frozenset(once - twice)
 
-    @cached_property
+    @cached
     def first_cut(self) -> Optional[tuple]:
         """The body before and after its first cut, or None without a cut."""
         cut = next((i for i, b in enumerate(self.body) if b is CUT), None)
         return None if cut is None else (self.body[:cut], self.body[cut + 1:])
 
-    @cached_property
+    @cached
     def last_cut(self) -> Optional[tuple]:
         """The body before and after its last cut, or None without a cut."""
         cut = next((i for i in reversed(range(len(self.body))) if self.body[i] is CUT), None)
         return None if cut is None else (self.body[:cut], self.body[cut + 1:])
 
-    @cached_property
+    @cached
     def prefix(self) -> Optional[Clause]:
         """The clause cut short before its last cut, or None without a cut."""
         return None if self.last_cut is None else Clause(self.head, self.last_cut[0])
@@ -418,14 +440,18 @@ def _unify_pairs(xs: list, ys: list, store: dict, rho: dict, linear: frozenset) 
     pairs and those below them are kept on a stack of their own, which is
     emptied first, so the pairs are taken in the order of one stack.
 
-    A variable on the left is bound to the right-hand term, else a variable
-    on the right to the left-hand term, with the occurs check, which a
+    A variable on the right is bound to the left-hand term, else a variable
+    on the left to the right-hand term, with the occurs check, which a
     binding to an unbound variable or to a ground compound cannot fail and
-    so skips.  It is skipped too at the occurrence of a variable named in
-    ``linear``, the variables that occur once in the head: its renamed name
-    is met there first, so it is unbound and no left-hand term can hold it
-    (the left-hand terms share no variable with the renamed head).  Met
-    again through a binding, it is checked like any variable.
+    so skips.  At the occurrence of a variable named in ``linear``, the
+    variables that occur once in the head, its renamed name is bound to the
+    left-hand term without the check: the name is met there first, so it
+    is unbound and no left-hand term can hold it (the left-hand terms share
+    no variable with the renamed head).  Met again through a binding, it is
+    checked like any variable.  So of two variables a resolution step binds
+    the younger, the renamed one, to the older, as the WAM does: bound the
+    other way, each step on ``m(E, [E|L])`` added a link to one chain of
+    variables, which every lookup then followed.
 
     Returns the bindings the unification adds, triangular over ``store``,
     or None; ``store`` is left as it was.  A binding to a variable that the
@@ -457,12 +483,8 @@ def _unify_pairs(xs: list, ys: list, store: dict, rho: dict, linear: frozenset) 
                 name = y.name
                 y = rho.get(name, y)
                 if name in linear:
-                    if x.__class__ is Var:
-                        store[x.name] = y
-                        added.append(x.name)
-                    else:
-                        store[y.name] = x
-                        added.append(y.name)
+                    store[y.name] = x
+                    added.append(y.name)
                     continue
             elif not y.ground:
                 if x.__class__ is Var:
@@ -487,21 +509,21 @@ def _unify_pairs(xs: list, ys: list, store: dict, rho: dict, linear: frozenset) 
             y = bound
         if x is y:
             continue
-        if x.__class__ is Var:
-            if y.__class__ is Var:
-                if y.name == x.name:
+        if y.__class__ is Var:
+            if x.__class__ is Var:
+                if x.name == y.name:
                     continue
-            elif not y.ground and _occurs_bound(x.name, y, store):
-                out = None
-                break
-            store[x.name] = y
-            added.append(x.name)
-        elif y.__class__ is Var:
-            if not x.ground and _occurs_bound(y.name, x, store):
+            elif not x.ground and _occurs_bound(y.name, x, store):
                 out = None
                 break
             store[y.name] = x
             added.append(y.name)
+        elif x.__class__ is Var:
+            if not y.ground and _occurs_bound(x.name, y, store):
+                out = None
+                break
+            store[x.name] = y
+            added.append(x.name)
         elif x.functor != y.functor or len(x.args) != len(y.args):
             out = None
             break
@@ -521,6 +543,8 @@ def unify(a, b) -> Optional[dict]:
 
     Accepts two terms or two predicate atoms.  Passing ``!`` raises
     CutUnificationError (cut is a control construct, not a unifiable atom).
+    Of two variables, the second is bound to the first: ``unify(X, Y)`` is
+    ``{Y: X}``.
     The unification loop's triangular bindings are resolved into an
     idempotent map once, at the end.
     """

@@ -6,6 +6,10 @@ applying the substitution found so far to both sides of every pair and
 composing once per binding, with the recursive ``occurs`` check.  This is the algorithm ``cutcheck.terms.unify``
 used before it bound triangularly; it is quadratic, so it is only used to
 check ``unify``, ``apply`` and the answers of both engines on small terms.
+It binds as ``cutcheck.terms._unify_pairs`` does: a variable on the right
+to the left-hand term, else a variable on the left to the right-hand term,
+so of two variables the right-hand one.  So its mgus equal the program's
+term for term, not only up to renaming.
 ``naive_vars_of`` and ``naive_resolve`` are full walks too.  Nothing here
 reads a compound's ``ground`` flag, so the oracles stay independent of
 the walks' shortcut at ground subterms.
@@ -113,14 +117,14 @@ def _unify_pairs(pairs) -> Optional[dict]:
         y = naive_apply(sigma, y)
         if x == y:
             continue
-        if isinstance(x, Var):
-            if occurs(x.name, y):
-                return None
-            sigma = naive_compose(sigma, {x.name: y})
-        elif isinstance(y, Var):
+        if isinstance(y, Var):
             if occurs(y.name, x):
                 return None
             sigma = naive_compose(sigma, {y.name: x})
+        elif isinstance(x, Var):
+            if occurs(x.name, y):
+                return None
+            sigma = naive_compose(sigma, {x.name: y})
         elif isinstance(x, Compound) and isinstance(y, Compound):
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return None

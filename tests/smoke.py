@@ -299,6 +299,15 @@ def rows() -> list:
             exits=frozenset({0, 3}), rss_mb=100),
         Row("Answer-stream smoke: run", cli("run", "fixtures/in.pl", "in(X, Y)", "--nodes", "5000"),
             exits=frozenset({0, 3}), rss_mb=100),
+        # each step of in(X, Y) resolves m(E, [E|L]) on the last step's L: fails if a step binds
+        # the goal's variable to the renamed head variable, so that the chain of variables every
+        # lookup follows grows by one link a step (measured on a 2-vCPU x86 host: 17.7 s and
+        # 27.2 s that way, 1.0 s and 1.5 s binding the younger variable)
+        Row("Variable-chain smoke: prune", cli("prune", "fixtures/in.pl", "in(X, Y)", "--nodes",
+                                               "40000"),
+            timeout=10, exits=frozenset({3}), rss_mb=100),
+        Row("Variable-chain smoke: check", in_complete + ("--query", "in(X, Y)", "--depth", "2"),
+            timeout=10, exits=frozenset({1}), rss_mb=100),
         # a goal list that grows by one q/1 goal per step, 4,000 s deep (applying each mgu to the
         # whole goal list took run to 163 MB at 1,000 s)
         Row("Deep goal-list smoke: run", cli("run", "deep.pl", deep_query(4000), "--nodes",

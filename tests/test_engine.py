@@ -1,7 +1,9 @@
 import contextlib
+import cProfile
 import dataclasses
 import io
 import itertools
+import pstats
 import random
 import tracemalloc
 import types
@@ -360,6 +362,28 @@ class TestOccursCheckCost:
             assert len(per_step) > n * n // 2
             most[n] = max(per_step)
         assert most[25] == most[50] == most[100] <= 2, most
+
+
+class TestDereferenceCost:
+    """On ``in(X, Y)`` each step of the pruned tree unifies ``m(E, [E|L])``
+    with a goal whose list is the last step's renamed ``L``.  Bound the
+    other way round, each step added a link to one chain of variables, so
+    the lookups per node grew with the nodes."""
+
+    @staticmethod
+    def dict_gets_per_node(n: int) -> float:
+        """The ``dict.get`` calls, which dereference every binding store, per
+        node kept by the pruned tree of ``in(X, Y)`` under ``n`` nodes."""
+        program, query = load_program("in.pl"), parse_query("in(X, Y)")
+        profile = cProfile.Profile()
+        pt = profile.runcall(pruned_tree, program, query, Budget(nodes=n))
+        gets = sum(stat[1] for key, stat in pstats.Stats(profile).stats.items()
+                   if key[2] == "<method 'get' of 'dict' objects>")
+        return gets / len(pt.kept)
+
+    def test_lookups_per_node_stay_flat(self):
+        small, large = self.dict_gets_per_node(2500), self.dict_gets_per_node(20000)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestPreorder:
