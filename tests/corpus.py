@@ -33,8 +33,9 @@ The argv set:
 - stage paths no other argv reaches: ``correct`` and ``acceptable``
   answering Verified, a refuted level decrease, a refuted premise S
   subset-of post, the tree step budget, an occurs check that fails, an S
-  pattern that builds a term deeper than the depth and a ``[set NAME]``
-  section;
+  pattern that builds a term deeper than the depth, a ``[set NAME]``
+  section, an obligation of c-coverage's conditions 2 and 3 that stays
+  undecided, and their searches over post exhausting the depth;
 - malformed inputs, each exit 2: a bad character on line 3 of a program, an
   unterminated quote, an error inside a spec section, an undeclared
   ``notin`` set, a bad query, an unknown flag, a bad ``[bounds]`` value and
@@ -260,6 +261,11 @@ def lattice_cases(workdir: Path) -> list:
 # names, as (name, text) pairs, and the argv
 WELL_FOUNDED_SPEC = ("[S]\napp(K, L, M) where ground_list(K), ground(L), concat(K, L, M).\n"
                      "[level]\napp(K, L, M) = len(K).\n")
+# over the constants a and b, pre holds every instance of p(a, Y), which contains cannot show
+UNDECIDED_PROGRAM = "p(X, Y) :- q(X, Y), !, fail.\np(X, Y).\nq(a, b).\n"
+UNDECIDED_SPEC = ("[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/2.\npredicate q/2.\n"
+                  "predicate fail/0.\n[S]\np(a, a).\n[pre]\np(X, Y) where eq(X, Y).\np(a, b).\n"
+                  "p(b, a).\n[post]\nq(a, b).\n")
 STAGE_RUNS = (
     # correct answers Verified, and acceptable reaches its level stage
     ((("wf.spec", WELL_FOUNDED_SPEC),),
@@ -288,6 +294,15 @@ STAGE_RUNS = (
       ("q.spec", "[set bad]\nq(b).\n[S]\nq(X) where notin(q(X), bad).\n"
                  "[pre]\nq(X) where notin(q(X), bad).\n[post]\nany.\n")),
      ("check", "cscorrect", "q.pl", "--spec", "q.spec")),
+    # conditions 2 and 3 each keep an obligation that pre may hold (p(a, Y) loses p(a, a))
+    ((("u.pl", UNDECIDED_PROGRAM), ("u.spec", UNDECIDED_SPEC)),
+     ("check", "complete", "u.pl", "--spec", "u.spec", "--query", "p(a, Y)", "--depth", "1")),
+    # a post pattern of q: condition 2's cover search and condition 3's eta
+    # enumeration each exhaust the depth
+    ((("c2.pl", "p(X, Y) :- q(X, Y), !.\np(X, Y).\n"),
+      ("c2.spec", "[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/2.\npredicate q/2.\n"
+                  "[S]\np(a, a).\n[pre]\np(X, Y) where eq(X, a).\n[post]\np(X, Y).\nq(b, Y).\n")),
+     ("check", "complete", "c2.pl", "--spec", "c2.spec", "--query", "p(a, Y)", "--depth", "1")),
 )
 
 

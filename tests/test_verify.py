@@ -51,7 +51,9 @@ from cutcheck.verify import (
 import full_product
 from conftest import load_program, load_spec_text, search_answers, stage_context
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
-from corpus import DEEP_BODY_FILES, DEEP_BODY_QUERY, LATTICE_FILES
+from corpus import (
+    DEEP_BODY_FILES, DEEP_BODY_QUERY, LATTICE_FILES, UNDECIDED_PROGRAM, UNDECIDED_SPEC,
+)
 from generalizations import RELATIONAL, Oracle, random_guard
 import generalizations
 from smoke import (
@@ -1533,10 +1535,7 @@ class TestLggConditions:
         # over the constants a and b, pre holds every instance of p(a, Y), which
         # contains cannot show; the instance p(a, b) of the preceding clause is
         # kept, and calling p(a, Y) does lose p(a, a)
-        program = "p(X, Y) :- q(X, Y), !, fail.\np(X, Y).\nq(a, b).\n"
-        spec = ("[alphabet]\nfunctor a/0.\nfunctor b/0.\npredicate p/2.\npredicate q/2.\n"
-                "predicate fail/0.\n[S]\np(a, a).\n[pre]\np(X, Y) where eq(X, Y).\np(a, b).\n"
-                "p(b, a).\n[post]\nq(a, b).\n")
+        program, spec = UNDECIDED_PROGRAM, UNDECIDED_SPEC
         v = self.covered(program, spec, "p(a, a)", 1)
         assert v.is_unknown
         cond2 = TestCapSites.clause_condition(v, "clause 2: p(X, Y).", 2)
