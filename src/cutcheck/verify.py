@@ -167,7 +167,10 @@ def _groundings(sigma: dict, names, ctx: _CheckContext, read=None):
 
     A check whose outcome does not depend on the names outside ``read``
     finds the same first counterexample as over the full product: that one
-    has every such name at the first ground term.
+    has every such name at the first ground term.  Every one of ``names``
+    comes out bound to a pool term, so a term whose other variables sigma
+    binds to ground terms (as a cover search's solutions do) is ground under
+    each grounding.
     """
     names = [n for n in names if n not in sigma]
     if not names:
@@ -302,21 +305,20 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
 
 
 def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckContext,
-                   bodies: Optional[list] = None) -> Verdict:
+                   bodies: list) -> Verdict:
     """Is the ground atom ``a`` the head of a ground instance of the clause
     with body in S + {!}, given ``theta = match(clause.head, a)``?
 
     Verified comes with the witnessing ground instance; Refuted is definite
     when the search space was exhausted, otherwise Unknown names the bound.
-    When it is Verified and ``bodies`` is a list, the covering instance's
-    body is appended to it."""
+    When it is Verified, the covering instance's body is appended to
+    ``bodies``."""
     status, found = _covering_instance(a, clause, theta, ctx)
     if status == "unknown":
         return Verdict.unknown(found)
     text = ctx.atom_text(a)
     if status == "verified":
-        if bodies is not None:
-            bodies.append(found.body)
+        bodies.append(found.body)
         instance = rule_text(text, found.body, ctx.texts)
         return Verdict("verified", {"atom": text, "instance": instance}, None, ())
     return Verdict.refuted({"atom": text, "clause": ctx.clause_text(clause), "note": found})
@@ -363,9 +365,6 @@ def _correct_check(ctx: _CheckContext) -> Verdict:
             for sol in search.solutions(clause.body, {}):
                 for full in _groundings(sol, vars_of(clause), ctx, read):
                     head = resolve(full, clause.head)
-                    if not is_ground(head):
-                        bounded = True
-                        continue
                     if not contains(s, head, ctx.resolver):
                         return Verdict.refuted(
                             {
@@ -506,8 +505,6 @@ def _ground_refute_well_asserted(clause: Clause, k: Optional[int], pre, post,
     for count, instance in enumerate(instances, 1):
         if count > cap:
             raise CapHit(f"instance cap {cap} hit at depth {ctx.depth}")
-        if not is_ground(instance):
-            continue
         if not all(
             b is CUT or contains(post, b, resolver)
             for b in instance.body[: len(prefix)]
@@ -678,35 +675,42 @@ def _pre_above(a: Pred, h: Pred, ctx: _CheckContext) -> tuple:
     return (None if ctx.in_set(pre, apply(spread, g)) else False), None
 
 
+def _pre_seeds(a: Pred, clause: Clause, ctx: _CheckContext):
+    """For each seed of pre (``seeds``) whose variant, renamed apart from
+    ``clause``, unifies with the clause's head: the mgu, the seed, and
+    whether pre holds the seed."""
+    pre, resolver = ctx.suite.pre, ctx.resolver
+    names = set(vars_of(clause))
+    for seed in seeds(a, pre, resolver):
+        theta = unify(clause.head, rename_apart(seed, names))
+        if theta is not None:
+            yield theta, seed, contains(pre, seed, resolver)
+
+
 def _cond2_preceding(a: Pred, preceding: Clause, ctx: _CheckContext) -> Verdict:
     """No ground instance (H' <- A0) sigma of the ``preceding`` clause, cut
     short before its first cut (A0 is ``preceding.first_cut[0]``), with A0
     sigma in post may have H' sigma below a member of pre above ``a``.  The
-    cover search runs from each seed of pre (``seeds``), above every such
-    member; an instance is an obligation when pre holds the seed or
-    ``_pre_above`` finds a member, and one that stays undecided is kept,
-    making the condition Unknown unless another refutes."""
+    cover search runs from each seed of pre (``_pre_seeds``: the seed renamed
+    apart from the clause), above every such member; an instance is an
+    obligation when pre holds the seed or ``_pre_above`` finds a member, and
+    one that stays undecided is kept, making the condition Unknown unless
+    another refutes.  Each instance is ground: the search binds to ground
+    atoms of post, and ``_groundings`` binds the rest."""
     if preceding.first_cut is None:
         return _PRECEDING_NO_CUT
-    a0, _ = preceding.first_cut
+    short = Clause(preceding.head, preceding.first_cut[0])
     unknown = None  # the reason, once some search was incomplete
-    for seed in seeds(a, ctx.suite.pre, ctx.resolver):
-        variant = rename_apart(Clause(preceding.head, a0), set(vars_of(seed)))
-        theta = unify(seed, variant.head)
-        if theta is None:
-            continue
-        target = apply(theta, variant)
-        seed_in_pre = contains(ctx.suite.pre, seed, ctx.resolver)
+    for theta, seed, seed_in_pre in _pre_seeds(a, short, ctx):
+        target = apply(theta, short)
         search = _CoverSearch(ctx.suite.post, ctx)
         instances = (
             resolve(full, target)
-            for sol in search.solutions(target.body, theta)
+            for sol in search.solutions(target.body, {})
             for full in _groundings(sol, vars_of(target), ctx)
         )
         try:
             for inst in instances:
-                if not is_ground(inst):
-                    continue
                 status = seed_in_pre or _pre_above(a, inst.head, ctx)[0]
                 if status is None:
                     unknown = unknown or (f"kept obligation: {clause_text(inst)} "
@@ -734,40 +738,33 @@ def _cond2_preceding(a: Pred, preceding: Clause, ctx: _CheckContext) -> Verdict:
 
 
 def _cond3_own_cut(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckContext,
-                   bodies: Optional[list] = None) -> Verdict:
+                   bodies: list) -> Verdict:
     """For each member of pre above ``a`` and each ground eta putting its B0
     rho in post + {!}: ``a`` must be covered by (H <- B1) rho eta, where H
     is the head of ``clause`` and (B0, B1) its body split at its last cut
     (``clause.last_cut``).
 
-    The search for B0 runs from each seed of pre (``seeds``), and each eta
-    gives the reduced head h = H rho eta.  When ``a`` is an instance of h,
-    ``a`` must be covered by the reduced clause.  Otherwise, when pre holds
-    the seed or ``_pre_above`` finds a member that unifies with h, the
-    reduced clause under its delta refutes; a pair that stays undecided is
-    kept, making the condition Unknown unless another refutes.
+    The search for B0 runs from each seed of pre (``_pre_seeds``: the seed
+    renamed apart from the clause, rho the mgu), and each eta gives the
+    reduced head h = H rho eta.  For a universal pre the one seed is the
+    most general atom, which binds only its own variables: rho leaves the
+    clause as it is.  When ``a`` is an instance of h, ``a`` must be covered
+    by the reduced clause.  Otherwise, when pre holds the seed or
+    ``_pre_above`` finds a member that unifies with h, the reduced clause
+    under its delta refutes; a pair that stays undecided is kept, making the
+    condition Unknown unless another refutes.
 
     ``theta`` is ``match(H, a)``.  When it is None the condition holds
     vacuously: every H rho is an instance of H, so none has ``a`` as an
-    instance.  When ``bodies`` is a list, the body of each covering instance
-    found is appended to it."""
+    instance.  The body of each covering instance found is appended to
+    ``bodies``."""
     if clause.last_cut is None:
         return _NO_CUT
     if theta is None:
         return _VERIFIED
     b0, b1 = clause.last_cut
-    pre = ctx.suite.pre
-    if pre == UNIVERSAL:
-        rhos = [({}, most_general_atom(a.name, len(a.args)))]
-    else:
-        rhos = []
-        for seed in seeds(a, pre, ctx.resolver):
-            rho = unify(clause.head, rename_apart(seed, set(vars_of(clause))))
-            if rho is not None:
-                rhos.append((rho, seed))
     unknown = None  # the reason, once some search was incomplete
-    for rho, seed in rhos:
-        seed_in_pre = contains(pre, seed, ctx.resolver)
+    for rho, _, seed_in_pre in _pre_seeds(a, clause, ctx):
         head_r = apply(rho, clause.head)
         b0r = apply(rho, b0)
         b1r = apply(rho, b1)
@@ -811,15 +808,14 @@ def _cond3_own_cut(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckCo
                 )
             if status == "unknown":
                 unknown = unknown or found
-            elif bodies is not None:
+            else:
                 bodies.append(found.body)
     if unknown:
         return Verdict.unknown(unknown)
     return Verdict.verified()
 
 
-def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
-               reached: Optional[list] = None) -> Verdict:
+def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool, reached: list) -> Verdict:
     """Coverage that survives pruning: some clause covers the ground atom
     ``a`` and neither an earlier cut clause nor the clause's own cut can
     discard that inference.
@@ -827,17 +823,17 @@ def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
     ``s_subset_post`` is whether the premise S subset-of post holds (as
     ``_s_subset_post`` decides it, once for the whole of S); only then may
     condition 1 use the clause cut short before its last cut
-    (``Clause.prefix``).  Each condition takes the clause itself.  When
-    ``reached`` is a list and a clause c-covers ``a``, the non-cut body
-    atoms of that clause's covering instances are appended to it: those of
-    condition 3's reduced clause for each eta, then condition 1's."""
+    (``Clause.prefix``).  Each condition takes the clause itself.  When a
+    clause c-covers ``a``, the non-cut body atoms of that clause's covering
+    instances are appended to ``reached``: those of condition 3's reduced
+    clause for each eta, then condition 1's."""
     text = ctx.atom_text(a)
     clause_parts = []
     cond2s = []  # condition 2 of each clause the loop has moved past
     previous = None
     for idx, clause in ctx.program.matching(a):
         theta = match(clause.head, a)  # one head match for all three conditions
-        bodies = None if reached is None else []
+        bodies: list = []
         cond3 = _cond3_own_cut(a, clause, theta, ctx, bodies)
         if previous is not None:
             cond2s.append(_cond2_preceding(a, previous, ctx))
@@ -858,8 +854,7 @@ def _c_covered(a: Pred, ctx: _CheckContext, s_subset_post: bool,
         v = weakest([cond1, cond2, cond3], parts)
         clause_parts.append((f"clause {idx + 1}: {ctx.clause_text(clause)}", v))
         if v.is_verified:
-            if reached is not None:
-                reached += [b for body in bodies for b in body if b is not CUT]
+            reached += [b for body in bodies for b in body if b is not CUT]
             return Verdict.verified(
                 f"clause {idx + 1} c-covers the atom", tuple(clause_parts)
             )

@@ -193,11 +193,11 @@ class TestCriterion4ArtificialExample:
         suite = parse_spec(load_spec_text("artificial.spec"))  # at depth 1
         atom = Pred("p", (Compound("a"), Compound("c")))
 
-        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
         assert v.is_verified
 
         hb = parse_spec(load_spec_text("artificial_posthb.spec"))  # at depth 1
-        v2 = _c_covered(atom, stage_context(prog, hb, (atom,)), True)
+        v2 = _c_covered(atom, stage_context(prog, hb, (atom,)), True, [])
         assert v2.is_refuted
         clause2 = dict(v2.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -223,7 +223,7 @@ class TestCriterion5NotpExample:
         suite = parse_spec(load_spec_text("notp.spec"))  # at depth 1
         atom = Pred("notp", (Compound("b"),))  # p(b) is not in post0
 
-        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
         assert v.is_verified
         clause3 = dict(v.parts)["clause 3: notp(X)."]
         assert dict(clause3.parts)["condition 2 (earlier cut clauses)"].is_verified
@@ -232,7 +232,7 @@ class TestCriterion5NotpExample:
         assert rep.verdict.is_verified
 
         nonground = parse_spec(load_spec_text("notp_nonground.spec"))  # at depth 1
-        v2 = _c_covered(atom, stage_context(prog, nonground, (atom,)), True)
+        v2 = _c_covered(atom, stage_context(prog, nonground, (atom,)), True, [])
         assert v2.is_refuted
         clause3 = dict(v2.parts)["clause 3: notp(X)."]
         cond2 = dict(clause3.parts)["condition 2 (earlier cut clauses)"]

@@ -39,17 +39,19 @@ from cutcheck.levels import LevelMapping, level_of, level_reads
 from cutcheck.syntax import atom_text, resolve_alphabet
 from cutcheck.terms import (
     CUT, Alphabet, Clause, Compound, Pred, Var, apply, atom_depth, ground_atoms, ground_terms,
-    is_ground, is_list, make_list, match, term_size, vars_of,
+    is_ground, is_list, make_list, match, most_general_atom, term_size, vars_of,
 )
 from cutcheck.verdicts import Verdict, weakest
 from cutcheck.verify import (
-    _CheckContext, _CoverSearch, _c_coverage, _c_covered, _cover_verdict, _coverage_stage,
-    _covering_instance, _cs_correct, _guard_facts, _query_transform, _s_subset_post,
+    _CheckContext, _CoverSearch, _c_coverage, _c_covered, _cond2_preceding, _cond3_own_cut,
+    _cover_verdict, _coverage_stage, _covering_instance, _cs_correct, _guard_facts, _query_transform, _s_subset_post,
     _s_true_instances, _pre_above, _well_asserted, _well_asserted_query,
 )
 
 import full_product
-from conftest import load_program, load_spec_text, search_answers, stage_context
+from conftest import (
+    load_program, load_spec_text, random_term_program, search_answers, stage_context,
+)
 from full_product import full_acceptable_check, full_correct_check, full_recurrent_check
 from corpus import (
     DEEP_BODY_FILES, DEEP_BODY_QUERY, LATTICE_FILES, UNDECIDED_PROGRAM, UNDECIDED_SPEC,
@@ -152,21 +154,21 @@ class TestCovered:
         s = AtomSet(atoms=(Pred("p", (a,)),))
         atom = Pred("p", (a,))
         ctx = stage_context(clause, SpecSuite(s=s, budget=Budget(depth=1)), (atom,))
-        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx).is_verified
+        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx, []).is_verified
 
     def test_body_must_lie_in_set(self):
         [clause] = parse_program("p(X) :- q(X).").clauses
         s = AtomSet(atoms=(Pred("p", (a,)),))
         atom = Pred("p", (a,))
         ctx = stage_context(clause, SpecSuite(s=s, budget=Budget(depth=1)), (atom,))
-        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx).is_refuted
+        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx, []).is_refuted
 
     def test_cut_in_body_ignored(self):
         [clause] = parse_program("p(X) :- !, q(X).").clauses
         s = AtomSet(atoms=(Pred("p", (a,)), Pred("q", (a,))))
         atom = Pred("p", (a,))
         ctx = stage_context(clause, SpecSuite(s=s, budget=Budget(depth=1)), (atom,))
-        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx).is_verified
+        assert _cover_verdict(atom, clause, match(clause.head, atom), ctx, []).is_verified
 
 
 class TestSemiCompleteAndCorrect:
@@ -273,13 +275,13 @@ class TestCCovered:
     def test_artificial_with_real_post(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial.spec", depth=1)
         atom = Pred("p", (a, c))
-        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
         assert v.is_verified
 
     def test_artificial_with_universal_post_lists_both_failures(self):
         prog, suite, _ = setup_example("artificial.pl", "artificial_posthb.spec", depth=1)
         atom = Pred("p", (a, c))
-        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
         assert v.is_refuted
         clause2 = dict(v.parts)["clause 2: p(X, Z) :- q(X, Y), !, r(Y, Z)."]
         conds = dict(clause2.parts)
@@ -297,7 +299,7 @@ class TestCCovered:
         monkeypatch.setattr(cutcheck.verify, "_cond2_preceding",
                             lambda *args: calls.append(args) or cond2(*args))
         for atom in (Pred("p", (a,)), Pred("p", (b,))):
-            v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+            v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
             assert v.is_refuted and len(v.parts) == clauses
         assert len(calls) <= most
 
@@ -475,7 +477,7 @@ class TestCapSites:
         suite = parse_spec(CAP_HEADER + "[S]\np(a).\nq(a).\n[pre]\nany.\n"
                            "[post]\np(a).\nq(a).\nq(b).\n")
         atom = Pred("p", (a,))
-        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
         cond2 = self.clause_condition(v, "clause 2: p(X) :- q(X).", 2)
         assert v.is_unknown
         assert cond2 == Verdict.unknown("cover search visit cap 2 hit at depth 1")
@@ -486,7 +488,7 @@ class TestCapSites:
         suite = parse_spec(CAP_HEADER + "[S]\np(a).\nq(a).\n[pre]\nany.\n"
                            "[post]\np(a).\nq(X).\n")
         atom = Pred("p", (a,))
-        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True)
+        v = _c_covered(atom, stage_context(prog, suite, (atom,)), True, [])
         cond2 = self.clause_condition(v, "clause 2: p(X) :- q(X).", 2)
         assert v.is_unknown and cond2 == Verdict.unknown(
             "cover search for the preceding clause exhausted depth 1")
@@ -629,9 +631,10 @@ class TestHonestCaps:
         theta = match(clause.head, atom)
         with monkeypatch.context() as m:
             m.setattr(cutcheck.verify, "VISIT_CAP", 2)
-            v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)))
+            v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)), [])
         assert v.is_unknown and v.reason == "cover search visit cap 2 hit at depth 1"
-        assert _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,))).is_verified
+        ctx = stage_context(clause, suite, (atom,))
+        assert _cover_verdict(atom, clause, theta, ctx, []).is_verified
 
     def test_cover_search_cap_on_a_ground_body(self, monkeypatch):
         # the head match leaves the body ground: one visit per atom found, one for the end
@@ -643,20 +646,20 @@ class TestHonestCaps:
         theta = match(clause.head, atom)
         for cap in (1, 2, 3):
             monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", cap)
-            v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)))
+            v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)), [])
             assert v.is_unknown and v.reason == f"cover search visit cap {cap} hit at depth 1"
         monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 4)
-        v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)))
+        v = _cover_verdict(atom, clause, theta, stage_context(clause, suite, (atom,)), [])
         assert v.is_verified and v.witness["instance"] == "p(a) :- q(a), !, q(a), q(a)."
         sp = AtomSet(atoms=(Pred("q", (a,)), Pred("p", (a,))))
         all_sp = replace(suite, s=sp, pre=sp, post=sp)
         for cap, status in ((2, "unknown"), (3, "verified")):  # condition 3 probes q(a), q(a)
             set_caps(monkeypatch, cap)
-            assert _c_covered(atom, stage_context(prog, all_sp, (atom,)), True).status == status
+            assert _c_covered(atom, stage_context(prog, all_sp, (atom,)), True, []).status == status
         missing = AtomSet(atoms=(Pred("q", (b,)),))  # the first probe fails before any cap
         monkeypatch.setattr(cutcheck.verify, "VISIT_CAP", 1)
         v = _cover_verdict(atom, clause, theta,
-                           stage_context(clause, replace(suite, s=missing), (atom,)))
+                           stage_context(clause, replace(suite, s=missing), (atom,)), [])
         assert v.is_refuted and v.witness["note"] == "no ground body instance in the set"
 
     def test_refuted_at_depth_d_never_verified_at_d_plus_1(self, monkeypatch):
@@ -880,7 +883,7 @@ def semi_complete_atom_by_atom(program, suite):
         verdict = None
         for _, clause in program.matching(a):
             v = _cover_verdict(a, clause, match(clause.head, a),
-                               stage_context(clause, suite, (a,)))
+                               stage_context(clause, suite, (a,)), [])
             if v.is_verified:
                 verdict = Verdict.verified()
                 break
@@ -1126,7 +1129,7 @@ class TestForcedPre:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where ground_list(Y), eq(X, Y).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = _c_covered(a, stage_context(prog, at_depth(suite, 1), (a,)), True)
+        v = _c_covered(a, stage_context(prog, at_depth(suite, 1), (a,)), True, [])
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
 
@@ -1136,7 +1139,7 @@ class TestForcedPre:
         suite = parse_spec("[S]\np([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]).\n"
                            "[pre]\np(X, Y) where eq(X, [1, 1, 1, 1, 1]).\n[post]\nany.\n")
         [a] = suite.s.atoms
-        v = _c_covered(a, stage_context(prog, at_depth(suite, 1), (a,)), True)
+        v = _c_covered(a, stage_context(prog, at_depth(suite, 1), (a,)), True, [])
         [(_, clause)] = v.parts
         assert v.is_verified and clause.parts[2] == ("condition 3 (own cut)", Verdict.verified())
 
@@ -1486,7 +1489,7 @@ class TestLggConditions:
     def covered(program: str, spec: str, atom: str, depth: int) -> Verdict:
         [a] = parse_query(atom)
         ctx = stage_context(parse_program(program), at_depth(parse_spec(spec), depth), (a,))
-        return _c_covered(a, ctx, True)
+        return _c_covered(a, ctx, True, [])
 
     def test_a_lost_instance_is_never_verified(self):
         # the first clause's cut loses p(a, [b, a, a]) on the pre call
@@ -1544,6 +1547,43 @@ class TestLggConditions:
         report = completeness_check(parse_program(program), parse_query("p(a, Y)"),
                                     at_depth(parse_spec(spec), 1))
         assert not report.verdict.is_verified
+
+    def test_a_universal_pre_equals_a_most_general_pattern(self):
+        """On seeded programs with cut clauses, conditions 2 and 3 answer the
+        same for pre = ``any`` as for a pre of one unguarded most general
+        pattern per predicate: both seed the search with a most general atom,
+        which pre holds.  Only condition 2's generalization, the seed as
+        printed, names other variables."""
+        rng = random.Random(45)
+        alphabet = Alphabet((("a", 0), ("b", 0), ("f", 1), ("g", 2)), (("p", 1), ("q", 1), ("r", 1)))
+        counts = collections.Counter()
+        for _ in range(200):
+            program = parse_program(random_term_program(rng, max_body=3, max_cuts=3))
+            patterns = tuple(AtomPattern(most_general_atom(n, 1), ()) for n in "pqr")
+            atoms = rng.sample(enumerate_atoms(UNIVERSAL, alphabet, 1), 8)
+            post = rng.choice([UNIVERSAL, AtomSet(atoms=tuple(rng.sample(atoms, 5)))])
+            results = []
+            for pre in (UNIVERSAL, AtomSet(patterns=patterns)):
+                suite = SpecSuite(s=AtomSet(atoms=tuple(atoms)), pre=pre, post=post,
+                                  alphabet=alphabet, budget=Budget(depth=1))
+                ctx = stage_context(program, suite)
+                got = []
+                for a in atoms:
+                    clauses = [c for _, c in program.matching(a)]
+                    for c in clauses:
+                        bodies: list = []
+                        v = _cond3_own_cut(a, c, match(c.head, a), ctx, bodies)
+                        got.append((3, v.to_json_obj(), bodies))
+                    for c in clauses[:-1]:
+                        v = _cond2_preceding(a, c, ctx).to_json_obj()
+                        if v.get("witness"):
+                            v["witness"].pop("generalization")
+                        got.append((2, v, None))
+                results.append(got)
+            assert results[0] == results[1], program
+            counts.update(f"{n} {v['status']}" for n, v, _ in results[0])
+        assert min(counts[f"{n} {s}"] for n in (2, 3) for s in ("verified", "refuted")) > 40, counts
+        assert counts["2 unknown"] + counts["3 unknown"] > 15, counts
 
     def test_obligations_equal_the_oracle(self):
         """On seeded relational pre patterns and atoms, the seed and lgg test of
