@@ -31,7 +31,6 @@ from .terms import (
     ground_term_count,
     ground_terms,
     is_ground,
-    is_list,
     list_items,
     make_list,
     match,
@@ -197,6 +196,8 @@ class GuardKind(NamedTuple):
     # value_depth, term pool) gives the output's (value, depth) candidates, values of the pool
     mode: Optional[tuple] = None
     forces: tuple = ()  # ((from, to), ...): forced ground at positions from forces to
+    gives: tuple = ((), ())  # (facts, input positions): a generated output's facts,
+    # when the inputs at those positions are known to be lists
 
 
 GUARDS = {
@@ -209,11 +210,11 @@ GUARDS = {
                              definitely_list(args[0], facts) and definitely_ground(args[0], facts),
                              facts=("list", "ground")),
     "member": GuardKind(("term", "term"), _member, mode=(0, (1,), _members),
-                        forces=(((1,), (0,)),)),
+                        forces=(((1,), (0,)),), gives=(("ground",), ())),
     "subset": GuardKind(("term", "term"), _subset, mode=(0, (1,), _sublists),
-                        forces=(((1,), (0,)),)),
+                        forces=(((1,), (0,)),), gives=(("list", "ground"), ())),
     "concat": GuardKind(("term", "term", "term"), _concat, mode=(2, (0, 1), _concatenation),
-                        forces=(((2,), (0, 1)), ((0, 1), (2,)))),
+                        forces=(((2,), (0, 1)), ((0, 1), (2,))), gives=(("list", "ground"), (1,))),
     "eq": GuardKind(("term", "term"), lambda guard, args, facts, resolver: args[0] == args[1],
                     forces=(((1,), (0,)), ((0,), (1,)))),
     "notin": GuardKind(("atom", "set"), _notin),
@@ -339,8 +340,13 @@ class TermPool:
                 self._built = exc
                 return
             self._table.update(((t.functor, *map(id, t.args)), t) for t in terms)
-            every = [(t, term_key(t)[0], len(list_items(t) or ())) for t in terms]
-            self._built = (terms, every, [e for e in every if is_list(e[0])])
+            every, lists = [], []
+            for t in terms:
+                items = list_items(t)
+                every.append((t, term_key(t)[0], len(items or ())))
+                if items is not None:
+                    lists.append(every[-1])
+            self._built = (terms, every, lists)
 
     def _get(self) -> tuple:
         self._build()
@@ -423,16 +429,18 @@ def _enumerate_pattern(pattern: AtomPattern, pool: TermPool, resolver, cap, coun
     pool's ground lists, other variables over all its terms, and the output
     of a guard with a generation mode (``GUARDS``: concat's result, member's
     element, subset's sublist) is computed from its inputs once they are
-    chosen, rather than searched.  A leaf's assignment is the template's
-    match, and each atom is built once.  Every value carries its depth, read
-    from the pool or derived from how the value was made.
+    chosen, rather than searched.  Each atom is built once, from values that
+    carry their depths.  A variable adds its number of candidates to
+    ``counter`` before it tries the first, so the cap is passed exactly
+    where counting them one by one would pass it.
 
-    A leaf tests the guards its construction did not establish.  Two kinds
-    are established: a guard that gives facts (``list``, ``ground``,
-    ``ground_list``) of a template variable drawn from the list pool, and a
-    mode guard whose output it generated, from inputs assigned before.
-    Every other guard is tested, and so is the depth of each argument that
-    was not drawn from the pool.
+    A leaf tests the guards its construction did not establish: a mode
+    guard whose output it generated from inputs assigned before, and a
+    guard whose facts (``list``, ``ground``, ``ground_list``) its
+    construction gives the template variable.  A value drawn from the pool
+    is ground, and a list when drawn from the list pool; a generated one has
+    the facts of its mode (``GuardKind.gives``) when the inputs they need
+    are known to be lists.  It also measures each argument not drawn.
 
     For ``concat(K, L, M)`` with M a template variable the atom's depth is
     at least ``depth(M) = max(depth(K), len(K) + depth(L))``, so once one
@@ -467,22 +475,27 @@ def _enumerate_pattern(pattern: AtomPattern, pool: TermPool, resolver, cap, coun
     # the variables generated from inputs assigned before them; the others are drawn
     generated = {v: func[v] for i, v in enumerate(order)
                  if v in func and all(n in order[:i] for n in inputs[v])}
+    known: dict = {}  # template variable -> the facts its construction gives its values
+    for v in order:
+        facts, needs = GUARDS[generated[v][0].name].gives if v in generated else (
+            ("list", "ground") if v in lists else ("ground",), ())
+        args = generated[v][0].args if v in generated else ()
+        if all(args[i].__class__ is Var and "list" in known.get(args[i].name, ()) for i in needs):
+            known[v] = facts
 
     def established(g: Guard) -> bool:
         kind = GUARDS[g.name]
-        if kind.facts:  # of a variable drawn from the list pool
-            v = g.args[0]
-            return (v.__class__ is Var and v.name in lists and v.name in tvars
-                    and v.name not in generated)
-        if kind.mode is None:
-            return False
-        v = g.args[kind.mode[0]]  # the output, generated by this guard
+        v = g.args[kind.mode[0] if kind.mode else 0] if g.args else None
+        if kind.facts:
+            return v.__class__ is Var and set(kind.facts) <= set(known.get(v.name, ()))
         return v.__class__ is Var and v.name in generated and generated[v.name][0] is g
 
     tested = tuple(g for g in pattern.guards if not established(g))
-    # the template arguments a leaf measures: a drawn value is within the bound
-    measured = tuple((i, a) for i, a in enumerate(template.args)
-                     if a.__class__ is not Var or a.name in generated)
+    targs = template.args
+    # the leaf reads the depths of generated arguments, and measures the others not drawn
+    deep = tuple(a.name for a in targs if a.__class__ is Var and a.name in generated)
+    built = tuple(i for i, a in enumerate(targs) if a.__class__ is not Var)
+    names = None if built else tuple(a.name for a in targs)
 
     # The concat pool cuts: v -> the tails whose depth bounds len(v), and
     # v -> the heads whose length bounds depth(v).
@@ -495,7 +508,6 @@ def _enumerate_pattern(pattern: AtomPattern, pool: TermPool, resolver, cap, coun
             depth_cuts.setdefault(l.name, []).append(k.name)
 
     out = []
-    targs = template.args
     depths: dict = {}  # the depth of each assigned value
 
     def value_depth(t: Term, value: Term) -> int:
@@ -520,18 +532,24 @@ def _enumerate_pattern(pattern: AtomPattern, pool: TermPool, resolver, cap, coun
 
     def assign(i, env: dict):
         if i == len(order):
-            args = tuple([value(a, env) for a in targs])
-            for j, a in measured:
-                if value_depth(a, args[j]) > depth:
+            for v in deep:
+                if depths[v] > depth:
                     return
-            if all(guard_holds(g, env, None, resolver) for g in tested):
+            if names is None:
+                args = tuple([value(a, env) for a in targs])
+                if any(term_key(args[j])[0] > depth for j in built):
+                    return
+            else:
+                args = tuple([env[n] for n in names])
+            if not tested or all(guard_holds(g, env, None, resolver) for g in tested):
                 out.append(Pred(template.name, args))
             return
         v = order[i]
-        for c in candidates(v, env):
-            counter[0] += 1
-            if counter[0] > cap:
-                raise AtomSetTooLarge(f"pattern enumeration cap {cap} hit at depth {depth}")
+        found = candidates(v, env)
+        counter[0] += len(found)
+        if counter[0] > cap:
+            raise AtomSetTooLarge(f"pattern enumeration cap {cap} hit at depth {depth}")
+        for c in found:
             env[v] = c[0]
             depths[v] = c[1]
             assign(i + 1, env)

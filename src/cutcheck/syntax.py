@@ -298,21 +298,42 @@ def term_text(t) -> str:
 
 
 def atom_text(a, texts: Optional[dict] = None) -> str:
-    """The text of an atom.  ``texts``, when given, maps ground arguments to
-    their texts: an argument found there is not rendered again, and a ground
-    argument rendered is stored there."""
+    """The text of an atom.  ``texts``, when given, is a memo keyed by
+    identity: it maps an atom's name to the text that opens its arguments,
+    and the id of each ground compound met as an argument, or as an item or
+    argument of one, to the compound, which keeps the id from being reused,
+    and its text (``_kept_text``)."""
     if texts is None or a is CUT or not a.args:
         return _text((a,))
-    pieces = []
-    for t in a.args:
-        if t.__class__ is Compound and t.ground:
-            text = texts.get(t)
-            if text is None:
-                text = texts[t] = term_text(t)
-        else:
-            text = term_text(t)
-        pieces.append(text)
-    return _name_text(a.name) + "(" + ", ".join(pieces) + ")"
+    try:
+        return texts[a.name] + ", ".join([texts[id(t)][1] for t in a.args]) + ")"
+    except KeyError:  # a name or an argument met for the first time, or not ground
+        texts.setdefault(a.name, _name_text(a.name) + "(")
+        return texts[a.name] + ", ".join([_kept_text(t, texts) for t in a.args]) + ")"
+
+
+def _kept_text(t, texts: dict, compose: bool = True) -> str:
+    """The text of the term ``t``, kept in ``texts`` when ground; with
+    ``compose``, written from the texts of its list items and tail, or of
+    its arguments, each kept in turn, so no text kept is longer than one
+    ``atom_text`` read."""
+    if id(t) in texts:
+        return texts[id(t)][1]
+    if t.__class__ is not Compound or not t.ground:
+        return term_text(t)
+    if not compose or not t.args:
+        text = term_text(t)
+    elif t.functor != "." or len(t.args) != 2:
+        text = _name_text(t.functor) + "(" + ", ".join([_kept_text(x, texts, False) for x in t.args]) + ")"
+    else:  # a list: every subterm of a ground term is a compound
+        items, end = [], t
+        while end.functor == "." and len(end.args) == 2:
+            items.append(_kept_text(end.args[0], texts, False))
+            end = end.args[1]
+        tail = "" if end.functor == "[]" and not end.args else " | " + _kept_text(end, texts, False)
+        text = "[" + ", ".join(items) + tail + "]"
+    texts[id(t)] = (t, text)
+    return text
 
 
 _COMMA, _BAR, _CLOSE_LIST, _CLOSE_ARGS = (", ",), (" | ",), ("]",), (")",)

@@ -632,14 +632,16 @@ def match(general, specific) -> Optional[dict]:
         g = gpop()
         s = spop()
         cls = g.__class__
-        if g is CUT or s is CUT:
-            if g is not s:
+        if cls is Var:
+            bound = bindings.get(g.name)  # a binding is a term, never None
+            if bound is None:
+                if s is CUT:
+                    return None
+                bindings[g.name] = s
+            elif bound is not s and not _equal(bound, s):
                 return None
-        elif cls is Var:
-            name = g.name
-            if name not in bindings:
-                bindings[name] = s
-            elif not _equal(bindings[name], s):
+        elif g is CUT or s is CUT:
+            if g is not s:
                 return None
         elif cls is Compound:
             if g.ground:  # matches only itself
@@ -912,25 +914,32 @@ def ground_terms(alphabet: Alphabet, depth: int) -> tuple:
     The terms are built by levels: those of depth d are the compounds whose
     arguments are terms of depth < d with the first argument of depth d - 1
     at some position j, so each is built once and no term is measured.
-    Every argument of a term is itself one of the terms returned.  Raises
-    CapHit, before building any, when there are more than
-    ``GROUND_TERM_CAP``."""
+    A level is sorted by functor and then by the positions of the arguments
+    among the terms below it, already sorted, which is the order of their
+    keys; each term's key is cached from its arguments' keys, as
+    ``term_key`` would cache it.  Every argument of a term is itself one of
+    the terms returned.  Raises CapHit, before building any, when there are
+    more than ``GROUND_TERM_CAP``."""
     if ground_term_count(alphabet, depth, GROUND_TERM_CAP) > GROUND_TERM_CAP:
         raise CapHit(f"ground term cap {GROUND_TERM_CAP} hit at depth {depth}")
     if depth < 0:
         return ()
     older: list = []  # the terms of depth < d - 1
-    last = [Compound(n) for n, k in alphabet.functors if k == 0]  # those of depth d - 1
+    last = sorted((Compound(n) for n, k in alphabet.functors if k == 0), key=term_key)
     nonconst = [(n, k) for n, k in alphabet.functors if k > 0]
-    for _ in range(depth):
+    for d in range(1, depth + 1):
         below = older + last
+        rank = {id(t): i for i, t in enumerate(below)}
         level = []
         for name, k in nonconst:
             for j in range(k):
                 for args in itertools.product(*[older] * j, last, *[below] * (k - 1 - j)):
                     level.append(Compound(name, args))
+        level.sort(key=lambda t: (t.functor, [rank[id(a)] for a in t.args]))
+        for t in level:
+            t.__dict__["_key"] = (d, 1, t.functor, tuple([a.__dict__["_key"] for a in t.args]))
         older, last = below, level
-    return tuple(sorted(older + last, key=term_key))
+    return tuple(older + last)
 
 
 def ground_atoms(alphabet: Alphabet, depth: int, terms: Optional[tuple] = None) -> tuple:

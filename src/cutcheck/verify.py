@@ -107,7 +107,7 @@ class _CheckContext:
         self.resolver = suite.resolver
         self.pool = TermPool(self.alphabet, self.depth)
         self._members: tuple = (None, frozenset())  # (a set, its atoms up to the depth)
-        self.texts: dict = {}  # ground term -> its text
+        self.texts: dict = {}  # the memo of ``atom_text``: id -> (ground term, text), name -> text
         self._clause_texts: dict = {}  # id(clause) -> (the clause, its text)
         self._computed: dict = {}  # key -> the value computed, or the CapHit it raised
 
@@ -274,11 +274,12 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
 
     ``a`` must be ground, so it shares no variable with the clause and the
     instance has ``a`` itself as its head; ``theta`` is
-    ``match(clause.head, a)``.  A body that ``theta`` grounds is probed atom
-    by atom with ``ctx.in_set``, as the cover search would probe it, with no
-    search built, unless its atoms reach the search's visit cap.  Returns
-    ``("verified", instance)`` when one
-    is found, ``("refuted", note)`` when none exists (the head does not
+    ``match(clause.head, a)``.  When ``theta`` binds every variable of the
+    clause, it grounds the body, which is probed atom by atom with
+    ``ctx.in_set``, as the cover search would probe it, with no search
+    built, unless its atoms reach the search's visit cap.  Returns
+    ``("verified", body)``, the body of the ground instance, when one is
+    found, ``("refuted", note)`` when none exists (the head does not
     match, or the search was exhaustive), and ``("unknown", reason)`` when a
     bound stopped it.
     """
@@ -287,14 +288,15 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
     s = ctx.suite.s
     body = apply(theta, clause.body)
     goals = [b for b in body if b is not CUT]
-    if len(goals) < VISIT_CAP and is_ground(body):  # the search would probe each goal
-        if all(ctx.in_set(s, b) for b in goals):
-            return "verified", Clause(a, body)
-        return "refuted", "no ground body instance in the set"
+    if len(goals) < VISIT_CAP and len(theta) == len(clause.var_names):  # a ground body
+        for b in goals:
+            if not ctx.in_set(s, b):
+                return "refuted", "no ground body instance in the set"
+        return "verified", body
     search = _CoverSearch(s, ctx)
     try:
         for sol in search.solutions(body, {}):
-            instance = Clause(a, resolve(sol, body))
+            instance = resolve(sol, body)
             if is_ground(instance):
                 return "verified", instance
     except CapHit as exc:
@@ -318,8 +320,8 @@ def _cover_verdict(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckCo
         return Verdict.unknown(found)
     text = ctx.atom_text(a)
     if status == "verified":
-        bodies.append(found.body)
-        instance = rule_text(text, found.body, ctx.texts)
+        bodies.append(found)
+        instance = rule_text(text, found, ctx.texts)
         return Verdict("verified", {"atom": text, "instance": instance}, None, ())
     return Verdict.refuted({"atom": text, "clause": ctx.clause_text(clause), "note": found})
 
@@ -809,7 +811,7 @@ def _cond3_own_cut(a: Pred, clause: Clause, theta: Optional[dict], ctx: _CheckCo
             if status == "unknown":
                 unknown = unknown or found
             else:
-                bodies.append(found.body)
+                bodies.append(found)
     if unknown:
         return Verdict.unknown(unknown)
     return Verdict.verified()
@@ -1094,14 +1096,46 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
 
 
 def _s_true_instances(ctx: _CheckContext):
-    """The groundings theta of the query's variables, in product order, whose
-    instance of the query lies in S + {!}, each with that instance.  Raises
-    CapHit past ``INSTANCE_CAP`` groundings."""
+    """The groundings theta of the query's variables over the pool's terms,
+    in product order, whose instance of the query lies in S + {!}, each with
+    that instance.
+
+    A join: the variables are bound one at a time, in product order, and
+    each query atom is tested once its variables are bound, so a partial
+    grounding that puts an atom outside S skips every grounding extending
+    it.  ``INSTANCE_CAP`` counts the product's groundings passed, a skipped
+    one too: CapHit is raised where the product, tried one grounding at a
+    time, passes the cap, after the same instances."""
     query, s, resolver = ctx.query, ctx.suite.s, ctx.resolver
-    for theta in _groundings({}, vars_of(query), ctx):
-        inst = resolve(theta, query)
-        if all(x is CUT or contains(s, x, resolver) for x in inst):
-            yield theta, inst
+    names = vars_of(query)
+    terms = ctx.pool.terms() if names else ()
+    last = {n: i + 1 for i, n in enumerate(names)}
+    tests: list = [[] for _ in range(len(names) + 1)]  # per level, the atoms it grounds
+    for j, x in enumerate(query):
+        tests[max([last[v] for v in vars_of(x)], default=0)].append(j)
+    inst, theta, count = list(query), {}, 0
+
+    def extend(i):
+        nonlocal count
+        for j in tests[i]:
+            inst[j] = resolve(theta, query[j])
+            if inst[j] is not CUT and not contains(s, inst[j], resolver):
+                count += len(terms) ** (len(names) - i)  # the groundings skipped
+                break
+        else:
+            if i < len(names):
+                for t in terms:
+                    theta[names[i]] = t
+                    yield from extend(i + 1)
+                return
+            count += 1
+            if count <= INSTANCE_CAP:
+                yield dict(theta), tuple(inst)
+        if count > INSTANCE_CAP:
+            raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
+
+    if terms or not names:
+        yield from extend(0)
 
 
 def _query_transform(ctx: _CheckContext) -> _CheckContext:

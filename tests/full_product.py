@@ -1,4 +1,5 @@
-"""Model and level checks over the full grounding product, kept as a test oracle.
+"""Model and level checks, and the S-true instances of a query, over the
+full grounding product, kept as test oracles.
 
 ``cutcheck.verify`` enumerates only the clause variables that a verdict
 reads (membership in S, the levels) and keeps every other variable at the
@@ -27,10 +28,22 @@ from cutcheck.levels import level_of
 from cutcheck.syntax import atom_text, clause_text, resolve_alphabet
 from cutcheck.terms import CUT, apply, ground_terms, is_ground, resolve, vars_of
 from cutcheck.verdicts import Verdict, weakest
-from cutcheck.verify import _CheckContext, _CoverSearch
+from cutcheck.verify import _CheckContext, _CoverSearch, _groundings
 from naive_unify import naive_compose
 
 CAP_HITS: list = []
+
+
+def product_s_true_instances(ctx: _CheckContext):
+    """``cutcheck.verify._s_true_instances`` as a product: every grounding of
+    the query's variables, in product order (``_groundings``, which counts
+    each toward ``INSTANCE_CAP``), and only then the test of its instance's
+    atoms."""
+    query, s, resolver = ctx.query, ctx.suite.s, ctx.resolver
+    for theta in _groundings({}, vars_of(query), ctx):
+        inst = resolve(theta, query)
+        if all(x is CUT or contains(s, x, resolver) for x in inst):
+            yield theta, inst
 _ground_terms = functools.lru_cache(maxsize=None)(ground_terms)
 
 

@@ -234,11 +234,17 @@ def rows() -> list:
         # if the premise stage probes the atoms of S although post is any (2.6 s and 74 MB)
         Row("Slice-verdict smoke", in_complete + ("--depth", "3", "--query", "in([X], [1, 2]), !"),
             timeout=10, exits=frozenset({1, 3}), rss_mb=60),
-        # semi-completeness over all 117,964 atoms of in.pl's S at depth 3 (measured: 5.3 s and
-        # 78 MB on a 2-vCPU host; without one pool of terms per check, 13.6 s and 190 MB)
+        # semi-completeness over all 117,964 atoms of in.pl's S at depth 3 (measured: 3.2 s and
+        # 77 MB on a 2-vCPU host; without one pool of terms per check, 13.6 s and 190 MB)
         Row("Whole-S smoke", cli("check", "semicomplete", "fixtures/in.pl", "--spec",
                                  "fixtures/in.spec", "--depth", "3"),
             timeout=30, rss_mb=120),
+        # a cut-free query whose groundings pass the instance cap, so the c-coverage closure is
+        # rooted at all 26,755 atoms of append's S at depth 3 (measured: 2.0-2.8 s and 101 MB on
+        # a 2-vCPU host, printing 26,778 lines)
+        Row("S-rooted smoke", cli("check", "complete", "fixtures/append.pl", "--spec",
+                                  "fixtures/append.spec", "--query", "app(X, Y, [1, 2])"),
+            timeout=30, rss_mb=160),
         # post holds the marker pattern of the cut query's clause: fails if a pattern of another
         # predicate makes the cover search non-exhaustive (Unknown, exit 3)
         Row("Cut-query smoke", cli("check", "complete", "fixtures/artificial.pl", "--spec",

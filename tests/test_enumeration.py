@@ -2,10 +2,13 @@
 and its work on the append specification counted rather than timed."""
 
 import random
+from unittest import mock
 
 import pytest
 
+import cutcheck.atomsets
 from conftest import FIXTURES, load_program
+from cutcheck import semi_complete
 from cutcheck.atomsets import (
     UNIVERSAL,
     AtomPattern,
@@ -19,7 +22,7 @@ from cutcheck.atomsets import (
     enumerate_atoms,
 )
 from cutcheck.syntax import parse_spec, resolve_alphabet
-from cutcheck.terms import Alphabet, Compound, Pred, Var, atom_key, ground_atoms, make_list
+from cutcheck.terms import Alphabet, Clause, Compound, Pred, Var, atom_key, ground_atoms, make_list
 
 from enumerate_reference import reference_enumerate_pattern
 
@@ -72,20 +75,41 @@ def random_pattern(rng: random.Random, name: str) -> AtomPattern:
     return AtomPattern(Pred(name, args), tuple(guards))
 
 
+def boundary_pattern(text: str) -> AtomPattern:
+    [pattern] = parse_spec("[S]\n" + text).s.patterns
+    return pattern
+
+
+# The facts ``GUARDS`` gives a generated output at their boundary, each with
+# the depths it runs at: the leaf must still test a guard whose facts the
+# construction does not give.
+BOUNDARY_PATTERNS = tuple((boundary_pattern(text), depths) for text, depths in (
+    # concat's tail drawn from the whole pool: M need not be a list
+    ("p(K, L, M) where ground_list(K), concat(K, L, M), list(M), ground_list(M).", (1, 2, 3)),
+    # the tail is a list generated by subset: M is a ground list
+    ("p(K, U, M, T) where ground_list(K), ground_list(T), subset(U, T), concat(K, U, M), "
+     "ground_list(M).", (1, 2)),
+    ("p(X, L) where ground_list(L), member(X, L), ground(X).", (1, 2, 3)),
+    ("p(U, T) where ground_list(T), subset(U, T), ground_list(U).", (1, 2, 3)),
+))
+
+
 def test_pattern_enumeration_matches_reference():
     """One pool per depth serves every pattern, as one serves a whole check;
-    every argument of every atom is an object of that pool."""
+    every argument of every atom is an object of that pool.  Beside the
+    seeded patterns, the boundary patterns run at each depth."""
     rng = random.Random(20161)
     pools = {d: TermPool(Alphabet(functors, ()), d) for d, functors in ALPHABETS.items()}
     finished = 0
-    for _ in range(100):
-        depth = rng.randint(1, 3)
+    cases = [(rng.randint(1, 3), random_pattern(rng, "p")) for _ in range(100)]
+    boundary = [(depth, pattern) for pattern, depths in BOUNDARY_PATTERNS for depth in depths]
+    for depth, pattern in cases + boundary:
         alphabet = Alphabet(ALPHABETS[depth], ())
-        pattern = random_pattern(rng, "p")
         want_count = [0]
         try:
             want = reference_enumerate_pattern(pattern, alphabet, depth, RESOLVER, CAP, want_count)
         except AtomSetTooLarge:
+            assert (depth, pattern) not in boundary
             continue
         count = [0]
         pool = pools[depth]
@@ -265,3 +289,33 @@ def test_append_s_enumerates_within_a_work_count():
     atoms = _enumerate_pattern(pattern, TermPool(alphabet, 3), None, 10_000, count)
     assert len(atoms) == 2585 and count[0] <= 10_000
     assert len(enumerate_atoms(suite.s, alphabet, 3, cap=10_000)) == 2585
+
+
+def test_append_s_tests_no_guard_and_builds_no_clause():
+    """Depth 3 of append's S: ``concat(K, L, M)`` makes M from two lists drawn
+    from the list pool, so ``GUARDS`` gives M the facts of ``ground_list(M)``
+    and no leaf tests a guard (the leaves tested that guard 2,585 times);
+    and ``semi_complete`` reads only whether some clause covers each atom,
+    so it builds no ``Clause`` (it built one covering instance per atom,
+    2,585)."""
+    suite = parse_spec((FIXTURES / "append.spec").read_text())
+    program = load_program("append.pl")
+    [pattern] = suite.s.patterns
+    calls = {"guard_holds": 0, "Clause": 0}
+    real_guard, real_init = cutcheck.atomsets.guard_holds, Clause.__init__
+
+    def counted_guard(*args):
+        calls["guard_holds"] += 1
+        return real_guard(*args)
+
+    def counted_init(self, *args):
+        calls["Clause"] += 1
+        real_init(self, *args)
+
+    pool = TermPool(resolve_alphabet(program, (), suite), 3)
+    with mock.patch.object(cutcheck.atomsets, "guard_holds", counted_guard):
+        atoms = _enumerate_pattern(pattern, pool, None, 10_000, [0])
+    with mock.patch.object(Clause, "__init__", counted_init):
+        verdict = semi_complete(program, suite)
+    assert len(atoms) == 2585 and calls["guard_holds"] == 0, calls
+    assert verdict.is_verified and len(verdict.parts) == 2585 and calls["Clause"] == 0, calls

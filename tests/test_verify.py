@@ -1033,7 +1033,8 @@ class TestPatternVariableNames:
 
 def probed_covering_instance(a, clause, s, ctx, cap):
     """``_covering_instance`` for a clause whose body the head match leaves
-    ground, from ``contains`` alone: the body's atoms are probed in order,
+    ground, from ``contains`` alone (Verified with the ground body, whose
+    instance has head ``a``): the body's atoms are probed in order,
     one visit each, and one more for the end of the body; past ``cap``
     visits the answer is Unknown."""
     body = apply(match(clause.head, a), clause.body)
@@ -1043,8 +1044,51 @@ def probed_covering_instance(a, clause, s, ctx, cap):
     if visits > cap:
         return "unknown", f"cover search visit cap {cap} hit at depth {ctx.depth}"
     if failing is None:
-        return "verified", Clause(a, body)
+        return "verified", body
     return "refuted", "no ground body instance in the set"
+
+
+def drained(instances) -> tuple:
+    """What a generator of S-true instances yields, and the message of the
+    CapHit that ends it, or None."""
+    out = []
+    try:
+        for theta, inst in instances:
+            out.append((list(theta.items()), inst))
+    except CapHit as exc:
+        return out, str(exc)
+    return out, None
+
+
+class TestSTrueInstancesJoin:
+    def test_the_join_equals_the_product(self, monkeypatch):
+        """On seeded queries of one to three atoms (a cut at times) over the
+        list sets, at depths 1 and 2 and at low caps: the join yields the
+        instances the product yields, in its order, with equal groundings,
+        and raises the CapHit it raises after the same instances."""
+        rng = random.Random(46)
+        args = ("[]", "[1]", "[X | T]", "[1 | T]", "X", "T", "Y", "[X, 1]", "1")
+        counts = collections.Counter()
+        for _ in range(100):
+            sets = "\n".join(rng.sample(LIST_SETS, rng.randint(1, 4)))
+            suite = at_depth(parse_spec("[S]\n" + sets), rng.randint(1, 2), LIST_ALPHA)
+            atoms = [f"{n}({', '.join(rng.choice(args) for _ in range(k))})"
+                     for n, k in rng.choices(LIST_PREDS, k=rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                atoms.insert(rng.randint(0, len(atoms)), "!")
+            query = parse_query(", ".join(atoms))
+            ctx = stage_context(Program(), suite, query)
+            product = len(ctx.pool.terms()) ** len(vars_of(query))
+            for cap in {1, 7, 40, product - 1, product, 400}:
+                if cap < 1 or cap > 400:
+                    continue
+                monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", cap)
+                want = drained(full_product.product_s_true_instances(ctx))
+                assert drained(_s_true_instances(ctx)) == want, (query, sets, cap)
+                counts["instances" if want[0] else "none"] += 1
+                counts["cap hit" if want[1] else "finished"] += 1
+                counts["cap hit after an instance"] += bool(want[0] and want[1])
+        assert min(counts.values()) > 80, counts
 
 
 class TestDirectProbe:
@@ -1092,11 +1136,11 @@ class TestDirectProbe:
                                 continue
                             counts["open " + got[0]] += 1
                             if got[0] == "verified":
-                                instance = got[1]
-                                assert is_ground(instance) and instance.head == a
-                                assert match(body, instance.body) is not None
+                                instance = got[1]  # the body of the instance with head a
+                                assert is_ground(instance)
+                                assert match(body, instance) is not None
                                 assert all(b is CUT or contains(s, b, ctx.resolver)
-                                           for b in instance.body)
+                                           for b in instance)
                             elif got[0] == "refuted":
                                 names = vars_of(body)
                                 for combo in itertools.product(terms, repeat=len(names)):
@@ -1302,30 +1346,31 @@ class TestQuerySlice:
 
     def test_groundings_past_the_cap_build_none(self, monkeypatch):
         """The slice's root search and ``_query_transform`` give up before the
-        first grounding when the product passes the instance cap; the stage
-        is then rooted at S."""
-        built = []
+        first grounding when the product passes the instance cap: neither
+        enters the search for the query's S-true instances (a join, which
+        builds no grounding through ``_groundings``).  The stage is then
+        rooted at S."""
+        entered = []
 
-        def counted(sigma, names, ctx, read=None):
-            for theta in groundings(sigma, names, ctx, read):
-                built.append(theta)
-                yield theta
+        def counted(ctx):
+            entered.append(ctx.query)
+            yield from instances(ctx)
 
-        groundings = cutcheck.verify._groundings
-        monkeypatch.setattr(cutcheck.verify, "_groundings", counted)
+        instances = cutcheck.verify._s_true_instances
+        monkeypatch.setattr(cutcheck.verify, "_s_true_instances", counted)
         prog, suite, _ = setup_example("append.pl", "append.spec")  # 1,446 terms at depth 3
         with pytest.raises(CapHit, match="^instance cap 50000 hit at depth 3$"):
             _query_transform(stage_context(prog, suite, parse_query("app(X, Y, [1]), !")))
-        assert built == []
+        assert entered == []
         prog, suite, _ = setup_example("in.pl", "in.spec", depth=1)
         query = parse_query("in([X], [Y])")
         ctx = stage_context(prog, suite, query)
         product = len(ground_terms(ctx.alphabet, 1)) ** 2  # 12 terms at depth 1
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product - 1)
-        assert not _coverage_stage(ctx, True).reason.startswith("query slice") and built == []
+        assert not _coverage_stage(ctx, True).reason.startswith("query slice") and entered == []
         monkeypatch.setattr(cutcheck.verify, "INSTANCE_CAP", product)
         assert _coverage_stage(ctx, True).reason.startswith("query slice")
-        assert len(built) == product == 144
+        assert entered == [query] and product == 144
 
 
 class TestMemoScope:
