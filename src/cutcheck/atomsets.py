@@ -97,7 +97,6 @@ class AtomSet:
         return AtomSet(self.universal or other.universal, self.atoms + other.atoms,
                        self.patterns + other.patterns)
 
-
 UNIVERSAL = AtomSet(universal=True)
 
 
@@ -340,13 +339,9 @@ class TermPool:
                 self._built = exc
                 return
             self._table.update(((t.functor, *map(id, t.args)), t) for t in terms)
-            every, lists = [], []
-            for t in terms:
-                items = list_items(t)
-                every.append((t, term_key(t)[0], len(items or ())))
-                if items is not None:
-                    lists.append(every[-1])
-            self._built = (terms, every, lists)
+            items = [list_items(t) for t in terms]
+            every = [(t, term_key(t)[0], len(i or ())) for t, i in zip(terms, items)]
+            self._built = (terms, every, [e for e, i in zip(every, items) if i is not None])
 
     def _get(self) -> tuple:
         self._build()
@@ -535,13 +530,9 @@ def _enumerate_pattern(pattern: AtomPattern, pool: TermPool, resolver, cap, coun
             for v in deep:
                 if depths[v] > depth:
                     return
-            if names is None:
-                args = tuple([value(a, env) for a in targs])
-                if any(term_key(args[j])[0] > depth for j in built):
-                    return
-            else:
-                args = tuple([env[n] for n in names])
-            if not tested or all(guard_holds(g, env, None, resolver) for g in tested):
+            args = tuple([env[n] for n in names] if names else [value(a, env) for a in targs])
+            if not (built and any(term_key(args[j])[0] > depth for j in built)
+                    or tested and not all(guard_holds(g, env, None, resolver) for g in tested)):
                 out.append(Pred(template.name, args))
             return
         v = order[i]

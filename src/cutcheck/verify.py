@@ -76,26 +76,22 @@ class _CheckContext:
     and set resolver, and the memos its searches share.
 
     Each public checker builds one on entry from its program, its query
-    (``()`` for a query-free check) and the spec suite, by one rule: the
-    alphabet is ``resolve_alphabet`` of the three; the depth is the suite's
-    ``budget.depth``; the resolver is the suite's.  Every stage reads the
-    program, the query and the suite's sets from the context.  A set is an
-    argument only where some caller passes one that is not the suite's: the
-    set a cover search runs over (``_CoverSearch``), the pre and post of
-    ``_well_asserted``, which the query's check extends by a marker, and the
-    set ``_level_decrease`` reads prefixes in.
+    (``()`` for a query-free check) and the spec suite: the alphabet is
+    ``resolve_alphabet`` of the three, the depth the suite's
+    ``budget.depth``, the resolver the suite's.  Every stage reads the
+    program, the query and the suite's sets from it; a set is an argument
+    only where a caller passes another: the set of a ``_CoverSearch``, the
+    pre and post of ``_well_asserted``, which the query's check extends by a
+    marker, and the set ``_level_decrease`` reads prefixes in.
 
-    The memos: the pool of ground terms up to the depth (``pool``, a
-    ``TermPool``: every enumeration draws its values from it, so equal terms
-    of the check are one object), each enumeration of a set, keyed by the
-    set, the cap and the predicate (``enumerate``), the atoms of the last
-    set a pass over all of it enumerated, which ``_covering_instance`` looks
-    ground body atoms up in (``in_set``), the text of each clause seen
-    (``clause_text``, kept by the clause's id beside the clause itself, so
-    the id is not reused while the context lives), the texts of ground atom
-    arguments (``texts``, as ``atom_text`` reads it).  None of them outlives
-    the context.  What a clause alone determines, its cut splits and the
-    clause cut short before its last cut, the clause keeps itself.
+    The memos, none of which outlives the context: the pool of ground terms
+    up to the depth (``pool``: every enumeration draws from it, so equal
+    terms of the check are one object); each enumeration of a set, keyed by
+    the set, the cap and the predicate (``enumerate``); the atoms of the
+    last set a pass over all of it enumerated, for ``in_set``; the text of
+    each clause seen, by its id beside the clause (``clause_text``); and
+    ``atom_text``'s memo (``texts``), keyed by identity.  A clause keeps
+    what it alone determines: its cut splits and its prefix.
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
@@ -275,13 +271,11 @@ def _covering_instance(a: Pred, clause: Clause, theta: Optional[dict],
     ``a`` must be ground, so it shares no variable with the clause and the
     instance has ``a`` itself as its head; ``theta`` is
     ``match(clause.head, a)``.  When ``theta`` binds every variable of the
-    clause, it grounds the body, which is probed atom by atom with
-    ``ctx.in_set``, as the cover search would probe it, with no search
-    built, unless its atoms reach the search's visit cap.  Returns
-    ``("verified", body)``, the body of the ground instance, when one is
-    found, ``("refuted", note)`` when none exists (the head does not
-    match, or the search was exhaustive), and ``("unknown", reason)`` when a
-    bound stopped it.
+    clause, the body it grounds is probed atom by atom with ``ctx.in_set``,
+    as the cover search would probe it, unless its atoms reach the search's
+    visit cap.  Returns ``("verified", body)`` with the instance's body,
+    ``("refuted", note)`` when none exists (the head does not match, or the
+    search was exhaustive), and ``("unknown", reason)`` when a bound stopped it.
     """
     if theta is None:
         return "refuted", "head does not match"
@@ -1096,23 +1090,18 @@ def completeness_check(program: Program, query: tuple, suite: SpecSuite) -> Chec
 
 
 def _s_true_instances(ctx: _CheckContext):
-    """The groundings theta of the query's variables over the pool's terms,
-    in product order, whose instance of the query lies in S + {!}, each with
-    that instance.
-
-    A join: the variables are bound one at a time, in product order, and
-    each query atom is tested once its variables are bound, so a partial
-    grounding that puts an atom outside S skips every grounding extending
-    it.  ``INSTANCE_CAP`` counts the product's groundings passed, a skipped
-    one too: CapHit is raised where the product, tried one grounding at a
-    time, passes the cap, after the same instances."""
+    """The groundings theta of the query's variables, in product order, whose
+    instance of the query lies in S + {!}, each with that instance.  A join:
+    the variables are bound in product order, and each query atom is tested
+    once its variables are bound, which skips the groundings a failed test
+    rules out.  CapHit is raised where trying the groundings one by one
+    would pass ``INSTANCE_CAP``, a skipped one counting."""
     query, s, resolver = ctx.query, ctx.suite.s, ctx.resolver
     names = vars_of(query)
     terms = ctx.pool.terms() if names else ()
-    last = {n: i + 1 for i, n in enumerate(names)}
-    tests: list = [[] for _ in range(len(names) + 1)]  # per level, the atoms it grounds
-    for j, x in enumerate(query):
-        tests[max([last[v] for v in vars_of(x)], default=0)].append(j)
+    level = {n: i + 1 for i, n in enumerate(names)}  # the atoms a level tests: those it grounds
+    tests = [[j for j, x in enumerate(query) if max(map(level.get, vars_of(x)), default=0) == i]
+             for i in range(len(names) + 1)]
     inst, theta, count = list(query), {}, 0
 
     def extend(i):
@@ -1134,8 +1123,7 @@ def _s_true_instances(ctx: _CheckContext):
         if count > INSTANCE_CAP:
             raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
 
-    if terms or not names:
-        yield from extend(0)
+    yield from extend(0)
 
 
 def _query_transform(ctx: _CheckContext) -> _CheckContext:
