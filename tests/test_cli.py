@@ -640,7 +640,7 @@ class TestPublicSurface:
         readme = (Path(cutcheck.__file__).parent.parent.parent / "README.md").read_text(
             encoding="utf-8").splitlines()
         start = readme.index(
-            "| guard | arity | ground test | generation mode | forcing rules | facts |")
+            "| guard | arity | ground test | generation mode | forcing rules | facts | output facts |")
         rows = {}
         for line in readme[start + 2:]:
             if not line.startswith("|"):
