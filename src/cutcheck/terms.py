@@ -736,9 +736,21 @@ def lgg(a, b):
 
 
 def term_depth(t: Term) -> int:
-    """Constants and variables have depth 0; f(...) has 1 + max over args:
-    the first field of ``term_key``."""
-    return term_key(t)[0]
+    """Constants and variables have depth 0; f(...) has 1 + max over args.
+
+    The depth is the nesting level of the deepest variable or constant; the
+    walk keeps its own stack."""
+    deepest = 0
+    stack = [(t, 0)]
+    pop = stack.pop
+    while stack:
+        u, d = pop()
+        if u.__class__ is Compound and u.args:
+            d += 1
+            stack += [(a, d) for a in u.args]
+        elif d > deepest:
+            deepest = d
+    return deepest
 
 
 def atom_depth(a: Pred) -> int:
@@ -763,12 +775,19 @@ def term_size(t: Term) -> int:
 
 def list_norm(t: Term) -> int:
     """|[h|t]| = 1 + |t|; any other ground term has norm 0."""
-    if not is_ground(t):
-        raise ValueError("list_norm requires a ground term")
     n = 0
-    while t.__class__ is Compound and t.functor == "." and len(t.args) == 2:
-        n, t = n + 1, t.args[1]
-    return n
+    while True:
+        if isinstance(t, Var):
+            raise ValueError("list_norm requires a ground term")
+        if isinstance(t, Compound) and t.functor == "." and len(t.args) == 2:
+            if not is_ground(t.args[0]):
+                raise ValueError("list_norm requires a ground term")
+            n += 1
+            t = t.args[1]
+        else:
+            if not is_ground(t):
+                raise ValueError("list_norm requires a ground term")
+            return n
 
 
 # ---------------------------------------------------------------------------
