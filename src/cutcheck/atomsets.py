@@ -563,7 +563,9 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
     set: each pattern adds every candidate it tries.  Both draw their terms
     from ``pool``, a ``TermPool`` of the alphabet's functors and the depth;
     without one the call builds its own.  The atoms ``s`` lists keep their
-    own terms.
+    own terms.  No part of ``s`` gives an atom twice (a pattern's atoms are
+    its template under distinct assignments of pool objects), so the atoms
+    are deduplicated only when more than one part gives any.
     """
     if cap is None:
         cap = ENUM_CAP
@@ -580,10 +582,10 @@ def enumerate_atoms(s: AtomSet, alphabet: Alphabet, depth: int, resolver=None,
         terms = pool.terms() if any(k for _, k in alphabet.predicates) else ()
         return list(ground_atoms(alphabet, depth, terms))  # sorted
     counter = [0]
-    out = dict.fromkeys(a for a in s.atoms if atom_depth(a) <= depth)
-    for p in s.patterns:
-        out.update(dict.fromkeys(_enumerate_pattern(p, pool, resolver, cap, counter)))
-    return _sorted_atoms(out)
+    parts = [[a for a in s.atoms if atom_depth(a) <= depth]]
+    parts += [_enumerate_pattern(p, pool, resolver, cap, counter) for p in s.patterns]
+    parts = [atoms for atoms in parts if atoms]  # each free of repeats
+    return _sorted_atoms(parts[0] if len(parts) == 1 else dict.fromkeys(itertools.chain(*parts)))
 
 
 def _sorted_atoms(atoms) -> list:
@@ -592,9 +594,8 @@ def _sorted_atoms(atoms) -> list:
     The distinct argument objects of the atoms are sorted once by
     ``term_key`` and numbered in that order, equal terms sharing a number
     (pool terms are one object each, and a listed atom keeps its own), so
-    an atom's key is its name, its arity and the numbers of its arguments:
-    a tuple of integers, which compares without descending into nested
-    term keys."""
+    an atom's key is its name, its arity and the numbers of its arguments,
+    integers, which compare without descending into nested term keys."""
     args = {id(t): t for a in atoms for t in a.args}
     ranks: dict = {}
     rank, last = -1, None
@@ -603,8 +604,7 @@ def _sorted_atoms(atoms) -> list:
         if key != last:
             rank, last = rank + 1, key
         ranks[id(t)] = rank
-    rank_of = ranks.__getitem__
-    return sorted(atoms, key=lambda a: (a.name, len(a.args), tuple(map(rank_of, map(id, a.args)))))
+    return sorted(atoms, key=lambda a: (a.name, len(a.args), *[ranks[id(t)] for t in a.args]))
 
 
 def _predicate_part(s: AtomSet, alphabet: Alphabet, predicate) -> tuple:
