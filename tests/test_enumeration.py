@@ -96,8 +96,9 @@ BOUNDARY_PATTERNS = tuple((boundary_pattern(text), depths) for text, depths in (
 
 def test_pattern_enumeration_matches_reference():
     """One pool per depth serves every pattern, as one serves a whole check;
-    every argument of every atom is an object of that pool.  Beside the
-    seeded patterns, the boundary patterns run at each depth."""
+    every argument of every atom is an object of that pool, and no atom
+    comes twice.  Beside the seeded patterns, the boundary patterns run at
+    their depths."""
     rng = random.Random(20161)
     pools = {d: TermPool(Alphabet(functors, ()), d) for d, functors in ALPHABETS.items()}
     finished = 0
@@ -115,6 +116,7 @@ def test_pattern_enumeration_matches_reference():
         pool = pools[depth]
         got = _enumerate_pattern(pattern, pool, RESOLVER, CAP, count)
         assert got == want, pattern
+        assert len(set(got)) == len(got), pattern
         assert count[0] <= want_count[0], pattern
         assert all(pool.intern(t) is t for a in got for t in a.args), pattern
         finished += 1
