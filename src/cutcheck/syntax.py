@@ -305,11 +305,10 @@ def atom_text(a, texts: Optional[dict] = None) -> str:
     and its text (``_kept_text``)."""
     if texts is None or a is CUT or not a.args:
         return _text((a,))
-    try:
-        return texts[a.name] + ", ".join([texts[id(t)][1] for t in a.args]) + ")"
-    except KeyError:  # a name or an argument met for the first time, or not ground
-        texts.setdefault(a.name, _name_text(a.name) + "(")
-        return texts[a.name] + ", ".join([_kept_text(t, texts) for t in a.args]) + ")"
+    opens = texts.get(a.name)
+    if opens is None:
+        opens = texts[a.name] = _name_text(a.name) + "("
+    return opens + ", ".join([_kept_text(t, texts) for t in a.args]) + ")"
 
 
 def _kept_text(t, texts: dict, compose: bool = True) -> str:
@@ -317,11 +316,14 @@ def _kept_text(t, texts: dict, compose: bool = True) -> str:
     ``compose``, written from the texts of its list items and tail, or of
     its arguments, each kept in turn, so no text kept is longer than one
     ``atom_text`` read."""
-    if id(t) in texts:
-        return texts[id(t)][1]
+    kept = texts.get(id(t))
+    if kept is not None:
+        return kept[1]
     if t.__class__ is not Compound or not t.ground:
         return term_text(t)
-    if not compose or not t.args:
+    if not t.args:
+        text = "[]" if t.functor == "[]" else _name_text(t.functor)
+    elif not compose:
         text = term_text(t)
     elif t.functor != "." or len(t.args) != 2:
         text = _name_text(t.functor) + "(" + ", ".join([_kept_text(x, texts, False) for x in t.args]) + ")"

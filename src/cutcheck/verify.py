@@ -1095,35 +1095,47 @@ def _s_true_instances(ctx: _CheckContext):
     the variables are bound in product order, and each query atom is tested
     once its variables are bound, which skips the groundings a failed test
     rules out.  CapHit is raised where trying the groundings one by one
-    would pass ``INSTANCE_CAP``, a skipped one counting."""
+    would pass ``INSTANCE_CAP``, a skipped one counting.  The walk keeps its
+    own stack of term iterators, so no closure refers to itself and the
+    context is freed with the generator."""
     query, s, resolver = ctx.query, ctx.suite.s, ctx.resolver
     names = vars_of(query)
     terms = ctx.pool.terms() if names else ()
     level = {n: i + 1 for i, n in enumerate(names)}  # the atoms a level tests: those it grounds
     tests = [[j for j, x in enumerate(query) if max(map(level.get, vars_of(x)), default=0) == i]
              for i in range(len(names) + 1)]
-    inst, theta, count = list(query), {}, 0
+    inst, theta, count, stack = list(query), {}, 0, []
 
-    def extend(i):
-        nonlocal count
+    def holds(i) -> bool:  # whether the atoms level i grounds lie in S + {!}
         for j in tests[i]:
             inst[j] = resolve(theta, query[j])
             if inst[j] is not CUT and not contains(s, inst[j], resolver):
-                count += len(terms) ** (len(names) - i)  # the groundings skipped
-                break
+                return False
+        return True
+
+    if not holds(0):
+        count = len(terms) ** len(names)
+    elif names:
+        stack.append(iter(terms))
+    else:
+        yield {}, tuple(inst)
+    while stack and count <= INSTANCE_CAP:
+        i = len(stack) - 1  # the level of the variable bound next
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            continue
+        theta[names[i]] = t
+        if not holds(i + 1):
+            count += len(terms) ** (len(names) - i - 1)  # the groundings skipped
+        elif i + 1 < len(names):
+            stack.append(iter(terms))
         else:
-            if i < len(names):
-                for t in terms:
-                    theta[names[i]] = t
-                    yield from extend(i + 1)
-                return
             count += 1
             if count <= INSTANCE_CAP:
                 yield dict(theta), tuple(inst)
-        if count > INSTANCE_CAP:
-            raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
-
-    yield from extend(0)
+    if count > INSTANCE_CAP:
+        raise CapHit(f"instance cap {INSTANCE_CAP} hit at depth {ctx.depth}")
 
 
 def _query_transform(ctx: _CheckContext) -> _CheckContext:
