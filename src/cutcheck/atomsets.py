@@ -31,6 +31,7 @@ from .terms import (
     ground_term_count,
     ground_terms,
     is_ground,
+    is_list,
     list_items,
     make_list,
     match,
@@ -339,9 +340,8 @@ class TermPool:
                 self._built = exc
                 return
             self._table.update(((t.functor, *map(id, t.args)), t) for t in terms)
-            items = [list_items(t) for t in terms]
-            every = [(t, term_key(t)[0], len(i or ())) for t, i in zip(terms, items)]
-            self._built = (terms, every, [e for e, i in zip(every, items) if i is not None])
+            every = [(t, term_key(t)[0], len(list_items(t) or ())) for t in terms]
+            self._built = (terms, every, [e for e in every if is_list(e[0])])
 
     def _get(self) -> tuple:
         self._build()
