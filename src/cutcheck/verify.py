@@ -76,22 +76,26 @@ class _CheckContext:
     and set resolver, and the memos its searches share.
 
     Each public checker builds one on entry from its program, its query
-    (``()`` for a query-free check) and the spec suite: the alphabet is
-    ``resolve_alphabet`` of the three, the depth the suite's
-    ``budget.depth``, the resolver the suite's.  Every stage reads the
-    program, the query and the suite's sets from it; a set is an argument
-    only where a caller passes another: the set of a ``_CoverSearch``, the
-    pre and post of ``_well_asserted``, which the query's check extends by a
-    marker, and the set ``_level_decrease`` reads prefixes in.
+    (``()`` for a query-free check) and the spec suite, by one rule: the
+    alphabet is ``resolve_alphabet`` of the three; the depth is the suite's
+    ``budget.depth``; the resolver is the suite's.  Every stage reads the
+    program, the query and the suite's sets from the context.  A set is an
+    argument only where some caller passes one that is not the suite's: the
+    set a cover search runs over (``_CoverSearch``), the pre and post of
+    ``_well_asserted``, which the query's check extends by a marker, and the
+    set ``_level_decrease`` reads prefixes in.
 
-    The memos, none of which outlives the context: the pool of ground terms
-    up to the depth (``pool``: every enumeration draws from it, so equal
-    terms of the check are one object); each enumeration of a set, keyed by
-    the set, the cap and the predicate (``enumerate``); the atoms of the
-    last set a pass over all of it enumerated, for ``in_set``; the text of
-    each clause seen, by its id beside the clause (``clause_text``); and
-    ``atom_text``'s memo (``texts``), keyed by identity.  A clause keeps
-    what it alone determines: its cut splits and its prefix.
+    The memos: the pool of ground terms up to the depth (``pool``, a
+    ``TermPool``: every enumeration draws its values from it, so equal terms
+    of the check are one object), each enumeration of a set, keyed by the
+    set, the cap and the predicate (``enumerate``), the atoms of the last
+    set a pass over all of it enumerated, which ``_covering_instance`` looks
+    ground body atoms up in (``in_set``), the text of each clause seen
+    (``clause_text``, kept by the clause's id beside the clause itself, so
+    the id is not reused while the context lives), and ``atom_text``'s memo
+    of label parts (``texts``), keyed by identity.  None of them outlives
+    the context.  What a clause alone determines, its cut splits and the
+    clause cut short before its last cut, the clause keeps itself.
     """
 
     def __init__(self, program: Program, query: tuple, suite: SpecSuite):
@@ -103,7 +107,7 @@ class _CheckContext:
         self.resolver = suite.resolver
         self.pool = TermPool(self.alphabet, self.depth)
         self._members: tuple = (None, frozenset())  # (a set, its atoms up to the depth)
-        self.texts: dict = {}  # the memo of ``atom_text``: id -> (ground term, text), name -> text
+        self.texts: dict = {}  # ``atom_text``'s memo: id -> (ground term, text), name -> "name("
         self._clause_texts: dict = {}  # id(clause) -> (the clause, its text)
         self._computed: dict = {}  # key -> the value computed, or the CapHit it raised
 
