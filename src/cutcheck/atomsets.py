@@ -98,6 +98,7 @@ class AtomSet:
         return AtomSet(self.universal or other.universal, self.atoms + other.atoms,
                        self.patterns + other.patterns)
 
+
 UNIVERSAL = AtomSet(universal=True)
 
 

@@ -314,8 +314,8 @@ def atom_text(a, texts: Optional[dict] = None) -> str:
 def _kept_text(t, texts: dict, compose: bool = True) -> str:
     """The text of the term ``t``, kept in ``texts`` when ground; with
     ``compose``, written from the texts of its list items and tail, or of
-    its arguments, each kept in turn, so no text kept is longer than one
-    ``atom_text`` read."""
+    its arguments, each kept in turn but not composed, so the memo holds no
+    text longer than an argument's."""
     kept = texts.get(id(t))
     if kept is not None:
         return kept[1]
