@@ -342,7 +342,8 @@ class TermPool:
                 return
             self._table.update(((t.functor, *map(id, t.args)), t) for t in terms)
             every = [(t, term_key(t)[0], len(list_items(t) or ())) for t in terms]
-            self._built = (terms, every, [e for e in every if is_list(e[0])])
+            # only a proper list has a positive spine length
+            self._built = (terms, every, [e for e in every if e[2] or is_list(e[0])])
 
     def _get(self) -> tuple:
         self._build()
