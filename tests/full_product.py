@@ -32,6 +32,7 @@ from cutcheck.verify import _CheckContext, _CoverSearch, _groundings
 from naive_unify import naive_compose
 
 CAP_HITS: list = []
+_ground_terms = functools.lru_cache(maxsize=None)(ground_terms)
 
 
 def product_s_true_instances(ctx: _CheckContext):
@@ -44,7 +45,6 @@ def product_s_true_instances(ctx: _CheckContext):
         inst = resolve(theta, query)
         if all(x is CUT or contains(s, x, resolver) for x in inst):
             yield theta, inst
-_ground_terms = functools.lru_cache(maxsize=None)(ground_terms)
 
 
 def full_groundings(sigma: dict, names, alphabet, depth: int, cap: int):
